@@ -1,9 +1,9 @@
 // Package bench holds the benchmark harness that regenerates every table
 // and figure of the paper's evaluation (§V) as testing.B benchmarks. Each
-// benchmark group corresponds to one experiment of DESIGN.md's index
-// (E1–E10); cmd/paperbench prints the same rows from the same code at full
-// dataset scale. Benchmarks run at benchScale so `go test -bench=.`
-// finishes in minutes on one core.
+// benchmark group corresponds to one experiment of cmd/paperbench's -exp
+// list, which prints the same rows from the same code at full dataset scale
+// (README.md, "Development"). Benchmarks run at benchScale so
+// `go test -bench=.` finishes in minutes on one core.
 package bench
 
 import (
@@ -22,7 +22,7 @@ import (
 	"ppaassembler/internal/scaffold"
 )
 
-// benchScale shrinks the DESIGN.md dataset sizes for benchmarking.
+// benchScale shrinks the genome.PaperDatasets sizes for benchmarking.
 const benchScale = 0.05
 
 var (

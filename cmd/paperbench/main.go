@@ -1,6 +1,7 @@
 // Command paperbench regenerates every table and figure of the paper's
-// evaluation (§V) on the synthetic stand-in datasets. See EXPERIMENTS.md
-// for the paper-vs-measured record produced by this tool.
+// evaluation (§V) on the synthetic stand-in datasets. README.md,
+// "Development", shows the reduced-scale `go test -bench` form of the same
+// experiments.
 //
 // Usage:
 //
@@ -24,7 +25,7 @@ import (
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment to run")
-		scale   = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = DESIGN.md sizes)")
+		scale   = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = the genome.PaperDatasets sizes)")
 		workers = flag.Int("workers", 4, "worker count for the non-scaling experiments")
 	)
 	flag.Parse()

@@ -57,5 +57,5 @@ func main() {
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
-	fmt.Println("\n(simulated cluster seconds; see DESIGN.md for the cost model)")
+	fmt.Println("\n(simulated cluster seconds; see README.md, \"Partitioning and locality\", for the cost model)")
 }

@@ -57,7 +57,8 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 	// same partitioner that will place the graph's vertices (keyHash is the
 	// identity projection; see MRConfig.Partitioner): each reduced
 	// KmerVertex of phase (ii) is born on the worker that owns it, and the
-	// AddVertex pass below is a local insert rather than a second shuffle.
+	// LoadShards pass below is a local, already-sorted insert rather than a
+	// second shuffle.
 	part := cfg.Partitioner
 	if part == nil {
 		part = pregel.HashPartitioner{}
@@ -143,11 +144,7 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 
 	g := pregel.NewGraph[KmerVertex, struct{}](cfg)
 	g.UseClock(clock)
-	for _, shard := range vertShards {
-		for _, p := range shard {
-			g.AddVertex(p.id, p.v)
-		}
-	}
+	pregel.LoadShards(g, vertShards, func(p *kvPair) (pregel.VertexID, KmerVertex) { return p.id, p.v })
 	res.Graph = g
 	return res, nil
 }

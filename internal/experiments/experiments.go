@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V) over the synthetic stand-in datasets of DESIGN.md. Both
+// evaluation (§V) over the synthetic stand-in datasets of genome.PaperDatasets. Both
 // cmd/paperbench and the top-level benchmarks drive these entry points, so
 // the printed rows and the benchmark measurements come from the same code.
 package experiments
@@ -37,7 +37,7 @@ type Dataset struct {
 }
 
 // LoadDataset builds the named dataset ("sim-HC2", "sim-HCX", "sim-HC14",
-// "sim-BI") at the given scale (1.0 = the DESIGN.md size; benchmarks use
+// "sim-BI") at the given scale (1.0 = the genome.PaperDatasets size; benchmarks use
 // smaller scales).
 func LoadDataset(name string, scale float64) (*Dataset, error) {
 	var spec genome.Spec

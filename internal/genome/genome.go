@@ -3,7 +3,8 @@
 // chromosomes, Bombus impatiens); this reproduction substitutes seeded
 // random references with planted exact repeats, which create the genuine
 // ⟨m-n⟩ ambiguity, tips-after-dead-ends and bubble structure that the
-// assembler's operations exist to handle (see DESIGN.md, substitutions).
+// assembler's operations exist to handle (the Table I stand-ins of
+// README.md, "Architecture").
 package genome
 
 import (

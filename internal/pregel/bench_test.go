@@ -205,6 +205,78 @@ func BenchmarkMapReduceShuffle(b *testing.B) {
 	}
 }
 
+// BenchmarkMapReduceGroup is the reduce-side grouping fence: 200k pairs over
+// 5k keys (40 values per key, every key present in every lane), a two-field
+// struct key and a 32-byte value, so ns/op tracks the sort and B/op the pair,
+// permutation and value arenas.
+func BenchmarkMapReduceGroup(b *testing.B) {
+	type key struct{ a, b uint64 }
+	type val struct{ span, weight, lo, hi float64 }
+	const n, keys = 200_000, 5_000
+	items := make([]uint64, n)
+	for i := range items {
+		items[i] = uint64(i*7919) % keys
+	}
+	shards := ShardSlice(items, 4)
+	clock := NewSimClock(DefaultCost())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _ := MapReduce(
+			clock, 4, 48, shards,
+			func(w int, item uint64, emit func(key, val)) {
+				emit(key{item % 71, item / 71}, val{span: float64(item)})
+			},
+			func(k key) uint64 { return Uint64Hash(k.a<<32 | k.b) },
+			func(x, y key) bool { return x.a < y.a || x.a == y.a && x.b < y.b },
+			func(w int, k key, vals []val, emit func(int)) { emit(len(vals)) },
+		)
+		if len(Flatten(out)) != keys {
+			b.Fatal("wrong group count")
+		}
+	}
+}
+
+// convertVal is a segment-graph-sized (≈200-byte, pointerful) vertex value.
+type convertVal struct {
+	seq  []byte
+	pad  [20]uint64
+	next VertexID
+}
+
+// sortedGraph builds a 4-worker graph of n ID-ordered vertices.
+func sortedGraph(n int) *Graph[uint32, struct{}] {
+	g := NewGraph[uint32, struct{}](Config{Workers: 4})
+	for i := 0; i < n; i++ {
+		g.AddVertex(VertexID(i), uint32(i))
+	}
+	return g
+}
+
+func convertSorted(src *Graph[uint32, struct{}]) *Graph[convertVal, struct{}] {
+	return Convert[convertVal, struct{}](src, Config{Workers: 4},
+		func(id VertexID, v uint32, emit func(VertexID, convertVal)) {
+			emit(id, convertVal{next: id + 1})
+		})
+}
+
+// BenchmarkConvert is the graph-load fence: a one-to-one Convert of 100k
+// vertices into 200-byte values under unchanged placement, plus the first
+// Run's sortVertices (which must find nothing to do). B/op should stay near
+// one copy of the destination arrays.
+func BenchmarkConvert(b *testing.B) {
+	src := sortedGraph(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst := convertSorted(src)
+		dst.sortVertices()
+		if dst.VertexCount() != 100_000 {
+			b.Fatal("wrong vertex count")
+		}
+	}
+}
+
 // BenchmarkCombinerWin shows the traffic reduction from a sum combiner on
 // an all-to-one pattern.
 func BenchmarkCombinerWin(b *testing.B) {

@@ -29,46 +29,55 @@ func Convert[V2, M2, V1, M1 any](
 		})
 	}
 
+	// Count-first: most conversions keep about one vertex per source vertex
+	// (on its worker, under the same placement), so each destination
+	// partition is sized once from the source's counts and emits insert in
+	// place — already ID-sorted when placement is unchanged.
+	even := src.VertexCount()/len(dst.workers) + 1
+	for d, w := range dst.workers {
+		n := even
+		if len(src.workers) == len(dst.workers) {
+			n = src.workers[d].vertexCount()
+		}
+		w.reserve(n)
+	}
 	convNs := make([]float64, src.cfg.Workers)
 	outBytes := make([]float64, src.cfg.Workers)
 	localBytes := make([]float64, src.cfg.Workers)
 	var nLocal, nRemote int64
-	type pending struct {
-		id  VertexID
-		val V2
-	}
-	var emitted []pending
 	cur := -1
 	var start int64
+	emit := func(nid VertexID, nval V2) {
+		// The conversion shuffle is tiered like any other: a vertex emitted
+		// to its source worker's own partition (under the destination
+		// graph's partitioner) never crosses the wire.
+		d := dst.WorkerOf(nid)
+		dst.workers[d].add(nid, nval)
+		if d == cur {
+			localBytes[cur] += float64(cfg.MessageBytes)
+			nLocal++
+		} else {
+			outBytes[cur] += float64(cfg.MessageBytes)
+			nRemote++
+		}
+	}
 	src.ForEachWorker(func(w int, id VertexID, val *V1) {
 		if w != cur {
-			if cur >= 0 && cur < len(convNs) {
+			if cur >= 0 {
 				convNs[cur] += float64(nowNs() - start)
 			}
 			cur = w
 			start = nowNs()
 		}
-		fn(id, *val, func(nid VertexID, nval V2) {
-			emitted = append(emitted, pending{nid, nval})
-			if w < len(outBytes) {
-				// The conversion shuffle is tiered like any other: a vertex
-				// emitted to its source worker's own partition (under the
-				// destination graph's partitioner) never crosses the wire.
-				if w < dst.cfg.Workers && dst.WorkerOf(nid) == w {
-					localBytes[w] += float64(cfg.MessageBytes)
-					nLocal++
-				} else {
-					outBytes[w] += float64(cfg.MessageBytes)
-					nRemote++
-				}
-			}
-		})
+		fn(id, *val, emit)
 	})
-	if cur >= 0 && cur < len(convNs) {
+	if cur >= 0 {
 		convNs[cur] += float64(nowNs() - start)
 	}
-	for _, p := range emitted {
-		dst.AddVertex(p.id, p.val)
+	for _, w := range dst.workers {
+		if 2*len(w.ids) < cap(w.ids) {
+			w.compactSort() // a filtering conversion: hand the slack back
+		}
 	}
 	dst.clock.ChargeSuperstepTiered(convNs, outBytes, localBytes)
 	dst.clock.CountMessages(nLocal, nRemote)
@@ -76,7 +85,7 @@ func Convert[V2, M2, V1, M1 any](
 		cfg.Tracer.Emit(telemetry.Event{
 			Kind: telemetry.KindEnd, Name: "convert", Cat: "pregel",
 			WallNs: nowNs(), SimNs: dst.clock.Ns(),
-			Args: []telemetry.Arg{telemetry.I("emitted", int64(len(emitted)))},
+			Args: []telemetry.Arg{telemetry.I("emitted", nLocal+nRemote)},
 		})
 	}
 	return dst

@@ -1197,12 +1197,9 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 		w.inArena = cw.InArena
 		// Empty slices may decode as nil; the delivery path needs the
 		// offset index to exist even for an empty partition.
-		w.inOff = growInt32(cw.InOff, n+1)
-		w.inCur = growInt32(w.inCur, n)
-		w.idx = make(map[VertexID]int, n)
-		for i, id := range w.ids {
-			w.idx[id] = i
-		}
+		w.inOff = growTo(cw.InOff, n+1)
+		w.inCur = growTo(w.inCur, n)
+		w.reindex()
 		// Shuffle scratch is rebuilt by the next superstep; drop anything
 		// staged after the checkpoint barrier.
 		for i := range w.outbox {
@@ -1210,7 +1207,7 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 		}
 		// Dirty tracking restarts from the restored barrier.
 		if w.dirty != nil {
-			w.dirty = growBool(w.dirty, n)
+			w.dirty = growTo(w.dirty, n)
 			clear(w.dirty)
 		}
 	})

@@ -140,3 +140,25 @@ func TestCombinerDeterministicUnderParallel(t *testing.T) {
 		}
 	}
 }
+
+// combineEnvelopes folds messages sharing a destination, preserving the
+// first-occurrence order of destinations for determinism. It is the
+// reference semantics of the engine's eager at-Send combine (which folds
+// into the same lane positions in the same left-to-right order); the fuzz
+// suite asserts the two stay equivalent.
+func combineEnvelopes[M any](envs []envelope[M], fn func(a, b M) M) []envelope[M] {
+	if len(envs) < 2 {
+		return envs
+	}
+	idx := make(map[VertexID]int, len(envs))
+	out := envs[:0]
+	for _, e := range envs {
+		if i, ok := idx[e.dst]; ok {
+			out[i].msg = fn(out[i].msg, e.msg)
+			continue
+		}
+		idx[e.dst] = len(out)
+		out = append(out, e)
+	}
+	return out
+}

@@ -2,7 +2,7 @@ package pregel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ppaassembler/internal/telemetry"
@@ -16,9 +16,15 @@ import (
 // The input is sharded per worker (input[w] is worker w's shard, mirroring
 // HDFS block placement). Each worker maps its shard, emitted (key, value)
 // pairs are shuffled to worker keyHash(key) % W (or through a configured
-// Partitioner; see MRConfig), sorted by key with keyLess,
-// grouped, and reduced; reduce output stays on the reducing worker (which is
-// how contigs acquire their (worker, ordinal) IDs in op ③).
+// Partitioner; see MRConfig), stably grouped by key with keyLess, and
+// reduced; reduce output stays on the reducing worker (which is how contigs
+// acquire their (worker, ordinal) IDs in op ③).
+//
+// Ordering guarantee: a reducer sees its keys in ascending keyLess order and
+// each key's values in (source worker, emission) order — order-sensitive
+// reducers (float sums, chain stitching) rely on it. Grouping n pairs costs
+// O(n log n) comparisons over a permutation of 4-byte indices plus one
+// gather of the values; whole records never move.
 //
 // Cost: the clock is charged one shuffle round — barrier latency + slowest
 // mapper + most-loaded link — and one reduce round. pairBytes is the charged
@@ -170,20 +176,26 @@ func MapReduceCfg[I, K, V, O any](
 	emitted := make([]int64, workers)
 	emittedLocal := make([]int64, workers)
 	mapWorker := func(w int) {
-		buckets[w] = make([][]pair, workers)
+		lanes := make([][]pair, workers)
+		buckets[w] = lanes
 		if w >= len(input) {
 			return
 		}
+		// Hint: one pair per item, spread evenly; amortised growth beyond.
+		for d := range lanes {
+			lanes[d] = make([]pair, 0, len(input[w])/workers+1)
+		}
+		emit := func(k K, v V) {
+			d := route(k)
+			lanes[d] = append(lanes[d], pair{k, v})
+			emitted[w]++
+			if d == w {
+				emittedLocal[w]++
+			}
+		}
 		start := nowNs()
 		for _, item := range input[w] {
-			mapFn(w, item, func(k K, v V) {
-				d := route(k)
-				buckets[w][d] = append(buckets[w][d], pair{k, v})
-				emitted[w]++
-				if d == w {
-					emittedLocal[w]++
-				}
-			})
+			mapFn(w, item, emit)
 		}
 		mapNs[w] = float64(nowNs() - start)
 	}
@@ -262,19 +274,33 @@ func MapReduceCfg[I, K, V, O any](
 			buckets[s][d] = nil
 		}
 		start := nowNs()
-		sort.SliceStable(pairs, func(a, b int) bool { return keyLess(pairs[a].k, pairs[b].k) })
+		// (key, arrival index) is a total order, so the unstable sort of
+		// the permutation yields exactly the stable grouping.
+		perm := make([]int32, len(pairs))
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortFunc(perm, func(a, b int32) int {
+			if keyLess(pairs[a].k, pairs[b].k) {
+				return -1
+			}
+			if keyLess(pairs[b].k, pairs[a].k) {
+				return 1
+			}
+			return int(a - b)
+		})
 		vals := make([]V, len(pairs))
-		for i, p := range pairs {
-			vals[i] = p.v
+		for i, p := range perm {
+			vals[i] = pairs[p].v
 		}
 		emit := func(o O) { out[d] = append(out[d], o) }
-		i := 0
-		for i < len(pairs) {
+		for i := 0; i < len(perm); {
+			key := pairs[perm[i]].k
 			j := i + 1
-			for j < len(pairs) && !keyLess(pairs[i].k, pairs[j].k) && !keyLess(pairs[j].k, pairs[i].k) {
+			for j < len(perm) && !keyLess(key, pairs[perm[j]].k) {
 				j++
 			}
-			reduceFn(d, pairs[i].k, vals[i:j], emit)
+			reduceFn(d, key, vals[i:j], emit)
 			i = j
 		}
 		redNs[d] = float64(nowNs() - start)
@@ -335,6 +361,9 @@ func ShardSlice[T any](items []T, w int) [][]T {
 		w = 1
 	}
 	out := make([][]T, w)
+	for s := range out {
+		out[s] = make([]T, 0, (len(items)-s+w-1)/w)
+	}
 	for i, it := range items {
 		out[i%w] = append(out[i%w], it)
 	}
@@ -342,10 +371,4 @@ func ShardSlice[T any](items []T, w int) [][]T {
 }
 
 // Flatten concatenates per-worker shards in worker order.
-func Flatten[T any](shards [][]T) []T {
-	var out []T
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out
-}
+func Flatten[T any](shards [][]T) []T { return slices.Concat(shards...) }

@@ -15,9 +15,10 @@
 package pregel
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"ppaassembler/internal/telemetry"
@@ -419,8 +420,9 @@ func (g *Graph[V, M]) Partitioner() Partitioner { return g.cfg.Partitioner }
 
 // AddVertex inserts a vertex. Adding an existing ID replaces its value.
 // AddVertex must not be called while Run is executing.
-func (g *Graph[V, M]) AddVertex(id VertexID, val V) {
-	w := g.workers[g.WorkerOf(id)]
+func (g *Graph[V, M]) AddVertex(id VertexID, val V) { g.workers[g.WorkerOf(id)].add(id, val) }
+
+func (w *worker[V, M]) add(id VertexID, val V) {
 	if i, ok := w.idx[id]; ok {
 		if w.dead[i] {
 			w.dead[i] = false
@@ -436,58 +438,89 @@ func (g *Graph[V, M]) AddVertex(id VertexID, val V) {
 	w.dead = append(w.dead, false)
 }
 
-// sortVertices restores sorted-by-ID order inside each worker and compacts
-// away removed vertices. Called before every Run.
+// reserve is the bulk-load helper behind Convert and LoadShards: it sizes
+// every per-vertex array and the index of w for n more vertices, once, so
+// the inserts that follow never regrow or rehash.
+func (w *worker[V, M]) reserve(n int) {
+	w.ids = slices.Grow(w.ids, n)
+	w.vals = slices.Grow(w.vals, n)
+	w.active = slices.Grow(w.active, n)
+	w.dead = slices.Grow(w.dead, n)
+	if len(w.idx) == 0 {
+		w.idx = make(map[VertexID]int, n)
+	}
+}
+
+// LoadShards bulk-inserts records, vertex projecting each to its (ID, value).
+// len(shards[w]) sizes worker w — exact for reducer output grouped through
+// g's partitioner, which is also born ID-sorted, so the first Run finds
+// nothing to sort — but WorkerOf still places every vertex, as AddVertex.
+func LoadShards[V, M, T any](g *Graph[V, M], shards [][]T, vertex func(*T) (VertexID, V)) {
+	for w, shard := range shards {
+		if w < len(g.workers) {
+			g.workers[w].reserve(len(shard))
+		}
+	}
+	for _, shard := range shards {
+		for i := range shard {
+			g.AddVertex(vertex(&shard[i]))
+		}
+	}
+}
+
+// sortVertices readies every worker for a Run: all vertices active, inbox
+// empty. A worker already ID-sorted with nothing removed (a bulk load from
+// sorted input; any Run after the first on an unchanged graph) stays put.
 func (g *Graph[V, M]) sortVertices() {
 	for _, w := range g.workers {
-		type rec struct {
-			id  VertexID
-			val V
+		if w.nDead > 0 || !slices.IsSorted(w.ids) {
+			w.compactSort()
 		}
-		recs := make([]rec, 0, w.vertexCount())
-		for i, id := range w.ids {
-			if !w.dead[i] {
-				recs = append(recs, rec{id, w.vals[i]})
-			}
-		}
-		sort.Slice(recs, func(a, b int) bool { return recs[a].id < recs[b].id })
-		n := len(recs)
-		w.ids = make([]VertexID, n)
-		w.vals = make([]V, n)
-		w.active = make([]bool, n)
-		w.dead = make([]bool, n)
-		w.idx = make(map[VertexID]int, n)
-		w.nDead = 0
-		for i, r := range recs {
-			w.ids[i] = r.id
-			w.vals[i] = r.val
+		n := len(w.ids)
+		for i := range w.active {
 			w.active[i] = true
-			w.idx[r.id] = i
 		}
-		// Empty inbox arena sized for the new vertex count: all offsets
-		// zero, so the first superstep sees no messages.
+		// Empty inbox: all offsets zero, so superstep 0 sees no messages.
 		w.inArena = w.inArena[:0]
-		w.inOff = growInt32(w.inOff, n+1)
-		for i := range w.inOff {
-			w.inOff[i] = 0
+		w.inOff = growTo(w.inOff, n+1)
+		clear(w.inOff)
+		w.inCur = growTo(w.inCur, n)
+	}
+}
+
+// compactSort rebuilds w at exact size without its removed vertices and in
+// ID order: a permutation of the live 4-byte indices is sorted by ID, then
+// each vertex is gathered once.
+func (w *worker[V, M]) compactSort() {
+	perm := make([]int32, 0, w.vertexCount())
+	for i := range w.ids {
+		if !w.dead[i] {
+			perm = append(perm, int32(i))
 		}
-		w.inCur = growInt32(w.inCur, n)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(w.ids[a], w.ids[b]) })
+	ids, vals := make([]VertexID, len(perm)), make([]V, len(perm))
+	for i, p := range perm {
+		ids[i], vals[i] = w.ids[p], w.vals[p]
+	}
+	w.ids, w.vals, w.nDead = ids, vals, 0
+	w.active, w.dead = make([]bool, len(perm)), make([]bool, len(perm))
+	w.reindex()
+}
+
+// reindex rebuilds the ID → position index at exact size.
+func (w *worker[V, M]) reindex() {
+	w.idx = make(map[VertexID]int, len(w.ids))
+	for i, id := range w.ids {
+		w.idx[id] = i
 	}
 }
 
-// growInt32 returns s resized to n, reallocating only when capacity is
+// growTo returns s resized to n, reallocating only when capacity is
 // insufficient.
-func growInt32(s []int32, n int) []int32 {
+func growTo[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growBool is growInt32 for bool slices.
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -660,7 +693,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	// Dirty tracking exists only when this run takes delta checkpoints.
 	for _, w := range g.workers {
 		if ck != nil && ck.delta {
-			w.dirty = growBool(w.dirty, len(w.ids))
+			w.dirty = growTo(w.dirty, len(w.ids))
 			clear(w.dirty)
 		} else {
 			w.dirty = nil
@@ -983,28 +1016,6 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	return float64(nowNs() - start)
 }
 
-// combineEnvelopes folds messages sharing a destination, preserving the
-// first-occurrence order of destinations for determinism. It is the
-// reference semantics of the engine's eager at-Send combine (which folds
-// into the same lane positions in the same left-to-right order); the fuzz
-// suite asserts the two stay equivalent.
-func combineEnvelopes[M any](envs []envelope[M], fn func(a, b M) M) []envelope[M] {
-	if len(envs) < 2 {
-		return envs
-	}
-	idx := make(map[VertexID]int, len(envs))
-	out := envs[:0]
-	for _, e := range envs {
-		if i, ok := idx[e.dst]; ok {
-			out[i].msg = fn(out[i].msg, e.msg)
-			continue
-		}
-		idx[e.dst] = len(out)
-		out = append(out, e)
-	}
-	return out
-}
-
 // deliver routes every outbox envelope into the destination worker's inbox
 // arena for the next superstep. Each destination worker drains the lanes
 // addressed to it — concurrently in Parallel mode, since no two destination
@@ -1168,7 +1179,8 @@ type gAdapter[V, M any] struct{ g *Graph[V, M] }
 // worker. With a combiner installed it folds eagerly: the lane holds at most
 // one envelope per destination vertex and new messages fold into it in
 // emission order, so lanes never hold pre-combine volume and the result is
-// identical to a post-compute combineEnvelopes pass.
+// identical to a post-compute fold of the lane (combineEnvelopes, the
+// reference kept with the tests).
 func (a gAdapter[V, M]) send(from int, dst VertexID, m M) {
 	g := a.g
 	w := g.workers[from]

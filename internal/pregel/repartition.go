@@ -1,8 +1,9 @@
 package pregel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"ppaassembler/internal/telemetry"
@@ -244,7 +245,7 @@ func appendRoutingTable(buf []byte, t *routingTable) []byte {
 	for id := range t.moved {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	prev := uint64(0)
 	for _, id := range ids {
 		buf = AppendUvarint(buf, uint64(id)-prev)
@@ -449,11 +450,8 @@ func (g *Graph[V, M]) planMigration(maxMoves int) []migMove {
 	if len(edges) == 0 {
 		return nil
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].e.src != edges[b].e.src {
-			return edges[a].e.src < edges[b].e.src
-		}
-		return edges[a].e.dst < edges[b].e.dst
+	slices.SortFunc(edges, func(a, b migEdgeCount) int {
+		return cmp.Or(cmp.Compare(a.e.src, b.e.src), cmp.Compare(a.e.dst, b.e.dst))
 	})
 
 	// Union-find over edge endpoints; the root is always the smallest
@@ -529,11 +527,8 @@ func (g *Graph[V, M]) planMigration(maxMoves int) []migMove {
 	}
 	// Largest components first: they localize the most traffic per decision
 	// and deserve first claim on destination capacity.
-	sort.Slice(roots, func(a, b int) bool {
-		if len(comp[roots[a]]) != len(comp[roots[b]]) {
-			return len(comp[roots[a]]) > len(comp[roots[b]])
-		}
-		return roots[a] < roots[b]
+	slices.SortFunc(roots, func(a, b VertexID) int {
+		return cmp.Or(cmp.Compare(len(comp[b]), len(comp[a])), cmp.Compare(a, b))
 	})
 
 	total := 0
@@ -695,18 +690,15 @@ func (g *Graph[V, M]) runRepartition(step int, stats *Stats) error {
 	for k := range byPair {
 		pairs = append(pairs, k)
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].from != pairs[b].from {
-			return pairs[a].from < pairs[b].from
-		}
-		return pairs[a].to < pairs[b].to
+	slices.SortFunc(pairs, func(a, b pairKey) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
 	})
 	bin := binaryCodecFor[V]() && binaryCodecFor[M]()
 	payloads := make([][]byte, len(pairs))
 	for i, k := range pairs {
 		// Moves arrive gain-ordered; the section codec wants ascending IDs.
 		pm := byPair[k]
-		sort.Slice(pm, func(a, b int) bool { return pm[a].id < pm[b].id })
+		slices.SortFunc(pm, func(a, b migMove) int { return cmp.Compare(a.id, b.id) })
 		var err error
 		if payloads[i], err = g.migrantSection(pm, bin); err != nil {
 			return fmt.Errorf("pregel: encoding migration payload %d→%d: %w", k.from, k.to, err)
@@ -842,13 +834,12 @@ func (g *Graph[V, M]) spliceMigrants(perPair [][]migMove, sections []*ckptWorker
 				recs = append(recs, rec{id, sec.Vals[i], sec.Active[i], false, sec.InArena[sec.InOff[i]:sec.InOff[i+1]]})
 			}
 		}
-		sort.Slice(recs, func(a, b int) bool { return recs[a].id < recs[b].id })
+		slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.id, b.id) })
 		n := len(recs)
 		ids := make([]VertexID, n)
 		vals := make([]V, n)
 		active := make([]bool, n)
 		dead := make([]bool, n)
-		idx := make(map[VertexID]int, n)
 		inOff := make([]int32, n+1)
 		arena := make([]M, 0, len(w.inArena))
 		nDead := 0
@@ -860,18 +851,17 @@ func (g *Graph[V, M]) spliceMigrants(perPair [][]migMove, sections []*ckptWorker
 			if r.dead {
 				nDead++
 			}
-			idx[r.id] = i
 			arena = append(arena, r.msgs...)
 			inOff[i+1] = int32(len(arena))
 		}
 		w.ids, w.vals, w.active, w.dead, w.nDead = ids, vals, active, dead, nDead
-		w.idx = idx
+		w.reindex()
 		w.inArena, w.inOff = arena, inOff
-		w.inCur = growInt32(w.inCur, n)
+		w.inCur = growTo(w.inCur, n)
 		if w.dirty != nil {
 			// The relocation invalidates per-index dirty tracking; the next
 			// save is forced full (Run clears haveFull), so just resize.
-			w.dirty = growBool(w.dirty, n)
+			w.dirty = growTo(w.dirty, n)
 			clear(w.dirty)
 		}
 	}

@@ -1,6 +1,6 @@
 package pregel
 
-import "sort"
+import "slices"
 
 // RequestRespond implements the request-respond API of Pregel+ that the
 // paper's §II cites as the solution to workload skew: many vertices need an
@@ -74,7 +74,7 @@ func RequestRespond[V, M, R any](
 		for t := range requests[w] {
 			targets = append(targets, t)
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+		slices.Sort(targets)
 		start := nowNs()
 		for _, t := range targets {
 			val, ok := g.Value(t)

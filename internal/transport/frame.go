@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Wire framing, in the style of the engine's PPCK checkpoint container: a
@@ -183,14 +184,29 @@ func readFrameCount(r io.Reader) (Frame, int, error) {
 	if n == 0 || n > MaxFrameBytes {
 		return Frame{}, 4, frameCorruptf("frame length %d out of range", n)
 	}
-	buf := make([]byte, 4+int(n)+4)
+	// The declared length is untrusted until the CRC checks out, so the
+	// buffer grows (amortised) only as body bytes actually arrive: a peer
+	// costs memory proportional to what it sent, not to what it claimed.
+	total := 4 + int(n) + 4
+	buf := make([]byte, 4, min(total, 4+readChunk))
 	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return Frame{}, 4, err
+	for len(buf) < total {
+		have, step := len(buf), min(total-len(buf), readChunk)
+		buf = slices.Grow(buf, step)[:have+step]
+		if m, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF { // bare EOF from ReadFull: a chunk boundary, still mid-frame
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, have + m, err
+		}
 	}
 	f, _, err := DecodeFrame(buf)
 	return f, len(buf), err
 }
+
+// readChunk is how far readFrameCount reads ahead of its buffer's proven
+// contents.
+const readChunk = 64 << 10
 
 // helloPayload encodes the FrameHello payload: protocol version, the
 // worker index being addressed, and the worker count.

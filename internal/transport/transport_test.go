@@ -2,12 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -61,6 +64,45 @@ func TestFrameReadStream(t *testing.T) {
 		if f.Step != step || len(f.Payload) != 1 || f.Payload[0] != byte(step) {
 			t.Fatalf("step %d: got %+v", step, f)
 		}
+	}
+}
+
+// TestReadFrameBoundedByBytesReceived is the regression test for the
+// pre-allocation bug: four header bytes claiming a 1 GiB body, then EOF,
+// must fail having allocated next to nothing — the reader may only grow its
+// buffer as body bytes really arrive.
+func TestReadFrameBoundedByBytesReceived(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, MaxFrameBytes)
+	for _, body := range [][]byte{nil, make([]byte, 100), make([]byte, readChunk)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFrame(bytes.NewReader(append(hdr[:4:4], body...)))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("1 GiB header + %d body bytes + EOF: got error %v, want io.ErrUnexpectedEOF", len(body), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+			t.Errorf("1 GiB header + %d body bytes + EOF allocated %d bytes, want under 2 MiB", len(body), grew)
+		}
+	}
+}
+
+// TestReadFrameAcrossChunks reads a frame several read-ahead chunks long
+// through a reader that hands out a few bytes at a time.
+func TestReadFrameAcrossChunks(t *testing.T) {
+	payload := make([]byte, 3*readChunk+17)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	wire := AppendFrame(nil, Frame{Type: FrameLane, Step: 3, Src: 1, Dst: 2, Payload: payload})
+	wire = AppendFrame(wire, Frame{Type: FrameBarrier, Step: 4})
+	r := iotest.HalfReader(bytes.NewReader(wire))
+	f, n, err := readFrameCount(r)
+	if err != nil || !bytes.Equal(f.Payload, payload) || f.Step != 3 {
+		t.Fatalf("chunked read: err %v, step %d, %d payload bytes", err, f.Step, len(f.Payload))
+	}
+	if next, err := ReadFrame(r); err != nil || next.Type != FrameBarrier || n+4+8 > len(wire) {
+		t.Fatalf("frame after the chunked one: %+v, err %v (first consumed %d of %d bytes)", next, err, n, len(wire))
 	}
 }
 
