@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/dna"
@@ -130,4 +132,23 @@ func FuzzMsgCodecDifferential(f *testing.F) {
 		ckpttest.NoPanic[Msg](t, data)
 		ckpttest.Corrupt[Msg](t, &m, data)
 	})
+}
+
+// TestMsgLayoutFence pins the two properties the widest-first field order of
+// Msg must keep apart: the in-memory size (40 bytes, so a routed envelope —
+// an 8-byte destination plus the message — is 48) and the encoding, which is
+// written field by field and so must not notice the declaration order. The
+// expected bytes are those of the original declaration order.
+func TestMsgLayoutFence(t *testing.T) {
+	if got := unsafe.Sizeof(Msg{}); got != 40 {
+		t.Errorf("Msg is %d bytes, want 40: a field was added or the widest-first order broken", got)
+	}
+	m := Msg{Kind: MsgSVHook, From: 0x0102030405060708, Ptr: 1 << 63, Side: 1, Side2: 2, Flag: true,
+		Len: -300, Cov: 70000, P1: 1, P2: 2, NLen: 77}
+	want := []byte{byte(MsgSVHook), 1, 2, 1, 2, 1,
+		8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0x80,
+		0xd7, 0x04, 0xf0, 0xa2, 0x04, 0x9a, 0x01}
+	if got := m.AppendCheckpoint(nil); !bytes.Equal(got, want) {
+		t.Errorf("Msg encoding changed:\n got %v\nwant %v", got, want)
+	}
 }

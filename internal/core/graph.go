@@ -63,18 +63,23 @@ const (
 
 // Msg is the single message type shared by all jobs that run on the segment
 // graph (one Pregel vertex program per operation, as in the paper).
+//
+// Fields are declared widest first so the struct packs into 40 bytes (a
+// routed envelope into 48): every message is copied once into a lane and
+// once into an inbox arena, so its size is the shuffle's memory traffic. The
+// checkpoint/wire codec (ckpt.go) is per field and does not see this order.
 type Msg struct {
-	Kind  MsgKind
 	From  pregel.VertexID
 	Ptr   pregel.VertexID
+	Len   int64
+	Cov   uint32
+	NLen  int32
+	Kind  MsgKind
 	Side  uint8
 	Side2 uint8
 	Flag  bool
-	Len   int64
-	Cov   uint32
 	P1    dbg.Polarity
 	P2    dbg.Polarity
-	NLen  int32
 }
 
 // MsgWireBytes is the charged wire size of one Msg on the simulated

@@ -1,46 +1,87 @@
 package pregel
 
 import (
+	"maps"
 	"math"
-	"sync"
 )
+
+// aggVals is one set of aggregator values. Three aggregator families cover
+// everything the assembler needs: int64 sums, int64 mins, and boolean ORs.
+type aggVals struct {
+	sum, min map[string]int64
+	or       map[string]bool
+}
+
+func newAggVals() aggVals {
+	return aggVals{sum: map[string]int64{}, min: map[string]int64{}, or: map[string]bool{}}
+}
+
+func (a *aggVals) clear() {
+	clear(a.sum)
+	clear(a.min)
+	clear(a.or)
+}
+
+func (a *aggVals) addSum(name string, delta int64) { a.sum[name] += delta }
+
+func (a *aggVals) addMin(name string, v int64) {
+	if cur, ok := a.min[name]; !ok || v < cur {
+		a.min[name] = v
+	}
+}
+
+func (a *aggVals) addOr(name string, v bool) { a.or[name] = a.or[name] || v }
 
 // aggState implements Pregel aggregators: values contributed during
 // superstep S become readable by every vertex during superstep S+1.
-// Three aggregator families cover everything the assembler needs:
-// int64 sums, int64 mins, and boolean ORs.
+//
+// Nothing here takes a lock. During compute each worker folds its vertices'
+// contributions into its own accumulator (acc[worker], written by that
+// worker's goroutine only) and reads the published values (prev), which no
+// one writes until the barrier. flip runs on the coordinator between
+// supersteps: it merges the accumulators in worker order and publishes the
+// result. All three operators are commutative and associative, so the merged
+// values do not depend on how vertices were spread over workers.
 type aggState struct {
-	mu       sync.Mutex
-	curSum   map[string]int64
-	prevSumV map[string]int64
-	curMin   map[string]int64
-	prevMinV map[string]int64
-	curOr    map[string]bool
-	prevOrV  map[string]bool
+	prev  aggVals   // published: the previous superstep's merged values
+	spare aggVals   // the set flip merges into before swapping it with prev
+	acc   []aggVals // per worker: the current superstep's contributions
 }
 
-func newAggState() *aggState {
-	a := &aggState{}
-	a.reset()
+func newAggState(workers int) *aggState {
+	a := &aggState{prev: newAggVals(), spare: newAggVals(), acc: make([]aggVals, workers)}
+	for i := range a.acc {
+		a.acc[i] = newAggVals()
+	}
 	return a
 }
 
+// reset forgets everything, published and pending, at the start of a Run.
 func (a *aggState) reset() {
-	a.curSum = map[string]int64{}
-	a.prevSumV = map[string]int64{}
-	a.curMin = map[string]int64{}
-	a.prevMinV = map[string]int64{}
-	a.curOr = map[string]bool{}
-	a.prevOrV = map[string]bool{}
+	a.prev.clear()
+	for i := range a.acc {
+		a.acc[i].clear()
+	}
 }
 
 // flip publishes the current superstep's aggregates and clears accumulators.
 func (a *aggState) flip() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.prevSumV, a.curSum = a.curSum, map[string]int64{}
-	a.prevMinV, a.curMin = a.curMin, map[string]int64{}
-	a.prevOrV, a.curOr = a.curOr, map[string]bool{}
+	next := &a.spare
+	next.clear()
+	for i := range a.acc {
+		w := &a.acc[i]
+		for k, v := range w.sum {
+			next.addSum(k, v)
+		}
+		for k, v := range w.min {
+			next.addMin(k, v)
+		}
+		for k, v := range w.or {
+			next.addOr(k, v)
+		}
+		w.clear()
+	}
+	a.prev, a.spare = a.spare, a.prev
 }
 
 // snapshot copies the published (previous-superstep) aggregator values for
@@ -48,86 +89,21 @@ func (a *aggState) flip() {
 // accumulators are empty by construction (flip just ran), so only the
 // published values need persisting.
 func (a *aggState) snapshot() aggSnapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := aggSnapshot{
-		Sum: make(map[string]int64, len(a.prevSumV)),
-		Min: make(map[string]int64, len(a.prevMinV)),
-		Or:  make(map[string]bool, len(a.prevOrV)),
-	}
-	for k, v := range a.prevSumV {
-		s.Sum[k] = v
-	}
-	for k, v := range a.prevMinV {
-		s.Min[k] = v
-	}
-	for k, v := range a.prevOrV {
-		s.Or[k] = v
-	}
-	return s
+	return aggSnapshot{Sum: maps.Clone(a.prev.sum), Min: maps.Clone(a.prev.min), Or: maps.Clone(a.prev.or)}
 }
 
 // restore replaces the published values with a snapshot's and clears the
 // accumulators, exactly the state the graph had at the checkpoint barrier.
-// Gob decodes empty maps as nil; published maps must always exist.
 func (a *aggState) restore(s aggSnapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.prevSumV = map[string]int64{}
-	a.prevMinV = map[string]int64{}
-	a.prevOrV = map[string]bool{}
-	for k, v := range s.Sum {
-		a.prevSumV[k] = v
-	}
-	for k, v := range s.Min {
-		a.prevMinV[k] = v
-	}
-	for k, v := range s.Or {
-		a.prevOrV[k] = v
-	}
-	a.curSum = map[string]int64{}
-	a.curMin = map[string]int64{}
-	a.curOr = map[string]bool{}
-}
-
-func (a *aggState) addSum(name string, delta int64) {
-	a.mu.Lock()
-	a.curSum[name] += delta
-	a.mu.Unlock()
-}
-
-func (a *aggState) addMin(name string, v int64) {
-	a.mu.Lock()
-	if cur, ok := a.curMin[name]; !ok || v < cur {
-		a.curMin[name] = v
-	}
-	a.mu.Unlock()
-}
-
-func (a *aggState) addOr(name string, v bool) {
-	a.mu.Lock()
-	a.curOr[name] = a.curOr[name] || v
-	a.mu.Unlock()
-}
-
-func (a *aggState) prevSum(name string) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.prevSumV[name]
+	a.reset()
+	maps.Copy(a.prev.sum, s.Sum)
+	maps.Copy(a.prev.min, s.Min)
+	maps.Copy(a.prev.or, s.Or)
 }
 
 func (a *aggState) prevMin(name string) (int64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v, ok := a.prevMinV[name]
-	if !ok {
-		return math.MaxInt64, false
+	if v, ok := a.prev.min[name]; ok {
+		return v, true
 	}
-	return v, true
-}
-
-func (a *aggState) prevOr(name string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.prevOrV[name]
+	return math.MaxInt64, false
 }

@@ -1199,12 +1199,7 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 		// offset index to exist even for an empty partition.
 		w.inOff = growTo(cw.InOff, n+1)
 		w.inCur = growTo(w.inCur, n)
-		w.reindex()
-		// Shuffle scratch is rebuilt by the next superstep; drop anything
-		// staged after the checkpoint barrier.
-		for i := range w.outbox {
-			w.outbox[i] = w.outbox[i][:0]
-		}
+		w.idx.rebuild(w.ids, n)
 		// Dirty tracking restarts from the restored barrier.
 		if w.dirty != nil {
 			w.dirty = growTo(w.dirty, n)

@@ -6,7 +6,7 @@ import (
 
 // foldEager replays a message batch through the engine's at-Send eager
 // combine: a fold map from destination to lane position, new destinations
-// appended in first-occurrence order. It mirrors gAdapter.send with a
+// appended in first-occurrence order. It mirrors sender.send with a
 // combiner installed and exists so the fuzz suite can compare it against
 // combineEnvelopes, the reference semantics.
 func foldEager[M any](envs []envelope[M], fn func(a, b M) M) []envelope[M] {

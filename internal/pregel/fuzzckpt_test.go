@@ -52,9 +52,10 @@ func buildFuzzedGraph(data []byte, workers int) *Graph[int64, int64] {
 			k++
 		}
 	}
-	g.agg.addSum("s", int64(int8(take(k))))
-	g.agg.addMin("m", int64(int8(take(k+1))))
-	g.agg.addOr("o", take(k+2)%2 == 0)
+	acc := &g.agg.acc[int(take(k+3))%workers]
+	acc.addSum("s", int64(int8(take(k))))
+	acc.addMin("m", int64(int8(take(k+1))))
+	acc.addOr("o", take(k+2)%2 == 0)
 	g.agg.flip()
 	return g
 }
@@ -66,7 +67,7 @@ func workerState(g *Graph[int64, int64]) string {
 		s += fmt.Sprintf("w%d ids=%v vals=%v active=%v dead=%v ndead=%d arena=%v off=%v\n",
 			wi, w.ids, w.vals, w.active, w.dead, w.nDead, w.inArena, w.inOff[:len(w.ids)+1])
 	}
-	s += fmt.Sprintf("agg sum=%v min=%v or=%v", g.agg.prevSumV, g.agg.prevMinV, g.agg.prevOrV)
+	s += fmt.Sprintf("agg sum=%v min=%v or=%v", g.agg.prev.sum, g.agg.prev.min, g.agg.prev.or)
 	return s
 }
 
@@ -119,16 +120,9 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if got := workerState(g); got != want {
 			t.Fatalf("checkpoint round trip lost state:\nwant %s\ngot  %s", want, got)
 		}
-		// The index maps must agree with the restored ID slices.
+		// The position index must agree with the restored ID slices.
 		for wi, w := range g.workers {
-			if len(w.idx) != len(w.ids) {
-				t.Fatalf("worker %d: idx has %d entries for %d ids", wi, len(w.idx), len(w.ids))
-			}
-			for i, id := range w.ids {
-				if w.idx[id] != i {
-					t.Fatalf("worker %d: idx[%d]=%d, want %d", wi, id, w.idx[id], i)
-				}
-			}
+			checkVindex(t, fmt.Sprintf("worker %d", wi), &w.idx, w.ids)
 		}
 	})
 }

@@ -276,12 +276,13 @@ type envelope[M any] struct {
 }
 
 // worker holds one partition of the vertex set. Vertices are kept in a
-// slice sorted by ID (plus an index map) so iteration order — and therefore
-// message emission order and the whole computation — is deterministic.
+// slice sorted by ID (plus a flat position index, see vindex) so iteration
+// order — and therefore message emission order and the whole computation —
+// is deterministic.
 //
 // The message path is arena-based: outgoing messages accumulate in per-
-// destination-worker lanes (outbox), and incoming messages live in one flat
-// per-worker arena (inArena) grouped by destination vertex via an offset
+// destination-worker lanes (sender.outbox), and incoming messages live in one
+// flat per-worker arena (inArena) grouped by destination vertex via an offset
 // index (inOff). Lanes and arenas keep their capacity across supersteps, so
 // the steady-state shuffle allocates nothing. Each (src,dst) lane is written
 // only by its source worker during compute and read only by its destination
@@ -289,7 +290,7 @@ type envelope[M any] struct {
 // goroutine per worker with no locks.
 type worker[V, M any] struct {
 	ids    []VertexID
-	idx    map[VertexID]int
+	idx    vindex
 	vals   []V
 	active []bool
 	dead   []bool
@@ -302,14 +303,16 @@ type worker[V, M any] struct {
 	inCur   []int32
 	rIdx    []int32
 
-	outbox [][]envelope[M]      // one lane per destination worker
-	fold   []map[VertexID]int32 // eager-combine index: dst vertex -> lane position
-	rlanes [][]envelope[M]      // wire-path decode scratch, one lane per source worker
+	// lanes is the lane source of the delivery in progress, one envelope
+	// slice per source worker: that worker's outbox column for this
+	// destination (borrowed, read-only) or, for a remote lane under a
+	// transport, this worker's own decode buffer. A graph's transport never
+	// changes, so a slot never switches kind.
+	lanes [][]envelope[M]
 
-	ctx       Context[M]
-	nDead     int
-	msgsOut   int64 // messages sent by this worker in current superstep
-	msgsLocal int64 // subset of msgsOut addressed back to this worker
+	sender[M]
+	ctx   Context[M]
+	nDead int
 
 	// Per-superstep delivery results, filled by deliverTo (this worker as
 	// the destination), folded into run totals after the barrier.
@@ -323,17 +326,36 @@ type worker[V, M any] struct {
 	// value and flags and an empty inbox at both barriers, because a
 	// non-empty inbox forces reactivation and therefore compute.
 	dirty []bool
+}
 
-	// edges is the adaptive-repartitioning observation matrix (nil unless
-	// Config.Repartition is set and a window has opened): per (sender,
-	// receiver) vertex-pair message counts for the current observation
-	// window, recorded at Send time by this worker's own compute pass —
-	// sender-side, because only there is the source vertex still known.
-	// Written single-threaded per worker, so it needs no locks for the same
-	// reason the outbox lanes don't. curSrc is the vertex currently
-	// computing, maintained only while a window is observing.
-	edges  map[migEdge]int64
-	curSrc VertexID
+// sender is the send half of a worker: everything Context.Send and the
+// aggregator calls touch, apart from the vertex arrays so that Context[M]
+// can point straight at it without knowing V. It is written only by its own
+// worker's compute pass, which is why none of it needs a lock.
+type sender[M any] struct {
+	self int         // this worker's index
+	part Partitioner // placement; nil for the default hash, which send calls statically
+	comb func(a, b M) M
+	agg  *aggState
+
+	outbox [][]envelope[M] // one lane per destination worker, so len(outbox) is the worker count
+	// Eager-combine index (combiner runs only): fold[d] maps a destination
+	// vertex to its envelope's position in outbox[d], over foldIDs[d], the
+	// lane's destination IDs in the same order.
+	fold    []vindex
+	foldIDs [][]VertexID
+
+	msgsOut   int64 // messages sent by this worker in current superstep
+	msgsLocal int64 // subset of msgsOut addressed back to this worker
+
+	// Adaptive-repartitioning observation (Config.Repartition): while
+	// observing is set (by the coordinator before a superstep's compute
+	// phase, during an observation window) every send counts one (sender,
+	// receiver) vertex pair in edges — sender-side, because only here is the
+	// source vertex, curSrc, still known.
+	observing bool
+	edges     map[migEdge]int64
+	curSrc    VertexID
 }
 
 func (w *worker[V, M]) vertexCount() int { return len(w.ids) - w.nDead }
@@ -351,11 +373,11 @@ type Graph[V, M any] struct {
 	// delivery may then fold across source workers too, so compute sees at
 	// most one combined message per vertex (superstep fusion).
 	combTotal bool
-	// runComb/runTotal are the combiner as locked at Run start. Send and
-	// delivery read only these, never g.combiner, so installing a combiner
-	// mid-run can never split one superstep between combined and
-	// uncombined semantics — it takes effect at the next Run.
-	runComb  func(a, b M) M
+	// runTotal is combTotal as locked at Run start, when every sender's
+	// comb is locked to combiner. Send and delivery read only those, never
+	// g.combiner, so installing a combiner mid-run can never split one
+	// superstep between combined and uncombined semantics — it takes effect
+	// at the next Run. runTotal implies a non-nil comb.
 	runTotal bool
 
 	// srcDone is the per-source completion counter array of overlapped
@@ -374,19 +396,21 @@ type Graph[V, M any] struct {
 	// runName is the current run's label (set by Run), used for pprof
 	// labels on the delivery and checkpoint phases.
 	runName string
-
-	// observing gates traffic recording (Config.Repartition): set by the
-	// coordinator before each superstep's compute/delivery phases, read by
-	// the delivery passes. True only during the observation window.
-	observing bool
 }
 
 // NewGraph creates an empty graph with the given configuration.
 func NewGraph[V, M any](cfg Config) *Graph[V, M] {
 	cfg = cfg.withDefaults()
-	g := &Graph[V, M]{cfg: cfg, clock: NewSimClock(cfg.Cost), agg: newAggState()}
+	g := &Graph[V, M]{cfg: cfg, clock: NewSimClock(cfg.Cost), agg: newAggState(cfg.Workers)}
+	part := cfg.Partitioner
+	if _, ok := part.(HashPartitioner); ok {
+		part = nil
+	}
 	for i := 0; i < cfg.Workers; i++ {
-		g.workers = append(g.workers, &worker[V, M]{idx: make(map[VertexID]int)})
+		g.workers = append(g.workers, &worker[V, M]{
+			lanes:  make([][]envelope[M], cfg.Workers),
+			sender: sender[M]{self: i, part: part, agg: g.agg, outbox: make([][]envelope[M], cfg.Workers)},
+		})
 	}
 	return g
 }
@@ -423,7 +447,7 @@ func (g *Graph[V, M]) Partitioner() Partitioner { return g.cfg.Partitioner }
 func (g *Graph[V, M]) AddVertex(id VertexID, val V) { g.workers[g.WorkerOf(id)].add(id, val) }
 
 func (w *worker[V, M]) add(id VertexID, val V) {
-	if i, ok := w.idx[id]; ok {
+	if i, ok := w.idx.lookup(w.ids, id); ok {
 		if w.dead[i] {
 			w.dead[i] = false
 			w.nDead--
@@ -431,8 +455,8 @@ func (w *worker[V, M]) add(id VertexID, val V) {
 		w.vals[i] = val
 		return
 	}
-	w.idx[id] = len(w.ids)
 	w.ids = append(w.ids, id)
+	w.idx.push(w.ids)
 	w.vals = append(w.vals, val)
 	w.active = append(w.active, true)
 	w.dead = append(w.dead, false)
@@ -446,9 +470,7 @@ func (w *worker[V, M]) reserve(n int) {
 	w.vals = slices.Grow(w.vals, n)
 	w.active = slices.Grow(w.active, n)
 	w.dead = slices.Grow(w.dead, n)
-	if len(w.idx) == 0 {
-		w.idx = make(map[VertexID]int, n)
-	}
+	w.idx.reserve(w.ids, len(w.ids)+n)
 }
 
 // LoadShards bulk-inserts records, vertex projecting each to its (ID, value).
@@ -505,15 +527,13 @@ func (w *worker[V, M]) compactSort() {
 	}
 	w.ids, w.vals, w.nDead = ids, vals, 0
 	w.active, w.dead = make([]bool, len(perm)), make([]bool, len(perm))
-	w.reindex()
+	w.idx.rebuild(w.ids, len(w.ids))
 }
 
-// reindex rebuilds the ID → position index at exact size.
-func (w *worker[V, M]) reindex() {
-	w.idx = make(map[VertexID]int, len(w.ids))
-	for i, id := range w.ids {
-		w.idx[id] = i
-	}
+// live returns the position of id if w holds it and it has not been removed.
+func (w *worker[V, M]) live(id VertexID) (int, bool) {
+	i, ok := w.idx.lookup(w.ids, id)
+	return i, ok && !w.dead[i]
 }
 
 // growTo returns s resized to n, reallocating only when capacity is
@@ -562,7 +582,7 @@ func (g *Graph[V, M]) ForEachWorker(fn func(worker int, id VertexID, val *V)) {
 // Value returns the value of vertex id, if present.
 func (g *Graph[V, M]) Value(id VertexID) (V, bool) {
 	w := g.workers[g.WorkerOf(id)]
-	if i, ok := w.idx[id]; ok && !w.dead[i] {
+	if i, ok := w.live(id); ok {
 		return w.vals[i], true
 	}
 	var zero V
@@ -573,7 +593,7 @@ func (g *Graph[V, M]) Value(id VertexID) (V, bool) {
 // the vertex was present.
 func (g *Graph[V, M]) SetValue(id VertexID, val V) bool {
 	w := g.workers[g.WorkerOf(id)]
-	if i, ok := w.idx[id]; ok && !w.dead[i] {
+	if i, ok := w.live(id); ok {
 		w.vals[i] = val
 		return true
 	}
@@ -583,7 +603,7 @@ func (g *Graph[V, M]) SetValue(id VertexID, val V) bool {
 // RemoveVertex deletes a vertex outside of a run.
 func (g *Graph[V, M]) RemoveVertex(id VertexID) {
 	w := g.workers[g.WorkerOf(id)]
-	if i, ok := w.idx[id]; ok && !w.dead[i] {
+	if i, ok := w.live(id); ok {
 		w.dead[i] = true
 		w.nDead++
 	}
@@ -648,8 +668,11 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	stats := &Stats{Name: o.name, Workers: g.cfg.Workers}
 	g.runName = o.name
 	// Lock the combiner for the whole run (see SetCombiner): send and
-	// delivery read the run-scoped copy only.
-	g.runComb, g.runTotal = g.combiner, g.combTotal
+	// delivery read the run-scoped copies only.
+	g.runTotal = g.combTotal
+	for _, w := range g.workers {
+		w.comb = g.combiner
+	}
 	wire := g.transportActive()
 	overlap := g.cfg.Overlap && g.cfg.Parallel && g.cfg.Workers > 1 && !wire
 	if wire && g.cfg.Overlap {
@@ -828,7 +851,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			if wire {
 				delivered, dropped, stepErr = g.deliverViaTransport(step)
 			} else {
-				delivered, dropped, stepErr = g.deliver()
+				delivered, dropped, stepErr = g.deliver(step)
 			}
 			if tr != nil {
 				wall2 = nowNs()
@@ -967,25 +990,8 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 // measured compute nanoseconds.
 func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	w := g.workers[wi]
-	if w.outbox == nil {
-		w.outbox = make([][]envelope[M], g.cfg.Workers)
-	}
-	for i := range w.outbox {
-		w.outbox[i] = w.outbox[i][:0]
-	}
-	if g.runComb != nil {
-		if w.fold == nil {
-			w.fold = make([]map[VertexID]int32, g.cfg.Workers)
-			for i := range w.fold {
-				w.fold[i] = make(map[VertexID]int32)
-			}
-		}
-		for _, m := range w.fold {
-			clear(m)
-		}
-	}
-	w.msgsOut, w.msgsLocal = 0, 0
-	w.ctx = Context[M]{g: gAdapter[V, M]{g}, worker: wi, superstep: step}
+	w.beginSuperstep()
+	w.ctx = Context[M]{s: &w.sender, superstep: step}
 	ctx := &w.ctx
 	start := nowNs()
 	for i := range w.ids {
@@ -1016,57 +1022,76 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	return float64(nowNs() - start)
 }
 
-// deliver routes every outbox envelope into the destination worker's inbox
-// arena for the next superstep. Each destination worker drains the lanes
-// addressed to it — concurrently in Parallel mode, since no two destination
-// workers touch the same lane or arena — and the per-worker results are
-// folded after the implicit join. The result is bit-identical to the
-// sequential path because each worker's arena depends only on lane contents,
-// which are fixed at the compute barrier.
-func (g *Graph[V, M]) deliver() (delivered, dropped int64, err error) {
-	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "deliver", g.deliverTo)
-	return g.collectDelivery()
-}
-
-// collectDelivery folds the per-destination delivery results into run
-// totals; called after the join of the deliver (or fused overlap) phase.
-func (g *Graph[V, M]) collectDelivery() (delivered, dropped int64, err error) {
-	for _, w := range g.workers {
-		delivered += w.delivered
-		dropped += w.dropped
-		if err == nil && w.deliverErr != nil {
-			err = w.deliverErr
+// beginSuperstep empties the lanes, combine index and traffic counters.
+func (s *sender[M]) beginSuperstep() {
+	for i := range s.outbox {
+		s.outbox[i] = s.outbox[i][:0]
+	}
+	if s.comb != nil {
+		if s.fold == nil {
+			s.fold, s.foldIDs = make([]vindex, len(s.outbox)), make([][]VertexID, len(s.outbox))
+		}
+		for i := range s.fold {
+			s.fold[i].reset()
+			s.foldIDs[i] = s.foldIDs[i][:0]
 		}
 	}
-	return delivered, dropped, err
+	s.msgsOut, s.msgsLocal = 0, 0
 }
 
-// deliverTo rebuilds destination worker dwi's inbox arena from the lanes
-// addressed to it: a counting pass (countLane, per source lane) resolves
-// each envelope's vertex index and tallies per-vertex counts, then
-// placeInbox lays out the offset index with a prefix sum and copies
-// messages into their group. Iterating lanes in source-worker order in both
-// passes preserves the engine's historical delivery order (source worker,
-// then emission order) within each vertex's messages.
-func (g *Graph[V, M]) deliverTo(dwi int) {
-	dst := g.workers[dwi]
-	g.resetInbox(dst)
-	for swi, src := range g.workers {
-		g.countLane(dst, swi, src.outbox[dwi])
+// send routes one message into the lane for its destination worker. With a
+// combiner installed it folds eagerly: the lane holds at most one envelope
+// per destination vertex and new messages fold into it in emission order, so
+// lanes never hold pre-combine volume and the result is identical to a
+// post-compute fold of the lane (combineEnvelopes, the reference kept with
+// the tests).
+func (s *sender[M]) send(dst VertexID, m M) {
+	if s.observing {
+		// Pre-combine, so the recorded affinity reflects logical traffic:
+		// one count per (sender, receiver) vertex pair, the raw material of
+		// the migration solver.
+		s.edges[migEdge{s.curSrc, dst}]++
 	}
-	g.placeInbox(dst, dwi)
+	var dwi int
+	if s.part == nil {
+		dwi = HashPartitioner{}.Assign(dst, len(s.outbox))
+	} else {
+		dwi = s.part.Assign(dst, len(s.outbox))
+	}
+	if s.comb != nil {
+		if i, ok := s.fold[dwi].lookup(s.foldIDs[dwi], dst); ok {
+			e := &s.outbox[dwi][i]
+			e.msg = s.comb(e.msg, m)
+			return
+		}
+		s.foldIDs[dwi] = append(s.foldIDs[dwi], dst)
+		s.fold[dwi].push(s.foldIDs[dwi])
+	}
+	s.outbox[dwi] = append(s.outbox[dwi], envelope[M]{dst, m})
+	s.msgsOut++
+	if dwi == s.self {
+		s.msgsLocal++
+	}
+}
+
+// deliver is the barriered shuffle: once every worker has computed, each
+// destination rebuilds its inbox (deliverTo), concurrently under Parallel.
+func (g *Graph[V, M]) deliver(step int) (delivered, dropped int64, err error) {
+	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "deliver", func(dwi int) {
+		g.deliverTo(dwi, step, false, nil)
+	})
+	return g.collectDelivery()
 }
 
 // overlapStep runs one superstep's compute and delivery as a single fused
 // parallel phase (Config.Overlap): each worker computes its partition,
 // signals its per-source completion counter — its outbox lanes are sealed —
-// and then switches role to destination, draining one source lane at a time
-// and blocking only on the specific source it needs next. Lane s→d is
-// written only by s during compute and read by d only after s's signal, and
-// d touches its own arena only after its own compute, so the fused phase
-// needs no locks; and because lanes are consumed in source-worker order
-// with the same count/place passes as deliverTo, the resulting arenas — and
-// therefore the whole run — are bit-identical to barriered delivery.
+// and then switches role to destination, running the same deliverTo as the
+// barriered shuffle but blocking only on the specific source it needs next.
+// Lane s→d is written only by s during compute and read by d only after s's
+// signal, and d touches its own arena only after its own compute, so the
+// fused phase needs no locks and the resulting arenas — and therefore the
+// whole run — are bit-identical to barriered delivery.
 func (g *Graph[V, M]) overlapStep(step int, compute Compute[V, M], computeNs []float64) {
 	if g.srcDone == nil {
 		g.srcDone = make([]sync.WaitGroup, g.cfg.Workers)
@@ -1078,24 +1103,61 @@ func (g *Graph[V, M]) overlapStep(step int, compute Compute[V, M], computeNs []f
 	forEachWorkerProf(g.cfg.Workers, true, g.runName, "overlap", func(wi int) {
 		computeNs[wi] = g.runWorker(wi, step, compute)
 		srcDone[wi].Done()
-		dst := g.workers[wi]
-		g.resetInbox(dst)
-		for s := range g.workers {
-			srcDone[s].Wait()
-			g.countLane(dst, s, g.workers[s].outbox[wi])
-		}
-		g.placeInbox(dst, wi)
+		g.deliverTo(wi, step, false, srcDone)
 	})
 }
 
-// resetInbox clears destination-side delivery state for a new superstep.
-func (g *Graph[V, M]) resetInbox(dst *worker[V, M]) {
-	dst.delivered, dst.dropped, dst.deliverErr = 0, 0, nil
-	counts := dst.inCur[:len(dst.ids)]
-	for i := range counts {
-		counts[i] = 0
+// collectDelivery folds the per-destination delivery results into run
+// totals; called after the join of the delivery (or fused overlap) phase.
+func (g *Graph[V, M]) collectDelivery() (delivered, dropped int64, err error) {
+	for _, w := range g.workers {
+		delivered += w.delivered
+		dropped += w.dropped
+		if err == nil && w.deliverErr != nil {
+			err = w.deliverErr
+		}
 	}
+	return delivered, dropped, err
+}
+
+// deliverTo rebuilds destination worker dwi's inbox arena for the next
+// superstep: the engine's one delivery pass, whatever the schedule. It
+// gathers the lane source — per source worker, the envelopes addressed to
+// dwi: that worker's outbox column or, when wire is set and the lane is
+// remote, the lane fetched from the transport and decoded — counting each
+// lane as it arrives (countLane), then lays out and fills the arena
+// (placeInbox). Both passes take lanes in source-worker order, which gives
+// each vertex's messages the engine's (source worker, emission) order.
+//
+// A destination drains only lanes addressed to it and touches only its own
+// arena, so deliverTo runs concurrently for all destinations under Parallel,
+// bit-identically to the sequential path because a lane is fixed once its
+// source has finished computing. srcDone, when non-nil, is that per-source
+// signal (Config.Overlap): the pass blocks only on the source it needs next.
+func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool, srcDone []sync.WaitGroup) {
+	dst := g.workers[dwi]
+	dst.delivered, dst.dropped, dst.deliverErr = 0, 0, nil
+	clear(dst.inCur[:len(dst.ids)])
 	dst.rIdx = dst.rIdx[:0]
+	for swi, src := range g.workers {
+		if srcDone != nil {
+			srcDone[swi].Wait()
+		}
+		lane := src.outbox[dwi]
+		if wire && swi != dwi { // local lanes never leave memory
+			payload, err := g.cfg.Transport.RecvLane(step, swi, dwi)
+			if err == nil {
+				lane, err = decodeLane(payload, dst.lanes[swi])
+			}
+			if err != nil {
+				dst.deliverErr = err
+				return
+			}
+		}
+		dst.lanes[swi] = lane
+		g.countLane(dst, lane)
+	}
+	g.placeInbox(dst)
 }
 
 // countLane is the resolve-and-count half of delivery for one source lane:
@@ -1103,23 +1165,23 @@ func (g *Graph[V, M]) resetInbox(dst *worker[V, M]) {
 // rIdx for the placement pass), per-vertex counts accumulate, and dropped
 // and strict-mode accounting happens here. With a total combiner installed
 // the per-vertex count is capped at one — placeInbox folds further messages
-// into that single slot instead of appending. src is the lane's source
-// worker. (Adaptive-repartitioning traffic is observed on the send side,
-// where the source vertex is still known — see gAdapter.send.)
-func (g *Graph[V, M]) countLane(dst *worker[V, M], src int, lane []envelope[M]) {
+// into that single slot instead of appending.
+func (g *Graph[V, M]) countLane(dst *worker[V, M], lane []envelope[M]) {
 	counts := dst.inCur[:len(dst.ids)]
-	fused := g.runTotal && g.runComb != nil
-	for _, e := range lane {
-		i, ok := dst.idx[e.dst]
-		if !ok || dst.dead[i] {
-			dst.rIdx = append(dst.rIdx, -1)
+	fused := g.runTotal
+	base := len(dst.rIdx)
+	rIdx := slices.Grow(dst.rIdx, len(lane))[:base+len(lane)]
+	for m := range lane {
+		i, ok := dst.live(lane[m].dst)
+		if !ok {
+			rIdx[base+m] = -1
 			dst.dropped++
 			if g.cfg.Strict && dst.deliverErr == nil {
-				dst.deliverErr = fmt.Errorf("pregel: message to nonexistent vertex %d", e.dst)
+				dst.deliverErr = fmt.Errorf("pregel: message to nonexistent vertex %d", lane[m].dst)
 			}
 			continue
 		}
-		dst.rIdx = append(dst.rIdx, int32(i))
+		rIdx[base+m] = int32(i)
 		dst.delivered++
 		if dst.dirty != nil {
 			dst.dirty[i] = true
@@ -1128,14 +1190,16 @@ func (g *Graph[V, M]) countLane(dst *worker[V, M], src int, lane []envelope[M]) 
 			counts[i]++
 		}
 	}
+	dst.rIdx = rIdx
 }
 
 // placeInbox is the layout-and-place half of delivery: a prefix sum over
-// the per-vertex counts becomes the offset index, then messages are copied
-// into their group in lane order. With a total combiner, messages beyond a
-// vertex's first fold into its single slot in the same order, completing
-// the cross-source combine during the shuffle (superstep fusion).
-func (g *Graph[V, M]) placeInbox(dst *worker[V, M], dwi int) {
+// the per-vertex counts becomes the offset index, then the messages of
+// dst.lanes are copied into their group in lane order. With a total
+// combiner, messages beyond a vertex's first fold into its single slot in
+// the same order, completing the cross-source combine during the shuffle
+// (superstep fusion).
+func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 	n := len(dst.ids)
 	counts := dst.inCur[:n]
 	off := int32(0)
@@ -1146,15 +1210,11 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M], dwi int) {
 		off += c
 	}
 	dst.inOff[n] = off
-	if cap(dst.inArena) < int(off) {
-		dst.inArena = make([]M, off)
-	} else {
-		dst.inArena = dst.inArena[:off]
-	}
-	fused := g.runTotal && g.runComb != nil
+	dst.inArena = growTo(dst.inArena, int(off))
+	fused := g.runTotal
 	m := 0
-	for _, src := range g.workers {
-		for _, e := range src.outbox[dwi] {
+	for _, lane := range dst.lanes {
+		for k := range lane {
 			i := dst.rIdx[m]
 			m++
 			if i < 0 {
@@ -1162,64 +1222,19 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M], dwi int) {
 			}
 			if fused && counts[i] > dst.inOff[i] {
 				slot := &dst.inArena[dst.inOff[i]]
-				*slot = g.runComb(*slot, e.msg)
+				*slot = dst.comb(*slot, lane[k].msg)
 				continue
 			}
-			dst.inArena[counts[i]] = e.msg
+			dst.inArena[counts[i]] = lane[k].msg
 			counts[i]++
 		}
 	}
 }
 
-// gAdapter lets Context stay non-generic in V by capturing only what it
-// needs from the graph.
-type gAdapter[V, M any] struct{ g *Graph[V, M] }
-
-// send routes one message into the source worker's lane for the destination
-// worker. With a combiner installed it folds eagerly: the lane holds at most
-// one envelope per destination vertex and new messages fold into it in
-// emission order, so lanes never hold pre-combine volume and the result is
-// identical to a post-compute fold of the lane (combineEnvelopes, the
-// reference kept with the tests).
-func (a gAdapter[V, M]) send(from int, dst VertexID, m M) {
-	g := a.g
-	w := g.workers[from]
-	if g.observing {
-		// Adaptive-repartitioning observation, pre-combine so the recorded
-		// affinity reflects logical traffic: one count per (sender, receiver)
-		// vertex pair, the raw material of the migration solver.
-		w.edges[migEdge{w.curSrc, dst}]++
-	}
-	dwi := g.WorkerOf(dst)
-	if g.runComb != nil {
-		fm := w.fold[dwi]
-		if i, ok := fm[dst]; ok {
-			lane := w.outbox[dwi]
-			lane[i].msg = g.runComb(lane[i].msg, m)
-			return
-		}
-		fm[dst] = int32(len(w.outbox[dwi]))
-	}
-	w.outbox[dwi] = append(w.outbox[dwi], envelope[M]{dst, m})
-	w.msgsOut++
-	if dwi == from {
-		w.msgsLocal++
-	}
-}
-func (a gAdapter[V, M]) workers() int    { return a.g.cfg.Workers }
-func (a gAdapter[V, M]) aggs() *aggState { return a.g.agg }
-
-type graphPort[M any] interface {
-	send(from int, dst VertexID, m M)
-	workers() int
-	aggs() *aggState
-}
-
 // Context is passed to the compute function. It is only valid for the
 // duration of one compute call.
 type Context[M any] struct {
-	g         graphPort[M]
-	worker    int
+	s         *sender[M]
 	superstep int
 	halt      bool
 	remove    bool
@@ -1229,13 +1244,13 @@ type Context[M any] struct {
 func (c *Context[M]) Superstep() int { return c.superstep }
 
 // Worker returns the index of the worker executing this vertex.
-func (c *Context[M]) Worker() int { return c.worker }
+func (c *Context[M]) Worker() int { return c.s.self }
 
 // NumWorkers returns the number of logical workers.
-func (c *Context[M]) NumWorkers() int { return c.g.workers() }
+func (c *Context[M]) NumWorkers() int { return len(c.s.outbox) }
 
 // Send sends m to vertex dst, to be delivered next superstep.
-func (c *Context[M]) Send(dst VertexID, m M) { c.g.send(c.worker, dst, m) }
+func (c *Context[M]) Send(dst VertexID, m M) { c.s.send(dst, m) }
 
 // VoteToHalt deactivates this vertex; it is reactivated by any incoming
 // message.
@@ -1246,21 +1261,21 @@ func (c *Context[M]) VoteToHalt() { c.halt = true }
 func (c *Context[M]) RemoveSelf() { c.remove = true }
 
 // AggSum adds delta to the named sum aggregator for this superstep.
-func (c *Context[M]) AggSum(name string, delta int64) { c.g.aggs().addSum(name, delta) }
+func (c *Context[M]) AggSum(name string, delta int64) { c.s.agg.acc[c.s.self].addSum(name, delta) }
 
 // AggMin folds v into the named min aggregator for this superstep.
-func (c *Context[M]) AggMin(name string, v int64) { c.g.aggs().addMin(name, v) }
+func (c *Context[M]) AggMin(name string, v int64) { c.s.agg.acc[c.s.self].addMin(name, v) }
 
 // AggOr ORs v into the named boolean aggregator for this superstep.
-func (c *Context[M]) AggOr(name string, v bool) { c.g.aggs().addOr(name, v) }
+func (c *Context[M]) AggOr(name string, v bool) { c.s.agg.acc[c.s.self].addOr(name, v) }
 
 // PrevAggSum returns the value the named sum aggregator had at the end of
 // the previous superstep (0 if never set).
-func (c *Context[M]) PrevAggSum(name string) int64 { return c.g.aggs().prevSum(name) }
+func (c *Context[M]) PrevAggSum(name string) int64 { return c.s.agg.prev.sum[name] }
 
 // PrevAggMin returns the previous-superstep min aggregator value and whether
 // any vertex contributed to it.
-func (c *Context[M]) PrevAggMin(name string) (int64, bool) { return c.g.aggs().prevMin(name) }
+func (c *Context[M]) PrevAggMin(name string) (int64, bool) { return c.s.agg.prevMin(name) }
 
 // PrevAggOr returns the previous-superstep boolean OR aggregator value.
-func (c *Context[M]) PrevAggOr(name string) bool { return c.g.aggs().prevOr(name) }
+func (c *Context[M]) PrevAggOr(name string) bool { return c.s.agg.prev.or[name] }

@@ -352,9 +352,8 @@ func (g *Graph[V, M]) resetTraffic() {
 	for _, w := range g.workers {
 		if w.edges == nil {
 			w.edges = make(map[migEdge]int64)
-		} else {
-			clear(w.edges)
 		}
+		clear(w.edges)
 	}
 }
 
@@ -365,11 +364,12 @@ func (g *Graph[V, M]) resetTraffic() {
 func (g *Graph[V, M]) observeWindow(step int) {
 	pol := g.cfg.Repartition
 	if pol == nil {
-		g.observing = false
 		return
 	}
 	phase := step % pol.Every
-	g.observing = phase >= pol.Every-pol.Window
+	for _, w := range g.workers {
+		w.observing = phase >= pol.Every-pol.Window
+	}
 	if phase == pol.Every-pol.Window {
 		g.resetTraffic()
 	}
@@ -487,8 +487,8 @@ func (g *Graph[V, M]) planMigration(maxMoves int) []migMove {
 			return
 		}
 		wi := g.WorkerOf(id)
-		i, ok := g.workers[wi].idx[id]
-		if !ok || g.workers[wi].dead[i] {
+		i, ok := g.workers[wi].live(id)
+		if !ok {
 			return
 		}
 		locs[id] = migLoc{wi, i}
@@ -855,7 +855,7 @@ func (g *Graph[V, M]) spliceMigrants(perPair [][]migMove, sections []*ckptWorker
 			inOff[i+1] = int32(len(arena))
 		}
 		w.ids, w.vals, w.active, w.dead, w.nDead = ids, vals, active, dead, nDead
-		w.reindex()
+		w.idx.rebuild(w.ids, n)
 		w.inArena, w.inOff = arena, inOff
 		w.inCur = growTo(w.inCur, n)
 		if w.dirty != nil {

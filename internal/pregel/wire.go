@@ -13,9 +13,9 @@ import (
 // the superstep shuffle leaves process memory. After the compute barrier
 // every remote (src,dst) outbox lane is encoded with the deterministic
 // lane codec below and shipped to the destination worker's depot
-// (SendLane); delivery then drains each destination by fetching its lanes
-// back (RecvLane), decoding, and running the exact count/place passes of
-// the in-memory path. Lanes are encoded and drained in source-worker
+// (SendLane); delivery is then the in-memory path's own deliverTo, whose
+// lane source fetches each remote lane back (RecvLane) and decodes it
+// instead of borrowing it. Lanes are encoded and drained in source-worker
 // order, and the codec is byte-deterministic, so a run over a transport is
 // bit-identical to an in-memory run. Local lanes (src == dst) never leave
 // memory, matching the two-tier cost model's intra-machine lane.
@@ -136,7 +136,7 @@ func (g *Graph[V, M]) deliverViaTransport(step int) (delivered, dropped int64, e
 	bin := binaryCodecFor[M]()
 	tr := g.cfg.Tracer
 	// The send phase reports through the workers' deliverErr slots, which
-	// resetInbox normally clears at drain time — replaying after a failed
+	// deliverTo normally clears at drain time — replaying after a failed
 	// attempt must not resurface the stale error.
 	for _, w := range g.workers {
 		w.deliverErr = nil
@@ -146,37 +146,29 @@ func (g *Graph[V, M]) deliverViaTransport(step int) (delivered, dropped int64, e
 		g.emit(telemetry.KindBegin, "send", "transport", nowNs(), g.clock.Ns(),
 			telemetry.I("step", int64(step)))
 	}
-	var sendErr error
 	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "tx-send", func(swi int) {
 		src := g.workers[swi]
 		var buf []byte
 		for dwi := range g.workers {
-			if dwi == swi || src.outbox == nil {
+			if dwi == swi {
 				continue // local lanes never leave memory
 			}
-			var encErr error
-			if buf, encErr = encodeLane(buf[:0], src.outbox[dwi], bin); encErr != nil {
-				src.deliverErr = encErr
-				return
+			var err error
+			if buf, err = encodeLane(buf[:0], src.outbox[dwi], bin); err == nil {
+				err = t.SendLane(step, swi, dwi, buf)
 			}
-			if sErr := t.SendLane(step, swi, dwi, buf); sErr != nil {
-				src.deliverErr = sErr
+			if err != nil {
+				src.deliverErr = err
 				return
 			}
 		}
 	})
-	for _, w := range g.workers {
-		if w.deliverErr != nil {
-			sendErr = w.deliverErr
-			break
-		}
-	}
 	if tr != nil {
 		g.emit(telemetry.KindEnd, "send", "transport", nowNs(), g.clock.Ns())
 	}
-	if sendErr != nil {
-		// resetInbox in the drain phase normally clears deliverErr; bail
-		// before it so the send failure is not masked.
+	if _, _, sendErr := g.collectDelivery(); sendErr != nil {
+		// deliverTo in the drain phase clears deliverErr; bail before it so
+		// the send failure is not masked.
 		return 0, 0, sendErr
 	}
 
@@ -185,91 +177,12 @@ func (g *Graph[V, M]) deliverViaTransport(step int) (delivered, dropped int64, e
 			telemetry.I("step", int64(step)))
 	}
 	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "tx-drain", func(dwi int) {
-		g.transportDeliverTo(step, dwi)
+		g.deliverTo(dwi, step, true, nil)
 	})
 	if tr != nil {
 		g.emit(telemetry.KindEnd, "drain", "transport", nowNs(), g.clock.Ns())
 	}
 	return g.collectDelivery()
-}
-
-// transportDeliverTo rebuilds destination worker dwi's inbox arena from
-// transport-fetched lanes — the wire twin of deliverTo. The local lane
-// (src == dwi) is read straight from the source outbox; remote lanes are
-// fetched and decoded into per-worker scratch, then counted and placed in
-// source-worker order, preserving the engine's delivery order exactly.
-func (g *Graph[V, M]) transportDeliverTo(step, dwi int) {
-	t := g.cfg.Transport
-	dst := g.workers[dwi]
-	if dst.rlanes == nil {
-		dst.rlanes = make([][]envelope[M], g.cfg.Workers)
-	}
-	g.resetInbox(dst)
-	for swi, src := range g.workers {
-		if swi == dwi {
-			var local []envelope[M]
-			if src.outbox != nil {
-				local = src.outbox[dwi]
-			}
-			dst.rlanes[swi] = local
-			continue
-		}
-		payload, err := t.RecvLane(step, swi, dwi)
-		if err != nil {
-			dst.deliverErr = err
-			return
-		}
-		lane, err := decodeLane(payload, dst.rlanes[swi])
-		if err != nil {
-			dst.deliverErr = err
-			return
-		}
-		dst.rlanes[swi] = lane
-	}
-	for swi, lane := range dst.rlanes {
-		g.countLane(dst, swi, lane)
-	}
-	g.placeInboxLanes(dst, dst.rlanes)
-}
-
-// placeInboxLanes is placeInbox over an explicit lane set (the wire path's
-// decoded lanes) instead of the destination column of every worker's
-// outbox. Kept separate from placeInbox so the loopback shuffle keeps its
-// zero-allocation steady state.
-func (g *Graph[V, M]) placeInboxLanes(dst *worker[V, M], lanes [][]envelope[M]) {
-	n := len(dst.ids)
-	counts := dst.inCur[:n]
-	off := int32(0)
-	for i := 0; i < n; i++ {
-		c := counts[i]
-		dst.inOff[i] = off
-		counts[i] = off // becomes the placement cursor
-		off += c
-	}
-	dst.inOff[n] = off
-	if cap(dst.inArena) < int(off) {
-		dst.inArena = make([]M, off)
-	} else {
-		dst.inArena = dst.inArena[:off]
-	}
-	fused := g.runTotal && g.runComb != nil
-	m := 0
-	for _, lane := range lanes {
-		for _, e := range lane {
-			i := dst.rIdx[m]
-			m++
-			if i < 0 {
-				continue
-			}
-			if fused && counts[i] > dst.inOff[i] {
-				slot := &dst.inArena[dst.inOff[i]]
-				*slot = g.runComb(*slot, e.msg)
-				continue
-			}
-			dst.inArena[counts[i]] = e.msg
-			counts[i]++
-		}
-	}
 }
 
 // transportBarrier publishes the end of superstep step to every worker,

@@ -1,6 +1,8 @@
 package scaffold
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"ppaassembler/internal/dna"
@@ -52,23 +54,41 @@ type placement struct {
 	fwd    bool
 }
 
+// vote is n votes for one packed locus (see place).
+type vote struct {
+	locus uint64
+	n     int32
+}
+
 // place maps one read by seed voting: every error-free length-s window votes
 // for the (contig, strand, offset) locus it implies, and the read is placed
 // at the locus with strictly the most votes. Ties mean a repeat-ambiguous
 // placement and leave the read unplaced, exactly as read mappers discard
 // multi-mapping mates before scaffolding.
-func (ix *contigIndex) place(read string) (placement, bool) {
+//
+// Votes are collected in *votes — scratch the caller owns and reuses from
+// read to read, one per concurrent mapper. Consecutive windows of a read that
+// matches one place vote for the same locus, so votes are run-length merged
+// as they arrive (a uniquely placed read leaves one entry); the entries are
+// then sorted so each locus's remaining runs are adjacent and the tally is a
+// single scan.
+func (ix *contigIndex) place(read string, votes *[]vote) (placement, bool) {
 	s := ix.s
 	rl := len(read)
 	if rl < s {
 		return placement{}, false
 	}
-	type locus struct {
-		contig int32
-		pos    int32
-		fwd    bool
+	// A locus packs as contig (31 bits) | pos (32 bits, two's complement) |
+	// strand (1 bit); only equality of loci matters to the vote.
+	vs := (*votes)[:0]
+	cast := func(contig, pos int32, fwd uint64) {
+		l := uint64(contig)<<33 | uint64(uint32(pos))<<1 | fwd
+		if k := len(vs) - 1; k >= 0 && vs[k].locus == l {
+			vs[k].n++
+			return
+		}
+		vs = append(vs, vote{l, 1})
 	}
-	votes := map[locus]int32{}
 	mask := dna.KmerMask(s)
 	var fv, rv uint64
 	run := 0
@@ -85,36 +105,34 @@ func (ix *contigIndex) place(read string) (placement, bool) {
 		}
 		o := int32(i - s + 1) // window offset within the read
 		for _, sp := range ix.seeds[fv] {
-			votes[locus{sp.contig, sp.pos - o, true}]++
+			cast(sp.contig, sp.pos-o, 1)
 		}
 		// A reverse-strand read R satisfies R == RC(contig[q : q+rl]); its
 		// window at offset o appears reverse-complemented on the contig at
 		// position q + rl - s - o.
 		for _, sp := range ix.seeds[rv] {
-			votes[locus{sp.contig, sp.pos - (int32(rl) - int32(s) - o), false}]++
+			cast(sp.contig, sp.pos-(int32(rl)-int32(s)-o), 0)
 		}
 	}
-	var maxV int32
-	for _, v := range votes {
-		if v > maxV {
-			maxV = v
+	*votes = vs
+	slices.SortFunc(vs, func(a, b vote) int { return cmp.Compare(a.locus, b.locus) })
+	var best uint64
+	maxV, atMax := int32(0), 0 // the highest vote count, and how many loci reached it
+	for i := 0; i < len(vs); {
+		l, n := vs[i].locus, int32(0)
+		for ; i < len(vs) && vs[i].locus == l; i++ {
+			n += vs[i].n
+		}
+		if n > maxV {
+			best, maxV, atMax = l, n, 1
+		} else if n == maxV {
+			atMax++
 		}
 	}
-	if maxV == 0 {
+	if atMax != 1 {
 		return placement{}, false
 	}
-	var best locus
-	n := 0
-	for l, v := range votes {
-		if v == maxV {
-			best = l
-			n++
-		}
-	}
-	if n != 1 {
-		return placement{}, false
-	}
-	return placement{contig: best.contig, pos: best.pos, fwd: best.fwd}, true
+	return placement{contig: int32(best >> 33), pos: int32(uint32(best >> 1)), fwd: best&1 == 1}, true
 }
 
 // endpoint converts a mate placement into the contig end the mate's partner

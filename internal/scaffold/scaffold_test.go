@@ -10,7 +10,9 @@ import (
 	"ppaassembler/internal/readsim"
 )
 
-func testGenome(t *testing.T, n int, seed int64) dna.Seq {
+func testGenome(t *testing.T, n int, seed int64) dna.Seq { return testGenomeTB(t, n, seed) }
+
+func testGenomeTB(t testing.TB, n int, seed int64) dna.Seq {
 	t.Helper()
 	g, err := genome.Generate(genome.Spec{Name: "t", Length: n, Seed: seed})
 	if err != nil {
@@ -20,6 +22,10 @@ func testGenome(t *testing.T, n int, seed int64) dna.Seq {
 }
 
 func simPairs(t *testing.T, ref dna.Seq, readLen int, cov, mean, sd float64, seed int64) []Pair {
+	return simPairsTB(t, ref, readLen, cov, mean, sd, seed)
+}
+
+func simPairsTB(t testing.TB, ref dna.Seq, readLen int, cov, mean, sd float64, seed int64) []Pair {
 	t.Helper()
 	sim, err := readsim.SimulatePairs(ref, readsim.PairProfile{
 		Profile:    readsim.Profile{ReadLen: readLen, Coverage: cov, Seed: seed},
@@ -49,25 +55,26 @@ func TestPlaceMate(t *testing.T) {
 	ref := testGenome(t, 2000, 11)
 	contigs := FromSeqs([]dna.Seq{ref})
 	ix := buildIndex(contigs, []bool{true}, 21, pregel.NewSimClock(pregel.CostModel{}))
+	var votes []vote
 
 	fwd := ref.Slice(300, 380).String()
-	p, ok := ix.place(fwd)
+	p, ok := ix.place(fwd, &votes)
 	if !ok || !p.fwd || p.pos != 300 || p.contig != 0 {
 		t.Errorf("forward placement = %+v ok=%v, want pos 300 fwd", p, ok)
 	}
 	rev := ref.Slice(500, 580).ReverseComplement().String()
-	p, ok = ix.place(rev)
+	p, ok = ix.place(rev, &votes)
 	if !ok || p.fwd || p.pos != 500 {
 		t.Errorf("reverse placement = %+v ok=%v, want pos 500 rev", p, ok)
 	}
 	// A read with one error still places by majority vote.
 	mut := []byte(fwd)
 	mut[40] = "ACGT"[(strings.IndexByte("ACGT", mut[40])+1)%4]
-	p, ok = ix.place(string(mut))
+	p, ok = ix.place(string(mut), &votes)
 	if !ok || p.pos != 300 {
 		t.Errorf("mutated placement = %+v ok=%v", p, ok)
 	}
-	if _, ok := ix.place("ACGTACGTACGT"); ok {
+	if _, ok := ix.place("ACGTACGTACGT", &votes); ok {
 		t.Error("read shorter than the seed placed")
 	}
 }
@@ -80,10 +87,11 @@ func TestPlaceMateRepeatAmbiguity(t *testing.T) {
 	c2 := ref.Slice(500, 800).Concat(block)
 	contigs := FromSeqs([]dna.Seq{c1, c2})
 	ix := buildIndex(contigs, []bool{true, true}, 21, pregel.NewSimClock(pregel.CostModel{}))
-	if _, ok := ix.place(block.Slice(50, 150).String()); ok {
+	var votes []vote
+	if _, ok := ix.place(block.Slice(50, 150).String(), &votes); ok {
 		t.Error("read from a two-copy repeat placed uniquely")
 	}
-	if p, ok := ix.place(ref.Slice(350, 450).String()); !ok || p.contig != 0 {
+	if p, ok := ix.place(ref.Slice(350, 450).String(), &votes); !ok || p.contig != 0 {
 		t.Errorf("unique read misplaced: %+v ok=%v", p, ok)
 	}
 }
