@@ -48,6 +48,15 @@ type member struct {
 func MergeContigs(g *Graph, k, tipLen int) (*MergeResult, error) {
 	workers := g.Workers()
 	input := make([][]member, workers)
+	labeled := make([]int, workers)
+	g.ForEachWorker(func(w int, id pregel.VertexID, v *VData) {
+		if v.Labeled {
+			labeled[w]++
+		}
+	})
+	for w := range input {
+		input[w] = make([]member, 0, labeled[w])
+	}
 	g.ForEachWorker(func(w int, id pregel.VertexID, v *VData) {
 		if v.Labeled {
 			input[w] = append(input[w], member{ID: id, label: v.Label, Node: v.Node})

@@ -38,83 +38,16 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 	if err := dna.ValidK(k); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	res := &BuildResult{}
 
-	// Phase (i): each worker's whole shard is one map item so the map UDF
-	// can pre-aggregate counts locally before shuffling (the paper's
-	// "(ID, count) pair ... otherwise the count is increased by 1").
-	shardItems := make([][][]string, workers)
-	for w := 0; w < workers && w < len(readShards); w++ {
-		shardItems[w] = [][]string{readShards[w]}
-	}
-	// Reduce UDFs run concurrently (one reducer per worker) under Parallel,
-	// so the θ-filter counters accumulate per reducer and fold afterwards.
 	// Keys are (k+1)-mer and k-mer IDs, so both phases group through the
 	// same partitioner that will place the graph's vertices (keyHash is the
 	// identity projection; see MRConfig.Partitioner): each reduced
 	// KmerVertex of phase (ii) is born on the worker that owns it, and the
 	// LoadShards pass below is a local, already-sorted insert rather than a
 	// second shuffle.
-	part := cfg.Partitioner
-	if part == nil {
-		part = pregel.HashPartitioner{}
-	}
-	// Phase (i) routes each (k+1)-mer to the worker owning its canonical
-	// prefix k-mer (a routing projection, not a mixing hash — see
-	// MRConfig.Partitioner). Phase (ii) then runs its map on that worker,
-	// so the prefix-endpoint adjacency pair it emits is intra-machine by
-	// construction under every partitioner — and under locality-aware
-	// placement the suffix endpoint, which shares k-1 bases, usually is
-	// too.
-	routeK1 := func(id uint64) uint64 {
-		pref, _ := dna.Kmer(id >> 2).Canonical(k)
-		return uint64(pref)
-	}
-	rawKey := func(k uint64) uint64 { return k }
-	mrCfg := pregel.MRConfig{
-		Workers: workers, PairBytes: 12, Parallel: cfg.Parallel, Faults: cfg.Faults, Partitioner: part,
-		Name: cfg.JobPrefix + "k1", Tracer: cfg.Tracer, Metrics: cfg.Metrics,
-	}
-	k1Distinct := make([]int64, workers)
-	k1Kept := make([]int64, workers)
-	k1Shards, st1 := pregel.MapReduceCfg(
-		clock, mrCfg, // ~8-byte key + varint count on the wire
-		shardItems,
-		func(w int, reads []string, emit func(uint64, uint32)) {
-			local := make(map[dna.Kmer]uint32)
-			for _, r := range reads {
-				eachKPlus1(r, k, func(m dna.Kmer) {
-					c, _ := m.Canonical(k + 1)
-					local[c]++
-				})
-			}
-			for id, cnt := range local {
-				emit(uint64(id), cnt)
-			}
-		},
-		routeK1,
-		func(a, b uint64) bool { return a < b },
-		func(w int, key uint64, counts []uint32, emit func(K1Mer)) {
-			total := uint32(0)
-			for _, c := range counts {
-				total += c
-			}
-			k1Distinct[w]++
-			if total > theta {
-				k1Kept[w]++
-				emit(K1Mer{ID: dna.Kmer(key), Cov: total})
-			}
-		},
-	)
-	for w := 0; w < workers; w++ {
-		res.K1Distinct += k1Distinct[w]
-		res.K1Kept += k1Kept[w]
-	}
-	res.Stats.Add(st1)
+	mrCfg := buildMRConfig(cfg)
+	k1Shards := countK1Mers(clock, mrCfg, readShards, k, theta, res)
 
 	// Phase (ii): one adjacency item per (k+1)-mer endpoint.
 	type partial struct {
@@ -130,7 +63,7 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 			emit(uint64(srcID), partial{srcItem})
 			emit(uint64(dstID), partial{dstItem})
 		},
-		rawKey,
+		func(id uint64) uint64 { return id },
 		func(a, b uint64) bool { return a < b },
 		func(w int, key uint64, parts []partial, emit func(kvPair)) {
 			var v KmerVertex
@@ -152,6 +85,98 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 type kvPair struct {
 	id pregel.VertexID
 	v  KmerVertex
+}
+
+// buildMRConfig derives the configuration both mini-MapReduce phases of
+// BuildDBG share from the graph configuration (phase (i)'s name and pair
+// size; phase (ii) overrides those two).
+func buildMRConfig(cfg pregel.Config) pregel.MRConfig {
+	part := cfg.Partitioner
+	if part == nil {
+		part = pregel.HashPartitioner{}
+	}
+	return pregel.MRConfig{
+		Workers: max(cfg.Workers, 1), PairBytes: 12, // ~8-byte key + varint count on the wire
+		Parallel: cfg.Parallel, Faults: cfg.Faults, Partitioner: part,
+		Name: cfg.JobPrefix + "k1", Tracer: cfg.Tracer, Metrics: cfg.Metrics,
+	}
+}
+
+// countK1Mers is phase (i) of BuildDBG: it counts the canonical (k+1)-mers
+// of every read, drops those with coverage <= theta, and returns the
+// survivors per reducer in ascending ID order, recording the distinct and
+// kept totals and the job's statistics in res.
+//
+// Each worker's whole shard is one map item so the map UDF can pre-aggregate
+// counts locally before shuffling (the paper's "(ID, count) pair ...
+// otherwise the count is increased by 1"). It does so by sort-and-scan: one
+// slot per window (exact for N-free reads, never grown otherwise), one radix
+// sort, one (ID, run length) pair per distinct ID in ascending order.
+//
+// A (k+1)-mer is routed to the worker owning its canonical prefix k-mer (a
+// routing projection, not a mixing hash — see MRConfig.Partitioner). Phase
+// (ii) then runs its map on that worker, so the prefix-endpoint adjacency
+// pair it emits is intra-machine by construction under every partitioner —
+// and under locality-aware placement the suffix endpoint, which shares k-1
+// bases, usually is too.
+func countK1Mers(clock *pregel.SimClock, mrCfg pregel.MRConfig, readShards [][]string, k int, theta uint32, res *BuildResult) [][]K1Mer {
+	workers := mrCfg.Workers
+	shardItems := make([][][]string, workers)
+	for w := 0; w < workers && w < len(readShards); w++ {
+		shardItems[w] = [][]string{readShards[w]}
+	}
+	// Reduce UDFs run concurrently (one reducer per worker) under Parallel,
+	// so the θ-filter counters accumulate per reducer and fold afterwards.
+	k1Distinct := make([]int64, workers)
+	k1Kept := make([]int64, workers)
+	k1Shards, st := pregel.MapReduceCfg(
+		clock, mrCfg,
+		shardItems,
+		func(w int, reads []string, emit func(uint64, uint32)) {
+			windows := 0
+			for _, r := range reads {
+				windows += max(0, len(r)-k)
+			}
+			ids := make([]uint64, 0, windows)
+			for _, r := range reads {
+				eachKPlus1(r, k, func(m dna.Kmer) {
+					c, _ := m.Canonical(k + 1)
+					ids = append(ids, uint64(c))
+				})
+			}
+			pregel.RadixSort(ids, nil)
+			for i := 0; i < len(ids); {
+				j := i + 1
+				for j < len(ids) && ids[j] == ids[i] {
+					j++
+				}
+				emit(ids[i], uint32(j-i))
+				i = j
+			}
+		},
+		func(id uint64) uint64 {
+			pref, _ := dna.Kmer(id >> 2).Canonical(k)
+			return uint64(pref)
+		},
+		func(a, b uint64) bool { return a < b },
+		func(w int, key uint64, counts []uint32, emit func(K1Mer)) {
+			total := uint32(0)
+			for _, c := range counts {
+				total += c
+			}
+			k1Distinct[w]++
+			if total > theta {
+				k1Kept[w]++
+				emit(K1Mer{ID: dna.Kmer(key), Cov: total})
+			}
+		},
+	)
+	for w := 0; w < workers; w++ {
+		res.K1Distinct += k1Distinct[w]
+		res.K1Kept += k1Kept[w]
+	}
+	res.Stats.Add(st)
+	return k1Shards
 }
 
 // EdgeEndpoints decomposes a counted (k+1)-mer into its two endpoint

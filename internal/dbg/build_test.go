@@ -2,6 +2,7 @@ package dbg
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -264,6 +265,23 @@ func randomGenome(r *rand.Rand, n int) string {
 	return string(b)
 }
 
+// kmerNodeViaItems is KmerNode as it was before it walked the bitmap itself:
+// materialise Items(), grow Adj by append. Kept here as the reference.
+func kmerNodeViaItems(id pregel.VertexID, v *KmerVertex, k int) Node {
+	self := KmerOf(id)
+	n := Node{Kind: KindKmer, Seq: self.Seq(k)}
+	for i, a := range v.Items() {
+		n.Adj = append(n.Adj, Adj{
+			Nbr: KmerID(a.Neighbor(self, k)), In: a.In, PSelf: a.PSelf, PNbr: a.PNbr,
+			Cov: a.Cov, NbrLen: int32(k),
+		})
+		if i == 0 || a.Cov < n.Cov {
+			n.Cov = a.Cov
+		}
+	}
+	return n
+}
+
 func TestKmerNodeConversion(t *testing.T) {
 	reads := []string{"ATTGCAAGT"}
 	res := buildFromReads(t, reads, 3, 0, 2)
@@ -284,7 +302,41 @@ func TestKmerNodeConversion(t *testing.T) {
 			}
 		}
 	})
+
+	// Every bitmap, not only the ones a small build produces: random
+	// vertices of every degree 0..32 with distinct coverages (so a wrong
+	// rank or a wrong minimum shows), against the Items()-based reference.
+	r := rand.New(rand.NewSource(3))
+	for _, k := range []int{3, 21, 31} {
+		for trial := 0; trial < 400; trial++ {
+			var v KmerVertex
+			switch trial {
+			case 0: // isolated: no items, Adj stays nil
+			case 1:
+				v.Adj = ^Bitmap32(0)
+			default:
+				v.Adj = Bitmap32(r.Uint32() & r.Uint32())
+			}
+			for i := 0; i < v.Adj.Count(); i++ {
+				v.Covs = append(v.Covs, 1+uint32(r.Intn(1000)))
+			}
+			self, _ := dna.Kmer(r.Uint64() & dna.KmerMask(k)).Canonical(k)
+			got, want := KmerNode(KmerID(self), &v, k), kmerNodeViaItems(KmerID(self), &v, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d bitmap %032b:\n got %+v\nwant %+v", k, v.Adj, got, want)
+			}
+		}
+	}
+
+	// Alloc fence: the sequence word and the exactly-sized Adj, nothing else.
+	v := KmerVertex{Adj: 0b1000_0100_0010_0001_0000_0000_1000_0001, Covs: []uint32{9, 8, 7, 6, 5, 4}}
+	id := KmerID(dna.ParseKmer("ACGTACGTACGTACGTACGTA"))
+	if allocs := testing.AllocsPerRun(100, func() { nodeSink = KmerNode(id, &v, 21) }); allocs > 2 {
+		t.Errorf("KmerNode allocates %.0f times per node, want <= 2", allocs)
+	}
 }
+
+var nodeSink Node
 
 func TestNodeTypeClassification(t *testing.T) {
 	mk := func(adj ...Adj) *Node { return &Node{Kind: KindKmer, Seq: dna.ParseSeq("ACA"), Adj: adj} }

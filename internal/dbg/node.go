@@ -1,6 +1,8 @@
 package dbg
 
 import (
+	"math/bits"
+
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/pregel"
 )
@@ -200,22 +202,24 @@ func (n *Node) RemoveEdgeTo(nbr pregel.VertexID) int {
 // ① and operation ②).
 func KmerNode(id pregel.VertexID, v *KmerVertex, k int) Node {
 	self := KmerOf(id)
-	items := v.Items()
 	n := Node{Kind: KindKmer, Seq: self.Seq(k)}
-	minCov := uint32(0)
-	for i, a := range items {
+	if deg := v.Adj.Count(); deg > 0 {
+		n.Adj = make([]Adj, 0, deg)
+	}
+	for rest := uint32(v.Adj); rest != 0; rest &= rest - 1 {
+		a := itemAt(bits.TrailingZeros32(rest))
+		cov := v.Covs[len(n.Adj)]
+		if len(n.Adj) == 0 || cov < n.Cov {
+			n.Cov = cov
+		}
 		n.Adj = append(n.Adj, Adj{
 			Nbr:    KmerID(a.Neighbor(self, k)),
 			In:     a.In,
 			PSelf:  a.PSelf,
 			PNbr:   a.PNbr,
-			Cov:    a.Cov,
+			Cov:    cov,
 			NbrLen: int32(k),
 		})
-		if i == 0 || a.Cov < minCov {
-			minCov = a.Cov
-		}
 	}
-	n.Cov = minCov
 	return n
 }

@@ -53,11 +53,12 @@ func ParseKmer(s string) Kmer {
 
 // Seq unpacks m into a Seq of length k.
 func (m Kmer) Seq(k int) Seq {
-	s := NewSeq(k)
+	var b Builder
+	b.Grow(k)
 	for i := k - 1; i >= 0; i-- {
-		s = s.Append(Base(uint64(m) >> (2 * uint(i)) & 3))
+		b.Append(Base(uint64(m) >> (2 * uint(i)) & 3))
 	}
-	return s
+	return b.Seq()
 }
 
 // String renders m as k letters.

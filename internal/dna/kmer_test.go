@@ -18,6 +18,16 @@ func TestKmerEncodingMatchesPaper(t *testing.T) {
 	}
 }
 
+// seqViaAppend is Kmer.Seq as it was before it used a Builder: one
+// copy-and-extend per base. Kept here as the reference.
+func seqViaAppend(m Kmer, k int) Seq {
+	s := NewSeq(k)
+	for i := k - 1; i >= 0; i-- {
+		s = s.Append(Base(uint64(m) >> (2 * uint(i)) & 3))
+	}
+	return s
+}
+
 func TestKmerSeqRoundTrip(t *testing.T) {
 	for _, s := range []string{"A", "ACG", "TTTGGGCCAAA", "ACGTACGTACGTACGTACGTACGTACGTACG"} {
 		k := len(s)
@@ -29,7 +39,33 @@ func TestKmerSeqRoundTrip(t *testing.T) {
 			t.Errorf("KmerFromSeq(%q) = %v, want %v", s, m2, m)
 		}
 	}
+
+	// Every k a Kmer can hold (32 is a (k+1)-mer at MaxK): random words,
+	// the all-A and all-T extremes, against the letters, the packed-integer
+	// inverse and the old append loop — in one allocation.
+	r := rand.New(rand.NewSource(32))
+	for k := 1; k <= 32; k++ {
+		mask := ^uint64(0) >> (64 - 2*uint(k))
+		for _, word := range []uint64{0, mask, r.Uint64() & mask, r.Uint64() & mask, r.Uint64() & mask} {
+			m := Kmer(word)
+			got := m.Seq(k)
+			if got.Len() != k || got.String() != m.String(k) {
+				t.Fatalf("k=%d: Seq(%#x) = %q (len %d), want %q", k, word, got.String(), got.Len(), m.String(k))
+			}
+			if back := KmerFromSeq(got, 0, k); back != m {
+				t.Fatalf("k=%d: KmerFromSeq(Seq(%#x)) = %#x", k, word, uint64(back))
+			}
+			if !got.Equal(seqViaAppend(m, k)) {
+				t.Fatalf("k=%d: Seq(%#x) differs from the append-loop reference", k, word)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { seqSink = m.Seq(k) }); allocs > 1 {
+				t.Fatalf("k=%d: Kmer.Seq allocates %.0f times, want <= 1", k, allocs)
+			}
+		}
+	}
 }
+
+var seqSink Seq
 
 func TestKmerFromSeqOffset(t *testing.T) {
 	s := ParseSeq("ACGTACG")

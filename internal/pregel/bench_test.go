@@ -205,36 +205,60 @@ func BenchmarkMapReduceShuffle(b *testing.B) {
 	}
 }
 
-// BenchmarkMapReduceGroup is the reduce-side grouping fence: 200k pairs over
-// 5k keys (40 values per key, every key present in every lane), a two-field
-// struct key and a 32-byte value, so ns/op tracks the sort and B/op the pair,
-// permutation and value arenas.
+// BenchmarkMapReduceGroup is the reduce-side grouping fence: 200k pairs and
+// a 32-byte value, so ns/op tracks the sort and B/op the key, permutation and
+// value arenas. "struct" has a two-field key (the comparison sort: 5k keys,
+// 40 values each, every key in every lane); "kmer44" has uint64 keys shaped
+// like (k+1)-mer IDs at k+1 = 22 — 44 significant bits, 100k distinct, two
+// values each — which is the radix path DBG construction takes.
 func BenchmarkMapReduceGroup(b *testing.B) {
-	type key struct{ a, b uint64 }
 	type val struct{ span, weight, lo, hi float64 }
-	const n, keys = 200_000, 5_000
+	const n = 200_000
 	items := make([]uint64, n)
 	for i := range items {
-		items[i] = uint64(i*7919) % keys
+		items[i] = uint64(i * 7919)
 	}
 	shards := ShardSlice(items, 4)
 	clock := NewSimClock(DefaultCost())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _ := MapReduce(
-			clock, 4, 48, shards,
-			func(w int, item uint64, emit func(key, val)) {
-				emit(key{item % 71, item / 71}, val{span: float64(item)})
-			},
-			func(k key) uint64 { return Uint64Hash(k.a<<32 | k.b) },
-			func(x, y key) bool { return x.a < y.a || x.a == y.a && x.b < y.b },
-			func(w int, k key, vals []val, emit func(int)) { emit(len(vals)) },
-		)
-		if len(Flatten(out)) != keys {
-			b.Fatal("wrong group count")
+
+	b.Run("struct", func(b *testing.B) {
+		type key struct{ a, b uint64 }
+		const keys = 5_000
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, _ := MapReduce(
+				clock, 4, 48, shards,
+				func(w int, item uint64, emit func(key, val)) {
+					item %= keys
+					emit(key{item % 71, item / 71}, val{span: float64(item)})
+				},
+				func(k key) uint64 { return Uint64Hash(k.a<<32 | k.b) },
+				func(x, y key) bool { return x.a < y.a || x.a == y.a && x.b < y.b },
+				func(w int, _ key, vals []val, emit func(int)) { emit(len(vals)) },
+			)
+			if len(Flatten(out)) != keys {
+				b.Fatal("wrong group count")
+			}
 		}
-	}
+	})
+	b.Run("kmer44", func(b *testing.B) {
+		const keys = n / 2
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, _ := MapReduce(
+				clock, 4, 48, shards,
+				func(w int, item uint64, emit func(uint64, val)) {
+					item %= keys
+					emit(Uint64Hash(item)>>20, val{span: float64(item)})
+				},
+				Uint64Hash, lessU64,
+				func(w int, _ uint64, vals []val, emit func(int)) { emit(len(vals)) },
+			)
+			if len(Flatten(out)) != keys {
+				b.Fatal("wrong group count")
+			}
+		}
+	})
 }
 
 // convertVal is a segment-graph-sized (≈200-byte, pointerful) vertex value.

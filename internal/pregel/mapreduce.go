@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -22,9 +23,17 @@ import (
 //
 // Ordering guarantee: a reducer sees its keys in ascending keyLess order and
 // each key's values in (source worker, emission) order — order-sensitive
-// reducers (float sums, chain stitching) rely on it. Grouping n pairs costs
-// O(n log n) comparisons over a permutation of 4-byte indices plus one
-// gather of the values; whole records never move.
+// reducers (float sums, chain stitching) rely on it. Grouping sorts a
+// permutation of 4-byte arrival indices and gathers the values once; whole
+// records never move. How it sorts is selected by the key type alone: when K
+// is exactly uint64 (the k-mer, vertex and label IDs of every hot job) the
+// (key, arrival index) pairs go through RadixSort, O(n) per differing key
+// byte, and groups are the equal-key runs of the sorted key array; any other
+// K (struct keys, named integer types) takes an O(n log n) comparison sort
+// of the permutation under keyLess. The radix path orders by integer value,
+// so a uint64-keyed job must pass the ascending keyLess, a < b: it is called
+// once per group boundary and a disagreement panics naming the job, rather
+// than being silently ignored.
 //
 // Cost: the clock is charged one shuffle round — barrier latency + slowest
 // mapper + most-loaded link — and one reduce round. pairBytes is the charged
@@ -259,8 +268,9 @@ func MapReduceCfg[I, K, V, O any](
 	}
 
 	// Shuffle + sort + reduce phase: destination worker d drains the lanes
-	// buckets[*][d] into one flat pair arena (sized exactly), sorts it, and
-	// reduces each key group against a values arena shared across groups.
+	// buckets[*][d] into flat key and value arenas (sized exactly) in arrival
+	// order, sorts a permutation of arrival indices by (key, arrival index),
+	// and reduces each key group against a values arena shared across groups.
 	out := make([][]O, workers)
 	redNs := make([]float64, workers)
 	reduceWorker := func(d int) {
@@ -268,37 +278,58 @@ func MapReduceCfg[I, K, V, O any](
 		for s := 0; s < workers; s++ {
 			total += len(buckets[s][d])
 		}
-		pairs := make([]pair, 0, total)
+		keys := make([]K, 0, total)
+		arrived := make([]V, 0, total)
 		for s := 0; s < workers; s++ {
-			pairs = append(pairs, buckets[s][d]...)
+			for _, p := range buckets[s][d] {
+				keys = append(keys, p.k)
+				arrived = append(arrived, p.v)
+			}
 			buckets[s][d] = nil
 		}
 		start := nowNs()
-		// (key, arrival index) is a total order, so the unstable sort of
-		// the permutation yields exactly the stable grouping.
-		perm := make([]int32, len(pairs))
-		for i := range perm {
-			perm[i] = int32(i)
+		perm := identityPerm(name, total)
+		// The one selection point: uint64 keys (every hot job) take the
+		// radix kernel, which moves the keys along with the permutation;
+		// any other key type sorts the permutation alone by comparison,
+		// where (key, arrival index) being a total order makes the unstable
+		// sort yield exactly the stable grouping.
+		sorted, radix := any(keys).([]uint64)
+		if radix {
+			RadixSort(sorted, perm)
+		} else {
+			slices.SortFunc(perm, func(a, b int32) int {
+				if keyLess(keys[a], keys[b]) {
+					return -1
+				}
+				if keyLess(keys[b], keys[a]) {
+					return 1
+				}
+				return int(a - b)
+			})
 		}
-		slices.SortFunc(perm, func(a, b int32) int {
-			if keyLess(pairs[a].k, pairs[b].k) {
-				return -1
-			}
-			if keyLess(pairs[b].k, pairs[a].k) {
-				return 1
-			}
-			return int(a - b)
-		})
-		vals := make([]V, len(pairs))
+		vals := make([]V, total)
 		for i, p := range perm {
-			vals[i] = pairs[p].v
+			vals[i] = arrived[p]
 		}
 		emit := func(o O) { out[d] = append(out[d], o) }
-		for i := 0; i < len(perm); {
-			key := pairs[perm[i]].k
+		for i := 0; i < total; {
 			j := i + 1
-			for j < len(perm) && !keyLess(key, pairs[perm[j]].k) {
-				j++
+			var key K
+			if radix {
+				key = keys[i]
+				for j < total && sorted[j] == sorted[i] {
+					j++
+				}
+				if i > 0 && !keyLess(keys[i-1], key) {
+					panic(fmt.Sprintf("pregel: MapReduce %q groups uint64 keys in ascending order, but its keyLess does not order %d before %d",
+						name, sorted[i-1], sorted[i]))
+				}
+			} else {
+				key = keys[perm[i]]
+				for j < total && !keyLess(key, keys[perm[j]]) {
+					j++
+				}
 			}
 			reduceFn(d, key, vals[i:j], emit)
 			i = j
@@ -328,6 +359,20 @@ func MapReduceCfg[I, K, V, O any](
 			telemetry.I("pairs", stats.Messages))
 	}
 	return out, stats
+}
+
+// identityPerm returns the arrival-index permutation 0..n-1 a reducer sorts.
+// Indices are int32 to halve the sort's memory traffic; a reducer handed
+// more pairs than that addresses fails here, loudly, before anything wraps.
+func identityPerm(job string, n int) []int32 {
+	if n >= math.MaxInt32 {
+		panic(fmt.Sprintf("pregel: MapReduce %q: a reducer received %d pairs, more than its int32 arrival index addresses", job, n))
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return perm
 }
 
 // forEachWorker runs fn(w) for every worker index, on one goroutine per

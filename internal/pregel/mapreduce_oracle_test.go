@@ -2,9 +2,11 @@ package pregel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -108,11 +110,18 @@ func checkAgainstReference[K any](t *testing.T, name string, genKey func(*rand.R
 }
 
 // TestMapReduceMatchesStableReference is the stability oracle of the
-// reduce-side grouping: the permutation sort must be indistinguishable from
-// a stable sort of the concatenated lanes.
+// reduce-side grouping: the permutation sort — radix for uint64 keys,
+// comparison for the struct key — must be indistinguishable from a stable
+// sort of the concatenated lanes.
 func TestMapReduceMatchesStableReference(t *testing.T) {
+	// uint64 keys take the radix kernel: a pool of full-width values (and
+	// both ends of the range) makes every one of its eight digits matter.
+	pool := []uint64{0, math.MaxUint64}
+	for r := rand.New(rand.NewSource(20)); len(pool) < 42; {
+		pool = append(pool, r.Uint64())
+	}
 	checkAgainstReference(t, "uint64",
-		func(r *rand.Rand) uint64 { return uint64(r.Intn(37)) },
+		func(r *rand.Rand) uint64 { return pool[r.Intn(len(pool))] },
 		Uint64Hash, lessU64)
 
 	// The shape of scaffold's endPair key: two fields, compared
@@ -127,4 +136,65 @@ func TestMapReduceMatchesStableReference(t *testing.T) {
 			}
 			return x.b < y.b
 		})
+}
+
+// groupKeys runs one single-reducer MapReduce that emits every item as its
+// own key and returns the keys in the order the reducer saw them.
+func groupKeys[K any](name string, items []K, less func(a, b K) bool) []K {
+	out, _ := MapReduceCfg(NewSimClock(DefaultCost()), MRConfig{Workers: 1, Name: name},
+		[][]K{items},
+		func(w int, k K, emit func(K, struct{})) { emit(k, struct{}{}) },
+		func(K) uint64 { return 0 }, less,
+		func(w int, key K, _ []struct{}, emit func(K)) { emit(key) })
+	return out[0]
+}
+
+// TestMapReduceKeyLessMustAgreeWithRadixOrder: the radix path groups uint64
+// keys in ascending order whatever keyLess says, so a keyLess that is not
+// ascending < must fail loudly, naming the job, instead of being silently
+// ignored. Key types on the comparison path may order however they like.
+func TestMapReduceKeyLessMustAgreeWithRadixOrder(t *testing.T) {
+	if got := groupKeys("asc", []uint64{5, 1 << 40, 5, 0}, lessU64); !reflect.DeepEqual(got, []uint64{0, 5, 1 << 40}) {
+		t.Fatalf("ascending uint64 job grouped as %v", got)
+	}
+	func() {
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, `"scaffold.descending"`) || !strings.Contains(msg, "keyLess") {
+				t.Fatalf("descending keyLess on uint64 keys: want a panic naming the job and keyLess, got %v", r)
+			}
+		}()
+		groupKeys("scaffold.descending", []uint64{5, 1 << 40, 5, 0}, func(a, b uint64) bool { return a > b })
+	}()
+	// A single distinct key has no boundary to check and must not panic.
+	if got := groupKeys("one", []uint64{7, 7, 7}, func(a, b uint64) bool { return a > b }); !reflect.DeepEqual(got, []uint64{7}) {
+		t.Fatalf("single-key job grouped as %v", got)
+	}
+
+	type named uint64 // same representation, but not uint64: comparison path
+	if got := groupKeys("named", []named{1, 3, 2, 3}, func(a, b named) bool { return a > b }); !reflect.DeepEqual(got, []named{3, 2, 1}) {
+		t.Fatalf("descending named-uint64 job grouped as %v", got)
+	}
+	type pairKey struct{ a, b uint64 }
+	desc := func(x, y pairKey) bool { return x.a > y.a || x.a == y.a && x.b > y.b }
+	got := groupKeys("struct", []pairKey{{1, 2}, {2, 1}, {1, 3}, {2, 1}}, desc)
+	if !reflect.DeepEqual(got, []pairKey{{2, 1}, {1, 3}, {1, 2}}) {
+		t.Fatalf("descending struct-key job grouped as %v", got)
+	}
+}
+
+// TestReducerArrivalIndexBound: the permutation is int32, so a reducer handed
+// 2³¹ pairs must fail before allocating or wrapping. The bound check is
+// exercised directly; nobody allocates 2³¹ pairs in a unit test.
+func TestReducerArrivalIndexBound(t *testing.T) {
+	if perm := identityPerm("ok", 3); !reflect.DeepEqual(perm, []int32{0, 1, 2}) {
+		t.Fatalf("identityPerm(3) = %v", perm)
+	}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, `"build.k1"`) || !strings.Contains(msg, "int32") {
+			t.Fatalf("want a panic naming the job and the int32 bound, got %v", r)
+		}
+	}()
+	identityPerm("build.k1", math.MaxInt32)
 }
