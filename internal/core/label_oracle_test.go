@@ -1,0 +1,596 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"ppaassembler/internal/dbg"
+	"ppaassembler/internal/genome"
+	"ppaassembler/internal/pregel"
+	"ppaassembler/internal/readsim"
+)
+
+// This file is the independent reference for contig labeling by list
+// ranking: the request/respond BPPA of the paper (§II, Figure 1; two
+// supersteps and four messages per vertex per doubling round) together with
+// the map-based hello matching it was written against, kept verbatim from
+// the last commit where it was the product path. The product labeler in
+// label.go must leave every vertex in exactly the state this one does.
+
+// helloPhaseOracle is the map-based hello setup (supersteps 0 and 1).
+func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) (done bool) {
+	switch ctx.Superstep() {
+	case 0:
+		v.Ambig = v.Node.Type() == dbg.TypeManyAny
+		v.Labeled, v.Cycle = false, false
+		v.Done = [2]bool{}
+		v.TipProbed = false
+		v.LastActive = -1
+		v.arrangeSides()
+		if v.Ambig {
+			for _, a := range v.Node.RealAdj() {
+				ctx.Send(a.Nbr, Msg{Kind: MsgHello, From: id, Flag: true})
+			}
+			ctx.VoteToHalt()
+			return true
+		}
+		for i := 0; i < 2; i++ {
+			if v.HasSide[i] {
+				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgHello, From: id, Side: uint8(i)})
+			}
+		}
+		return true
+	case 1:
+		ambigFrom := map[pregel.VertexID]bool{}
+		helloSides := map[pregel.VertexID][]uint8{}
+		for _, m := range msgs {
+			if m.Kind != MsgHello {
+				continue
+			}
+			if m.Flag {
+				ambigFrom[m.From] = true
+			}
+			helloSides[m.From] = append(helloSides[m.From], m.Side)
+		}
+		v.NbrAmbig = make([]bool, len(v.Node.Adj))
+		for i, a := range v.Node.Adj {
+			if a.Nbr != dbg.NullID && ambigFrom[a.Nbr] {
+				v.NbrAmbig[i] = true
+			}
+		}
+		if v.Ambig {
+			ctx.VoteToHalt()
+			return true
+		}
+		consumed := map[pregel.VertexID]int{}
+		for i := 0; i < 2; i++ {
+			if !v.HasSide[i] || ambigFrom[v.Sides[i].Nbr] {
+				v.P[i] = dbg.FlipID(id)
+				v.Done[i] = true
+				continue
+			}
+			nbr := v.Sides[i].Nbr
+			sides := helloSides[nbr]
+			j := consumed[nbr]
+			consumed[nbr]++
+			senderSide := uint8(0)
+			if j < len(sides) {
+				senderSide = sides[j]
+			}
+			v.P[i] = nbr
+			v.PSide[i] = 1 - senderSide
+		}
+		if v.Done[0] && v.Done[1] {
+			v.finishLabel()
+			ctx.VoteToHalt()
+			return true
+		}
+		return false
+	}
+	return false
+}
+
+// lrComputeOracle is the request/respond list-ranking labeler: even
+// supersteps apply responses and issue the next requests; odd supersteps
+// answer requests with the responder's away-side pointer.
+func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+	s := ctx.Superstep()
+	if s <= 1 {
+		if helloPhaseOracle(ctx, id, v, msgs) {
+			return
+		}
+		ctx.AggSum(aggUndone, v.undoneSides())
+		return
+	}
+	if v.Ambig {
+		ctx.VoteToHalt()
+		return
+	}
+	if s%2 == 0 {
+		if v.Labeled || v.Cycle {
+			ctx.VoteToHalt()
+			return
+		}
+		for _, m := range msgs {
+			if m.Kind != MsgResp {
+				continue
+			}
+			v.P[m.Side] = m.Ptr
+			v.PSide[m.Side] = m.Side2
+			if dbg.IsFlipped(m.Ptr) {
+				v.Done[m.Side] = true
+			}
+		}
+		if v.Done[0] && v.Done[1] {
+			v.finishLabel()
+			ctx.VoteToHalt()
+			return
+		}
+		cur := ctx.PrevAggSum(aggUndone)
+		if s >= 6 && v.LastActive >= 0 && cur > 0 && cur == v.LastActive {
+			v.Cycle = true
+			ctx.VoteToHalt()
+			return
+		}
+		v.LastActive = cur
+		ctx.AggSum(aggUndone, v.undoneSides())
+		for i := uint8(0); i < 2; i++ {
+			if !v.Done[i] {
+				ctx.Send(v.P[i], Msg{Kind: MsgReq, From: id, Side: i, Side2: v.PSide[i]})
+			}
+		}
+		return
+	}
+	for _, m := range msgs {
+		if m.Kind == MsgReq {
+			ctx.Send(m.From, Msg{
+				Kind:  MsgResp,
+				From:  id,
+				Side:  m.Side,
+				Ptr:   v.P[m.Side2],
+				Side2: v.PSide[m.Side2],
+			})
+		}
+	}
+	if v.Labeled || v.Cycle {
+		ctx.VoteToHalt()
+		return
+	}
+	ctx.AggSum(aggUndone, v.undoneSides())
+}
+
+// labelContigsOracle is LabelContigs(g, LabelerLR) over lrComputeOracle; the
+// S-V cycle fallback is the product's, as it was.
+func labelContigsOracle(g *Graph) (*LabelStats, error) {
+	start := time.Now()
+	sim0 := g.Clock().Seconds()
+	ls := &LabelStats{Algorithm: LabelerLR}
+	st, err := g.Run(lrComputeOracle, pregel.WithName("contig-label-lr"))
+	if err != nil {
+		return nil, err
+	}
+	ls.Supersteps = st.Supersteps
+	ls.Messages = st.Messages
+	g.ForEach(func(id pregel.VertexID, v *VData) {
+		if v.Cycle {
+			ls.CycleVertices++
+		}
+	})
+	if ls.CycleVertices > 0 {
+		st2, err := g.Run(svCycleCompute, pregel.WithName("contig-label-cycle-sv"))
+		if err != nil {
+			return nil, err
+		}
+		ls.Supersteps += st2.Supersteps
+		ls.Messages += st2.Messages
+	}
+	ls.WallSeconds = time.Since(start).Seconds()
+	ls.SimSeconds = g.Clock().Seconds() - sim0
+	return ls, nil
+}
+
+// labelFixture builds one input graph under the given engine configuration.
+type labelFixture func(t testing.TB, cfg pregel.Config) *Graph
+
+// cloneGraph deep-copies g's vertices into a fresh graph of the same
+// configuration, so both labelers start from the same state.
+func cloneGraph(g *Graph) *Graph {
+	c := pregel.NewGraph[VData, Msg](g.Config())
+	g.ForEach(func(id pregel.VertexID, v *VData) {
+		d := *v
+		d.Node.Adj = append([]dbg.Adj(nil), v.Node.Adj...)
+		d.NbrAmbig = append([]bool(nil), v.NbrAmbig...)
+		c.AddVertex(id, d)
+	})
+	return c
+}
+
+// labelStates snapshots every vertex for comparison. LastActive is the
+// stall detector's private scratch (the oracle refreshes it every second
+// superstep) and is not part of the labeling result.
+func labelStates(g *Graph) map[pregel.VertexID]VData {
+	out := map[pregel.VertexID]VData{}
+	g.ForEach(func(id pregel.VertexID, v *VData) {
+		c := *v
+		c.LastActive = 0
+		out[id] = c
+	})
+	return out
+}
+
+// checkPushMatchesOracle labels the fixture and a copy of it, one with the
+// product labeler and one with the oracle, and requires identical vertex
+// state (P, PSide, Done, Label, Labeled, Cycle, NbrAmbig and everything
+// else in VData) and identical cycle counts.
+func checkPushMatchesOracle(t testing.TB, name string, build labelFixture, cfg pregel.Config) (push, ref *LabelStats) {
+	t.Helper()
+	gp := build(t, cfg)
+	gr := cloneGraph(gp)
+	push, err := LabelContigs(gp, LabelerLR)
+	if err != nil {
+		t.Fatalf("%s: product labeler: %v", name, err)
+	}
+	ref, err = labelContigsOracle(gr)
+	if err != nil {
+		t.Fatalf("%s: oracle labeler: %v", name, err)
+	}
+	if push.CycleVertices != ref.CycleVertices {
+		t.Errorf("%s: CycleVertices = %d, oracle %d", name, push.CycleVertices, ref.CycleVertices)
+	}
+	got, want := labelStates(gp), labelStates(gr)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d vertices, oracle %d", name, len(got), len(want))
+	}
+	bad := 0
+	for id, w := range want {
+		g := got[id]
+		if reflect.DeepEqual(g, w) {
+			continue
+		}
+		if bad++; bad <= 3 {
+			t.Errorf("%s: vertex %#x differs\n product P=%#x PSide=%v Done=%v Label=%#x Labeled=%v Cycle=%v NbrAmbig=%v\n oracle  P=%#x PSide=%v Done=%v Label=%#x Labeled=%v Cycle=%v NbrAmbig=%v",
+				name, uint64(id),
+				g.P, g.PSide, g.Done, uint64(g.Label), g.Labeled, g.Cycle, g.NbrAmbig,
+				w.P, w.PSide, w.Done, uint64(w.Label), w.Labeled, w.Cycle, w.NbrAmbig)
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%s: %d of %d vertices differ from the oracle", name, bad, len(want))
+	}
+	return push, ref
+}
+
+// oracleConfigs is the engine matrix every fixture runs under.
+func oracleConfigs() []pregel.Config {
+	var out []pregel.Config
+	for _, w := range []int{1, 4, 7} {
+		for _, par := range []bool{false, true} {
+			out = append(out, pregel.Config{Workers: w, Parallel: par})
+		}
+	}
+	return out
+}
+
+// segSpec is a hand-built or random segment graph: node i has vertex ID
+// ids[i] and adjacency nodes[i].Adj.
+type segSpec struct {
+	ids   []pregel.VertexID
+	nodes []dbg.Node
+}
+
+func (s *segSpec) fixture() labelFixture {
+	return func(t testing.TB, cfg pregel.Config) *Graph {
+		g := pregel.NewGraph[VData, Msg](cfg)
+		for i, id := range s.ids {
+			g.AddVertex(id, VData{Node: s.nodes[i]})
+		}
+		return g
+	}
+}
+
+// segEdge joins end ea of node a to end eb of node b; end 0 is the in-end
+// of the stored orientation, end 1 the out-end. a == b with ea != eb is a
+// self-loop (a homopolymer k-mer), a == b with ea == eb a reverse-complement
+// hairpin (a palindromic (k+1)-mer): one edge, one adjacency item.
+type segEdge struct{ a, ea, b, eb int }
+
+// newSegSpec lays the edges out as adjacency items. Nodes listed in hubs
+// may carry any number of edges per end and are always k-mer nodes; every
+// other node must have at most one edge per end and is a k-mer node (real
+// items only, in edge order, randomly Property-1 flipped) or a contig node
+// (exactly [in, out], NULL for dead ends) at random.
+func newSegSpec(r *rand.Rand, n int, hubs map[int]bool, edges []segEdge) *segSpec {
+	s := &segSpec{ids: make([]pregel.VertexID, n), nodes: make([]dbg.Node, n)}
+	used := map[pregel.VertexID]bool{}
+	for i := range s.ids {
+		for {
+			id := dbg.KmerID(0) + pregel.VertexID(r.Intn(1<<20))
+			if r.Intn(2) == 0 {
+				id = dbg.ContigID(r.Intn(5), uint32(r.Intn(1<<10)+1))
+			}
+			if !used[id] {
+				used[id] = true
+				s.ids[i] = id
+				break
+			}
+		}
+	}
+	item := func(to, eSelf, eNbr int) dbg.Adj {
+		p := dbg.H
+		if eSelf != eNbr {
+			p = dbg.L
+		}
+		return dbg.Adj{Nbr: s.ids[to], In: eSelf == 0, PSelf: dbg.L, PNbr: p, Cov: uint32(1 + r.Intn(9)), NbrLen: 5}
+	}
+	perEnd := make([][2][]dbg.Adj, n)
+	order := make([][]dbg.Adj, n)
+	add := func(i, e int, a dbg.Adj) {
+		perEnd[i][e] = append(perEnd[i][e], a)
+		order[i] = append(order[i], a)
+	}
+	for _, e := range edges {
+		add(e.a, e.ea, item(e.b, e.ea, e.eb))
+		if e.a != e.b || e.ea != e.eb {
+			add(e.b, e.eb, item(e.a, e.eb, e.ea))
+		}
+	}
+	for i := range s.nodes {
+		if !hubs[i] && (len(perEnd[i][0]) > 1 || len(perEnd[i][1]) > 1) {
+			panic(fmt.Sprintf("segSpec: non-hub node %d has two edges on one end", i))
+		}
+		if !hubs[i] && r.Intn(2) == 0 {
+			adj := []dbg.Adj{{Nbr: dbg.NullID, In: true, PSelf: dbg.L}, {Nbr: dbg.NullID, In: false, PSelf: dbg.L}}
+			for e := 0; e < 2; e++ {
+				if len(perEnd[i][e]) == 1 {
+					adj[e] = perEnd[i][e][0]
+				}
+			}
+			s.nodes[i] = dbg.Node{Kind: dbg.KindContig, Cov: 1, Adj: adj}
+			continue
+		}
+		adj := order[i]
+		for j := range adj {
+			if r.Intn(2) == 0 {
+				adj[j] = adj[j].Flip()
+			}
+		}
+		s.nodes[i] = dbg.Node{Kind: dbg.KindKmer, Cov: 1, Adj: adj}
+	}
+	return s
+}
+
+// randomSegSpec draws a graph of n nodes whose free ends are paired at
+// random: paths and cycles of every length with reverse-complement joins,
+// self-loops, 2-cycles (likely for small n), hairpins, dead ends, and ends
+// attached to ambiguous hubs.
+func randomSegSpec(r *rand.Rand, n int) *segSpec {
+	hubs := map[int]bool{}
+	var hubList []int
+	type end struct{ node, e int }
+	var free []end
+	for i := 0; i < n; i++ {
+		if n > 3 && r.Intn(8) == 0 {
+			hubs[i] = true
+			hubList = append(hubList, i)
+			continue
+		}
+		free = append(free, end{i, 0}, end{i, 1})
+	}
+	r.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	var edges []segEdge
+	for len(free) > 0 {
+		x := free[0]
+		free = free[1:]
+		switch p := r.Intn(20); {
+		case p < 3:
+			// dead end
+		case p < 4:
+			edges = append(edges, segEdge{x.node, x.e, x.node, x.e})
+		case p < 7 && len(hubList) > 0:
+			edges = append(edges, segEdge{x.node, x.e, hubList[r.Intn(len(hubList))], r.Intn(2)})
+		case len(free) > 0:
+			y := free[0]
+			free = free[1:]
+			edges = append(edges, segEdge{x.node, x.e, y.node, y.e})
+		}
+	}
+	for i, h := range hubList {
+		if i > 0 && r.Intn(2) == 0 {
+			edges = append(edges, segEdge{h, r.Intn(2), hubList[r.Intn(i)], r.Intn(2)})
+		}
+	}
+	return newSegSpec(r, n, hubs, edges)
+}
+
+// namedSegSpecs are the shapes the labeler's side bookkeeping is delicate
+// on, each small enough to trace by hand.
+func namedSegSpecs() map[string]*segSpec {
+	r := seededRand(5)
+	chain := func(n int, closed bool) []segEdge {
+		var es []segEdge
+		in := make([]int, n) // end of node i that faces node i-1
+		for i := range in {
+			in[i] = r.Intn(2)
+		}
+		for i := 0; i+1 < n; i++ {
+			es = append(es, segEdge{i, 1 - in[i], i + 1, in[i+1]})
+		}
+		if closed {
+			es = append(es, segEdge{n - 1, 1 - in[n-1], 0, in[0]})
+		}
+		return es
+	}
+	hub3 := []segEdge{{0, 1, 1, 0}, {1, 1, 6, 0}, {2, 0, 3, 1}, {3, 0, 6, 1}, {4, 1, 6, 1}, {5, 0, 4, 0}}
+	return map[string]*segSpec{
+		"isolated":         newSegSpec(r, 1, nil, nil),
+		"pair":             newSegSpec(r, 2, nil, chain(2, false)),
+		"path5":            newSegSpec(r, 5, nil, []segEdge{{0, 1, 1, 0}, {1, 1, 2, 0}, {2, 1, 3, 0}, {3, 1, 4, 0}}),
+		"path-rc-joins":    newSegSpec(r, 4, nil, []segEdge{{0, 1, 1, 1}, {1, 0, 2, 0}, {2, 1, 3, 1}}),
+		"path67":           newSegSpec(r, 67, nil, chain(67, false)),
+		"self-loop":        newSegSpec(r, 1, nil, []segEdge{{0, 1, 0, 0}}),
+		"two-cycle":        newSegSpec(r, 2, nil, []segEdge{{0, 1, 1, 0}, {1, 1, 0, 0}}),
+		"two-cycle-rc":     newSegSpec(r, 2, nil, []segEdge{{0, 1, 1, 1}, {1, 0, 0, 0}}),
+		"cycle3":           newSegSpec(r, 3, nil, chain(3, true)),
+		"cycle33":          newSegSpec(r, 33, nil, chain(33, true)),
+		"hairpin-end":      newSegSpec(r, 3, nil, []segEdge{{0, 1, 1, 0}, {1, 1, 2, 0}, {2, 1, 2, 1}}),
+		"hairpin-both":     newSegSpec(r, 2, nil, []segEdge{{0, 0, 0, 0}, {0, 1, 1, 0}, {1, 1, 1, 1}}),
+		"hairpin-single":   newSegSpec(r, 1, nil, []segEdge{{0, 0, 0, 0}, {0, 1, 0, 1}}),
+		"hairpin-dead-end": newSegSpec(r, 1, nil, []segEdge{{0, 1, 0, 1}}),
+		"hub-three-arms":   newSegSpec(r, 7, map[int]bool{6: true}, hub3),
+		"hub-to-hub-path": newSegSpec(r, 5, map[int]bool{0: true, 4: true},
+			[]segEdge{{0, 1, 1, 0}, {1, 1, 2, 1}, {2, 0, 3, 0}, {3, 1, 4, 0}, {0, 0, 4, 1}, {0, 1, 4, 1}}),
+		"hub-double-edge": newSegSpec(r, 3, map[int]bool{2: true},
+			[]segEdge{{0, 1, 2, 0}, {0, 0, 2, 1}, {1, 1, 2, 1}, {1, 0, 2, 0}}),
+	}
+}
+
+// randomSmallKReads returns short reads over a skewed alphabet: at k = 3 or
+// 5 the DBG is dense in homopolymer self-loops, palindromic (k+1)-mers,
+// 2-cycles and ambiguous vertices.
+func randomSmallKReads(r *rand.Rand) ([]string, int) {
+	k := 3 + 2*r.Intn(2)
+	reads := make([]string, 1+r.Intn(6))
+	for i := range reads {
+		b := make([]byte, k+1+r.Intn(30))
+		for j := range b {
+			if j > 0 && r.Intn(4) == 0 {
+				b[j] = b[j-1]
+			} else {
+				b[j] = "ACGT"[r.Intn(4)]
+			}
+		}
+		reads[i] = string(b)
+	}
+	return reads, k
+}
+
+// dbgFixture builds the k-mer segment graph of the reads.
+func dbgFixture(reads []string, k int, theta uint32) labelFixture {
+	return func(t testing.TB, cfg pregel.Config) *Graph {
+		t.Helper()
+		clock := pregel.NewSimClock(pregel.DefaultCost())
+		b, err := dbg.BuildDBG(clock, cfg, pregel.ShardSlice(reads, cfg.Workers), k, theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSegmentGraph(b, cfg, k)
+	}
+}
+
+// mixedFixture runs ①②③④⑤ with the product labeler and returns the
+// error-corrected mixed k-mer/contig graph the second labeling round sees.
+func mixedFixture(reads []string, k int, theta uint32) labelFixture {
+	first := dbgFixture(reads, k, theta)
+	return func(t testing.TB, cfg pregel.Config) *Graph {
+		t.Helper()
+		g := first(t, cfg)
+		if _, err := LabelContigs(g, LabelerLR); err != nil {
+			t.Fatal(err)
+		}
+		merged, err := MergeContigs(g, k, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bub, err := FilterBubbles(g.Clock(), cfg.Workers, merged.Contigs, 5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2 := BuildMixedGraph(g, bub.Contigs, cfg, g.Clock())
+		if _, err := LinkContigs(g2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RemoveTips(g2, k, 80); err != nil {
+			t.Fatal(err)
+		}
+		return g2
+	}
+}
+
+// goldenReads is the golden dataset of cmd/ppa-assembler's golden tests.
+func goldenReads(t testing.TB) []string {
+	t.Helper()
+	ref, err := genome.Generate(genome.Spec{
+		Name: "golden", Length: 40_000, Repeats: 3, RepeatLen: 300, Seed: 1009,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := readsim.SimulatePairs(ref, readsim.PairProfile{
+		Profile:    readsim.Profile{ReadLen: 100, Coverage: 20, SubRate: 0.001, Seed: 1013},
+		InsertMean: 650, InsertSD: 55,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return readsim.Interleave(pairs)
+}
+
+func TestPushLRMatchesRequestRespond(t *testing.T) {
+	// The random generators must keep reaching the stall detector and the
+	// plain path case, or the comparison below proves less than it says.
+	withCycles, cycleFree := 0, 0
+	check := func(name string, build labelFixture, cfg pregel.Config) {
+		t.Helper()
+		if _, ref := checkPushMatchesOracle(t, name, build, cfg); ref.CycleVertices > 0 {
+			withCycles++
+		} else {
+			cycleFree++
+		}
+	}
+	defer func() {
+		t.Logf("fixtures: %d with cycles, %d cycle-free", withCycles, cycleFree)
+		if withCycles < 20 || cycleFree < 20 {
+			t.Errorf("fixtures with cycles %d, without %d: want at least 20 of each", withCycles, cycleFree)
+		}
+	}()
+	for _, cfg := range oracleConfigs() {
+		cfgName := fmt.Sprintf("w%d-par%v", cfg.Workers, cfg.Parallel)
+		for name, spec := range namedSegSpecs() {
+			check(cfgName+"/"+name, spec.fixture(), cfg)
+		}
+		r := seededRand(int64(31 + cfg.Workers))
+		for i := 0; i < 60; i++ {
+			n := 1 + r.Intn(6)
+			if i%3 == 0 {
+				n = 1 + r.Intn(120)
+			}
+			check(fmt.Sprintf("%s/random-seg-%d", cfgName, i), randomSegSpec(r, n).fixture(), cfg)
+		}
+		for i := 0; i < 40; i++ {
+			reads, k := randomSmallKReads(r)
+			check(fmt.Sprintf("%s/small-k-%d %q", cfgName, i, reads), dbgFixture(reads, k, 0), cfg)
+		}
+	}
+	reads := goldenReads(t)
+	for _, cfg := range oracleConfigs() {
+		cfgName := fmt.Sprintf("w%d-par%v", cfg.Workers, cfg.Parallel)
+		if cfg.Workers == 4 {
+			// theta 0 keeps every sequencing error: tips and bubbles, so
+			// many contig ends sit next to ambiguous vertices.
+			check(cfgName+"/golden-round1-raw", dbgFixture(reads, 21, 0), cfg)
+		}
+		check(cfgName+"/golden-round1", dbgFixture(reads, 21, 1), cfg)
+		check(cfgName+"/golden-round2", mixedFixture(reads, 21, 1), cfg)
+	}
+}
+
+func FuzzPushLRMatchesRequestRespond(f *testing.F) {
+	f.Add(int64(1), uint16(0))
+	f.Add(int64(2), uint16(0x1f3))
+	f.Add(int64(99), uint16(0x7ff))
+	f.Add(int64(5), uint16(0x00d))
+	f.Fuzz(func(t *testing.T, seed int64, bits uint16) {
+		cfg := pregel.Config{Workers: []int{1, 4, 7}[int(bits&3)%3], Parallel: bits>>2&1 == 1}
+		r := seededRand(seed)
+		if bits>>3&1 == 1 {
+			reads, k := randomSmallKReads(r)
+			checkPushMatchesOracle(t, fmt.Sprintf("small-k %q", reads), dbgFixture(reads, k, 0), cfg)
+			return
+		}
+		n := 1 + int(bits>>4)%96
+		checkPushMatchesOracle(t, fmt.Sprintf("random-seg n=%d", n), randomSegSpec(r, n).fixture(), cfg)
+	})
+}
