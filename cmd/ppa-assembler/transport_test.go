@@ -14,11 +14,12 @@ import (
 	"ppaassembler/internal/transport"
 )
 
-// startDepots runs n in-process lane depots (the same transport.WorkerServer
-// the -serve-worker mode runs) on ephemeral localhost ports and returns
-// their addresses joined for -peers.
-func startDepots(t *testing.T, n int) string {
+// startDepotServers runs n in-process lane depots (the same
+// transport.WorkerServer the -serve-worker mode runs) on ephemeral localhost
+// ports and returns them with their addresses joined for -peers.
+func startDepotServers(t *testing.T, n int) ([]*transport.WorkerServer, string) {
 	t.Helper()
+	srvs := make([]*transport.WorkerServer, n)
 	addrs := make([]string, n)
 	for i := range n {
 		srv := &transport.WorkerServer{Worker: i}
@@ -26,11 +27,18 @@ func startDepots(t *testing.T, n int) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = addr
+		srvs[i], addrs[i] = srv, addr
 		go srv.Serve()
 		t.Cleanup(func() { srv.Close() })
 	}
-	return strings.Join(addrs, ",")
+	return srvs, strings.Join(addrs, ",")
+}
+
+// startDepots is startDepotServers for callers that only need the peers.
+func startDepots(t *testing.T, n int) string {
+	t.Helper()
+	_, peers := startDepotServers(t, n)
+	return peers
 }
 
 func TestMakeTransportFlagValidation(t *testing.T) {
@@ -198,9 +206,9 @@ func spawnWorkerProcess(t *testing.T, idx int, listen string, exitAfter int) (*e
 
 // TestGoldenPipelineTCPWorkerKilled is the kill-and-resume acceptance pass:
 // worker depots are real OS processes, one of them exits mid-run (crash
-// hook after a fixed frame count), a watchdog restarts it on the same port,
-// and the run must complete through checkpoint rollback with output
-// byte-identical to an undisturbed in-memory run.
+// hook after half the frames it handles in an undisturbed run), a watchdog
+// restarts it on the same port, and the run must complete through
+// checkpoint rollback with output byte-identical to the undisturbed run.
 func TestGoldenPipelineTCPWorkerKilled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -209,11 +217,18 @@ func TestGoldenPipelineTCPWorkerKilled(t *testing.T) {
 	_, readsPath, _ := goldenPipelineFiles(t, dir)
 	const workers = 3
 
-	// Reference: undisturbed in-memory run.
+	// Reference: undisturbed run over in-process depots (byte-identical to
+	// the in-memory shuffle by TestGoldenPipelineTCPIdentical). Depot 1's
+	// frame count sizes the crash below, so a change in superstep or lane
+	// counts moves the crash point with it instead of past the end of the
+	// run.
+	refSrvs, refPeers := startDepotServers(t, workers)
 	refOut := filepath.Join(dir, "contigs_ref.fasta")
 	o := defaultOpts(readsPath, refOut)
 	o.k = 21
 	o.workers = workers
+	o.transport = "tcp"
+	o.peers = refPeers
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +236,18 @@ func TestGoldenPipelineTCPWorkerKilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	crashAfter := refSrvs[1].Frames() / 2
+	if crashAfter < 10 {
+		t.Fatalf("reference run sent worker 1 only %d frames", refSrvs[1].Frames())
+	}
 
-	// Three depot OS processes; worker 1 crashes after 150 frames.
+	// Three depot OS processes; worker 1 crashes halfway through.
 	addrs := make([]string, workers)
 	cmds := make([]*exec.Cmd, workers)
 	for i := range workers {
 		exitAfter := 0
 		if i == 1 {
-			exitAfter = 150
+			exitAfter = crashAfter
 		}
 		cmds[i], addrs[i] = spawnWorkerProcess(t, i, "127.0.0.1:0", exitAfter)
 	}

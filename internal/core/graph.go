@@ -47,11 +47,15 @@ type VData struct {
 // MsgKind discriminates the message types of the core operations.
 type MsgKind uint8
 
-// Message kinds.
+// Message kinds. The numeric values are checkpoint and wire bytes: append
+// new kinds, never reorder. MsgReq has had no sender in the product since
+// list ranking became push-based — a pointer's new value arrives unasked as
+// a MsgResp — but keeps its slot, and the request/respond oracle in
+// label_oracle_test.go still sends it.
 const (
 	MsgHello   MsgKind = iota // labeling setup: sender identity + side + ambiguity
-	MsgReq                    // list ranking: request pointer jump
-	MsgResp                   // list ranking: response
+	MsgReq                    // list ranking, request/respond form only: pointer-jump request
+	MsgResp                   // list ranking: new pointer (Ptr, Side2) for the receiver's side Side
 	MsgSVQuery                // S-V: ask parent for its parent
 	MsgSVReply                // S-V: parent's reply
 	MsgSVNbr                  // S-V: neighbor D broadcast

@@ -93,6 +93,13 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 // ambiguous neighbors and dead ends by flipped self-loops (Figure 11), and
 // every vertex records NbrAmbig. It reports whether the caller should
 // return (vertex halted or fully handled).
+//
+// Side setup establishes the back-pointer invariant list ranking relies on:
+// if x.P[s] == y (unflipped) and x.PSide[s] == j, then y.P[1-j] == x and
+// y.PSide[1-j] == 1-s — y points back at x on the side facing it. Hellos
+// from one neighbor are matched to this vertex's sides in arrival order on
+// both ends of an edge, which is what keeps the invariant on 2-cycles,
+// self-loops and reverse-complement hairpins.
 func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) (done bool) {
 	switch ctx.Superstep() {
 	case 0:
@@ -118,46 +125,33 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 		}
 		return true
 	case 1:
-		ambigFrom := map[pregel.VertexID]bool{}
-		helloSides := map[pregel.VertexID][]uint8{}
-		for _, m := range msgs {
-			if m.Kind != MsgHello {
-				continue
-			}
-			if m.Flag {
-				ambigFrom[m.From] = true
-			}
-			helloSides[m.From] = append(helloSides[m.From], m.Side)
-		}
+		// A vertex receives one hello per real adjacency item (at most
+		// eight for a k-mer), so matching is a scan of msgs, not a map.
 		v.NbrAmbig = make([]bool, len(v.Node.Adj))
 		for i, a := range v.Node.Adj {
-			if a.Nbr != dbg.NullID && ambigFrom[a.Nbr] {
-				v.NbrAmbig[i] = true
-			}
+			v.NbrAmbig[i] = a.Nbr != dbg.NullID && helloAmbig(msgs, a.Nbr)
 		}
 		if v.Ambig {
 			ctx.VoteToHalt()
 			return true
 		}
-		consumed := map[pregel.VertexID]int{}
 		for i := 0; i < 2; i++ {
-			if !v.HasSide[i] || ambigFrom[v.Sides[i].Nbr] {
+			nbr := v.Sides[i].Nbr
+			if !v.HasSide[i] || helloAmbig(msgs, nbr) {
 				// Dead end, or edge to an ambiguous vertex: this vertex is
 				// a contig end on side i — install the flipped self-loop.
 				v.P[i] = dbg.FlipID(id)
 				v.Done[i] = true
 				continue
 			}
-			nbr := v.Sides[i].Nbr
-			sides := helloSides[nbr]
-			j := consumed[nbr]
-			consumed[nbr]++
-			senderSide := uint8(0)
-			if j < len(sides) {
-				senderSide = sides[j]
+			// Side 1 takes the neighbor's second hello when side 0 took
+			// its first (both sides on one neighbor).
+			skip := 0
+			if i == 1 && v.HasSide[0] && v.Sides[0].Nbr == nbr {
+				skip = 1
 			}
 			v.P[i] = nbr
-			v.PSide[i] = 1 - senderSide
+			v.PSide[i] = 1 - helloSide(msgs, nbr, skip)
 		}
 		if v.Done[0] && v.Done[1] {
 			v.finishLabel()
@@ -169,33 +163,65 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 	return false
 }
 
-// lrCompute is the bidirectional-list-ranking labeler (Figure 11). Rounds
-// take two supersteps: even supersteps apply responses and issue the next
-// requests; odd supersteps answer requests with the responder's away-side
-// pointer. An aggregator counts undone sides; if the count stays positive
-// and unchanged across rounds, only cycles remain and the survivors mark
-// themselves for the S-V fallback.
+// helloAmbig reports whether any hello from nbr carries the ambiguity flag.
+func helloAmbig(msgs []Msg, nbr pregel.VertexID) bool {
+	for i := range msgs {
+		if m := &msgs[i]; m.Kind == MsgHello && m.From == nbr && m.Flag {
+			return true
+		}
+	}
+	return false
+}
+
+// helloSide returns the sender side of the hello from nbr that follows skip
+// earlier ones in arrival order (side 0 if nbr sent no such hello).
+func helloSide(msgs []Msg, nbr pregel.VertexID, skip int) uint8 {
+	for i := range msgs {
+		if m := &msgs[i]; m.Kind == MsgHello && m.From == nbr {
+			if skip == 0 {
+				return m.Side
+			}
+			skip--
+		}
+	}
+	return 0
+}
+
+// lrCompute is the bidirectional-list-ranking labeler (Figure 11), one
+// superstep and two messages per vertex per doubling round. The paper's BPPA
+// asks P[i] for its away-side pointer and waits for the answer; on a doubly
+// linked list the answer's owner already knows who will ask. By the
+// back-pointer invariant (helloPhase) the vertex a = P[0] points back at
+// this vertex on its side 1-PSide[0], and the value it needs there is this
+// vertex's P[1] — so the vertex pushes P[1] to a and P[0] to P[1] without
+// being asked. The receiver's overwritten side then points two hops (2^r
+// after r rounds) further, at a vertex that pushed the matching update to
+// this one in the same superstep, so the invariant survives the round and
+// every round leaves exactly the P/PSide/Done the request/respond form does
+// (label_oracle_test.go keeps that form as the reference).
+//
+// A side whose pointer reached a flipped contig-end ID is Done and silent:
+// nothing points back at it (flipped IDs are not vertices), so it neither
+// pushes toward that side nor receives on it; the value it still pushes the
+// other way is the flipped ID, which finishes the receiver's side too.
+//
+// An aggregator counts undone sides per round. A path loses at least one
+// undone side every round (the vertex next to the end learns the end), so a
+// positive count equal to the previous round's means only cycles remain and
+// the survivors mark themselves for the S-V fallback.
 func lrCompute(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
-	s := ctx.Superstep()
-	if s <= 1 {
+	if ctx.Superstep() <= 1 {
 		if helloPhase(ctx, id, v, msgs) {
 			return
 		}
-		// Setup finished with sides pending; tick the aggregator so the
-		// stall detector has a baseline, and stay active.
-		ctx.AggSum(aggUndone, v.undoneSides())
-		return
-	}
-	if v.Ambig {
-		ctx.VoteToHalt()
-		return
-	}
-	if s%2 == 0 {
-		if v.Labeled || v.Cycle {
+		// Sides are set up and some are pending: round 1 starts here.
+	} else {
+		if v.Ambig || v.Labeled || v.Cycle {
 			ctx.VoteToHalt()
 			return
 		}
-		for _, m := range msgs {
+		for i := range msgs {
+			m := &msgs[i]
 			if m.Kind != MsgResp {
 				continue
 			}
@@ -210,38 +236,22 @@ func lrCompute(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Ms
 			ctx.VoteToHalt()
 			return
 		}
+		// PrevAggSum is the undone count before the round just applied,
+		// LastActive the one before that.
 		cur := ctx.PrevAggSum(aggUndone)
-		if s >= 6 && v.LastActive >= 0 && cur > 0 && cur == v.LastActive {
+		if v.LastActive >= 0 && cur > 0 && cur == v.LastActive {
 			v.Cycle = true
 			ctx.VoteToHalt()
 			return
 		}
 		v.LastActive = cur
-		ctx.AggSum(aggUndone, v.undoneSides())
-		for i := uint8(0); i < 2; i++ {
-			if !v.Done[i] {
-				ctx.Send(v.P[i], Msg{Kind: MsgReq, From: id, Side: i, Side2: v.PSide[i]})
-			}
-		}
-		return
-	}
-	// Odd superstep: answer requests from the requested away side.
-	for _, m := range msgs {
-		if m.Kind == MsgReq {
-			ctx.Send(m.From, Msg{
-				Kind:  MsgResp,
-				From:  id,
-				Side:  m.Side,
-				Ptr:   v.P[m.Side2],
-				Side2: v.PSide[m.Side2],
-			})
-		}
-	}
-	if v.Labeled || v.Cycle {
-		ctx.VoteToHalt()
-		return
 	}
 	ctx.AggSum(aggUndone, v.undoneSides())
+	for i := 0; i < 2; i++ {
+		if !v.Done[i] {
+			ctx.Send(v.P[i], Msg{Kind: MsgResp, Side: 1 - v.PSide[i], Ptr: v.P[1-i], Side2: v.PSide[1-i]})
+		}
+	}
 }
 
 const aggSVChanged = "sv-changed"

@@ -224,8 +224,9 @@ func labelStates(g *Graph) map[pregel.VertexID]VData {
 // checkPushMatchesOracle labels the fixture and a copy of it, one with the
 // product labeler and one with the oracle, and requires identical vertex
 // state (P, PSide, Done, Label, Labeled, Cycle, NbrAmbig and everything
-// else in VData) and identical cycle counts.
-func checkPushMatchesOracle(t testing.TB, name string, build labelFixture, cfg pregel.Config) (push, ref *LabelStats) {
+// else in VData), identical cycle counts, and the message and superstep
+// savings the push round exists for. It returns the oracle's stats.
+func checkPushMatchesOracle(t testing.TB, name string, build labelFixture, cfg pregel.Config) (ref *LabelStats) {
 	t.Helper()
 	gp := build(t, cfg)
 	gr := cloneGraph(gp)
@@ -239,6 +240,29 @@ func checkPushMatchesOracle(t testing.TB, name string, build labelFixture, cfg p
 	}
 	if push.CycleVertices != ref.CycleVertices {
 		t.Errorf("%s: CycleVertices = %d, oracle %d", name, push.CycleVertices, ref.CycleVertices)
+	}
+	if ref.CycleVertices == 0 {
+		// Both counts then cover the list-ranking job alone. Every undone
+		// side costs the oracle a request and a response per round, the
+		// product one push; a round is two oracle supersteps, one here.
+		hello := int64(0)
+		gp.ForEach(func(id pregel.VertexID, v *VData) {
+			if v.Ambig {
+				hello += int64(v.Node.RealDegree())
+			} else {
+				hello += int64(min(2, v.Node.RealDegree()))
+			}
+		})
+		if want := hello + (ref.Messages-hello)/2; push.Messages != want || (ref.Messages-hello)%2 != 0 {
+			t.Errorf("%s: %d messages, want %d hello + half of the oracle's %d request/response",
+				name, push.Messages, hello, ref.Messages-hello)
+		}
+		if limit := 2 + (ref.Supersteps-2+1)/2 + 1; push.Supersteps > limit {
+			t.Errorf("%s: %d supersteps, oracle %d allows at most %d", name, push.Supersteps, ref.Supersteps, limit)
+		}
+	} else if push.Messages >= ref.Messages || push.Supersteps > ref.Supersteps {
+		t.Errorf("%s: %d messages in %d supersteps, oracle %d in %d", name,
+			push.Messages, push.Supersteps, ref.Messages, ref.Supersteps)
 	}
 	got, want := labelStates(gp), labelStates(gr)
 	if len(got) != len(want) {
@@ -260,7 +284,7 @@ func checkPushMatchesOracle(t testing.TB, name string, build labelFixture, cfg p
 	if bad > 0 {
 		t.Fatalf("%s: %d of %d vertices differ from the oracle", name, bad, len(want))
 	}
-	return push, ref
+	return ref
 }
 
 // oracleConfigs is the engine matrix every fixture runs under.
@@ -534,7 +558,7 @@ func TestPushLRMatchesRequestRespond(t *testing.T) {
 	withCycles, cycleFree := 0, 0
 	check := func(name string, build labelFixture, cfg pregel.Config) {
 		t.Helper()
-		if _, ref := checkPushMatchesOracle(t, name, build, cfg); ref.CycleVertices > 0 {
+		if ref := checkPushMatchesOracle(t, name, build, cfg); ref.CycleVertices > 0 {
 			withCycles++
 		} else {
 			cycleFree++
@@ -593,4 +617,23 @@ func FuzzPushLRMatchesRequestRespond(f *testing.F) {
 		n := 1 + int(bits>>4)%96
 		checkPushMatchesOracle(t, fmt.Sprintf("random-seg n=%d", n), randomSegSpec(r, n).fixture(), cfg)
 	})
+}
+
+// BenchmarkLabelLR times one whole LR labeling job — hello exchange, list
+// ranking, S-V fallback if any cycle survives — on the golden genome's
+// k-mer graph, and reports the job's superstep and message counts (which,
+// unlike the time, are the same on every host).
+func BenchmarkLabelLR(b *testing.B) {
+	g := dbgFixture(goldenReads(b), 21, 1)(b, pregel.Config{Workers: 4})
+	var ls *LabelStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if ls, err = LabelContigs(g, LabelerLR); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ls.Supersteps), "supersteps")
+	b.ReportMetric(float64(ls.Messages), "msgs")
 }

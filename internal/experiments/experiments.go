@@ -157,14 +157,19 @@ func PrintFig12(w io.Writer, title string, workerCounts []int, rows []Fig12Row) 
 
 // LabelRow is one Table II/III row: LR vs S-V on one dataset.
 type LabelRow struct {
-	Dataset  string
-	LR, SV   core.LabelStats
-	LRStats2 core.LabelStats // unused placeholder for API stability
+	Dataset string
+	LR, SV  core.LabelStats
 }
 
 // LabelComparison runs the pipeline once per labeler and extracts the
 // k-mer-labeling stats (Table II, phase="kmer") or the contig-labeling
-// stats of the second round (Table III, phase="contig").
+// stats of the second round (Table III, phase="contig"). The LR column
+// counts the assembler's own labeler, push-based list ranking: one
+// superstep and two messages per vertex per doubling round, where the
+// paper's request/respond BPPA takes two supersteps and four messages. The
+// paper's LR superstep and message counts are therefore about twice these,
+// less the two hello supersteps both share; the LR-vs-S-V ordering is the
+// same either way.
 func LabelComparison(d *Dataset, workers int, phase string) (LabelRow, error) {
 	row := LabelRow{Dataset: d.Spec.Name}
 	for _, lab := range []core.Labeler{core.LabelerLR, core.LabelerSV} {
@@ -187,11 +192,13 @@ func LabelComparison(d *Dataset, workers int, phase string) (LabelRow, error) {
 	return row, nil
 }
 
-// PrintLabelTable renders Table II or III.
+// PrintLabelTable renders Table II or III. "LR (push)" is the labeler the
+// rows were measured with (see LabelComparison): one superstep per doubling
+// round, not the paper's two.
 func PrintLabelTable(w io.Writer, title string, rows []LabelRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "%s\n", title)
-	fmt.Fprintln(tw, "Dataset\tSupersteps LR\tSupersteps S-V\tMessages LR\tMessages S-V\tRuntime(s) LR\tRuntime(s) S-V")
+	fmt.Fprintln(tw, "Dataset\tSupersteps LR (push)\tSupersteps S-V\tMessages LR (push)\tMessages S-V\tRuntime(s) LR (push)\tRuntime(s) S-V")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.3f\t%.3f\n",
 			r.Dataset, r.LR.Supersteps, r.SV.Supersteps,

@@ -386,13 +386,16 @@ func (g *Graph[V, M]) repartitionDue(step int) bool {
 // Solver hysteresis: an edge participates in the affinity graph only when
 // it carried at least migMinGain messages during the window, and a phase-B
 // per-vertex reassignment is proposed only when the dominant remote worker
-// carries at least migGainRatio times the vertex's current local traffic.
-// The ratio suppresses oscillation between near-balanced neighborhoods;
-// the floor suppresses noise edges from vertices that barely communicate,
-// whose relocation payload would outweigh any conceivable wire saving.
+// carries at least migGainRatio times the vertex's current local traffic
+// and at least migMinGain messages more. The ratio suppresses oscillation
+// between near-balanced neighborhoods. The floor is one message: a pointer
+// in push-based list ranking sends its target one message per round and
+// then moves on, so a directed pair that carried a single message in the
+// window is the signal, not noise — a higher floor leaves the solver with
+// nothing but the hello edges.
 const (
 	migGainRatio = 2
-	migMinGain   = 2
+	migMinGain   = 1
 )
 
 // migMove is one planned relocation.

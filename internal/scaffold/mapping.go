@@ -2,6 +2,9 @@ package scaffold
 
 import (
 	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -19,15 +22,46 @@ type seedPos struct {
 // included contigs. In a real deployment every worker holds a replica (the
 // contig set is orders of magnitude smaller than the read set), so building
 // it is charged to the simulated clock as serial time.
+//
+// The index is flat: occ holds every seed occurrence, grouped by seed and in
+// (contig, position) order within a seed, and slots is an open-addressing
+// table (load factor at most one half) whose entries carry the seed itself
+// and its run occ[off:off+n], n == 0 marking an empty slot. Mate placement
+// does two lookups per read window, so a lookup is one multiply and, with the
+// key in the slot, one cache line for the table and one for the run.
 type contigIndex struct {
 	s       int
 	contigs []Contig
-	seeds   map[uint64][]seedPos
+	occ     []seedPos
+	slots   []seedSlot
+	shift   uint8 // 64 - log2(len(slots))
 }
 
-func buildIndex(contigs []Contig, included []bool, s int, clock *pregel.SimClock) *contigIndex {
+// seedSlot is one table entry: a distinct seed and its run in occ.
+type seedSlot struct {
+	seed   uint64
+	off, n int32
+}
+
+// buildIndex indexes every length-s window of the included contigs by
+// sort-and-scan: windows are collected in (contig, position) order, radix
+// sorted by seed with their arrival index as payload (the sort is stable, so
+// each seed's occurrences keep that order), and each equal-seed run becomes
+// one table entry over the occurrence arena.
+func buildIndex(contigs []Contig, included []bool, s int, clock *pregel.SimClock) (*contigIndex, error) {
 	start := time.Now()
-	ix := &contigIndex{s: s, contigs: contigs, seeds: make(map[uint64][]seedPos)}
+	ix := &contigIndex{s: s, contigs: contigs}
+	n := 0
+	for ci, c := range contigs {
+		if included[ci] && c.Seq.Len() >= s {
+			n += c.Seq.Len() - s + 1
+		}
+	}
+	if n >= math.MaxInt32 {
+		return nil, fmt.Errorf("scaffold: %d seed positions in the contig set exceed the seed index's int32 offsets", n)
+	}
+	keys := make([]uint64, 0, n)
+	arrival := make([]seedPos, 0, n)
 	mask := dna.KmerMask(s)
 	for ci, c := range contigs {
 		if !included[ci] || c.Seq.Len() < s {
@@ -37,12 +71,62 @@ func buildIndex(contigs []Contig, included []bool, s int, clock *pregel.SimClock
 		for p := 0; p < c.Seq.Len(); p++ {
 			v = (v<<2 | uint64(c.Seq.At(p))) & mask
 			if p >= s-1 {
-				ix.seeds[v] = append(ix.seeds[v], seedPos{int32(ci), int32(p - s + 1)})
+				keys = append(keys, v)
+				arrival = append(arrival, seedPos{int32(ci), int32(p - s + 1)})
 			}
 		}
 	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	pregel.RadixSort(keys, order)
+	ix.occ = make([]seedPos, n)
+	distinct := 0
+	for i, k := range keys {
+		ix.occ[i] = arrival[order[i]]
+		if i == 0 || k != keys[i-1] {
+			distinct++
+		}
+	}
+
+	size := 1 << bits.Len(uint(2*distinct)|7) // power of two, > 2x the seeds
+	ix.slots = make([]seedSlot, size)
+	ix.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j] == keys[i] {
+			j++
+		}
+		h := ix.home(keys[i])
+		for ix.slots[h].n != 0 {
+			h = (h + 1) & uint64(size-1)
+		}
+		ix.slots[h] = seedSlot{seed: keys[i], off: int32(i), n: int32(j - i)}
+		i = j
+	}
 	clock.ChargeSerial(float64(time.Since(start).Nanoseconds()))
-	return ix
+	return ix, nil
+}
+
+// home is the first slot of a seed's probe run: Fibonacci hashing, whose
+// high product bits depend on every bit of the 2-bit-packed seed.
+func (ix *contigIndex) home(seed uint64) uint64 {
+	return (seed * 0x9E3779B97F4A7C15) >> ix.shift
+}
+
+// lookup returns the occurrences of seed in (contig, position) order.
+func (ix *contigIndex) lookup(seed uint64) []seedPos {
+	mask := uint64(len(ix.slots) - 1)
+	for h := ix.home(seed); ; h = (h + 1) & mask {
+		sl := &ix.slots[h]
+		if sl.n == 0 {
+			return nil
+		}
+		if sl.seed == seed {
+			return ix.occ[sl.off : sl.off+sl.n]
+		}
+	}
 }
 
 // placement is one mate placed on a contig: pos is the inferred position of
@@ -104,13 +188,13 @@ func (ix *contigIndex) place(read string, votes *[]vote) (placement, bool) {
 			continue
 		}
 		o := int32(i - s + 1) // window offset within the read
-		for _, sp := range ix.seeds[fv] {
+		for _, sp := range ix.lookup(fv) {
 			cast(sp.contig, sp.pos-o, 1)
 		}
 		// A reverse-strand read R satisfies R == RC(contig[q : q+rl]); its
 		// window at offset o appears reverse-complemented on the contig at
 		// position q + rl - s - o.
-		for _, sp := range ix.seeds[rv] {
+		for _, sp := range ix.lookup(rv) {
 			cast(sp.contig, sp.pos-(int32(rl)-int32(s)-o), 0)
 		}
 	}

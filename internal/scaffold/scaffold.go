@@ -298,7 +298,10 @@ func Build(contigs []Contig, pairs []Pair, opt Options) (*Result, error) {
 	}
 
 	// 1. Replicated contig seed index (charged as serial build time).
-	ix := buildIndex(contigs, included, opt.SeedLen, clock)
+	ix, err := buildIndex(contigs, included, opt.SeedLen, clock)
+	if err != nil {
+		return nil, err
+	}
 
 	// 2. Mate placement and link bundling (mini-MapReduce).
 	links, inserts, st := bundleLinks(ix, pairs, opt, clock, res)

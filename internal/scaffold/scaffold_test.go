@@ -54,7 +54,7 @@ func TestPairUp(t *testing.T) {
 func TestPlaceMate(t *testing.T) {
 	ref := testGenome(t, 2000, 11)
 	contigs := FromSeqs([]dna.Seq{ref})
-	ix := buildIndex(contigs, []bool{true}, 21, pregel.NewSimClock(pregel.CostModel{}))
+	ix := mustBuildIndex(t, contigs, []bool{true}, 21)
 	var votes []vote
 
 	fwd := ref.Slice(300, 380).String()
@@ -86,7 +86,7 @@ func TestPlaceMateRepeatAmbiguity(t *testing.T) {
 	c1 := ref.Slice(0, 500)
 	c2 := ref.Slice(500, 800).Concat(block)
 	contigs := FromSeqs([]dna.Seq{c1, c2})
-	ix := buildIndex(contigs, []bool{true, true}, 21, pregel.NewSimClock(pregel.CostModel{}))
+	ix := mustBuildIndex(t, contigs, []bool{true, true}, 21)
 	var votes []vote
 	if _, ok := ix.place(block.Slice(50, 150).String(), &votes); ok {
 		t.Error("read from a two-copy repeat placed uniquely")

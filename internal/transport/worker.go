@@ -135,14 +135,19 @@ func (s *WorkerServer) handle(conn net.Conn) {
 	}
 }
 
-// tickCrashHook implements ExitAfterFrames for crash tests.
+// Frames reports how many frames the server has handled so far, over all
+// sessions: what a crash test sizes ExitAfterFrames against.
+func (s *WorkerServer) Frames() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.frames
+}
+
+// tickCrashHook counts one handled frame and implements ExitAfterFrames.
 func (s *WorkerServer) tickCrashHook() {
-	if s.ExitAfterFrames <= 0 {
-		return
-	}
 	s.mu.Lock()
 	s.frames++
-	crash := s.frames >= s.ExitAfterFrames
+	crash := s.ExitAfterFrames > 0 && s.frames >= s.ExitAfterFrames
 	s.mu.Unlock()
 	if crash {
 		s.logf("worker %d: crash hook after %d frames", s.Worker, s.ExitAfterFrames)
