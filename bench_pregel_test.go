@@ -32,9 +32,9 @@ const (
 // shuffleBenchmark returns a benchmark function running the canonical
 // shuffle workload in the given mode and accumulating total messages plus
 // their local/remote tier split.
-func shuffleBenchmark(parallel, overlap bool, msgs, local, remote *int64) func(b *testing.B) {
+func shuffleBenchmark(parallel bool, msgs, local, remote *int64) func(b *testing.B) {
 	return func(b *testing.B) {
-		g := pregel.NewGraph[int64, int64](pregel.Config{Workers: shuffleWorkers, Parallel: parallel, Overlap: overlap})
+		g := pregel.NewGraph[int64, int64](pregel.Config{Workers: shuffleWorkers, Parallel: parallel})
 		for i := 0; i < shuffleVertices; i++ {
 			g.AddVertex(pregel.VertexID(i), 0)
 		}
@@ -91,19 +91,13 @@ type benchArtifact struct {
 	} `json:"workload"`
 	Sequential shuffleResult `json:"sequential"`
 	Parallel   shuffleResult `json:"parallel"`
-	// ParallelOverlap is the parallel workload with compute/delivery
-	// overlap on (-overlap): same traffic and output, barrier tax removed.
-	ParallelOverlap shuffleResult `json:"parallel_overlap"`
 	// ParallelSpeedup is sequential ns/op divided by parallel ns/op; > 1
-	// means goroutine-per-worker execution wins on this host. Expect < 1 on
-	// single-core runners and > 1 from 4 cores up.
+	// means running the workers on all cores wins on this host. Expect ~1
+	// on single-core runners (the executor then runs inline) and > 1 from
+	// 2 cores up.
 	ParallelSpeedup float64 `json:"parallel_speedup"`
-	// OverlapSpeedup is barriered-parallel ns/op divided by overlapped
-	// ns/op: the measured barrier tax on this host.
-	OverlapSpeedup float64 `json:"overlap_speedup"`
-	// ParallelSpeedupValid gates interpretation of the two speedups: a run
-	// with GOMAXPROCS < 2 executes "parallel" goroutines on one thread, so
-	// the ratios measure scheduler overhead, not parallelism.
+	// ParallelSpeedupValid gates interpretation of the speedup: a run with
+	// GOMAXPROCS < 2 has no second core to show one on.
 	// ParallelSpeedupNote carries the human-readable caveat.
 	ParallelSpeedupValid bool   `json:"parallel_speedup_valid"`
 	ParallelSpeedupNote  string `json:"parallel_speedup_note,omitempty"`
@@ -216,9 +210,9 @@ type adaptivePartitioning struct {
 }
 
 // runShuffleMode measures one mode with testing.Benchmark.
-func runShuffleMode(parallel, overlap bool) shuffleResult {
+func runShuffleMode(parallel bool) shuffleResult {
 	var msgs, local, remote int64
-	r := testing.Benchmark(shuffleBenchmark(parallel, overlap, &msgs, &local, &remote))
+	r := testing.Benchmark(shuffleBenchmark(parallel, &msgs, &local, &remote))
 	n := int64(r.N)
 	if n == 0 {
 		n = 1
@@ -546,19 +540,15 @@ func TestEmitPregelBenchArtifact(t *testing.T) {
 	a.Workload.Fanout = shuffleFanout
 	a.Workload.Supersteps = shuffleSupersteps
 	a.Workload.Workers = shuffleWorkers
-	a.Sequential = runShuffleMode(false, false)
-	a.Parallel = runShuffleMode(true, false)
-	a.ParallelOverlap = runShuffleMode(true, true)
+	a.Sequential = runShuffleMode(false)
+	a.Parallel = runShuffleMode(true)
 	if a.Parallel.NsPerOp > 0 {
 		a.ParallelSpeedup = float64(a.Sequential.NsPerOp) / float64(a.Parallel.NsPerOp)
-	}
-	if a.ParallelOverlap.NsPerOp > 0 {
-		a.OverlapSpeedup = float64(a.Parallel.NsPerOp) / float64(a.ParallelOverlap.NsPerOp)
 	}
 	a.ParallelSpeedupValid = a.GoMaxProcs >= 2
 	if !a.ParallelSpeedupValid {
 		a.ParallelSpeedupNote = fmt.Sprintf(
-			"measured with GOMAXPROCS=%d on %d CPU(s): parallel and overlap speedups reflect goroutine scheduling overhead, not parallel execution, and must not be read as engine regressions",
+			"measured with GOMAXPROCS=%d on %d CPU(s): the parallel speedup has no second core to show on and must not be read as an engine regression",
 			a.GoMaxProcs, a.NumCPU)
 	}
 	for _, p := range []struct {
@@ -612,11 +602,10 @@ func TestEmitPregelBenchArtifact(t *testing.T) {
 	if !a.ParallelSpeedupValid {
 		t.Logf("NOTE: %s", a.ParallelSpeedupNote)
 	}
-	// Overlap must never change the traffic (determinism contract holds in
-	// every mode; only the wall-clock barrier cost may move).
-	if a.ParallelOverlap.LocalMsgs != a.Parallel.LocalMsgs || a.ParallelOverlap.RemoteMsgs != a.Parallel.RemoteMsgs {
-		t.Errorf("overlap changed shuffle traffic: %d/%d local/remote, barriered %d/%d",
-			a.ParallelOverlap.LocalMsgs, a.ParallelOverlap.RemoteMsgs, a.Parallel.LocalMsgs, a.Parallel.RemoteMsgs)
+	// The schedule must never change the traffic.
+	if a.Parallel.LocalMsgs != a.Sequential.LocalMsgs || a.Parallel.RemoteMsgs != a.Sequential.RemoteMsgs {
+		t.Errorf("parallel schedule changed shuffle traffic: %d/%d local/remote, sequential %d/%d",
+			a.Parallel.LocalMsgs, a.Parallel.RemoteMsgs, a.Sequential.LocalMsgs, a.Sequential.RemoteMsgs)
 	}
 
 	// Locality gates — all deterministic, so they hold on any hardware: on

@@ -8,9 +8,9 @@
 //
 //   - Host-independent metrics are always compared: allocations per op,
 //     checkpoint-codec sizes and the delta ratio, pipeline remote-message
-//     fractions, and invariants that must hold on any machine (overlap
-//     leaves traffic untouched, the binary codec beats gob, a fault-free
-//     run restores nothing).
+//     fractions, and invariants that must hold on any machine (the
+//     schedule leaves traffic untouched, the binary codec beats gob, a
+//     fault-free run restores nothing).
 //   - Time-based metrics (ns/op, msgs/s) are compared only when baseline
 //     and current were measured on a comparable host (same num_cpu and
 //     go_max_procs); otherwise they are reported as skipped.
@@ -105,9 +105,7 @@ type artifact struct {
 	GoMaxProcs           int             `json:"go_max_procs"`
 	Sequential           shuffleRow      `json:"sequential"`
 	Parallel             shuffleRow      `json:"parallel"`
-	ParallelOverlap      shuffleRow      `json:"parallel_overlap"`
 	ParallelSpeedup      float64         `json:"parallel_speedup"`
-	OverlapSpeedup       float64         `json:"overlap_speedup"`
 	ParallelSpeedupValid bool            `json:"parallel_speedup_valid"`
 	Pipeline             []pipelineRow   `json:"pipeline_partitioners"`
 	Adaptive             adaptiveSection `json:"adaptive_partitioning"`
@@ -164,18 +162,17 @@ func compare(baseline, current artifact, threshold float64) report {
 	}{
 		{"sequential", baseline.Sequential, current.Sequential},
 		{"parallel", baseline.Parallel, current.Parallel},
-		{"parallel_overlap", baseline.ParallelOverlap, current.ParallelOverlap},
 	} {
 		checkGrowth(&r, m.name+" allocs/op", float64(m.base.AllocsPerOp), float64(m.cur.AllocsPerOp), threshold)
 		checkGrowth(&r, m.name+" bytes/op", float64(m.base.BytesPerOp), float64(m.cur.BytesPerOp), threshold)
 	}
 
-	// --- Host-independent invariant: overlap must not change traffic. ---
-	if current.ParallelOverlap.LocalMsgs != current.Parallel.LocalMsgs ||
-		current.ParallelOverlap.RemoteMsgs != current.Parallel.RemoteMsgs {
-		r.failf("overlap changed shuffle traffic: overlapped %d/%d local/remote vs barriered %d/%d — determinism contract broken",
-			current.ParallelOverlap.LocalMsgs, current.ParallelOverlap.RemoteMsgs,
-			current.Parallel.LocalMsgs, current.Parallel.RemoteMsgs)
+	// --- Host-independent invariant: the schedule must not change traffic. ---
+	if current.Parallel.LocalMsgs != current.Sequential.LocalMsgs ||
+		current.Parallel.RemoteMsgs != current.Sequential.RemoteMsgs {
+		r.failf("parallel schedule changed shuffle traffic: parallel %d/%d local/remote vs sequential %d/%d — determinism contract broken",
+			current.Parallel.LocalMsgs, current.Parallel.RemoteMsgs,
+			current.Sequential.LocalMsgs, current.Sequential.RemoteMsgs)
 	}
 
 	// --- Host-independent: checkpoint codec. Sizes are deterministic for
@@ -278,7 +275,6 @@ func compare(baseline, current artifact, threshold float64) report {
 		}{
 			{"sequential", baseline.Sequential, current.Sequential},
 			{"parallel", baseline.Parallel, current.Parallel},
-			{"parallel_overlap", baseline.ParallelOverlap, current.ParallelOverlap},
 		} {
 			checkGrowth(&r, m.name+" ns/op", float64(m.base.NsPerOp), float64(m.cur.NsPerOp), threshold)
 		}
@@ -299,13 +295,10 @@ func compare(baseline, current artifact, threshold float64) report {
 			r.failf("parallel shuffle not faster than sequential with GOMAXPROCS=%d (speedup %.2fx)",
 				current.GoMaxProcs, current.ParallelSpeedup)
 		}
-		if current.OverlapSpeedup > 0 && current.OverlapSpeedup < 1-threshold {
-			r.failf("overlapped delivery slower than the barriered path beyond threshold (%.2fx)", current.OverlapSpeedup)
-		}
 	} else {
-		r.notef("skipping parallel-speedup gate: baseline valid=%v, current valid=%v, GOMAXPROCS=%d (need both valid and >= 4); measured %.2fx parallel, %.2fx overlap",
+		r.notef("skipping parallel-speedup gate: baseline valid=%v, current valid=%v, GOMAXPROCS=%d (need both valid and >= 4); measured %.2fx parallel",
 			baseline.ParallelSpeedupValid, current.ParallelSpeedupValid, current.GoMaxProcs,
-			current.ParallelSpeedup, current.OverlapSpeedup)
+			current.ParallelSpeedup)
 	}
 
 	// --- Transport: the wire volume of the fixed shuffle workload is

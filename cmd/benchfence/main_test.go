@@ -6,18 +6,16 @@ import (
 )
 
 // healthyArtifact is a baseline-shaped artifact with no regressions in it:
-// codec beats gob, overlap traffic matches barriered, pipeline rows present.
+// codec beats gob, parallel traffic matches sequential, pipeline rows present.
 func healthyArtifact() artifact {
 	a := artifact{
 		NumCPU:               4,
 		GoMaxProcs:           4,
 		ParallelSpeedup:      1.8,
-		OverlapSpeedup:       1.1,
 		ParallelSpeedupValid: true,
 	}
 	a.Sequential = shuffleRow{NsPerOp: 100_000, AllocsPerOp: 1000, BytesPerOp: 50_000, LocalMsgs: 240, RemoteMsgs: 720}
 	a.Parallel = shuffleRow{NsPerOp: 55_000, AllocsPerOp: 1100, BytesPerOp: 52_000, LocalMsgs: 240, RemoteMsgs: 720}
-	a.ParallelOverlap = shuffleRow{NsPerOp: 50_000, AllocsPerOp: 1150, BytesPerOp: 52_000, LocalMsgs: 240, RemoteMsgs: 720}
 	a.CheckpointIO = checkpointIO{Saves: 19, Restores: 0, BytesWritten: 1 << 20}
 	a.CheckpointThroughput = codecStats{
 		FullBytes: 900_000, GobBytes: 1_200_000, DeltaBytes: 40_000,
@@ -102,10 +100,10 @@ func TestNsPerOpComparedOnlyOnMatchingHost(t *testing.T) {
 	wantNote(t, r, "skipping ns/op comparison")
 }
 
-func TestOverlapTrafficDivergenceFails(t *testing.T) {
+func TestScheduleTrafficDivergenceFails(t *testing.T) {
 	base := healthyArtifact()
 	cur := healthyArtifact()
-	cur.ParallelOverlap.RemoteMsgs++ // overlap must never change traffic
+	cur.Parallel.RemoteMsgs++ // the schedule must never change traffic
 	wantRegression(t, compare(base, cur, 0.25), "determinism contract")
 }
 

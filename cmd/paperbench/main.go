@@ -48,7 +48,7 @@ func run(exp string, scale float64, workers int) error {
 	}
 	workerSweep := []int{1, 2, 4, 8, 16}
 	if all || exp == "fig12a" {
-		hr("Figure 12(a): execution time vs workers, sim-HC14 (simulated seconds)")
+		hr("Figure 12(a): execution time vs workers, sim-HC14 (simulated seconds; \"wall\" = measured seconds on this host, default schedule)")
 		d, err := experiments.LoadDataset("sim-HC14", scale)
 		if err != nil {
 			return err
@@ -60,7 +60,7 @@ func run(exp string, scale float64, workers int) error {
 		experiments.PrintFig12(out, "# workers", workerSweep, rows)
 	}
 	if all || exp == "fig12b" {
-		hr("Figure 12(b): execution time vs workers, sim-BI (simulated seconds)")
+		hr("Figure 12(b): execution time vs workers, sim-BI (simulated seconds; \"wall\" = measured seconds on this host, default schedule)")
 		d, err := experiments.LoadDataset("sim-BI", scale)
 		if err != nil {
 			return err

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -172,6 +174,46 @@ func TestGoldenPipelinePartitionerIdentical(t *testing.T) {
 				t.Errorf("%s FASTA differs between -partitioner %s and hash", name, partitioner)
 			}
 		}
+	}
+}
+
+// TestDefaultScheduleIsParallel pins the default users get: a command line
+// without -parallel reaches the engine with Parallel set, -parallel=false is
+// the sequential reference schedule, and the two write identical contigs and
+// scaffolds.
+func TestDefaultScheduleIsParallel(t *testing.T) {
+	dir := t.TempDir()
+	_, readsPath, _ := goldenPipelineFiles(t, dir)
+	var outs [2][2][]byte
+	for i, extra := range [][]string{nil, {"-parallel=false"}} {
+		contigs := filepath.Join(dir, fmt.Sprintf("contigs%d.fasta", i))
+		scaffolds := filepath.Join(dir, fmt.Sprintf("scaffolds%d.fasta", i))
+		o, err := parseFlags(append([]string{"-in", readsPath, "-out", contigs, "-scaffold", scaffolds, "-q"}, extra...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := cannedOptions(o, &observability{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := extra == nil; o.parallel != want || opt.Parallel != want || opt.Env(nil).Config().Parallel != want {
+			t.Errorf("args %v: flag %v, core.Options %v, pregel.Config %v; want Parallel=%v all the way down",
+				extra, o.parallel, opt.Parallel, opt.Env(nil).Config().Parallel, want)
+		}
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		for j, path := range []string{contigs, scaffolds} {
+			if outs[i][j], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(outs[0][0]) == 0 || len(outs[0][1]) == 0 {
+		t.Fatal("default run wrote an empty FASTA")
+	}
+	if !bytes.Equal(outs[0][0], outs[1][0]) || !bytes.Equal(outs[0][1], outs[1][1]) {
+		t.Error("default and -parallel=false runs wrote different contigs or scaffolds")
 	}
 }
 

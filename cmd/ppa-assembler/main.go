@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +62,6 @@ type cliOpts struct {
 	ckptVerify bool
 	faultPlan  string
 	resume     bool
-	overlap    bool
 
 	workflow string
 
@@ -77,49 +77,61 @@ type cliOpts struct {
 	memProfile  string
 }
 
-func main() {
+// parseFlags reads the command line (without the program name) into cliOpts.
+func parseFlags(args []string) (cliOpts, error) {
 	var o cliOpts
 	var theta uint
-	flag.StringVar(&o.in, "in", "", "input reads: FASTQ/FASTA file (optionally .gz), one-read-per-line text file, or a shardio store directory")
-	flag.StringVar(&o.out, "out", "contigs.fasta", "output FASTA path (\"-\" for stdout)")
-	flag.IntVar(&o.k, "k", 21, "k-mer length (odd, <= 31)")
-	flag.UintVar(&theta, "theta", 1, "drop (k+1)-mers with coverage <= theta")
-	flag.IntVar(&o.tip, "tip", 80, "tip-length threshold")
-	flag.IntVar(&o.editDist, "editdist", 5, "bubble edit-distance threshold")
-	flag.IntVar(&o.workers, "workers", 4, "logical Pregel workers")
-	flag.BoolVar(&o.parallel, "parallel", false, "run workers on goroutines (multi-core; output is identical to sequential mode)")
-	flag.BoolVar(&o.overlap, "overlap", false, "with -parallel, overlap message delivery with compute instead of a global barrier (output is identical either way)")
-	flag.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter), range (contiguous k-mer ID spans), minimizer (co-locate DBG-adjacent k-mers) or affinity (re-place contigs next to their graph neighborhood); output is identical for all of them, only simulated network locality changes")
-	flag.StringVar(&o.repartition, "repartition", "", "online adaptive repartitioning: migrate hot vertices to the worker they receive the most traffic from, at a superstep cadence, e.g. \"4\" or \"every=4,window=2,maxmove=128\" (output is identical to static placement, only network locality changes)")
-	flag.StringVar(&o.labeler, "labeler", "lr", "contig labeling algorithm: lr or sv")
-	flag.IntVar(&o.rounds, "rounds", 2, "labeling+merging rounds (1 = no error correction)")
-	flag.IntVar(&o.minLen, "minlen", 0, "omit contigs shorter than this from the output")
-	flag.StringVar(&o.gfa, "gfa", "", "also write the assembly graph in GFA v1 to this path")
-	flag.BoolVar(&o.quiet, "q", false, "suppress the run summary")
-	flag.StringVar(&o.scaffoldOut, "scaffold", "", "scaffold the contigs with the (interleaved paired) input reads and write scaffold FASTA here")
-	flag.Float64Var(&o.insert, "insert", 0, "paired-end mean insert size (0 = estimate from the data)")
-	flag.Float64Var(&o.insertSD, "insertsd", 0, "insert-size standard deviation (0 = estimate)")
-	flag.IntVar(&o.minSupport, "minsupport", 3, "minimum read pairs supporting a scaffold link")
-	flag.IntVar(&o.scafMinLen, "scafminlen", 500, "exclude shorter contigs from scaffold linking")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint directory for fault tolerance (empty with -ckpt-every set = in-memory checkpoints)")
-	flag.IntVar(&o.ckptEvery, "ckpt-every", 0, "checkpoint every N supersteps (0 = no checkpointing; implied 5 when -checkpoint or -faultplan is set)")
-	flag.BoolVar(&o.ckptDelta, "ckpt-delta", false, "with checkpointing on, save incremental (dirty-vertex-only) checkpoints between full snapshots")
-	flag.BoolVar(&o.ckptFsync, "ckpt-fsync", true, "fsync checkpoint files and their directory on every save (disable only for throwaway runs; a machine crash may then corrupt or lose checkpoints)")
-	flag.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, v3 checksums), print a per-file report, and exit; no assembly is run")
-	flag.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
-	flag.BoolVar(&o.resume, "resume", false, "resume a killed run from the checkpoints in -checkpoint")
-	flag.StringVar(&o.workflow, "workflow", "", "compose the assembly as an explicit op workflow instead of the canned pipeline, e.g. \"build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta\" (unset op parameters inherit the global flags)")
-	flag.StringVar(&o.transport, "transport", "mem", "message transport for every superstep shuffle: mem (in-process, the default) or tcp (drain lanes over the worker processes in -peers; output is byte-identical to mem)")
-	flag.StringVar(&o.peers, "peers", "", "with -transport=tcp, comma-separated worker depot addresses (host:port), one per -workers, in worker order")
-	flag.IntVar(&o.serveWorker, "serve-worker", -1, "run as lane-depot process for this worker index instead of assembling (pair with -listen; the coordinator lists this address in -peers)")
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:0", "with -serve-worker, the address to listen on (port 0 picks an ephemeral port, printed on stdout)")
-	flag.StringVar(&o.trace, "trace", "", "write a structured trace of every superstep, op, MR phase and checkpoint to this file")
-	flag.StringVar(&o.traceFormat, "trace-format", "", "trace file format: jsonl (default) or chrome (load in Perfetto / chrome://tracing)")
-	flag.StringVar(&o.metricsOut, "metrics", "", "write engine metrics (Prometheus text format) to this file at exit")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (engine goroutines carry job/phase/worker pprof labels)")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
+	fs := flag.NewFlagSet("ppa-assembler", flag.ContinueOnError)
+	fs.StringVar(&o.in, "in", "", "input reads: FASTQ/FASTA file (optionally .gz), one-read-per-line text file, or a shardio store directory")
+	fs.StringVar(&o.out, "out", "contigs.fasta", "output FASTA path (\"-\" for stdout)")
+	fs.IntVar(&o.k, "k", 21, "k-mer length (odd, <= 31)")
+	fs.UintVar(&theta, "theta", 1, "drop (k+1)-mers with coverage <= theta")
+	fs.IntVar(&o.tip, "tip", 80, "tip-length threshold")
+	fs.IntVar(&o.editDist, "editdist", 5, "bubble edit-distance threshold")
+	fs.IntVar(&o.workers, "workers", 4, "logical Pregel workers")
+	fs.BoolVar(&o.parallel, "parallel", true, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
+	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter), range (contiguous k-mer ID spans), minimizer (co-locate DBG-adjacent k-mers) or affinity (re-place contigs next to their graph neighborhood); output is identical for all of them, only simulated network locality changes")
+	fs.StringVar(&o.repartition, "repartition", "", "online adaptive repartitioning: migrate hot vertices to the worker they receive the most traffic from, at a superstep cadence, e.g. \"4\" or \"every=4,window=2,maxmove=128\" (output is identical to static placement, only network locality changes)")
+	fs.StringVar(&o.labeler, "labeler", "lr", "contig labeling algorithm: lr or sv")
+	fs.IntVar(&o.rounds, "rounds", 2, "labeling+merging rounds (1 = no error correction)")
+	fs.IntVar(&o.minLen, "minlen", 0, "omit contigs shorter than this from the output")
+	fs.StringVar(&o.gfa, "gfa", "", "also write the assembly graph in GFA v1 to this path")
+	fs.BoolVar(&o.quiet, "q", false, "suppress the run summary")
+	fs.StringVar(&o.scaffoldOut, "scaffold", "", "scaffold the contigs with the (interleaved paired) input reads and write scaffold FASTA here")
+	fs.Float64Var(&o.insert, "insert", 0, "paired-end mean insert size (0 = estimate from the data)")
+	fs.Float64Var(&o.insertSD, "insertsd", 0, "insert-size standard deviation (0 = estimate)")
+	fs.IntVar(&o.minSupport, "minsupport", 3, "minimum read pairs supporting a scaffold link")
+	fs.IntVar(&o.scafMinLen, "scafminlen", 500, "exclude shorter contigs from scaffold linking")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint directory for fault tolerance (empty with -ckpt-every set = in-memory checkpoints)")
+	fs.IntVar(&o.ckptEvery, "ckpt-every", 0, "checkpoint every N supersteps (0 = no checkpointing; implied 5 when -checkpoint or -faultplan is set)")
+	fs.BoolVar(&o.ckptDelta, "ckpt-delta", false, "with checkpointing on, save incremental (dirty-vertex-only) checkpoints between full snapshots")
+	fs.BoolVar(&o.ckptFsync, "ckpt-fsync", true, "fsync checkpoint files and their directory on every save (disable only for throwaway runs; a machine crash may then corrupt or lose checkpoints)")
+	fs.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, v3 checksums), print a per-file report, and exit; no assembly is run")
+	fs.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
+	fs.BoolVar(&o.resume, "resume", false, "resume a killed run from the checkpoints in -checkpoint")
+	fs.StringVar(&o.workflow, "workflow", "", "compose the assembly as an explicit op workflow instead of the canned pipeline, e.g. \"build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta\" (unset op parameters inherit the global flags)")
+	fs.StringVar(&o.transport, "transport", "mem", "message transport for every superstep shuffle: mem (in-process, the default) or tcp (drain lanes over the worker processes in -peers; output is byte-identical to mem)")
+	fs.StringVar(&o.peers, "peers", "", "with -transport=tcp, comma-separated worker depot addresses (host:port), one per -workers, in worker order")
+	fs.IntVar(&o.serveWorker, "serve-worker", -1, "run as lane-depot process for this worker index instead of assembling (pair with -listen; the coordinator lists this address in -peers)")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "with -serve-worker, the address to listen on (port 0 picks an ephemeral port, printed on stdout)")
+	fs.StringVar(&o.trace, "trace", "", "write a structured trace of every superstep, op, MR phase and checkpoint to this file")
+	fs.StringVar(&o.traceFormat, "trace-format", "", "trace file format: jsonl (default) or chrome (load in Perfetto / chrome://tracing)")
+	fs.StringVar(&o.metricsOut, "metrics", "", "write engine metrics (Prometheus text format) to this file at exit")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (engine goroutines carry job/phase/worker pprof labels)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	err := fs.Parse(args)
 	o.theta = uint32(theta)
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has already printed the error and the usage
+	}
 	if o.ckptVerify {
 		if o.checkpoint == "" {
 			fmt.Fprintln(os.Stderr, "ppa-assembler: -ckpt-verify requires -checkpoint")
@@ -143,8 +155,7 @@ func main() {
 		return
 	}
 	if o.in == "" {
-		fmt.Fprintln(os.Stderr, "ppa-assembler: -in is required")
-		flag.Usage()
+		fmt.Fprintln(os.Stderr, "ppa-assembler: -in is required (see -h)")
 		os.Exit(2)
 	}
 	if err := run(o); err != nil {
@@ -175,10 +186,9 @@ func run(o cliOpts) error {
 	return err
 }
 
-func runCanned(o cliOpts, obs *observability) error {
-	if o.gfa != "" && o.rounds != 2 {
-		return fmt.Errorf("-gfa requires -rounds 2 (the graph is built during error correction)")
-	}
+// cannedOptions renders the flags as the canned pipeline's options. The
+// caller closes opt.Transport.
+func cannedOptions(o cliOpts, obs *observability) (core.Options, error) {
 	opt := core.Options{
 		K:                o.k,
 		Theta:            o.theta,
@@ -186,7 +196,6 @@ func runCanned(o cliOpts, obs *observability) error {
 		BubbleEditDist:   o.editDist,
 		Workers:          o.workers,
 		Parallel:         o.parallel,
-		Overlap:          o.overlap,
 		Rounds:           o.rounds,
 		KeepGraph:        o.gfa != "",
 		Resume:           o.resume,
@@ -197,18 +206,27 @@ func runCanned(o cliOpts, obs *observability) error {
 	var err error
 	opt.CheckpointEvery, opt.Checkpointer, opt.Faults, err = faultTolerance(o)
 	if err != nil {
-		return err
+		return opt, err
 	}
 	if opt.Labeler, err = parseLabeler(o.labeler); err != nil {
-		return err
+		return opt, err
 	}
 	if opt.Partitioner, err = core.MakePartitioner(o.partitioner, o.k); err != nil {
-		return err
+		return opt, err
 	}
 	if opt.Repartition, err = parseRepartition(o.repartition); err != nil {
-		return err
+		return opt, err
 	}
-	if opt.Transport, err = makeTransport(o); err != nil {
+	opt.Transport, err = makeTransport(o)
+	return opt, err
+}
+
+func runCanned(o cliOpts, obs *observability) error {
+	if o.gfa != "" && o.rounds != 2 {
+		return fmt.Errorf("-gfa requires -rounds 2 (the graph is built during error correction)")
+	}
+	opt, err := cannedOptions(o, obs)
+	if err != nil {
 		return err
 	}
 	if opt.Transport != nil {

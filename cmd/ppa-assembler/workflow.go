@@ -179,7 +179,7 @@ func runWorkflow(o cliOpts, obs *observability) error {
 		defer tp.Close()
 	}
 	env := &workflow.Env{
-		Workers: o.workers, Parallel: o.parallel, Overlap: o.overlap,
+		Workers: o.workers, Parallel: o.parallel,
 		Partitioner: part, Transport: tp, MessageBytes: core.MsgWireBytes,
 		Repartition:     repart,
 		CheckpointEvery: every, Checkpointer: store,

@@ -46,7 +46,7 @@ func FilterBubbles(clock *pregel.SimClock, workers int, contigs [][]ContigRec, m
 }
 
 // FilterBubblesCfg is FilterBubbles with explicit shuffle configuration;
-// cfg.Parallel runs one mapper/reducer goroutine per worker.
+// cfg.Parallel runs the mappers and reducers on all cores.
 func FilterBubblesCfg(clock *pregel.SimClock, cfg pregel.MRConfig, contigs [][]ContigRec, maxEditDist int, minArmCov uint32) (*BubbleResult, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1

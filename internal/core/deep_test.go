@@ -141,11 +141,11 @@ func TestAssembleParallelEngineMatchesSequential(t *testing.T) {
 	genome := randomCleanGenome(r, 300, 11)
 	reads := readsFromGenome(genome, 50, 20)
 	reads = append(reads, genome[40:90]+"A") // one error
-	seq := assemble(t, reads, testOpts(4, 11, LabelerLR))
-	par := testOpts(4, 11, LabelerLR)
-	par.Parallel = true
+	seq, par := testOpts(4, 11, LabelerLR), testOpts(4, 11, LabelerLR)
+	seq.Parallel, par.Parallel = false, true
+	sres := assemble(t, reads, seq)
 	pres := assemble(t, reads, par)
-	a, b := contigSeqSet(seq), contigSeqSet(pres)
+	a, b := contigSeqSet(sres), contigSeqSet(pres)
 	if len(a) != len(b) {
 		t.Fatalf("parallel engine: %d contigs vs %d", len(b), len(a))
 	}

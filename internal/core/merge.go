@@ -49,7 +49,9 @@ func MergeContigs(g *Graph, k, tipLen int) (*MergeResult, error) {
 	workers := g.Workers()
 	input := make([][]member, workers)
 	labeled := make([]int, workers)
-	g.ForEachWorker(func(w int, id pregel.VertexID, v *VData) {
+	// Both passes touch only their worker's slot, so the workers scan
+	// concurrently under Parallel.
+	g.ScanWorkers(func(w int, id pregel.VertexID, v *VData) {
 		if v.Labeled {
 			labeled[w]++
 		}
@@ -57,7 +59,7 @@ func MergeContigs(g *Graph, k, tipLen int) (*MergeResult, error) {
 	for w := range input {
 		input[w] = make([]member, 0, labeled[w])
 	}
-	g.ForEachWorker(func(w int, id pregel.VertexID, v *VData) {
+	g.ScanWorkers(func(w int, id pregel.VertexID, v *VData) {
 		if v.Labeled {
 			input[w] = append(input[w], member{ID: id, label: v.Label, Node: v.Node})
 		}

@@ -13,12 +13,11 @@ import (
 // partitionerRun executes the full pipeline (assemble + scaffold) under one
 // named placement strategy and renders both FASTA outputs exactly as the
 // CLI does, so byte equality here is byte equality of shipped artifacts.
-func partitionerRun(t *testing.T, reads []string, pairs []scaffold.Pair, workers int, parallel, overlap bool, partitioner string, pol *pregel.RepartitionPolicy) (contigFasta, scaffoldFasta []byte, res *Result, sres *scaffold.Result) {
+func partitionerRun(t *testing.T, reads []string, pairs []scaffold.Pair, workers int, parallel bool, partitioner string, pol *pregel.RepartitionPolicy) (contigFasta, scaffoldFasta []byte, res *Result, sres *scaffold.Result) {
 	t.Helper()
 	opt := DefaultOptions(workers)
 	opt.K = 21
 	opt.Parallel = parallel
-	opt.Overlap = overlap
 	part, err := MakePartitioner(partitioner, opt.K)
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +55,9 @@ func partitionerRun(t *testing.T, reads []string, pairs []scaffold.Pair, workers
 // TestPipelinePartitionerByteIdentity is the placement-independence
 // contract at pipeline scale: the assemble+scaffold workload must produce
 // byte-identical contig and scaffold FASTA — and identical experiment
-// counters — under every partitioner, for workers in {1, 4, 7}, sequential,
-// parallel-barriered and parallel-overlapped alike. Placement and delivery
-// mode may only move the local/remote traffic split, and for multi-worker
+// counters — under every partitioner, for workers in {1, 4, 7}, sequential
+// and parallel alike. Placement and schedule may only move the
+// local/remote traffic split, and for multi-worker
 // runs the minimizer partitioner must actually move it: fewer remote
 // messages than hash.
 func TestPipelinePartitionerByteIdentity(t *testing.T) {
@@ -66,20 +65,16 @@ func TestPipelinePartitionerByteIdentity(t *testing.T) {
 		t.Skip("pipeline partitioner matrix is slow")
 	}
 	reads, pairs := exampleGenomeReads(t)
-	modes := []struct{ parallel, overlap bool }{
-		{false, false}, {true, false}, {true, true},
-	}
 	for _, workers := range []int{1, 4, 7} {
-		cBase, sBase, resBase, sresBase := partitionerRun(t, reads, pairs, workers, false, false, "hash", nil)
+		cBase, sBase, resBase, sresBase := partitionerRun(t, reads, pairs, workers, false, "hash", nil)
 		baseTotal := resBase.LocalMessages + resBase.RemoteMessages
 		for _, partitioner := range []string{"hash", "range", "minimizer", "affinity"} {
-			for _, mode := range modes {
-				if partitioner == "hash" && !mode.parallel {
+			for _, parallel := range []bool{false, true} {
+				if partitioner == "hash" && !parallel {
 					continue // that run is the baseline itself
 				}
-				parallel, overlap := mode.parallel, mode.overlap
-				label := fmt.Sprintf("workers=%d partitioner=%s parallel=%v overlap=%v", workers, partitioner, parallel, overlap)
-				c, s, res, sres := partitionerRun(t, reads, pairs, workers, parallel, overlap, partitioner, nil)
+				label := fmt.Sprintf("workers=%d partitioner=%s parallel=%v", workers, partitioner, parallel)
+				c, s, res, sres := partitionerRun(t, reads, pairs, workers, parallel, partitioner, nil)
 				if !bytes.Equal(c, cBase) {
 					t.Errorf("%s: contig FASTA differs from hash", label)
 				}
@@ -140,14 +135,12 @@ func TestPipelineAdaptiveByteIdentity(t *testing.T) {
 	reads, pairs := exampleGenomeReads(t)
 	const workers = 4
 	pol := &pregel.RepartitionPolicy{Every: 2, MaxMoves: 1 << 20}
-	cBase, sBase, resBase, _ := partitionerRun(t, reads, pairs, workers, false, false, "hash", nil)
-	_, _, resMin, _ := partitionerRun(t, reads, pairs, workers, false, false, "minimizer", nil)
+	cBase, sBase, resBase, _ := partitionerRun(t, reads, pairs, workers, false, "hash", nil)
+	_, _, resMin, _ := partitionerRun(t, reads, pairs, workers, false, "minimizer", nil)
 	for _, base := range []string{"hash", "minimizer"} {
-		for _, mode := range []struct{ parallel, overlap bool }{
-			{false, false}, {true, false}, {true, true},
-		} {
-			label := fmt.Sprintf("base=%s parallel=%v overlap=%v", base, mode.parallel, mode.overlap)
-			c, s, res, _ := partitionerRun(t, reads, pairs, workers, mode.parallel, mode.overlap, base, pol)
+		for _, parallel := range []bool{false, true} {
+			label := fmt.Sprintf("base=%s parallel=%v", base, parallel)
+			c, s, res, _ := partitionerRun(t, reads, pairs, workers, parallel, base, pol)
 			if !bytes.Equal(c, cBase) {
 				t.Errorf("%s: contig FASTA differs from static hash", label)
 			}

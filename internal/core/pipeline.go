@@ -41,7 +41,10 @@ type Options struct {
 	Rounds int
 	// Cost parameterizes the simulated cluster (zero value = default).
 	Cost pregel.CostModel
-	// Parallel runs engine workers on goroutines (see pregel.Config).
+	// Parallel runs every stage's logical workers on all cores (see
+	// pregel.Config.Parallel). DefaultOptions sets it; false is the
+	// sequential reference schedule. It never changes the assembler's
+	// output.
 	Parallel bool
 	// Partitioner is the vertex-placement strategy for every stage (nil =
 	// hash, the historical behavior). Build one with MakePartitioner;
@@ -54,10 +57,6 @@ type Options struct {
 	// processes. Like Parallel and Partitioner, it never changes the
 	// assembler's output.
 	Transport transport.Transport
-	// Overlap enables the engine's overlapped compute/delivery mode for
-	// every stage (see pregel.Config.Overlap); like Parallel and
-	// Partitioner, it never changes the assembler's output.
-	Overlap bool
 	// Repartition enables online adaptive repartitioning for every stage
 	// (see pregel.Config.Repartition): traffic-driven live vertex migration
 	// layered over Partitioner, with the learned routing table shared
@@ -125,6 +124,7 @@ func DefaultOptions(workers int) Options {
 		TipLen:         80,
 		BubbleEditDist: 5,
 		Workers:        workers,
+		Parallel:       true,
 		Labeler:        LabelerLR,
 		Rounds:         2,
 	}
@@ -207,7 +207,7 @@ type Result struct {
 // environment sharing the given clock (nil starts a fresh one on Run).
 func (o Options) Env(clock *pregel.SimClock) *workflow.Env {
 	return &workflow.Env{
-		Workers: o.Workers, Parallel: o.Parallel, Overlap: o.Overlap, Cost: o.Cost,
+		Workers: o.Workers, Parallel: o.Parallel, Cost: o.Cost,
 		Partitioner: o.Partitioner, Transport: o.Transport, MessageBytes: MsgWireBytes,
 		Repartition:     o.Repartition,
 		CheckpointEvery: o.CheckpointEvery, Checkpointer: o.Checkpointer,

@@ -165,46 +165,6 @@ func TestPipelineCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestPipelineCrashMatrixOverlap is the overlapped-delivery leg of the
-// crash matrix: the same sampled-round kill schedule, but with compute/
-// delivery overlap enabled — recovery must still write byte-identical
-// artifacts, pinning the interaction of per-source completion signals with
-// checkpoint restore across every pipeline stage.
-func TestPipelineCrashMatrixOverlap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline crash matrix is slow")
-	}
-	reads, pairs := recoveryGenomeReads(t)
-	for _, workers := range []int{4, 7} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			probe := pregel.NewFaultPlan()
-			cBase, sBase, resBase, sresBase := runPipeline(t, reads, pairs, workers, true,
-				func(o *Options) { o.Faults = probe })
-			baseCounters := pipelineCounters(resBase, sresBase)
-
-			for _, failAt := range sampleRounds(probe.Rounds(), 6) {
-				plan := pregel.NewFaultPlan(pregel.Fault{Round: failAt, Worker: failAt})
-				cGot, sGot, resGot, sresGot := runPipeline(t, reads, pairs, workers, true,
-					func(o *Options) {
-						o.Overlap = true
-						o.CheckpointEvery = 4
-						o.Faults = plan
-					})
-				if plan.FiredCount() != 1 {
-					t.Errorf("fail@%d: fault did not fire", failAt)
-				}
-				if !bytes.Equal(cGot, cBase) || !bytes.Equal(sGot, sBase) {
-					t.Errorf("fail@%d: recovered overlapped FASTA differs from barriered unfailed run", failAt)
-				}
-				if got := pipelineCounters(resGot, sresGot); got != baseCounters {
-					t.Errorf("fail@%d: recovered pipeline counters differ:\nunfailed %s\nrecovered %s",
-						failAt, baseCounters, got)
-				}
-			}
-		})
-	}
-}
-
 // TestPipelineCrashDeltaCheckpoints is the delta-checkpoint leg of the
 // crash matrix: incremental (dirty-vertex-only) checkpoints between full
 // snapshots, crashed at sampled rounds — recovery replays the full+delta

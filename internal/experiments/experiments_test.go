@@ -75,6 +75,12 @@ func TestFig12ShapesAtSmallScale(t *testing.T) {
 	if !strings.Contains(buf.String(), "Ray-style") {
 		t.Error("PrintFig12 output incomplete")
 	}
+	if ppa.Wall[1] <= 0 || !strings.Contains(buf.String(), "PPA-assembler wall") {
+		t.Errorf("Fig12 carries no wall seconds for PPA-assembler at 1 worker: %v\n%s", ppa.Wall, buf.String())
+	}
+	if _, ok := ppa.Wall[8]; ok || ab.Wall != nil {
+		t.Errorf("wall seconds reported where they mean nothing: PPA %v, ABySS-style %v", ppa.Wall, ab.Wall)
+	}
 }
 
 func TestLabelComparisonLRBeatsSV(t *testing.T) {

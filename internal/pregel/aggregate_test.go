@@ -62,15 +62,15 @@ func TestAggregatorsIdenticalAcrossSchedules(t *testing.T) {
 	const n, steps = 120, 6
 	want := runAggProbe(t, Config{Workers: 1}, n, steps)
 	for _, workers := range []int{1, 4, 7} {
-		for _, mode := range []struct{ parallel, overlap bool }{{false, false}, {true, false}, {true, true}} {
+		for _, parallel := range []bool{false, true} {
 			for crashAt := -1; crashAt <= steps; crashAt++ {
-				cfg := Config{Workers: workers, Parallel: mode.parallel, Overlap: mode.overlap}
+				cfg := Config{Workers: workers, Parallel: parallel}
 				if crashAt >= 0 {
 					cfg.CheckpointEvery, cfg.Faults = 1, NewFaultPlan(Fault{Round: crashAt, Worker: crashAt})
 				}
 				if got := runAggProbe(t, cfg, n, steps); !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d parallel=%v overlap=%v crash@%d: values differ from the 1-worker sequential run",
-						workers, mode.parallel, mode.overlap, crashAt)
+					t.Errorf("workers=%d parallel=%v crash@%d: values differ from the 1-worker sequential run",
+						workers, parallel, crashAt)
 				}
 			}
 		}

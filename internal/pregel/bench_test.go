@@ -53,21 +53,20 @@ func BenchmarkMessageThroughput(b *testing.B) {
 
 // BenchmarkShuffle is the engine's shuffle-heavy regression workload: 20k
 // vertices each fan out 8 messages per superstep for 6 supersteps, with and
-// without goroutine-per-worker execution. Allocations per op track the
+// without the parallel schedule. Allocations per op track the
 // arena reuse of the message path; msgs/s tracks end-to-end shuffle
 // throughput. cmd-level tooling (bench_pregel_test.go at the repo root)
 // re-runs this workload and emits BENCH_pregel.json.
 func BenchmarkShuffle(b *testing.B) {
 	for _, mode := range []struct {
-		name              string
-		parallel, overlap bool
+		name     string
+		parallel bool
 	}{
-		{"sequential", false, false},
-		{"parallel", true, false},
-		{"overlap", true, true},
+		{"sequential", false},
+		{"parallel", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			st, msgs := runShuffleWorkload(b, mode.parallel, mode.overlap, 4)
+			st, msgs := runShuffleWorkload(b, mode.parallel, 4)
 			_ = st
 			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
 		})
@@ -76,14 +75,14 @@ func BenchmarkShuffle(b *testing.B) {
 
 // runShuffleWorkload runs the canonical shuffle benchmark job b.N times and
 // returns the last run's stats plus total messages across all runs.
-func runShuffleWorkload(b *testing.B, parallel, overlap bool, workers int) (*Stats, int64) {
+func runShuffleWorkload(b *testing.B, parallel bool, workers int) (*Stats, int64) {
 	b.Helper()
 	const (
 		n      = 20_000
 		fanout = 8
 		steps  = 6
 	)
-	g := NewGraph[int64, int64](Config{Workers: workers, Parallel: parallel, Overlap: overlap})
+	g := NewGraph[int64, int64](Config{Workers: workers, Parallel: parallel})
 	for i := 0; i < n; i++ {
 		g.AddVertex(VertexID(i), 0)
 	}
@@ -277,8 +276,8 @@ func sortedGraph(n int) *Graph[uint32, struct{}] {
 	return g
 }
 
-func convertSorted(src *Graph[uint32, struct{}]) *Graph[convertVal, struct{}] {
-	return Convert[convertVal, struct{}](src, Config{Workers: 4},
+func convertSorted(src *Graph[uint32, struct{}], parallel bool) *Graph[convertVal, struct{}] {
+	return Convert[convertVal, struct{}](src, Config{Workers: 4, Parallel: parallel},
 		func(id VertexID, v uint32, emit func(VertexID, convertVal)) {
 			emit(id, convertVal{next: id + 1})
 		})
@@ -286,18 +285,25 @@ func convertSorted(src *Graph[uint32, struct{}]) *Graph[convertVal, struct{}] {
 
 // BenchmarkConvert is the graph-load fence: a one-to-one Convert of 100k
 // vertices into 200-byte values under unchanged placement, plus the first
-// Run's sortVertices (which must find nothing to do). B/op should stay near
-// one copy of the destination arrays.
+// Run's sortVertices (which must find nothing to do), on one goroutine and
+// on the executor. B/op should stay near one copy of the destination
+// arrays: under unchanged placement a partition adopts its one emit lane.
 func BenchmarkConvert(b *testing.B) {
 	src := sortedGraph(100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := convertSorted(src)
-		dst.sortVertices()
-		if dst.VertexCount() != 100_000 {
-			b.Fatal("wrong vertex count")
-		}
+	for _, mode := range []struct {
+		name     string
+		parallel bool
+	}{{"sequential", false}, {"parallel", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst := convertSorted(src, mode.parallel)
+				dst.sortVertices()
+				if dst.VertexCount() != 100_000 {
+					b.Fatal("wrong vertex count")
+				}
+			}
+		})
 	}
 }
 

@@ -886,7 +886,7 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 	}
 	blobs := make([][]byte, g.cfg.Workers)
 	errs := make([]error, g.cfg.Workers)
-	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
 		if useDelta {
 			blobs[wi] = encodeWorkerDelta(g.workers[wi])
 			return
@@ -1175,7 +1175,7 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 			maxBytes = b
 		}
 	}
-	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
 		cw, err := decodeWorkerSection[V, M](full.Workers[wi])
 		if err != nil {
 			errs[wi] = err

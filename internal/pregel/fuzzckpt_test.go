@@ -67,7 +67,7 @@ func workerState(g *Graph[int64, int64]) string {
 		s += fmt.Sprintf("w%d ids=%v vals=%v active=%v dead=%v ndead=%d arena=%v off=%v\n",
 			wi, w.ids, w.vals, w.active, w.dead, w.nDead, w.inArena, w.inOff[:len(w.ids)+1])
 	}
-	s += fmt.Sprintf("agg sum=%v min=%v or=%v", g.agg.prev.sum, g.agg.prev.min, g.agg.prev.or)
+	s += fmt.Sprintf("agg %v", g.agg.snapshot())
 	return s
 }
 

@@ -17,7 +17,7 @@ func TestBulkLoadAllocFence(t *testing.T) {
 	convertAllocs := func(n int) float64 {
 		src := sortedGraph(n)
 		return testing.AllocsPerRun(10, func() {
-			dst := convertSorted(src)
+			dst := convertSorted(src, false)
 			dst.sortVertices() // the first Run's prologue: nothing to sort
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"ppaassembler/internal/telemetry"
 )
@@ -64,8 +63,10 @@ type MRConfig struct {
 	// PairBytes is the charged wire size of one shuffled (key, value) pair.
 	// Zero means DefaultMessageBytes.
 	PairBytes int
-	// Parallel runs the map phase on one goroutine per source worker and the
-	// shuffle+sort+reduce phase on one goroutine per destination worker.
+	// Parallel runs the map tasks (one per source worker) and then the
+	// shuffle+sort+reduce tasks (one per destination worker) on the engine's
+	// executor, at most one goroutine per core (see Config.Parallel), so at
+	// most that many mappers' scratch is live at once.
 	// Each mapper writes only its own per-destination buckets and each
 	// reducer drains only the bucket lanes addressed to it, mirroring the
 	// Pregel engine's shuffle; the output is identical to sequential
@@ -208,7 +209,7 @@ func MapReduceCfg[I, K, V, O any](
 		}
 		mapNs[w] = float64(nowNs() - start)
 	}
-	forEachWorkerProf(workers, cfg.Parallel, name, "map", mapWorker)
+	forEachWorker(workers, cfg.Parallel, name, "map", mapWorker)
 	wallMap1 := int64(0)
 	if tr != nil {
 		wallMap1 = nowNs()
@@ -336,7 +337,7 @@ func MapReduceCfg[I, K, V, O any](
 		}
 		redNs[d] = float64(nowNs() - start)
 	}
-	forEachWorkerProf(workers, cfg.Parallel, name, "reduce", reduceWorker)
+	forEachWorker(workers, cfg.Parallel, name, "reduce", reduceWorker)
 	if d, fired := cfg.Faults.tick(workers); fired {
 		// Lineage recovery: the failed reduce task re-runs from its lanes,
 		// priced as an extra round carried by d alone.
@@ -373,26 +374,6 @@ func identityPerm(job string, n int) []int32 {
 		perm[i] = int32(i)
 	}
 	return perm
-}
-
-// forEachWorker runs fn(w) for every worker index, on one goroutine per
-// worker when parallel is set.
-func forEachWorker(workers int, parallel bool, fn func(w int)) {
-	if !parallel || workers <= 1 {
-		for w := 0; w < workers; w++ {
-			fn(w)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Uint64Hash is a keyHash for uint64-like keys (it applies the same mixing

@@ -12,7 +12,7 @@ import "math/bits"
 // tiers).
 //
 // Implementations must be deterministic, safe for concurrent use (Assign is
-// called from one goroutine per worker in Parallel mode), and stable for
+// called concurrently from different workers in Parallel mode), and stable for
 // the duration of a run: the engine snapshots nothing about placement
 // between supersteps, so an Assign that changes mid-run would strand
 // vertices. Re-placement between runs (as the assembler's label-affinity

@@ -72,25 +72,20 @@ func hashID(id VertexID) uint64 {
 type Config struct {
 	// Workers is the number of logical workers (simulated machines).
 	Workers int
-	// Parallel runs workers on goroutines — one per worker for compute and
-	// again for message delivery (each destination worker drains the
-	// outbox lanes addressed to it). Results are bit-identical to
-	// sequential execution for any worker count; only wall-clock time
-	// changes. The default (false) runs workers sequentially, which gives
-	// the least-noisy per-worker compute timings for the simulated clock
-	// and is just as fast on a single-core host.
+	// Parallel runs every per-worker phase — compute, delivery, transport
+	// send/drain, checkpoint encode, vertex sort, Convert, MapReduce map and
+	// reduce — on the engine's executor: min(Workers, GOMAXPROCS) goroutines
+	// that claim worker indices one at a time (see forEachWorker). The pool
+	// is bounded by the core count, not the worker count, so a logical
+	// worker has a core to itself while its compute is being timed and the
+	// per-worker nanoseconds that feed the simulated clock stay per-core
+	// measurements rather than time-sliced ones. Results are bit-identical
+	// to sequential execution for any worker count; only wall-clock time
+	// changes. The zero value runs workers one after another on the calling
+	// goroutine: the reference schedule (the CLI's -parallel=false) that
+	// engine tests and allocation fences are written against. The assembler
+	// turns Parallel on by default (core.DefaultOptions, ppa-assembler).
 	Parallel bool
-	// Overlap lets delivery overlap with compute under Parallel: instead of
-	// one global barrier between the compute and shuffle phases, each
-	// worker signals a per-source completion counter when its outbox lanes
-	// are sealed, and destination workers begin draining a source's lanes
-	// the moment that source has signalled — while other sources are still
-	// computing. Lanes are single-writer/single-reader and are drained in
-	// source-worker order with the same count/place passes as barriered
-	// delivery, so results stay bit-identical for any worker count; only
-	// wall-clock time changes. Ignored (no-op) unless Parallel is set and
-	// Workers > 1.
-	Overlap bool
 	// MessageBytes is the charged wire size of one message for the cost
 	// model and byte metrics. Zero means DefaultMessageBytes.
 	MessageBytes int
@@ -286,8 +281,8 @@ type envelope[M any] struct {
 // index (inOff). Lanes and arenas keep their capacity across supersteps, so
 // the steady-state shuffle allocates nothing. Each (src,dst) lane is written
 // only by its source worker during compute and read only by its destination
-// worker during delivery, which is what makes both phases safe to run on one
-// goroutine per worker with no locks.
+// worker during delivery, which is what makes both phases safe to run
+// concurrently across workers with no locks.
 type worker[V, M any] struct {
 	ids    []VertexID
 	idx    vindex
@@ -379,14 +374,6 @@ type Graph[V, M any] struct {
 	// superstep between combined and uncombined semantics — it takes effect
 	// at the next Run. runTotal implies a non-nil comb.
 	runTotal bool
-
-	// srcDone is the per-source completion counter array of overlapped
-	// delivery (Config.Overlap): srcDone[s] is signalled when worker s has
-	// sealed its outbox lanes for the current superstep, and destination
-	// workers wait on exactly the source they need next instead of on a
-	// global barrier. Reused across supersteps so the steady state
-	// allocates nothing.
-	srcDone []sync.WaitGroup
 
 	// Per-superstep scratch, reused across supersteps and runs.
 	computeNs      []float64
@@ -494,7 +481,8 @@ func LoadShards[V, M, T any](g *Graph[V, M], shards [][]T, vertex func(*T) (Vert
 // empty. A worker already ID-sorted with nothing removed (a bulk load from
 // sorted input; any Run after the first on an unchanged graph) stays put.
 func (g *Graph[V, M]) sortVertices() {
-	for _, w := range g.workers {
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "sort", func(wi int) {
+		w := g.workers[wi]
 		if w.nDead > 0 || !slices.IsSorted(w.ids) {
 			w.compactSort()
 		}
@@ -507,7 +495,7 @@ func (g *Graph[V, M]) sortVertices() {
 		w.inOff = growTo(w.inOff, n+1)
 		clear(w.inOff)
 		w.inCur = growTo(w.inCur, n)
-	}
+	})
 }
 
 // compactSort rebuilds w at exact size without its removed vertices and in
@@ -566,9 +554,9 @@ func (g *Graph[V, M]) ForEach(fn func(id VertexID, val *V)) {
 	}
 }
 
-// ForEachWorker calls fn(workerIndex, id, val) for every live vertex. Used
-// by the convert/chaining path and by contig-ID assignment, which needs to
-// know which worker owns a vertex.
+// ForEachWorker calls fn(workerIndex, id, val) for every live vertex, in
+// worker order then ID order, for callers that need to know which worker
+// owns a vertex (staging dumps one part-file per worker).
 func (g *Graph[V, M]) ForEachWorker(fn func(worker int, id VertexID, val *V)) {
 	for wi, w := range g.workers {
 		for i, id := range w.ids {
@@ -577,6 +565,21 @@ func (g *Graph[V, M]) ForEachWorker(fn func(worker int, id VertexID, val *V)) {
 			}
 		}
 	}
+}
+
+// ScanWorkers is ForEachWorker on the engine's executor: under
+// Config.Parallel the workers are scanned concurrently (each worker's own
+// vertices still in ID order), so fn may only touch state owned by the
+// worker index it is handed.
+func (g *Graph[V, M]) ScanWorkers(fn func(worker int, id VertexID, val *V)) {
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.cfg.JobPrefix, "scan", func(wi int) {
+		w := g.workers[wi]
+		for i, id := range w.ids {
+			if !w.dead[i] {
+				fn(wi, id, &w.vals[i])
+			}
+		}
+	})
 }
 
 // Value returns the value of vertex id, if present.
@@ -663,10 +666,10 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	for _, opt := range opts {
 		opt(&o)
 	}
+	g.runName = o.name
 	g.sortVertices()
 	g.agg.reset()
 	stats := &Stats{Name: o.name, Workers: g.cfg.Workers}
-	g.runName = o.name
 	// Lock the combiner for the whole run (see SetCombiner): send and
 	// delivery read the run-scoped copies only.
 	g.runTotal = g.combTotal
@@ -674,10 +677,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 		w.comb = g.combiner
 	}
 	wire := g.transportActive()
-	overlap := g.cfg.Overlap && g.cfg.Parallel && g.cfg.Workers > 1 && !wire
-	if wire && g.cfg.Overlap {
-		g.warnf("pregel: Overlap is disabled under transport %q (delivery is a network drain, not a fused phase)", g.cfg.Transport.Name())
-	}
 	tr := g.cfg.Tracer
 	rm := newRunMetrics(g.cfg.Metrics)
 	if pol := g.cfg.Repartition; pol != nil {
@@ -830,32 +829,20 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 		computeNs := g.computeNs
 		var delivered, dropped int64
 		var stepErr error
-		if overlap {
-			// Fused phase: compute and delivery share one goroutine per
-			// worker; delivery of a source's lanes starts as soon as that
-			// source signals, not at a global barrier.
-			g.overlapStep(step, compute, computeNs)
-			delivered, dropped, stepErr = g.collectDelivery()
-			if tr != nil {
-				wall1 = nowNs()
-				wall2 = wall1
-			}
+		forEachWorker(g.cfg.Workers, g.cfg.Parallel, o.name, "compute", func(wi int) {
+			computeNs[wi] = g.runWorker(wi, step, compute)
+		})
+		if tr != nil {
+			wall1 = nowNs()
+		}
+		// Barrier: deliver messages, apply aggregator values, record stats.
+		if wire {
+			delivered, dropped, stepErr = g.deliverViaTransport(step)
 		} else {
-			forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, o.name, "compute", func(wi int) {
-				computeNs[wi] = g.runWorker(wi, step, compute)
-			})
-			if tr != nil {
-				wall1 = nowNs()
-			}
-			// Barrier: deliver messages, apply aggregator values, record stats.
-			if wire {
-				delivered, dropped, stepErr = g.deliverViaTransport(step)
-			} else {
-				delivered, dropped, stepErr = g.deliver(step)
-			}
-			if tr != nil {
-				wall2 = nowNs()
-			}
+			delivered, dropped, stepErr = g.deliver(step)
+		}
+		if tr != nil {
+			wall2 = nowNs()
 		}
 		if stepErr != nil {
 			if wire && transport.IsWorkerDown(stepErr) {
@@ -913,21 +900,11 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			sim1 := g.clock.Ns()
 			g.emit(telemetry.KindBegin, "superstep", "pregel", wall0, sim0,
 				telemetry.I("step", int64(step)), telemetry.I("active", activeVerts))
-			if overlap {
-				// The fused compute+delivery wall window; the compute and
-				// shuffle spans inside it keep their synthesized sim-timeline
-				// boundaries, so sim traces stay comparable across modes.
-				g.emit(telemetry.KindBegin, "overlap", "phase", wall0, sim0,
-					telemetry.I("step", int64(step)))
-			}
 			g.emit(telemetry.KindBegin, "compute", "phase", wall0, sim0)
 			g.emit(telemetry.KindEnd, "compute", "phase", wall1, sim0+simComp)
 			g.emit(telemetry.KindBegin, "shuffle", "phase", wall1, sim0+simComp)
 			g.emit(telemetry.KindEnd, "shuffle", "phase", wall2, sim0+simComp+simNet,
 				telemetry.I("delivered", delivered), telemetry.I("dropped", dropped))
-			if overlap {
-				g.emit(telemetry.KindEnd, "overlap", "phase", wall2, sim0+simComp+simNet)
-			}
 			g.emit(telemetry.KindBegin, "barrier", "phase", wall2, sim0+simComp+simNet)
 			g.emit(telemetry.KindEnd, "barrier", "phase", wall3, sim1)
 			g.emit(telemetry.KindEnd, "superstep", "pregel", wall3, sim1,
@@ -1077,38 +1054,14 @@ func (s *sender[M]) send(dst VertexID, m M) {
 // deliver is the barriered shuffle: once every worker has computed, each
 // destination rebuilds its inbox (deliverTo), concurrently under Parallel.
 func (g *Graph[V, M]) deliver(step int) (delivered, dropped int64, err error) {
-	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "deliver", func(dwi int) {
-		g.deliverTo(dwi, step, false, nil)
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "deliver", func(dwi int) {
+		g.deliverTo(dwi, step, false)
 	})
 	return g.collectDelivery()
 }
 
-// overlapStep runs one superstep's compute and delivery as a single fused
-// parallel phase (Config.Overlap): each worker computes its partition,
-// signals its per-source completion counter — its outbox lanes are sealed —
-// and then switches role to destination, running the same deliverTo as the
-// barriered shuffle but blocking only on the specific source it needs next.
-// Lane s→d is written only by s during compute and read by d only after s's
-// signal, and d touches its own arena only after its own compute, so the
-// fused phase needs no locks and the resulting arenas — and therefore the
-// whole run — are bit-identical to barriered delivery.
-func (g *Graph[V, M]) overlapStep(step int, compute Compute[V, M], computeNs []float64) {
-	if g.srcDone == nil {
-		g.srcDone = make([]sync.WaitGroup, g.cfg.Workers)
-	}
-	srcDone := g.srcDone
-	for i := range srcDone {
-		srcDone[i].Add(1)
-	}
-	forEachWorkerProf(g.cfg.Workers, true, g.runName, "overlap", func(wi int) {
-		computeNs[wi] = g.runWorker(wi, step, compute)
-		srcDone[wi].Done()
-		g.deliverTo(wi, step, false, srcDone)
-	})
-}
-
 // collectDelivery folds the per-destination delivery results into run
-// totals; called after the join of the delivery (or fused overlap) phase.
+// totals; called after the join of the delivery phase.
 func (g *Graph[V, M]) collectDelivery() (delivered, dropped int64, err error) {
 	for _, w := range g.workers {
 		delivered += w.delivered
@@ -1132,17 +1085,13 @@ func (g *Graph[V, M]) collectDelivery() (delivered, dropped int64, err error) {
 // A destination drains only lanes addressed to it and touches only its own
 // arena, so deliverTo runs concurrently for all destinations under Parallel,
 // bit-identically to the sequential path because a lane is fixed once its
-// source has finished computing. srcDone, when non-nil, is that per-source
-// signal (Config.Overlap): the pass blocks only on the source it needs next.
-func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool, srcDone []sync.WaitGroup) {
+// source has finished computing.
+func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool) {
 	dst := g.workers[dwi]
 	dst.delivered, dst.dropped, dst.deliverErr = 0, 0, nil
 	clear(dst.inCur[:len(dst.ids)])
 	dst.rIdx = dst.rIdx[:0]
 	for swi, src := range g.workers {
-		if srcDone != nil {
-			srcDone[swi].Wait()
-		}
 		lane := src.outbox[dwi]
 		if wire && swi != dwi { // local lanes never leave memory
 			payload, err := g.cfg.Transport.RecvLane(step, swi, dwi)
@@ -1271,11 +1220,11 @@ func (c *Context[M]) AggOr(name string, v bool) { c.s.agg.acc[c.s.self].addOr(na
 
 // PrevAggSum returns the value the named sum aggregator had at the end of
 // the previous superstep (0 if never set).
-func (c *Context[M]) PrevAggSum(name string) int64 { return c.s.agg.prev.sum[name] }
+func (c *Context[M]) PrevAggSum(name string) int64 { return c.s.agg.prevSum(name) }
 
 // PrevAggMin returns the previous-superstep min aggregator value and whether
 // any vertex contributed to it.
 func (c *Context[M]) PrevAggMin(name string) (int64, bool) { return c.s.agg.prevMin(name) }
 
 // PrevAggOr returns the previous-superstep boolean OR aggregator value.
-func (c *Context[M]) PrevAggOr(name string) bool { return c.s.agg.prev.or[name] }
+func (c *Context[M]) PrevAggOr(name string) bool { return c.s.agg.prevOr(name) }

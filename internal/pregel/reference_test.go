@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -177,17 +178,22 @@ func (r *refGraph) run(prog refProgram) (Stats, error) {
 // refScenario is one differential case: a configuration plus a seed that
 // determines the graph, two programs and the between-run mutations.
 type refScenario struct {
-	seed                    int64
-	workers                 int
-	parallel, overlap, wire bool
-	combine                 int // 0 none, 1 partial, 2 total
-	strict, rangePart       bool
-	crash                   bool // checkpoint every 2 supersteps and crash once at round 2
+	seed           int64
+	workers        int
+	parallel, wire bool
+	// oversub ("ov" in the name) raises GOMAXPROCS to the worker count for
+	// the scenario, so the executor's pool is one goroutine per logical
+	// worker — the schedule of a host with more cores than this one —
+	// instead of the few the test machine has.
+	oversub           bool
+	combine           int // 0 none, 1 partial, 2 total
+	strict, rangePart bool
+	crash             bool // checkpoint every 2 supersteps and crash once at round 2
 }
 
 func (sc refScenario) String() string {
 	return fmt.Sprintf("seed%d-w%d-par%v-ov%v-wire%v-comb%d-strict%v-range%v-crash%v", sc.seed, sc.workers,
-		sc.parallel, sc.overlap, sc.wire, sc.combine, sc.strict, sc.rangePart, sc.crash)
+		sc.parallel, sc.oversub, sc.wire, sc.combine, sc.strict, sc.rangePart, sc.crash)
 }
 
 // refIDs is the ID pool scenarios draw from: the extremes, a run of IDs
@@ -262,8 +268,10 @@ func refProgramFor(rng *rand.Rand, pool []VertexID, missing bool) refProgram {
 func runRefScenario(t *testing.T, sc refScenario) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(sc.seed))
-	cfg := Config{Workers: sc.workers, Parallel: sc.parallel, Overlap: sc.overlap, Strict: sc.strict,
-		Warn: func(string) {}}
+	if sc.oversub {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(sc.workers, runtime.NumCPU())))
+	}
+	cfg := Config{Workers: sc.workers, Parallel: sc.parallel, Strict: sc.strict, Warn: func(string) {}}
 	if sc.rangePart {
 		cfg.Partitioner = RangePartitioner{Bits: 8}
 	}
@@ -348,13 +356,13 @@ func runRefScenario(t *testing.T, sc refScenario) {
 func TestRunMatchesReference(t *testing.T) {
 	seed := int64(0)
 	for _, workers := range []int{1, 4, 7} {
-		for _, mode := range []struct{ parallel, overlap bool }{{false, false}, {true, false}, {true, true}} {
+		for _, mode := range []struct{ parallel, oversub bool }{{false, false}, {true, false}, {true, true}} {
 			for _, wire := range []bool{false, true} {
 				for combine := 0; combine < 3; combine++ {
 					for _, strict := range []bool{false, true} {
 						for k := 0; k < 3; k++ {
 							seed++
-							sc := refScenario{seed: seed, workers: workers, parallel: mode.parallel, overlap: mode.overlap,
+							sc := refScenario{seed: seed, workers: workers, parallel: mode.parallel, oversub: mode.oversub,
 								wire: wire, combine: combine, strict: strict, rangePart: k == 1, crash: k == 2}
 							t.Run(sc.String(), func(t *testing.T) { runRefScenario(t, sc) })
 						}
@@ -372,7 +380,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Add(int64(77), uint16(0x2a6))
 	f.Fuzz(func(t *testing.T, seed int64, bits uint16) {
 		bit := func(i int) bool { return bits>>i&1 == 1 }
-		runRefScenario(t, refScenario{seed: seed, workers: int(bits&7) + 1, parallel: bit(3), overlap: bit(3) && bit(4),
+		runRefScenario(t, refScenario{seed: seed, workers: int(bits&7) + 1, parallel: bit(3), oversub: bit(3) && bit(4),
 			wire: bit(5), combine: int(bits>>6&3) % 3, strict: bit(8), rangePart: bit(9), crash: bit(10)})
 	})
 }

@@ -84,14 +84,14 @@ func TestRepartitionPolicyValidation(t *testing.T) {
 // TestAdaptiveMatchesStaticMatrix is the placement-invariance contract for
 // live migration: the same job with Repartition enabled — migrations
 // actually committing — produces vertex values and run counters identical
-// to the static run, across worker counts, Parallel/Overlap modes and the
-// loopback and wire transports.
+// to the static run, across worker counts, both schedules and the loopback
+// and wire transports.
 func TestAdaptiveMatchesStaticMatrix(t *testing.T) {
 	const n, iters = 96, 11
 	modes := []struct {
-		name              string
-		parallel, overlap bool
-	}{{"seq", false, false}, {"par", true, false}, {"overlap", true, true}}
+		name     string
+		parallel bool
+	}{{"seq", false}, {"par", true}}
 	for _, workers := range []int{1, 4, 7} {
 		for _, mode := range modes {
 			for _, wire := range []bool{false, true} {
@@ -103,7 +103,7 @@ func TestAdaptiveMatchesStaticMatrix(t *testing.T) {
 						}
 						return nil
 					}
-					static := buildPRGraph(Config{Workers: workers, Parallel: mode.parallel, Overlap: mode.overlap, Transport: mkTx()}, n)
+					static := buildPRGraph(Config{Workers: workers, Parallel: mode.parallel, Transport: mkTx()}, n)
 					staticStats, err := static.Run(pageRankish(n, iters), WithName("adaptcheck"))
 					if err != nil {
 						t.Fatal(err)
@@ -113,7 +113,6 @@ func TestAdaptiveMatchesStaticMatrix(t *testing.T) {
 					g := buildPRGraph(Config{
 						Workers:     workers,
 						Parallel:    mode.parallel,
-						Overlap:     mode.overlap,
 						Transport:   mkTx(),
 						Repartition: &RepartitionPolicy{Every: 2, MaxMoves: 256},
 					}, n)

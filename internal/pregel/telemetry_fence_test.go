@@ -19,7 +19,7 @@ func TestShuffleAllocRegressionFence(t *testing.T) {
 		t.Skip("benchmark fence is slow")
 	}
 	res := testing.Benchmark(func(b *testing.B) {
-		runShuffleWorkload(b, false, false, 4)
+		runShuffleWorkload(b, false, 4)
 	})
 	if allocs := res.AllocsPerOp(); allocs > 2000 {
 		t.Errorf("shuffle workload with telemetry disabled allocates %d allocs/op, fence is 2000 — a hot-path emission site is missing its nil guard", allocs)

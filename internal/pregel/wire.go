@@ -146,7 +146,7 @@ func (g *Graph[V, M]) deliverViaTransport(step int) (delivered, dropped int64, e
 		g.emit(telemetry.KindBegin, "send", "transport", nowNs(), g.clock.Ns(),
 			telemetry.I("step", int64(step)))
 	}
-	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "tx-send", func(swi int) {
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "tx-send", func(swi int) {
 		src := g.workers[swi]
 		var buf []byte
 		for dwi := range g.workers {
@@ -176,8 +176,8 @@ func (g *Graph[V, M]) deliverViaTransport(step int) (delivered, dropped int64, e
 		g.emit(telemetry.KindBegin, "drain", "transport", nowNs(), g.clock.Ns(),
 			telemetry.I("step", int64(step)))
 	}
-	forEachWorkerProf(g.cfg.Workers, g.cfg.Parallel, g.runName, "tx-drain", func(dwi int) {
-		g.deliverTo(dwi, step, true, nil)
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "tx-drain", func(dwi int) {
+		g.deliverTo(dwi, step, true)
 	})
 	if tr != nil {
 		g.emit(telemetry.KindEnd, "drain", "transport", nowNs(), g.clock.Ns())

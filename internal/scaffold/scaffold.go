@@ -103,7 +103,7 @@ func FromSeqs(seqs []dna.Seq) []Contig {
 type Options struct {
 	// Workers is the number of logical Pregel workers.
 	Workers int
-	// Parallel runs engine workers on goroutines (see pregel.Config).
+	// Parallel runs engine workers on all cores (see pregel.Config.Parallel).
 	Parallel bool
 	// Cost parameterizes the simulated cluster (zero value = default).
 	Cost pregel.CostModel

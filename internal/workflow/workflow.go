@@ -67,7 +67,8 @@ type Op[S any] interface {
 type Env struct {
 	// Workers is the number of logical Pregel workers, shared by every op.
 	Workers int
-	// Parallel runs engine workers and MapReduce tasks on goroutines.
+	// Parallel runs engine workers and MapReduce tasks on all cores (see
+	// pregel.Config.Parallel).
 	Parallel bool
 	// Cost parameterizes the simulated cluster (zero value = default).
 	Cost pregel.CostModel
@@ -86,10 +87,6 @@ type Env struct {
 	// actual wire size here so the simulated network load reflects the
 	// traffic the paper's cluster would carry.
 	MessageBytes int
-
-	// Overlap enables the engine's overlapped compute/delivery mode
-	// (pregel.Config.Overlap) for every op.
-	Overlap bool
 
 	// Repartition enables online adaptive repartitioning
 	// (pregel.Config.Repartition) for every op. normalize wraps Partitioner
@@ -159,7 +156,7 @@ func (e *Env) normalize() error {
 // current op, including its deterministic job-key prefix.
 func (e *Env) Config() pregel.Config {
 	return pregel.Config{
-		Workers: e.Workers, Parallel: e.Parallel, Overlap: e.Overlap, Cost: e.Cost,
+		Workers: e.Workers, Parallel: e.Parallel, Cost: e.Cost,
 		Partitioner: e.Partitioner, Transport: e.Transport, MessageBytes: e.MessageBytes,
 		Repartition:     e.Repartition,
 		CheckpointEvery: e.CheckpointEvery, Checkpointer: e.Checkpointer,
