@@ -9,8 +9,9 @@
 //   - Host-independent metrics are always compared: allocations per op,
 //     checkpoint-codec sizes and the delta ratio, pipeline remote-message
 //     fractions, and invariants that must hold on any machine (the
-//     schedule leaves traffic untouched, the binary codec beats gob, a
-//     fault-free run restores nothing).
+//     schedule leaves traffic untouched, a binary snapshot is smaller than
+//     a gob one, a fault-free run restores nothing). The codec's encode
+//     and decode speedups over gob are host timings and are not gated.
 //   - Time-based metrics (ns/op, msgs/s) are compared only when baseline
 //     and current were measured on a comparable host (same num_cpu and
 //     go_max_procs); otherwise they are reported as skipped.
@@ -56,12 +57,10 @@ type shuffleRow struct {
 }
 
 type codecStats struct {
-	FullBytes     int     `json:"full_bytes"`
-	GobBytes      int     `json:"gob_bytes"`
-	DeltaBytes    int     `json:"delta_bytes"`
-	DeltaRatio    float64 `json:"delta_ratio"`
-	EncodeSpeedup float64 `json:"encode_speedup"`
-	DecodeSpeedup float64 `json:"decode_speedup"`
+	FullBytes  int     `json:"full_bytes"`
+	GobBytes   int     `json:"gob_bytes"`
+	DeltaBytes int     `json:"delta_bytes"`
+	DeltaRatio float64 `json:"delta_ratio"`
 }
 
 type pipelineRow struct {
@@ -175,18 +174,11 @@ func compare(baseline, current artifact, threshold float64) report {
 			current.Sequential.LocalMsgs, current.Sequential.RemoteMsgs)
 	}
 
-	// --- Host-independent: checkpoint codec. Sizes are deterministic for
-	// the fixed synthetic workload; the speedups are host-noisy but their
-	// floor (beat gob at all) holds anywhere. ---
+	// --- Host-independent: checkpoint codec sizes, deterministic for the
+	// fixed synthetic workload. ---
 	ct, bt := current.CheckpointThroughput, baseline.CheckpointThroughput
 	checkGrowth(&r, "checkpoint full_bytes", float64(bt.FullBytes), float64(ct.FullBytes), threshold)
 	checkGrowth(&r, "checkpoint delta_ratio", bt.DeltaRatio, ct.DeltaRatio, threshold)
-	if ct.EncodeSpeedup <= 1.0 {
-		r.failf("binary checkpoint encode not faster than gob (%.2fx)", ct.EncodeSpeedup)
-	}
-	if ct.DecodeSpeedup <= 1.0 {
-		r.failf("binary checkpoint decode not faster than gob (%.2fx)", ct.DecodeSpeedup)
-	}
 	if ct.FullBytes >= ct.GobBytes {
 		r.failf("binary full snapshot (%d bytes) not smaller than gob (%d bytes)", ct.FullBytes, ct.GobBytes)
 	}

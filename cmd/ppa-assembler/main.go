@@ -106,7 +106,7 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.IntVar(&o.ckptEvery, "ckpt-every", 0, "checkpoint every N supersteps (0 = no checkpointing; implied 5 when -checkpoint or -faultplan is set)")
 	fs.BoolVar(&o.ckptDelta, "ckpt-delta", false, "with checkpointing on, save incremental (dirty-vertex-only) checkpoints between full snapshots")
 	fs.BoolVar(&o.ckptFsync, "ckpt-fsync", true, "fsync checkpoint files and their directory on every save (disable only for throwaway runs; a machine crash may then corrupt or lose checkpoints)")
-	fs.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, v3 checksums), print a per-file report, and exit; no assembly is run")
+	fs.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, CRC32C checksums), print a per-file report, and exit; no assembly is run")
 	fs.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
 	fs.BoolVar(&o.resume, "resume", false, "resume a killed run from the checkpoints in -checkpoint")
 	fs.StringVar(&o.workflow, "workflow", "", "compose the assembly as an explicit op workflow instead of the canned pipeline, e.g. \"build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta\" (unset op parameters inherit the global flags)")

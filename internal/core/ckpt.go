@@ -1,5 +1,5 @@
 // Checkpoint codec methods: VData and Msg opt into the Pregel engine's
-// binary checkpoint format (v2) by implementing pregel.CheckpointAppender /
+// binary checkpoint codec by implementing pregel.CheckpointAppender /
 // pregel.CheckpointDecoder, so segment-graph jobs checkpoint without gob
 // and become eligible for delta checkpoints. Field order is the struct
 // order; vertex IDs are fixed 8-byte little-endian (canonical k-mer codes

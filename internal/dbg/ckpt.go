@@ -1,5 +1,5 @@
 // Checkpoint codec methods: the graph-stage vertex types opt into the
-// Pregel engine's binary checkpoint format (v2) by implementing
+// Pregel engine's binary checkpoint codec by implementing
 // pregel.CheckpointAppender / pregel.CheckpointDecoder. Encodings are
 // self-delimiting and composed from the pregel wire helpers; vertex IDs are
 // fixed 8-byte little-endian because they are canonical k-mer codes (and

@@ -1,5 +1,5 @@
 // Checkpoint codec methods: the PPA vertex and message types opt into the
-// Pregel engine's binary checkpoint format (v2) by implementing
+// Pregel engine's binary checkpoint codec by implementing
 // pregel.CheckpointAppender / pregel.CheckpointDecoder. Vertex IDs are
 // fixed 8-byte little-endian because NullID (^0) and the flipped-ID space
 // make varints pay worst case.

@@ -1,8 +1,10 @@
 package pregel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"path/filepath"
 	"sort"
@@ -27,12 +29,18 @@ import (
 //
 // Implementations must be safe for concurrent use: independent graphs may
 // share one store.
+//
+// Ownership: Save and SaveDelta take an artifact as parts, whose
+// concatenation is the artifact, and the store takes ownership of them —
+// the caller never touches a part again, so a store may keep or write the
+// parts as they are instead of copying them into one blob. Every artifact
+// a store returns is the concatenation it was given.
 type Checkpointer interface {
 	// NextJob reserves the next job key for a run labeled name.
 	NextJob(name string) string
 	// Save durably records the checkpoint for the given job and superstep,
 	// replacing any earlier checkpoint of the same job.
-	Save(job string, step int, data []byte) error
+	Save(job string, step int, parts ...[]byte) error
 	// Latest returns the most recent checkpoint saved for job, or ok=false
 	// when none exists.
 	Latest(job string) (step int, data []byte, ok bool, err error)
@@ -50,22 +58,12 @@ type DeltaCheckpointer interface {
 	// SaveDelta records an incremental checkpoint for job at step without
 	// superseding the preceding full checkpoint or earlier deltas. A later
 	// Save (full) supersedes the whole chain.
-	SaveDelta(job string, step int, data []byte) error
+	SaveDelta(job string, step int, parts ...[]byte) error
 	// Chain returns the newest full checkpoint plus every delta saved
 	// after it, in ascending step order; ok=false when no full checkpoint
 	// exists. Latest, by contrast, returns only the newest full snapshot
 	// (the newest blob restorable on its own).
 	Chain(job string) (steps []int, blobs [][]byte, ok bool, err error)
-}
-
-// legacyProber is an optional store hook used by Resume to tell "no
-// previous process ran" apart from "a pre-workflow binary left checkpoints
-// under the legacy key format": findLegacyJob reports a stored artifact
-// whose key starts with the bare (unprefixed) job base — the `name@seq`
-// format used before per-op plan prefixes — so the engine can fail loudly
-// instead of silently recomputing from scratch.
-type legacyProber interface {
-	findLegacyJob(base string) (string, bool)
 }
 
 // jobTracker is the engine-side guard against checkpoint-key collisions: a
@@ -121,7 +119,8 @@ type chainSource interface {
 
 // MemCheckpointer keeps checkpoints in process memory: the natural store
 // for simulated-failure experiments and tests, where recovery happens
-// within one process.
+// within one process. It keeps the parts it is given as they are and joins
+// them only when an artifact is read back, which only a restore does.
 type MemCheckpointer struct {
 	jobSet
 	mu     sync.Mutex
@@ -131,9 +130,11 @@ type MemCheckpointer struct {
 }
 
 type memCkpt struct {
-	step int
-	blob []byte
+	step  int
+	parts [][]byte
 }
+
+func (c memCkpt) blob() []byte { return bytes.Join(c.parts, nil) }
 
 // NewMemCheckpointer returns an empty in-memory store.
 func NewMemCheckpointer() *MemCheckpointer {
@@ -151,10 +152,9 @@ func (m *MemCheckpointer) NextJob(name string) string {
 
 // Save implements Checkpointer. A full save supersedes the job's previous
 // snapshot and any delta chain hanging off it.
-func (m *MemCheckpointer) Save(job string, step int, data []byte) error {
-	blob := append([]byte(nil), data...)
+func (m *MemCheckpointer) Save(job string, step int, parts ...[]byte) error {
 	m.mu.Lock()
-	m.data[job] = memCkpt{step: step, blob: blob}
+	m.data[job] = memCkpt{step: step, parts: parts}
 	if m.deltas != nil {
 		delete(m.deltas, job)
 	}
@@ -163,13 +163,12 @@ func (m *MemCheckpointer) Save(job string, step int, data []byte) error {
 }
 
 // SaveDelta implements DeltaCheckpointer.
-func (m *MemCheckpointer) SaveDelta(job string, step int, data []byte) error {
-	blob := append([]byte(nil), data...)
+func (m *MemCheckpointer) SaveDelta(job string, step int, parts ...[]byte) error {
 	m.mu.Lock()
 	if m.deltas == nil {
 		m.deltas = map[string][]memCkpt{}
 	}
-	m.deltas[job] = append(m.deltas[job], memCkpt{step: step, blob: blob})
+	m.deltas[job] = append(m.deltas[job], memCkpt{step: step, parts: parts})
 	m.mu.Unlock()
 	return nil
 }
@@ -183,7 +182,7 @@ func (m *MemCheckpointer) Latest(job string) (int, []byte, bool, error) {
 	if !ok {
 		return 0, nil, false, nil
 	}
-	return c.step, c.blob, true, nil
+	return c.step, c.blob(), true, nil
 }
 
 // Chain implements DeltaCheckpointer.
@@ -195,11 +194,11 @@ func (m *MemCheckpointer) Chain(job string) ([]int, [][]byte, bool, error) {
 		return nil, nil, false, nil
 	}
 	steps := []int{c.step}
-	blobs := [][]byte{c.blob}
+	blobs := [][]byte{c.blob()}
 	for _, d := range m.deltas[job] {
 		if d.step > c.step {
 			steps = append(steps, d.step)
-			blobs = append(blobs, d.blob)
+			blobs = append(blobs, d.blob())
 		}
 	}
 	return steps, blobs, true, nil
@@ -214,10 +213,10 @@ func (m *MemCheckpointer) ckptChains(job string) ([][]ckptBlobRef, error) {
 	if !ok {
 		return nil, nil
 	}
-	chain := []ckptBlobRef{{step: c.step, data: c.blob, src: fmt.Sprintf("mem:%s@%08d", job, c.step)}}
+	chain := []ckptBlobRef{{step: c.step, data: c.blob(), src: fmt.Sprintf("mem:%s@%08d", job, c.step)}}
 	for _, d := range m.deltas[job] {
 		if d.step > c.step {
-			chain = append(chain, ckptBlobRef{step: d.step, delta: true, data: d.blob,
+			chain = append(chain, ckptBlobRef{step: d.step, delta: true, data: d.blob(),
 				src: fmt.Sprintf("mem:%s@%08d(delta)", job, d.step)})
 		}
 	}
@@ -265,7 +264,7 @@ type DirStoreOptions struct {
 	// KeepGenerations is how many full snapshots per job to retain. Older
 	// generations exist purely as recovery fallbacks for when the newest
 	// file is corrupt. Zero means the default of 2; 1 keeps only the
-	// newest snapshot (the pre-v3 behavior).
+	// newest snapshot, leaving no fallback.
 	KeepGenerations int
 }
 
@@ -321,13 +320,13 @@ func (d *DirCheckpointer) dpath(job string, step int) string {
 	return filepath.Join(d.dir, fmt.Sprintf("%s.%08d.dckpt", job, step))
 }
 
-// write commits one blob: unique temp file, optional fsync, rename,
-// optional directory fsync. The unique temp name (os.CreateTemp-style
-// random suffix) is what makes a shared checkpoint directory safe — a
-// fixed name would let two processes interleave writes into the same file.
-// Temp names never end in .ckpt/.dckpt, so the scanners ignore strays left
-// by a crash mid-write.
-func (d *DirCheckpointer) write(final string, data []byte) error {
+// write commits one artifact: its parts in order into a unique temp file,
+// optional fsync, rename, optional directory fsync. The unique temp name
+// (os.CreateTemp-style random suffix) is what makes a shared checkpoint
+// directory safe — a fixed name would let two processes interleave writes
+// into the same file. Temp names never end in .ckpt/.dckpt, so the
+// scanners ignore strays left by a crash mid-write.
+func (d *DirCheckpointer) write(final string, parts [][]byte) error {
 	f, err := d.fsys.CreateTemp(d.dir, filepath.Base(final)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("pregel: writing checkpoint: %w", err)
@@ -338,8 +337,10 @@ func (d *DirCheckpointer) write(final string, data []byte) error {
 		d.fsys.Remove(tmp)
 		return fmt.Errorf("pregel: %s checkpoint: %w", step, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		return abort("writing", err)
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			return abort("writing", err)
+		}
 	}
 	if d.durability == DurabilityFull {
 		if err := f.Sync(); err != nil {
@@ -396,13 +397,13 @@ func insertStep(steps []int, s int) []int {
 }
 
 // Save implements Checkpointer.
-func (d *DirCheckpointer) Save(job string, step int, data []byte) error {
+func (d *DirCheckpointer) Save(job string, step int, parts ...[]byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.ensureScanned(job); err != nil {
 		return err
 	}
-	if err := d.write(d.path(job, step), data); err != nil {
+	if err := d.write(d.path(job, step), parts); err != nil {
 		return err
 	}
 	// Drop superseded generations: full files beyond the newest keep, and
@@ -431,13 +432,13 @@ func (d *DirCheckpointer) Save(job string, step int, data []byte) error {
 }
 
 // SaveDelta implements DeltaCheckpointer.
-func (d *DirCheckpointer) SaveDelta(job string, step int, data []byte) error {
+func (d *DirCheckpointer) SaveDelta(job string, step int, parts ...[]byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.ensureScanned(job); err != nil {
 		return err
 	}
-	if err := d.write(d.dpath(job, step), data); err != nil {
+	if err := d.write(d.dpath(job, step), parts); err != nil {
 		return err
 	}
 	d.deltasOf[job] = insertStep(d.deltasOf[job], step)
@@ -569,38 +570,9 @@ func (d *DirCheckpointer) ckptChains(job string) ([][]ckptBlobRef, error) {
 	return chains, nil
 }
 
-// findLegacyJob implements legacyProber: it scans the directory for any
-// checkpoint file whose name starts with `base@` — the pre-workflow key
-// format `name@seq`, with no plan prefix — and returns the first such file
-// name. Current keys always start with the op's plan prefix (e.g.
-// "s03.tiptrim.name@seq"), so the two shapes cannot collide.
-func (d *DirCheckpointer) findLegacyJob(base string) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names, err := d.fsys.ReadDir(d.dir)
-	if err != nil {
-		return "", false
-	}
-	prefix := base + "@"
-	for _, name := range names {
-		if strings.HasPrefix(name, prefix) &&
-			(strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".dckpt")) {
-			return name, true
-		}
-	}
-	return "", false
-}
-
 // jobKey builds the stable per-run key: the run name (or "run") plus the
 // store-wide reservation sequence, sanitized for use as a file name.
 func jobKey(name string, seq int) string {
-	return fmt.Sprintf("%s@%03d", sanitizeJobName(name), seq)
-}
-
-// sanitizeJobName is the file-name-safe form of a run name, shared by
-// jobKey and the legacy-format probe (which must sanitize the bare name
-// exactly as an old binary's jobKey would have).
-func sanitizeJobName(name string) string {
 	if name == "" {
 		name = "run"
 	}
@@ -615,7 +587,7 @@ func sanitizeJobName(name string) string {
 			clean = append(clean, '_')
 		}
 	}
-	return string(clean)
+	return fmt.Sprintf("%s@%03d", clean, seq)
 }
 
 // ckptWorker is the serialized partition of one worker: everything runWorker
@@ -645,10 +617,9 @@ type aggSnapshot struct {
 
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
-// worker persists its own partition in parallel). On disk it is serialized
-// by the v3 checksummed binary container codec (see codec.go; v2 remains
-// readable); the worker blobs use either the binary value codec or a
-// per-section gob fallback.
+// worker persists its own partition in parallel). On disk it is the v5
+// checksummed binary container (see codec.go); the worker blobs use either
+// the binary value codec or a per-section gob fallback.
 type ckptFile struct {
 	Step    int
 	Pending int64
@@ -666,11 +637,10 @@ type ckptFile struct {
 	PartitionerName string
 	NumWorkers      int
 	// TransportName records the message transport the run used ("mem",
-	// "memwire", "tcp"; v4+). Restores under a different transport are
+	// "memwire", "tcp"). Restores under a different transport are
 	// rejected: a checkpoint written by a distributed run names worker
 	// processes an in-memory resume does not have, and vice versa, so the
-	// mismatch almost always means the wrong topology was launched. Empty
-	// in pre-v4 files, which skips the check.
+	// mismatch almost always means the wrong topology was launched.
 	TransportName string
 	// Run counters at the barrier, restored on rollback so a recovered
 	// run reports the same totals as an unfailed one.
@@ -691,12 +661,12 @@ type ckptFile struct {
 	// replaying stale state.
 	Fingerprint uint64
 	// Routing is the adaptive-repartitioning routing table at the barrier
-	// (encoded by appendRoutingTable; v5+). Empty for static runs and for
+	// (encoded by appendRoutingTable). Empty for static runs and for
 	// adaptive runs that have not migrated yet; a restore installs it into
 	// the run's DynamicPartitioner so placement resumes exactly where the
 	// writing process left it.
 	Routing []byte
-	// Migration counters at the barrier (v5+), restored like the run
+	// Migration counters at the barrier, restored like the run
 	// counters above so a resumed run reports the work already done.
 	Migrations       int
 	MigratedVertices int64
@@ -711,8 +681,6 @@ type ckptFile struct {
 type ckptRun struct {
 	store     Checkpointer
 	job       string
-	name      string // bare (unprefixed) run name, for the legacy-key probe
-	prefix    string // JobPrefix in effect when the key was reserved
 	every     int
 	fp        uint64
 	part      string // Partitioner.Name() of the running graph
@@ -798,8 +766,6 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 	return &ckptRun{
 		store:     store,
 		job:       job,
-		name:      name,
-		prefix:    g.cfg.JobPrefix,
 		every:     g.cfg.CheckpointEvery,
 		fp:        g.runFingerprint(),
 		part:      g.cfg.Partitioner.Name(),
@@ -810,28 +776,6 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 		warn:      g.warnf,
 		metrics:   g.cfg.Metrics,
 	}, nil
-}
-
-// checkLegacyKeys runs when Resume finds nothing under the run's job key:
-// if the store holds an artifact under the legacy pre-workflow key format
-// (bare `name@seq`, no plan prefix), resuming would otherwise silently
-// recompute the whole pipeline from scratch, so fail naming both formats.
-func (ck *ckptRun) checkLegacyKeys() error {
-	if ck.prefix == "" {
-		// This run itself reserves unprefixed keys; there is no older
-		// format to probe for.
-		return nil
-	}
-	p, ok := ck.store.(legacyProber)
-	if !ok {
-		return nil
-	}
-	base := sanitizeJobName(ck.name)
-	file, found := p.findLegacyJob(base)
-	if !found {
-		return nil
-	}
-	return fmt.Errorf("pregel: Resume found no checkpoint under job key %q, but the store contains %q, which uses the legacy job-key format %q (name@seq, written by an older binary without workflow plan prefixes); this binary reserves keys as %q (planprefix.name@seq), so the old checkpoints can never match and resuming would silently recompute from scratch — rerun with the binary that wrote the checkpoint directory, or delete it to start fresh", ck.job, file, base+"@NNN", ck.prefix+"name@NNN")
 }
 
 // runFingerprint hashes the run's identity — worker layout plus the input
@@ -855,11 +799,13 @@ func (g *Graph[V, M]) runFingerprint() uint64 {
 }
 
 // saveCheckpoint snapshots the graph at a superstep boundary, charges the
-// write to the simulated clock, and hands the blob to the store. Workers
-// encode their partitions concurrently in Parallel mode, mirroring the
-// compute/deliver phases. When the run takes delta checkpoints, saves
-// after the first snapshot encode only the dirtied vertices, up to
-// maxDeltaChain deltas (or a mostly-dirty graph) before the next full.
+// write to the simulated clock, and hands the container to the store as
+// parts (ckptParts), so no section is copied after its worker encoded it.
+// Each worker encodes and checksums its own section, concurrently in
+// Parallel mode, mirroring the compute/deliver phases. When the run takes
+// delta checkpoints, saves after the first snapshot encode only the
+// dirtied vertices, up to maxDeltaChain deltas (or a mostly-dirty graph)
+// before the next full.
 func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats *Stats) error {
 	wall0 := nowNs()
 	if g.cfg.Tracer != nil {
@@ -885,13 +831,15 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		}
 	}
 	blobs := make([][]byte, g.cfg.Workers)
+	crcs := make([]uint32, g.cfg.Workers)
 	errs := make([]error, g.cfg.Workers)
 	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
 		if useDelta {
 			blobs[wi] = encodeWorkerDelta(g.workers[wi])
-			return
+		} else {
+			blobs[wi], errs[wi] = encodeWorkerFull(g.workers[wi], ck.bin)
 		}
-		blobs[wi], errs[wi] = encodeWorkerFull(g.workers[wi], ck.bin)
+		crcs[wi] = crc32.Checksum(blobs[wi], castagnoli)
 	})
 	maxBytes, totalBytes := 0.0, int64(0)
 	for wi, err := range errs {
@@ -933,9 +881,9 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		Agg:              g.agg.snapshot(),
 		Workers:          blobs,
 	}
-	data := encodeCkptFile(&file)
+	parts := ckptParts(&file, crcs)
 	if useDelta {
-		if err := ck.store.(DeltaCheckpointer).SaveDelta(ck.job, step, data); err != nil {
+		if err := ck.store.(DeltaCheckpointer).SaveDelta(ck.job, step, parts...); err != nil {
 			return err
 		}
 		ck.deltasSinceFull++
@@ -944,7 +892,7 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 			g.cfg.Metrics.Counter("pregel_checkpoint_delta_saves_total").Add(1)
 		}
 	} else {
-		if err := ck.store.Save(ck.job, step, data); err != nil {
+		if err := ck.store.Save(ck.job, step, parts...); err != nil {
 			return err
 		}
 		ck.haveFull = true
@@ -1002,7 +950,7 @@ func (ck *ckptRun) validateIdentity(file *ckptFile) error {
 	if file.PartitionerName != ck.part {
 		return fmt.Errorf("pregel: checkpoint for job %q was written under partitioner %q, but this run places vertices with %q; restoring would scatter partition-local state — rerun with the original partitioner or delete the checkpoint directory to start fresh", ck.job, file.PartitionerName, ck.part)
 	}
-	if file.TransportName != "" && file.TransportName != ck.transport {
+	if file.TransportName != ck.transport {
 		return fmt.Errorf("pregel: checkpoint for job %q was written under transport %q, but this run uses transport %q; resume with the original transport topology (-transport=%s) or delete the checkpoint directory to start fresh", ck.job, file.TransportName, ck.transport, file.TransportName)
 	}
 	if file.NumWorkers != ck.workers {

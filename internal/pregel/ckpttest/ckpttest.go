@@ -1,7 +1,7 @@
 // Package ckpttest is the differential test harness for checkpoint codec
 // implementations: every type that opts into the engine's binary
 // checkpoint format (pregel.CheckpointAppender / pregel.CheckpointDecoder)
-// is checked against the gob baseline the v1 format used, so the two
+// is checked against a gob round trip as the baseline, so the two
 // serializations can never silently disagree about a vertex state shape —
 // and, via Corrupt, against truncated and bit-flipped encodings, so
 // damaged state can never crash a decoder.
@@ -27,8 +27,8 @@ type Codec[T any] interface {
 //     the appended bytes and returns any trailing data untouched;
 //  2. re-encoding the decoded value reproduces the original bytes
 //     (byte-identical round trip, the property delta checkpoints rely on);
-//  3. the binary-decoded value equals the value a gob round trip (the v1
-//     checkpoint baseline) produces, field for field.
+//  3. the binary-decoded value equals the value a gob round trip (the
+//     baseline) produces, field for field.
 func RoundTrip[T any, P Codec[T]](t testing.TB, v *T) {
 	t.Helper()
 	enc := P(v).AppendCheckpoint(nil)

@@ -11,20 +11,26 @@ import (
 	"sort"
 )
 
-// Checkpoint format v3: a versioned, checksummed binary container. Layout
-// (all integers varint/uvarint unless noted):
+// Checkpoint format v5, the only one this package reads or writes: a
+// versioned, checksummed binary container. Layout (all integers
+// varint/uvarint unless noted):
 //
 //	magic "PPCK" | version | kind (full/delta) | step | prevStep | pending
-//	| partitioner name | numWorkers | run counters | clockNs (fixed 8 LE)
+//	| partitioner name | transport name | routing table (length-prefixed)
+//	| migration counters | numWorkers | run counters | clockNs (fixed 8 LE)
 //	| fingerprint (fixed 8 LE) | aggregator snapshot (sorted keys)
 //	| worker count | header CRC32C (fixed 4 LE, over every prior byte)
 //	| per-worker: length | section bytes | section CRC32C (fixed 4 LE)
 //
-// The CRCs (Castagnoli polynomial) are what v3 adds over v2: a torn or
-// bit-flipped file is detected at load time and reported as
-// ErrCheckpointCorrupt, letting recovery walk back to an older intact
-// snapshot instead of restoring garbage. v2 containers (identical layout
-// minus both CRC fields) remain readable; writes always emit v3.
+// The CRCs (Castagnoli polynomial) detect a torn or bit-flipped file at
+// load time as ErrCheckpointCorrupt, letting recovery walk back to an older
+// intact snapshot instead of restoring garbage. Anything else — no magic, or
+// another version — is one "unsupported checkpoint format" error.
+//
+// A save never builds the container in one buffer: ckptParts lays it out as
+// the header, each worker section as encoded (and checksummed) by its own
+// worker, and small glue parts between them, and the store writes the parts
+// in order.
 //
 // Each worker section starts with one flag byte: wsecBinary sections encode
 // the partition with the zero-copy value codec below; wsecGob sections are
@@ -35,11 +41,8 @@ import (
 // replays the newest full container plus its delta chain.
 
 const (
-	ckptMagic     = "PPCK"
-	ckptVersion   = 5
-	ckptVersionV4 = 4
-	ckptVersionV3 = 3
-	ckptVersionV2 = 2
+	ckptMagic   = "PPCK"
+	ckptVersion = 5
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -53,7 +56,7 @@ const (
 	maxDeltaChain = 8
 )
 
-// castagnoli is the CRC32C table used by every v3 checksum.
+// castagnoli is the CRC32C table used by every checkpoint checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCheckpointCorrupt marks decode failures caused by damaged bytes — a
@@ -70,12 +73,12 @@ func corruptf(format string, args ...any) error {
 }
 
 // CheckpointAppender is implemented by vertex-value and message types that
-// opt into the engine's binary checkpoint codec (checkpoint format v2):
-// AppendCheckpoint appends a self-delimiting encoding of the receiver to
-// buf and returns the extended slice, in the style of dna.Seq's binary
-// marshalling. Types implementing it (together with CheckpointDecoder)
-// checkpoint without gob's reflection and type-dictionary overhead, and
-// become eligible for delta checkpoints (Config.DeltaCheckpoints).
+// opt into the engine's binary checkpoint codec: AppendCheckpoint appends
+// a self-delimiting encoding of the receiver to buf and returns the
+// extended slice, in the style of dna.Seq's binary marshalling. Types
+// implementing it (together with CheckpointDecoder) checkpoint without
+// gob's reflection and type-dictionary overhead, and become eligible for
+// delta checkpoints (Config.DeltaCheckpoints).
 // Primitive value/message types (integers, floats, bool, string, VertexID,
 // struct{}) are handled by the codec directly and need no methods.
 type CheckpointAppender interface {
@@ -305,9 +308,79 @@ func consumeVal[T any](data []byte, v *T) ([]byte, error) {
 	panic("pregel: consumeVal on a type without a binary codec")
 }
 
+// ckptSample is how many vertices and messages sampleSizes encodes.
+const ckptSample = 64
+
+// sizeSample is the encoded size of k entries spread evenly across a
+// partition: their total and the largest.
+type sizeSample struct{ total, max, k int }
+
+func (s *sizeSample) add(size int) {
+	s.total, s.max, s.k = s.total+size, max(s.max, size), s.k+1
+}
+
+// scale estimates the bytes of n such entries. The largest sampled entry
+// counts once rather than n/k times, so one huge value (a long merged
+// contig among short vertices) does not inflate the estimate n/k-fold;
+// undershooting costs only a regrow.
+func (s sizeSample) scale(n int) int {
+	if n == 0 || s.k == 0 {
+		return 0
+	}
+	if s.k == 1 {
+		return n * s.total
+	}
+	return s.max + int(float64(n-1)*float64(s.total-s.max)/float64(s.k-1))
+}
+
+// sampleSizes encodes up to ckptSample vertex entries (ID gap, value,
+// inbox count) and pending messages, each spread evenly across w.
+func sampleSizes[V, M any](w *worker[V, M]) (verts, msgs sizeSample) {
+	var buf []byte
+	for i, stride := 0, (len(w.ids)+ckptSample-1)/ckptSample; i < len(w.ids); i += stride {
+		gap := uint64(w.ids[i])
+		if i > 0 {
+			gap -= uint64(w.ids[i-1])
+		}
+		buf = binary.AppendUvarint(buf[:0], gap)
+		buf = appendVal(buf, &w.vals[i])
+		buf = binary.AppendUvarint(buf, uint64(w.inOff[i+1]-w.inOff[i]))
+		verts.add(len(buf))
+	}
+	for j, stride := 0, (len(w.inArena)+ckptSample-1)/ckptSample; j < len(w.inArena); j += stride {
+		msgs.add(len(appendVal(buf[:0], &w.inArena[j])))
+	}
+	return verts, msgs
+}
+
+// sectionBuf returns the empty buffer a binary section of entries vertex
+// entries and msgs messages is encoded into: an estimate scaled up from
+// sampleSizes (plus a byte per entry for the flags) with 1/16 headroom, so
+// the encoder does not regrow it. Every save samples afresh; the previous
+// section's length would be no guide, because pending inboxes fill and
+// drain between saves (the largest sections of a labeling job grow 43% and
+// shrink 22% from one save to the next, where the sample stays within 1%).
+func sectionBuf[V, M any](w *worker[V, M], entries, msgs int) []byte {
+	verts, ms := sampleSizes(w)
+	size := 32 + entries + verts.scale(entries) + ms.scale(msgs)
+	return make([]byte, 0, size+size/16)
+}
+
+// fitSection returns an encoded section as the store will keep it: buf
+// itself, or an exact-size copy when the estimate overshot by more than a
+// quarter (and a page), so a misjudged sample never leaves slack held
+// until the next full save.
+func fitSection(buf []byte) []byte {
+	if cap(buf)-len(buf) <= max(len(buf)/4, 4096) {
+		return buf
+	}
+	return append(make([]byte, 0, len(buf)), buf...)
+}
+
 // encodeWorkerFull serializes one worker partition as a full section. With
-// bin set it uses the binary value codec; otherwise it falls back to gob,
-// preserving checkpointability for arbitrary V/M.
+// bin set it uses the binary value codec, into a buffer from sectionBuf;
+// otherwise it falls back to gob, preserving checkpointability for
+// arbitrary V/M.
 func encodeWorkerFull[V, M any](w *worker[V, M], bin bool) ([]byte, error) {
 	if !bin {
 		var buf bytes.Buffer
@@ -324,7 +397,7 @@ func encodeWorkerFull[V, M any](w *worker[V, M], bin bool) ([]byte, error) {
 		return buf.Bytes(), err
 	}
 	n := len(w.ids)
-	buf := make([]byte, 0, 16+10*n)
+	buf := sectionBuf(w, n, len(w.inArena))
 	buf = append(buf, wsecBinary)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	// IDs delta-encoded: sorted runs cost ~1 byte per vertex, and uint64
@@ -346,7 +419,7 @@ func encodeWorkerFull[V, M any](w *worker[V, M], bin bool) ([]byte, error) {
 	for i := range w.inArena {
 		buf = appendVal(buf, &w.inArena[i])
 	}
-	return buf, nil
+	return fitSection(buf), nil
 }
 
 // decodeWorkerSection inverts encodeWorkerFull (either flavor).
@@ -448,13 +521,14 @@ func decodeWorkerSection[V, M any](data []byte) (*ckptWorker[V, M], error) {
 // worker.dirty), so the previous snapshot's entry remains valid for them.
 func encodeWorkerDelta[V, M any](w *worker[V, M]) []byte {
 	n := len(w.ids)
-	dirtyN := 0
-	for _, d := range w.dirty {
+	dirtyN, dirtyMsgs := 0, 0
+	for i, d := range w.dirty {
 		if d {
 			dirtyN++
+			dirtyMsgs += int(w.inOff[i+1] - w.inOff[i])
 		}
 	}
-	buf := make([]byte, 0, 16+8*dirtyN)
+	buf := sectionBuf(w, dirtyN, dirtyMsgs)
 	buf = append(buf, wsecBinary)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(dirtyN))
@@ -479,7 +553,7 @@ func encodeWorkerDelta[V, M any](w *worker[V, M]) []byte {
 			buf = appendVal(buf, &w.inArena[j])
 		}
 	}
-	return buf
+	return fitSection(buf)
 }
 
 // applyWorkerDelta folds a delta section into a decoded full snapshot,
@@ -593,29 +667,21 @@ func applyWorkerDelta[V, M any](cw *ckptWorker[V, M], data []byte) error {
 }
 
 // appendCkptHeader writes the container header — everything up to and
-// including the worker count, which is the header-CRC coverage — shared by
-// the current writer and the v2 compatibility encoder. v4 added
-// TransportName after PartitionerName; v5 added the adaptive-repartitioning
-// block (routing-table payload + migration counters); older versions omit
-// them.
-func appendCkptHeader(buf []byte, f *ckptFile, version uint64) []byte {
+// including the worker count, which is the header-CRC coverage.
+func appendCkptHeader(buf []byte, f *ckptFile) []byte {
 	buf = append(buf, ckptMagic...)
-	buf = binary.AppendUvarint(buf, version)
+	buf = binary.AppendUvarint(buf, ckptVersion)
 	buf = append(buf, f.Kind)
 	buf = binary.AppendUvarint(buf, uint64(f.Step))
 	buf = binary.AppendUvarint(buf, uint64(f.PrevStep))
 	buf = binary.AppendVarint(buf, f.Pending)
 	buf = appendCkptString(buf, f.PartitionerName)
-	if version >= 4 {
-		buf = appendCkptString(buf, f.TransportName)
-	}
-	if version >= 5 {
-		buf = binary.AppendUvarint(buf, uint64(len(f.Routing)))
-		buf = append(buf, f.Routing...)
-		buf = binary.AppendUvarint(buf, uint64(f.Migrations))
-		buf = binary.AppendVarint(buf, f.MigratedVertices)
-		buf = binary.AppendVarint(buf, f.MigrationBytes)
-	}
+	buf = appendCkptString(buf, f.TransportName)
+	buf = binary.AppendUvarint(buf, uint64(len(f.Routing)))
+	buf = append(buf, f.Routing...)
+	buf = binary.AppendUvarint(buf, uint64(f.Migrations))
+	buf = binary.AppendVarint(buf, f.MigratedVertices)
+	buf = binary.AppendVarint(buf, f.MigrationBytes)
 	buf = binary.AppendUvarint(buf, uint64(f.NumWorkers))
 	buf = binary.AppendUvarint(buf, uint64(f.Supersteps))
 	buf = binary.AppendVarint(buf, f.Messages)
@@ -630,39 +696,34 @@ func appendCkptHeader(buf []byte, f *ckptFile, version uint64) []byte {
 	return buf
 }
 
-// encodeCkptFile assembles a v3 container around already-encoded worker
-// sections: checksummed header, then length-prefixed sections each followed
-// by its own CRC32C.
-func encodeCkptFile(f *ckptFile) []byte {
-	size := 72 + len(f.PartitionerName)
-	for _, b := range f.Workers {
-		size += len(b) + binary.MaxVarintLen64 + crc32.Size
+// ckptParts lays f out as the 2W+1 parts of its container, W =
+// len(f.Workers), without copying a section: parts[0] is the header, its
+// CRC and section 0's length; parts[2i+1] is section i itself; parts[2i+2]
+// is section i's CRC (crcs[i]) and section i+1's length, the last one the
+// CRC alone. The parts' concatenation is the container.
+func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
+	parts := make([][]byte, 0, 2*len(f.Workers)+1)
+	hdr := appendCkptHeader(make([]byte, 0, 160+len(f.Routing)), f)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, castagnoli))
+	if len(f.Workers) > 0 {
+		hdr = binary.AppendUvarint(hdr, uint64(len(f.Workers[0])))
 	}
-	buf := make([]byte, 0, size)
-	buf = appendCkptHeader(buf, f, ckptVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	for _, b := range f.Workers {
-		buf = binary.AppendUvarint(buf, uint64(len(b)))
-		buf = append(buf, b...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(b, castagnoli))
+	parts = append(parts, hdr)
+	// One backing array for every glue part; its capacity is their total
+	// maximum, so the appends below never move the bytes already handed out.
+	glue := make([]byte, 0, len(f.Workers)*(crc32.Size+binary.MaxVarintLen64))
+	for i, sec := range f.Workers {
+		start := len(glue)
+		glue = binary.LittleEndian.AppendUint32(glue, crcs[i])
+		if i+1 < len(f.Workers) {
+			glue = binary.AppendUvarint(glue, uint64(len(f.Workers[i+1])))
+		}
+		parts = append(parts, sec, glue[start:len(glue):len(glue)])
 	}
-	return buf
+	return parts
 }
 
-// encodeCkptFileV2 emits the legacy v2 container (no CRCs), kept so the
-// v2-read compatibility path stays covered by tests.
-func encodeCkptFileV2(f *ckptFile) []byte {
-	buf := appendCkptHeader(nil, f, ckptVersionV2)
-	for _, b := range f.Workers {
-		buf = binary.AppendUvarint(buf, uint64(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf
-}
-
-// decodeCkptFile parses a v3 or v2 container. Blobs not starting with the
-// PPCK magic — in practice, gob streams written by a pre-v2 binary, or a
-// file torn down to garbage — fail with an error naming both formats.
+// decodeCkptFile parses a v5 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err
@@ -670,29 +731,32 @@ func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 
 // decodeCkptFileBounds is decodeCkptFile plus the container's internal
 // boundaries: bounds[0] is the byte offset where the header (including its
-// CRC in v3) ends, bounds[i+1] where worker section i (including its CRC)
-// ends. The torn-write tests truncate at exactly these offsets, and
+// CRC) ends, bounds[i+1] where worker section i (including its CRC) ends.
+// The torn-write tests truncate at exactly these offsets, and
 // VerifyCheckpointDir reports them.
 func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 	full := data
 	if len(data) == 0 {
 		// An empty file is what a dropped fsync leaves behind — corruption,
-		// eligible for walk-back, unlike the wrong-format case below.
+		// eligible for walk-back, unlike the wrong-format cases below.
 		return nil, nil, corruptf("pregel: checkpoint for job %q is an empty file", job)
 	}
+	// Deliberately NOT ErrCheckpointCorrupt: bytes in another format mean
+	// another binary wrote them, and walking back to an older generation
+	// written by that same binary would not help.
+	unsupported := func(what string) (*ckptFile, []int64, error) {
+		return nil, nil, fmt.Errorf("pregel: checkpoint for job %q is in an unsupported checkpoint format (%s); this binary reads and writes format v%d only — rerun with the binary that wrote it, or delete the checkpoint directory to start fresh", job, what, ckptVersion)
+	}
 	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
-		// Deliberately NOT ErrCheckpointCorrupt: bytes in a different format
-		// mean the wrong binary wrote them, and walking back to an older
-		// generation of the same format would not help.
-		return nil, nil, fmt.Errorf("pregel: checkpoint for job %q is not in the binary checkpoint format (missing %q magic): it was most likely written by an older binary using the v1 gob format, which this version cannot restore — rerun with the binary that wrote it, or delete the checkpoint directory to start fresh", job, ckptMagic)
+		return unsupported(fmt.Sprintf("no %q magic", ckptMagic))
 	}
 	data = data[len(ckptMagic):]
 	ver, data, err := ConsumeUvarint(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	if ver != ckptVersion && ver != ckptVersionV4 && ver != ckptVersionV3 && ver != ckptVersionV2 {
-		return nil, nil, fmt.Errorf("pregel: checkpoint for job %q uses format v%d, but this binary reads v%d through v%d — rerun with a matching binary or delete the checkpoint directory to start fresh", job, ver, ckptVersionV2, ckptVersion)
+	if ver != ckptVersion {
+		return unsupported(fmt.Sprintf("format v%d", ver))
 	}
 	var f ckptFile
 	fail := func(err error) (*ckptFile, []int64, error) {
@@ -717,32 +781,28 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 	if f.PartitionerName, data, err = consumeCkptString(data); err != nil {
 		return fail(err)
 	}
-	if ver >= 4 {
-		if f.TransportName, data, err = consumeCkptString(data); err != nil {
-			return fail(err)
-		}
+	if f.TransportName, data, err = consumeCkptString(data); err != nil {
+		return fail(err)
 	}
-	if ver >= 5 {
-		if u, data, err = ConsumeUvarint(data); err != nil {
-			return fail(err)
-		}
-		if u > uint64(len(data)) {
-			return fail(corruptf("routing table claims %d bytes, %d remain", u, len(data)))
-		}
-		if u > 0 {
-			f.Routing = append([]byte(nil), data[:u]...)
-			data = data[u:]
-		}
-		if u, data, err = ConsumeUvarint(data); err != nil {
-			return fail(err)
-		}
-		f.Migrations = int(u)
-		if f.MigratedVertices, data, err = ConsumeVarint(data); err != nil {
-			return fail(err)
-		}
-		if f.MigrationBytes, data, err = ConsumeVarint(data); err != nil {
-			return fail(err)
-		}
+	if u, data, err = ConsumeUvarint(data); err != nil {
+		return fail(err)
+	}
+	if u > uint64(len(data)) {
+		return fail(corruptf("routing table claims %d bytes, %d remain", u, len(data)))
+	}
+	if u > 0 {
+		f.Routing = append([]byte(nil), data[:u]...)
+		data = data[u:]
+	}
+	if u, data, err = ConsumeUvarint(data); err != nil {
+		return fail(err)
+	}
+	f.Migrations = int(u)
+	if f.MigratedVertices, data, err = ConsumeVarint(data); err != nil {
+		return fail(err)
+	}
+	if f.MigrationBytes, data, err = ConsumeVarint(data); err != nil {
+		return fail(err)
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {
 		return fail(err)
@@ -784,16 +844,14 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 	if u > uint64(len(data)) {
 		return fail(corruptf("container claims %d worker sections in %d bytes", u, len(data)))
 	}
-	if ver >= ckptVersionV3 {
-		hdrLen := len(full) - len(data)
-		if len(data) < crc32.Size {
-			return fail(corruptf("truncated header CRC"))
-		}
-		want := binary.LittleEndian.Uint32(data[:crc32.Size])
-		data = data[crc32.Size:]
-		if got := crc32.Checksum(full[:hdrLen], castagnoli); got != want {
-			return fail(corruptf("header CRC mismatch (stored %08x, computed %08x)", want, got))
-		}
+	hdrLen := len(full) - len(data)
+	if len(data) < crc32.Size {
+		return fail(corruptf("truncated header CRC"))
+	}
+	want := binary.LittleEndian.Uint32(data[:crc32.Size])
+	data = data[crc32.Size:]
+	if got := crc32.Checksum(full[:hdrLen], castagnoli); got != want {
+		return fail(corruptf("header CRC mismatch (stored %08x, computed %08x)", want, got))
 	}
 	bounds := make([]int64, 0, int(u)+1)
 	bounds = append(bounds, int64(len(full)-len(data)))
@@ -808,15 +866,13 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 		}
 		sec := data[:l:l]
 		data = data[l:]
-		if ver >= ckptVersionV3 {
-			if len(data) < crc32.Size {
-				return fail(corruptf("truncated CRC of worker section %d", i))
-			}
-			want := binary.LittleEndian.Uint32(data[:crc32.Size])
-			data = data[crc32.Size:]
-			if got := crc32.Checksum(sec, castagnoli); got != want {
-				return fail(corruptf("worker section %d CRC mismatch (stored %08x, computed %08x)", i, want, got))
-			}
+		if len(data) < crc32.Size {
+			return fail(corruptf("truncated CRC of worker section %d", i))
+		}
+		want := binary.LittleEndian.Uint32(data[:crc32.Size])
+		data = data[crc32.Size:]
+		if got := crc32.Checksum(sec, castagnoli); got != want {
+			return fail(corruptf("worker section %d CRC mismatch (stored %08x, computed %08x)", i, want, got))
 		}
 		f.Workers[i] = sec
 		bounds = append(bounds, int64(len(full)-len(data)))

@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// CheckpointCodecStats reports the measured throughput of the v2 binary
-// checkpoint codec against the v1 gob baseline on a synthetic worker
-// partition, plus the size ratio of a delta checkpoint at a given dirty
-// fraction. Byte counts are deterministic for fixed inputs; the MB/s
-// figures and speedups are host-dependent.
+// CheckpointCodecStats reports the size and measured throughput of the
+// binary worker-section codec against the gob fallback section on a
+// synthetic worker partition, plus the size ratio of a delta checkpoint at
+// a given dirty fraction. Byte counts are deterministic for fixed inputs
+// and are what cmd/benchfence gates; the MB/s figures and speedups are
+// host-dependent and only reported.
 type CheckpointCodecStats struct {
 	Vertices int `json:"vertices"`
 	Messages int `json:"messages"`
@@ -81,7 +82,7 @@ func timeOp(fn func()) float64 {
 }
 
 // MeasureCheckpointCodec times full-snapshot encode and decode through both
-// worker-section codecs (v2 binary and the gob fallback) and sizes a delta
+// worker-section codecs (binary and the gob fallback) and sizes a delta
 // checkpoint at the given dirty fraction. It exists for the benchmark
 // artifact emitter; correctness of the codecs is pinned by the engine's
 // test suite, not here.

@@ -217,54 +217,44 @@ func TestDecodeCkptFileRejectsV1Gob(t *testing.T) {
 	if err == nil {
 		t.Fatal("decoding gob-shaped bytes succeeded")
 	}
-	if !strings.Contains(err.Error(), "v1 gob format") {
-		t.Errorf("error does not name the v1 gob format: %v", err)
-	}
-}
-
-func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
-	blob := encodeCkptFile(makeCodecCkptFile())
-	// The version uvarint sits right after the 4-byte magic; single-digit
-	// versions encode as one byte.
-	if blob[4] != ckptVersion {
-		t.Fatalf("test assumption broken: blob[4] = %d, want the version byte", blob[4])
-	}
-	blob[4] = ckptVersion + 1
-	_, err := decodeCkptFile("job@000", blob)
-	if err == nil {
-		t.Fatal("decoding a future-version container succeeded")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("format v%d", ckptVersion+1)) {
-		t.Errorf("error does not name the version mismatch: %v", err)
+	if !strings.Contains(err.Error(), "unsupported checkpoint format") {
+		t.Errorf("error does not name the unsupported format: %v", err)
 	}
 	if errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("a version mismatch must not look like corruption (walk-back would not help): %v", err)
+		t.Errorf("a foreign format must not look like corruption (walk-back would not help): %v", err)
 	}
 }
 
-// TestDecodeCkptFileReadsV2: containers written by the previous (CRC-less)
-// format version stay readable.
-func TestDecodeCkptFileReadsV2(t *testing.T) {
-	f := makeCodecCkptFile()
-	blob := encodeCkptFileV2(f)
-	if blob[4] != ckptVersionV2 {
-		t.Fatalf("test assumption broken: blob[4] = %d, want version byte %d", blob[4], ckptVersionV2)
-	}
-	got, err := decodeCkptFile("job@000", blob)
-	if err != nil {
-		t.Fatalf("decoding a v2 container: %v", err)
-	}
-	if !reflect.DeepEqual(got, f) {
-		t.Errorf("v2 container round trip:\n got %+v\nwant %+v", got, f)
+// TestDecodeCkptFileRejectsFutureVersion: any version but v5 — the v2–v4
+// containers earlier commits wrote, or a future one — is one unsupported
+// format error, never a misread.
+func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
+	for _, ver := range []byte{2, 3, 4, ckptVersion + 1} {
+		blob := encodeCkptFile(makeCodecCkptFile())
+		// The version uvarint sits right after the 4-byte magic; single-digit
+		// versions encode as one byte.
+		if blob[4] != ckptVersion {
+			t.Fatalf("test assumption broken: blob[4] = %d, want the version byte", blob[4])
+		}
+		blob[4] = ver
+		_, err := decodeCkptFile("job@000", blob)
+		if err == nil {
+			t.Fatalf("decoding a v%d container succeeded", ver)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("unsupported checkpoint format (format v%d)", ver)) {
+			t.Errorf("error does not name the version mismatch: %v", err)
+		}
+		if errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("a version mismatch must not look like corruption (walk-back would not help): %v", err)
+		}
 	}
 }
 
-// TestDecodeCkptFileDetectsBitFlips: flipping any single byte of a v3
+// TestDecodeCkptFileDetectsBitFlips: flipping any single byte of a
 // container must fail decode, and — past the magic/version prefix — fail
 // it with ErrCheckpointCorrupt; that is the CRC's whole job. A flipped
-// magic byte is indistinguishable from a v1 gob file and a flipped
-// version byte from a future format, so those two report hard
-// identification errors instead.
+// magic byte or version byte makes another format, so those two report
+// hard identification errors instead.
 func TestDecodeCkptFileDetectsBitFlips(t *testing.T) {
 	clean := encodeCkptFile(makeCodecCkptFile())
 	if _, err := decodeCkptFile("job@000", clean); err != nil {

@@ -11,8 +11,8 @@ import (
 // fuzz bytes and systematically damaged versions of a valid container
 // (bit flips and truncations directed by the fuzz input). The contract:
 // never panic, never hang, never allocate unboundedly — and any error on a
-// v3 container past the magic/version prefix must carry
-// ErrCheckpointCorrupt so walk-back recovery can act on it.
+// container past the magic/version prefix must carry ErrCheckpointCorrupt
+// so walk-back recovery can act on it.
 func FuzzCheckpointCorruptInput(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("PPCK"))
@@ -25,42 +25,37 @@ func FuzzCheckpointCorruptInput(f *testing.F) {
 			_ = err
 		}
 
-		fixture := makeCodecCkptFile()
-		for _, clean := range [][]byte{encodeCkptFile(fixture), encodeCkptFileV2(fixture)} {
-			// Truncation at a fuzz-chosen point.
-			if len(data) > 0 {
-				cut := int(data[0]) % (len(clean) + 1)
-				if cut < len(clean) {
-					if _, err := decodeCkptFile("fuzz@000", clean[:cut]); err == nil {
-						t.Fatalf("truncation to %d of %d bytes decoded cleanly", cut, len(clean))
-					}
+		clean := encodeCkptFile(makeCodecCkptFile())
+		// Truncation at a fuzz-chosen point.
+		if len(data) > 0 {
+			cut := int(data[0]) % (len(clean) + 1)
+			if cut < len(clean) {
+				if _, err := decodeCkptFile("fuzz@000", clean[:cut]); err == nil {
+					t.Fatalf("truncation to %d of %d bytes decoded cleanly", cut, len(clean))
 				}
 			}
-			// Bit flips at fuzz-chosen positions. Duplicate flips at one
-			// position cancel, so damage is judged by comparing against the
-			// clean bytes, not by counting flips; flips inside magic/version
-			// report hard identification errors instead of corruption.
-			mut := append([]byte(nil), clean...)
-			for i := 0; i+1 < len(data) && i < 64; i += 2 {
-				mut[int(data[i])%len(mut)] ^= data[i+1] | 1
+		}
+		// Bit flips at fuzz-chosen positions. Duplicate flips at one
+		// position cancel, so damage is judged by comparing against the
+		// clean bytes, not by counting flips; flips inside magic/version
+		// report hard identification errors instead of corruption.
+		mut := append([]byte(nil), clean...)
+		for i := 0; i+1 < len(data) && i < 64; i += 2 {
+			mut[int(data[i])%len(mut)] ^= data[i+1] | 1
+		}
+		flipped := false
+		for pos := len(ckptMagic) + 1; pos < len(mut); pos++ {
+			if mut[pos] != clean[pos] {
+				flipped = true
 			}
-			flipped := false
-			for pos := len(ckptMagic) + 1; pos < len(mut); pos++ {
-				if mut[pos] != clean[pos] {
-					flipped = true
-				}
-			}
-			_, err := decodeCkptFile("fuzz@000", mut)
-			if flipped && mut[4] == ckptVersion && err == nil {
-				// v2 containers have no checksums: a flip there may decode
-				// "cleanly" into different field values, which is exactly why
-				// v3 exists. Only v3 guarantees detection.
-				t.Fatalf("v3 container with flipped bytes decoded cleanly")
-			}
-			if err != nil && mut[4] == ckptVersion && string(mut[:4]) == ckptMagic &&
-				!errors.Is(err, ErrCheckpointCorrupt) && !strings.Contains(err.Error(), "uses format") {
-				t.Fatalf("v3 decode error is neither ErrCheckpointCorrupt nor a version mismatch: %v", err)
-			}
+		}
+		_, err := decodeCkptFile("fuzz@000", mut)
+		if flipped && mut[4] == ckptVersion && err == nil {
+			t.Fatalf("container with flipped bytes decoded cleanly")
+		}
+		if err != nil && mut[4] == ckptVersion && string(mut[:4]) == ckptMagic &&
+			!errors.Is(err, ErrCheckpointCorrupt) && !strings.Contains(err.Error(), "unsupported checkpoint format") {
+			t.Fatalf("decode error is neither ErrCheckpointCorrupt nor an unsupported format: %v", err)
 		}
 	})
 }

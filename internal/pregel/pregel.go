@@ -731,14 +731,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			if err != nil {
 				return stats, err
 			}
-			if !ok {
-				// Nothing under our key: make sure that is "no previous
-				// process", not "a previous binary wrote checkpoints under
-				// the legacy key format" (which would silently recompute).
-				if err := ck.checkLegacyKeys(); err != nil {
-					return stats, err
-				}
-			}
 			if ok {
 				if step, pending, err = g.restoreCheckpoint(file, stats); err != nil {
 					return stats, err

@@ -20,16 +20,15 @@ type CkptFileInfo struct {
 	// mid-write (harmless debris, never counted as corruption).
 	Delta bool
 	Temp  bool
-	// Version is the container format version (2, 3 or 4), 0 when the frame
-	// is too damaged to tell.
+	// Version is the container format version the file claims (5 is the
+	// only one read), 0 when the frame is too damaged to tell.
 	Version int
 	// Bytes is the file size; SectionEnds are the container's internal
 	// boundaries (header end, then each worker section's end) — the exact
 	// offsets torn-write testing truncates at.
 	Bytes       int64
 	SectionEnds []int64
-	// Err is nil for an intact file. For v3 files intact means every CRC
-	// verified; v2 files predate checksums, so only the framing is checked.
+	// Err is nil for an intact file: framing and every CRC verified.
 	Err error
 }
 
@@ -52,7 +51,7 @@ func (r *CkptDirReport) Corrupt() []CkptFileInfo {
 }
 
 // VerifyCheckpointDir reads every checkpoint artifact under dir and checks
-// its integrity: frame structure for all versions, CRC32C checksums for v3.
+// its integrity: frame structure and CRC32C checksums.
 // It is the engine behind ppa-assembler's -ckpt-verify mode.
 func VerifyCheckpointDir(dir string) (*CkptDirReport, error) {
 	return VerifyCheckpointDirFS(dir, OSFS())

@@ -1,5 +1,5 @@
 // Checkpoint codec methods: the scaffolding vertex and message types opt
-// into the Pregel engine's binary checkpoint format (v2) by implementing
+// into the Pregel engine's binary checkpoint codec by implementing
 // pregel.CheckpointAppender / pregel.CheckpointDecoder. Contig IDs are
 // varint-packed (they are small dense indices, unlike the k-mer codes of
 // the segment graph); gaps are float64 bit patterns.

@@ -19,7 +19,7 @@ import (
 //	type byte | uvarint step | uvarint src | uvarint dst
 //	| uvarint payload length | payload
 //
-// The CRC (Castagnoli polynomial, same table as checkpoint v3) makes a torn
+// The CRC (Castagnoli polynomial, same table as the checkpoint container) makes a torn
 // or bit-flipped frame a detected error — ErrFrameCorrupt — instead of
 // garbage handed to the lane decoder. Every decode failure wraps
 // ErrFrameCorrupt, mirroring the ErrCheckpointCorrupt taxonomy.
