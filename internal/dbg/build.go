@@ -139,10 +139,7 @@ func countK1Mers(clock *pregel.SimClock, mrCfg pregel.MRConfig, readShards [][]s
 			}
 			ids := make([]uint64, 0, windows)
 			for _, r := range reads {
-				eachKPlus1(r, k, func(m dna.Kmer) {
-					c, _ := m.Canonical(k + 1)
-					ids = append(ids, uint64(c))
-				})
+				ids = appendCanonicalWindows(ids, r, k)
 			}
 			pregel.RadixSort(ids, nil)
 			for i := 0; i < len(ids); {
@@ -206,25 +203,30 @@ func EdgeEndpoints(e K1Mer, k int) (srcID pregel.VertexID, srcItem AdjKmer, dstI
 	return srcID, srcItem, dstID, dstItem
 }
 
-// eachKPlus1 slides a (k+1)-wide window over every maximal ACGT run of the
-// read (runs shorter than k+1 yield nothing; 'N' and other letters break
-// runs, per §IV-B ①).
-func eachKPlus1(read string, k int, fn func(dna.Kmer)) {
+// appendCanonicalWindows appends to ids the canonical ID of every (k+1)-wide
+// window over each maximal ACGT run of the read (runs shorter than k+1 yield
+// nothing; 'N' and other letters break runs, per §IV-B ①). The window and
+// its reverse complement both roll one base per letter — the new base enters
+// the forward word at the bottom and its complement the reverse word at the
+// top — so canonicalising a window is one min, not a reversal.
+func appendCanonicalWindows(ids []uint64, read string, k int) []uint64 {
 	k1 := k + 1
-	var cur uint64
-	run := 0
 	mask := dna.KmerMask(k1)
+	top := 2 * uint(k)
+	var fw, rc uint64
+	run := 0
 	for i := 0; i < len(read); i++ {
 		b, ok := dna.BaseFromByte(read[i])
 		if !ok {
 			run = 0
-			cur = 0
 			continue
 		}
-		cur = (cur<<2 | uint64(b)) & mask
+		fw = (fw<<2 | uint64(b)) & mask
+		rc = rc>>2 | uint64(3-b)<<top
 		run++
 		if run >= k1 {
-			fn(dna.Kmer(cur))
+			ids = append(ids, min(fw, rc))
 		}
 	}
+	return ids
 }

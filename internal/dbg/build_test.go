@@ -10,6 +10,30 @@ import (
 	"ppaassembler/internal/pregel"
 )
 
+// eachKPlus1 slides a (k+1)-wide window over every maximal ACGT run of the
+// read (runs shorter than k+1 yield nothing; 'N' and other letters break
+// runs). It is the window loop phase (i) ran before its windows rolled
+// canonically, kept here as a reference for the tests that count windows.
+func eachKPlus1(read string, k int, fn func(dna.Kmer)) {
+	k1 := k + 1
+	var cur uint64
+	run := 0
+	mask := dna.KmerMask(k1)
+	for i := 0; i < len(read); i++ {
+		b, ok := dna.BaseFromByte(read[i])
+		if !ok {
+			run = 0
+			cur = 0
+			continue
+		}
+		cur = (cur<<2 | uint64(b)) & mask
+		run++
+		if run >= k1 {
+			fn(dna.Kmer(cur))
+		}
+	}
+}
+
 func TestEachKPlus1(t *testing.T) {
 	var got []string
 	eachKPlus1("ATTGC", 3, func(m dna.Kmer) { got = append(got, m.String(4)) })

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -128,29 +129,67 @@ func TestCountK1MersMatchesMapReference(t *testing.T) {
 	}
 }
 
+// FuzzCanonicalWindows holds the mapper's rolling window loop to windows cut
+// from the read: for every k+1 consecutive bytes that are all ACGT letters
+// (either case), in read order, exactly ParseKmer(window).Canonical(k+1).
+// Reads are arbitrary bytes; k is odd in 1..31, so k = 31 reaches the
+// 64-bit window whose mask is all ones.
+func FuzzCanonicalWindows(f *testing.F) {
+	f.Add([]byte("ATTGCAAGT"), uint8(1))
+	f.Add([]byte("ACGTNACGTacgtnXACGT"), uint8(0))
+	f.Add([]byte{}, uint8(3))
+	f.Add([]byte("GGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC"), uint8(15))
+	f.Add([]byte("acgtacgtacgtacgtacgtacgtacgtacgtNacgtacgtacgtacgtacgtacgtacgtacgta"), uint8(15))
+	f.Fuzz(func(t *testing.T, data []byte, kSel uint8) {
+		k := 2*int(kSel%16) + 1
+		read := string(data)
+		var want []uint64
+		for i := 0; i+k+1 <= len(read); i++ {
+			w := read[i : i+k+1]
+			if strings.Trim(w, "ACGTacgt") != "" {
+				continue
+			}
+			c, _ := dna.ParseKmer(w).Canonical(k + 1)
+			want = append(want, uint64(c))
+		}
+		got := appendCanonicalWindows(nil, read, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d read %q:\n got %x\nwant %x", k, read, got, want)
+		}
+	})
+}
+
 // BenchmarkBuildDBGCount times phase (i) alone — window extraction, the
 // per-worker sort-and-scan, shuffle, reduce-side grouping and the theta
-// filter — on the shape of the benchmark's noisy90k workload at a fifth of
-// its size: 50x coverage of 100 bp reads with 1% substitutions, k = 21.
+// filter — on the shape of the benchmark's noisy90k workload (50x coverage
+// of 100 bp reads with 1% substitutions, k = 21, 4 workers): at its full
+// size, where one worker's ~0.9 M windows (7 MB) are far larger than L2,
+// and at a fifth of it, where they nearly fit.
 func BenchmarkBuildDBGCount(b *testing.B) {
 	const k, workers = 21, 4
-	ref, err := genome.Generate(genome.Spec{Length: 20_000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reads, err := readsim.Simulate(ref, readsim.Profile{ReadLen: 100, Coverage: 50, SubRate: 0.01, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	shards := pregel.ShardSlice(reads, workers)
-	mrCfg := buildMRConfig(pregel.Config{Workers: workers})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := &BuildResult{}
-		countK1Mers(pregel.NewSimClock(pregel.DefaultCost()), mrCfg, shards, k, 2, res)
-		if res.K1Kept == 0 || res.K1Kept*2 > res.K1Distinct {
-			b.Fatalf("kept %d of %d distinct (k+1)-mers: not a noisy read set", res.K1Kept, res.K1Distinct)
+	for _, size := range []struct {
+		name   string
+		genome int
+	}{{"noisy90k", 90_000}, {"fifth", 20_000}} {
+		ref, err := genome.Generate(genome.Spec{Length: size.genome, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
+		reads, err := readsim.Simulate(ref, readsim.Profile{ReadLen: 100, Coverage: 50, SubRate: 0.01, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards := pregel.ShardSlice(reads, workers)
+		mrCfg := buildMRConfig(pregel.Config{Workers: workers})
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := &BuildResult{}
+				countK1Mers(pregel.NewSimClock(pregel.DefaultCost()), mrCfg, shards, k, 2, res)
+				if res.K1Kept == 0 || res.K1Kept*2 > res.K1Distinct {
+					b.Fatalf("kept %d of %d distinct (k+1)-mers: not a noisy read set", res.K1Kept, res.K1Distinct)
+				}
+			}
+		})
 	}
 }

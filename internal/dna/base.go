@@ -34,18 +34,23 @@ func (b Base) String() string { return string(b.Byte()) }
 // Base. The second return value reports whether c was a valid A/C/G/T letter;
 // 'N' and any other byte return false.
 func BaseFromByte(c byte) (Base, bool) {
-	switch c {
-	case 'A', 'a':
-		return A, true
-	case 'C', 'c':
-		return C, true
-	case 'G', 'g':
-		return G, true
-	case 'T', 't':
-		return T, true
-	}
-	return 0, false
+	v := baseOf[c]
+	return Base(v & 3), v < 4
 }
+
+// baseOf is BaseFromByte's table: the Base of each A/C/G/T letter in either
+// case, 4 for every other byte. A lookup costs no branch per letter, which
+// matters in (k+1)-mer extraction's one-letter-at-a-time loop.
+var baseOf = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = 4
+	}
+	for b, c := range "ACGT" {
+		t[c] = uint8(b)
+		t[c+'a'-'A'] = uint8(b)
+	}
+	return t
+}()
 
 // MustBase is like BaseFromByte but panics on invalid input. It is intended
 // for tests and literals.

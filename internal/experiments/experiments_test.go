@@ -49,8 +49,17 @@ func TestTable1Prints(t *testing.T) {
 	}
 }
 
+// fig12Scale (80 kbp of sim-HC2) is a scale at which Figure 12's shape
+// stands clear of timing noise. The simulated clock charges measured compute
+// time. At testScale each superstep's fixed latency dominates it, so 1 and 8
+// workers come out only ~3% apart and noise flips the order. At 20 kbp they
+// are ~25% apart on an idle 2-core host, but another test binary loading
+// both cores (as under go test ./...) inflates the 8-worker maxima until the
+// gap closes. At 80 kbp 8 workers stay 20–35% faster under that load.
+const fig12Scale = 0.4
+
 func TestFig12ShapesAtSmallScale(t *testing.T) {
-	d, err := LoadDataset("sim-HC2", testScale)
+	d, err := LoadDataset("sim-HC2", fig12Scale)
 	if err != nil {
 		t.Fatal(err)
 	}

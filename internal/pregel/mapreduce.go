@@ -24,15 +24,19 @@ import (
 // each key's values in (source worker, emission) order — order-sensitive
 // reducers (float sums, chain stitching) rely on it. Grouping sorts a
 // permutation of 4-byte arrival indices and gathers the values once; whole
-// records never move. How it sorts is selected by the key type alone: when K
-// is exactly uint64 (the k-mer, vertex and label IDs of every hot job) the
-// (key, arrival index) pairs go through RadixSort, O(n) per differing key
-// byte, and groups are the equal-key runs of the sorted key array; any other
-// K (struct keys, named integer types) takes an O(n log n) comparison sort
-// of the permutation under keyLess. The radix path orders by integer value,
+// records never move. How it sorts is selected by the key type and the
+// input, never by an option: when K is exactly uint64 (the k-mer, vertex and
+// label IDs of every hot job) and every lane a reducer receives is already
+// ascending (DBG phase (i)'s mappers emit their sorted counts in order), the
+// lanes are merged in O(n·W), ties leaving the lower source worker first;
+// other uint64 keys go through RadixSort, O(n) per differing key byte; either
+// way groups are the equal-key runs of the sorted key array. Any other K
+// (struct keys, named integer types) takes an O(n log n) comparison sort of
+// the permutation under keyLess. The uint64 paths order by integer value,
 // so a uint64-keyed job must pass the ascending keyLess, a < b: it is called
 // once per group boundary and a disagreement panics naming the job, rather
-// than being silently ignored.
+// than being silently ignored. MRConfig.Metrics counts the reducers that
+// merged in mr_reducers_merged_total.
 //
 // Cost: the clock is charged one shuffle round — barrier latency + slowest
 // mapper + most-loaded link — and one reduce round. pairBytes is the charged
@@ -179,25 +183,25 @@ func MapReduceCfg[I, K, V, O any](
 	}
 
 	// Map phase: each worker maps its shard into per-destination lanes.
-	buckets := make([][][]pair, workers) // [src][dst][]pair
+	buckets := make([][]mapLane[pair], workers) // [src][dst]
 	mapNs := make([]float64, workers)
 	outBytes := make([]float64, workers)
 	localBytes := make([]float64, workers)
 	emitted := make([]int64, workers)
 	emittedLocal := make([]int64, workers)
 	mapWorker := func(w int) {
-		lanes := make([][]pair, workers)
+		lanes := make([]mapLane[pair], workers)
 		buckets[w] = lanes
 		if w >= len(input) {
 			return
 		}
-		// Hint: one pair per item, spread evenly; amortised growth beyond.
+		// First block: one pair per item, spread evenly.
 		for d := range lanes {
-			lanes[d] = make([]pair, 0, len(input[w])/workers+1)
+			lanes[d].cur = make([]pair, 0, len(input[w])/workers+1)
 		}
 		emit := func(k K, v V) {
 			d := route(k)
-			lanes[d] = append(lanes[d], pair{k, v})
+			lanes[d].push(pair{k, v})
 			emitted[w]++
 			if d == w {
 				emittedLocal[w]++
@@ -270,35 +274,49 @@ func MapReduceCfg[I, K, V, O any](
 
 	// Shuffle + sort + reduce phase: destination worker d drains the lanes
 	// buckets[*][d] into flat key and value arenas (sized exactly) in arrival
-	// order, sorts a permutation of arrival indices by (key, arrival index),
+	// order, orders a permutation of arrival indices by (key, arrival index),
 	// and reduces each key group against a values arena shared across groups.
 	out := make([][]O, workers)
 	redNs := make([]float64, workers)
+	merged := make([]bool, workers)
 	reduceWorker := func(d int) {
 		total := 0
 		for s := 0; s < workers; s++ {
-			total += len(buckets[s][d])
+			total += buckets[s][d].len()
 		}
 		keys := make([]K, 0, total)
 		arrived := make([]V, 0, total)
+		runs := make([]int, workers+1) // lane s arrived at [runs[s], runs[s+1])
 		for s := 0; s < workers; s++ {
-			for _, p := range buckets[s][d] {
-				keys = append(keys, p.k)
-				arrived = append(arrived, p.v)
+			for _, block := range buckets[s][d].blocks() {
+				for _, p := range block {
+					keys = append(keys, p.k)
+					arrived = append(arrived, p.v)
+				}
 			}
-			buckets[s][d] = nil
+			buckets[s][d] = mapLane[pair]{}
+			runs[s+1] = len(keys)
 		}
 		start := nowNs()
-		perm := identityPerm(name, total)
-		// The one selection point: uint64 keys (every hot job) take the
-		// radix kernel, which moves the keys along with the permutation;
-		// any other key type sorts the permutation alone by comparison,
-		// where (key, arrival index) being a total order makes the unstable
-		// sort yield exactly the stable grouping.
+		var perm []int32
+		// The one selection point, made from the key type and the input:
+		// uint64 keys (every hot job) whose lanes all arrived ascending (the
+		// k1 mapper emits its sorted scan in order) are merged; other uint64
+		// keys take the radix kernel, which moves the keys along with the
+		// permutation; any other key type sorts the permutation alone by
+		// comparison, where (key, arrival index) being a total order makes
+		// the unstable sort yield exactly the stable grouping.
 		sorted, radix := any(keys).([]uint64)
-		if radix {
+		switch {
+		case radix && runsAscending(sorted, runs):
+			sorted, perm = mergeRuns(name, sorted, runs)
+			keys = any(sorted).([]K)
+			merged[d] = true
+		case radix:
+			perm = identityPerm(name, total)
 			RadixSort(sorted, perm)
-		} else {
+		default:
+			perm = identityPerm(name, total)
 			slices.SortFunc(perm, func(a, b int32) int {
 				if keyLess(keys[a], keys[b]) {
 					return -1
@@ -338,6 +356,15 @@ func MapReduceCfg[I, K, V, O any](
 		redNs[d] = float64(nowNs() - start)
 	}
 	forEachWorker(workers, cfg.Parallel, name, "reduce", reduceWorker)
+	if cfg.Metrics != nil {
+		n := int64(0)
+		for _, m := range merged {
+			if m {
+				n++
+			}
+		}
+		cfg.Metrics.Counter("mr_reducers_merged_total").Add(n)
+	}
 	if d, fired := cfg.Faults.tick(workers); fired {
 		// Lineage recovery: the failed reduce task re-runs from its lanes,
 		// priced as an extra round carried by d alone.
@@ -366,14 +393,88 @@ func MapReduceCfg[I, K, V, O any](
 // Indices are int32 to halve the sort's memory traffic; a reducer handed
 // more pairs than that addresses fails here, loudly, before anything wraps.
 func identityPerm(job string, n int) []int32 {
-	if n >= math.MaxInt32 {
-		panic(fmt.Sprintf("pregel: MapReduce %q: a reducer received %d pairs, more than its int32 arrival index addresses", job, n))
-	}
+	checkArrivalBound(job, n)
 	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	return perm
+}
+
+func checkArrivalBound(job string, n int) {
+	if n >= math.MaxInt32 {
+		panic(fmt.Sprintf("pregel: MapReduce %q: a reducer received %d pairs, more than its int32 arrival index addresses", job, n))
+	}
+}
+
+// mapLane is one mapper's output for one reducer, in emission order, held
+// as a list of blocks that are filled once and never copied: the mapper
+// sizes the first block, and each next one doubles up to laneBlockPairs. A
+// job whose map emits a whole shard from one item (DBG phase (i)) thus
+// never regrows a lane, and a lane wastes at most one block's tail.
+type mapLane[P any] struct {
+	full [][]P
+	cur  []P
+}
+
+// laneBlockPairs caps a map-lane block after the first.
+const laneBlockPairs = 4096
+
+func (l *mapLane[P]) push(p P) {
+	if len(l.cur) == cap(l.cur) {
+		l.full = append(l.full, l.cur)
+		l.cur = make([]P, 0, min(2*cap(l.cur), laneBlockPairs))
+	}
+	l.cur = append(l.cur, p)
+}
+
+func (l *mapLane[P]) len() int {
+	n := len(l.cur)
+	for _, b := range l.full {
+		n += len(b)
+	}
+	return n
+}
+
+// blocks returns the lane's blocks in emission order. It is called once, by
+// the reducer that drains and then drops the lane.
+func (l *mapLane[P]) blocks() [][]P { return append(l.full, l.cur) }
+
+// runsAscending reports whether every run keys[runs[s]:runs[s+1]] is in
+// ascending order (equal neighbours allowed).
+func runsAscending(keys []uint64, runs []int) bool {
+	for s := 0; s+1 < len(runs); s++ {
+		for i := runs[s] + 1; i < runs[s+1]; i++ {
+			if keys[i] < keys[i-1] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mergeRuns merges the ascending runs keys[runs[s]:runs[s+1]] into one
+// ascending array and returns it with each position's arrival index. Equal
+// keys leave the lower run first and each run in order, which is exactly
+// the (key, arrival index) order RadixSort would produce. Each pair scans
+// the runs' heads, one per source worker.
+func mergeRuns(job string, keys []uint64, runs []int) ([]uint64, []int32) {
+	checkArrivalBound(job, len(keys))
+	head := slices.Clone(runs[:len(runs)-1])
+	out := make([]uint64, len(keys))
+	perm := make([]int32, len(keys))
+	for i := range out {
+		best := -1
+		for s, h := range head {
+			if h < runs[s+1] && (best < 0 || keys[h] < keys[head[best]]) {
+				best = s
+			}
+		}
+		p := head[best]
+		out[i], perm[i] = keys[p], int32(p)
+		head[best]++
+	}
+	return out, perm
 }
 
 // Uint64Hash is a keyHash for uint64-like keys (it applies the same mixing

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"ppaassembler/internal/telemetry"
 )
 
 // mrRecord is one input item of the oracle test: a key and a value, emitted
@@ -61,11 +63,27 @@ func referenceGroups[K any](input [][]mrRecord[K], workers int, route func(K) in
 	return out
 }
 
+// laneOrder is the order in which checkAgainstReference's mappers emit.
+type laneOrder int
+
+const (
+	// randomLanes: keys in random order.
+	randomLanes laneOrder = iota
+	// ascendingLanes: every mapper emits ascending keys, so every lane
+	// arrives sorted and every uint64-keyed reducer merges.
+	ascendingLanes
+	// oneLaneUnsorted: ascending, but for two records of worker 0 that go
+	// to the same reducer, swapped; that reducer takes the radix path.
+	oneLaneUnsorted
+)
+
 // checkAgainstReference runs MapReduceCfg over random heavily-duplicated
 // input for every worker count × Parallel × Partitioner combination and
 // requires keys, per-key value order and per-reducer output order to equal
-// the reference exactly.
-func checkAgainstReference[K any](t *testing.T, name string, genKey func(*rand.Rand) K, hash func(K) uint64, less func(a, b K) bool) {
+// the reference exactly. For the sorted lane orders it also requires the
+// reducers that merged (mr_reducers_merged_total) to be all of them, or all
+// but the one with the unsorted lane.
+func checkAgainstReference[K any](t *testing.T, name string, order laneOrder, genKey func(*rand.Rand) K, hash func(K) uint64, less func(a, b K) bool) {
 	for _, workers := range []int{1, 4, 7} {
 		for _, parallel := range []bool{false, true} {
 			for _, part := range []Partitioner{nil, HashPartitioner{}, RangePartitioner{Bits: 16}} {
@@ -83,10 +101,19 @@ func checkAgainstReference[K any](t *testing.T, name string, genKey func(*rand.R
 				if part != nil {
 					route = func(k K) int { return part.Assign(VertexID(hash(k)), workers) }
 				}
+				if order != randomLanes {
+					for _, shard := range input {
+						sort.SliceStable(shard, func(a, b int) bool { return less(shard[a].key, shard[b].key) })
+					}
+				}
+				if order == oneLaneUnsorted {
+					unsortOneLane(t, input[0], route, less)
+				}
 				want := referenceGroups(input, workers, route, less)
 
+				reg := telemetry.NewRegistry()
 				got, _ := MapReduceCfg(NewSimClock(DefaultCost()),
-					MRConfig{Workers: workers, Parallel: parallel, Partitioner: part},
+					MRConfig{Workers: workers, Parallel: parallel, Partitioner: part, Metrics: reg},
 					input,
 					func(w int, r mrRecord[K], emit func(K, float64)) { emit(r.key, r.val) },
 					hash, less,
@@ -94,6 +121,10 @@ func checkAgainstReference[K any](t *testing.T, name string, genKey func(*rand.R
 						emit(mrGroup[K]{key, append([]float64(nil), vals...), sumInOrder(vals)})
 					})
 				label := fmt.Sprintf("%s workers=%d parallel=%v partitioner=%v", name, workers, parallel, part)
+				merged := reg.Counter("mr_reducers_merged_total").Value()
+				if wantMerged := map[laneOrder]int64{ascendingLanes: int64(workers), oneLaneUnsorted: int64(workers - 1)}; order != randomLanes && merged != wantMerged[order] {
+					t.Errorf("%s: %d reducers merged, want %d", label, merged, wantMerged[order])
+				}
 				for d := 0; d < workers; d++ {
 					if len(got[d]) != len(want[d]) {
 						t.Fatalf("%s: reducer %d saw %d groups, reference %d", label, d, len(got[d]), len(want[d]))
@@ -109,25 +140,49 @@ func checkAgainstReference[K any](t *testing.T, name string, genKey func(*rand.R
 	}
 }
 
+// unsortOneLane swaps the first two records of an ascending shard that go
+// to the same reducer and differ in key, so exactly one lane arrives
+// unsorted.
+func unsortOneLane[K any](t *testing.T, shard []mrRecord[K], route func(K) int, less func(a, b K) bool) {
+	t.Helper()
+	for j := range shard {
+		for i := 0; i < j; i++ {
+			if route(shard[i].key) == route(shard[j].key) && less(shard[i].key, shard[j].key) {
+				shard[i], shard[j] = shard[j], shard[i]
+				return
+			}
+		}
+	}
+	t.Fatal("no two distinct keys of the shard share a reducer")
+}
+
 // TestMapReduceMatchesStableReference is the stability oracle of the
-// reduce-side grouping: the permutation sort — radix for uint64 keys,
-// comparison for the struct key — must be indistinguishable from a stable
-// sort of the concatenated lanes.
+// reduce-side grouping: the lane merge and the permutation sorts — radix for
+// uint64 keys, comparison for the struct key — must be indistinguishable
+// from a stable sort of the concatenated lanes.
 func TestMapReduceMatchesStableReference(t *testing.T) {
 	// uint64 keys take the radix kernel: a pool of full-width values (and
 	// both ends of the range) makes every one of its eight digits matter.
+	// The same keys in ascending lanes take the merge, where the pool's
+	// duplicates across source workers check the tie order; with one lane
+	// unsorted, that lane's reducer falls back to the radix kernel.
 	pool := []uint64{0, math.MaxUint64}
 	for r := rand.New(rand.NewSource(20)); len(pool) < 42; {
 		pool = append(pool, r.Uint64())
 	}
-	checkAgainstReference(t, "uint64",
-		func(r *rand.Rand) uint64 { return pool[r.Intn(len(pool))] },
-		Uint64Hash, lessU64)
+	for _, c := range []struct {
+		name  string
+		order laneOrder
+	}{{"uint64", randomLanes}, {"uint64 ascending lanes", ascendingLanes}, {"uint64 one lane unsorted", oneLaneUnsorted}} {
+		checkAgainstReference(t, c.name, c.order,
+			func(r *rand.Rand) uint64 { return pool[r.Intn(len(pool))] },
+			Uint64Hash, lessU64)
+	}
 
 	// The shape of scaffold's endPair key: two fields, compared
 	// lexicographically, routed by a mix of both.
 	type pairKey struct{ a, b uint64 }
-	checkAgainstReference(t, "struct",
+	checkAgainstReference(t, "struct", randomLanes,
 		func(r *rand.Rand) pairKey { return pairKey{uint64(r.Intn(6)), uint64(r.Intn(5))} },
 		func(k pairKey) uint64 { return Uint64Hash(k.a*1_000_003 + k.b) },
 		func(x, y pairKey) bool {
