@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/pregel"
@@ -115,11 +116,9 @@ func (v *VData) DecodeCheckpoint(data []byte) ([]byte, error) {
 func (m *Msg) AppendCheckpoint(buf []byte) []byte {
 	buf = append(buf, byte(m.Kind), m.Side, m.Side2, byte(m.P1), byte(m.P2))
 	buf = pregel.AppendBool(buf, m.Flag)
-	buf = pregel.AppendUint64(buf, uint64(m.From))
-	buf = pregel.AppendUint64(buf, uint64(m.Ptr))
-	buf = pregel.AppendVarint(buf, m.Len)
-	buf = pregel.AppendUvarint(buf, uint64(m.Cov))
-	return pregel.AppendVarint(buf, int64(m.NLen))
+	buf = pregel.AppendUint64(buf, uint64(m.ID))
+	buf = pregel.AppendVarint(buf, int64(m.Len))
+	return pregel.AppendUvarint(buf, uint64(m.Cov))
 }
 
 // DecodeCheckpoint implements pregel.CheckpointDecoder.
@@ -135,27 +134,26 @@ func (m *Msg) DecodeCheckpoint(data []byte) ([]byte, error) {
 	if m.Flag, data, err = pregel.ConsumeBool(data); err != nil {
 		return nil, err
 	}
-	var id uint64
-	if id, data, err = pregel.ConsumeUint64(data); err != nil {
+	id, data, err := pregel.ConsumeUint64(data)
+	if err != nil {
 		return nil, err
 	}
-	m.From = pregel.VertexID(id)
-	if id, data, err = pregel.ConsumeUint64(data); err != nil {
+	m.ID = pregel.VertexID(id)
+	n, data, err := pregel.ConsumeVarint(data)
+	if err != nil {
 		return nil, err
 	}
-	m.Ptr = pregel.VertexID(id)
-	if m.Len, data, err = pregel.ConsumeVarint(data); err != nil {
-		return nil, err
+	if n < math.MinInt32 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("core: corrupt Msg encoding: length %d overflows int32", n)
 	}
+	m.Len = int32(n)
 	cov, data, err := pregel.ConsumeUvarint(data)
 	if err != nil {
 		return nil, err
 	}
-	m.Cov = uint32(cov)
-	nl, data, err := pregel.ConsumeVarint(data)
-	if err != nil {
-		return nil, err
+	if cov > math.MaxUint32 {
+		return nil, fmt.Errorf("core: corrupt Msg encoding: coverage %d overflows uint32", cov)
 	}
-	m.NLen = int32(nl)
+	m.Cov = uint32(cov)
 	return data, nil
 }

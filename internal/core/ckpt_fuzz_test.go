@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -116,17 +117,15 @@ func FuzzMsgCodecDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
 		m := Msg{
+			ID:    g.id(),
+			Cov:   uint32(g.u64()),
+			Len:   int32(g.u64()),
 			Kind:  MsgKind(g.b()),
-			From:  g.id(),
-			Ptr:   g.id(),
 			Side:  g.b(),
 			Side2: g.b(),
 			Flag:  g.flag(),
-			Len:   int64(g.u64()),
-			Cov:   uint32(g.u64()),
 			P1:    dbg.Polarity(g.b()),
 			P2:    dbg.Polarity(g.b()),
-			NLen:  int32(g.u64()),
 		}
 		ckpttest.RoundTrip[Msg](t, &m)
 		ckpttest.NoPanic[Msg](t, data)
@@ -135,20 +134,111 @@ func FuzzMsgCodecDifferential(f *testing.F) {
 }
 
 // TestMsgLayoutFence pins the two properties the widest-first field order of
-// Msg must keep apart: the in-memory size (40 bytes, so a routed envelope —
-// an 8-byte destination plus the message — is 48) and the encoding, which is
-// written field by field and so must not notice the declaration order. The
-// expected bytes are those of the original declaration order.
+// Msg must keep apart: the in-memory size (24 bytes, so a routed lane entry —
+// an 8-byte destination plus the message — is 32) with its field order, and
+// the encoding, which is written field by field and so must not notice the
+// declaration order.
 func TestMsgLayoutFence(t *testing.T) {
-	if got := unsafe.Sizeof(Msg{}); got != 40 {
-		t.Errorf("Msg is %d bytes, want 40: a field was added or the widest-first order broken", got)
+	var m Msg
+	if got := unsafe.Sizeof(m); got != 24 {
+		t.Errorf("Msg is %d bytes, want 24: a field was added or the widest-first order broken", got)
 	}
-	m := Msg{Kind: MsgSVHook, From: 0x0102030405060708, Ptr: 1 << 63, Side: 1, Side2: 2, Flag: true,
-		Len: -300, Cov: 70000, P1: 1, P2: 2, NLen: 77}
+	offsets := []struct {
+		field string
+		got   uintptr
+		want  uintptr
+	}{
+		{"ID", unsafe.Offsetof(m.ID), 0},
+		{"Cov", unsafe.Offsetof(m.Cov), 8},
+		{"Len", unsafe.Offsetof(m.Len), 12},
+		{"Kind", unsafe.Offsetof(m.Kind), 16},
+		{"Side", unsafe.Offsetof(m.Side), 17},
+		{"Side2", unsafe.Offsetof(m.Side2), 18},
+		{"Flag", unsafe.Offsetof(m.Flag), 19},
+		{"P1", unsafe.Offsetof(m.P1), 20},
+		{"P2", unsafe.Offsetof(m.P2), 21},
+	}
+	for _, o := range offsets {
+		if o.got != o.want {
+			t.Errorf("Msg.%s at offset %d, want %d", o.field, o.got, o.want)
+		}
+	}
+	m = Msg{Kind: MsgSVHook, ID: 0x0102030405060708, Side: 1, Side2: 2, Flag: true,
+		Len: -300, Cov: 70000, P1: 1, P2: 2}
 	want := []byte{byte(MsgSVHook), 1, 2, 1, 2, 1,
-		8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0x80,
-		0xd7, 0x04, 0xf0, 0xa2, 0x04, 0x9a, 0x01}
+		8, 7, 6, 5, 4, 3, 2, 1,
+		0xd7, 0x04, 0xf0, 0xa2, 0x04}
 	if got := m.AppendCheckpoint(nil); !bytes.Equal(got, want) {
 		t.Errorf("Msg encoding changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestMsgWireBytesMatchesCodec keeps the simulated wire charge honest: one
+// representative message per kind, with the values a default-option run
+// sends (k-mer-sized IDs, a 2 kbp contig, the default 80 bp tip bound), is
+// encoded, and MsgWireBytes must be within two bytes of the largest.
+func TestMsgWireBytesMatchesCodec(t *testing.T) {
+	const kmerID = pregel.VertexID(0x2a5f3c71e09b) // a 21-mer's 42-bit ID
+	tipLen := DefaultOpDefaults().TipLen
+	reps := []Msg{
+		{Kind: MsgHello, ID: kmerID, Side: 1, Flag: true},
+		{Kind: MsgReq, ID: kmerID, Side: 1, Side2: 1},
+		{Kind: MsgResp, ID: kmerID, Side: 1, Side2: 1},
+		{Kind: MsgSVQuery, ID: kmerID},
+		{Kind: MsgSVReply, ID: kmerID},
+		{Kind: MsgSVNbr, ID: kmerID},
+		{Kind: MsgSVHook, ID: kmerID},
+		{Kind: MsgCtgLink, ID: kmerID, Flag: true, P1: dbg.H, Cov: 25, Len: 2000},
+		{Kind: MsgTipReq, ID: kmerID, Len: tipReqLen(1<<20, tipLen)},
+		{Kind: MsgTipDel, ID: kmerID},
+	}
+	largest := 0
+	for i, m := range reps {
+		if m.Kind != MsgKind(i) {
+			t.Fatalf("representative %d has kind %d", i, m.Kind)
+		}
+		n := len(m.AppendCheckpoint(nil))
+		t.Logf("kind %d: %d bytes", m.Kind, n)
+		largest = max(largest, n)
+	}
+	if d := MsgWireBytes - largest; d < -2 || d > 2 {
+		t.Errorf("MsgWireBytes = %d, largest representative encoding %d bytes", MsgWireBytes, largest)
+	}
+}
+
+// TestTipReqLenCaps pins the REQUEST length cap: lengths up to tipLen pass
+// through, everything longer becomes tipLen+1 (which fails the tip test
+// just as the real length would), and no length wraps negative in the
+// int32 field, even past math.MaxInt32.
+func TestTipReqLenCaps(t *testing.T) {
+	cases := []struct {
+		n, tipLen int
+		want      int32
+	}{
+		{0, 80, 0},
+		{79, 80, 79},
+		{80, 80, 80},
+		{81, 80, 81},
+		{5000, 80, 81},
+		{math.MaxInt32, 80, 81},
+		{math.MaxInt32 + 1, 80, 81},
+		{1 << 40, 80, 81},
+		{math.MaxInt, 80, 81},
+		{1 << 40, math.MaxInt32 - 1, math.MaxInt32},
+		{1 << 40, math.MaxInt32, math.MaxInt32},
+		{1 << 40, math.MaxInt, math.MaxInt32},
+		{7, math.MaxInt, 7},
+	}
+	for _, c := range cases {
+		got := tipReqLen(c.n, c.tipLen)
+		if got != c.want {
+			t.Errorf("tipReqLen(%d, %d) = %d, want %d", c.n, c.tipLen, got, c.want)
+		}
+		if got < 0 {
+			t.Errorf("tipReqLen(%d, %d) wrapped negative", c.n, c.tipLen)
+		}
+		if (int(got) <= c.tipLen) != (c.n <= c.tipLen) && c.tipLen < math.MaxInt32 {
+			t.Errorf("tipReqLen(%d, %d) = %d changes the tip decision", c.n, c.tipLen, got)
+		}
 	}
 }

@@ -55,7 +55,7 @@ type MsgKind uint8
 const (
 	MsgHello   MsgKind = iota // labeling setup: sender identity + side + ambiguity
 	MsgReq                    // list ranking, request/respond form only: pointer-jump request
-	MsgResp                   // list ranking: new pointer (Ptr, Side2) for the receiver's side Side
+	MsgResp                   // list ranking: new pointer (ID, Side2) for the receiver's side Side
 	MsgSVQuery                // S-V: ask parent for its parent
 	MsgSVReply                // S-V: parent's reply
 	MsgSVNbr                  // S-V: neighbor D broadcast
@@ -68,16 +68,23 @@ const (
 // Msg is the single message type shared by all jobs that run on the segment
 // graph (one Pregel vertex program per operation, as in the paper).
 //
-// Fields are declared widest first so the struct packs into 40 bytes (a
-// routed envelope into 48): every message is copied once into a lane and
-// once into an inbox arena, so its size is the shuffle's memory traffic. The
-// checkpoint/wire codec (ckpt.go) is per field and does not see this order.
+// No kind needs a sender and a pointer at once, so one ID field carries
+// whichever the kind uses, and the one length field serves the two kinds that
+// carry a length. Fields are declared widest first so the struct packs into
+// 24 bytes (a routed lane entry, its 8-byte destination plus the message,
+// into 32): every message is copied once into a lane and once into an inbox
+// arena, so its size is the shuffle's memory traffic. The checkpoint/wire
+// codec (ckpt.go) is per field and does not see this order.
 type Msg struct {
-	From  pregel.VertexID
-	Ptr   pregel.VertexID
-	Len   int64
-	Cov   uint32
-	NLen  int32
+	// ID is the sender for MsgHello, MsgReq, MsgSVQuery, MsgCtgLink,
+	// MsgTipReq and MsgTipDel, and a pointer value for the others: the new
+	// list-ranking pointer (MsgResp), the S-V parent (MsgSVReply), a
+	// neighbour's D (MsgSVNbr) or the proposed hook target (MsgSVHook).
+	ID  pregel.VertexID
+	Cov uint32
+	// Len is the contig length for MsgCtgLink and the cumulative dangling-
+	// path length for MsgTipReq, capped at tipLen+1 (tipReqLen).
+	Len   int32
 	Kind  MsgKind
 	Side  uint8
 	Side2 uint8
@@ -87,12 +94,15 @@ type Msg struct {
 }
 
 // MsgWireBytes is the charged wire size of one Msg on the simulated
-// network: kind (1) + two vertex IDs (16) + sides (2) + flag (1) + the
-// varint-packed length/coverage/polarity tail (~4). The engine's generic
-// 16-byte default undercharges this record; every segment-graph job
+// network, the size of its codec encoding (ckpt.go) for a typical message:
+// kind, sides and polarities (5) + flag (1) + one vertex ID (8) + the
+// varint-packed length and coverage (2 for hello and pointer messages, 3 for
+// a contig announcement or a tip REQUEST). TestMsgWireBytesMatchesCodec keeps
+// it within two bytes of the largest representative encoding. The engine's
+// generic 16-byte default undercharges this record; every segment-graph job
 // declares the real size so locality-aware placement is priced against the
 // traffic the paper's cluster would actually carry.
-const MsgWireBytes = 24
+const MsgWireBytes = 17
 
 // Graph is the segment graph all core operations run on.
 type Graph = pregel.Graph[VData, Msg]

@@ -113,14 +113,14 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 			// Ambiguous vertices announce without side bookkeeping and
 			// take no further part in labeling (§IV-B ②, superstep 1).
 			for _, a := range v.Node.RealAdj() {
-				ctx.Send(a.Nbr, Msg{Kind: MsgHello, From: id, Flag: true})
+				ctx.Send(a.Nbr, Msg{Kind: MsgHello, ID: id, Flag: true})
 			}
 			ctx.VoteToHalt()
 			return true
 		}
 		for i := 0; i < 2; i++ {
 			if v.HasSide[i] {
-				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgHello, From: id, Side: uint8(i)})
+				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgHello, ID: id, Side: uint8(i)})
 			}
 		}
 		return true
@@ -166,7 +166,7 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 // helloAmbig reports whether any hello from nbr carries the ambiguity flag.
 func helloAmbig(msgs []Msg, nbr pregel.VertexID) bool {
 	for i := range msgs {
-		if m := &msgs[i]; m.Kind == MsgHello && m.From == nbr && m.Flag {
+		if m := &msgs[i]; m.Kind == MsgHello && m.ID == nbr && m.Flag {
 			return true
 		}
 	}
@@ -177,7 +177,7 @@ func helloAmbig(msgs []Msg, nbr pregel.VertexID) bool {
 // earlier ones in arrival order (side 0 if nbr sent no such hello).
 func helloSide(msgs []Msg, nbr pregel.VertexID, skip int) uint8 {
 	for i := range msgs {
-		if m := &msgs[i]; m.Kind == MsgHello && m.From == nbr {
+		if m := &msgs[i]; m.Kind == MsgHello && m.ID == nbr {
 			if skip == 0 {
 				return m.Side
 			}
@@ -225,9 +225,9 @@ func lrCompute(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Ms
 			if m.Kind != MsgResp {
 				continue
 			}
-			v.P[m.Side] = m.Ptr
+			v.P[m.Side] = m.ID
 			v.PSide[m.Side] = m.Side2
-			if dbg.IsFlipped(m.Ptr) {
+			if dbg.IsFlipped(m.ID) {
 				v.Done[m.Side] = true
 			}
 		}
@@ -249,7 +249,7 @@ func lrCompute(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Ms
 	ctx.AggSum(aggUndone, v.undoneSides())
 	for i := 0; i < 2; i++ {
 		if !v.Done[i] {
-			ctx.Send(v.P[i], Msg{Kind: MsgResp, Side: 1 - v.PSide[i], Ptr: v.P[1-i], Side2: v.PSide[1-i]})
+			ctx.Send(v.P[i], Msg{Kind: MsgResp, Side: 1 - v.PSide[i], ID: v.P[1-i], Side2: v.PSide[1-i]})
 		}
 	}
 }
@@ -273,39 +273,39 @@ func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg,
 				return
 			}
 			for _, m := range msgs {
-				if m.Kind == MsgSVHook && m.Ptr < v.D {
-					v.D = m.Ptr
+				if m.Kind == MsgSVHook && m.ID < v.D {
+					v.D = m.ID
 					ctx.AggOr(aggSVChanged, true)
 				}
 			}
 		}
-		ctx.Send(v.D, Msg{Kind: MsgSVQuery, From: id})
+		ctx.Send(v.D, Msg{Kind: MsgSVQuery, ID: id})
 	case 1:
 		for _, m := range msgs {
 			if m.Kind == MsgSVQuery {
-				ctx.Send(m.From, Msg{Kind: MsgSVReply, Ptr: v.D})
+				ctx.Send(m.ID, Msg{Kind: MsgSVReply, ID: v.D})
 			}
 		}
 	case 2:
 		for _, m := range msgs {
 			if m.Kind == MsgSVReply {
-				v.DD = m.Ptr
+				v.DD = m.ID
 			}
 		}
 		for i := 0; i < 2; i++ {
 			if v.HasSide[i] && !v.Done[i] {
-				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgSVNbr, Ptr: v.D})
+				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgSVNbr, ID: v.D})
 			}
 		}
 	case 3:
 		best := v.D
 		for _, m := range msgs {
-			if m.Kind == MsgSVNbr && m.Ptr < best {
-				best = m.Ptr
+			if m.Kind == MsgSVNbr && m.ID < best {
+				best = m.ID
 			}
 		}
 		if v.DD == v.D && best < v.D {
-			ctx.Send(v.D, Msg{Kind: MsgSVHook, Ptr: best})
+			ctx.Send(v.D, Msg{Kind: MsgSVHook, ID: best})
 			ctx.AggOr(aggSVChanged, true)
 		}
 		if v.DD != v.D {

@@ -32,14 +32,14 @@ func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, ms
 		v.arrangeSides()
 		if v.Ambig {
 			for _, a := range v.Node.RealAdj() {
-				ctx.Send(a.Nbr, Msg{Kind: MsgHello, From: id, Flag: true})
+				ctx.Send(a.Nbr, Msg{Kind: MsgHello, ID: id, Flag: true})
 			}
 			ctx.VoteToHalt()
 			return true
 		}
 		for i := 0; i < 2; i++ {
 			if v.HasSide[i] {
-				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgHello, From: id, Side: uint8(i)})
+				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgHello, ID: id, Side: uint8(i)})
 			}
 		}
 		return true
@@ -51,9 +51,9 @@ func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, ms
 				continue
 			}
 			if m.Flag {
-				ambigFrom[m.From] = true
+				ambigFrom[m.ID] = true
 			}
-			helloSides[m.From] = append(helloSides[m.From], m.Side)
+			helloSides[m.ID] = append(helloSides[m.ID], m.Side)
 		}
 		v.NbrAmbig = make([]bool, len(v.Node.Adj))
 		for i, a := range v.Node.Adj {
@@ -118,9 +118,9 @@ func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msg
 			if m.Kind != MsgResp {
 				continue
 			}
-			v.P[m.Side] = m.Ptr
+			v.P[m.Side] = m.ID
 			v.PSide[m.Side] = m.Side2
-			if dbg.IsFlipped(m.Ptr) {
+			if dbg.IsFlipped(m.ID) {
 				v.Done[m.Side] = true
 			}
 		}
@@ -139,18 +139,17 @@ func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msg
 		ctx.AggSum(aggUndone, v.undoneSides())
 		for i := uint8(0); i < 2; i++ {
 			if !v.Done[i] {
-				ctx.Send(v.P[i], Msg{Kind: MsgReq, From: id, Side: i, Side2: v.PSide[i]})
+				ctx.Send(v.P[i], Msg{Kind: MsgReq, ID: id, Side: i, Side2: v.PSide[i]})
 			}
 		}
 		return
 	}
 	for _, m := range msgs {
 		if m.Kind == MsgReq {
-			ctx.Send(m.From, Msg{
+			ctx.Send(m.ID, Msg{
 				Kind:  MsgResp,
-				From:  id,
 				Side:  m.Side,
-				Ptr:   v.P[m.Side2],
+				ID:    v.P[m.Side2],
 				Side2: v.PSide[m.Side2],
 			})
 		}

@@ -60,14 +60,14 @@ func SplitBranches(g *Graph, ratio uint32) (*SplitResult, error) {
 				}
 				if n.Cov*ratio <= max {
 					v.Node.RemoveEdgeTo(a.Nbr)
-					ctx.Send(a.Nbr, Msg{Kind: MsgHello, From: id, Flag: true})
+					ctx.Send(a.Nbr, Msg{Kind: MsgHello, ID: id, Flag: true})
 				}
 			}
 			ctx.VoteToHalt()
 		case 1:
 			for _, m := range msgs {
 				if m.Kind == MsgHello && m.Flag {
-					v.Node.RemoveEdgeTo(m.From)
+					v.Node.RemoveEdgeTo(m.ID)
 				}
 			}
 			ctx.VoteToHalt()

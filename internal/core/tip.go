@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/pregel"
 )
@@ -32,11 +34,11 @@ func LinkContigs(g *Graph) (*pregel.Stats, error) {
 					}
 					ctx.Send(end.Nbr, Msg{
 						Kind: MsgCtgLink,
-						From: id,
+						ID:   id,
 						Flag: end.In,
 						P1:   end.PNbr, // polarity on the k-mer's side
 						Cov:  end.Cov,
-						NLen: int32(v.Node.Seq.Len()),
+						Len:  int32(v.Node.Seq.Len()),
 					})
 				}
 			}
@@ -49,12 +51,12 @@ func LinkContigs(g *Graph) (*pregel.Stats, error) {
 				// Perspective reversal (not Property 1): the edge that is
 				// the contig's in-end is the k-mer's out-edge.
 				v.Node.Adj = append(v.Node.Adj, dbg.Adj{
-					Nbr:    m.From,
+					Nbr:    m.ID,
 					In:     !m.Flag,
 					PSelf:  m.P1,
 					PNbr:   dbg.L, // contig-side polarity is always L
 					Cov:    m.Cov,
-					NbrLen: m.NLen,
+					NbrLen: m.Len,
 				})
 			}
 			ctx.VoteToHalt()
@@ -84,13 +86,13 @@ func RemoveTips(g *Graph, k, tipLen int) (*TipResult, error) {
 			case MsgTipReq:
 				switch v.Node.Type() {
 				case dbg.TypeOneOne:
-					other, ok := otherSide(&v.Node, m.From)
+					other, ok := otherSide(&v.Node, m.ID)
 					if !ok {
 						break
 					}
-					newLen := m.Len + int64(v.Node.Seq.Len()-(k-1))
-					if newLen <= int64(tipLen) {
-						ctx.Send(other.Nbr, Msg{Kind: MsgTipReq, From: id, Len: newLen})
+					newLen := int(m.Len) + v.Node.Seq.Len() - (k - 1)
+					if newLen <= tipLen {
+						ctx.Send(other.Nbr, Msg{Kind: MsgTipReq, ID: id, Len: tipReqLen(newLen, tipLen)})
 					}
 				default:
 					// Terminal (⟨m-n⟩ or ⟨1⟩ or newly degraded): when the
@@ -102,15 +104,15 @@ func RemoveTips(g *Graph, k, tipLen int) (*TipResult, error) {
 					// REQUEST (the paper's "meet in the middle" case), or
 					// by the isolated-segment check below once its last
 					// edge is cut.
-					if m.Len <= int64(tipLen) {
-						ctx.Send(m.From, Msg{Kind: MsgTipDel, From: id})
-						v.Node.RemoveEdgeTo(m.From)
+					if int(m.Len) <= tipLen {
+						ctx.Send(m.ID, Msg{Kind: MsgTipDel, ID: id})
+						v.Node.RemoveEdgeTo(m.ID)
 						mutated = true
 					}
 				}
 			case MsgTipDel:
-				if other, ok := otherSide(&v.Node, m.From); ok {
-					ctx.Send(other.Nbr, Msg{Kind: MsgTipDel, From: id})
+				if other, ok := otherSide(&v.Node, m.ID); ok {
+					ctx.Send(other.Nbr, Msg{Kind: MsgTipDel, ID: id})
 				}
 				ctx.RemoveSelf()
 				return
@@ -126,7 +128,7 @@ func RemoveTips(g *Graph, k, tipLen int) (*TipResult, error) {
 			if !v.TipProbed {
 				v.TipProbed = true
 				real := v.Node.RealAdj()
-				ctx.Send(real[0].Nbr, Msg{Kind: MsgTipReq, From: id, Len: int64(v.Node.Seq.Len())})
+				ctx.Send(real[0].Nbr, Msg{Kind: MsgTipReq, ID: id, Len: tipReqLen(v.Node.Seq.Len(), tipLen)})
 			}
 		}
 		if !mutated {
@@ -139,6 +141,15 @@ func RemoveTips(g *Graph, k, tipLen int) (*TipResult, error) {
 	res.TipStats = st
 	res.RemovedVertices = before - g.VertexCount()
 	return res, nil
+}
+
+// tipReqLen is the dangling-path length a REQUEST carries: n, capped at
+// tipLen+1. Every length past tipLen fails the tip test alike, and relays
+// only add to it, so the cap changes no decision; it keeps a segment longer
+// than the int32 field from wrapping negative and passing for a short tip.
+// A tipLen of math.MaxInt32-1 or more caps at math.MaxInt32.
+func tipReqLen(n, tipLen int) int32 {
+	return int32(min(n, min(tipLen, math.MaxInt32-1)+1))
 }
 
 // otherSide returns an adjacency item of n that does not point at from

@@ -11,7 +11,7 @@ import (
 	"sort"
 )
 
-// Checkpoint format v5, the only one this package reads or writes: a
+// Checkpoint format v6, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
@@ -25,7 +25,11 @@ import (
 // The CRCs (Castagnoli polynomial) detect a torn or bit-flipped file at
 // load time as ErrCheckpointCorrupt, letting recovery walk back to an older
 // intact snapshot instead of restoring garbage. Anything else — no magic, or
-// another version — is one "unsupported checkpoint format" error.
+// another version — is one "unsupported checkpoint format" error. The
+// version also covers the value codecs inside the sections: v6 has v5's
+// container, and was bumped because the segment graph's message encoding
+// changed, so a v5 file with in-flight messages, whose CRCs still verify,
+// is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -42,7 +46,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 5
+	ckptVersion = 6
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -115,19 +119,22 @@ func AppendBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-// ConsumeUvarint decodes a uvarint from the front of data.
+// ConsumeUvarint decodes a uvarint from the front of data. Only the
+// minimal encoding the Append helpers write is accepted (a longer one ends
+// in a zero byte), so whatever decodes re-encodes to the same bytes.
 func ConsumeUvarint(data []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(data)
-	if n <= 0 {
+	if n <= 0 || n > 1 && data[n-1] == 0 {
 		return 0, nil, corruptf("pregel: corrupt checkpoint encoding: bad uvarint")
 	}
 	return v, data[n:], nil
 }
 
-// ConsumeVarint decodes a zig-zag varint from the front of data.
+// ConsumeVarint decodes a zig-zag varint from the front of data, minimal
+// encodings only (see ConsumeUvarint).
 func ConsumeVarint(data []byte) (int64, []byte, error) {
 	v, n := binary.Varint(data)
-	if n <= 0 {
+	if n <= 0 || n > 1 && data[n-1] == 0 {
 		return 0, nil, corruptf("pregel: corrupt checkpoint encoding: bad varint")
 	}
 	return v, data[n:], nil
@@ -723,7 +730,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v5 container.
+// decodeCkptFile parses a v6 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err

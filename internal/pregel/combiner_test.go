@@ -141,6 +141,13 @@ func TestCombinerDeterministicUnderParallel(t *testing.T) {
 	}
 }
 
+// envelope is one routed message: the reference tests' array-of-structs
+// form of a msgLane entry.
+type envelope[M any] struct {
+	dst VertexID
+	msg M
+}
+
 // combineEnvelopes folds messages sharing a destination, preserving the
 // first-occurrence order of destinations for determinism. It is the
 // reference semantics of the engine's eager at-Send combine (which folds

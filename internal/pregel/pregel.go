@@ -264,11 +264,17 @@ func (c Config) withDefaults() Config {
 // vertex per superstep with the messages delivered to that vertex.
 type Compute[V, M any] func(ctx *Context[M], id VertexID, val *V, msgs []M)
 
-// envelope is a routed message.
-type envelope[M any] struct {
-	dst VertexID
-	msg M
+// msgLane is one (source, destination) worker lane of routed messages as
+// two parallel arrays: msg[i] is addressed to vertex dst[i]. Delivery
+// resolves destinations in one pass over dst (8 bytes a message) and copies
+// payloads in a second pass over msg, so neither pass strides over the
+// other's bytes; a combining sender's fold index is built over dst.
+type msgLane[M any] struct {
+	dst []VertexID
+	msg []M
 }
+
+func (l *msgLane[M]) reset() { l.dst, l.msg = l.dst[:0], l.msg[:0] }
 
 // worker holds one partition of the vertex set. Vertices are kept in a
 // slice sorted by ID (plus a flat position index, see vindex) so iteration
@@ -292,18 +298,18 @@ type worker[V, M any] struct {
 
 	// Inbox arena: messages for vertex i occupy inArena[inOff[i]:inOff[i+1]],
 	// in (source worker, emission) order. inCur and rIdx are delivery
-	// scratch (placement cursors; resolved vertex index per envelope).
+	// scratch (placement cursors; resolved vertex index per message).
 	inArena []M
 	inOff   []int32
 	inCur   []int32
 	rIdx    []int32
 
-	// lanes is the lane source of the delivery in progress, one envelope
-	// slice per source worker: that worker's outbox column for this
-	// destination (borrowed, read-only) or, for a remote lane under a
-	// transport, this worker's own decode buffer. A graph's transport never
-	// changes, so a slot never switches kind.
-	lanes [][]envelope[M]
+	// lanes is the lane source of the delivery in progress, one lane per
+	// source worker: that worker's outbox column for this destination
+	// (borrowed, read-only) or, for a remote lane under a transport, this
+	// worker's own decode buffer. A graph's transport never changes, so a
+	// slot never switches kind.
+	lanes []msgLane[M]
 
 	sender[M]
 	ctx   Context[M]
@@ -333,12 +339,10 @@ type sender[M any] struct {
 	comb func(a, b M) M
 	agg  *aggState
 
-	outbox [][]envelope[M] // one lane per destination worker, so len(outbox) is the worker count
+	outbox []msgLane[M] // one lane per destination worker, so len(outbox) is the worker count
 	// Eager-combine index (combiner runs only): fold[d] maps a destination
-	// vertex to its envelope's position in outbox[d], over foldIDs[d], the
-	// lane's destination IDs in the same order.
-	fold    []vindex
-	foldIDs [][]VertexID
+	// vertex to its position in outbox[d], indexing outbox[d].dst.
+	fold []vindex
 
 	msgsOut   int64 // messages sent by this worker in current superstep
 	msgsLocal int64 // subset of msgsOut addressed back to this worker
@@ -395,8 +399,8 @@ func NewGraph[V, M any](cfg Config) *Graph[V, M] {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		g.workers = append(g.workers, &worker[V, M]{
-			lanes:  make([][]envelope[M], cfg.Workers),
-			sender: sender[M]{self: i, part: part, agg: g.agg, outbox: make([][]envelope[M], cfg.Workers)},
+			lanes:  make([]msgLane[M], cfg.Workers),
+			sender: sender[M]{self: i, part: part, agg: g.agg, outbox: make([]msgLane[M], cfg.Workers)},
 		})
 	}
 	return g
@@ -994,22 +998,21 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 // beginSuperstep empties the lanes, combine index and traffic counters.
 func (s *sender[M]) beginSuperstep() {
 	for i := range s.outbox {
-		s.outbox[i] = s.outbox[i][:0]
+		s.outbox[i].reset()
 	}
 	if s.comb != nil {
 		if s.fold == nil {
-			s.fold, s.foldIDs = make([]vindex, len(s.outbox)), make([][]VertexID, len(s.outbox))
+			s.fold = make([]vindex, len(s.outbox))
 		}
 		for i := range s.fold {
 			s.fold[i].reset()
-			s.foldIDs[i] = s.foldIDs[i][:0]
 		}
 	}
 	s.msgsOut, s.msgsLocal = 0, 0
 }
 
 // send routes one message into the lane for its destination worker. With a
-// combiner installed it folds eagerly: the lane holds at most one envelope
+// combiner installed it folds eagerly: the lane holds at most one message
 // per destination vertex and new messages fold into it in emission order, so
 // lanes never hold pre-combine volume and the result is identical to a
 // post-compute fold of the lane (combineEnvelopes, the reference kept with
@@ -1027,16 +1030,18 @@ func (s *sender[M]) send(dst VertexID, m M) {
 	} else {
 		dwi = s.part.Assign(dst, len(s.outbox))
 	}
+	l := &s.outbox[dwi]
 	if s.comb != nil {
-		if i, ok := s.fold[dwi].lookup(s.foldIDs[dwi], dst); ok {
-			e := &s.outbox[dwi][i]
-			e.msg = s.comb(e.msg, m)
+		if i, ok := s.fold[dwi].lookup(l.dst, dst); ok {
+			l.msg[i] = s.comb(l.msg[i], m)
 			return
 		}
-		s.foldIDs[dwi] = append(s.foldIDs[dwi], dst)
-		s.fold[dwi].push(s.foldIDs[dwi])
 	}
-	s.outbox[dwi] = append(s.outbox[dwi], envelope[M]{dst, m})
+	l.dst = append(l.dst, dst)
+	l.msg = append(l.msg, m)
+	if s.comb != nil {
+		s.fold[dwi].push(l.dst)
+	}
 	s.msgsOut++
 	if dwi == s.self {
 		s.msgsLocal++
@@ -1067,7 +1072,7 @@ func (g *Graph[V, M]) collectDelivery() (delivered, dropped int64, err error) {
 
 // deliverTo rebuilds destination worker dwi's inbox arena for the next
 // superstep: the engine's one delivery pass, whatever the schedule. It
-// gathers the lane source — per source worker, the envelopes addressed to
+// gathers the lane source — per source worker, the messages addressed to
 // dwi: that worker's outbox column or, when wire is set and the lane is
 // remote, the lane fetched from the transport and decoded — counting each
 // lane as it arrives (countLane), then lays out and fills the arena
@@ -1084,41 +1089,41 @@ func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool) {
 	clear(dst.inCur[:len(dst.ids)])
 	dst.rIdx = dst.rIdx[:0]
 	for swi, src := range g.workers {
-		lane := src.outbox[dwi]
 		if wire && swi != dwi { // local lanes never leave memory
 			payload, err := g.cfg.Transport.RecvLane(step, swi, dwi)
 			if err == nil {
-				lane, err = decodeLane(payload, dst.lanes[swi])
+				err = decodeLane(payload, &dst.lanes[swi])
 			}
 			if err != nil {
 				dst.deliverErr = err
 				return
 			}
+		} else {
+			dst.lanes[swi] = src.outbox[dwi]
 		}
-		dst.lanes[swi] = lane
-		g.countLane(dst, lane)
+		g.countLane(dst, dst.lanes[swi])
 	}
 	g.placeInbox(dst)
 }
 
 // countLane is the resolve-and-count half of delivery for one source lane:
-// each envelope's destination vertex index is resolved (and remembered in
+// each message's destination vertex index is resolved (and remembered in
 // rIdx for the placement pass), per-vertex counts accumulate, and dropped
 // and strict-mode accounting happens here. With a total combiner installed
 // the per-vertex count is capped at one — placeInbox folds further messages
 // into that single slot instead of appending.
-func (g *Graph[V, M]) countLane(dst *worker[V, M], lane []envelope[M]) {
+func (g *Graph[V, M]) countLane(dst *worker[V, M], lane msgLane[M]) {
 	counts := dst.inCur[:len(dst.ids)]
 	fused := g.runTotal
 	base := len(dst.rIdx)
-	rIdx := slices.Grow(dst.rIdx, len(lane))[:base+len(lane)]
-	for m := range lane {
-		i, ok := dst.live(lane[m].dst)
+	rIdx := slices.Grow(dst.rIdx, len(lane.dst))[:base+len(lane.dst)]
+	for m, id := range lane.dst {
+		i, ok := dst.live(id)
 		if !ok {
 			rIdx[base+m] = -1
 			dst.dropped++
 			if g.cfg.Strict && dst.deliverErr == nil {
-				dst.deliverErr = fmt.Errorf("pregel: message to nonexistent vertex %d", lane[m].dst)
+				dst.deliverErr = fmt.Errorf("pregel: message to nonexistent vertex %d", id)
 			}
 			continue
 		}
@@ -1153,22 +1158,22 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 	dst.inOff[n] = off
 	dst.inArena = growTo(dst.inArena, int(off))
 	fused := g.runTotal
-	m := 0
+	rIdx := dst.rIdx
 	for _, lane := range dst.lanes {
-		for k := range lane {
-			i := dst.rIdx[m]
-			m++
+		for k, msg := range lane.msg {
+			i := rIdx[k]
 			if i < 0 {
 				continue
 			}
 			if fused && counts[i] > dst.inOff[i] {
 				slot := &dst.inArena[dst.inOff[i]]
-				*slot = dst.comb(*slot, lane[k].msg)
+				*slot = dst.comb(*slot, msg)
 				continue
 			}
-			dst.inArena[counts[i]] = lane[k].msg
+			dst.inArena[counts[i]] = msg
 			counts[i]++
 		}
+		rIdx = rIdx[len(lane.msg):]
 	}
 }
 

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -335,37 +336,112 @@ func TestTransportWorkerCountMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestLaneCodecRoundTrip pins the lane codec on both paths.
+// laneOf builds a msgLane from parallel destination and message lists.
+func laneOf[M any](dst []VertexID, msg []M) msgLane[M] { return msgLane[M]{dst: dst, msg: msg} }
+
+// TestLaneCodecRoundTrip pins the lane codec on both paths: lanes round-trip
+// through a reused decode buffer, and damaged payloads fail loudly.
 func TestLaneCodecRoundTrip(t *testing.T) {
-	lanes := [][]envelope[int64]{
-		nil,
+	lanes := []msgLane[int64]{
 		{},
-		{{dst: 1, msg: 42}},
-		{{dst: 7, msg: -3}, {dst: 7, msg: 0}, {dst: 99, msg: 1 << 40}},
+		laneOf([]VertexID{}, []int64{}),
+		laneOf([]VertexID{1}, []int64{42}),
+		laneOf([]VertexID{7, 7, 99}, []int64{-3, 0, 1 << 40}),
 	}
+	var got msgLane[int64]
 	for i, lane := range lanes {
 		buf, err := encodeLane(nil, lane, true)
 		if err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
-		got, err := decodeLane[int64](buf, nil)
-		if err != nil {
+		if err := decodeLane(buf, &got); err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
-		if len(got) != len(lane) {
-			t.Fatalf("lane %d: %d envelopes, want %d", i, len(got), len(lane))
+		if len(got.dst) != len(lane.dst) || len(got.msg) != len(lane.msg) {
+			t.Fatalf("lane %d: %d/%d destinations/messages, want %d", i, len(got.dst), len(got.msg), len(lane.dst))
 		}
-		for j := range lane {
-			if got[j] != lane[j] {
-				t.Fatalf("lane %d envelope %d: %+v want %+v", i, j, got[j], lane[j])
+		for j := range lane.dst {
+			if got.dst[j] != lane.dst[j] || got.msg[j] != lane.msg[j] {
+				t.Fatalf("lane %d message %d: (%d, %d) want (%d, %d)", i, j, got.dst[j], got.msg[j], lane.dst[j], lane.msg[j])
 			}
 		}
 	}
-	// Corrupt payloads fail loudly instead of decoding garbage.
-	if _, err := decodeLane[int64](nil, nil); err == nil {
-		t.Error("empty payload decoded")
+
+	gl := laneOf([]VertexID{3, 1 << 60}, []gobMsg{{1, 2}, {-2, 0}})
+	buf, err := encodeLane(nil, gl, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeLane[int64]([]byte{9, 1, 2}, nil); err == nil {
-		t.Error("unknown lane flag decoded")
+	var gg msgLane[gobMsg]
+	if err := decodeLane(buf, &gg); err != nil {
+		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(gg, gl) {
+		t.Fatalf("gob lane decoded to %+v, want %+v", gg, gl)
+	}
+
+	// Corrupt payloads fail loudly instead of decoding garbage, and leave
+	// the buffer empty.
+	good, _ := encodeLane(nil, lanes[3], true)
+	bad := map[string][]byte{
+		"empty":          nil,
+		"unknown flag":   {9, 1, 2},
+		"gob flag":       append([]byte{laneGob}, good[1:]...),
+		"huge count":     {laneBinary, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1},
+		"count too big":  {laneBinary, 2, 1, 2},
+		"truncated":      good[:len(good)-1],
+		"trailing bytes": append(append([]byte(nil), good...), 0),
+		"non-minimal":    {laneBinary, 1, 0x81, 0x00, 2},
+	}
+	for name, payload := range bad {
+		got := laneOf([]VertexID{5}, []int64{5})
+		if err := decodeLane(payload, &got); err == nil {
+			t.Errorf("%s: decoded %+v", name, got)
+		}
+		if len(got.dst) != 0 || len(got.msg) != 0 {
+			t.Errorf("%s: failed decode left %d/%d entries", name, len(got.dst), len(got.msg))
+		}
+	}
+	if err := decodeLane(good, &gg); err == nil {
+		t.Error("a binary lane decoded as a gob message type")
+	}
+}
+
+// FuzzLaneCodec feeds arbitrary payloads to the lane decoder, which reads
+// bytes another process wrote: it must never panic, must size its arrays
+// only from what the payload can hold, must keep destinations and messages
+// paired, and an accepted payload must re-encode to exactly its bytes.
+func FuzzLaneCodec(f *testing.F) {
+	for _, l := range []msgLane[int64]{
+		{},
+		laneOf([]VertexID{1}, []int64{42}),
+		laneOf([]VertexID{7, 7, 99, 1 << 63}, []int64{-3, 0, 1 << 40, -1 << 63}),
+	} {
+		buf, _ := encodeLane(nil, l, true)
+		f.Add(buf)
+	}
+	f.Add([]byte{laneBinary, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{laneGob})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var l msgLane[int64]
+		if err := decodeLane(data, &l); err != nil {
+			if len(l.dst) != 0 || len(l.msg) != 0 {
+				t.Fatalf("failed decode left %d/%d entries", len(l.dst), len(l.msg))
+			}
+			return
+		}
+		if len(l.dst) != len(l.msg) {
+			t.Fatalf("%d destinations for %d messages", len(l.dst), len(l.msg))
+		}
+		if cap(l.dst) > len(data) || cap(l.msg) > len(data) {
+			t.Fatalf("%d-byte payload reserved %d/%d entries", len(data), cap(l.dst), cap(l.msg))
+		}
+		re, err := encodeLane(nil, l, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", re, data)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"ppaassembler/internal/telemetry"
 	"ppaassembler/internal/transport"
@@ -29,83 +30,94 @@ import (
 // laneBinary/laneGob flag the lane payload encoding, mirroring the
 // checkpoint container's wsecBinary/wsecGob worker sections: message types
 // admitted by the binary value codec use the zero-copy path, anything else
-// falls back to gob.
+// falls back to gob. Which one a lane uses follows from M alone, so a
+// decoder refuses the other flag.
 const (
 	laneBinary byte = 0
 	laneGob    byte = 1
 )
 
-// wireEnvelope is the gob-visible shape of an envelope (whose fields are
+// wireLane is the gob-visible shape of a msgLane (whose fields are
 // unexported by design).
-type wireEnvelope[M any] struct {
-	Dst VertexID
-	Msg M
+type wireLane[M any] struct {
+	Dst []VertexID
+	Msg []M
 }
 
-// encodeLane appends the lane payload encoding of envs to buf.
-func encodeLane[M any](buf []byte, envs []envelope[M], bin bool) ([]byte, error) {
+// encodeLane appends the lane payload encoding of l to buf: the flag, then
+// for binary lanes the message count and each (destination, message) pair.
+func encodeLane[M any](buf []byte, l msgLane[M], bin bool) ([]byte, error) {
 	if !bin {
-		w := make([]wireEnvelope[M], len(envs))
-		for i, e := range envs {
-			w[i] = wireEnvelope[M]{Dst: e.dst, Msg: e.msg}
-		}
 		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(w); err != nil {
+		if err := gob.NewEncoder(&gb).Encode(wireLane[M]{Dst: l.dst, Msg: l.msg}); err != nil {
 			return nil, fmt.Errorf("pregel: gob-encoding transport lane: %w", err)
 		}
 		buf = append(buf, laneGob)
 		return append(buf, gb.Bytes()...), nil
 	}
 	buf = append(buf, laneBinary)
-	buf = AppendUvarint(buf, uint64(len(envs)))
-	for i := range envs {
-		buf = AppendUvarint(buf, uint64(envs[i].dst))
-		buf = appendVal(buf, &envs[i].msg)
+	buf = AppendUvarint(buf, uint64(len(l.dst)))
+	for i := range l.dst {
+		buf = AppendUvarint(buf, uint64(l.dst[i]))
+		buf = appendVal(buf, &l.msg[i])
 	}
 	return buf, nil
 }
 
-// decodeLane decodes a lane payload into envs (reusing its capacity).
-func decodeLane[M any](data []byte, envs []envelope[M]) ([]envelope[M], error) {
-	envs = envs[:0]
+// decodeLane decodes a lane payload into l, reusing its capacity. The
+// payload is bytes from the network: every failure is an error, and the
+// arrays are sized from the declared count only once the payload is known
+// to be long enough to hold it (each entry takes at least one byte).
+func decodeLane[M any](data []byte, l *msgLane[M]) error {
+	l.reset()
 	if len(data) == 0 {
-		return nil, corruptf("pregel: transport lane payload is empty")
+		return corruptf("pregel: transport lane payload is empty")
 	}
 	flag, data := data[0], data[1:]
-	switch flag {
-	case laneGob:
-		var w []wireEnvelope[M]
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-			return nil, fmt.Errorf("pregel: gob-decoding transport lane: %w", err)
-		}
-		for _, e := range w {
-			envs = append(envs, envelope[M]{dst: e.Dst, msg: e.Msg})
-		}
-		return envs, nil
-	case laneBinary:
-		n, data, err := ConsumeUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			var e envelope[M]
-			var d uint64
-			if d, data, err = ConsumeUvarint(data); err != nil {
-				return nil, err
-			}
-			e.dst = VertexID(d)
-			if data, err = consumeVal(data, &e.msg); err != nil {
-				return nil, err
-			}
-			envs = append(envs, e)
-		}
-		if len(data) != 0 {
-			return nil, corruptf("pregel: %d trailing bytes after transport lane", len(data))
-		}
-		return envs, nil
-	default:
-		return nil, corruptf("pregel: unknown transport lane flag %d", flag)
+	want := laneGob
+	if binaryCodecFor[M]() {
+		want = laneBinary
 	}
+	if flag != want {
+		return corruptf("pregel: transport lane flag %d, want %d for this message type", flag, want)
+	}
+	if flag == laneGob {
+		var w wireLane[M]
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+			return fmt.Errorf("pregel: gob-decoding transport lane: %w", err)
+		}
+		if len(w.Dst) != len(w.Msg) {
+			return corruptf("pregel: transport lane has %d destinations for %d messages", len(w.Dst), len(w.Msg))
+		}
+		l.dst, l.msg = w.Dst, w.Msg
+		return nil
+	}
+	n, data, err := ConsumeUvarint(data)
+	if err != nil {
+		return err
+	}
+	if n > uint64(len(data)) {
+		return corruptf("pregel: transport lane declares %d messages in %d bytes", n, len(data))
+	}
+	l.dst, l.msg = slices.Grow(l.dst, int(n))[:n], slices.Grow(l.msg, int(n))[:n]
+	clear(l.msg) // each message decodes into a zero value, as a fresh one would
+	for i := range l.dst {
+		var d uint64
+		if d, data, err = ConsumeUvarint(data); err != nil {
+			break
+		}
+		l.dst[i] = VertexID(d)
+		if data, err = consumeVal(data, &l.msg[i]); err != nil {
+			break
+		}
+	}
+	if err == nil && len(data) != 0 {
+		err = corruptf("pregel: %d trailing bytes after transport lane", len(data))
+	}
+	if err != nil {
+		l.reset()
+	}
+	return err
 }
 
 // transportActive reports whether the shuffle must leave process memory.
