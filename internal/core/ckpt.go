@@ -24,7 +24,7 @@ func (v *VData) AppendCheckpoint(buf []byte) []byte {
 	}
 	buf = pregel.AppendBool(buf, v.Ambig)
 	for i := 0; i < 2; i++ {
-		buf = v.Sides[i].AppendCheckpoint(buf)
+		buf = pregel.AppendUint64(buf, uint64(v.SideNbr[i]))
 		buf = pregel.AppendBool(buf, v.HasSide[i])
 		buf = pregel.AppendUint64(buf, uint64(v.P[i]))
 		buf = append(buf, v.PSide[i])
@@ -36,6 +36,8 @@ func (v *VData) AppendCheckpoint(buf []byte) []byte {
 	buf = pregel.AppendVarint(buf, v.LastActive)
 	buf = pregel.AppendUint64(buf, uint64(v.D))
 	buf = pregel.AppendUint64(buf, uint64(v.DD))
+	buf = pregel.AppendUint64(buf, uint64(v.NbrMin))
+	buf = pregel.AppendBool(buf, v.DNew)
 	return pregel.AppendBool(buf, v.TipProbed)
 }
 
@@ -65,13 +67,14 @@ func (v *VData) DecodeCheckpoint(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	for i := 0; i < 2; i++ {
-		if data, err = v.Sides[i].DecodeCheckpoint(data); err != nil {
+		var id uint64
+		if id, data, err = pregel.ConsumeUint64(data); err != nil {
 			return nil, err
 		}
+		v.SideNbr[i] = pregel.VertexID(id)
 		if v.HasSide[i], data, err = pregel.ConsumeBool(data); err != nil {
 			return nil, err
 		}
-		var id uint64
 		if id, data, err = pregel.ConsumeUint64(data); err != nil {
 			return nil, err
 		}
@@ -106,6 +109,13 @@ func (v *VData) DecodeCheckpoint(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	v.DD = pregel.VertexID(id)
+	if id, data, err = pregel.ConsumeUint64(data); err != nil {
+		return nil, err
+	}
+	v.NbrMin = pregel.VertexID(id)
+	if v.DNew, data, err = pregel.ConsumeBool(data); err != nil {
+		return nil, err
+	}
 	if v.TipProbed, data, err = pregel.ConsumeBool(data); err != nil {
 		return nil, err
 	}

@@ -90,6 +90,8 @@ func FuzzVDataCodecDifferential(f *testing.F) {
 			LastActive: int64(g.u64()),
 			D:          g.id(),
 			DD:         g.id(),
+			NbrMin:     g.id(),
+			DNew:       g.flag(),
 			TipProbed:  g.flag(),
 		}
 		if na := g.n(6); na > 0 {
@@ -99,7 +101,7 @@ func FuzzVDataCodecDifferential(f *testing.F) {
 			}
 		}
 		for i := 0; i < 2; i++ {
-			v.Sides[i] = g.adj()
+			v.SideNbr[i] = g.id()
 			v.HasSide[i] = g.flag()
 			v.P[i] = g.id()
 			v.PSide[i] = g.b()

@@ -22,12 +22,12 @@ type VData struct {
 	// Ambig records this vertex's own ⟨m-n⟩ status at labeling time.
 	Ambig bool
 
-	// Contig-labeling state. A vertex has up to two "sides"; Sides[i] is
-	// the adjacency item of side i (HasSide[i] false for dead ends). P is
+	// Contig-labeling state. A vertex has up to two "sides"; SideNbr[i] is
+	// the neighbour on side i (HasSide[i] false for dead ends). P is
 	// the pair of predecessor pointers of §IV-B ② (Figure 11), PSide the
 	// side index of the pointer target that faces away from this vertex,
 	// and Done marks sides whose pointer reached a flipped contig-end ID.
-	Sides      [2]dbg.Adj
+	SideNbr    [2]pregel.VertexID
 	HasSide    [2]bool
 	P          [2]pregel.VertexID
 	PSide      [2]uint8
@@ -37,8 +37,11 @@ type VData struct {
 	Cycle      bool
 	LastActive int64
 
-	// Simplified S-V state (cycle fallback and the LabelSV variant).
-	D, DD pregel.VertexID
+	// Simplified S-V state (cycle fallback and the LabelSV variant). NbrMin
+	// is the smallest D any side neighbour has broadcast, DNew marks a D not
+	// yet broadcast (svRound).
+	D, DD, NbrMin pregel.VertexID
+	DNew          bool
 
 	// Tip-removal state.
 	TipProbed bool
@@ -127,7 +130,7 @@ func (v *VData) arrangeSides() {
 		if i >= 2 {
 			break
 		}
-		v.Sides[i] = a
+		v.SideNbr[i] = a.Nbr
 		v.HasSide[i] = true
 	}
 }

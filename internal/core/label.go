@@ -120,7 +120,7 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 		}
 		for i := 0; i < 2; i++ {
 			if v.HasSide[i] {
-				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgHello, ID: id, Side: uint8(i)})
+				ctx.Send(v.SideNbr[i], Msg{Kind: MsgHello, ID: id, Side: uint8(i)})
 			}
 		}
 		return true
@@ -136,7 +136,7 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 			return true
 		}
 		for i := 0; i < 2; i++ {
-			nbr := v.Sides[i].Nbr
+			nbr := v.SideNbr[i]
 			if !v.HasSide[i] || helloAmbig(msgs, nbr) {
 				// Dead end, or edge to an ambiguous vertex: this vertex is
 				// a contig end on side i — install the flipped self-loop.
@@ -147,7 +147,7 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 			// Side 1 takes the neighbor's second hello when side 0 took
 			// its first (both sides on one neighbor).
 			skip := 0
-			if i == 1 && v.HasSide[0] && v.Sides[0].Nbr == nbr {
+			if i == 1 && v.HasSide[0] && v.SideNbr[0] == nbr {
 				skip = 1
 			}
 			v.P[i] = nbr
@@ -260,11 +260,33 @@ const aggSVChanged = "sv-changed"
 // subgraph (sides i with HasSide && !Done are the surviving edges). phase
 // is (superstep - offset) % 4. Convergence is signalled through the shared
 // boolean aggregator; on convergence the vertex labels itself with D.
+//
+//	phase 0: apply hook proposals; query the parent D for its parent
+//	phase 1: answer queries with D
+//	phase 2: record DD = D[D[v]]; broadcast D to the side neighbours
+//	phase 3: tree hooking (if D is a root and a neighbour's D is smaller,
+//	         propose it to D), then shortcutting (D ← DD)
+//
+// Each round sends only what its receiver does not already know, and leaves
+// every D exactly where the four-message round (label_oracle_test.go keeps it
+// as the reference) does:
+//
+//   - D never increases: a hook only lowers it, and a jump sets it to
+//     D[D[v]] ≤ D[v] because every vertex keeps D[x] ≤ x. So the smallest D
+//     a neighbour has ever broadcast is its current D, and a vertex
+//     broadcasts only a D it has not sent yet (DNew), keeping the running
+//     minimum of what it received in NbrMin.
+//   - A root (D == id) would query itself and read back its own D, so it sets
+//     DD = id and sends nothing.
+//   - A querier has nothing to do in phase 1 unless it is queried, so it
+//     sleeps from phase 0 and again after answering; its reply wakes it for
+//     phase 2. Roots get no reply and stay awake, as does everyone in phases
+//     2 and 3.
 func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg, phase int, first bool) {
 	switch phase {
 	case 0:
 		if first {
-			v.D = id
+			v.D, v.NbrMin, v.DNew = id, id, true
 		} else {
 			if !ctx.PrevAggOr(aggSVChanged) {
 				v.Label = v.D
@@ -274,17 +296,25 @@ func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg,
 			}
 			for _, m := range msgs {
 				if m.Kind == MsgSVHook && m.ID < v.D {
-					v.D = m.ID
+					v.D, v.DNew = m.ID, true
 					ctx.AggOr(aggSVChanged, true)
 				}
 			}
 		}
+		if v.D == id {
+			v.DD = id
+			return
+		}
 		ctx.Send(v.D, Msg{Kind: MsgSVQuery, ID: id})
+		ctx.VoteToHalt()
 	case 1:
 		for _, m := range msgs {
 			if m.Kind == MsgSVQuery {
 				ctx.Send(m.ID, Msg{Kind: MsgSVReply, ID: v.D})
 			}
+		}
+		if v.D != id {
+			ctx.VoteToHalt()
 		}
 	case 2:
 		for _, m := range msgs {
@@ -292,24 +322,26 @@ func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg,
 				v.DD = m.ID
 			}
 		}
-		for i := 0; i < 2; i++ {
-			if v.HasSide[i] && !v.Done[i] {
-				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgSVNbr, ID: v.D})
+		if v.DNew {
+			for i := 0; i < 2; i++ {
+				if v.HasSide[i] && !v.Done[i] {
+					ctx.Send(v.SideNbr[i], Msg{Kind: MsgSVNbr, ID: v.D})
+				}
 			}
+			v.DNew = false
 		}
 	case 3:
-		best := v.D
 		for _, m := range msgs {
-			if m.Kind == MsgSVNbr && m.ID < best {
-				best = m.ID
+			if m.Kind == MsgSVNbr && m.ID < v.NbrMin {
+				v.NbrMin = m.ID
 			}
 		}
-		if v.DD == v.D && best < v.D {
+		if best := min(v.D, v.NbrMin); v.DD == v.D && best < v.D {
 			ctx.Send(v.D, Msg{Kind: MsgSVHook, ID: best})
 			ctx.AggOr(aggSVChanged, true)
 		}
 		if v.DD != v.D {
-			v.D = v.DD
+			v.D, v.DNew = v.DD, true
 			ctx.AggOr(aggSVChanged, true)
 		}
 	}
@@ -324,9 +356,7 @@ func svLabelCompute(offset int) pregel.Compute[VData, Msg] {
 	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
 		s := ctx.Superstep()
 		if s <= 1 {
-			if helloPhase(ctx, id, v, msgs) {
-				return
-			}
+			helloPhase(ctx, id, v, msgs)
 			return
 		}
 		if v.Ambig || v.Labeled {

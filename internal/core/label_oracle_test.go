@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,12 +14,13 @@ import (
 	"ppaassembler/internal/readsim"
 )
 
-// This file is the independent reference for contig labeling by list
-// ranking: the request/respond BPPA of the paper (§II, Figure 1; two
+// This file is the independent reference for contig labeling: the
+// request/respond list-ranking BPPA of the paper (§II, Figure 1; two
 // supersteps and four messages per vertex per doubling round) together with
-// the map-based hello matching it was written against, kept verbatim from
-// the last commit where it was the product path. The product labeler in
-// label.go must leave every vertex in exactly the state this one does.
+// the map-based hello matching it was written against, and the four-message
+// simplified S-V round, each kept verbatim from the last commit where it was
+// the product path. The product labelers in label.go must leave every vertex
+// in exactly the state these do.
 
 // helloPhaseOracle is the map-based hello setup (supersteps 0 and 1).
 func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) (done bool) {
@@ -39,7 +41,7 @@ func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, ms
 		}
 		for i := 0; i < 2; i++ {
 			if v.HasSide[i] {
-				ctx.Send(v.Sides[i].Nbr, Msg{Kind: MsgHello, ID: id, Side: uint8(i)})
+				ctx.Send(v.SideNbr[i], Msg{Kind: MsgHello, ID: id, Side: uint8(i)})
 			}
 		}
 		return true
@@ -67,12 +69,12 @@ func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, ms
 		}
 		consumed := map[pregel.VertexID]int{}
 		for i := 0; i < 2; i++ {
-			if !v.HasSide[i] || ambigFrom[v.Sides[i].Nbr] {
+			if !v.HasSide[i] || ambigFrom[v.SideNbr[i]] {
 				v.P[i] = dbg.FlipID(id)
 				v.Done[i] = true
 				continue
 			}
-			nbr := v.Sides[i].Nbr
+			nbr := v.SideNbr[i]
 			sides := helloSides[nbr]
 			j := consumed[nbr]
 			consumed[nbr]++
@@ -161,8 +163,91 @@ func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msg
 	ctx.AggSum(aggUndone, v.undoneSides())
 }
 
-// labelContigsOracle is LabelContigs(g, LabelerLR) over lrComputeOracle; the
-// S-V cycle fallback is the product's, as it was.
+// svRoundOracle is the simplified S-V round in its four-message form: every
+// vertex queries its parent and broadcasts its D to its side neighbours in
+// every round, whether or not anything changed.
+func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg, phase int, first bool) {
+	switch phase {
+	case 0:
+		if first {
+			v.D = id
+		} else {
+			if !ctx.PrevAggOr(aggSVChanged) {
+				v.Label = v.D
+				v.Labeled = true
+				ctx.VoteToHalt()
+				return
+			}
+			for _, m := range msgs {
+				if m.Kind == MsgSVHook && m.ID < v.D {
+					v.D = m.ID
+					ctx.AggOr(aggSVChanged, true)
+				}
+			}
+		}
+		ctx.Send(v.D, Msg{Kind: MsgSVQuery, ID: id})
+	case 1:
+		for _, m := range msgs {
+			if m.Kind == MsgSVQuery {
+				ctx.Send(m.ID, Msg{Kind: MsgSVReply, ID: v.D})
+			}
+		}
+	case 2:
+		for _, m := range msgs {
+			if m.Kind == MsgSVReply {
+				v.DD = m.ID
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if v.HasSide[i] && !v.Done[i] {
+				ctx.Send(v.SideNbr[i], Msg{Kind: MsgSVNbr, ID: v.D})
+			}
+		}
+	case 3:
+		best := v.D
+		for _, m := range msgs {
+			if m.Kind == MsgSVNbr && m.ID < best {
+				best = m.ID
+			}
+		}
+		if v.DD == v.D && best < v.D {
+			ctx.Send(v.D, Msg{Kind: MsgSVHook, ID: best})
+			ctx.AggOr(aggSVChanged, true)
+		}
+		if v.DD != v.D {
+			v.D = v.DD
+			ctx.AggOr(aggSVChanged, true)
+		}
+	}
+}
+
+// svLabelComputeOracle is svLabelCompute over svRoundOracle.
+func svLabelComputeOracle(offset int) pregel.Compute[VData, Msg] {
+	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+		s := ctx.Superstep()
+		if s <= 1 {
+			helloPhase(ctx, id, v, msgs)
+			return
+		}
+		if v.Ambig || v.Labeled {
+			ctx.VoteToHalt()
+			return
+		}
+		svRoundOracle(ctx, id, v, msgs, (s-offset)%4, s == offset)
+	}
+}
+
+// svCycleComputeOracle is svCycleCompute over svRoundOracle.
+func svCycleComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+	if !v.Cycle || v.Labeled {
+		ctx.VoteToHalt()
+		return
+	}
+	svRoundOracle(ctx, id, v, msgs, ctx.Superstep()%4, ctx.Superstep() == 0)
+}
+
+// labelContigsOracle is LabelContigs(g, LabelerLR) over lrComputeOracle and
+// the four-message S-V cycle fallback.
 func labelContigsOracle(g *Graph) (*LabelStats, error) {
 	start := time.Now()
 	sim0 := g.Clock().Seconds()
@@ -179,7 +264,7 @@ func labelContigsOracle(g *Graph) (*LabelStats, error) {
 		}
 	})
 	if ls.CycleVertices > 0 {
-		st2, err := g.Run(svCycleCompute, pregel.WithName("contig-label-cycle-sv"))
+		st2, err := g.Run(svCycleComputeOracle, pregel.WithName("contig-label-cycle-sv"))
 		if err != nil {
 			return nil, err
 		}
@@ -200,21 +285,24 @@ func cloneGraph(g *Graph) *Graph {
 	c := pregel.NewGraph[VData, Msg](g.Config())
 	g.ForEach(func(id pregel.VertexID, v *VData) {
 		d := *v
-		d.Node.Adj = append([]dbg.Adj(nil), v.Node.Adj...)
-		d.NbrAmbig = append([]bool(nil), v.NbrAmbig...)
+		// slices.Clone keeps an empty slice non-nil, as labelStates'
+		// DeepEqual requires of a copy taken after labeling.
+		d.Node.Adj = slices.Clone(v.Node.Adj)
+		d.NbrAmbig = slices.Clone(v.NbrAmbig)
 		c.AddVertex(id, d)
 	})
 	return c
 }
 
-// labelStates snapshots every vertex for comparison. LastActive is the
-// stall detector's private scratch (the oracle refreshes it every second
-// superstep) and is not part of the labeling result.
+// labelStates snapshots every vertex for comparison. LastActive, NbrMin and
+// DNew are private scratch — the stall detector's (the LR oracle refreshes it
+// every second superstep) and the on-change S-V broadcast's, which the
+// four-message oracle never keeps — and are not part of the labeling result.
 func labelStates(g *Graph) map[pregel.VertexID]VData {
 	out := map[pregel.VertexID]VData{}
 	g.ForEach(func(id pregel.VertexID, v *VData) {
 		c := *v
-		c.LastActive = 0
+		c.LastActive, c.NbrMin, c.DNew = 0, 0, false
 		out[id] = c
 	})
 	return out
@@ -618,21 +706,201 @@ func FuzzPushLRMatchesRequestRespond(f *testing.F) {
 	})
 }
 
-// BenchmarkLabelLR times one whole LR labeling job — hello exchange, list
-// ranking, S-V fallback if any cycle survives — on the golden genome's
-// k-mer graph, and reports the job's superstep and message counts (which,
-// unlike the time, are the same on every host).
-func BenchmarkLabelLR(b *testing.B) {
-	g := dbgFixture(goldenReads(b), 21, 1)(b, pregel.Config{Workers: 4})
-	var ls *LabelStats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if ls, err = LabelContigs(g, LabelerLR); err != nil {
-			b.Fatal(err)
+// dTrace records every S-V vertex's D after each phase 3, one slice per
+// worker so that parallel workers never append to the same one. A worker
+// runs its vertices in ID order, so two runs over the same partitioning
+// record the same (superstep, vertex) sequence.
+type dTrace struct{ byWorker [][]dEntry }
+
+type dEntry struct {
+	step  int
+	id, d pregel.VertexID
+}
+
+func newDTrace(workers int) *dTrace { return &dTrace{byWorker: make([][]dEntry, workers)} }
+
+// wrap runs compute and then, at every phase-3 superstep of an S-V job whose
+// rounds start at offset, records D for the vertices inSV accepts.
+func (tr *dTrace) wrap(compute pregel.Compute[VData, Msg], offset int, inSV func(*VData) bool) pregel.Compute[VData, Msg] {
+	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+		compute(ctx, id, v, msgs)
+		if s := ctx.Superstep(); s >= offset && (s-offset)%4 == 3 && inSV(v) {
+			w := ctx.Worker()
+			tr.byWorker[w] = append(tr.byWorker[w], dEntry{s, id, v.D})
 		}
 	}
-	b.ReportMetric(float64(ls.Supersteps), "supersteps")
-	b.ReportMetric(float64(ls.Messages), "msgs")
+}
+
+// svJob is the S-V job checkSVMatchesOracle compares for a labeler: the
+// pure-S-V labeler, or LR's cycle fallback.
+func svJob(algo Labeler, oracle bool, tr *dTrace) pregel.Compute[VData, Msg] {
+	if algo == LabelerSV {
+		compute := svLabelCompute(2)
+		if oracle {
+			compute = svLabelComputeOracle(2)
+		}
+		return tr.wrap(compute, 2, func(v *VData) bool { return !v.Ambig && !v.Labeled })
+	}
+	compute := svCycleCompute
+	if oracle {
+		compute = svCycleComputeOracle
+	}
+	return tr.wrap(compute, 0, func(v *VData) bool { return v.Cycle && !v.Labeled })
+}
+
+// checkSVMatchesOracle labels g (unlabeled) and a copy of it, one with the
+// product S-V round and one with the four-message oracle, and requires the
+// same supersteps, the same D at every vertex after every phase 3, the same
+// final vertex state (scratch fields aside), and fewer messages whenever any
+// vertex took part in S-V — each takes part from round 1, where every
+// vertex is a root and answers itself. For LabelerLR the product list
+// ranking runs first and only a surviving cycle is compared. It reports
+// whether any vertex took part in S-V.
+func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (ranSV bool) {
+	t.Helper()
+	if algo == LabelerLR {
+		if _, err := gp.Run(lrCompute); err != nil {
+			t.Fatalf("%s: list ranking: %v", name, err)
+		}
+		cycles := false
+		gp.ForEach(func(id pregel.VertexID, v *VData) { cycles = cycles || v.Cycle })
+		if !cycles {
+			return false
+		}
+	}
+	gr := cloneGraph(gp)
+	tp, tr := newDTrace(gp.Workers()), newDTrace(gp.Workers())
+	got, err := gp.Run(svJob(algo, false, tp))
+	if err != nil {
+		t.Fatalf("%s: product S-V: %v", name, err)
+	}
+	ref, err := gr.Run(svJob(algo, true, tr))
+	if err != nil {
+		t.Fatalf("%s: oracle S-V: %v", name, err)
+	}
+	ranSV = slices.ContainsFunc(tr.byWorker, func(es []dEntry) bool { return len(es) > 0 })
+	if got.Supersteps != ref.Supersteps {
+		t.Errorf("%s: %d supersteps, oracle %d", name, got.Supersteps, ref.Supersteps)
+	}
+	if got.Messages > ref.Messages || ranSV && got.Messages == ref.Messages {
+		t.Errorf("%s: %d messages, oracle %d (S-V ran: %v)", name, got.Messages, ref.Messages, ranSV)
+	}
+	bad := 0
+	for w, want := range tr.byWorker {
+		if diff := firstDiff(tp.byWorker[w], want); diff != "" {
+			bad++
+			t.Errorf("%s: worker %d phase-3 D records (step, vertex, D) differ from the oracle's: %s", name, w, diff)
+		}
+	}
+	sGot, sRef := labelStates(gp), labelStates(gr)
+	for id, w := range sRef {
+		if g := sGot[id]; !reflect.DeepEqual(g, w) {
+			if bad++; bad <= 3 {
+				t.Errorf("%s: vertex %#x differs\n product D=%#x DD=%#x Label=%#x Labeled=%v\n oracle  D=%#x DD=%#x Label=%#x Labeled=%v",
+					name, uint64(id), uint64(g.D), uint64(g.DD), uint64(g.Label), g.Labeled,
+					uint64(w.D), uint64(w.DD), uint64(w.Label), w.Labeled)
+			}
+		}
+	}
+	if bad > 0 || len(sGot) != len(sRef) {
+		t.Fatalf("%s: %d records or vertices differ from the oracle (%d vs %d vertices)", name, bad, len(sGot), len(sRef))
+	}
+	return ranSV
+}
+
+func TestSVMatchesOracle(t *testing.T) {
+	// Both labelers run over every fixture: S-V directly, LR through its
+	// cycle fallback wherever list ranking leaves a cycle. The generators
+	// must keep reaching both, or the comparison proves less than it says.
+	ran := map[Labeler]int{}
+	check := func(name string, build labelFixture, cfg pregel.Config) {
+		t.Helper()
+		g := build(t, cfg)
+		for _, algo := range []Labeler{LabelerSV, LabelerLR} {
+			if checkSVMatchesOracle(t, name+"/"+algo.String(), cloneGraph(g), algo) {
+				ran[algo]++
+			}
+		}
+	}
+	defer func() {
+		t.Logf("fixtures that ran S-V: %v", ran)
+		if ran[LabelerSV] < 100 || ran[LabelerLR] < 20 {
+			t.Errorf("S-V ran on %d S-V and %d LR fixtures: want at least 100 and 20", ran[LabelerSV], ran[LabelerLR])
+		}
+	}()
+	for _, cfg := range oracleConfigs() {
+		cfgName := fmt.Sprintf("w%d-par%v", cfg.Workers, cfg.Parallel)
+		for name, spec := range namedSegSpecs() {
+			check(cfgName+"/"+name, spec.fixture(), cfg)
+		}
+		r := seededRand(int64(47 + cfg.Workers))
+		for i := 0; i < 40; i++ {
+			n := 1 + r.Intn(6)
+			if i%3 == 0 {
+				n = 1 + r.Intn(120)
+			}
+			check(fmt.Sprintf("%s/random-seg-%d", cfgName, i), randomSegSpec(r, n).fixture(), cfg)
+		}
+		for i := 0; i < 25; i++ {
+			reads, k := randomSmallKReads(r)
+			check(fmt.Sprintf("%s/small-k-%d %q", cfgName, i, reads), dbgFixture(reads, k, 0), cfg)
+		}
+	}
+	reads := goldenReads(t)
+	for _, cfg := range oracleConfigs() {
+		cfgName := fmt.Sprintf("w%d-par%v", cfg.Workers, cfg.Parallel)
+		if cfg.Workers == 4 {
+			// The k-mer graph's S-V job (87 supersteps) is the costly
+			// one: on all six configurations it would take 6.4 s instead
+			// of 2.5 s, so it runs on the two four-worker schedules.
+			check(cfgName+"/golden-round1", dbgFixture(reads, 21, 1), cfg)
+		}
+		check(cfgName+"/golden-round2", mixedFixture(reads, 21, 1), cfg)
+	}
+}
+
+func FuzzSVMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint16(0))
+	f.Add(int64(2), uint16(0x1f3))
+	f.Add(int64(99), uint16(0x7ff))
+	f.Add(int64(5), uint16(0x01d))
+	f.Fuzz(func(t *testing.T, seed int64, bits uint16) {
+		cfg := pregel.Config{Workers: []int{1, 4, 7}[int(bits&3)%3], Parallel: bits>>2&1 == 1}
+		algo := Labeler(bits >> 4 & 1)
+		r := seededRand(seed)
+		if bits>>3&1 == 1 {
+			reads, k := randomSmallKReads(r)
+			checkSVMatchesOracle(t, fmt.Sprintf("small-k %q", reads), dbgFixture(reads, k, 0)(t, cfg), algo)
+			return
+		}
+		n := 1 + int(bits>>5)%96
+		checkSVMatchesOracle(t, fmt.Sprintf("random-seg n=%d", n), randomSegSpec(r, n).fixture()(t, cfg), algo)
+	})
+}
+
+// BenchmarkLabel times one whole labeling job per labeler — hello exchange,
+// then list ranking with the S-V fallback if any cycle survives (/lr), or
+// S-V alone (/sv) — on the golden genome's k-mer graph, and reports the
+// job's superstep and message counts (which, unlike the time, are the same
+// on every host).
+func BenchmarkLabel(b *testing.B) {
+	g := dbgFixture(goldenReads(b), 21, 1)(b, pregel.Config{Workers: 4})
+	for _, algo := range []Labeler{LabelerLR, LabelerSV} {
+		name := "lr"
+		if algo == LabelerSV {
+			name = "sv"
+		}
+		b.Run(name, func(b *testing.B) {
+			var ls *LabelStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if ls, err = LabelContigs(g, algo); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ls.Supersteps), "supersteps")
+			b.ReportMetric(float64(ls.Messages), "msgs")
+		})
+	}
 }

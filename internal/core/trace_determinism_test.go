@@ -115,16 +115,16 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// firstDiff describes the first difference between two string sequences, or
+// firstDiff describes the first difference between two sequences, or
 // returns "" when they are identical.
-func firstDiff(a, b []string) string {
+func firstDiff[T comparable](a, b []T) string {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			return fmt.Sprintf("index %d: %q vs %q", i, a[i], b[i])
+			return fmt.Sprintf("index %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 	if len(a) != len(b) {

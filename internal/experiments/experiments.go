@@ -206,7 +206,12 @@ type LabelRow struct {
 // paper's request/respond BPPA takes two supersteps and four messages. The
 // paper's LR superstep and message counts are therefore about twice these,
 // less the two hello supersteps both share; the LR-vs-S-V ordering is the
-// same either way.
+// same either way. The S-V column counts the assembler's S-V in its
+// on-change form: the paper's four phases per round and the same D after
+// every round, but a vertex broadcasts its D only when it changed and a
+// root answers its own query, so it sends roughly a third fewer messages
+// than the every-round broadcast. The paper's S-V message counts should be
+// compared against this column.
 func LabelComparison(d *Dataset, workers int, phase string) (LabelRow, error) {
 	row := LabelRow{Dataset: d.Spec.Name}
 	for _, lab := range []core.Labeler{core.LabelerLR, core.LabelerSV} {
@@ -231,7 +236,8 @@ func LabelComparison(d *Dataset, workers int, phase string) (LabelRow, error) {
 
 // PrintLabelTable renders Table II or III. "LR (push)" is the labeler the
 // rows were measured with (see LabelComparison): one superstep per doubling
-// round, not the paper's two.
+// round, not the paper's two. "S-V" has the paper's supersteps and the
+// on-change form's messages.
 func PrintLabelTable(w io.Writer, title string, rows []LabelRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "%s\n", title)

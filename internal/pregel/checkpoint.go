@@ -617,7 +617,7 @@ type aggSnapshot struct {
 
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
-// worker persists its own partition in parallel). On disk it is the v6
+// worker persists its own partition in parallel). On disk it is the v7
 // checksummed binary container (see codec.go); the worker blobs use either
 // the binary value codec or a per-section gob fallback.
 type ckptFile struct {

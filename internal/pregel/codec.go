@@ -11,7 +11,7 @@ import (
 	"sort"
 )
 
-// Checkpoint format v6, the only one this package reads or writes: a
+// Checkpoint format v7, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
@@ -26,10 +26,10 @@ import (
 // load time as ErrCheckpointCorrupt, letting recovery walk back to an older
 // intact snapshot instead of restoring garbage. Anything else — no magic, or
 // another version — is one "unsupported checkpoint format" error. The
-// version also covers the value codecs inside the sections: v6 has v5's
-// container, and was bumped because the segment graph's message encoding
-// changed, so a v5 file with in-flight messages, whose CRCs still verify,
-// is refused instead of decoded wrongly.
+// version also covers the value codecs inside the sections: v7 has v5's
+// container, and v6 and v7 were bumped because the segment graph's message
+// (v6) and vertex (v7) encodings changed, so an older file, whose CRCs still
+// verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -46,7 +46,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 6
+	ckptVersion = 7
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -730,7 +730,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v6 container.
+// decodeCkptFile parses a v7 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err

@@ -25,7 +25,7 @@ import (
 // Migrations commit only at superstep barriers, after delivery and the
 // transport barrier and before the cadence checkpoint, so a checkpoint
 // always captures post-migration state and the routing table that produced
-// it (PPCK v6 persists the table; Resume restores placement exactly).
+// it (PPCK v7 persists the table; Resume restores placement exactly).
 // Because the engine's applications are placement-invariant (proven across
 // the static partitioners since the partitioner abstraction landed),
 // relocating a vertex between barriers never changes run output — only the
@@ -104,7 +104,7 @@ type routingTable struct {
 // worker count it was built for; under any other count every ID falls back
 // to the base, so a table can never misplace across worker-count changes.
 //
-// Checkpoints persist the table (PPCK v6) and Name() reports the base
+// Checkpoints persist the table (PPCK v7) and Name() reports the base
 // inside the adaptive wrapper, so resuming an adaptive run under a static
 // partitioner — or vice versa — fails the existing placement-identity check
 // by name instead of scattering state.
@@ -315,7 +315,7 @@ func decodeRoutingTable(data []byte) (*routingTable, error) {
 }
 
 // graphRouting returns the encoded routing table when the run places
-// adaptively, nil otherwise — what saveCheckpoint stores in the v6 header.
+// adaptively, nil otherwise — what saveCheckpoint stores in the v7 header.
 func (g *Graph[V, M]) graphRouting() []byte {
 	if d, ok := g.cfg.Partitioner.(*DynamicPartitioner); ok {
 		return d.routingBytes()

@@ -336,7 +336,7 @@ func TestAdaptiveFaultInjectionMatchesStatic(t *testing.T) {
 }
 
 // TestAdaptiveResumeRestoresRouting simulates coordinator death and
-// restart: an adaptive run checkpoints to disk (PPCK v6 carries the
+// restart: an adaptive run checkpoints to disk (PPCK v7 carries the
 // routing table), a second process resumes, and the restored run must
 // fast-forward with placement — the routing-table overrides — intact,
 // finishing with the same values and migration counters.
