@@ -125,13 +125,16 @@ func NewSegmentGraph(b *dbg.BuildResult, cfg pregel.Config, k int) *Graph {
 // get their single real item in slot 0, isolated vertices get none.
 func (v *VData) arrangeSides() {
 	v.HasSide = [2]bool{}
-	real := v.Node.RealAdj()
-	for i, a := range real {
-		if i >= 2 {
-			break
+	i := 0
+	for _, a := range v.Node.Adj {
+		if a.Nbr == dbg.NullID {
+			continue
 		}
 		v.SideNbr[i] = a.Nbr
 		v.HasSide[i] = true
+		if i++; i == 2 {
+			break
+		}
 	}
 }
 

@@ -112,8 +112,10 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 		if v.Ambig {
 			// Ambiguous vertices announce without side bookkeeping and
 			// take no further part in labeling (§IV-B ②, superstep 1).
-			for _, a := range v.Node.RealAdj() {
-				ctx.Send(a.Nbr, Msg{Kind: MsgHello, ID: id, Flag: true})
+			for _, a := range v.Node.Adj {
+				if a.Nbr != dbg.NullID {
+					ctx.Send(a.Nbr, Msg{Kind: MsgHello, ID: id, Flag: true})
+				}
 			}
 			ctx.VoteToHalt()
 			return true

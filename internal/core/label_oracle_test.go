@@ -22,6 +22,47 @@ import (
 // the product path. The product labelers in label.go must leave every vertex
 // in exactly the state these do.
 
+// arrangeSidesByRealAdj is arrangeSides as first written, over a copied
+// slice of the real adjacency items.
+func (v *VData) arrangeSidesByRealAdj() {
+	v.HasSide = [2]bool{}
+	real := v.Node.RealAdj()
+	for i, a := range real {
+		if i >= 2 {
+			break
+		}
+		v.SideNbr[i] = a.Nbr
+		v.HasSide[i] = true
+	}
+}
+
+// TestArrangeSidesMatchesRealAdj: on random adjacency lists of 0-8 items
+// with NULL holes, arrangeSides lays out the same sides as the reference,
+// and allocates nothing.
+func TestArrangeSidesMatchesRealAdj(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for it := 0; it < 2000; it++ {
+		v := VData{SideNbr: [2]pregel.VertexID{77, 78}}
+		for range r.Intn(9) {
+			nbr := pregel.VertexID(1 + r.Intn(20))
+			if r.Intn(3) == 0 {
+				nbr = dbg.NullID
+			}
+			v.Node.Adj = append(v.Node.Adj, dbg.Adj{Nbr: nbr, In: r.Intn(2) == 0})
+		}
+		want := v
+		want.arrangeSidesByRealAdj()
+		v.arrangeSides()
+		if v.HasSide != want.HasSide || v.SideNbr != want.SideNbr {
+			t.Fatalf("adj %+v: sides %v %v, reference %v %v", v.Node.Adj, v.HasSide, v.SideNbr, want.HasSide, want.SideNbr)
+		}
+	}
+	v := VData{Node: dbg.Node{Adj: []dbg.Adj{{Nbr: dbg.NullID}, {Nbr: 4}, {Nbr: 9}, {Nbr: 2}}}}
+	if allocs := testing.AllocsPerRun(100, v.arrangeSides); allocs != 0 {
+		t.Errorf("arrangeSides allocates %.0f times per vertex, want 0", allocs)
+	}
+}
+
 // helloPhaseOracle is the map-based hello setup (supersteps 0 and 1).
 func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) (done bool) {
 	switch ctx.Superstep() {
@@ -31,7 +72,7 @@ func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, ms
 		v.Done = [2]bool{}
 		v.TipProbed = false
 		v.LastActive = -1
-		v.arrangeSides()
+		v.arrangeSidesByRealAdj()
 		if v.Ambig {
 			for _, a := range v.Node.RealAdj() {
 				ctx.Send(a.Nbr, Msg{Kind: MsgHello, ID: id, Flag: true})

@@ -422,6 +422,92 @@ func TestNodeInOut(t *testing.T) {
 	}
 }
 
+// typeByRealAdj and inOutByRealAdj are Node.Type and Node.InOut as first
+// written, over a copied slice of the real adjacency items.
+func typeByRealAdj(n *Node) NodeType {
+	real := n.RealAdj()
+	switch len(real) {
+	case 0:
+		return TypeIsolated
+	case 1:
+		return TypeOne
+	case 2:
+		a := real[0].Normalized(L)
+		b := real[1].Normalized(L)
+		if a.In != b.In {
+			return TypeOneOne
+		}
+		return TypeManyAny
+	default:
+		return TypeManyAny
+	}
+}
+
+func inOutByRealAdj(n *Node, p Polarity) (in, out Adj) {
+	real := n.RealAdj()
+	if len(real) != 2 {
+		panic("dbg: InOut on non-<1-1> node")
+	}
+	a, b := real[0].Normalized(p), real[1].Normalized(p)
+	if a.In == b.In {
+		panic("dbg: InOut on ambiguous node")
+	}
+	if a.In {
+		return a, b
+	}
+	return b, a
+}
+
+// TestNodeTypeMatchesRealAdj: on random adjacency lists of 0-8 items with
+// NULL holes, both polarities and in/out edges, Type and InOut (including
+// its panics) agree with the RealAdj-based reference, and allocate nothing.
+func TestNodeTypeMatchesRealAdj(t *testing.T) {
+	inOut := func(f func(Polarity) (Adj, Adj), p Polarity) (in, out Adj, panicked any) {
+		defer func() { panicked = recover() }()
+		in, out = f(p)
+		return in, out, nil
+	}
+	r := rand.New(rand.NewSource(3))
+	pol := func() Polarity { return []Polarity{L, H}[r.Intn(2)] }
+	oneOne := 0
+	for it := 0; it < 5000; it++ {
+		n := &Node{Kind: KindKmer}
+		for range r.Intn(9) {
+			nbr := pregel.VertexID(1 + r.Intn(20))
+			if r.Intn(3) == 0 {
+				nbr = NullID
+			}
+			n.Adj = append(n.Adj, Adj{Nbr: nbr, In: r.Intn(2) == 0, PSelf: pol(), PNbr: pol(), Cov: uint32(r.Intn(9))})
+		}
+		want := typeByRealAdj(n)
+		if got := n.Type(); got != want {
+			t.Fatalf("adj %+v: Type = %v, reference %v", n.Adj, got, want)
+		}
+		if want == TypeOneOne {
+			oneOne++
+		}
+		for _, p := range []Polarity{L, H} {
+			in, out, perr := inOut(n.InOut, p)
+			wIn, wOut, wErr := inOut(func(p Polarity) (Adj, Adj) { return inOutByRealAdj(n, p) }, p)
+			if in != wIn || out != wOut || perr != wErr {
+				t.Fatalf("adj %+v: InOut(%v) = %+v,%+v panic %v; reference %+v,%+v panic %v", n.Adj, p, in, out, perr, wIn, wOut, wErr)
+			}
+		}
+	}
+	if oneOne == 0 {
+		t.Fatal("no <1-1> node among the random inputs")
+	}
+	n := &Node{Kind: KindKmer, Adj: []Adj{{Nbr: NullID}, {Nbr: 7, In: true}, {Nbr: 9}}}
+	if allocs := testing.AllocsPerRun(100, func() { typeSink = n.Type(); adjSink, _ = n.InOut(H) }); allocs != 0 {
+		t.Errorf("Type and InOut allocate %.0f times per node, want 0", allocs)
+	}
+}
+
+var (
+	typeSink NodeType
+	adjSink  Adj
+)
+
 func TestNodeRemoveEdgeTo(t *testing.T) {
 	km := &Node{Kind: KindKmer, Adj: []Adj{{Nbr: 1}, {Nbr: 2}, {Nbr: 1}}}
 	if got := km.RemoveEdgeTo(1); got != 2 {

@@ -123,12 +123,27 @@ func (n *Node) RealAdj() []Adj {
 	return out
 }
 
+// firstReal returns the node's first two real adjacency items and its real
+// degree, in one pass over Adj and without allocating.
+func (n *Node) firstReal() (first [2]Adj, deg int) {
+	for _, a := range n.Adj {
+		if a.Nbr == NullID {
+			continue
+		}
+		if deg < 2 {
+			first[deg] = a
+		}
+		deg++
+	}
+	return first, deg
+}
+
 // Type classifies the node per §IV-A: ⟨1-1⟩ requires exactly two real
 // neighbors that, once both items are normalized to the same self-side
 // polarity (possible by Property 1), form one in-edge and one out-edge.
 func (n *Node) Type() NodeType {
-	real := n.RealAdj()
-	switch len(real) {
+	real, deg := n.firstReal()
+	switch deg {
 	case 0:
 		return TypeIsolated
 	case 1:
@@ -148,8 +163,8 @@ func (n *Node) Type() NodeType {
 // InOut returns the in-item and out-item of a ⟨1-1⟩ node after normalizing
 // both to self polarity p. It panics if the node is not ⟨1-1⟩.
 func (n *Node) InOut(p Polarity) (in, out Adj) {
-	real := n.RealAdj()
-	if len(real) != 2 {
+	real, deg := n.firstReal()
+	if deg != 2 {
 		panic("dbg: InOut on non-<1-1> node")
 	}
 	a, b := real[0].Normalized(p), real[1].Normalized(p)

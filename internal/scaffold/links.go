@@ -83,9 +83,14 @@ func bundleLinks(ix *contigIndex, pairs []Pair, opt Options, clock *pregel.SimCl
 		},
 		shards, // 24 ≈ key + span on the wire
 		func(w int, p Pair, emit func(linkKey, float64)) {
-			p1, ok1 := ix.place(p.R1, &votes[w])
-			p2, ok2 := ix.place(p.R2, &votes[w])
-			if !ok1 || !ok2 {
+			// A pair counts only with both mates placed, so an unplaced
+			// first mate ends it before the second is mapped.
+			p1, ok := ix.place(p.R1, &votes[w])
+			if !ok {
+				return
+			}
+			p2, ok := ix.place(p.R2, &votes[w])
+			if !ok {
 				return
 			}
 			counts[w].placed++
