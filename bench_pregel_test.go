@@ -113,12 +113,6 @@ type benchArtifact struct {
 	// deterministic, and the default measured-compute model, which is
 	// host-noisy.
 	Pipeline []pipelinePartitioner `json:"pipeline_partitioners"`
-	// Adaptive reruns the pipeline with online repartitioning enabled
-	// (hash base + live vertex migration) and compares it against the best
-	// static placements: the migrated run must beat the static minimizer on
-	// the remote-message fraction; its communication-bound makespan, with
-	// the migration traffic itself charged to the clock, is recorded.
-	Adaptive adaptivePartitioning `json:"adaptive_partitioning"`
 	// CheckpointIO reruns the standard pipeline with checkpointing every 5
 	// supersteps against the in-memory store and records the checkpoint
 	// traffic — the deterministic I/O cost of the fault-tolerance cadence.
@@ -186,28 +180,6 @@ type pipelinePartitioner struct {
 	// SimSeconds is the default-model makespan (measured compute included);
 	// best of three runs to damp host noise.
 	SimSeconds float64 `json:"sim_seconds"`
-	// Note flags rows whose headline numbers need context (e.g. affinity
-	// matching hash on this workload) so the artifact is not misread.
-	Note string `json:"note,omitempty"`
-}
-
-// adaptiveRow is one adaptive-vs-static comparison row: the static rows
-// carry zero migration counters by construction.
-type adaptiveRow struct {
-	Name             string  `json:"name"`
-	RemoteFraction   float64 `json:"remote_fraction"`
-	NetSimSeconds    float64 `json:"net_sim_seconds"`
-	Migrations       int64   `json:"migrations"`
-	MigratedVertices int64   `json:"migrated_vertices"`
-	MigrationBytes   int64   `json:"migration_bytes"`
-}
-
-// adaptivePartitioning is the online-repartitioning section of the
-// artifact: the policy that ran and the three-way comparison.
-type adaptivePartitioning struct {
-	Every    int           `json:"every_supersteps"`
-	MaxMoves int           `json:"max_moves"`
-	Rows     []adaptiveRow `json:"rows"`
 }
 
 // runShuffleMode measures one mode with testing.Benchmark.
@@ -290,20 +262,16 @@ func benchGenomeReads() ([]string, []scaffold.Pair, error) {
 	return readsim.Interleave(simPairs), pairs, nil
 }
 
-// pipelineRun is one assemble+scaffold measurement: traffic split,
-// simulated makespan and (for adaptive runs) the migration counters.
+// pipelineRun is one assemble+scaffold measurement: traffic split and
+// simulated makespan.
 type pipelineRun struct {
-	local, remote    int64
-	simSeconds       float64
-	migrations       int64
-	migratedVertices int64
-	migrationBytes   int64
+	local, remote int64
+	simSeconds    float64
 }
 
 // runPipelinePartitioner assembles and scaffolds the standard workload
-// under one partitioner, cost model and (optionally) an online
-// repartitioning policy.
-func runPipelinePartitioner(name string, workers int, cost pregel.CostModel, pol *pregel.RepartitionPolicy, reads []string, pairs []scaffold.Pair) (pipelineRun, error) {
+// under one partitioner and cost model.
+func runPipelinePartitioner(name string, workers int, cost pregel.CostModel, reads []string, pairs []scaffold.Pair) (pipelineRun, error) {
 	opt := core.DefaultOptions(workers)
 	opt.K = 21
 	opt.Cost = cost
@@ -312,7 +280,6 @@ func runPipelinePartitioner(name string, workers int, cost pregel.CostModel, pol
 		return pipelineRun{}, err
 	}
 	opt.Partitioner = part
-	opt.Repartition = pol
 	res, err := core.Assemble(pregel.ShardSlice(reads, workers), opt)
 	if err != nil {
 		return pipelineRun{}, err
@@ -323,8 +290,6 @@ func runPipelinePartitioner(name string, workers int, cost pregel.CostModel, pol
 	return pipelineRun{
 		local: res.LocalMessages, remote: res.RemoteMessages,
 		simSeconds: res.SimSeconds,
-		migrations: res.Migrations, migratedVertices: res.MigratedVertices,
-		migrationBytes: res.MigrationBytes,
 	}, nil
 }
 
@@ -346,14 +311,14 @@ func runPipelineRows(t *testing.T) []pipelinePartitioner {
 	}
 	const workers = 4
 	var rows []pipelinePartitioner
-	for _, name := range []string{"hash", "range", "minimizer", "affinity"} {
-		run, err := runPipelinePartitioner(name, workers, commBoundCost(), nil, reads, pairs)
+	for _, name := range []string{"hash", "range", "minimizer"} {
+		run, err := runPipelinePartitioner(name, workers, commBoundCost(), reads, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		best := math.Inf(1)
 		for i := 0; i < 3; i++ {
-			r, err := runPipelinePartitioner(name, workers, pregel.CostModel{}, nil, reads, pairs)
+			r, err := runPipelinePartitioner(name, workers, pregel.CostModel{}, reads, pairs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,69 +335,7 @@ func runPipelineRows(t *testing.T) []pipelinePartitioner {
 		}
 		rows = append(rows, row)
 	}
-	// The affinity strategy only re-places the post-rebuild mixed graph, a
-	// small slice of the canned pipeline's traffic, so its headline numbers
-	// sit at hash scatter. Flag that in the artifact rather than letting the
-	// row read as "affinity does nothing": its greedy junction heuristic is
-	// the seed of the online migration solver measured in
-	// adaptive_partitioning, where it acts on every superstep's traffic.
-	var hashFrac float64
-	for _, r := range rows {
-		if r.Name == "hash" {
-			hashFrac = r.RemoteFraction
-		}
-	}
-	for i := range rows {
-		if rows[i].Name == "affinity" && math.Abs(rows[i].RemoteFraction-hashFrac) < 0.01 {
-			rows[i].Note = "matches hash on this workload: affinity re-places only the post-rebuild mixed graph; see adaptive_partitioning for its heuristic applied online"
-		}
-	}
 	return rows
-}
-
-// adaptivePolicy is the repartitioning policy the bench section runs:
-// decide every 2 supersteps with an uncapped (for this graph size) move
-// budget, so placement chases the traffic as fast as the engine allows.
-func adaptivePolicy() *pregel.RepartitionPolicy {
-	return &pregel.RepartitionPolicy{Every: 2, MaxMoves: 1 << 20}
-}
-
-// runAdaptiveRows builds the adaptive-vs-static comparison from the static
-// pipeline rows already measured plus one adaptive run (hash base + live
-// migration) under the same communication-bound cost model.
-func runAdaptiveRows(t *testing.T, static []pipelinePartitioner) adaptivePartitioning {
-	t.Helper()
-	reads, pairs, err := benchGenomeReads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 4
-	pol := adaptivePolicy()
-	sec := adaptivePartitioning{Every: pol.Every, MaxMoves: pol.MaxMoves}
-	for _, name := range []string{"hash", "minimizer"} {
-		for _, r := range static {
-			if r.Name == name {
-				sec.Rows = append(sec.Rows, adaptiveRow{
-					Name: name, RemoteFraction: r.RemoteFraction, NetSimSeconds: r.NetSimSeconds,
-				})
-			}
-		}
-	}
-	run, err := runPipelinePartitioner("hash", workers, commBoundCost(), pol, reads, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := adaptiveRow{
-		Name:          "adaptive(hash)",
-		NetSimSeconds: run.simSeconds,
-		Migrations:    run.migrations, MigratedVertices: run.migratedVertices,
-		MigrationBytes: run.migrationBytes,
-	}
-	if tot := run.local + run.remote; tot > 0 {
-		row.RemoteFraction = float64(run.remote) / float64(tot)
-	}
-	sec.Rows = append(sec.Rows, row)
-	return sec
 }
 
 // runCheckpointIO measures the checkpoint traffic of the standard pipeline
@@ -565,7 +468,6 @@ func TestEmitPregelBenchArtifact(t *testing.T) {
 		a.Partitioners = append(a.Partitioners, runPartitionerShuffle(p.name, p.part))
 	}
 	a.Pipeline = runPipelineRows(t)
-	a.Adaptive = runAdaptiveRows(t, a.Pipeline)
 	a.CheckpointIO = runCheckpointIO(t)
 	ct, err := pregel.MeasureCheckpointCodec(50_000, 2, 0.05)
 	if err != nil {
@@ -636,29 +538,6 @@ func TestEmitPregelBenchArtifact(t *testing.T) {
 	if pipe["minimizer"].NetSimSeconds >= pipe["hash"].NetSimSeconds {
 		t.Errorf("pipeline: minimizer communication-bound makespan %.4fs not below hash's %.4fs",
 			pipe["minimizer"].NetSimSeconds, pipe["hash"].NetSimSeconds)
-	}
-
-	// Adaptive gate — deterministic: hash placement plus live migration
-	// must put a smaller share of messages on the wire than the best static
-	// strategy (the minimizer), and must have actually migrated — a
-	// zero-move adaptive run is just hash. The communication-bound makespan
-	// (relocation traffic charged to the same clock) is recorded, not
-	// gated: since list ranking sends one message per pointer per round,
-	// this workload's labeling traffic is too small for migration to pay
-	// for itself in simulated time.
-	ad := map[string]adaptiveRow{}
-	for _, r := range a.Adaptive.Rows {
-		ad[r.Name] = r
-		t.Logf("adaptive %-14s: remote fraction %.4f, net makespan %.4fs, %d migrations / %d vertices / %d bytes",
-			r.Name, r.RemoteFraction, r.NetSimSeconds, r.Migrations, r.MigratedVertices, r.MigrationBytes)
-	}
-	adp, stat := ad["adaptive(hash)"], ad["minimizer"]
-	if adp.Migrations == 0 || adp.MigratedVertices == 0 || adp.MigrationBytes == 0 {
-		t.Errorf("adaptive run committed no migrations: %+v", adp)
-	}
-	if adp.RemoteFraction >= stat.RemoteFraction {
-		t.Errorf("adaptive remote fraction %.4f not below static minimizer's %.4f",
-			adp.RemoteFraction, stat.RemoteFraction)
 	}
 
 	// Checkpoint gate: with a 5-superstep cadence and no faults, the

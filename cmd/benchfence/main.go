@@ -84,33 +84,17 @@ type transportRow struct {
 	MeasuredOverPredicted float64 `json:"measured_over_predicted"`
 }
 
-type adaptiveRow struct {
-	Name             string  `json:"name"`
-	RemoteFraction   float64 `json:"remote_fraction"`
-	NetSimSeconds    float64 `json:"net_sim_seconds"`
-	Migrations       int64   `json:"migrations"`
-	MigratedVertices int64   `json:"migrated_vertices"`
-	MigrationBytes   int64   `json:"migration_bytes"`
-}
-
-type adaptiveSection struct {
-	Every    int           `json:"every_supersteps"`
-	MaxMoves int           `json:"max_moves"`
-	Rows     []adaptiveRow `json:"rows"`
-}
-
 type artifact struct {
-	NumCPU               int             `json:"num_cpu"`
-	GoMaxProcs           int             `json:"go_max_procs"`
-	Sequential           shuffleRow      `json:"sequential"`
-	Parallel             shuffleRow      `json:"parallel"`
-	ParallelSpeedup      float64         `json:"parallel_speedup"`
-	ParallelSpeedupValid bool            `json:"parallel_speedup_valid"`
-	Pipeline             []pipelineRow   `json:"pipeline_partitioners"`
-	Adaptive             adaptiveSection `json:"adaptive_partitioning"`
-	CheckpointIO         checkpointIO    `json:"checkpoint_io"`
-	CheckpointThroughput codecStats      `json:"checkpoint_throughput"`
-	Transport            transportRow    `json:"transport"`
+	NumCPU               int           `json:"num_cpu"`
+	GoMaxProcs           int           `json:"go_max_procs"`
+	Sequential           shuffleRow    `json:"sequential"`
+	Parallel             shuffleRow    `json:"parallel"`
+	ParallelSpeedup      float64       `json:"parallel_speedup"`
+	ParallelSpeedupValid bool          `json:"parallel_speedup_valid"`
+	Pipeline             []pipelineRow `json:"pipeline_partitioners"`
+	CheckpointIO         checkpointIO  `json:"checkpoint_io"`
+	CheckpointThroughput codecStats    `json:"checkpoint_throughput"`
+	Transport            transportRow  `json:"transport"`
 }
 
 // report accumulates regressions (fail the fence) and notes (informational:
@@ -215,48 +199,6 @@ func compare(baseline, current artifact, threshold float64) report {
 		if !curPipe[row.Name] {
 			r.failf("pipeline partitioner %q present in the baseline but missing from the current artifact", row.Name)
 		}
-	}
-
-	// --- Host-independent: adaptive repartitioning. The rows are
-	// deterministic (simulated clock, fixed workload), so two things are
-	// gated: no row drifts past threshold against its baseline, and the
-	// headline claim keeps holding in the current artifact on its own —
-	// hash+adaptive must have migrated and must beat static minimizer on
-	// remote fraction. Its makespan (migration toll on the clock) is fenced
-	// against its own baseline only: it does not beat the static rows at
-	// this workload's size. ---
-	if len(baseline.Adaptive.Rows) > 0 && len(current.Adaptive.Rows) == 0 {
-		r.failf("adaptive_partitioning section vanished from the current artifact (baseline had %d rows)",
-			len(baseline.Adaptive.Rows))
-	}
-	baseAd := map[string]adaptiveRow{}
-	for _, row := range baseline.Adaptive.Rows {
-		baseAd[row.Name] = row
-	}
-	curAd := map[string]adaptiveRow{}
-	for _, row := range current.Adaptive.Rows {
-		curAd[row.Name] = row
-		b, ok := baseAd[row.Name]
-		if !ok {
-			r.notef("adaptive row %q has no baseline row; skipping", row.Name)
-			continue
-		}
-		checkGrowth(&r, "adaptive "+row.Name+" remote_fraction", b.RemoteFraction, row.RemoteFraction, threshold)
-		checkGrowth(&r, "adaptive "+row.Name+" net_sim_seconds", b.NetSimSeconds, row.NetSimSeconds, threshold)
-	}
-	if adp, ok := curAd["adaptive(hash)"]; ok {
-		if adp.Migrations == 0 || adp.MigratedVertices == 0 {
-			r.failf("adaptive(hash) committed no migrations (decisions=%d vertices=%d) — the policy never fired",
-				adp.Migrations, adp.MigratedVertices)
-		}
-		if stat, ok := curAd["minimizer"]; ok {
-			if adp.RemoteFraction >= stat.RemoteFraction {
-				r.failf("adaptive(hash) remote fraction %.4f does not beat static minimizer %.4f",
-					adp.RemoteFraction, stat.RemoteFraction)
-			}
-		}
-	} else if len(current.Adaptive.Rows) > 0 {
-		r.failf("adaptive_partitioning section has rows but no adaptive(hash) row")
 	}
 
 	// --- Time-based metrics: only on a comparable host. ---

@@ -145,7 +145,7 @@ func TestGoldenPipelinePartitionerIdentical(t *testing.T) {
 	dir := t.TempDir()
 	_, readsPath, _ := goldenPipelineFiles(t, dir)
 	outs := map[string][2]string{}
-	for _, partitioner := range []string{"hash", "range", "minimizer", "affinity"} {
+	for _, partitioner := range []string{"hash", "range", "minimizer"} {
 		contigsOut := filepath.Join(dir, "contigs_"+partitioner+".fasta")
 		scaffoldsOut := filepath.Join(dir, "scaffolds_"+partitioner+".fasta")
 		o := defaultOpts(readsPath, contigsOut)

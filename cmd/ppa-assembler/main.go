@@ -42,7 +42,6 @@ type cliOpts struct {
 	workers     int
 	parallel    bool
 	partitioner string
-	repartition string
 	labeler     string
 	rounds      int
 	minLen      int
@@ -90,8 +89,7 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.IntVar(&o.editDist, "editdist", 5, "bubble edit-distance threshold")
 	fs.IntVar(&o.workers, "workers", 4, "logical Pregel workers")
 	fs.BoolVar(&o.parallel, "parallel", true, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
-	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter), range (contiguous k-mer ID spans), minimizer (co-locate DBG-adjacent k-mers) or affinity (re-place contigs next to their graph neighborhood); output is identical for all of them, only simulated network locality changes")
-	fs.StringVar(&o.repartition, "repartition", "", "online adaptive repartitioning: migrate hot vertices to the worker they receive the most traffic from, at a superstep cadence, e.g. \"4\" or \"every=4,window=2,maxmove=128\" (output is identical to static placement, only network locality changes)")
+	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter), range (contiguous k-mer ID spans), minimizer (co-locate DBG-adjacent k-mers); output is identical for all of them, only simulated network locality changes")
 	fs.StringVar(&o.labeler, "labeler", "lr", "contig labeling algorithm: lr or sv")
 	fs.IntVar(&o.rounds, "rounds", 2, "labeling+merging rounds (1 = no error correction)")
 	fs.IntVar(&o.minLen, "minlen", 0, "omit contigs shorter than this from the output")
@@ -214,9 +212,6 @@ func cannedOptions(o cliOpts, obs *observability) (core.Options, error) {
 	if opt.Partitioner, err = core.MakePartitioner(o.partitioner, o.k); err != nil {
 		return opt, err
 	}
-	if opt.Repartition, err = parseRepartition(o.repartition); err != nil {
-		return opt, err
-	}
 	opt.Transport, err = makeTransport(o)
 	return opt, err
 }
@@ -335,15 +330,10 @@ func runCanned(o cliOpts, obs *observability) error {
 		}
 		printCheckpointIO(res.CheckpointSaves, res.CheckpointRestores,
 			res.CheckpointBytesWritten, res.CheckpointBytesRestored)
-		printMigrationSummary(res.Migrations, res.MigratedVertices, res.MigrationBytes)
 		printTransportSummary(opt.Transport)
 		if total := res.LocalMessages + res.RemoteMessages; total > 0 {
-			pname := o.partitioner
-			if opt.Repartition != nil {
-				pname = "adaptive(" + pname + ")"
-			}
 			fmt.Fprintf(os.Stderr, "shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)\n",
-				total, 100*float64(res.RemoteMessages)/float64(total), pname)
+				total, 100*float64(res.RemoteMessages)/float64(total), o.partitioner)
 		}
 		fmt.Fprintf(os.Stderr, "simulated time:    %.2fs (%d workers), wall %.2fs\n",
 			res.SimSeconds, o.workers, res.WallSeconds)

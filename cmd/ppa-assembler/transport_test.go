@@ -109,7 +109,7 @@ func TestGoldenPipelineTCPIdentical(t *testing.T) {
 		return cb, sb
 	}
 
-	partitioners := []string{"hash", "range", "minimizer", "affinity"}
+	partitioners := []string{"hash", "range", "minimizer"}
 	workerCounts := []int{1, 4, 7}
 	if testing.Short() {
 		partitioners = []string{"hash", "minimizer"}

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"ppaassembler/internal/core"
@@ -23,54 +22,6 @@ func parseLabeler(s string) (core.Labeler, error) {
 	default:
 		return 0, fmt.Errorf("unknown labeler %q (want lr or sv)", s)
 	}
-}
-
-// parseRepartition maps the -repartition flag to an engine policy: empty
-// disables, a bare number is the cadence, and "every=N,window=N,maxmove=N"
-// spells everything out.
-func parseRepartition(s string) (*pregel.RepartitionPolicy, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	pol := &pregel.RepartitionPolicy{}
-	if n, err := strconv.Atoi(s); err == nil {
-		pol.Every = n
-	} else {
-		for _, kv := range strings.Split(s, ",") {
-			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok {
-				return nil, fmt.Errorf("-repartition %q: want a cadence number or key=value pairs (every=, window=, maxmove=)", s)
-			}
-			n, err := strconv.Atoi(strings.TrimSpace(val))
-			if err != nil {
-				return nil, fmt.Errorf("-repartition: parameter %s=%q is not a number", key, val)
-			}
-			switch strings.TrimSpace(key) {
-			case "every":
-				pol.Every = n
-			case "window":
-				pol.Window = n
-			case "maxmove":
-				pol.MaxMoves = n
-			default:
-				return nil, fmt.Errorf("-repartition: unknown parameter %q (want every, window or maxmove)", key)
-			}
-		}
-	}
-	if err := (pregel.Config{Workers: 1, Repartition: pol}).Validate(); err != nil {
-		return nil, err
-	}
-	return pol, nil
-}
-
-// printMigrationSummary reports committed live migrations, if any ran.
-func printMigrationSummary(migrations, vertices, bytes int64) {
-	if migrations == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "live migration:    %d decisions moved %d vertices (%d bytes relocated)\n",
-		migrations, vertices, bytes)
 }
 
 // faultTolerance assembles the checkpoint/fault-injection settings shared
@@ -150,10 +101,6 @@ func runWorkflow(o cliOpts, obs *observability) error {
 	if err != nil {
 		return err
 	}
-	repart, err := parseRepartition(o.repartition)
-	if err != nil {
-		return err
-	}
 	// The k-mer-aware strategies (range, minimizer) are sized by -k, but a
 	// spec may override k on its build op; a mismatch would silently
 	// degenerate the placement (e.g. a 2·21-bit range over 15-mer IDs puts
@@ -181,7 +128,6 @@ func runWorkflow(o cliOpts, obs *observability) error {
 	env := &workflow.Env{
 		Workers: o.workers, Parallel: o.parallel,
 		Partitioner: part, Transport: tp, MessageBytes: core.MsgWireBytes,
-		Repartition:     repart,
 		CheckpointEvery: every, Checkpointer: store,
 		DeltaCheckpoints: o.ckptDelta,
 		Faults:           faults, Resume: o.resume,
@@ -276,7 +222,6 @@ func printWorkflowSummary(o cliOpts, spec string, env *workflow.Env, st *core.St
 	}
 	printCheckpointIO(env.Clock.CheckpointSaves(), env.Clock.CheckpointRestores(),
 		env.Clock.CheckpointBytesWritten(), env.Clock.CheckpointBytesRestored())
-	printMigrationSummary(env.Clock.Migrations(), env.Clock.MigratedVertices(), env.Clock.MigrationBytes())
 	printTransportSummary(env.Transport)
 	if total := env.Clock.LocalMessages() + env.Clock.RemoteMessages(); total > 0 {
 		fmt.Fprintf(os.Stderr, "shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)\n",

@@ -269,11 +269,13 @@ func TestPartitionerFlagRejected(t *testing.T) {
 		func(o *cliOpts) { o.partitioner = "frobnicate" },
 		func(o *cliOpts) { o.partitioner = "frobnicate"; o.workflow = cannedSpec },
 		func(o *cliOpts) { o.workflow = "partition:scheme=frobnicate," + cannedSpec },
+		func(o *cliOpts) { o.partitioner = "affinity" },
+		func(o *cliOpts) { o.workflow = "partition:scheme=affinity," + cannedSpec },
 	} {
 		o := defaultOpts(in, filepath.Join(dir, "x.fasta"))
 		mutate(&o)
 		err := run(o)
-		if err == nil || !strings.Contains(err.Error(), "frobnicate") {
+		if err == nil || !strings.Contains(err.Error(), "unknown partitioner") {
 			t.Errorf("partitioner %q workflow %q: expected unknown-partitioner error, got %v", o.partitioner, o.workflow, err)
 		}
 	}

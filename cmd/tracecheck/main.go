@@ -11,17 +11,11 @@
 //	tracecheck -format jsonl -require workflow,pregel,phase,mr trace.jsonl
 //	tracecheck -metrics metrics.prom
 //	tracecheck -transport -format jsonl tcp-trace.jsonl -metrics tcp-metrics.prom
-//	tracecheck -migration -format jsonl adaptive-trace.jsonl -metrics adaptive-metrics.prom
 //
 // -transport validates a run over a wire transport (-transport=tcp): the
 // trace must carry the "transport" span category with connect, send, drain
 // and barrier spans, and the metrics dump must export the transport byte
 // counters.
-//
-// -migration validates an adaptive-repartitioning run (-repartition): the
-// trace must carry the "migration" span category with solve spans, and the
-// metrics dump must export the migration counters. Transfer spans are not
-// required — a decision boundary that moves nothing emits none.
 package main
 
 import (
@@ -40,7 +34,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "also validate this Prometheus-text metrics file")
 	requireMetrics := flag.String("require-metrics", "pregel_messages_local_total,pregel_messages_remote_total,pregel_supersteps_total,workflow_ops_total", "comma-separated metric families that must appear in -metrics")
 	transport := flag.Bool("transport", false, "validate a wire-transport run: require the transport span category (connect/send/drain/barrier) in the trace and the transport byte counters in -metrics")
-	migration := flag.Bool("migration", false, "validate an adaptive-repartitioning run: require the migration span category (solve) in the trace and the migration counters in -metrics")
 	flag.Parse()
 
 	requireCats := splitList(*require)
@@ -50,12 +43,6 @@ func main() {
 		requiredMetricList = append(requiredMetricList,
 			"transport_bytes_sent_total", "transport_bytes_received_total",
 			"transport_frames_sent_total", "transport_frames_received_total")
-	}
-	if *migration {
-		requireCats = append(requireCats, "migration")
-		requiredMetricList = append(requiredMetricList,
-			"pregel_migrations_total", "pregel_migrated_vertices_total",
-			"pregel_migration_bytes_total")
 	}
 
 	ok := true
@@ -70,9 +57,6 @@ func main() {
 		cerr := checkEvents(events, requireCats)
 		if cerr == nil && *transport {
 			cerr = checkTransportSpans(events)
-		}
-		if cerr == nil && *migration {
-			cerr = checkMigrationSpans(events)
 		}
 		if cerr != nil {
 			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", flag.Arg(0), cerr)
@@ -237,24 +221,6 @@ func checkTransportSpans(events []event) error {
 			return fmt.Errorf("transport span %q absent (saw %s) — was the run actually over a wire transport?",
 				want, strings.Join(keys(names), ", "))
 		}
-	}
-	return nil
-}
-
-// checkMigrationSpans enforces the adaptive-repartitioning span contract:
-// the "migration" category must contain solve spans (one per decision
-// boundary). Transfer spans are deliberately not required — a boundary
-// whose solver proposes zero moves commits nothing and emits none.
-func checkMigrationSpans(events []event) error {
-	names := map[string]bool{}
-	for _, e := range events {
-		if e.Cat == "migration" {
-			names[e.Name] = true
-		}
-	}
-	if !names["solve"] {
-		return fmt.Errorf("migration span %q absent (saw %s) — did the run enable -repartition with a cadence the superstep count reaches?",
-			"solve", strings.Join(keys(names), ", "))
 	}
 	return nil
 }

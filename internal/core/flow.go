@@ -241,13 +241,6 @@ func (o RebuildOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o RebuildOp) Run(env *workflow.Env, st *State) error {
-	if aff, ok := pregel.BasePartitioner(env.Partitioner).(*AffinityPartitioner); ok {
-		// The label-affinity strategy learns its placement here, the first
-		// point where merge-label groups (the contigs) exist: each contig
-		// vertex of the mixed graph is re-placed next to one of its end
-		// neighbors before the graph is built.
-		aff.Place(st.Contigs, env.Workers)
-	}
 	st.Graph = BuildMixedGraph(st.Graph, st.Contigs, env.Config(), env.Clock)
 	st.Metrics.MidVertices = st.Graph.VertexCount()
 	st.Contigs = nil
@@ -620,11 +613,8 @@ func DefaultOpDefaults() OpDefaults {
 //	merge[:tiplen=80]           contig merging (op ③)
 //	bubble[:editdist=5][:mincov=0]  bubble filtering (op ④)
 //	rebuild                     mixed-graph conversion (ambiguous k-mers + contigs)
-//	partition[:scheme=hash|range|minimizer|affinity][:k=21]
+//	partition[:scheme=hash|range|minimizer][:k=21]
 //	                            vertex placement for graphs built from here on
-//	repartition[:every=4][:window=N][:maxmove=N]
-//	                            online adaptive repartitioning (live vertex
-//	                            migration) from here on; every=0 disables
 //	link                        contig announcement (op ⑤ setup)
 //	split:ratio=N               branch splitting (Spaler extension)
 //	tiptrim[:minlen=80]         tip removal waves (op ⑤)
@@ -681,24 +671,6 @@ func OpRegistry(def OpDefaults) workflow.Registry[State] {
 				return nil, err
 			}
 			return op, p.Err()
-		},
-		"repartition": func(p *workflow.Params) (workflow.Op[State], error) {
-			op := RepartitionOp{
-				Every:    p.Int("every", 4),
-				Window:   p.Int("window", 0),
-				MaxMoves: p.Int("maxmove", 0),
-			}
-			if err := p.Err(); err != nil {
-				return nil, err
-			}
-			if op.Every > 0 {
-				pol := pregel.RepartitionPolicy{Every: op.Every, Window: op.Window, MaxMoves: op.MaxMoves}
-				// Validate the policy at parse time, like partition schemes.
-				if err := (pregel.Config{Workers: 1, Repartition: &pol}).Validate(); err != nil {
-					return nil, err
-				}
-			}
-			return op, nil
 		},
 		"link": func(p *workflow.Params) (workflow.Op[State], error) {
 			return LinkContigsOp{}, p.Err()

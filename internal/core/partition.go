@@ -11,8 +11,7 @@ import (
 
 // This file is the assembler's placement catalog over the engine's
 // pluggable Partitioner layer: the named strategies the CLI and workflow
-// specs can select, and the label-affinity partitioner that re-places
-// contig vertices after merging.
+// specs can select.
 //
 // Placement never changes what the assembler outputs — the engine is
 // placement-deterministic and contig identity is pinned to the hash-grouped
@@ -21,7 +20,7 @@ import (
 
 // PartitionerNames lists the selectable strategies, for flag help and
 // error messages.
-const PartitionerNames = "hash, range, minimizer or affinity"
+const PartitionerNames = "hash, range or minimizer"
 
 // MakePartitioner builds a named placement strategy:
 //
@@ -34,9 +33,6 @@ const PartitionerNames = "hash, range, minimizer or affinity"
 //	           k-mers — which share k-1 bases and almost always a
 //	           minimizer — co-locate (see dbg.MinimizerPartitioner); the
 //	           measured locality winner on the assemble+scaffold workload
-//	affinity   hash placement until contigs exist, then the rebuilt mixed
-//	           graph is re-placed by junction neighborhood
-//	           (see AffinityPartitioner)
 //
 // k is the run's k-mer length, which sizes the range partitioner's ID
 // space and the minimizer windows.
@@ -54,90 +50,8 @@ func MakePartitioner(name string, k int) (pregel.Partitioner, error) {
 			return nil, fmt.Errorf("core: minimizer partitioner: %w", err)
 		}
 		return dbg.NewMinimizerPartitioner(k), nil
-	case "affinity":
-		return NewAffinityPartitioner(), nil
 	}
 	return nil, fmt.Errorf("core: unknown partitioner %q (want %s)", name, PartitionerNames)
-}
-
-// AffinityPartitioner is the greedy label-affinity strategy: ordinary
-// vertices keep their base (hash) placement, but once operation ③ has
-// grouped the labeled vertices into contigs, the rebuilt mixed graph is
-// re-placed by junction neighborhood. Every edge of the mixed graph is
-// incident to an ambiguous k-mer (the graph holds only ambiguous k-mers
-// and contig vertices), so each ambiguous end k-mer and all the contigs
-// whose merge-label groups border on it are assigned to one worker —
-// greedily, least-loaded worker first, which keeps the re-placement
-// balanced. The contig↔end-k-mer edges carry the link announcements (op ⑤
-// setup), the hello exchange of the second labeling round, and the
-// tip-removal waves; co-locating each junction converts that traffic from
-// inter- to intra-machine.
-//
-// The table is (re)derived in RebuildOp. The derivation is deterministic,
-// so a resumed process rebuilds the identical table and checkpointed
-// partitions restore onto the same workers.
-type AffinityPartitioner struct {
-	*pregel.TablePartitioner
-}
-
-// NewAffinityPartitioner returns an affinity partitioner with an empty
-// table (pure hash placement until Place is called).
-func NewAffinityPartitioner() *AffinityPartitioner {
-	return &AffinityPartitioner{pregel.NewTablePartitioner("affinity", pregel.HashPartitioner{})}
-}
-
-// Place derives the contig placement table from the merged contig set for
-// the given worker count, replacing any previous table. It must be called
-// between runs, never while one executes.
-func (p *AffinityPartitioner) Place(contigs [][]ContigRec, workers int) {
-	if workers <= 0 {
-		p.Reset()
-		return
-	}
-	// Junction neighborhoods: every ambiguous end k-mer together with the
-	// contigs bordering on it. Contig iteration order is deterministic
-	// (reducer order, each shard sorted by merge label), so the
-	// first-appearance k-mer order — and with it the whole table — is too.
-	border := map[pregel.VertexID][]pregel.VertexID{}
-	var junctions []pregel.VertexID
-	for _, shard := range contigs {
-		for _, c := range shard {
-			for _, a := range c.Node.Adj {
-				if a.Nbr == dbg.NullID {
-					continue
-				}
-				k := dbg.UnflipID(a.Nbr)
-				if _, seen := border[k]; !seen {
-					junctions = append(junctions, k)
-				}
-				border[k] = append(border[k], c.ID)
-			}
-		}
-	}
-	load := make([]int, workers)
-	table := make(map[pregel.VertexID]int, len(border))
-	for _, k := range junctions {
-		// The least-loaded worker (lowest index on ties) hosts the whole
-		// neighborhood. A contig bridging two junctions stays where its
-		// first junction put it — one localized end is still one more
-		// than scatter placement guarantees.
-		best := 0
-		for w := 1; w < workers; w++ {
-			if load[w] < load[best] {
-				best = w
-			}
-		}
-		table[k] = best
-		load[best]++
-		for _, cid := range border[k] {
-			if _, done := table[cid]; !done {
-				table[cid] = best
-				load[best]++
-			}
-		}
-	}
-	// Contigs with two dead ends have no junction and keep base placement.
-	p.Install(table, workers)
 }
 
 // PartitionOp sets the plan's vertex-placement strategy from its plan
@@ -145,7 +59,7 @@ func (p *AffinityPartitioner) Place(contigs [][]ContigRec, workers int) {
 // adopt it, while graphs already live keep the placement they were
 // constructed with (follow with a stage seam to re-shard an existing
 // graph). In specs it appears as
-// partition:scheme=hash|range|minimizer|affinity (with an optional :k=N
+// partition:scheme=hash|range|minimizer (with an optional :k=N
 // sizing the k-mer-aware schemes).
 type PartitionOp struct {
 	// Scheme is a MakePartitioner name.
@@ -165,47 +79,6 @@ func (o PartitionOp) Run(env *workflow.Env, st *State) error {
 	if err != nil {
 		return err
 	}
-	if env.Repartition != nil {
-		// Adaptive plans keep a dynamic layer over whatever base the op
-		// selects; the routing table starts empty because the old table was
-		// learned against the replaced base.
-		env.Partitioner = pregel.AsDynamic(p)
-	} else {
-		env.Partitioner = p
-	}
-	return nil
-}
-
-// RepartitionOp turns online adaptive repartitioning on (or off) from its
-// plan position onward: later ops run with env.Repartition set, their
-// graphs place through one shared pregel.DynamicPartitioner, and the
-// routing table learned by one job seeds the next. Graphs already live
-// keep the placement they were built with, exactly like PartitionOp. In
-// specs it appears as repartition[:every=4][:window=N][:maxmove=N]
-// (every=0 disables for the rest of the plan).
-type RepartitionOp struct {
-	// Every is the migration decision cadence in supersteps (0 disables).
-	Every int
-	// Window is the trailing traffic-observation window (0 = Every).
-	Window int
-	// MaxMoves caps vertices relocated per decision (0 = engine default).
-	MaxMoves int
-}
-
-// Info implements workflow.Op. Like PartitionOp it needs no artifacts: it
-// may open a plan or flip the policy mid-composition.
-func (o RepartitionOp) Info() workflow.Info {
-	return workflow.Info{Name: "repartition"}
-}
-
-// Run implements workflow.Op.
-func (o RepartitionOp) Run(env *workflow.Env, st *State) error {
-	if o.Every <= 0 {
-		env.Repartition = nil
-		env.Partitioner = pregel.BasePartitioner(env.Partitioner)
-		return nil
-	}
-	env.Repartition = &pregel.RepartitionPolicy{Every: o.Every, Window: o.Window, MaxMoves: o.MaxMoves}
-	env.Partitioner = pregel.AsDynamic(env.Partitioner)
+	env.Partitioner = p
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // partitionerRun executes the full pipeline (assemble + scaffold) under one
 // named placement strategy and renders both FASTA outputs exactly as the
 // CLI does, so byte equality here is byte equality of shipped artifacts.
-func partitionerRun(t *testing.T, reads []string, pairs []scaffold.Pair, workers int, parallel bool, partitioner string, pol *pregel.RepartitionPolicy) (contigFasta, scaffoldFasta []byte, res *Result, sres *scaffold.Result) {
+func partitionerRun(t *testing.T, reads []string, pairs []scaffold.Pair, workers int, parallel bool, partitioner string) (contigFasta, scaffoldFasta []byte, res *Result, sres *scaffold.Result) {
 	t.Helper()
 	opt := DefaultOptions(workers)
 	opt.K = 21
@@ -23,7 +23,6 @@ func partitionerRun(t *testing.T, reads []string, pairs []scaffold.Pair, workers
 		t.Fatal(err)
 	}
 	opt.Partitioner = part
-	opt.Repartition = pol
 	res, err = Assemble(pregel.ShardSlice(reads, workers), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -66,15 +65,15 @@ func TestPipelinePartitionerByteIdentity(t *testing.T) {
 	}
 	reads, pairs := exampleGenomeReads(t)
 	for _, workers := range []int{1, 4, 7} {
-		cBase, sBase, resBase, sresBase := partitionerRun(t, reads, pairs, workers, false, "hash", nil)
+		cBase, sBase, resBase, sresBase := partitionerRun(t, reads, pairs, workers, false, "hash")
 		baseTotal := resBase.LocalMessages + resBase.RemoteMessages
-		for _, partitioner := range []string{"hash", "range", "minimizer", "affinity"} {
+		for _, partitioner := range []string{"hash", "range", "minimizer"} {
 			for _, parallel := range []bool{false, true} {
 				if partitioner == "hash" && !parallel {
 					continue // that run is the baseline itself
 				}
 				label := fmt.Sprintf("workers=%d partitioner=%s parallel=%v", workers, partitioner, parallel)
-				c, s, res, sres := partitionerRun(t, reads, pairs, workers, parallel, partitioner, nil)
+				c, s, res, sres := partitionerRun(t, reads, pairs, workers, parallel, partitioner)
 				if !bytes.Equal(c, cBase) {
 					t.Errorf("%s: contig FASTA differs from hash", label)
 				}
@@ -117,46 +116,6 @@ func TestPipelinePartitionerByteIdentity(t *testing.T) {
 							label, res.RemoteMessages, resBase.RemoteMessages)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestPipelineAdaptiveByteIdentity extends the placement-independence
-// contract to live migration: an adaptive run — any base partitioner, any
-// delivery mode — must produce byte-identical contig and scaffold FASTA to
-// the static hash baseline while actually migrating, and over a hash base
-// its remote traffic must drop below what the static minimizer placement
-// achieves (the headline of the adaptive_partitioning bench section).
-func TestPipelineAdaptiveByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline adaptive matrix is slow")
-	}
-	reads, pairs := exampleGenomeReads(t)
-	const workers = 4
-	pol := &pregel.RepartitionPolicy{Every: 2, MaxMoves: 1 << 20}
-	cBase, sBase, resBase, _ := partitionerRun(t, reads, pairs, workers, false, "hash", nil)
-	_, _, resMin, _ := partitionerRun(t, reads, pairs, workers, false, "minimizer", nil)
-	for _, base := range []string{"hash", "minimizer"} {
-		for _, parallel := range []bool{false, true} {
-			label := fmt.Sprintf("base=%s parallel=%v", base, parallel)
-			c, s, res, _ := partitionerRun(t, reads, pairs, workers, parallel, base, pol)
-			if !bytes.Equal(c, cBase) {
-				t.Errorf("%s: contig FASTA differs from static hash", label)
-			}
-			if !bytes.Equal(s, sBase) {
-				t.Errorf("%s: scaffold FASTA differs from static hash", label)
-			}
-			if total := res.LocalMessages + res.RemoteMessages; total != resBase.LocalMessages+resBase.RemoteMessages {
-				t.Errorf("%s: total traffic %d != static hash total %d",
-					label, total, resBase.LocalMessages+resBase.RemoteMessages)
-			}
-			if res.Migrations == 0 || res.MigratedVertices == 0 {
-				t.Errorf("%s: adaptive run committed no migrations", label)
-			}
-			if base == "hash" && res.RemoteMessages >= resMin.RemoteMessages {
-				t.Errorf("%s: remote messages %d not below static minimizer's %d",
-					label, res.RemoteMessages, resMin.RemoteMessages)
 			}
 		}
 	}

@@ -57,13 +57,6 @@ type Options struct {
 	// processes. Like Parallel and Partitioner, it never changes the
 	// assembler's output.
 	Transport transport.Transport
-	// Repartition enables online adaptive repartitioning for every stage
-	// (see pregel.Config.Repartition): traffic-driven live vertex migration
-	// layered over Partitioner, with the learned routing table shared
-	// across stages. Like the other placement knobs, it never changes the
-	// assembler's output — only the local/remote traffic split and the
-	// simulated time.
-	Repartition *pregel.RepartitionPolicy
 
 	// CheckpointEvery enables Pregel-style fault tolerance for every job
 	// of the pipeline: each run checkpoints its state every N supersteps
@@ -182,10 +175,6 @@ type Result struct {
 	CheckpointSaves, CheckpointRestores             int64
 	CheckpointBytesWritten, CheckpointBytesRestored int64
 
-	// Live-migration totals across the whole pipeline (read off the shared
-	// clock). All zero when Options.Repartition is nil.
-	Migrations, MigratedVertices, MigrationBytes int64
-
 	// FinalGraph is the post-error-correction mixed graph (only when
 	// Options.KeepGraph was set); pass it to WriteGFA.
 	FinalGraph *Graph
@@ -209,7 +198,6 @@ func (o Options) Env(clock *pregel.SimClock) *workflow.Env {
 	return &workflow.Env{
 		Workers: o.Workers, Parallel: o.Parallel, Cost: o.Cost,
 		Partitioner: o.Partitioner, Transport: o.Transport, MessageBytes: MsgWireBytes,
-		Repartition:     o.Repartition,
 		CheckpointEvery: o.CheckpointEvery, Checkpointer: o.Checkpointer,
 		DeltaCheckpoints: o.DeltaCheckpoints,
 		Faults:           o.Faults, Resume: o.Resume,
@@ -316,9 +304,6 @@ func (r *Result) readClockCounters() {
 	r.CheckpointRestores = r.Clock.CheckpointRestores()
 	r.CheckpointBytesWritten = r.Clock.CheckpointBytesWritten()
 	r.CheckpointBytesRestored = r.Clock.CheckpointBytesRestored()
-	r.Migrations = r.Clock.Migrations()
-	r.MigratedVertices = r.Clock.MigratedVertices()
-	r.MigrationBytes = r.Clock.MigrationBytes()
 }
 
 // ScaffoldContigs is the pipeline's seventh stage (⑦): paired-end

@@ -82,7 +82,7 @@ type convScenario struct {
 	seed             int64
 	srcWorkers       int
 	dstWorkers       int
-	part             int // 0 hash, 1 range, 2 mod, 3 dynamic with installed overrides
+	part             int // 0 hash, 1 range, 2 mod, 3 map overrides over hash
 	parallel         bool
 	fanout, keepOneN int // emits per kept vertex; keep one source vertex in keepOneN
 	collide          bool
@@ -133,15 +133,13 @@ func runConvScenario(t *testing.T, sc convScenario) {
 	case 2:
 		part = modPartitioner{}
 	case 3:
-		dyn := AsDynamic(HashPartitioner{})
-		moves := map[VertexID]int32{}
+		moves := mapPartitioner{}
 		for _, id := range ids {
 			if rng.Intn(3) == 0 {
-				moves[id*2] = int32(rng.Intn(sc.dstWorkers))
+				moves[id*2] = rng.Intn(sc.dstWorkers)
 			}
 		}
-		dyn.install(moves, sc.dstWorkers)
-		part = dyn
+		part = moves
 	}
 	cfg := Config{Workers: sc.dstWorkers, Partitioner: part, Parallel: sc.parallel, MessageBytes: 24, Cost: cost}
 	fn := func(id VertexID, val int64, emit func(VertexID, string)) {

@@ -617,7 +617,7 @@ type aggSnapshot struct {
 
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
-// worker persists its own partition in parallel). On disk it is the v7
+// worker persists its own partition in parallel). On disk it is the v8
 // checksummed binary container (see codec.go); the worker blobs use either
 // the binary value codec or a per-section gob fallback.
 type ckptFile struct {
@@ -660,19 +660,8 @@ type ckptFile struct {
 	// against changed input or configuration fails instead of silently
 	// replaying stale state.
 	Fingerprint uint64
-	// Routing is the adaptive-repartitioning routing table at the barrier
-	// (encoded by appendRoutingTable). Empty for static runs and for
-	// adaptive runs that have not migrated yet; a restore installs it into
-	// the run's DynamicPartitioner so placement resumes exactly where the
-	// writing process left it.
-	Routing []byte
-	// Migration counters at the barrier, restored like the run
-	// counters above so a resumed run reports the work already done.
-	Migrations       int
-	MigratedVertices int64
-	MigrationBytes   int64
-	Agg              aggSnapshot
-	Workers          [][]byte
+	Agg         aggSnapshot
+	Workers     [][]byte
 }
 
 // ckptRun is the per-Run checkpointing state: the reserved job key, the
@@ -859,27 +848,23 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		kind = ckptKindDelta
 	}
 	file := ckptFile{
-		Step:             step,
-		Pending:          pending,
-		Kind:             kind,
-		PrevStep:         ck.lastStep,
-		PartitionerName:  ck.part,
-		TransportName:    ck.transport,
-		NumWorkers:       ck.workers,
-		Supersteps:       stats.Supersteps,
-		Messages:         stats.Messages,
-		LocalMessages:    stats.LocalMessages,
-		RemoteMessages:   stats.RemoteMessages,
-		Bytes:            stats.Bytes,
-		DroppedMessages:  stats.DroppedMessages,
-		ClockNs:          g.clock.ns,
-		Fingerprint:      ck.fp,
-		Routing:          g.graphRouting(),
-		Migrations:       stats.Migrations,
-		MigratedVertices: stats.MigratedVertices,
-		MigrationBytes:   stats.MigrationBytes,
-		Agg:              g.agg.snapshot(),
-		Workers:          blobs,
+		Step:            step,
+		Pending:         pending,
+		Kind:            kind,
+		PrevStep:        ck.lastStep,
+		PartitionerName: ck.part,
+		TransportName:   ck.transport,
+		NumWorkers:      ck.workers,
+		Supersteps:      stats.Supersteps,
+		Messages:        stats.Messages,
+		LocalMessages:   stats.LocalMessages,
+		RemoteMessages:  stats.RemoteMessages,
+		Bytes:           stats.Bytes,
+		DroppedMessages: stats.DroppedMessages,
+		ClockNs:         g.clock.ns,
+		Fingerprint:     ck.fp,
+		Agg:             g.agg.snapshot(),
+		Workers:         blobs,
 	}
 	parts := ckptParts(&file, crcs)
 	if useDelta {
@@ -906,11 +891,6 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 			clear(w.dirty)
 		}
 	}
-	// The traffic-observation matrix restarts at every save: saves happen at
-	// fixed superstep numbers, so the matrix content at any boundary is a
-	// pure function of the superstep schedule, and a run rolled back to this
-	// checkpoint replays the same migration decisions the original made.
-	g.resetTraffic()
 	stats.CheckpointSaves++
 	stats.CheckpointBytesWritten += totalBytes
 	g.clock.CountCheckpointSave(totalBytes)
@@ -1159,13 +1139,6 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 			return 0, 0, fmt.Errorf("pregel: decoding checkpoint (worker %d): %w", wi, err)
 		}
 	}
-	// Adaptive repartitioning: reinstate the placement the checkpoint was
-	// written under, and restart the observation matrix (sized for the
-	// restored layout) — see the determinism note in saveCheckpoint.
-	if err := g.restoreRouting(tip.Routing); err != nil {
-		return 0, 0, err
-	}
-	g.resetTraffic()
 	g.agg.restore(tip.Agg)
 	stats.Supersteps = tip.Supersteps
 	stats.Messages = tip.Messages
@@ -1173,9 +1146,6 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 	stats.RemoteMessages = tip.RemoteMessages
 	stats.Bytes = tip.Bytes
 	stats.DroppedMessages = tip.DroppedMessages
-	stats.Migrations = tip.Migrations
-	stats.MigratedVertices = tip.MigratedVertices
-	stats.MigrationBytes = tip.MigrationBytes
 	g.clock.advanceTo(tip.ClockNs)
 	g.clock.ChargeRecovery(maxBytes)
 	stats.CheckpointRestores++

@@ -57,6 +57,36 @@ func checkPartsMatchFrame(t testing.TB, label string, f *ckptFile) {
 	}
 }
 
+// hubCompute is a skewed workload: vertices form clusters of k, members
+// send every message to their cluster head and the head broadcasts back.
+func hubCompute(n, k uint64, iters int) Compute[int64, int64] {
+	return func(ctx *Context[int64], id VertexID, v *int64, msgs []int64) {
+		for _, m := range msgs {
+			*v += m
+		}
+		if ctx.Superstep() >= iters {
+			ctx.VoteToHalt()
+			return
+		}
+		head := VertexID(uint64(id) / k * k)
+		if id == head {
+			for j := uint64(1); j < k; j++ {
+				ctx.Send(head+VertexID(j), *v%1000+1)
+			}
+		} else {
+			ctx.Send(head, *v%1000+1)
+		}
+	}
+}
+
+func buildHubGraph(cfg Config, n int) *Graph[int64, int64] {
+	g := NewGraph[int64, int64](cfg)
+	for i := 0; i < n; i++ {
+		g.AddVertex(VertexID(i), int64(i)+1)
+	}
+	return g
+}
+
 // partsRecorder is a MemCheckpointer that also keeps every artifact's parts
 // as the engine handed them over.
 type partsRecorder struct {
@@ -85,7 +115,7 @@ func (r *partsRecorder) SaveDelta(job string, step int, parts ...[]byte) error {
 // against the whole-frame encoder it replaced: hand-built containers
 // around real binary, gob, delta and empty worker sections, and every save
 // the engine makes across workers {1,4,7} — full and delta, binary and gob
-// sections, empty workers, routing table and aggregator snapshot — must
+// sections, empty workers and aggregator snapshot — must
 // concatenate to exactly the reference frame of what they hold.
 func TestCkptPartsMatchFrame(t *testing.T) {
 	w := buildCodecWorker()
@@ -107,7 +137,6 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 		for _, kind := range []byte{ckptKindFull, ckptKindDelta} {
 			f := makeCodecCkptFile()
 			f.Kind, f.NumWorkers = kind, workers
-			f.Routing = []byte{3, 1, 4, 1, 5, 9, 2, 6}
 			f.Workers = make([][]byte, workers)
 			for i := range f.Workers {
 				f.Workers[i] = sections[i%len(sections)]
@@ -120,7 +149,7 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 	// of the decoded container is the concatenation of its parts, section
 	// for section — so the CRCs the worker tasks computed are the ones the
 	// coordinator used to compute.
-	var seen struct{ saves, deltas, routed, aggs, gobs, empties int }
+	var seen struct{ saves, deltas, aggs, gobs, empties int }
 	check := func(label string, r *partsRecorder) {
 		t.Helper()
 		for si, parts := range r.saves {
@@ -150,9 +179,6 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 			if f.Kind == ckptKindDelta {
 				seen.deltas++
 			}
-			if len(f.Routing) > 0 {
-				seen.routed++
-			}
 			if len(f.Agg.Sum) > 0 {
 				seen.aggs++
 			}
@@ -165,10 +191,8 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 7} {
-		// Adaptive placement puts a routing table in the header.
 		r := &partsRecorder{MemCheckpointer: NewMemCheckpointer()}
-		g := buildHubGraph(Config{Workers: workers, Parallel: true, CheckpointEvery: 2, Checkpointer: r,
-			Repartition: &RepartitionPolicy{Every: 2, MaxMoves: 1000}}, 120)
+		g := buildHubGraph(Config{Workers: workers, Parallel: true, CheckpointEvery: 2, Checkpointer: r}, 120)
 		if _, err := g.Run(withAgg(hubCompute(120, 8, 9)), WithName("parts")); err != nil {
 			t.Fatal(err)
 		}
@@ -195,14 +219,14 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("empty workers", r)
-	if seen.deltas == 0 || seen.routed == 0 || seen.aggs == 0 || seen.gobs == 0 || seen.empties == 0 {
-		t.Fatalf("coverage lost: %d saves, %d deltas, %d with a routing table, %d with aggregators, %d gob sections, %d empty sections",
-			seen.saves, seen.deltas, seen.routed, seen.aggs, seen.gobs, seen.empties)
+	if seen.deltas == 0 || seen.aggs == 0 || seen.gobs == 0 || seen.empties == 0 {
+		t.Fatalf("coverage lost: %d saves, %d deltas, %d with aggregators, %d gob sections, %d empty sections",
+			seen.saves, seen.deltas, seen.aggs, seen.gobs, seen.empties)
 	}
 }
 
 // fuzzCkptFile derives a container from fuzz bytes: header fields, an
-// aggregator snapshot, a routing table and up to 8 worker sections of
+// aggregator snapshot and up to 8 worker sections of
 // arbitrary bytes (empty ones included).
 func fuzzCkptFile(data []byte) *ckptFile {
 	next := func() byte {
@@ -222,7 +246,6 @@ func fuzzCkptFile(data []byte) *ckptFile {
 	f := &ckptFile{
 		Kind: next() % 2, Step: int(next()), PrevStep: int(next()), Pending: int64(int8(next())),
 		PartitionerName: string(take(int(next() % 8))), TransportName: string(take(int(next() % 8))),
-		Routing: take(int(next() % 32)), Migrations: int(next()), MigratedVertices: int64(next()),
 		Supersteps: int(next()), Messages: int64(next()) << 20, ClockNs: float64(next()) * 1e6,
 		Fingerprint: uint64(next())<<56 | uint64(next()),
 	}

@@ -11,14 +11,14 @@ import (
 	"sort"
 )
 
-// Checkpoint format v7, the only one this package reads or writes: a
+// Checkpoint format v8, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
 //	magic "PPCK" | version | kind (full/delta) | step | prevStep | pending
-//	| partitioner name | transport name | routing table (length-prefixed)
-//	| migration counters | numWorkers | run counters | clockNs (fixed 8 LE)
-//	| fingerprint (fixed 8 LE) | aggregator snapshot (sorted keys)
+//	| partitioner name | transport name | numWorkers | run counters
+//	| clockNs (fixed 8 LE) | fingerprint (fixed 8 LE)
+//	| aggregator snapshot (sorted keys)
 //	| worker count | header CRC32C (fixed 4 LE, over every prior byte)
 //	| per-worker: length | section bytes | section CRC32C (fixed 4 LE)
 //
@@ -26,10 +26,11 @@ import (
 // load time as ErrCheckpointCorrupt, letting recovery walk back to an older
 // intact snapshot instead of restoring garbage. Anything else — no magic, or
 // another version — is one "unsupported checkpoint format" error. The
-// version also covers the value codecs inside the sections: v7 has v5's
-// container, and v6 and v7 were bumped because the segment graph's message
-// (v6) and vertex (v7) encodings changed, so an older file, whose CRCs still
-// verify, is refused instead of decoded wrongly.
+// version also covers the value codecs inside the sections: v6 and v7 were
+// bumped because the segment graph's message (v6) and vertex (v7) encodings
+// changed, and v8 because the header dropped its routing table and
+// migration counters, so an older file, whose CRCs still verify, is refused
+// instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -46,7 +47,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 7
+	ckptVersion = 8
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -684,11 +685,6 @@ func appendCkptHeader(buf []byte, f *ckptFile) []byte {
 	buf = binary.AppendVarint(buf, f.Pending)
 	buf = appendCkptString(buf, f.PartitionerName)
 	buf = appendCkptString(buf, f.TransportName)
-	buf = binary.AppendUvarint(buf, uint64(len(f.Routing)))
-	buf = append(buf, f.Routing...)
-	buf = binary.AppendUvarint(buf, uint64(f.Migrations))
-	buf = binary.AppendVarint(buf, f.MigratedVertices)
-	buf = binary.AppendVarint(buf, f.MigrationBytes)
 	buf = binary.AppendUvarint(buf, uint64(f.NumWorkers))
 	buf = binary.AppendUvarint(buf, uint64(f.Supersteps))
 	buf = binary.AppendVarint(buf, f.Messages)
@@ -710,7 +706,7 @@ func appendCkptHeader(buf []byte, f *ckptFile) []byte {
 // CRC alone. The parts' concatenation is the container.
 func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	parts := make([][]byte, 0, 2*len(f.Workers)+1)
-	hdr := appendCkptHeader(make([]byte, 0, 160+len(f.Routing)), f)
+	hdr := appendCkptHeader(make([]byte, 0, 160), f)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, castagnoli))
 	if len(f.Workers) > 0 {
 		hdr = binary.AppendUvarint(hdr, uint64(len(f.Workers[0])))
@@ -730,7 +726,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v7 container.
+// decodeCkptFile parses a v8 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err
@@ -789,26 +785,6 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 		return fail(err)
 	}
 	if f.TransportName, data, err = consumeCkptString(data); err != nil {
-		return fail(err)
-	}
-	if u, data, err = ConsumeUvarint(data); err != nil {
-		return fail(err)
-	}
-	if u > uint64(len(data)) {
-		return fail(corruptf("routing table claims %d bytes, %d remain", u, len(data)))
-	}
-	if u > 0 {
-		f.Routing = append([]byte(nil), data[:u]...)
-		data = data[u:]
-	}
-	if u, data, err = ConsumeUvarint(data); err != nil {
-		return fail(err)
-	}
-	f.Migrations = int(u)
-	if f.MigratedVertices, data, err = ConsumeVarint(data); err != nil {
-		return fail(err)
-	}
-	if f.MigrationBytes, data, err = ConsumeVarint(data); err != nil {
 		return fail(err)
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {

@@ -225,11 +225,11 @@ func TestDecodeCkptFileRejectsV1Gob(t *testing.T) {
 	}
 }
 
-// TestDecodeCkptFileRejectsFutureVersion: any version but v7 — the v2–v6
+// TestDecodeCkptFileRejectsFutureVersion: any version but v8 — the v2–v7
 // containers earlier commits wrote, or a future one — is one unsupported
 // format error, never a misread.
 func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
-	for _, ver := range []byte{2, 3, 4, 5, 6, ckptVersion + 1} {
+	for _, ver := range []byte{2, 3, 4, 5, 6, 7, ckptVersion + 1} {
 		blob := encodeCkptFile(makeCodecCkptFile())
 		// The version uvarint sits right after the 4-byte magic; single-digit
 		// versions encode as one byte.

@@ -46,20 +46,6 @@ type CostModel struct {
 	// round (barrier, DFS metadata round trips, failure detection). Zero
 	// means SuperstepLatency.
 	CheckpointLatency time.Duration
-
-	// MigrationBytesPerSecond is the per-worker bandwidth for live vertex
-	// migration (Config.Repartition): relocated partition state moves
-	// worker-to-worker in parallel, so one migration costs MigrationLatency
-	// plus the busiest worker's transfer at this bandwidth. Zero means
-	// CheckpointBytesPerSecond (migration payloads ride the same links and
-	// codec as checkpoint traffic). Adaptive runs pay this toll on the same
-	// clock their placement savings accrue to, which is what makes the
-	// adaptive-vs-static makespan comparison honest.
-	MigrationBytesPerSecond float64
-	// MigrationLatency is the fixed cost of one migration decision that
-	// moves at least one vertex (solver barrier, routing-table fan-out).
-	// Zero means CheckpointLatency.
-	MigrationLatency time.Duration
 }
 
 // DefaultLocalBytesPerSecond is the default intra-machine bandwidth: a
@@ -99,11 +85,6 @@ type SimClock struct {
 	// checkpoint traffic off the one shared clock.
 	ckptSaves, ckptRestores         int64
 	ckptBytesWritten, ckptBytesRead int64
-	// Live-migration counters (Config.Repartition), folded in by the engine
-	// via CountMigration. Like the checkpoint counters they count work as
-	// executed — a migration replayed after a rollback recounts, because the
-	// bytes genuinely moved again.
-	migrations, migratedVertices, migrationBytes int64
 }
 
 // NewSimClock returns a clock at time zero.
@@ -125,12 +106,6 @@ func NewSimClock(m CostModel) *SimClock {
 	}
 	if m.CheckpointLatency == 0 {
 		m.CheckpointLatency = m.SuperstepLatency
-	}
-	if m.MigrationBytesPerSecond == 0 {
-		m.MigrationBytesPerSecond = m.CheckpointBytesPerSecond
-	}
-	if m.MigrationLatency == 0 {
-		m.MigrationLatency = m.CheckpointLatency
 	}
 	return &SimClock{model: m}
 }
@@ -233,35 +208,6 @@ func (c *SimClock) ChargeCheckpoint(maxWorkerBytes float64) {
 	c.ns += maxWorkerBytes / c.model.CheckpointBytesPerSecond * 1e9
 }
 
-// ChargeMigration charges one live-migration round: relocation payloads
-// ship worker-to-worker in parallel, so the critical path is the fixed
-// migration latency plus the busiest sender's outgoing bytes at the
-// migration bandwidth tier — priced exactly like a shuffle round's
-// most-loaded link (ChargeSuperstepTiered), because the sections ride the
-// same links. Decisions that move nothing charge nothing — observing
-// traffic is free, only acting on it costs.
-func (c *SimClock) ChargeMigration(maxWorkerBytes float64) {
-	c.ns += float64(c.model.MigrationLatency.Nanoseconds())
-	c.ns += maxWorkerBytes / c.model.MigrationBytesPerSecond * 1e9
-}
-
-// CountMigration folds one committed migration (vertices relocated, total
-// payload bytes) into the clock's counters.
-func (c *SimClock) CountMigration(vertices, bytes int64) {
-	c.migrations++
-	c.migratedVertices += vertices
-	c.migrationBytes += bytes
-}
-
-// Migrations returns the committed migration rounds counted so far.
-func (c *SimClock) Migrations() int64 { return c.migrations }
-
-// MigratedVertices returns the vertices relocated so far.
-func (c *SimClock) MigratedVertices() int64 { return c.migratedVertices }
-
-// MigrationBytes returns the migration payload bytes moved so far.
-func (c *SimClock) MigrationBytes() int64 { return c.migrationBytes }
-
 // ChargeRecovery charges one recovery event: failure detection and
 // coordination, plus re-reading the largest checkpoint partition — the
 // read mirror of ChargeCheckpoint's write, priced identically. The
@@ -322,7 +268,6 @@ func (c *SimClock) SuperstepParts(computeNs, remoteBytes, localBytes []float64) 
 func (c *SimClock) Reset() {
 	c.ns, c.localMsgs, c.remoteMsgs = 0, 0, 0
 	c.ckptSaves, c.ckptRestores, c.ckptBytesWritten, c.ckptBytesRead = 0, 0, 0, 0
-	c.migrations, c.migratedVertices, c.migrationBytes = 0, 0, 0
 }
 
 // nowNs is the engine's monotonic time source.
@@ -362,14 +307,6 @@ type Stats struct {
 	// incremental (Config.DeltaCheckpoints); saves minus delta-saves is the
 	// number of full snapshots taken.
 	CheckpointDeltaSaves int
-	// Live-migration work committed by this run (Config.Repartition):
-	// decision rounds that moved at least one vertex, vertices relocated,
-	// and relocation payload bytes. Restored from the checkpoint on resume
-	// — the original process did that work — and, like the checkpoint
-	// counters, recounted when a rollback replays a migration.
-	Migrations       int
-	MigratedVertices int64
-	MigrationBytes   int64
 	// SimSeconds is the simulated clock reading when the run finished
 	// (cumulative across jobs sharing the clock).
 	SimSeconds float64
@@ -389,9 +326,6 @@ func (s *Stats) Add(other *Stats) {
 	s.CheckpointBytesWritten += other.CheckpointBytesWritten
 	s.CheckpointBytesRestored += other.CheckpointBytesRestored
 	s.CheckpointDeltaSaves += other.CheckpointDeltaSaves
-	s.Migrations += other.Migrations
-	s.MigratedVertices += other.MigratedVertices
-	s.MigrationBytes += other.MigrationBytes
 	if other.SimSeconds > s.SimSeconds {
 		s.SimSeconds = other.SimSeconds
 	}

@@ -80,22 +80,20 @@ func runPartFuzz(t *testing.T, fg partFuzzGraph, part Partitioner, workers int, 
 
 // fuzzPartitioners builds the three placement strategies under test: the
 // hash default, a range partitioner covering the fuzz ID space, and a
-// table partitioner whose overrides are derived from the seed — the
-// engine-level stand-in for the assembler's learned affinity table.
+// map partitioner whose overrides are derived from the seed — an arbitrary
+// learned placement.
 func fuzzPartitioners(fg partFuzzGraph, seed uint64, workers int) []Partitioner {
-	table := NewTablePartitioner("affinity", HashPartitioner{})
-	entries := map[VertexID]int{}
+	table := mapPartitioner{}
 	z := seed
 	for i := 0; i < fg.n; i++ {
 		z += 0x9E3779B97F4A7C15
 		x := z
 		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-		if x&1 == 0 { // cover only part of the ID set, like the real table
-			entries[VertexID(i)] = int((x >> 1) % uint64(workers))
+		if x&1 == 0 { // cover only part of the ID set
+			table[VertexID(i)] = int((x >> 1) % uint64(workers))
 		}
 	}
-	table.Install(entries, workers)
 	return []Partitioner{
 		HashPartitioner{},
 		RangePartitioner{Bits: 7}, // 2^7 = 128 >= max n; larger IDs fall back

@@ -15,9 +15,7 @@ import "math/bits"
 // called concurrently from different workers in Parallel mode), and stable for
 // the duration of a run: the engine snapshots nothing about placement
 // between supersteps, so an Assign that changes mid-run would strand
-// vertices. Re-placement between runs (as the assembler's label-affinity
-// partitioner does between pipeline stages) is fine for freshly built
-// graphs; an existing graph keeps the placement it was constructed with.
+// vertices. A graph keeps the placement it was constructed with.
 //
 // Checkpoints record the partitioner's Name, and Resume rejects a mismatch:
 // partition snapshots are per-worker, so restoring them under a different
@@ -70,65 +68,3 @@ func (p RangePartitioner) Assign(id VertexID, workers int) int {
 	hi, lo := bits.Mul64(uint64(id), uint64(workers))
 	return int(hi<<(64-p.Bits) | lo>>p.Bits)
 }
-
-// TablePartitioner overrides the placement of an explicit vertex set and
-// delegates everything else to a base partitioner. It is the substrate for
-// learned placements such as the assembler's label-affinity strategy, which
-// re-places contig vertices next to their graph neighborhood after merging.
-//
-// The table is bound to the worker count it was built for; under any other
-// worker count every ID falls back to Base, so a stale table can misplace
-// nothing. Mutate the table only between runs (Install/Reset), never while
-// a run is executing.
-type TablePartitioner struct {
-	// Label is the Name() of this placement (e.g. "affinity").
-	Label string
-	// Base places every ID the table does not cover. Nil means hash.
-	Base Partitioner
-
-	table   map[VertexID]int
-	workers int
-}
-
-// NewTablePartitioner returns an empty table over base (nil base = hash).
-func NewTablePartitioner(label string, base Partitioner) *TablePartitioner {
-	if base == nil {
-		base = HashPartitioner{}
-	}
-	return &TablePartitioner{Label: label, Base: base}
-}
-
-// Name implements Partitioner.
-func (p *TablePartitioner) Name() string { return p.Label }
-
-// Assign implements Partitioner.
-func (p *TablePartitioner) Assign(id VertexID, workers int) int {
-	if p.workers == workers {
-		if w, ok := p.table[id]; ok {
-			return w
-		}
-	}
-	if p.Base == nil {
-		return HashPartitioner{}.Assign(id, workers)
-	}
-	return p.Base.Assign(id, workers)
-}
-
-// Install replaces the table wholesale with entries valid for the given
-// worker count. Entries must be in [0, workers); out-of-range entries are
-// dropped rather than corrupting delivery.
-func (p *TablePartitioner) Install(entries map[VertexID]int, workers int) {
-	t := make(map[VertexID]int, len(entries))
-	for id, w := range entries {
-		if w >= 0 && w < workers {
-			t[id] = w
-		}
-	}
-	p.table, p.workers = t, workers
-}
-
-// Reset drops every table entry, reverting to pure base placement.
-func (p *TablePartitioner) Reset() { p.table, p.workers = nil, 0 }
-
-// Len reports the number of installed overrides.
-func (p *TablePartitioner) Len() int { return len(p.table) }

@@ -92,30 +92,18 @@ func TestRangePartitionerBalance(t *testing.T) {
 	}
 }
 
-// TestTablePartitioner: overrides apply only under the worker count they
-// were installed for; everything else delegates to the base.
-func TestTablePartitioner(t *testing.T) {
-	p := NewTablePartitioner("test", HashPartitioner{})
-	if p.Name() != "test" {
-		t.Fatalf("Name() = %q", p.Name())
+// mapPartitioner places the IDs it lists on their worker and hashes the
+// rest: an arbitrary learned placement, for the tests that hold the engine
+// invariant under any placement. Entries must be below the worker count.
+type mapPartitioner map[VertexID]int
+
+func (mapPartitioner) Name() string { return "map" }
+
+func (p mapPartitioner) Assign(id VertexID, workers int) int {
+	if w, ok := p[id]; ok {
+		return w
 	}
-	p.Install(map[VertexID]int{10: 2, 11: 9}, 4) // 11 -> 9 is out of range and must be dropped
-	if p.Len() != 1 {
-		t.Fatalf("out-of-range entry survived Install: len=%d", p.Len())
-	}
-	if got := p.Assign(10, 4); got != 2 {
-		t.Errorf("table override ignored: Assign(10,4)=%d", got)
-	}
-	if got, want := p.Assign(10, 7), (HashPartitioner{}).Assign(10, 7); got != want {
-		t.Errorf("stale table applied under wrong worker count: got %d want %d", got, want)
-	}
-	if got, want := p.Assign(99, 4), (HashPartitioner{}).Assign(99, 4); got != want {
-		t.Errorf("uncovered ID bypassed base: got %d want %d", got, want)
-	}
-	p.Reset()
-	if got, want := p.Assign(10, 4), (HashPartitioner{}).Assign(10, 4); got != want {
-		t.Errorf("Reset did not revert to base: got %d want %d", got, want)
-	}
+	return HashPartitioner{}.Assign(id, workers)
 }
 
 // partSumCompute is a commutative message-sum compute used by the placement
@@ -159,18 +147,16 @@ func runPlacement(t *testing.T, part Partitioner, workers int, parallel bool) (m
 // hash on remote fraction.
 func TestPlacementInvariance(t *testing.T) {
 	baseVals, baseStats := runPlacement(t, HashPartitioner{}, 4, false)
-	table := NewTablePartitioner("blocks", nil)
-	blocks := map[VertexID]int{}
+	blocks := mapPartitioner{}
 	for i := 0; i < 512; i++ {
 		blocks[VertexID(i)] = i * 4 / 512
 	}
-	table.Install(blocks, 4)
 	for _, tc := range []struct {
 		name string
 		part Partitioner
 	}{
 		{"range", RangePartitioner{Bits: 9}},
-		{"table", table},
+		{"map", blocks},
 	} {
 		for _, parallel := range []bool{false, true} {
 			vals, st := runPlacement(t, tc.part, 4, parallel)

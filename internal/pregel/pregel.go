@@ -114,19 +114,6 @@ type Config struct {
 	// the run rolls back and replays, otherwise it fails.
 	Transport transport.Transport
 
-	// Repartition enables online adaptive repartitioning: the engine
-	// observes each vertex's per-source-worker message traffic over a
-	// trailing window and, at every Repartition.Every superstep boundary,
-	// migrates the hottest mismatched vertices to the worker they receive
-	// the most messages from (see repartition.go). The Partitioner is
-	// wrapped in a DynamicPartitioner (unless it already is one) whose
-	// versioned routing table overrides base placement for migrated IDs;
-	// checkpoints persist the table, so Resume restores placement exactly.
-	// Results stay bit-identical to a static run — migration moves state at
-	// barriers, never semantics — only the local/remote traffic split and
-	// the simulated clock change. Nil disables migration.
-	Repartition *RepartitionPolicy
-
 	// CheckpointEvery enables Pregel-style fault tolerance: every N
 	// supersteps each run snapshots its vertex state, pending inboxes,
 	// aggregators and counters (plus a baseline snapshot before superstep
@@ -219,11 +206,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pregel: transport %q addresses %d workers, Config.Workers is %d",
 			c.Transport.Name(), c.Transport.Workers(), c.Workers)
 	}
-	if c.Repartition != nil {
-		if err := c.Repartition.validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -248,11 +230,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = HashPartitioner{}
-	}
-	if c.Repartition != nil {
-		pol := c.Repartition.withDefaults()
-		c.Repartition = &pol
-		c.Partitioner = AsDynamic(c.Partitioner)
 	}
 	if c.CheckpointEvery > 0 && c.Checkpointer == nil {
 		c.Checkpointer = NewMemCheckpointer()
@@ -346,15 +323,6 @@ type sender[M any] struct {
 
 	msgsOut   int64 // messages sent by this worker in current superstep
 	msgsLocal int64 // subset of msgsOut addressed back to this worker
-
-	// Adaptive-repartitioning observation (Config.Repartition): while
-	// observing is set (by the coordinator before a superstep's compute
-	// phase, during an observation window) every send counts one (sender,
-	// receiver) vertex pair in edges — sender-side, because only here is the
-	// source vertex, curSrc, still known.
-	observing bool
-	edges     map[migEdge]int64
-	curSrc    VertexID
 }
 
 func (w *worker[V, M]) vertexCount() int { return len(w.ids) - w.nDead }
@@ -683,14 +651,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	wire := g.transportActive()
 	tr := g.cfg.Tracer
 	rm := newRunMetrics(g.cfg.Metrics)
-	if pol := g.cfg.Repartition; pol != nil {
-		// withDefaults normalizes Window/MaxMoves but deliberately leaves a
-		// broken cadence alone: silently "fixing" Every would run a policy
-		// the caller never asked for.
-		if err := pol.validate(); err != nil {
-			return stats, fmt.Errorf("pregel: job %q: %w", o.name, err)
-		}
-	}
 	if wire {
 		if tw := g.cfg.Transport.Workers(); tw != g.cfg.Workers {
 			return stats, fmt.Errorf("pregel: job %q: transport %q addresses %d workers, the graph has %d",
@@ -797,11 +757,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			}
 			continue
 		}
-
-		// Adaptive repartitioning: open/close the traffic-observation window
-		// for the superstep about to execute (coordinator-side, before any
-		// worker goroutine reads the gate).
-		g.observeWindow(step)
 
 		if g.computeNs == nil {
 			g.computeNs = make([]float64, g.cfg.Workers)
@@ -924,31 +879,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 		downStreak = 0
 		pending = delivered
 		step++
-		// Adaptive repartitioning commits here — after the barrier, before
-		// the cadence checkpoint — so a checkpoint always captures the
-		// migrated partitions together with the routing table that placed
-		// them. A worker lost mid-migration aborts before anything is
-		// spliced and rolls back exactly like a lost superstep; the delta
-		// chain is cut (haveFull=false) because per-index dirty tracking
-		// does not survive a relocation.
-		if g.repartitionDue(step) {
-			merr := g.runRepartition(step, stats)
-			if merr != nil && wire && transport.IsWorkerDown(merr) {
-				if downStreak++; downStreak > maxTransportRecoveries {
-					return stats, fmt.Errorf("pregel: job %q: %d consecutive worker failures, giving up: %w", o.name, downStreak, merr)
-				}
-				if step, pending, err = g.transportRecover(ck, o.name, step, merr, stats); err != nil {
-					return stats, err
-				}
-				continue
-			}
-			if merr != nil {
-				return stats, merr
-			}
-			if ck != nil {
-				ck.haveFull = false
-			}
-		}
 		if ck != nil && step%ck.every == 0 {
 			if err := g.saveCheckpoint(ck, step, pending, stats); err != nil {
 				return stats, err
@@ -983,7 +913,6 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 		}
 		ctx.halt = false
 		ctx.remove = false
-		w.curSrc = w.ids[i] // so an observing send can attribute its edges
 		compute(ctx, w.ids[i], &w.vals[i], msgs)
 		if ctx.remove {
 			w.dead[i] = true
@@ -1018,12 +947,6 @@ func (s *sender[M]) beginSuperstep() {
 // post-compute fold of the lane (combineEnvelopes, the reference kept with
 // the tests).
 func (s *sender[M]) send(dst VertexID, m M) {
-	if s.observing {
-		// Pre-combine, so the recorded affinity reflects logical traffic:
-		// one count per (sender, receiver) vertex pair, the raw material of
-		// the migration solver.
-		s.edges[migEdge{s.curSrc, dst}]++
-	}
 	var dwi int
 	if s.part == nil {
 		dwi = HashPartitioner{}.Assign(dst, len(s.outbox))

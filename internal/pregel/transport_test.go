@@ -445,3 +445,22 @@ func FuzzLaneCodec(f *testing.F) {
 		}
 	})
 }
+
+// TestTransportFrameSymmetry pins the counter contract: FramesSent and
+// FramesRecv meter data-plane lane frames only, so for any completed run
+// the two are equal.
+func TestTransportFrameSymmetry(t *testing.T) {
+	const n, iters = 96, 11
+	tx := transport.NewMemWire(4)
+	g := buildPRGraph(Config{Workers: 4, Transport: tx}, n)
+	if _, err := g.Run(pageRankish(n, iters), WithName("framesym")); err != nil {
+		t.Fatal(err)
+	}
+	c := tx.Counters()
+	if c.FramesSent == 0 || c.FramesRecv == 0 {
+		t.Fatalf("no lane frames metered: %+v", c)
+	}
+	if c.FramesSent != c.FramesRecv {
+		t.Errorf("frame counters asymmetric: sent %d recv %d", c.FramesSent, c.FramesRecv)
+	}
+}

@@ -124,8 +124,7 @@ func TestVindex(t *testing.T) {
 
 // TestWorkerIndexThroughGraphOps walks the index through every worker-level
 // operation that maintains it: re-adding a removed ID, compaction after
-// removals (between-run and RemoveSelf), checkpoint rollback and the
-// migration splice.
+// removals (between-run and RemoveSelf) and checkpoint rollback.
 func TestWorkerIndexThroughGraphOps(t *testing.T) {
 	check := func(g *Graph[int64, int64], label string, model map[VertexID]int64) {
 		t.Helper()
@@ -174,24 +173,22 @@ func TestWorkerIndexThroughGraphOps(t *testing.T) {
 	}
 	check(g, "after compacting run", model)
 
-	// Checkpoint rollback (restore replaces ids wholesale) and migration
-	// splice (vertices leave and arrive), on the hub workload that migrates.
+	// Checkpoint rollback: restore replaces ids wholesale.
 	const n, k = 96, 8
-	hub := buildHubGraph(Config{Workers: 4, CheckpointEvery: 2, Faults: NewFaultPlan(Fault{Round: 5}),
-		Repartition: &RepartitionPolicy{Every: 3}}, n)
+	hub := buildHubGraph(Config{Workers: 4, CheckpointEvery: 2, Faults: NewFaultPlan(Fault{Round: 5})}, n)
 	stats, err := hub.Run(hubCompute(n, k, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Recoveries != 1 || stats.MigratedVertices == 0 {
-		t.Fatalf("scenario did not exercise restore and splice: %d recoveries, %d migrated", stats.Recoveries, stats.MigratedVertices)
+	if stats.Recoveries != 1 {
+		t.Fatalf("scenario did not exercise restore: %d recoveries", stats.Recoveries)
 	}
 	for wi, w := range hub.workers {
 		checkVindex(t, fmt.Sprintf("hub worker %d", wi), &w.idx, w.ids)
 	}
 	for i := 0; i < n; i++ {
 		if _, ok := hub.Value(VertexID(i)); !ok {
-			t.Fatalf("vertex %d unreachable after migration and rollback", i)
+			t.Fatalf("vertex %d unreachable after rollback", i)
 		}
 	}
 }

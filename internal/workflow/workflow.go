@@ -88,13 +88,6 @@ type Env struct {
 	// traffic the paper's cluster would carry.
 	MessageBytes int
 
-	// Repartition enables online adaptive repartitioning
-	// (pregel.Config.Repartition) for every op. normalize wraps Partitioner
-	// in one shared pregel.DynamicPartitioner, so the routing table a job
-	// learns carries into every later job of the plan: placement improves
-	// across the composition, not just within one job.
-	Repartition *pregel.RepartitionPolicy
-
 	// CheckpointEvery, Checkpointer, Faults and Resume configure Pregel-
 	// style fault tolerance exactly as on pregel.Config; the plan passes
 	// them to every op so one store and one crash schedule span the run.
@@ -138,12 +131,6 @@ func (e *Env) normalize() error {
 	if e.Clock == nil {
 		e.Clock = pregel.NewSimClock(e.Cost)
 	}
-	if e.Repartition != nil {
-		// One dynamic wrapper for the whole plan (AsDynamic is idempotent):
-		// every op's graphs share the routing table, so migrations committed
-		// by one job seed the next job's placement.
-		e.Partitioner = pregel.AsDynamic(e.Partitioner)
-	}
 	if e.CheckpointEvery > 0 && e.Checkpointer == nil {
 		// One shared store for every op, so job keys are reserved in plan
 		// order (which is what Resume relies on).
@@ -158,7 +145,6 @@ func (e *Env) Config() pregel.Config {
 	return pregel.Config{
 		Workers: e.Workers, Parallel: e.Parallel, Cost: e.Cost,
 		Partitioner: e.Partitioner, Transport: e.Transport, MessageBytes: e.MessageBytes,
-		Repartition:     e.Repartition,
 		CheckpointEvery: e.CheckpointEvery, Checkpointer: e.Checkpointer,
 		DeltaCheckpoints: e.DeltaCheckpoints,
 		Faults:           e.Faults, Resume: e.Resume,
