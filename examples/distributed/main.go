@@ -96,7 +96,7 @@ func main() {
 		len(mem.Contigs), mem.SimSeconds)
 
 	// 2. Three lane depots, one per logical worker. Depot 1 is rigged to
-	// die after 120 frames; the watchdog below respawns it on the same
+	// die after 60 frames; the watchdog below respawns it on the same
 	// port with an empty depot, exactly like a restarted OS process.
 	peers := make([]string, workers)
 	restarted := make(chan string, 1)
@@ -105,7 +105,7 @@ func main() {
 		peers[w] = addr
 		if w == 1 {
 			crashed := make(chan struct{})
-			srv.ExitAfterFrames = 120
+			srv.ExitAfterFrames = 60
 			srv.Exit = func(int) {
 				srv.Close()
 				close(crashed)
@@ -145,7 +145,7 @@ func main() {
 
 	select {
 	case addr := <-restarted:
-		fmt.Printf("worker death:    depot 1 crashed after 120 frames and was respawned on %s;\n", addr)
+		fmt.Printf("worker death:    depot 1 crashed after 60 frames and was respawned on %s;\n", addr)
 		fmt.Printf("                 the engine rolled back to its latest checkpoint and replayed\n")
 	default:
 		log.Fatal("depot 1 never crashed — the workload was too small to trip the crash hook")

@@ -139,23 +139,6 @@ func TestABySSInsensitiveToWorkers(t *testing.T) {
 	}
 }
 
-func TestPPAScalesWithWorkers(t *testing.T) {
-	_, shards := dataset(t, 12000, 0.003, 25)
-	sim := func(w int) float64 {
-		o := opts()
-		o.Workers = w
-		res, err := PPA{}.Assemble(pregel.ShardSlice(pregel.Flatten(shards), w), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.SimSeconds
-	}
-	t1, t8 := sim(1), sim(8)
-	if t8 >= t1 {
-		t.Errorf("PPA did not speed up with workers: %f -> %f", t1, t8)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	_, shards := dataset(t, 3000, 0.005, 26)
 	for _, a := range allAssemblers() {

@@ -1,7 +1,7 @@
-// Checkpoint codec methods: VData and Msg opt into the Pregel engine's
-// binary checkpoint codec by implementing pregel.CheckpointAppender /
-// pregel.CheckpointDecoder, so segment-graph jobs checkpoint without gob
-// and become eligible for delta checkpoints. Field order is the struct
+// Checkpoint codec methods: VData and Msg carry the Pregel engine's binary
+// value codec by implementing pregel.CheckpointAppender /
+// pregel.CheckpointDecoder, which segment-graph jobs need to checkpoint or
+// run over a wire transport. Field order is the struct
 // order; vertex IDs are fixed 8-byte little-endian (canonical k-mer codes
 // and flipped IDs span the full 64-bit range, where varints buy nothing).
 

@@ -8,9 +8,9 @@ import (
 // MarshalBinary implements encoding.BinaryMarshaler: base count as a uvarint
 // followed by the occupied packed words, little-endian. Bits beyond the last
 // base are masked off so equal sequences marshal to equal bytes regardless
-// of construction history. Gob (used by the Pregel engine's checkpoint
-// subsystem) picks this up automatically, which is what makes vertex values
-// carrying sequences checkpointable.
+// of construction history. The engine itself encodes sequences with
+// AppendBinary; this method is what lets gob carry them in the per-type
+// checkpoint codec oracle (internal/pregel/ckpttest).
 func (s Seq) MarshalBinary() ([]byte, error) {
 	words := (s.n + 31) / 32
 	return s.AppendBinary(make([]byte, 0, binary.MaxVarintLen64+8*words)), nil

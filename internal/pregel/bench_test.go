@@ -53,10 +53,12 @@ func BenchmarkMessageThroughput(b *testing.B) {
 
 // BenchmarkShuffle is the engine's shuffle-heavy regression workload: 20k
 // vertices each fan out 8 messages per superstep for 6 supersteps, with and
-// without the parallel schedule. Allocations per op track the
-// arena reuse of the message path; msgs/s tracks end-to-end shuffle
-// throughput. cmd-level tooling (bench_pregel_test.go at the repo root)
-// re-runs this workload and emits BENCH_pregel.json.
+// without the parallel schedule; msgs/s tracks end-to-end shuffle
+// throughput. Its allocs/op are mostly the graph's one-off lane warm-up
+// spread over b.N, so they move with -benchtime; the per-Run ceiling is
+// TestShuffleSteadyStateAllocationFree's. The root package's fence test
+// runs the same workload once per schedule and over TCP and gates its
+// traffic.
 func BenchmarkShuffle(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -112,56 +114,57 @@ func runShuffleWorkload(b *testing.B, parallel bool, workers int) (*Stats, int64
 	return st, msgs
 }
 
+// benchWorker builds the synthetic int64-valued partition of the codec
+// benchmarks and fences: full-range IDs, mixed active/halted flags, a
+// sprinkle of dead vertices and a ragged pending inbox.
+func benchWorker(vertices, msgsPerVertex int) *worker[int64, int64] {
+	w := &worker[int64, int64]{
+		ids:    make([]VertexID, vertices),
+		vals:   make([]int64, vertices),
+		active: make([]bool, vertices),
+		dead:   make([]bool, vertices),
+		inOff:  make([]int32, vertices+1),
+		inCur:  make([]int32, vertices),
+	}
+	for i := 0; i < vertices; i++ {
+		w.ids[i] = VertexID(uint64(i)*0x9e3779b97f4a7c15 ^ 0xb5ad4eceda1ce2a9)
+		w.vals[i] = int64(i)*1_000_003 - 500_000
+		w.active[i] = i%3 != 0
+		if i%97 == 0 {
+			w.dead[i] = true
+			w.nDead++
+		}
+		w.inOff[i+1] = w.inOff[i]
+		if i%2 == 0 {
+			for j := 0; j < msgsPerVertex; j++ {
+				w.inArena = append(w.inArena, int64(i+j)*31)
+				w.inOff[i+1]++
+			}
+		}
+	}
+	return w
+}
+
 // BenchmarkCheckpointCodec measures full-snapshot encode/decode through
-// the v2 binary worker-section codec and the gob fallback, plus the delta
-// encoder, on the synthetic partition MeasureCheckpointCodec uses — the
-// engine-level counterpart of the checkpoint_throughput section in
-// BENCH_pregel.json.
+// the binary worker-section codec, plus the delta encoder, on the synthetic
+// partition TestCheckpointCodecSizeFence gates the sizes of.
 func BenchmarkCheckpointCodec(b *testing.B) {
 	const vertices, msgsPerVertex = 50_000, 2
 	w := benchWorker(vertices, msgsPerVertex)
-	binBlob, err := encodeWorkerFull(w, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gobBlob, err := encodeWorkerFull(w, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("section bytes: binary %d, gob %d", len(binBlob), len(gobBlob))
+	blob := encodeWorkerFull(w)
 
 	b.Run("encode-binary", func(b *testing.B) {
-		b.SetBytes(int64(len(binBlob)))
+		b.SetBytes(int64(len(blob)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := encodeWorkerFull(w, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encode-gob", func(b *testing.B) {
-		b.SetBytes(int64(len(gobBlob)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := encodeWorkerFull(w, false); err != nil {
-				b.Fatal(err)
-			}
+			encodeWorkerFull(w)
 		}
 	})
 	b.Run("decode-binary", func(b *testing.B) {
-		b.SetBytes(int64(len(binBlob)))
+		b.SetBytes(int64(len(blob)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeWorkerSection[int64, int64](binBlob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-gob", func(b *testing.B) {
-		b.SetBytes(int64(len(gobBlob)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := decodeWorkerSection[int64, int64](gobBlob); err != nil {
+			if _, err := decodeWorkerSection[int64, int64](blob); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -590,10 +590,8 @@ func jobKey(name string, seq int) string {
 	return fmt.Sprintf("%s@%03d", clean, seq)
 }
 
-// ckptWorker is the serialized partition of one worker: everything runWorker
-// and deliverTo need to replay from this point. V and M must be gob-
-// encodable (exported fields, or GobEncoder/BinaryMarshaler implementations
-// such as dna.Seq's).
+// ckptWorker is the decoded partition of one worker: everything runWorker
+// and deliverTo need to replay from this point.
 type ckptWorker[V, M any] struct {
 	IDs    []VertexID
 	Vals   []V
@@ -618,8 +616,8 @@ type aggSnapshot struct {
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
 // worker persists its own partition in parallel). On disk it is the v8
-// checksummed binary container (see codec.go); the worker blobs use either
-// the binary value codec or a per-section gob fallback.
+// checksummed binary container (see codec.go); the worker blobs use the
+// binary value codec.
 type ckptFile struct {
 	Step    int
 	Pending int64
@@ -676,10 +674,8 @@ type ckptRun struct {
 	transport string // Transport.Name() of the running graph ("mem" when nil)
 	workers   int
 
-	// bin: V and M both round-trip through the binary value codec.
-	// delta: this run takes delta checkpoints (bin, DeltaCheckpoints set,
-	// and the store implements DeltaCheckpointer).
-	bin   bool
+	// delta: this run takes delta checkpoints (DeltaCheckpoints set, and
+	// the store implements DeltaCheckpointer).
 	delta bool
 	// Chain position: whether a full snapshot exists, the step of the last
 	// save (full or delta), and how many deltas follow the last full.
@@ -726,29 +722,18 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 			return nil, err
 		}
 	}
-	bin := binaryCodecFor[V]() && binaryCodecFor[M]()
 	delta := false
 	if g.cfg.DeltaCheckpoints {
 		// A requested delta-checkpoint mode that cannot be honored must not
 		// degrade silently: the run keeps working (full snapshots restore
 		// identically) but writes more bytes per save than the caller asked
 		// for, so say why, once per cause under the default Warn sink.
-		switch {
-		case !bin:
-			var v V
-			var m M
-			g.warnf("pregel: DeltaCheckpoints requested, but vertex/message types %T/%T lack the binary checkpoint codec; every save falls back to a full snapshot", v, m)
+		if _, ok := store.(DeltaCheckpointer); ok {
+			delta = true
+		} else {
+			g.warnf("pregel: DeltaCheckpoints requested, but checkpoint store %T does not implement DeltaCheckpointer; every save falls back to a full snapshot", store)
 			if g.cfg.Metrics != nil {
 				g.cfg.Metrics.Counter("pregel_checkpoint_delta_downgrades_total").Add(1)
-			}
-		default:
-			if _, ok := store.(DeltaCheckpointer); ok {
-				delta = true
-			} else {
-				g.warnf("pregel: DeltaCheckpoints requested, but checkpoint store %T does not implement DeltaCheckpointer; every save falls back to a full snapshot", store)
-				if g.cfg.Metrics != nil {
-					g.cfg.Metrics.Counter("pregel_checkpoint_delta_downgrades_total").Add(1)
-				}
 			}
 		}
 	}
@@ -760,7 +745,6 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 		part:      g.cfg.Partitioner.Name(),
 		transport: g.transportName(),
 		workers:   g.cfg.Workers,
-		bin:       bin,
 		delta:     delta,
 		warn:      g.warnf,
 		metrics:   g.cfg.Metrics,
@@ -821,24 +805,18 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 	}
 	blobs := make([][]byte, g.cfg.Workers)
 	crcs := make([]uint32, g.cfg.Workers)
-	errs := make([]error, g.cfg.Workers)
 	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
 		if useDelta {
 			blobs[wi] = encodeWorkerDelta(g.workers[wi])
 		} else {
-			blobs[wi], errs[wi] = encodeWorkerFull(g.workers[wi], ck.bin)
+			blobs[wi] = encodeWorkerFull(g.workers[wi])
 		}
 		crcs[wi] = crc32.Checksum(blobs[wi], castagnoli)
 	})
 	maxBytes, totalBytes := 0.0, int64(0)
-	for wi, err := range errs {
-		if err != nil {
-			return fmt.Errorf("pregel: encoding checkpoint (job %q, worker %d): %w", ck.job, wi, err)
-		}
-		totalBytes += int64(len(blobs[wi]))
-		if b := float64(len(blobs[wi])); b > maxBytes {
-			maxBytes = b
-		}
+	for _, b := range blobs {
+		totalBytes += int64(len(b))
+		maxBytes = max(maxBytes, float64(len(b)))
 	}
 	// Charge the write before stamping ClockNs so a resumed run starts at
 	// the post-write time and never under-reports.

@@ -16,6 +16,18 @@ type tokenVal struct {
 	Agg int64
 }
 
+func (v *tokenVal) AppendCheckpoint(buf []byte) []byte {
+	return AppendVarint(AppendVarint(buf, v.Acc), v.Agg)
+}
+
+func (v *tokenVal) DecodeCheckpoint(data []byte) (rest []byte, err error) {
+	if v.Acc, data, err = ConsumeVarint(data); err != nil {
+		return nil, err
+	}
+	v.Agg, rest, err = ConsumeVarint(data)
+	return rest, err
+}
+
 // tokenCompute is a deterministic multi-superstep job with messages,
 // aggregators and vote-to-halt: each vertex passes an accumulating token
 // around a ring for `steps` supersteps, folds received tokens into its

@@ -113,26 +113,16 @@ func (r *partsRecorder) SaveDelta(job string, step int, parts ...[]byte) error {
 
 // TestCkptPartsMatchFrame is the differential test of the parts layout
 // against the whole-frame encoder it replaced: hand-built containers
-// around real binary, gob, delta and empty worker sections, and every save
-// the engine makes across workers {1,4,7} — full and delta, binary and gob
-// sections, empty workers and aggregator snapshot — must
-// concatenate to exactly the reference frame of what they hold.
+// around real full, delta and empty worker sections, and every save the
+// engine makes across workers {1,4,7} — full and delta sections, empty
+// workers and aggregator snapshot — must concatenate to exactly the
+// reference frame of what they hold.
 func TestCkptPartsMatchFrame(t *testing.T) {
 	w := buildCodecWorker()
-	bin, err := encodeWorkerFull(w, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gob, err := encodeWorkerFull(w, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty, err := encodeWorkerFull(&worker[int64, int64]{inOff: []int32{0}}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := encodeWorkerFull(w)
+	empty := encodeWorkerFull(&worker[int64, int64]{inOff: []int32{0}})
 	w.dirty = []bool{true, false, false, true, false}
-	sections := [][]byte{bin, gob, encodeWorkerDelta(w), empty}
+	sections := [][]byte{full, encodeWorkerDelta(w), empty}
 	for _, workers := range []int{1, 4, 7} {
 		for _, kind := range []byte{ckptKindFull, ckptKindDelta} {
 			f := makeCodecCkptFile()
@@ -149,7 +139,7 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 	// of the decoded container is the concatenation of its parts, section
 	// for section — so the CRCs the worker tasks computed are the ones the
 	// coordinator used to compute.
-	var seen struct{ saves, deltas, aggs, gobs, empties int }
+	var seen struct{ saves, deltas, aggs, empties int }
 	check := func(label string, r *partsRecorder) {
 		t.Helper()
 		for si, parts := range r.saves {
@@ -165,10 +155,7 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 				if !bytes.Equal(parts[2*i+1], sec) {
 					t.Fatalf("%s save %d: part %d is not worker section %d", label, si, 2*i+1, i)
 				}
-				switch {
-				case sec[0] == wsecGob:
-					seen.gobs++
-				case f.Kind == ckptKindFull && len(sec) == 2:
+				if f.Kind == ckptKindFull && len(sec) == 2 {
 					seen.empties++
 				}
 			}
@@ -207,7 +194,7 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 		check(fmt.Sprintf("chain w%d", workers), r)
 		r = &partsRecorder{MemCheckpointer: NewMemCheckpointer()}
 		p := buildPRGraph(Config{Workers: workers, CheckpointEvery: 3, Checkpointer: r}, 96)
-		if _, err := p.Run(pageRankish(96, 7), WithName("partsgob")); err != nil {
+		if _, err := p.Run(pageRankish(96, 7), WithName("partspagerank")); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("pagerank w%d", workers), r)
@@ -219,9 +206,9 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("empty workers", r)
-	if seen.deltas == 0 || seen.aggs == 0 || seen.gobs == 0 || seen.empties == 0 {
-		t.Fatalf("coverage lost: %d saves, %d deltas, %d with aggregators, %d gob sections, %d empty sections",
-			seen.saves, seen.deltas, seen.aggs, seen.gobs, seen.empties)
+	if seen.deltas == 0 || seen.aggs == 0 || seen.empties == 0 {
+		t.Fatalf("coverage lost: %d saves, %d deltas, %d with aggregators, %d empty sections",
+			seen.saves, seen.deltas, seen.aggs, seen.empties)
 	}
 }
 
@@ -339,7 +326,7 @@ func TestSectionBufHeavyTail(t *testing.T) {
 		}
 		w.vals[at] = strings.Repeat("x", huge)
 
-		full, _ := encodeWorkerFull(w, true)
+		full := encodeWorkerFull(w)
 		if reserved := cap(sectionBuf(w, n, 0)); at == 0 && reserved > len(full)+len(full)/4 {
 			t.Errorf("sampled huge value: reserved %d bytes for a %d-byte section", reserved, len(full))
 		}

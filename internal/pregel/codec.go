@@ -1,14 +1,13 @@
 package pregel
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"sort"
+	"strings"
 )
 
 // Checkpoint format v8, the only one this package reads or writes: a
@@ -37,13 +36,12 @@ import (
 // worker, and small glue parts between them, and the store writes the parts
 // in order.
 //
-// Each worker section starts with one flag byte: wsecBinary sections encode
-// the partition with the zero-copy value codec below; wsecGob sections are
-// a gob-encoded ckptWorker, the universal fallback for vertex value or
-// message types that neither are codec primitives nor implement
-// CheckpointAppender/CheckpointDecoder. Delta containers (kindDelta) hold
-// only the vertices dirtied since the checkpoint at prevStep; a restore
-// replays the newest full container plus its delta chain.
+// Each worker section starts with one flag byte, wsecBinary: the partition
+// is encoded with the zero-copy value codec below, the only section
+// encoding, so any other flag is a damaged section. Delta containers
+// (kindDelta) hold only the vertices dirtied since the checkpoint at
+// prevStep; a restore replays the newest full container plus its delta
+// chain.
 
 const (
 	ckptMagic   = "PPCK"
@@ -53,7 +51,6 @@ const (
 	ckptKindDelta byte = 1
 
 	wsecBinary byte = 0
-	wsecGob    byte = 1
 
 	// maxDeltaChain bounds how many delta checkpoints may follow a full
 	// snapshot before the next save is forced full again, bounding both
@@ -78,14 +75,13 @@ func corruptf(format string, args ...any) error {
 }
 
 // CheckpointAppender is implemented by vertex-value and message types that
-// opt into the engine's binary checkpoint codec: AppendCheckpoint appends
-// a self-delimiting encoding of the receiver to buf and returns the
-// extended slice, in the style of dna.Seq's binary marshalling. Types
-// implementing it (together with CheckpointDecoder) checkpoint without
-// gob's reflection and type-dictionary overhead, and become eligible for
-// delta checkpoints (Config.DeltaCheckpoints).
-// Primitive value/message types (integers, floats, bool, string, VertexID,
-// struct{}) are handled by the codec directly and need no methods.
+// carry the engine's binary value codec: AppendCheckpoint appends a
+// self-delimiting encoding of the receiver to buf and returns the extended
+// slice. A run that checkpoints or ships lanes over a wire transport needs
+// the codec for both V and M (Run refuses it otherwise); an in-memory run
+// without checkpoints needs neither. Primitive value/message types
+// (integers, floats, bool, string, VertexID, struct{}) are handled by the
+// codec directly and need no methods.
 type CheckpointAppender interface {
 	AppendCheckpoint(buf []byte) []byte
 }
@@ -218,6 +214,28 @@ func binaryCodecFor[T any]() bool {
 	}
 	_, ok := any(&z).(CheckpointDecoder)
 	return ok
+}
+
+// checkCodecs refuses, before superstep 0, a run that must encode its
+// values — it checkpoints, or ships lanes over a non-loopback transport —
+// when V or M has no binary codec, naming the offending type(s). An
+// in-memory run without checkpoints encodes nothing and needs neither.
+func (g *Graph[V, M]) checkCodecs(job string) error {
+	if g.cfg.CheckpointEvery <= 0 && !g.transportActive() {
+		return nil
+	}
+	var missing []string
+	if !binaryCodecFor[V]() {
+		missing = append(missing, fmt.Sprintf("vertex type %T", *new(V)))
+	}
+	if !binaryCodecFor[M]() {
+		missing = append(missing, fmt.Sprintf("message type %T", *new(M)))
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	return fmt.Errorf("pregel: job %q: no binary value codec for %s; checkpoints and wire transports need one (implement CheckpointAppender and CheckpointDecoder)",
+		job, strings.Join(missing, " or "))
 }
 
 // appendVal appends one value with the binary codec. Only called for types
@@ -385,25 +403,9 @@ func fitSection(buf []byte) []byte {
 	return append(make([]byte, 0, len(buf)), buf...)
 }
 
-// encodeWorkerFull serializes one worker partition as a full section. With
-// bin set it uses the binary value codec, into a buffer from sectionBuf;
-// otherwise it falls back to gob, preserving checkpointability for
-// arbitrary V/M.
-func encodeWorkerFull[V, M any](w *worker[V, M], bin bool) ([]byte, error) {
-	if !bin {
-		var buf bytes.Buffer
-		buf.WriteByte(wsecGob)
-		err := gob.NewEncoder(&buf).Encode(ckptWorker[V, M]{
-			IDs:     w.ids,
-			Vals:    w.vals,
-			Active:  w.active,
-			Dead:    w.dead,
-			NDead:   w.nDead,
-			InArena: w.inArena,
-			InOff:   w.inOff,
-		})
-		return buf.Bytes(), err
-	}
+// encodeWorkerFull serializes one worker partition as a full section with
+// the binary value codec, into a buffer from sectionBuf.
+func encodeWorkerFull[V, M any](w *worker[V, M]) []byte {
 	n := len(w.ids)
 	buf := sectionBuf(w, n, len(w.inArena))
 	buf = append(buf, wsecBinary)
@@ -427,28 +429,18 @@ func encodeWorkerFull[V, M any](w *worker[V, M], bin bool) ([]byte, error) {
 	for i := range w.inArena {
 		buf = appendVal(buf, &w.inArena[i])
 	}
-	return fitSection(buf), nil
+	return fitSection(buf)
 }
 
-// decodeWorkerSection inverts encodeWorkerFull (either flavor).
+// decodeWorkerSection inverts encodeWorkerFull.
 func decodeWorkerSection[V, M any](data []byte) (*ckptWorker[V, M], error) {
 	if len(data) == 0 {
 		return nil, corruptf("pregel: corrupt checkpoint: empty worker section")
 	}
-	flag, data := data[0], data[1:]
-	switch flag {
-	case wsecGob:
-		var cw ckptWorker[V, M]
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cw); err != nil {
-			return nil, corruptf("pregel: corrupt checkpoint: gob worker section: %v", err)
-		}
-		return &cw, nil
-	case wsecBinary:
-		// handled below
-	default:
-		return nil, corruptf("pregel: corrupt checkpoint: unknown worker section flag %d", flag)
+	if data[0] != wsecBinary {
+		return nil, corruptf("pregel: corrupt checkpoint: unknown worker section flag %d", data[0])
 	}
-	un, data, err := ConsumeUvarint(data)
+	un, data, err := ConsumeUvarint(data[1:])
 	if err != nil {
 		return nil, err
 	}

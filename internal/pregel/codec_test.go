@@ -1,6 +1,8 @@
 package pregel
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -53,7 +55,7 @@ func TestBinaryCodecAdmission(t *testing.T) {
 	if !binaryCodecFor[int64]() || !binaryCodecFor[VertexID]() || !binaryCodecFor[string]() {
 		t.Error("primitive types must admit the binary codec")
 	}
-	if binaryCodecFor[prVal]() {
+	if binaryCodecFor[plainMsg]() {
 		t.Error("a struct without codec methods must not admit the binary codec")
 	}
 	if binaryCodecFor[[]int64]() {
@@ -91,35 +93,58 @@ func TestWorkerSectionRoundTrip(t *testing.T) {
 		IDs: w.ids, Vals: w.vals, Active: w.active, Dead: w.dead,
 		NDead: 1, InArena: w.inArena, InOff: w.inOff,
 	}
-	for _, bin := range []bool{true, false} {
-		blob, err := encodeWorkerFull(w, bin)
-		if err != nil {
-			t.Fatalf("bin=%v: %v", bin, err)
-		}
-		got, err := decodeWorkerSection[int64, int64](blob)
-		if err != nil {
-			t.Fatalf("bin=%v: %v", bin, err)
-		}
-		label := "binary"
-		if !bin {
-			label = "gob"
-		}
-		sectionEqual(t, label, got, want)
+	got, err := decodeWorkerSection[int64, int64](encodeWorkerFull(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sectionEqual(t, "binary", got, want)
+	bad := encodeWorkerFull(w)
+	bad[0] = 1 // the flag byte the retired gob sections carried
+	if _, err := decodeWorkerSection[int64, int64](bad); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("section flag 1 decoded with %v, want a corrupt-section error", err)
 	}
 }
 
+// TestWorkerSectionBinarySmallerThanGob: the value codec must stay denser
+// than a gob encoding of the same partition, the reflection encoding it
+// replaced.
 func TestWorkerSectionBinarySmallerThanGob(t *testing.T) {
 	w := buildCodecWorker()
-	binBlob, err := encodeWorkerFull(w, true)
-	if err != nil {
+	var gb bytes.Buffer
+	if err := gob.NewEncoder(&gb).Encode(ckptWorker[int64, int64]{
+		IDs: w.ids, Vals: w.vals, Active: w.active, Dead: w.dead,
+		NDead: w.nDead, InArena: w.inArena, InOff: w.inOff,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	gobBlob, err := encodeWorkerFull(w, false)
-	if err != nil {
-		t.Fatal(err)
+	if bin := encodeWorkerFull(w); len(bin) >= gb.Len() {
+		t.Errorf("binary section is %d bytes, gob is %d; the zero-copy codec should be denser", len(bin), gb.Len())
 	}
-	if len(binBlob) >= len(gobBlob) {
-		t.Errorf("binary section is %d bytes, gob is %d; the zero-copy codec should be denser", len(binBlob), len(gobBlob))
+}
+
+// TestCheckpointCodecSizeFence gates the section sizes of the synthetic
+// partition BenchmarkCheckpointCodec encodes. Both sizes are deterministic;
+// each ceiling is the committed baseline of the former benchmark artifact
+// (commit 8584b4f) times 1.25.
+func TestCheckpointCodecSizeFence(t *testing.T) {
+	const (
+		maxFullBytes  = 984_699 * 1.25 // baseline full_bytes: 984 699
+		maxDeltaRatio = 0.0388 * 1.25  // baseline delta_ratio at 5% dirty: 38 224 / 984 699
+	)
+	w := benchWorker(50_000, 2)
+	full := encodeWorkerFull(w)
+	w.dirty = make([]bool, len(w.ids))
+	for i := 0; i < len(w.dirty); i += 20 {
+		w.dirty[i] = true
+	}
+	delta := encodeWorkerDelta(w)
+	ratio := float64(len(delta)) / float64(len(full))
+	t.Logf("full section %d bytes, 5%%-dirty delta %d bytes (ratio %.4f)", len(full), len(delta), ratio)
+	if float64(len(full)) > maxFullBytes {
+		t.Errorf("full section is %d bytes, ceiling %.0f", len(full), maxFullBytes)
+	}
+	if ratio > maxDeltaRatio || ratio >= 0.5 {
+		t.Errorf("5%%-dirty delta is %.4f of the full section, ceiling %.4f", ratio, maxDeltaRatio)
 	}
 }
 
@@ -128,11 +153,7 @@ func TestWorkerSectionBinarySmallerThanGob(t *testing.T) {
 // snapshot of the mutated worker.
 func TestWorkerDeltaMergesToFull(t *testing.T) {
 	w := buildCodecWorker()
-	before, err := encodeWorkerFull(w, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := decodeWorkerSection[int64, int64](before)
+	snap, err := decodeWorkerSection[int64, int64](encodeWorkerFull(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +170,7 @@ func TestWorkerDeltaMergesToFull(t *testing.T) {
 	if err := applyWorkerDelta(snap, delta); err != nil {
 		t.Fatal(err)
 	}
-	after, err := encodeWorkerFull(w, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := decodeWorkerSection[int64, int64](after)
+	want, err := decodeWorkerSection[int64, int64](encodeWorkerFull(w))
 	if err != nil {
 		t.Fatal(err)
 	}

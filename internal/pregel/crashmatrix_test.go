@@ -13,6 +13,18 @@ type prVal struct {
 	Total int64
 }
 
+func (v *prVal) AppendCheckpoint(buf []byte) []byte {
+	return AppendVarint(AppendVarint(buf, v.Rank), v.Total)
+}
+
+func (v *prVal) DecodeCheckpoint(data []byte) (rest []byte, err error) {
+	if v.Rank, data, err = ConsumeVarint(data); err != nil {
+		return nil, err
+	}
+	v.Total, rest, err = ConsumeVarint(data)
+	return rest, err
+}
+
 // pageRankish is a PageRank-style ranking job on a ring with skip edges:
 // for `iters` iterations every vertex scatters its rank over its three out-
 // edges and gathers incoming shares with a damping residue, all in integer

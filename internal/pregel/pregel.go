@@ -111,7 +111,9 @@ type Config struct {
 	// Checkpoints record the transport's name; Resume under a different
 	// one fails loudly. A *transport.WorkerDownError during a superstep is
 	// treated like an injected worker crash: with checkpointing enabled
-	// the run rolls back and replays, otherwise it fails.
+	// the run rolls back and replays, otherwise it fails. V and M need the
+	// binary value codec (see CheckpointAppender) under a non-loopback
+	// transport, as they do with CheckpointEvery set.
 	Transport transport.Transport
 
 	// CheckpointEvery enables Pregel-style fault tolerance: every N
@@ -120,7 +122,8 @@ type Config struct {
 	// 0), and a worker failure rolls the run back to the latest checkpoint
 	// and replays. Zero disables checkpointing; a failure is then fatal to
 	// the run. Checkpoint writes and recovery reads are charged to the
-	// simulated clock via CostModel.CheckpointBytesPerSecond.
+	// simulated clock via CostModel.CheckpointBytesPerSecond. Run refuses
+	// a checkpointing run whose V or M lacks the binary value codec.
 	CheckpointEvery int
 	// Checkpointer stores the snapshots. Nil with CheckpointEvery > 0
 	// installs a fresh MemCheckpointer; pass a DirCheckpointer (shared by
@@ -129,12 +132,10 @@ type Config struct {
 	// DeltaCheckpoints makes cadence checkpoints incremental: after a full
 	// snapshot, subsequent saves record only the vertices dirtied (computed
 	// on, or delivered a message) since the previous save, bounded by a
-	// short chain before the next full snapshot. Requires the binary
-	// checkpoint codec (vertex value and message types that are primitives
-	// or implement CheckpointAppender/CheckpointDecoder) and a store
-	// implementing DeltaCheckpointer; when either is missing every save
-	// stays a full snapshot, and the downgrade is reported through Warn
-	// plus the pregel_checkpoint_delta_downgrades_total counter. Recovery
+	// short chain before the next full snapshot. Requires a store
+	// implementing DeltaCheckpointer; without one every save stays a full
+	// snapshot, and the downgrade is reported through Warn plus the
+	// pregel_checkpoint_delta_downgrades_total counter. Recovery
 	// replays the newest full snapshot plus its delta chain and is
 	// bit-identical to recovering from a full save.
 	DeltaCheckpoints bool
@@ -638,10 +639,13 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	for _, opt := range opts {
 		opt(&o)
 	}
+	stats := &Stats{Name: o.name, Workers: g.cfg.Workers}
+	if err := g.checkCodecs(o.name); err != nil {
+		return stats, err
+	}
 	g.runName = o.name
 	g.sortVertices()
 	g.agg.reset()
-	stats := &Stats{Name: o.name, Workers: g.cfg.Workers}
 	// Lock the combiner for the whole run (see SetCombiner): send and
 	// delivery read the run-scoped copies only.
 	g.runTotal = g.combTotal

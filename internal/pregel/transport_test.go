@@ -48,43 +48,82 @@ func TestTransportMemWireMatchesLoopback(t *testing.T) {
 	}
 }
 
-// gobMsg has no binary checkpoint codec, forcing the lane codec onto its
-// gob fallback.
-type gobMsg struct {
+// plainMsg has no binary value codec.
+type plainMsg struct {
 	Share int64
 	Hops  int32
 }
 
-// TestTransportGobLaneFallback runs a job whose message type lacks the
-// binary value codec over memwire: lanes take the gob path and results must
-// still match the loopback run exactly.
-func TestTransportGobLaneFallback(t *testing.T) {
+// TestRunRefusesTypesWithoutCodec: a run that must encode its values — a
+// codec-less message type over memwire, a codec-less vertex type with
+// checkpoints — fails before superstep 0 with an error naming the type,
+// and leaves the graph untouched. The same types run in memory with no
+// checkpoints and no wire transport.
+func TestRunRefusesTypesWithoutCodec(t *testing.T) {
 	const n = 64
-	compute := func(ctx *Context[gobMsg], id VertexID, v *int64, msgs []gobMsg) {
+	compute := func(ctx *Context[plainMsg], id VertexID, v *plainMsg, msgs []plainMsg) {
 		for _, m := range msgs {
-			*v += m.Share + int64(m.Hops)
+			v.Share += m.Share + int64(m.Hops)
 		}
 		if ctx.Superstep() >= 5 {
 			ctx.VoteToHalt()
 			return
 		}
-		ctx.Send(VertexID((uint64(id)+3)%n), gobMsg{Share: *v % 97, Hops: int32(ctx.Superstep())})
+		ctx.Send(VertexID((uint64(id)+3)%n), plainMsg{Share: v.Share % 97, Hops: int32(ctx.Superstep())})
 	}
-	run := func(tx transport.Transport) map[VertexID]int64 {
-		g := NewGraph[int64, gobMsg](Config{Workers: 4, Transport: tx})
+	build := func(cfg Config) *Graph[plainMsg, plainMsg] {
+		g := NewGraph[plainMsg, plainMsg](cfg)
 		for i := 0; i < n; i++ {
-			g.AddVertex(VertexID(i), int64(i))
+			g.AddVertex(VertexID(i), plainMsg{Share: int64(i)})
 		}
-		if _, err := g.Run(compute, WithName("goblane")); err != nil {
-			t.Fatal(err)
-		}
-		out := map[VertexID]int64{}
-		g.ForEach(func(id VertexID, v *int64) { out[id] = *v })
-		return out
+		return g
 	}
-	want := run(nil)
-	if got := run(transport.NewMemWire(4)); !reflect.DeepEqual(got, want) {
-		t.Error("gob-lane memwire run differs from loopback run")
+	sum := func(g *Graph[plainMsg, plainMsg]) (s int64) {
+		g.ForEach(func(_ VertexID, v *plainMsg) { s += v.Share })
+		return s
+	}
+	untouched := sum(build(Config{Workers: 4}))
+	for name, cfg := range map[string]Config{
+		"memwire":    {Workers: 4, Transport: transport.NewMemWire(4)},
+		"checkpoint": {Workers: 4, CheckpointEvery: 2},
+	} {
+		g := build(cfg)
+		_, err := g.Run(compute, WithName("nocodec"))
+		if err == nil {
+			t.Errorf("%s: a codec-less run was accepted", name)
+			continue
+		}
+		for _, want := range []string{"vertex type pregel.plainMsg", "message type pregel.plainMsg"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error does not name the %s: %v", name, want, err)
+			}
+		}
+		if got := sum(g); got != untouched {
+			t.Errorf("%s: refused run changed vertex values (sum %d, want %d)", name, got, untouched)
+		}
+	}
+	// Only the offending type is named.
+	m := NewGraph[int64, plainMsg](Config{Workers: 4, Transport: transport.NewMemWire(4)})
+	m.AddVertex(1, 0)
+	if _, err := m.Run(func(ctx *Context[plainMsg], _ VertexID, _ *int64, _ []plainMsg) { ctx.VoteToHalt() }); err == nil ||
+		strings.Contains(err.Error(), "vertex type") || !strings.Contains(err.Error(), "message type pregel.plainMsg") {
+		t.Errorf("codec-less message type over memwire: %v", err)
+	}
+
+	var want int64
+	for i, tx := range []transport.Transport{nil, transport.NewMem(4)} {
+		g := build(Config{Workers: 4, Transport: tx})
+		if _, err := g.Run(compute, WithName("nocodec")); err != nil {
+			t.Fatalf("in-memory run without checkpoints: %v", err)
+		}
+		if got := sum(g); i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("loopback mem transport: sum %d, nil transport %d", got, want)
+		}
+	}
+	if want == untouched {
+		t.Error("the in-memory run did not compute")
 	}
 }
 
@@ -339,7 +378,7 @@ func TestTransportWorkerCountMismatchRejected(t *testing.T) {
 // laneOf builds a msgLane from parallel destination and message lists.
 func laneOf[M any](dst []VertexID, msg []M) msgLane[M] { return msgLane[M]{dst: dst, msg: msg} }
 
-// TestLaneCodecRoundTrip pins the lane codec on both paths: lanes round-trip
+// TestLaneCodecRoundTrip pins the lane codec: lanes round-trip
 // through a reused decode buffer, and damaged payloads fail loudly.
 func TestLaneCodecRoundTrip(t *testing.T) {
 	lanes := []msgLane[int64]{
@@ -350,11 +389,7 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 	}
 	var got msgLane[int64]
 	for i, lane := range lanes {
-		buf, err := encodeLane(nil, lane, true)
-		if err != nil {
-			t.Fatalf("lane %d: %v", i, err)
-		}
-		if err := decodeLane(buf, &got); err != nil {
+		if err := decodeLane(encodeLane(nil, lane), &got); err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
 		if len(got.dst) != len(lane.dst) || len(got.msg) != len(lane.msg) {
@@ -367,26 +402,13 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	gl := laneOf([]VertexID{3, 1 << 60}, []gobMsg{{1, 2}, {-2, 0}})
-	buf, err := encodeLane(nil, gl, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gg msgLane[gobMsg]
-	if err := decodeLane(buf, &gg); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gg, gl) {
-		t.Fatalf("gob lane decoded to %+v, want %+v", gg, gl)
-	}
-
 	// Corrupt payloads fail loudly instead of decoding garbage, and leave
 	// the buffer empty.
-	good, _ := encodeLane(nil, lanes[3], true)
+	good := encodeLane(nil, lanes[3])
 	bad := map[string][]byte{
 		"empty":          nil,
 		"unknown flag":   {9, 1, 2},
-		"gob flag":       append([]byte{laneGob}, good[1:]...),
+		"flag 1":         append([]byte{1}, good[1:]...),
 		"huge count":     {laneBinary, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1},
 		"count too big":  {laneBinary, 2, 1, 2},
 		"truncated":      good[:len(good)-1],
@@ -402,9 +424,6 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: failed decode left %d/%d entries", name, len(got.dst), len(got.msg))
 		}
 	}
-	if err := decodeLane(good, &gg); err == nil {
-		t.Error("a binary lane decoded as a gob message type")
-	}
 }
 
 // FuzzLaneCodec feeds arbitrary payloads to the lane decoder, which reads
@@ -417,11 +436,10 @@ func FuzzLaneCodec(f *testing.F) {
 		laneOf([]VertexID{1}, []int64{42}),
 		laneOf([]VertexID{7, 7, 99, 1 << 63}, []int64{-3, 0, 1 << 40, -1 << 63}),
 	} {
-		buf, _ := encodeLane(nil, l, true)
-		f.Add(buf)
+		f.Add(encodeLane(nil, l))
 	}
 	f.Add([]byte{laneBinary, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Add([]byte{laneGob})
+	f.Add([]byte{1}) // the retired gob flag: must be rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var l msgLane[int64]
 		if err := decodeLane(data, &l); err != nil {
@@ -436,11 +454,7 @@ func FuzzLaneCodec(f *testing.F) {
 		if cap(l.dst) > len(data) || cap(l.msg) > len(data) {
 			t.Fatalf("%d-byte payload reserved %d/%d entries", len(data), cap(l.dst), cap(l.msg))
 		}
-		re, err := encodeLane(nil, l, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, data) {
+		if re := encodeLane(nil, l); !bytes.Equal(re, data) {
 			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", re, data)
 		}
 	})

@@ -1,8 +1,6 @@
 package pregel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -27,41 +25,21 @@ import (
 // and restart), surfaces as a *transport.WorkerDownError, and the run
 // rolls back to its latest checkpoint exactly like an injected fault.
 
-// laneBinary/laneGob flag the lane payload encoding, mirroring the
-// checkpoint container's wsecBinary/wsecGob worker sections: message types
-// admitted by the binary value codec use the zero-copy path, anything else
-// falls back to gob. Which one a lane uses follows from M alone, so a
-// decoder refuses the other flag.
-const (
-	laneBinary byte = 0
-	laneGob    byte = 1
-)
+// laneBinary is the lane payload's leading flag byte. The value codec is
+// the only lane encoding, so a decoder accepts no other flag: anything else
+// is a damaged payload.
+const laneBinary byte = 0
 
-// wireLane is the gob-visible shape of a msgLane (whose fields are
-// unexported by design).
-type wireLane[M any] struct {
-	Dst []VertexID
-	Msg []M
-}
-
-// encodeLane appends the lane payload encoding of l to buf: the flag, then
-// for binary lanes the message count and each (destination, message) pair.
-func encodeLane[M any](buf []byte, l msgLane[M], bin bool) ([]byte, error) {
-	if !bin {
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(wireLane[M]{Dst: l.dst, Msg: l.msg}); err != nil {
-			return nil, fmt.Errorf("pregel: gob-encoding transport lane: %w", err)
-		}
-		buf = append(buf, laneGob)
-		return append(buf, gb.Bytes()...), nil
-	}
+// encodeLane appends the lane payload encoding of l to buf: the flag, the
+// message count and each (destination, message) pair.
+func encodeLane[M any](buf []byte, l msgLane[M]) []byte {
 	buf = append(buf, laneBinary)
 	buf = AppendUvarint(buf, uint64(len(l.dst)))
 	for i := range l.dst {
 		buf = AppendUvarint(buf, uint64(l.dst[i]))
 		buf = appendVal(buf, &l.msg[i])
 	}
-	return buf, nil
+	return buf
 }
 
 // decodeLane decodes a lane payload into l, reusing its capacity. The
@@ -73,26 +51,10 @@ func decodeLane[M any](data []byte, l *msgLane[M]) error {
 	if len(data) == 0 {
 		return corruptf("pregel: transport lane payload is empty")
 	}
-	flag, data := data[0], data[1:]
-	want := laneGob
-	if binaryCodecFor[M]() {
-		want = laneBinary
+	if data[0] != laneBinary {
+		return corruptf("pregel: transport lane flag %d, want %d", data[0], laneBinary)
 	}
-	if flag != want {
-		return corruptf("pregel: transport lane flag %d, want %d for this message type", flag, want)
-	}
-	if flag == laneGob {
-		var w wireLane[M]
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-			return fmt.Errorf("pregel: gob-decoding transport lane: %w", err)
-		}
-		if len(w.Dst) != len(w.Msg) {
-			return corruptf("pregel: transport lane has %d destinations for %d messages", len(w.Dst), len(w.Msg))
-		}
-		l.dst, l.msg = w.Dst, w.Msg
-		return nil
-	}
-	n, data, err := ConsumeUvarint(data)
+	n, data, err := ConsumeUvarint(data[1:])
 	if err != nil {
 		return err
 	}
@@ -145,7 +107,6 @@ func (g *Graph[V, M]) transportName() string {
 // engine's existing error path.
 func (g *Graph[V, M]) deliverViaTransport(step int) (delivered, dropped int64, err error) {
 	t := g.cfg.Transport
-	bin := binaryCodecFor[M]()
 	tr := g.cfg.Tracer
 	// The send phase reports through the workers' deliverErr slots, which
 	// deliverTo normally clears at drain time — replaying after a failed
@@ -165,11 +126,8 @@ func (g *Graph[V, M]) deliverViaTransport(step int) (delivered, dropped int64, e
 			if dwi == swi {
 				continue // local lanes never leave memory
 			}
-			var err error
-			if buf, err = encodeLane(buf[:0], src.outbox[dwi], bin); err == nil {
-				err = t.SendLane(step, swi, dwi, buf)
-			}
-			if err != nil {
+			buf = encodeLane(buf[:0], src.outbox[dwi])
+			if err := t.SendLane(step, swi, dwi, buf); err != nil {
 				src.deliverErr = err
 				return
 			}
