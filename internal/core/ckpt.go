@@ -1,9 +1,10 @@
-// Checkpoint codec methods: VData and Msg carry the Pregel engine's binary
-// value codec by implementing pregel.CheckpointAppender /
+// Checkpoint codec methods: VData, Msg and labelMsg carry the Pregel
+// engine's binary value codec by implementing pregel.CheckpointAppender /
 // pregel.CheckpointDecoder, which segment-graph jobs need to checkpoint or
-// run over a wire transport. Field order is the struct
-// order; vertex IDs are fixed 8-byte little-endian (canonical k-mer codes
-// and flipped IDs span the full 64-bit range, where varints buy nothing).
+// run over a wire transport. VData fields are written in struct order, the
+// messages' one-byte fields first; vertex IDs are fixed 8-byte little-endian
+// (canonical k-mer codes and flipped IDs span the full 64-bit range, where
+// varints buy nothing).
 
 package core
 
@@ -165,5 +166,30 @@ func (m *Msg) DecodeCheckpoint(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("core: corrupt Msg encoding: coverage %d overflows uint32", cov)
 	}
 	m.Cov = uint32(cov)
+	return data, nil
+}
+
+// AppendCheckpoint implements pregel.CheckpointAppender.
+func (m *labelMsg) AppendCheckpoint(buf []byte) []byte {
+	buf = append(buf, byte(m.Kind), m.Side, m.Side2)
+	buf = pregel.AppendBool(buf, m.Flag)
+	return pregel.AppendUint64(buf, uint64(m.ID))
+}
+
+// DecodeCheckpoint implements pregel.CheckpointDecoder.
+func (m *labelMsg) DecodeCheckpoint(data []byte) ([]byte, error) {
+	if len(data) < 3 {
+		return nil, fmt.Errorf("core: corrupt labelMsg encoding: truncated header")
+	}
+	m.Kind, m.Side, m.Side2 = MsgKind(data[0]), data[1], data[2]
+	var err error
+	if m.Flag, data, err = pregel.ConsumeBool(data[3:]); err != nil {
+		return nil, err
+	}
+	id, data, err := pregel.ConsumeUint64(data)
+	if err != nil {
+		return nil, err
+	}
+	m.ID = pregel.VertexID(id)
 	return data, nil
 }

@@ -135,6 +135,77 @@ func FuzzMsgCodecDifferential(f *testing.F) {
 	})
 }
 
+// FuzzLabelMsgCodecDifferential checks the labeling message against the gob
+// baseline.
+func FuzzLabelMsgCodecDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 0, 1, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x11, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &fuzzGen{data: data}
+		m := labelMsg{
+			Kind:  MsgKind(g.b()),
+			Side:  g.b(),
+			Side2: g.b(),
+			Flag:  g.flag(),
+			ID:    g.id(),
+		}
+		ckpttest.RoundTrip[labelMsg](t, &m)
+		ckpttest.NoPanic[labelMsg](t, data)
+		ckpttest.Corrupt[labelMsg](t, &m, data)
+	})
+}
+
+// TestLabelMsgLayoutFence pins labelMsg at 16 bytes (a routed lane entry,
+// destination plus message, is 24), its field offsets, and its encoding.
+func TestLabelMsgLayoutFence(t *testing.T) {
+	var m labelMsg
+	if got := unsafe.Sizeof(m); got != 16 {
+		t.Errorf("labelMsg is %d bytes, want 16: a field was added or the widest-first order broken", got)
+	}
+	offsets := []struct {
+		field     string
+		got, want uintptr
+	}{
+		{"ID", unsafe.Offsetof(m.ID), 0},
+		{"Kind", unsafe.Offsetof(m.Kind), 8},
+		{"Side", unsafe.Offsetof(m.Side), 9},
+		{"Side2", unsafe.Offsetof(m.Side2), 10},
+		{"Flag", unsafe.Offsetof(m.Flag), 11},
+	}
+	for _, o := range offsets {
+		if o.got != o.want {
+			t.Errorf("labelMsg.%s at offset %d, want %d", o.field, o.got, o.want)
+		}
+	}
+	m = labelMsg{Kind: MsgResp, ID: 0x0102030405060708, Side: 1, Side2: 2, Flag: true}
+	want := []byte{byte(MsgResp), 1, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1}
+	if got := m.AppendCheckpoint(nil); !bytes.Equal(got, want) {
+		t.Errorf("labelMsg encoding changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestLabelMsgWireBytesMatchesCodec keeps the labeling jobs' wire charges
+// honest. labelMsg's encoding has a fixed size, so labelMsgWireBytes must be
+// exactly the size of every representative (a hello, a push of a vertex ID
+// and of a flipped contig-end ID). An S-V message is a bare vertex ID,
+// which the engine encodes as a uvarint; svMsgWireBytes is its size for a
+// k-mer-sized ID of a default-option run.
+func TestLabelMsgWireBytesMatchesCodec(t *testing.T) {
+	const kmerID = pregel.VertexID(0x2a5f3c71e09) // a 21-mer's 42-bit ID
+	for _, m := range []labelMsg{
+		{Kind: MsgHello, ID: kmerID, Side: 1, Flag: true},
+		{Kind: MsgResp, ID: kmerID, Side: 1, Side2: 1},
+		{Kind: MsgResp, ID: dbg.FlipID(kmerID), Side: 1},
+	} {
+		if n := len(m.AppendCheckpoint(nil)); n != labelMsgWireBytes {
+			t.Errorf("%+v encodes in %d bytes, labelMsgWireBytes = %d", m, n, labelMsgWireBytes)
+		}
+	}
+	if n := len(pregel.AppendUvarint(nil, uint64(kmerID))); n != svMsgWireBytes {
+		t.Errorf("a k-mer ID encodes in %d bytes, svMsgWireBytes = %d", n, svMsgWireBytes)
+	}
+}
+
 // TestMsgLayoutFence pins the two properties the widest-first field order of
 // Msg must keep apart: the in-memory size (24 bytes, so a routed lane entry —
 // an 8-byte destination plus the message — is 32) with its field order, and

@@ -68,8 +68,11 @@ const (
 	MsgTipDel                 // op ⑤: DELETE wave
 )
 
-// Msg is the single message type shared by all jobs that run on the segment
-// graph (one Pregel vertex program per operation, as in the paper).
+// Msg is the message type of the segment graph's jobs (one Pregel vertex
+// program per operation, as in the paper) apart from contig labeling, whose
+// jobs run over the same vertices with smaller messages of their own
+// (labelMsg and bare vertex IDs, label.go); the labeling oracles in
+// label_oracle_test.go keep Msg.
 //
 // No kind needs a sender and a pointer at once, so one ID field carries
 // whichever the kind uses, and the one length field serves the two kinds that
@@ -99,8 +102,8 @@ type Msg struct {
 // MsgWireBytes is the charged wire size of one Msg on the simulated
 // network, the size of its codec encoding (ckpt.go) for a typical message:
 // kind, sides and polarities (5) + flag (1) + one vertex ID (8) + the
-// varint-packed length and coverage (2 for hello and pointer messages, 3 for
-// a contig announcement or a tip REQUEST). TestMsgWireBytesMatchesCodec keeps
+// varint-packed length and coverage (2 for a hello or a tip DELETE, 3 for a
+// contig announcement or a tip REQUEST). TestMsgWireBytesMatchesCodec keeps
 // it within two bytes of the largest representative encoding. The engine's
 // generic 16-byte default undercharges this record; every segment-graph job
 // declares the real size so locality-aware placement is priced against the

@@ -40,6 +40,28 @@ type LabelStats struct {
 
 const aggUndone = "lr-undone-sides"
 
+// labelMsg is the message of the hello supersteps and of push list ranking:
+// a hello carries the sender (ID), its side and its ambiguity (Flag), a
+// list-ranking push the new pointer (ID, Side2) for the receiver's side
+// Side. At 16 bytes it is two thirds of Msg, which labeling never needs:
+// no labeling message carries a length, a coverage or a polarity.
+type labelMsg struct {
+	ID          pregel.VertexID
+	Kind        MsgKind
+	Side, Side2 uint8
+	Flag        bool
+}
+
+// labelMsgWireBytes is the charged wire size of one labelMsg: its codec
+// (ckpt.go) writes kind, sides and flag (4) and one fixed 8-byte vertex ID
+// (TestLabelMsgWireBytesMatchesCodec).
+const labelMsgWireBytes = 12
+
+// svMsgWireBytes is the charged wire size of one S-V message, a bare vertex
+// ID that the engine encodes as a uvarint: 6 bytes for a 21-mer's 42-bit ID
+// (TestLabelMsgWireBytesMatchesCodec).
+const svMsgWireBytes = 6
+
 // LabelContigs is operation ② (§IV-B): it marks every vertex of each
 // maximal unambiguous path with the path's unique contig label. Ambiguous
 // (⟨m-n⟩) vertices end up with Labeled == false; as a side effect every
@@ -49,37 +71,49 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 	start := time.Now()
 	sim0 := g.Clock().Seconds()
 	ls := &LabelStats{Algorithm: algo}
-
-	var st *pregel.Stats
-	var err error
-	if algo == LabelerLR {
-		st, err = g.Run(lrCompute, pregel.WithName("contig-label-lr"))
-	} else {
-		st, err = g.Run(svLabelCompute(2), pregel.WithName("contig-label-sv"))
+	add := func(st *pregel.Stats, err error) error {
+		if err == nil {
+			ls.Supersteps += st.Supersteps
+			ls.Messages += st.Messages
+		}
+		return err
 	}
-	if err != nil {
-		return nil, err
-	}
-	ls.Supersteps = st.Supersteps
-	ls.Messages = st.Messages
-
+	// Each job runs over the same vertices with the smallest message it
+	// needs: hellos and list ranking send labelMsg, S-V bare vertex IDs.
+	lg := pregel.WithMessages[labelMsg](g, labelMsgWireBytes)
 	if algo == LabelerLR {
+		if err := add(lg.Run(lrCompute, pregel.WithName("contig-label-lr"))); err != nil {
+			return nil, err
+		}
 		// Cycles of ⟨1-1⟩ vertices never reach a contig end; label the
 		// marked residue with the simplified S-V algorithm (§IV-B ②).
-		cycles := 0
 		g.ForEach(func(id pregel.VertexID, v *VData) {
 			if v.Cycle {
-				cycles++
+				ls.CycleVertices++
 			}
 		})
-		ls.CycleVertices = cycles
-		if cycles > 0 {
-			st2, err := g.Run(svCycleCompute, pregel.WithName("contig-label-cycle-sv"))
-			if err != nil {
+		if ls.CycleVertices > 0 {
+			sg := pregel.WithMessages[pregel.VertexID](g, svMsgWireBytes)
+			if err := add(sg.Run(svCycleCompute, pregel.WithName("contig-label-cycle-sv"))); err != nil {
 				return nil, err
 			}
-			ls.Supersteps += st2.Supersteps
-			ls.Messages += st2.Messages
+		}
+	} else {
+		if err := add(lg.Run(helloCompute, pregel.WithName("contig-label-hello"))); err != nil {
+			return nil, err
+		}
+		// A job starts with every vertex active, so S-V runs only if some
+		// vertex is left unlabeled: the two jobs then take the supersteps
+		// one job with the hellos in its first two would.
+		pending := false
+		g.ForEach(func(id pregel.VertexID, v *VData) {
+			pending = pending || !v.Ambig && !v.Labeled
+		})
+		if pending {
+			sg := pregel.WithMessages[pregel.VertexID](g, svMsgWireBytes)
+			if err := add(sg.Run(svLabelCompute, pregel.WithName("contig-label-sv"))); err != nil {
+				return nil, err
+			}
 		}
 	}
 	ls.WallSeconds = time.Since(start).Seconds()
@@ -100,7 +134,7 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 // from one neighbor are matched to this vertex's sides in arrival order on
 // both ends of an edge, which is what keeps the invariant on 2-cycles,
 // self-loops and reverse-complement hairpins.
-func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) (done bool) {
+func helloPhase(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs []labelMsg) (done bool) {
 	switch ctx.Superstep() {
 	case 0:
 		v.Ambig = v.Node.Type() == dbg.TypeManyAny
@@ -114,7 +148,7 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 			// take no further part in labeling (§IV-B ②, superstep 1).
 			for _, a := range v.Node.Adj {
 				if a.Nbr != dbg.NullID {
-					ctx.Send(a.Nbr, Msg{Kind: MsgHello, ID: id, Flag: true})
+					ctx.Send(a.Nbr, labelMsg{Kind: MsgHello, ID: id, Flag: true})
 				}
 			}
 			ctx.VoteToHalt()
@@ -122,7 +156,7 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 		}
 		for i := 0; i < 2; i++ {
 			if v.HasSide[i] {
-				ctx.Send(v.SideNbr[i], Msg{Kind: MsgHello, ID: id, Side: uint8(i)})
+				ctx.Send(v.SideNbr[i], labelMsg{Kind: MsgHello, ID: id, Side: uint8(i)})
 			}
 		}
 		return true
@@ -166,7 +200,7 @@ func helloPhase(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []M
 }
 
 // helloAmbig reports whether any hello from nbr carries the ambiguity flag.
-func helloAmbig(msgs []Msg, nbr pregel.VertexID) bool {
+func helloAmbig(msgs []labelMsg, nbr pregel.VertexID) bool {
 	for i := range msgs {
 		if m := &msgs[i]; m.Kind == MsgHello && m.ID == nbr && m.Flag {
 			return true
@@ -177,7 +211,7 @@ func helloAmbig(msgs []Msg, nbr pregel.VertexID) bool {
 
 // helloSide returns the sender side of the hello from nbr that follows skip
 // earlier ones in arrival order (side 0 if nbr sent no such hello).
-func helloSide(msgs []Msg, nbr pregel.VertexID, skip int) uint8 {
+func helloSide(msgs []labelMsg, nbr pregel.VertexID, skip int) uint8 {
 	for i := range msgs {
 		if m := &msgs[i]; m.Kind == MsgHello && m.ID == nbr {
 			if skip == 0 {
@@ -187,6 +221,15 @@ func helloSide(msgs []Msg, nbr pregel.VertexID, skip int) uint8 {
 		}
 	}
 	return 0
+}
+
+// helloCompute is the S-V labeler's first job: the two hello supersteps
+// alone, after which every vertex halts and S-V takes over (svLabelCompute).
+func helloCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs []labelMsg) {
+	helloPhase(ctx, id, v, msgs)
+	if ctx.Superstep() == 1 {
+		ctx.VoteToHalt()
+	}
 }
 
 // lrCompute is the bidirectional-list-ranking labeler (Figure 11), one
@@ -211,7 +254,7 @@ func helloSide(msgs []Msg, nbr pregel.VertexID, skip int) uint8 {
 // undone side every round (the vertex next to the end learns the end), so a
 // positive count equal to the previous round's means only cycles remain and
 // the survivors mark themselves for the S-V fallback.
-func lrCompute(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs []labelMsg) {
 	if ctx.Superstep() <= 1 {
 		if helloPhase(ctx, id, v, msgs) {
 			return
@@ -251,7 +294,7 @@ func lrCompute(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Ms
 	ctx.AggSum(aggUndone, v.undoneSides())
 	for i := 0; i < 2; i++ {
 		if !v.Done[i] {
-			ctx.Send(v.P[i], Msg{Kind: MsgResp, Side: 1 - v.PSide[i], ID: v.P[1-i], Side2: v.PSide[1-i]})
+			ctx.Send(v.P[i], labelMsg{Kind: MsgResp, Side: 1 - v.PSide[i], ID: v.P[1-i], Side2: v.PSide[1-i]})
 		}
 	}
 }
@@ -260,7 +303,7 @@ const aggSVChanged = "sv-changed"
 
 // svRound executes one 4-phase simplified-S-V step over the side-neighbor
 // subgraph (sides i with HasSide && !Done are the surviving edges). phase
-// is (superstep - offset) % 4. Convergence is signalled through the shared
+// is the job's superstep % 4. Convergence is signalled through the shared
 // boolean aggregator; on convergence the vertex labels itself with D.
 //
 //	phase 0: apply hook proposals; query the parent D for its parent
@@ -268,6 +311,11 @@ const aggSVChanged = "sv-changed"
 //	phase 2: record DD = D[D[v]]; broadcast D to the side neighbours
 //	phase 3: tree hooking (if D is a root and a neighbour's D is smaller,
 //	         propose it to D), then shortcutting (D ← DD)
+//
+// Every phase receives exactly one kind of message, so a message is one bare
+// vertex ID whose meaning the phase implies: a query (phase 1) carries its
+// sender, a reply (phase 2), a neighbour broadcast (phase 3) or a hook
+// (phase 0) carries a D value.
 //
 // Each round sends only what its receiver does not already know, and leaves
 // every D exactly where the four-message round (label_oracle_test.go keeps it
@@ -284,10 +332,10 @@ const aggSVChanged = "sv-changed"
 //     sleeps from phase 0 and again after answering; its reply wakes it for
 //     phase 2. Roots get no reply and stay awake, as does everyone in phases
 //     2 and 3.
-func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg, phase int, first bool) {
-	switch phase {
+func svRound(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData, msgs []pregel.VertexID) {
+	switch ctx.Superstep() % 4 {
 	case 0:
-		if first {
+		if ctx.Superstep() == 0 {
 			v.D, v.NbrMin, v.DNew = id, id, true
 		} else {
 			if !ctx.PrevAggOr(aggSVChanged) {
@@ -296,9 +344,9 @@ func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg,
 				ctx.VoteToHalt()
 				return
 			}
-			for _, m := range msgs {
-				if m.Kind == MsgSVHook && m.ID < v.D {
-					v.D, v.DNew = m.ID, true
+			for _, hook := range msgs {
+				if hook < v.D {
+					v.D, v.DNew = hook, true
 					ctx.AggOr(aggSVChanged, true)
 				}
 			}
@@ -307,39 +355,33 @@ func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg,
 			v.DD = id
 			return
 		}
-		ctx.Send(v.D, Msg{Kind: MsgSVQuery, ID: id})
+		ctx.Send(v.D, id)
 		ctx.VoteToHalt()
 	case 1:
-		for _, m := range msgs {
-			if m.Kind == MsgSVQuery {
-				ctx.Send(m.ID, Msg{Kind: MsgSVReply, ID: v.D})
-			}
+		for _, querier := range msgs {
+			ctx.Send(querier, v.D)
 		}
 		if v.D != id {
 			ctx.VoteToHalt()
 		}
 	case 2:
-		for _, m := range msgs {
-			if m.Kind == MsgSVReply {
-				v.DD = m.ID
-			}
+		for _, dd := range msgs {
+			v.DD = dd
 		}
 		if v.DNew {
 			for i := 0; i < 2; i++ {
 				if v.HasSide[i] && !v.Done[i] {
-					ctx.Send(v.SideNbr[i], Msg{Kind: MsgSVNbr, ID: v.D})
+					ctx.Send(v.SideNbr[i], v.D)
 				}
 			}
 			v.DNew = false
 		}
 	case 3:
-		for _, m := range msgs {
-			if m.Kind == MsgSVNbr && m.ID < v.NbrMin {
-				v.NbrMin = m.ID
-			}
+		for _, d := range msgs {
+			v.NbrMin = min(v.NbrMin, d)
 		}
 		if best := min(v.D, v.NbrMin); v.DD == v.D && best < v.D {
-			ctx.Send(v.D, Msg{Kind: MsgSVHook, ID: best})
+			ctx.Send(v.D, best)
 			ctx.AggOr(aggSVChanged, true)
 		}
 		if v.DD != v.D {
@@ -349,34 +391,27 @@ func svRound(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg,
 	}
 }
 
-// svLabelCompute returns the compute function for the pure-S-V labeler:
-// hello setup in supersteps 0..1, then S-V phases starting at `offset`.
-// With S-V, every vertex in an unambiguous path obtains the smallest vertex
-// ID of the path as its label (ends included, because the path is a
-// connected component once ambiguous edges are cut).
-func svLabelCompute(offset int) pregel.Compute[VData, Msg] {
-	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
-		s := ctx.Superstep()
-		if s <= 1 {
-			helloPhase(ctx, id, v, msgs)
-			return
-		}
-		if v.Ambig || v.Labeled {
-			ctx.VoteToHalt()
-			return
-		}
-		svRound(ctx, id, v, msgs, (s-offset)%4, s == offset)
+// svLabelCompute is the pure-S-V labeler's second job, run after
+// helloCompute: S-V over every vertex the hellos left unlabeled. Every
+// vertex in an unambiguous path obtains the smallest vertex ID of the path
+// as its label (ends included, because the path is a connected component
+// once ambiguous edges are cut).
+func svLabelCompute(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData, msgs []pregel.VertexID) {
+	if v.Ambig || v.Labeled {
+		ctx.VoteToHalt()
+		return
 	}
+	svRound(ctx, id, v, msgs)
 }
 
 // svCycleCompute runs the S-V fallback over the vertices the LR labeler
 // marked as cycle members; everything else halts immediately. A cycle of
 // ⟨1-1⟩ vertices has both sides live, so the side subgraph is exactly the
 // cycle.
-func svCycleCompute(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+func svCycleCompute(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData, msgs []pregel.VertexID) {
 	if !v.Cycle || v.Labeled {
 		ctx.VoteToHalt()
 		return
 	}
-	svRound(ctx, id, v, msgs, ctx.Superstep()%4, ctx.Superstep() == 0)
+	svRound(ctx, id, v, msgs)
 }

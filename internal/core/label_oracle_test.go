@@ -262,12 +262,13 @@ func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs 
 	}
 }
 
-// svLabelComputeOracle is svLabelCompute over svRoundOracle.
+// svLabelComputeOracle is the pure-S-V labeler as one job over Msg: the
+// hello supersteps, then svRoundOracle from superstep offset.
 func svLabelComputeOracle(offset int) pregel.Compute[VData, Msg] {
 	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
 		s := ctx.Superstep()
 		if s <= 1 {
-			helloPhase(ctx, id, v, msgs)
+			helloPhaseOracle(ctx, id, v, msgs)
 			return
 		}
 		if v.Ambig || v.Labeled {
@@ -750,7 +751,7 @@ func FuzzPushLRMatchesRequestRespond(f *testing.F) {
 // dTrace records every S-V vertex's D after each phase 3, one slice per
 // worker so that parallel workers never append to the same one. A worker
 // runs its vertices in ID order, so two runs over the same partitioning
-// record the same (superstep, vertex) sequence.
+// record the same (round superstep, vertex) sequence.
 type dTrace struct{ byWorker [][]dEntry }
 
 type dEntry struct {
@@ -760,47 +761,65 @@ type dEntry struct {
 
 func newDTrace(workers int) *dTrace { return &dTrace{byWorker: make([][]dEntry, workers)} }
 
-// wrap runs compute and then, at every phase-3 superstep of an S-V job whose
-// rounds start at offset, records D for the vertices inSV accepts.
-func (tr *dTrace) wrap(compute pregel.Compute[VData, Msg], offset int, inSV func(*VData) bool) pregel.Compute[VData, Msg] {
-	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+// traceD runs compute and then, at every phase-3 superstep of an S-V job
+// whose rounds start at offset, records D for the vertices inSV accepts,
+// stamped with the superstep counted from the first round.
+func traceD[M any](tr *dTrace, compute pregel.Compute[VData, M], offset int, inSV func(*VData) bool) pregel.Compute[VData, M] {
+	return func(ctx *pregel.Context[M], id pregel.VertexID, v *VData, msgs []M) {
 		compute(ctx, id, v, msgs)
-		if s := ctx.Superstep(); s >= offset && (s-offset)%4 == 3 && inSV(v) {
+		if s := ctx.Superstep() - offset; s >= 0 && s%4 == 3 && inSV(v) {
 			w := ctx.Worker()
 			tr.byWorker[w] = append(tr.byWorker[w], dEntry{s, id, v.D})
 		}
 	}
 }
 
-// svJob is the S-V job checkSVMatchesOracle compares for a labeler: the
-// pure-S-V labeler, or LR's cycle fallback.
-func svJob(algo Labeler, oracle bool, tr *dTrace) pregel.Compute[VData, Msg] {
+// svProduct runs the product S-V job of a labeler on g, recording D into
+// tr: for the pure-S-V labeler the hello job and then, if any vertex is
+// left unlabeled, S-V (as LabelContigs runs them); for LR the cycle
+// fallback. It returns the supersteps and messages of both jobs together.
+func svProduct(g *Graph, algo Labeler, tr *dTrace) (supersteps int, msgs int64, err error) {
+	sg := pregel.WithMessages[pregel.VertexID](g, svMsgWireBytes)
+	if algo == LabelerLR {
+		st, err := sg.Run(traceD(tr, svCycleCompute, 0, func(v *VData) bool { return v.Cycle && !v.Labeled }))
+		return st.Supersteps, st.Messages, err
+	}
+	st, err := pregel.WithMessages[labelMsg](g, labelMsgWireBytes).Run(helloCompute)
+	if err != nil {
+		return 0, 0, err
+	}
+	pending := false
+	g.ForEach(func(id pregel.VertexID, v *VData) { pending = pending || !v.Ambig && !v.Labeled })
+	if !pending {
+		return st.Supersteps, st.Messages, nil
+	}
+	st2, err := sg.Run(traceD(tr, svLabelCompute, 0, func(v *VData) bool { return !v.Ambig && !v.Labeled }))
+	return st.Supersteps + st2.Supersteps, st.Messages + st2.Messages, err
+}
+
+// svOracle runs the four-message oracle job of a labeler on g over Msg,
+// recording D into tr: for the pure-S-V labeler the hellos and S-V as one
+// job, for LR the cycle fallback.
+func svOracle(g *Graph, algo Labeler, tr *dTrace) (*pregel.Stats, error) {
 	if algo == LabelerSV {
-		compute := svLabelCompute(2)
-		if oracle {
-			compute = svLabelComputeOracle(2)
-		}
-		return tr.wrap(compute, 2, func(v *VData) bool { return !v.Ambig && !v.Labeled })
+		return g.Run(traceD(tr, svLabelComputeOracle(2), 2, func(v *VData) bool { return !v.Ambig && !v.Labeled }))
 	}
-	compute := svCycleCompute
-	if oracle {
-		compute = svCycleComputeOracle
-	}
-	return tr.wrap(compute, 0, func(v *VData) bool { return v.Cycle && !v.Labeled })
+	return g.Run(traceD(tr, svCycleComputeOracle, 0, func(v *VData) bool { return v.Cycle && !v.Labeled }))
 }
 
 // checkSVMatchesOracle labels g (unlabeled) and a copy of it, one with the
-// product S-V round and one with the four-message oracle, and requires the
-// same supersteps, the same D at every vertex after every phase 3, the same
-// final vertex state (scratch fields aside), and fewer messages whenever any
-// vertex took part in S-V — each takes part from round 1, where every
-// vertex is a root and answers itself. For LabelerLR the product list
-// ranking runs first and only a surviving cycle is compared. It reports
-// whether any vertex took part in S-V.
+// product S-V round over bare vertex-ID messages and one with the
+// four-message oracle over Msg, and requires the same supersteps, the same D
+// at every vertex after every phase 3, the same final vertex state (scratch
+// fields aside), and fewer messages whenever any vertex took part in S-V —
+// each takes part from round 1, where every vertex is a root and answers
+// itself. For LabelerLR the product list ranking runs first and only a
+// surviving cycle is compared. It reports whether any vertex took part in
+// S-V.
 func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (ranSV bool) {
 	t.Helper()
 	if algo == LabelerLR {
-		if _, err := gp.Run(lrCompute); err != nil {
+		if _, err := pregel.WithMessages[labelMsg](gp, labelMsgWireBytes).Run(lrCompute); err != nil {
 			t.Fatalf("%s: list ranking: %v", name, err)
 		}
 		cycles := false
@@ -811,20 +830,20 @@ func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (r
 	}
 	gr := cloneGraph(gp)
 	tp, tr := newDTrace(gp.Workers()), newDTrace(gp.Workers())
-	got, err := gp.Run(svJob(algo, false, tp))
+	supersteps, msgs, err := svProduct(gp, algo, tp)
 	if err != nil {
 		t.Fatalf("%s: product S-V: %v", name, err)
 	}
-	ref, err := gr.Run(svJob(algo, true, tr))
+	ref, err := svOracle(gr, algo, tr)
 	if err != nil {
 		t.Fatalf("%s: oracle S-V: %v", name, err)
 	}
 	ranSV = slices.ContainsFunc(tr.byWorker, func(es []dEntry) bool { return len(es) > 0 })
-	if got.Supersteps != ref.Supersteps {
-		t.Errorf("%s: %d supersteps, oracle %d", name, got.Supersteps, ref.Supersteps)
+	if supersteps != ref.Supersteps {
+		t.Errorf("%s: %d supersteps, oracle %d", name, supersteps, ref.Supersteps)
 	}
-	if got.Messages > ref.Messages || ranSV && got.Messages == ref.Messages {
-		t.Errorf("%s: %d messages, oracle %d (S-V ran: %v)", name, got.Messages, ref.Messages, ranSV)
+	if msgs > ref.Messages || ranSV && msgs == ref.Messages {
+		t.Errorf("%s: %d messages, oracle %d (S-V ran: %v)", name, msgs, ref.Messages, ranSV)
 	}
 	bad := 0
 	for w, want := range tr.byWorker {

@@ -119,12 +119,14 @@ func runShuffleWorkload(b *testing.B, parallel bool, workers int) (*Stats, int64
 // sprinkle of dead vertices and a ragged pending inbox.
 func benchWorker(vertices, msgsPerVertex int) *worker[int64, int64] {
 	w := &worker[int64, int64]{
-		ids:    make([]VertexID, vertices),
-		vals:   make([]int64, vertices),
-		active: make([]bool, vertices),
-		dead:   make([]bool, vertices),
-		inOff:  make([]int32, vertices+1),
-		inCur:  make([]int32, vertices),
+		verts: &verts[int64]{
+			ids:    make([]VertexID, vertices),
+			vals:   make([]int64, vertices),
+			active: make([]bool, vertices),
+			dead:   make([]bool, vertices),
+		},
+		inOff: make([]int32, vertices+1),
+		inCur: make([]int32, vertices),
 	}
 	for i := 0; i < vertices; i++ {
 		w.ids[i] = VertexID(uint64(i)*0x9e3779b97f4a7c15 ^ 0xb5ad4eceda1ce2a9)

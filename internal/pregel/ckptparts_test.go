@@ -120,7 +120,7 @@ func (r *partsRecorder) SaveDelta(job string, step int, parts ...[]byte) error {
 func TestCkptPartsMatchFrame(t *testing.T) {
 	w := buildCodecWorker()
 	full := encodeWorkerFull(w)
-	empty := encodeWorkerFull(&worker[int64, int64]{inOff: []int32{0}})
+	empty := encodeWorkerFull(&worker[int64, int64]{verts: &verts[int64]{}, inOff: []int32{0}})
 	w.dirty = []bool{true, false, false, true, false}
 	sections := [][]byte{full, encodeWorkerDelta(w), empty}
 	for _, workers := range []int{1, 4, 7} {
@@ -314,12 +314,14 @@ func TestSectionBufHeavyTail(t *testing.T) {
 	const n, huge = 10_000, 256 << 10
 	for _, at := range []int{0, 1} { // index 0 is sampled, 1 is not
 		w := &worker[string, int64]{
-			ids:    make([]VertexID, n),
-			vals:   make([]string, n),
-			active: make([]bool, n),
-			dead:   make([]bool, n),
-			dirty:  make([]bool, n),
-			inOff:  make([]int32, n+1),
+			verts: &verts[string]{
+				ids:    make([]VertexID, n),
+				vals:   make([]string, n),
+				active: make([]bool, n),
+				dead:   make([]bool, n),
+			},
+			dirty: make([]bool, n),
+			inOff: make([]int32, n+1),
 		}
 		for i := range w.ids {
 			w.ids[i], w.vals[i], w.dirty[i] = VertexID(3*i), "ab", i%2 == 0 || i == at

@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Checkpoint format v8, the only one this package reads or writes: a
+// Checkpoint format v9, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
@@ -27,9 +27,10 @@ import (
 // another version — is one "unsupported checkpoint format" error. The
 // version also covers the value codecs inside the sections: v6 and v7 were
 // bumped because the segment graph's message (v6) and vertex (v7) encodings
-// changed, and v8 because the header dropped its routing table and
-// migration counters, so an older file, whose CRCs still verify, is refused
-// instead of decoded wrongly.
+// changed, v8 because the header dropped its routing table and migration
+// counters, and v9 because contig labeling's jobs changed (a hello job of
+// their own for S-V) and their pending inboxes hold smaller messages, so an
+// older file, whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -45,7 +46,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 8
+	ckptVersion = 9
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -718,7 +719,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v8 container.
+// decodeCkptFile parses a v9 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err

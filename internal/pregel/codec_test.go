@@ -68,11 +68,13 @@ func TestBinaryCodecAdmission(t *testing.T) {
 // the section codec must carry.
 func buildCodecWorker() *worker[int64, int64] {
 	w := &worker[int64, int64]{
-		ids:     []VertexID{3, 5, 100, 1 << 40, 1<<40 + 1},
-		vals:    []int64{-7, 0, 42, 1 << 50, -(1 << 50)},
-		active:  []bool{true, false, true, true, false},
-		dead:    []bool{false, false, true, false, false},
-		nDead:   1,
+		verts: &verts[int64]{
+			ids:    []VertexID{3, 5, 100, 1 << 40, 1<<40 + 1},
+			vals:   []int64{-7, 0, 42, 1 << 50, -(1 << 50)},
+			active: []bool{true, false, true, true, false},
+			dead:   []bool{false, false, true, false, false},
+			nDead:  1,
+		},
 		inArena: []int64{10, 11, 12, -13},
 		inOff:   []int32{0, 2, 2, 3, 4, 4},
 		inCur:   make([]int32, 5),
@@ -242,11 +244,11 @@ func TestDecodeCkptFileRejectsV1Gob(t *testing.T) {
 	}
 }
 
-// TestDecodeCkptFileRejectsFutureVersion: any version but v8 — the v2–v7
+// TestDecodeCkptFileRejectsFutureVersion: any version but v9 — the v2–v8
 // containers earlier commits wrote, or a future one — is one unsupported
 // format error, never a misread.
 func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
-	for _, ver := range []byte{2, 3, 4, 5, 6, 7, ckptVersion + 1} {
+	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, ckptVersion + 1} {
 		blob := encodeCkptFile(makeCodecCkptFile())
 		// The version uvarint sits right after the 4-byte magic; single-digit
 		// versions encode as one byte.

@@ -268,11 +268,9 @@ func (l *msgLane[M]) reset() { l.dst, l.msg = l.dst[:0], l.msg[:0] }
 // worker during delivery, which is what makes both phases safe to run
 // concurrently across workers with no locks.
 type worker[V, M any] struct {
-	ids    []VertexID
-	idx    vindex
-	vals   []V
-	active []bool
-	dead   []bool
+	// The vertex partition, shared with the same worker of every graph
+	// WithMessages relates to this one; everything below it is this graph's.
+	*verts[V]
 
 	// Inbox arena: messages for vertex i occupy inArena[inOff[i]:inOff[i+1]],
 	// in (source worker, emission) order. inCur and rIdx are delivery
@@ -290,8 +288,7 @@ type worker[V, M any] struct {
 	lanes []msgLane[M]
 
 	sender[M]
-	ctx   Context[M]
-	nDead int
+	ctx Context[M]
 
 	// Per-superstep delivery results, filled by deliverTo (this worker as
 	// the destination), folded into run totals after the barrier.
@@ -326,7 +323,18 @@ type sender[M any] struct {
 	msgsLocal int64 // subset of msgsOut addressed back to this worker
 }
 
-func (w *worker[V, M]) vertexCount() int { return len(w.ids) - w.nDead }
+// verts is one worker's partition of the vertex set: the IDs (kept sorted
+// by Run), their position index, values and halted/removed flags.
+type verts[V any] struct {
+	ids    []VertexID
+	idx    vindex
+	vals   []V
+	active []bool
+	dead   []bool
+	nDead  int
+}
+
+func (w *verts[V]) vertexCount() int { return len(w.ids) - w.nDead }
 
 // Graph is a distributed vertex collection plus engine state. Create one
 // with NewGraph, populate it with AddVertex (or via MapReduce/Convert), then
@@ -361,18 +369,49 @@ type Graph[V, M any] struct {
 // NewGraph creates an empty graph with the given configuration.
 func NewGraph[V, M any](cfg Config) *Graph[V, M] {
 	cfg = cfg.withDefaults()
-	g := &Graph[V, M]{cfg: cfg, clock: NewSimClock(cfg.Cost), agg: newAggState(cfg.Workers)}
+	vs := make([]*verts[V], cfg.Workers)
+	for i := range vs {
+		vs[i] = &verts[V]{}
+	}
+	return newGraph[V, M](cfg, NewSimClock(cfg.Cost), vs)
+}
+
+// newGraph builds a graph over the given vertex partitions, one per worker,
+// with message lanes, inbox arenas and aggregators of its own.
+func newGraph[V, M any](cfg Config, clock *SimClock, vs []*verts[V]) *Graph[V, M] {
+	g := &Graph[V, M]{cfg: cfg, clock: clock, agg: newAggState(cfg.Workers)}
 	part := cfg.Partitioner
 	if _, ok := part.(HashPartitioner); ok {
 		part = nil
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		g.workers = append(g.workers, &worker[V, M]{
+			verts:  vs[i],
 			lanes:  make([]msgLane[M], cfg.Workers),
 			sender: sender[M]{self: i, part: part, agg: g.agg, outbox: make([]msgLane[M], cfg.Workers)},
 		})
 	}
 	return g
+}
+
+// WithMessages returns a graph that runs jobs with message type M2 over g's
+// own vertices. Pregel+ ties the message class to the vertex program, not
+// to the graph (§II): a job whose messages are smaller than M moves fewer
+// shuffle bytes, and no vertex is copied as Convert would copy it. The two
+// graphs share every worker's vertex partition (IDs, values, halted and
+// removed flags) and the simulated clock; each keeps its own message lanes,
+// inbox arenas, aggregators and combiner. The view takes g's configuration
+// as it is now, with messageBytes as the charged wire size of one M2
+// (zero means DefaultMessageBytes). Runs on g and on its views must not
+// overlap, since each Run sorts and rewrites the shared partitions.
+func WithMessages[M2, V, M any](g *Graph[V, M], messageBytes int) *Graph[V, M2] {
+	cfg := g.cfg
+	cfg.MessageBytes = messageBytes
+	vs := make([]*verts[V], len(g.workers))
+	for i, w := range g.workers {
+		vs[i] = w.verts
+	}
+	return newGraph[V, M2](cfg.withDefaults(), g.clock, vs)
 }
 
 // Workers returns the number of logical workers.
@@ -406,7 +445,7 @@ func (g *Graph[V, M]) Partitioner() Partitioner { return g.cfg.Partitioner }
 // AddVertex must not be called while Run is executing.
 func (g *Graph[V, M]) AddVertex(id VertexID, val V) { g.workers[g.WorkerOf(id)].add(id, val) }
 
-func (w *worker[V, M]) add(id VertexID, val V) {
+func (w *verts[V]) add(id VertexID, val V) {
 	if i, ok := w.idx.lookup(w.ids, id); ok {
 		if w.dead[i] {
 			w.dead[i] = false
@@ -425,7 +464,7 @@ func (w *worker[V, M]) add(id VertexID, val V) {
 // reserve is the bulk-load helper behind Convert and LoadShards: it sizes
 // every per-vertex array and the index of w for n more vertices, once, so
 // the inserts that follow never regrow or rehash.
-func (w *worker[V, M]) reserve(n int) {
+func (w *verts[V]) reserve(n int) {
 	w.ids = slices.Grow(w.ids, n)
 	w.vals = slices.Grow(w.vals, n)
 	w.active = slices.Grow(w.active, n)
@@ -474,7 +513,7 @@ func (g *Graph[V, M]) sortVertices() {
 // compactSort rebuilds w at exact size without its removed vertices and in
 // ID order: a permutation of the live 4-byte indices is sorted by ID, then
 // each vertex is gathered once.
-func (w *worker[V, M]) compactSort() {
+func (w *verts[V]) compactSort() {
 	perm := make([]int32, 0, w.vertexCount())
 	for i := range w.ids {
 		if !w.dead[i] {
@@ -492,7 +531,7 @@ func (w *worker[V, M]) compactSort() {
 }
 
 // live returns the position of id if w holds it and it has not been removed.
-func (w *worker[V, M]) live(id VertexID) (int, bool) {
+func (w *verts[V]) live(id VertexID) (int, bool) {
 	i, ok := w.idx.lookup(w.ids, id)
 	return i, ok && !w.dead[i]
 }
@@ -900,16 +939,17 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	w.beginSuperstep()
 	w.ctx = Context[M]{s: &w.sender, superstep: step}
 	ctx := &w.ctx
+	vs := w.verts
 	start := nowNs()
-	for i := range w.ids {
-		if w.dead[i] {
+	for i := range vs.ids {
+		if vs.dead[i] {
 			continue
 		}
 		msgs := w.inArena[w.inOff[i]:w.inOff[i+1]]
 		if len(msgs) > 0 {
-			w.active[i] = true
+			vs.active[i] = true
 		}
-		if !w.active[i] {
+		if !vs.active[i] {
 			continue
 		}
 		if w.dirty != nil {
@@ -917,12 +957,12 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 		}
 		ctx.halt = false
 		ctx.remove = false
-		compute(ctx, w.ids[i], &w.vals[i], msgs)
+		compute(ctx, vs.ids[i], &vs.vals[i], msgs)
 		if ctx.remove {
-			w.dead[i] = true
-			w.nDead++
+			vs.dead[i] = true
+			vs.nDead++
 		} else if ctx.halt {
-			w.active[i] = false
+			vs.active[i] = false
 		}
 	}
 	return float64(nowNs() - start)
@@ -1040,12 +1080,13 @@ func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool) {
 // the per-vertex count is capped at one — placeInbox folds further messages
 // into that single slot instead of appending.
 func (g *Graph[V, M]) countLane(dst *worker[V, M], lane msgLane[M]) {
-	counts := dst.inCur[:len(dst.ids)]
+	vs := dst.verts
+	counts := dst.inCur[:len(vs.ids)]
 	fused := g.runTotal
 	base := len(dst.rIdx)
 	rIdx := slices.Grow(dst.rIdx, len(lane.dst))[:base+len(lane.dst)]
 	for m, id := range lane.dst {
-		i, ok := dst.live(id)
+		i, ok := vs.live(id)
 		if !ok {
 			rIdx[base+m] = -1
 			dst.dropped++
