@@ -1,4 +1,4 @@
-// Checkpoint codec methods: VData, Msg and labelMsg carry the Pregel
+// Checkpoint codec methods: VData, svVertex, Msg and labelMsg carry the Pregel
 // engine's binary value codec by implementing pregel.CheckpointAppender /
 // pregel.CheckpointDecoder, which segment-graph jobs need to checkpoint or
 // run over a wire transport. VData fields are written in struct order, the
@@ -35,10 +35,6 @@ func (v *VData) AppendCheckpoint(buf []byte) []byte {
 	buf = pregel.AppendBool(buf, v.Labeled)
 	buf = pregel.AppendBool(buf, v.Cycle)
 	buf = pregel.AppendVarint(buf, v.LastActive)
-	buf = pregel.AppendUint64(buf, uint64(v.D))
-	buf = pregel.AppendUint64(buf, uint64(v.DD))
-	buf = pregel.AppendUint64(buf, uint64(v.NbrMin))
-	buf = pregel.AppendBool(buf, v.DNew)
 	return pregel.AppendBool(buf, v.TipProbed)
 }
 
@@ -100,21 +96,6 @@ func (v *VData) DecodeCheckpoint(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	if v.LastActive, data, err = pregel.ConsumeVarint(data); err != nil {
-		return nil, err
-	}
-	if id, data, err = pregel.ConsumeUint64(data); err != nil {
-		return nil, err
-	}
-	v.D = pregel.VertexID(id)
-	if id, data, err = pregel.ConsumeUint64(data); err != nil {
-		return nil, err
-	}
-	v.DD = pregel.VertexID(id)
-	if id, data, err = pregel.ConsumeUint64(data); err != nil {
-		return nil, err
-	}
-	v.NbrMin = pregel.VertexID(id)
-	if v.DNew, data, err = pregel.ConsumeBool(data); err != nil {
 		return nil, err
 	}
 	if v.TipProbed, data, err = pregel.ConsumeBool(data); err != nil {
@@ -192,4 +173,36 @@ func (m *labelMsg) DecodeCheckpoint(data []byte) ([]byte, error) {
 	}
 	m.ID = pregel.VertexID(id)
 	return data, nil
+}
+
+// AppendCheckpoint implements pregel.CheckpointAppender.
+func (v *svVertex) AppendCheckpoint(buf []byte) []byte {
+	for _, id := range [...]pregel.VertexID{v.D, v.DD, v.NbrMin, v.Nbr[0], v.Nbr[1]} {
+		buf = pregel.AppendUint64(buf, uint64(id))
+	}
+	var flags byte
+	for i, f := range [...]bool{v.Live[0], v.Live[1], v.DNew, v.Idle} {
+		if f {
+			flags |= 1 << i
+		}
+	}
+	return append(buf, flags)
+}
+
+// DecodeCheckpoint implements pregel.CheckpointDecoder.
+func (v *svVertex) DecodeCheckpoint(data []byte) ([]byte, error) {
+	for _, id := range [...]*pregel.VertexID{&v.D, &v.DD, &v.NbrMin, &v.Nbr[0], &v.Nbr[1]} {
+		x, rest, err := pregel.ConsumeUint64(data)
+		if err != nil {
+			return nil, err
+		}
+		*id, data = pregel.VertexID(x), rest
+	}
+	if len(data) < 1 || data[0] > 0xf {
+		return nil, fmt.Errorf("core: corrupt svVertex encoding: missing or invalid flags")
+	}
+	f := data[0]
+	v.Live = [2]bool{f&1 != 0, f&2 != 0}
+	v.DNew, v.Idle = f&4 != 0, f&8 != 0
+	return data[1:], nil
 }

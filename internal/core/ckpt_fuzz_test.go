@@ -88,10 +88,6 @@ func FuzzVDataCodecDifferential(f *testing.F) {
 			Labeled:    g.flag(),
 			Cycle:      g.flag(),
 			LastActive: int64(g.u64()),
-			D:          g.id(),
-			DD:         g.id(),
-			NbrMin:     g.id(),
-			DNew:       g.flag(),
 			TipProbed:  g.flag(),
 		}
 		if na := g.n(6); na > 0 {
@@ -153,6 +149,57 @@ func FuzzLabelMsgCodecDifferential(f *testing.F) {
 		ckpttest.NoPanic[labelMsg](t, data)
 		ckpttest.Corrupt[labelMsg](t, &m, data)
 	})
+}
+
+// FuzzSVVertexCodecDifferential checks the S-V vertex value against the
+// gob baseline.
+func FuzzSVVertexCodecDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &fuzzGen{data: data}
+		v := svVertex{
+			D:      g.id(),
+			DD:     g.id(),
+			NbrMin: g.id(),
+			Nbr:    [2]pregel.VertexID{g.id(), g.id()},
+			Live:   [2]bool{g.flag(), g.flag()},
+			DNew:   g.flag(),
+			Idle:   g.flag(),
+		}
+		ckpttest.RoundTrip[svVertex](t, &v)
+		ckpttest.NoPanic[svVertex](t, data)
+		ckpttest.Corrupt[svVertex](t, &v, data)
+	})
+}
+
+// TestSVVertexLayoutFence keeps the S-V job's vertex at most 48 bytes,
+// which is what makes its supersteps cheap next to VData's, and pins its
+// encoding.
+func TestSVVertexLayoutFence(t *testing.T) {
+	v := svVertex{D: 0x0102030405060708, DD: 2, NbrMin: 3, Nbr: [2]pregel.VertexID{4, 5},
+		Live: [2]bool{true, false}, DNew: true}
+	if got := unsafe.Sizeof(v); got > 48 {
+		t.Errorf("svVertex is %d bytes, want at most 48", got)
+	}
+	want := []byte{8, 7, 6, 5, 4, 3, 2, 1}
+	for _, id := range []byte{2, 3, 4, 5} {
+		want = append(want, id, 0, 0, 0, 0, 0, 0, 0)
+	}
+	want = append(want, 0b0101)
+	if got := v.AppendCheckpoint(nil); !bytes.Equal(got, want) {
+		t.Errorf("svVertex encoding changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestVDataLayoutFence keeps the segment graph's vertex at most 184 bytes:
+// every job of ops ②–⑤ but S-V streams it once per superstep, and every
+// checkpoint encodes it.
+func TestVDataLayoutFence(t *testing.T) {
+	if got := unsafe.Sizeof(VData{}); got > 184 {
+		t.Errorf("VData is %d bytes, want at most 184", got)
+	}
 }
 
 // TestLabelMsgLayoutFence pins labelMsg at 16 bytes (a routed lane entry,

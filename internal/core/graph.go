@@ -27,6 +27,8 @@ type VData struct {
 	// the pair of predecessor pointers of §IV-B ② (Figure 11), PSide the
 	// side index of the pointer target that faces away from this vertex,
 	// and Done marks sides whose pointer reached a flipped contig-end ID.
+	// Simplified S-V keeps its state in an svVertex of its own (label.go)
+	// and writes back only Label and Labeled.
 	SideNbr    [2]pregel.VertexID
 	HasSide    [2]bool
 	P          [2]pregel.VertexID
@@ -36,12 +38,6 @@ type VData struct {
 	Labeled    bool
 	Cycle      bool
 	LastActive int64
-
-	// Simplified S-V state (cycle fallback and the LabelSV variant). NbrMin
-	// is the smallest D any side neighbour has broadcast, DNew marks a D not
-	// yet broadcast (svRound).
-	D, DD, NbrMin pregel.VertexID
-	DNew          bool
 
 	// Tip-removal state.
 	TipProbed bool

@@ -79,7 +79,8 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 		return err
 	}
 	// Each job runs over the same vertices with the smallest message it
-	// needs: hellos and list ranking send labelMsg, S-V bare vertex IDs.
+	// needs: hellos and list ranking send labelMsg over VData, S-V bare
+	// vertex IDs over its own svVertex (svRun).
 	lg := pregel.WithMessages[labelMsg](g, labelMsgWireBytes)
 	if algo == LabelerLR {
 		if err := add(lg.Run(lrCompute, pregel.WithName("contig-label-lr"))); err != nil {
@@ -93,8 +94,7 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 			}
 		})
 		if ls.CycleVertices > 0 {
-			sg := pregel.WithMessages[pregel.VertexID](g, svMsgWireBytes)
-			if err := add(sg.Run(svCycleCompute, pregel.WithName("contig-label-cycle-sv"))); err != nil {
+			if err := add(svRun(g, "contig-label-cycle-sv", svCycleMember, svCompute)); err != nil {
 				return nil, err
 			}
 		}
@@ -107,11 +107,10 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 		// one job with the hellos in its first two would.
 		pending := false
 		g.ForEach(func(id pregel.VertexID, v *VData) {
-			pending = pending || !v.Ambig && !v.Labeled
+			pending = pending || svLabelMember(v)
 		})
 		if pending {
-			sg := pregel.WithMessages[pregel.VertexID](g, svMsgWireBytes)
-			if err := add(sg.Run(svLabelCompute, pregel.WithName("contig-label-sv"))); err != nil {
+			if err := add(svRun(g, "contig-label-sv", svLabelMember, svCompute)); err != nil {
 				return nil, err
 			}
 		}
@@ -224,7 +223,7 @@ func helloSide(msgs []labelMsg, nbr pregel.VertexID, skip int) uint8 {
 }
 
 // helloCompute is the S-V labeler's first job: the two hello supersteps
-// alone, after which every vertex halts and S-V takes over (svLabelCompute).
+// alone, after which every vertex halts and S-V takes over (svRun).
 func helloCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs []labelMsg) {
 	helloPhase(ctx, id, v, msgs)
 	if ctx.Superstep() == 1 {
@@ -301,10 +300,71 @@ func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs
 
 const aggSVChanged = "sv-changed"
 
+// svVertex is a vertex's whole state in one S-V run: 48 bytes where VData
+// is 184, so the 85 or so supersteps of a long-path S-V job stream a
+// quarter of the vertex bytes (TestSVVertexLayoutFence). RunAs builds it
+// from VData (svRun) and hands back only the label.
+type svVertex struct {
+	// D is the parent pointer, DD the grandparent D[D[v]] learned in phase
+	// 2, NbrMin the smallest D any side neighbour has broadcast.
+	D, DD, NbrMin pregel.VertexID
+	// Nbr[i] is the neighbour on side i, an edge of the S-V subgraph if
+	// Live[i] (VData.HasSide && !Done).
+	Nbr  [2]pregel.VertexID
+	Live [2]bool
+	// DNew marks a D not yet broadcast; Idle a vertex outside this run,
+	// which halts at once and keeps its VData labels.
+	DNew, Idle bool
+}
+
+// svRun runs simplified S-V (svRound) over the vertices of g that member
+// accepts, each as an svVertex, and labels every one of them with its D.
+func svRun(g *Graph, name string, member func(*VData) bool, compute pregel.Compute[svVertex, pregel.VertexID]) (*pregel.Stats, error) {
+	return pregel.RunAs[svVertex, pregel.VertexID](g, svMsgWireBytes,
+		func(id pregel.VertexID, v *VData) svVertex {
+			if !member(v) {
+				return svVertex{Idle: true}
+			}
+			return svVertex{
+				D: id, NbrMin: id, DNew: true,
+				Nbr:  v.SideNbr,
+				Live: [2]bool{v.HasSide[0] && !v.Done[0], v.HasSide[1] && !v.Done[1]},
+			}
+		},
+		compute,
+		func(id pregel.VertexID, v *VData, s *svVertex) {
+			if !s.Idle {
+				v.Label, v.Labeled = s.D, true
+			}
+		},
+		pregel.WithName(name))
+}
+
+// svLabelMember selects the pure-S-V labeler's vertices: every vertex the
+// hellos left unlabeled. Every vertex in an unambiguous path obtains the
+// smallest vertex ID of the path as its label (ends included, because the
+// path is a connected component once ambiguous edges are cut).
+func svLabelMember(v *VData) bool { return !v.Ambig && !v.Labeled }
+
+// svCycleMember selects the vertices the LR labeler marked as cycle
+// members. A cycle of ⟨1-1⟩ vertices has both sides live, so the side
+// subgraph is exactly the cycle.
+func svCycleMember(v *VData) bool { return v.Cycle && !v.Labeled }
+
+// svCompute is the S-V job: a vertex outside the run halts at once, every
+// other one runs svRound until the rounds converge.
+func svCompute(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *svVertex, msgs []pregel.VertexID) {
+	if v.Idle {
+		ctx.VoteToHalt()
+		return
+	}
+	svRound(ctx, id, v, msgs)
+}
+
 // svRound executes one 4-phase simplified-S-V step over the side-neighbor
-// subgraph (sides i with HasSide && !Done are the surviving edges). phase
-// is the job's superstep % 4. Convergence is signalled through the shared
-// boolean aggregator; on convergence the vertex labels itself with D.
+// subgraph (sides with Live set are the surviving edges). phase is the
+// job's superstep % 4. Convergence is signalled through the shared boolean
+// aggregator; on convergence the vertex halts, and svRun labels it with D.
 //
 //	phase 0: apply hook proposals; query the parent D for its parent
 //	phase 1: answer queries with D
@@ -326,21 +386,14 @@ const aggSVChanged = "sv-changed"
 //     a neighbour has ever broadcast is its current D, and a vertex
 //     broadcasts only a D it has not sent yet (DNew), keeping the running
 //     minimum of what it received in NbrMin.
-//   - A root (D == id) would query itself and read back its own D, so it sets
-//     DD = id and sends nothing.
-//   - A querier has nothing to do in phase 1 unless it is queried, so it
-//     sleeps from phase 0 and again after answering; its reply wakes it for
-//     phase 2. Roots get no reply and stay awake, as does everyone in phases
-//     2 and 3.
-func svRound(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData, msgs []pregel.VertexID) {
+//   - A root (D == id) answers a query with its own ID, which is the
+//     querier's D. So every vertex sets DD = D in phase 0, a root neither
+//     queries nor answers, and only a non-root's reply overwrites DD.
+func svRound(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *svVertex, msgs []pregel.VertexID) {
 	switch ctx.Superstep() % 4 {
 	case 0:
-		if ctx.Superstep() == 0 {
-			v.D, v.NbrMin, v.DNew = id, id, true
-		} else {
+		if ctx.Superstep() > 0 {
 			if !ctx.PrevAggOr(aggSVChanged) {
-				v.Label = v.D
-				v.Labeled = true
 				ctx.VoteToHalt()
 				return
 			}
@@ -351,18 +404,15 @@ func svRound(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData,
 				}
 			}
 		}
-		if v.D == id {
-			v.DD = id
-			return
-		}
-		ctx.Send(v.D, id)
-		ctx.VoteToHalt()
-	case 1:
-		for _, querier := range msgs {
-			ctx.Send(querier, v.D)
-		}
+		v.DD = v.D
 		if v.D != id {
-			ctx.VoteToHalt()
+			ctx.Send(v.D, id)
+		}
+	case 1:
+		if v.D != id {
+			for _, querier := range msgs {
+				ctx.Send(querier, v.D)
+			}
 		}
 	case 2:
 		for _, dd := range msgs {
@@ -370,8 +420,8 @@ func svRound(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData,
 		}
 		if v.DNew {
 			for i := 0; i < 2; i++ {
-				if v.HasSide[i] && !v.Done[i] {
-					ctx.Send(v.SideNbr[i], v.D)
+				if v.Live[i] {
+					ctx.Send(v.Nbr[i], v.D)
 				}
 			}
 			v.DNew = false
@@ -389,29 +439,4 @@ func svRound(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData,
 			ctx.AggOr(aggSVChanged, true)
 		}
 	}
-}
-
-// svLabelCompute is the pure-S-V labeler's second job, run after
-// helloCompute: S-V over every vertex the hellos left unlabeled. Every
-// vertex in an unambiguous path obtains the smallest vertex ID of the path
-// as its label (ends included, because the path is a connected component
-// once ambiguous edges are cut).
-func svLabelCompute(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData, msgs []pregel.VertexID) {
-	if v.Ambig || v.Labeled {
-		ctx.VoteToHalt()
-		return
-	}
-	svRound(ctx, id, v, msgs)
-}
-
-// svCycleCompute runs the S-V fallback over the vertices the LR labeler
-// marked as cycle members; everything else halts immediately. A cycle of
-// ⟨1-1⟩ vertices has both sides live, so the side subgraph is exactly the
-// cycle.
-func svCycleCompute(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *VData, msgs []pregel.VertexID) {
-	if !v.Cycle || v.Labeled {
-		ctx.VoteToHalt()
-		return
-	}
-	svRound(ctx, id, v, msgs)
 }

@@ -204,10 +204,26 @@ func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msg
 	ctx.AggSum(aggUndone, v.undoneSides())
 }
 
+// oracleVData is VData with the S-V state the four-message oracle keeps in
+// the vertex, as VData itself did while that round was the product path.
+type oracleVData struct {
+	VData
+	D, DD pregel.VertexID
+}
+
+// toOracle copies g's vertices into a graph of oracleVData, same
+// configuration and clock.
+func toOracle(g *Graph) *pregel.Graph[oracleVData, Msg] {
+	return pregel.Convert[oracleVData, Msg](g, g.Config(),
+		func(id pregel.VertexID, v VData, emit func(pregel.VertexID, oracleVData)) {
+			emit(id, oracleVData{VData: v})
+		})
+}
+
 // svRoundOracle is the simplified S-V round in its four-message form: every
 // vertex queries its parent and broadcasts its D to its side neighbours in
 // every round, whether or not anything changed.
-func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg, phase int, first bool) {
+func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *oracleVData, msgs []Msg, phase int, first bool) {
 	switch phase {
 	case 0:
 		if first {
@@ -264,11 +280,11 @@ func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs 
 
 // svLabelComputeOracle is the pure-S-V labeler as one job over Msg: the
 // hello supersteps, then svRoundOracle from superstep offset.
-func svLabelComputeOracle(offset int) pregel.Compute[VData, Msg] {
-	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+func svLabelComputeOracle(offset int) pregel.Compute[oracleVData, Msg] {
+	return func(ctx *pregel.Context[Msg], id pregel.VertexID, v *oracleVData, msgs []Msg) {
 		s := ctx.Superstep()
 		if s <= 1 {
-			helloPhaseOracle(ctx, id, v, msgs)
+			helloPhaseOracle(ctx, id, &v.VData, msgs)
 			return
 		}
 		if v.Ambig || v.Labeled {
@@ -279,8 +295,8 @@ func svLabelComputeOracle(offset int) pregel.Compute[VData, Msg] {
 	}
 }
 
-// svCycleComputeOracle is svCycleCompute over svRoundOracle.
-func svCycleComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msgs []Msg) {
+// svCycleComputeOracle is the S-V cycle fallback over svRoundOracle.
+func svCycleComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *oracleVData, msgs []Msg) {
 	if !v.Cycle || v.Labeled {
 		ctx.VoteToHalt()
 		return
@@ -289,7 +305,8 @@ func svCycleComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData
 }
 
 // labelContigsOracle is LabelContigs(g, LabelerLR) over lrComputeOracle and
-// the four-message S-V cycle fallback.
+// the four-message S-V cycle fallback, which runs on an oracleVData copy of
+// g and writes every vertex back.
 func labelContigsOracle(g *Graph) (*LabelStats, error) {
 	start := time.Now()
 	sim0 := g.Clock().Seconds()
@@ -306,10 +323,12 @@ func labelContigsOracle(g *Graph) (*LabelStats, error) {
 		}
 	})
 	if ls.CycleVertices > 0 {
-		st2, err := g.Run(svCycleComputeOracle, pregel.WithName("contig-label-cycle-sv"))
+		og := toOracle(g)
+		st2, err := og.Run(svCycleComputeOracle, pregel.WithName("contig-label-cycle-sv"))
 		if err != nil {
 			return nil, err
 		}
+		og.ForEach(func(id pregel.VertexID, v *oracleVData) { g.SetValue(id, v.VData) })
 		ls.Supersteps += st2.Supersteps
 		ls.Messages += st2.Messages
 	}
@@ -336,19 +355,20 @@ func cloneGraph(g *Graph) *Graph {
 	return c
 }
 
-// labelStates snapshots every vertex for comparison. LastActive, NbrMin and
-// DNew are private scratch — the stall detector's (the LR oracle refreshes it
-// every second superstep) and the on-change S-V broadcast's, which the
-// four-message oracle never keeps — and are not part of the labeling result.
-func labelStates(g *Graph) map[pregel.VertexID]VData {
+// labelStates snapshots every vertex for comparison, through vdata. The
+// stall detector's LastActive is private scratch (the LR oracle refreshes it
+// every second superstep) and not part of the labeling result.
+func labelStates[V any](g *pregel.Graph[V, Msg], vdata func(*V) *VData) map[pregel.VertexID]VData {
 	out := map[pregel.VertexID]VData{}
-	g.ForEach(func(id pregel.VertexID, v *VData) {
-		c := *v
-		c.LastActive, c.NbrMin, c.DNew = 0, 0, false
+	g.ForEach(func(id pregel.VertexID, v *V) {
+		c := *vdata(v)
+		c.LastActive = 0
 		out[id] = c
 	})
 	return out
 }
+
+func ownVData(v *VData) *VData { return v }
 
 // checkPushMatchesOracle labels the fixture and a copy of it, one with the
 // product labeler and one with the oracle, and requires identical vertex
@@ -393,7 +413,7 @@ func checkPushMatchesOracle(t testing.TB, name string, build labelFixture, cfg p
 		t.Errorf("%s: %d messages in %d supersteps, oracle %d in %d", name,
 			push.Messages, push.Supersteps, ref.Messages, ref.Supersteps)
 	}
-	got, want := labelStates(gp), labelStates(gr)
+	got, want := labelStates(gp, ownVData), labelStates(gr, ownVData)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d vertices, oracle %d", name, len(got), len(want))
 	}
@@ -762,14 +782,15 @@ type dEntry struct {
 func newDTrace(workers int) *dTrace { return &dTrace{byWorker: make([][]dEntry, workers)} }
 
 // traceD runs compute and then, at every phase-3 superstep of an S-V job
-// whose rounds start at offset, records D for the vertices inSV accepts,
-// stamped with the superstep counted from the first round.
-func traceD[M any](tr *dTrace, compute pregel.Compute[VData, M], offset int, inSV func(*VData) bool) pregel.Compute[VData, M] {
-	return func(ctx *pregel.Context[M], id pregel.VertexID, v *VData, msgs []M) {
+// whose rounds start at offset, records D (read through d) for the
+// vertices inSV accepts, stamped with the superstep counted from the first
+// round.
+func traceD[V, M any](tr *dTrace, compute pregel.Compute[V, M], offset int, inSV func(*V) bool, d func(*V) pregel.VertexID) pregel.Compute[V, M] {
+	return func(ctx *pregel.Context[M], id pregel.VertexID, v *V, msgs []M) {
 		compute(ctx, id, v, msgs)
 		if s := ctx.Superstep() - offset; s >= 0 && s%4 == 3 && inSV(v) {
 			w := ctx.Worker()
-			tr.byWorker[w] = append(tr.byWorker[w], dEntry{s, id, v.D})
+			tr.byWorker[w] = append(tr.byWorker[w], dEntry{s, id, d(v)})
 		}
 	}
 }
@@ -779,9 +800,10 @@ func traceD[M any](tr *dTrace, compute pregel.Compute[VData, M], offset int, inS
 // left unlabeled, S-V (as LabelContigs runs them); for LR the cycle
 // fallback. It returns the supersteps and messages of both jobs together.
 func svProduct(g *Graph, algo Labeler, tr *dTrace) (supersteps int, msgs int64, err error) {
-	sg := pregel.WithMessages[pregel.VertexID](g, svMsgWireBytes)
+	traced := traceD(tr, svCompute, 0, func(v *svVertex) bool { return !v.Idle },
+		func(v *svVertex) pregel.VertexID { return v.D })
 	if algo == LabelerLR {
-		st, err := sg.Run(traceD(tr, svCycleCompute, 0, func(v *VData) bool { return v.Cycle && !v.Labeled }))
+		st, err := svRun(g, "", svCycleMember, traced)
 		return st.Supersteps, st.Messages, err
 	}
 	st, err := pregel.WithMessages[labelMsg](g, labelMsgWireBytes).Run(helloCompute)
@@ -789,33 +811,34 @@ func svProduct(g *Graph, algo Labeler, tr *dTrace) (supersteps int, msgs int64, 
 		return 0, 0, err
 	}
 	pending := false
-	g.ForEach(func(id pregel.VertexID, v *VData) { pending = pending || !v.Ambig && !v.Labeled })
+	g.ForEach(func(id pregel.VertexID, v *VData) { pending = pending || svLabelMember(v) })
 	if !pending {
 		return st.Supersteps, st.Messages, nil
 	}
-	st2, err := sg.Run(traceD(tr, svLabelCompute, 0, func(v *VData) bool { return !v.Ambig && !v.Labeled }))
+	st2, err := svRun(g, "", svLabelMember, traced)
 	return st.Supersteps + st2.Supersteps, st.Messages + st2.Messages, err
 }
 
-// svOracle runs the four-message oracle job of a labeler on g over Msg,
-// recording D into tr: for the pure-S-V labeler the hellos and S-V as one
-// job, for LR the cycle fallback.
-func svOracle(g *Graph, algo Labeler, tr *dTrace) (*pregel.Stats, error) {
+// svOracle runs the four-message oracle job of a labeler on an oracleVData
+// copy of g over Msg, recording D into tr: for the pure-S-V labeler the
+// hellos and S-V as one job, for LR the cycle fallback.
+func svOracle(g *pregel.Graph[oracleVData, Msg], algo Labeler, tr *dTrace) (*pregel.Stats, error) {
+	d := func(v *oracleVData) pregel.VertexID { return v.D }
 	if algo == LabelerSV {
-		return g.Run(traceD(tr, svLabelComputeOracle(2), 2, func(v *VData) bool { return !v.Ambig && !v.Labeled }))
+		return g.Run(traceD(tr, svLabelComputeOracle(2), 2, func(v *oracleVData) bool { return !v.Ambig && !v.Labeled }, d))
 	}
-	return g.Run(traceD(tr, svCycleComputeOracle, 0, func(v *VData) bool { return v.Cycle && !v.Labeled }))
+	return g.Run(traceD(tr, svCycleComputeOracle, 0, func(v *oracleVData) bool { return v.Cycle && !v.Labeled }, d))
 }
 
 // checkSVMatchesOracle labels g (unlabeled) and a copy of it, one with the
-// product S-V round over bare vertex-ID messages and one with the
-// four-message oracle over Msg, and requires the same supersteps, the same D
-// at every vertex after every phase 3, the same final vertex state (scratch
-// fields aside), and fewer messages whenever any vertex took part in S-V —
-// each takes part from round 1, where every vertex is a root and answers
-// itself. For LabelerLR the product list ranking runs first and only a
-// surviving cycle is compared. It reports whether any vertex took part in
-// S-V.
+// product S-V round over svVertex values and bare vertex-ID messages and
+// one with the four-message oracle over oracleVData and Msg, and requires
+// the same supersteps, the same D at every vertex after every phase 3, the
+// same final VData, and fewer messages whenever any vertex took part in S-V
+// — each takes part from round 1, where every vertex is a root and the
+// oracle's roots query and answer themselves. For LabelerLR the product
+// list ranking runs first and only a surviving cycle is compared. It
+// reports whether any vertex took part in S-V.
 func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (ranSV bool) {
 	t.Helper()
 	if algo == LabelerLR {
@@ -828,7 +851,7 @@ func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (r
 			return false
 		}
 	}
-	gr := cloneGraph(gp)
+	gr := toOracle(cloneGraph(gp))
 	tp, tr := newDTrace(gp.Workers()), newDTrace(gp.Workers())
 	supersteps, msgs, err := svProduct(gp, algo, tp)
 	if err != nil {
@@ -852,13 +875,13 @@ func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (r
 			t.Errorf("%s: worker %d phase-3 D records (step, vertex, D) differ from the oracle's: %s", name, w, diff)
 		}
 	}
-	sGot, sRef := labelStates(gp), labelStates(gr)
+	sGot := labelStates(gp, ownVData)
+	sRef := labelStates(gr, func(v *oracleVData) *VData { return &v.VData })
 	for id, w := range sRef {
 		if g := sGot[id]; !reflect.DeepEqual(g, w) {
 			if bad++; bad <= 3 {
-				t.Errorf("%s: vertex %#x differs\n product D=%#x DD=%#x Label=%#x Labeled=%v\n oracle  D=%#x DD=%#x Label=%#x Labeled=%v",
-					name, uint64(id), uint64(g.D), uint64(g.DD), uint64(g.Label), g.Labeled,
-					uint64(w.D), uint64(w.DD), uint64(w.Label), w.Labeled)
+				t.Errorf("%s: vertex %#x differs\n product Label=%#x Labeled=%v\n oracle  Label=%#x Labeled=%v",
+					name, uint64(id), uint64(g.Label), g.Labeled, uint64(w.Label), w.Labeled)
 			}
 		}
 	}

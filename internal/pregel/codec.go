@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Checkpoint format v9, the only one this package reads or writes: a
+// Checkpoint format v10, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
@@ -28,9 +28,11 @@ import (
 // version also covers the value codecs inside the sections: v6 and v7 were
 // bumped because the segment graph's message (v6) and vertex (v7) encodings
 // changed, v8 because the header dropped its routing table and migration
-// counters, and v9 because contig labeling's jobs changed (a hello job of
-// their own for S-V) and their pending inboxes hold smaller messages, so an
-// older file, whose CRCs still verify, is refused instead of decoded wrongly.
+// counters, v9 because contig labeling's jobs changed (a hello job of their
+// own for S-V) and their pending inboxes hold smaller messages, and v10
+// because S-V runs over a vertex value of its own and the segment graph's
+// vertex lost the S-V fields, so an older file, whose CRCs still verify, is
+// refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -46,7 +48,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 9
+	ckptVersion = 10
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -719,7 +721,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v9 container.
+// decodeCkptFile parses a v10 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err

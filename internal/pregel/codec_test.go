@@ -244,14 +244,14 @@ func TestDecodeCkptFileRejectsV1Gob(t *testing.T) {
 	}
 }
 
-// TestDecodeCkptFileRejectsFutureVersion: any version but v9 — the v2–v8
+// TestDecodeCkptFileRejectsFutureVersion: any version but v10 — the v2–v9
 // containers earlier commits wrote, or a future one — is one unsupported
 // format error, never a misread.
 func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
-	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, ckptVersion + 1} {
+	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, 9, ckptVersion + 1} {
 		blob := encodeCkptFile(makeCodecCkptFile())
-		// The version uvarint sits right after the 4-byte magic; single-digit
-		// versions encode as one byte.
+		// The version uvarint sits right after the 4-byte magic; versions
+		// below 128 encode as one byte.
 		if blob[4] != ckptVersion {
 			t.Fatalf("test assumption broken: blob[4] = %d, want the version byte", blob[4])
 		}

@@ -414,6 +414,67 @@ func WithMessages[M2, V, M any](g *Graph[V, M], messageBytes int) *Graph[V, M2] 
 	return newGraph[V, M2](cfg.withDefaults(), g.clock, vs)
 }
 
+// RunAs runs one job with vertex values of type V2 and messages of type M2
+// over g's vertices: the values counterpart of WithMessages, for a job whose
+// state is a small part of V (Pregel+ ties the vertex class to the vertex
+// program, §II). Each worker's partition is cloned by position — IDs and
+// index slots copied, nothing re-sharded or re-inserted — and in builds every
+// live vertex's V2 from its V. The job then runs through Graph.Run, so
+// checkpoints, faults, Resume and the transport behave as for any job, with
+// messageBytes the charged wire size of one M2 (zero means
+// DefaultMessageBytes). Afterwards out hands each surviving vertex its V2
+// back, on the executor like in; a vertex the job removed (RemoveSelf) is
+// removed from g instead. A failed job hands nothing back. The copy does not
+// outlive the call.
+func RunAs[V2, M2, V, M any](g *Graph[V, M], messageBytes int,
+	in func(VertexID, *V) V2, compute Compute[V2, M2], out func(VertexID, *V, *V2),
+	opts ...RunOption) (*Stats, error) {
+	var o runOpts
+	for _, opt := range opts {
+		opt(&o)
+	}
+	// Compacted and sorted, g's partitions are what the copy's Run would
+	// sort them into, so positions in the two agree throughout.
+	g.runName = o.name
+	g.sortVertices()
+	vs := make([]*verts[V2], len(g.workers))
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, o.name, "convert", func(wi int) {
+		w := g.workers[wi]
+		n := len(w.ids)
+		c := &verts[V2]{
+			ids:    slices.Clone(w.ids),
+			idx:    vindex{slots: slices.Clone(w.idx.slots), shift: w.idx.shift},
+			vals:   make([]V2, n),
+			active: make([]bool, n),
+			dead:   make([]bool, n),
+		}
+		for i, id := range w.ids {
+			c.vals[i] = in(id, &w.vals[i])
+		}
+		vs[wi] = c
+	})
+	cfg := g.cfg
+	cfg.MessageBytes = messageBytes
+	view := newGraph[V2, M2](cfg.withDefaults(), g.clock, vs)
+	stats, err := view.Run(compute, opts...)
+	if err != nil {
+		return stats, err
+	}
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, o.name, "convert", func(wi int) {
+		w, c := g.workers[wi], view.workers[wi]
+		for i, id := range w.ids {
+			if c.dead[i] {
+				w.dead[i] = true
+				w.nDead++
+				continue
+			}
+			w.active[i] = c.active[i]
+			out(id, &w.vals[i], &c.vals[i])
+		}
+	})
+	return stats, nil
+}
+
 // Workers returns the number of logical workers.
 func (g *Graph[V, M]) Workers() int { return g.cfg.Workers }
 

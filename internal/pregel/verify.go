@@ -20,7 +20,7 @@ type CkptFileInfo struct {
 	// mid-write (harmless debris, never counted as corruption).
 	Delta bool
 	Temp  bool
-	// Version is the container format version the file claims (9 is the
+	// Version is the container format version the file claims (10 is the
 	// only one read), 0 when the frame is too damaged to tell.
 	Version int
 	// Bytes is the file size; SectionEnds are the container's internal

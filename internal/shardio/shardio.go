@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Store is a directory of part-files.
@@ -61,7 +64,8 @@ func (s *Store) WriteShards(shards [][]string) error {
 	return nil
 }
 
-// ReadShards loads every part-file in order. If workers > 0 and differs
+// ReadShards loads every part-file in order, and refuses a store whose part
+// numbering has a gap. If workers > 0 and differs
 // from the stored part count, lines are redistributed round-robin across
 // the requested number of shards (as a re-replicated HDFS read would).
 func (s *Store) ReadShards(workers int) ([][]string, error) {
@@ -121,28 +125,56 @@ func (s *Store) PartSizes() ([]int64, error) {
 	return sizes, nil
 }
 
+// partFiles returns the store's part-files in order. The parts must be
+// numbered 0, 1, 2, ... without a gap: a missing part is an error naming
+// it, never a shorter read.
 func (s *Store) partFiles() ([]string, error) {
-	var parts []string
-	for i := 0; ; i++ {
-		p := s.partPath(i)
-		if _, err := os.Stat(p); err != nil {
-			if os.IsNotExist(err) {
-				break
-			}
-			return nil, fmt.Errorf("shardio: %w", err)
+	nums, err := s.partNumbers()
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]string, len(nums))
+	for i, n := range nums {
+		if n != i {
+			return nil, fmt.Errorf("shardio: %s: part-%05d is missing (the store holds part-%05d)", s.dir, i, n)
 		}
-		parts = append(parts, p)
+		parts[i] = s.partPath(i)
 	}
 	return parts, nil
 }
 
+// partNumbers lists the numbers of the store's part-files, ascending. A
+// part-file is named exactly as partPath names it; other files are not
+// parts.
+func (s *Store) partNumbers() ([]int, error) {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, fmt.Errorf("shardio: %w", err)
+	}
+	var nums []int
+	for _, e := range entries {
+		digits, ok := strings.CutPrefix(e.Name(), "part-")
+		if !ok {
+			continue
+		}
+		n, err := strconv.Atoi(digits)
+		if err != nil || n < 0 || fmt.Sprintf("part-%05d", n) != e.Name() {
+			continue
+		}
+		nums = append(nums, n)
+	}
+	slices.Sort(nums)
+	return nums, nil
+}
+
+// removeParts deletes every part-file, gaps or not.
 func (s *Store) removeParts() error {
-	parts, err := s.partFiles()
+	nums, err := s.partNumbers()
 	if err != nil {
 		return err
 	}
-	for _, p := range parts {
-		if err := os.Remove(p); err != nil {
+	for _, n := range nums {
+		if err := os.Remove(s.partPath(n)); err != nil {
 			return fmt.Errorf("shardio: %w", err)
 		}
 	}
