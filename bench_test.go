@@ -15,7 +15,6 @@ import (
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/experiments"
 	"ppaassembler/internal/genome"
-	"ppaassembler/internal/ppa"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/quality"
 	"ppaassembler/internal/readsim"
@@ -207,43 +206,6 @@ func BenchmarkVertexCollapse(b *testing.B) {
 	b.ReportMetric(km/float64(b.N), "kmer-vertices")
 	b.ReportMetric(mid/float64(b.N), "mid-vertices")
 	b.ReportMetric(ctg/float64(b.N), "final-contigs")
-}
-
-// BenchmarkListRanking measures the Figure-1 BPPA primitive (experiment
-// E10).
-func BenchmarkListRanking(b *testing.B) {
-	const n = 20000
-	ids := make([]pregel.VertexID, n)
-	vals := make([]int64, n)
-	for i := range ids {
-		ids[i] = pregel.VertexID(i + 1)
-		vals[i] = 1
-	}
-	for i := 0; i < b.N; i++ {
-		g, err := ppa.BuildList(pregel.Config{Workers: 4}, ids, vals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ppa.ListRank(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimplifiedSV measures the Figure-2 S-V primitive on a path graph
-// (experiment E10).
-func BenchmarkSimplifiedSV(b *testing.B) {
-	const n = 20000
-	edges := make([][2]pregel.VertexID, 0, n-1)
-	for i := 1; i < n; i++ {
-		edges = append(edges, [2]pregel.VertexID{pregel.VertexID(i), pregel.VertexID(i + 1)})
-	}
-	for i := 0; i < b.N; i++ {
-		g := ppa.BuildUndirected(pregel.Config{Workers: 4}, edges, nil)
-		if _, err := ppa.SVComponents(g); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAblation_Theta compares the pipeline with and without the

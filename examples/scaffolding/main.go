@@ -1,9 +1,9 @@
 // Scaffolding walkthrough: simulate paired-end reads from a repeat-bearing
 // genome, assemble contigs with the PPA workflow ①–⑥ (contigs break at every
 // planted repeat), then run the paired-end scaffolding stage ⑦ — mate
-// placement, link bundling, the ambiguity-filter handshake, S-V chain
-// labeling, the ordering wave and list-ranked coordinates — and evaluate the
-// scaffolds against the known reference.
+// placement, link bundling, the ambiguity-filter handshake, and the ordering
+// wave, whose winning endpoint labels each chain and orients its contigs —
+// and evaluate the scaffolds against the known reference.
 //
 // Run with: go run ./examples/scaffolding
 package main

@@ -440,9 +440,8 @@ func (o EmitFastaOp) Run(env *workflow.Env, st *State) error {
 
 // ScaffoldOp is the pipeline's stage ⑦ as a workflow op: paired-end
 // scaffolding of the current contig set (mate placement and link bundling,
-// link filtering, S-V chain labeling, ordering/orientation and list
-// ranking — the jobs of package scaffold). Unset library options inherit
-// the plan's environment.
+// link filtering, and the ordering/orientation wave — the jobs of package
+// scaffold). Unset library options inherit the plan's environment.
 type ScaffoldOp struct {
 	Lib scaffold.Options
 }

@@ -615,7 +615,7 @@ type aggSnapshot struct {
 
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
-// worker persists its own partition in parallel). On disk it is the v10
+// worker persists its own partition in parallel). On disk it is the v11
 // checksummed binary container (see codec.go); the worker blobs use the
 // binary value codec.
 type ckptFile struct {

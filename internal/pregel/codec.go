@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Checkpoint format v10, the only one this package reads or writes: a
+// Checkpoint format v11, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
@@ -25,14 +25,14 @@ import (
 // load time as ErrCheckpointCorrupt, letting recovery walk back to an older
 // intact snapshot instead of restoring garbage. Anything else — no magic, or
 // another version — is one "unsupported checkpoint format" error. The
-// version also covers the value codecs inside the sections: v6 and v7 were
-// bumped because the segment graph's message (v6) and vertex (v7) encodings
-// changed, v8 because the header dropped its routing table and migration
-// counters, v9 because contig labeling's jobs changed (a hello job of their
-// own for S-V) and their pending inboxes hold smaller messages, and v10
-// because S-V runs over a vertex value of its own and the segment graph's
-// vertex lost the S-V fields, so an older file, whose CRCs still verify, is
-// refused instead of decoded wrongly.
+// version also covers the value codecs inside the sections: v6/v7 were
+// bumped because the segment graph's message/vertex encodings changed, v8
+// because the header dropped its routing table and migration counters, v9
+// because labeling's jobs changed (S-V got its own hello job, pending inboxes
+// hold smaller messages), v10 because S-V runs over a vertex value of its own
+// and the segment graph's vertex lost the S-V fields, and v11 because the
+// scaffold vertex lost its chain label and end coordinate, so an older file,
+// whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -48,7 +48,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 10
+	ckptVersion = 11
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -721,7 +721,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v10 container.
+// decodeCkptFile parses a v11 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err

@@ -2,7 +2,10 @@
 // into the Pregel engine's binary checkpoint codec by implementing
 // pregel.CheckpointAppender / pregel.CheckpointDecoder. Contig IDs are
 // varint-packed (they are small dense indices, unlike the k-mer codes of
-// the segment graph); gaps are float64 bit patterns.
+// the segment graph); gaps are float64 bit patterns. Decoding refuses an
+// End other than L or R and a length or weight outside int32, so damaged
+// state surfaces as an error instead of an index panic in a job or a
+// silently truncated value.
 
 package scaffold
 
@@ -28,16 +31,15 @@ func (l *Link) DecodeCheckpoint(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	l.Nbr = pregel.VertexID(id)
-	if len(data) < 2 {
-		return nil, fmt.Errorf("scaffold: corrupt Link encoding: truncated ends")
+	if len(data) < 2 || data[0] > byte(R) || data[1] > byte(R) {
+		return nil, fmt.Errorf("scaffold: corrupt Link encoding: missing or invalid ends")
 	}
 	l.SelfEnd, l.NbrEnd = End(data[0]), End(data[1])
-	data = data[2:]
-	w, data, err := pregel.ConsumeVarint(data)
+	w, data, err := consumeInt32(data[2:], "Link weight")
 	if err != nil {
 		return nil, err
 	}
-	l.Weight = int32(w)
+	l.Weight = w
 	bits, data, err := pregel.ConsumeUint64(data)
 	if err != nil {
 		return nil, err
@@ -57,22 +59,20 @@ func (v *SVertex) AppendCheckpoint(buf []byte) []byte {
 		buf = v.Keep[i].AppendCheckpoint(buf)
 		buf = pregel.AppendBool(buf, v.Has[i])
 	}
-	buf = pregel.AppendUvarint(buf, uint64(v.Chain))
 	buf = pregel.AppendBool(buf, v.Assigned)
 	buf = pregel.AppendBool(buf, v.Flip)
 	buf = pregel.AppendUvarint(buf, uint64(v.Wave))
 	buf = pregel.AppendUvarint(buf, uint64(v.Pred))
-	buf = pregel.AppendUint64(buf, math.Float64bits(v.PredGap))
-	return pregel.AppendVarint(buf, v.EndSum)
+	return pregel.AppendUint64(buf, math.Float64bits(v.PredGap))
 }
 
 // DecodeCheckpoint implements pregel.CheckpointDecoder.
 func (v *SVertex) DecodeCheckpoint(data []byte) ([]byte, error) {
-	n, data, err := pregel.ConsumeVarint(data)
+	n, data, err := consumeInt32(data, "SVertex length")
 	if err != nil {
 		return nil, err
 	}
-	v.Len = int32(n)
+	v.Len = n
 	nc, data, err := pregel.ConsumeUvarint(data)
 	if err != nil {
 		return nil, err
@@ -97,18 +97,14 @@ func (v *SVertex) DecodeCheckpoint(data []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	id, data, err := pregel.ConsumeUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	v.Chain = pregel.VertexID(id)
 	if v.Assigned, data, err = pregel.ConsumeBool(data); err != nil {
 		return nil, err
 	}
 	if v.Flip, data, err = pregel.ConsumeBool(data); err != nil {
 		return nil, err
 	}
-	if id, data, err = pregel.ConsumeUvarint(data); err != nil {
+	id, data, err := pregel.ConsumeUvarint(data)
+	if err != nil {
 		return nil, err
 	}
 	v.Wave = pregel.VertexID(id)
@@ -121,9 +117,6 @@ func (v *SVertex) DecodeCheckpoint(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	v.PredGap = math.Float64frombits(bits)
-	if v.EndSum, data, err = pregel.ConsumeVarint(data); err != nil {
-		return nil, err
-	}
 	return data, nil
 }
 
@@ -137,8 +130,8 @@ func (m *SMsg) AppendCheckpoint(buf []byte) []byte {
 
 // DecodeCheckpoint implements pregel.CheckpointDecoder.
 func (m *SMsg) DecodeCheckpoint(data []byte) ([]byte, error) {
-	if len(data) < 3 {
-		return nil, fmt.Errorf("scaffold: corrupt SMsg encoding: truncated header")
+	if len(data) < 3 || data[1] > byte(R) || data[2] > byte(R) {
+		return nil, fmt.Errorf("scaffold: corrupt SMsg encoding: missing or invalid ends")
 	}
 	m.Kind, m.FromEnd, m.ToEnd = data[0], End(data[1]), End(data[2])
 	id, data, err := pregel.ConsumeUvarint(data[3:])
@@ -156,4 +149,16 @@ func (m *SMsg) DecodeCheckpoint(data []byte) ([]byte, error) {
 	}
 	m.Gap = math.Float64frombits(bits)
 	return data, nil
+}
+
+// consumeInt32 reads a varint that must fit an int32.
+func consumeInt32(data []byte, what string) (int32, []byte, error) {
+	x, data, err := pregel.ConsumeVarint(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if x != int64(int32(x)) {
+		return 0, nil, fmt.Errorf("scaffold: corrupt %s encoding: %d overflows int32", what, x)
+	}
+	return int32(x), data, nil
 }

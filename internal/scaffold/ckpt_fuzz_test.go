@@ -46,13 +46,26 @@ func (g *fuzzGen) gap() float64 {
 	return f
 }
 
+// end returns a valid End; badEnd a byte no End encodes as.
+func (g *fuzzGen) end() End     { return End(g.b() & 1) }
+func (g *fuzzGen) badEnd() byte { return 2 + g.b()%254 }
+
 func (g *fuzzGen) link() Link {
 	return Link{
 		Nbr:     g.id(),
-		SelfEnd: End(g.b()),
-		NbrEnd:  End(g.b()),
+		SelfEnd: g.end(),
+		NbrEnd:  g.end(),
 		Weight:  int32(g.u64()),
 		Gap:     g.gap(),
+	}
+}
+
+// refused asserts that decoding enc fails.
+func refused[T any, P ckpttest.Codec[T]](t *testing.T, enc []byte, what string) {
+	t.Helper()
+	var junk T
+	if _, err := P(&junk).DecodeCheckpoint(enc); err == nil {
+		t.Fatalf("%T decode accepted %s", junk, what)
 	}
 }
 
@@ -63,16 +76,26 @@ func FuzzSVertexCodecDifferential(f *testing.F) {
 		g := &fuzzGen{data: data}
 		l := g.link()
 		ckpttest.RoundTrip[Link](t, &l)
+		// The ends sit right after the neighbor uvarint, the weight after
+		// them: an end other than L/R or a weight past int32 is refused.
+		enc := l.AppendCheckpoint(nil)
+		ends := len(pregel.AppendUvarint(nil, uint64(l.Nbr)))
+		for i := 0; i < 2; i++ {
+			bad := append([]byte(nil), enc...)
+			bad[ends+i] = g.badEnd()
+			refused[Link](t, bad, "an invalid end")
+		}
+		tail := enc[ends+2+len(pregel.AppendVarint(nil, int64(l.Weight))):]
+		wide := pregel.AppendVarint(append([]byte(nil), enc[:ends+2]...), int64(l.Weight)+1<<32)
+		refused[Link](t, append(wide, tail...), "a weight past int32")
 
 		v := SVertex{
 			Len:      int32(g.u64()),
-			Chain:    g.id(),
 			Assigned: g.flag(),
 			Flip:     g.flag(),
 			Wave:     g.id(),
 			Pred:     g.id(),
 			PredGap:  g.gap(),
-			EndSum:   int64(g.u64()),
 		}
 		if nc := int(g.b()) % 5; nc > 0 {
 			v.Cand = make([]Link, nc)
@@ -85,6 +108,8 @@ func FuzzSVertexCodecDifferential(f *testing.F) {
 			v.Has[i] = g.flag()
 		}
 		ckpttest.RoundTrip[SVertex](t, &v)
+		tail = v.AppendCheckpoint(nil)[len(pregel.AppendVarint(nil, int64(v.Len))):]
+		refused[SVertex](t, append(pregel.AppendVarint(nil, int64(v.Len)-1<<32), tail...), "a length past int32")
 		ckpttest.NoPanic[Link](t, data)
 		ckpttest.NoPanic[SVertex](t, data)
 		ckpttest.Corrupt[SVertex](t, &v, data)
@@ -98,13 +123,19 @@ func FuzzSMsgCodecDifferential(f *testing.F) {
 		g := &fuzzGen{data: data}
 		m := SMsg{
 			Kind:    g.b(),
-			FromEnd: End(g.b()),
-			ToEnd:   End(g.b()),
+			FromEnd: g.end(),
+			ToEnd:   g.end(),
 			From:    g.id(),
 			Wave:    g.id(),
 			Gap:     g.gap(),
 		}
 		ckpttest.RoundTrip[SMsg](t, &m)
+		// Bytes 1 and 2 are FromEnd and ToEnd.
+		for i := 1; i <= 2; i++ {
+			bad := m.AppendCheckpoint(nil)
+			bad[i] = g.badEnd()
+			refused[SMsg](t, bad, "an invalid end")
+		}
 		ckpttest.NoPanic[SMsg](t, data)
 		ckpttest.Corrupt[SMsg](t, &m, data)
 	})

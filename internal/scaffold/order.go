@@ -1,14 +1,9 @@
 package scaffold
 
-import (
-	"math"
+import "ppaassembler/internal/pregel"
 
-	"ppaassembler/internal/ppa"
-	"ppaassembler/internal/pregel"
-)
-
-// noPred marks a chain head (same sentinel as the list-ranking BPPA).
-const noPred = ppa.NullID
+// noPred marks a chain head.
+const noPred = ^pregel.VertexID(0)
 
 // Link is one bundled candidate join attached to a contig-link vertex: this
 // vertex's SelfEnd meets NbrEnd of contig Nbr, supported by Weight pairs,
@@ -22,9 +17,9 @@ type Link struct {
 }
 
 // SVertex is one contig in the contig-link graph, carrying the vertex state
-// of all four scaffolding jobs: candidate links (filter job input), the
-// surviving link per end, the S-V chain label, and the orientation /
-// predecessor / coordinate assignment of the ordering jobs.
+// of both scaffolding jobs: candidate links (filter job input), the
+// surviving link per end, and the orientation / predecessor assignment of
+// the ordering job.
 type SVertex struct {
 	Len  int32
 	Cand []Link
@@ -33,23 +28,16 @@ type SVertex struct {
 	Keep [2]Link
 	Has  [2]bool
 
-	// Chain is the scaffold-chain label (minimum contig ID in the chain).
-	Chain pregel.VertexID
-
 	// Ordering-wave state: Assigned vertices know their orientation (Flip),
 	// upstream neighbor (Pred, noPred at the head), the estimated gap to it
 	// (PredGap), and the wave that assigned them (Wave, the head's ID —
 	// waves from smaller heads win so both endpoints racing along a chain
-	// agree).
+	// agree, and Wave doubles as the chain's label).
 	Assigned bool
 	Flip     bool
 	Wave     pregel.VertexID
 	Pred     pregel.VertexID
 	PredGap  float64
-
-	// EndSum is the scaffold end-coordinate of this contig computed by the
-	// list-ranking job: the sum of (gap + length) from the chain head.
-	EndSum int64
 }
 
 // SMsg is the message type of the filter and ordering jobs.
@@ -122,42 +110,15 @@ func filterLinks(g *pregel.Graph[SVertex, SMsg], minSupport int32) (*pregel.Stat
 	}, pregel.WithName("scaffold-filter"))
 }
 
-// chainLabel labels every contig with the minimum contig ID of its scaffold
-// chain by running the simplified Shiloach–Vishkin PPA (package ppa, Figure
-// 2 of the paper) over the filtered link graph, on the shared clock.
-func chainLabel(g *pregel.Graph[SVertex, SMsg], cfg pregel.Config, clock *pregel.SimClock) (*pregel.Stats, error) {
-	var edges [][2]pregel.VertexID
-	var all []pregel.VertexID
-	g.ForEach(func(id pregel.VertexID, v *SVertex) {
-		all = append(all, id)
-		for ei := range v.Has {
-			if v.Has[ei] && id < v.Keep[ei].Nbr {
-				edges = append(edges, [2]pregel.VertexID{id, v.Keep[ei].Nbr})
-			}
-		}
-	})
-	svg := ppa.BuildUndirected(cfg, edges, all)
-	svg.UseClock(clock)
-	st, err := ppa.SVComponents(svg)
-	if err != nil {
-		return st, err
-	}
-	st.Name = "scaffold-chains-sv"
-	g.ForEach(func(id pregel.VertexID, v *SVertex) {
-		if sv, ok := svg.Value(id); ok {
-			v.Chain = sv.D
-		}
-	})
-	return st, nil
-}
-
 // orderChains assigns orientations and predecessor links by propagating
 // waves inward from chain endpoints. Both endpoints of a chain start a wave
 // carrying their own ID; every vertex adopts the smaller wave it has seen
 // (overwriting the larger), flips itself when the wave enters through its R
 // end, records the sender as predecessor, and forwards the wave through its
 // other end. When the waves die out, every vertex of a non-cyclic chain is
-// oriented away from the chain's smaller endpoint. Cyclic chains have no
+// oriented away from the chain's smaller endpoint and holds that endpoint's
+// ID in Wave, a label no other chain carries. Because filterLinks keeps only
+// reciprocal links, every chain is a path or a cycle; cyclic chains have no
 // endpoint, receive no wave, and stay unassigned — the caller emits their
 // contigs as singletons.
 func orderChains(g *pregel.Graph[SVertex, SMsg]) (*pregel.Stats, error) {
@@ -202,34 +163,4 @@ func orderChains(g *pregel.Graph[SVertex, SMsg]) (*pregel.Stats, error) {
 		}
 		ctx.VoteToHalt()
 	}, pregel.WithName("scaffold-order"))
-}
-
-// rankOffsets computes every contig's scaffold end-coordinate with the
-// list-ranking BPPA (package ppa, Figure 1 of the paper): chains are linked
-// lists over Pred, each element's value is its length plus the gap before
-// it, and the ranked sum is the coordinate of the contig's right edge.
-func rankOffsets(g *pregel.Graph[SVertex, SMsg], cfg pregel.Config, clock *pregel.SimClock) (*pregel.Stats, error) {
-	lr := pregel.NewGraph[ppa.LRVertex, ppa.LRMsg](cfg)
-	lr.UseClock(clock)
-	g.ForEach(func(id pregel.VertexID, v *SVertex) {
-		if !v.Assigned {
-			return
-		}
-		val := int64(v.Len)
-		if v.Pred != noPred {
-			val += int64(math.Round(v.PredGap))
-		}
-		lr.AddVertex(id, ppa.LRVertex{Val: val, Pred: v.Pred})
-	})
-	st, err := ppa.ListRank(lr)
-	if err != nil {
-		return st, err
-	}
-	st.Name = "scaffold-rank-lr"
-	g.ForEach(func(id pregel.VertexID, v *SVertex) {
-		if lv, ok := lr.Value(id); ok {
-			v.EndSum = lv.Sum
-		}
-	})
-	return st, nil
 }

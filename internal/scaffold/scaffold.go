@@ -17,11 +17,13 @@
 //  2. ambiguous-link filtering is a two-superstep Pregel handshake: every
 //     contig keeps an end's link only when it is the end's single
 //     well-supported candidate and the neighbor reciprocates;
-//  3. chain labeling reuses the simplified Shiloach–Vishkin PPA of package
-//     ppa to give every contig the ID of its scaffold chain;
-//  4. orientation and ordering run as a wave job along the filtered chains,
-//     and scaffold coordinates are computed with the list-ranking BPPA of
-//     package ppa over the chain's predecessor links.
+//  3. orientation and ordering run as a wave job along the filtered chains:
+//     waves start at both endpoints of every chain, the smaller endpoint's
+//     wave wins, and its ID becomes the label every member of the chain
+//     carries;
+//  4. collection groups contigs by that label, walks each chain from its
+//     head along the predecessor links, and sums lengths and rounded gaps
+//     along the walk into scaffold coordinates.
 //
 // Every job charges the shared simulated-cluster clock, so scaffolding
 // supersteps, messages and simulated seconds appear in the same accounting
@@ -193,8 +195,9 @@ func (o Options) validate() error {
 // Build input: Contigs[i] is an input-contig index, Flip[i] its orientation
 // (true = reverse complement), Gaps[i] the estimated gap in bases between
 // chain members i and i+1 (may be ≤ 0 when contigs abut or overlap), and
-// Starts[i] the member's scaffold start coordinate as computed by the
-// list-ranking job (gaps counted as estimated, not clamped).
+// Starts[i] the member's scaffold start coordinate: the lengths of the
+// members before it plus the gaps between them (counted as estimated, not
+// clamped).
 type Scaffold struct {
 	Contigs []int
 	Flip    []bool
@@ -250,8 +253,7 @@ type Result struct {
 	Excluded, CycleContigs int
 
 	// Stats aggregates every scaffolding job; Jobs holds the per-job
-	// breakdown (link MapReduce, filter, S-V chains, ordering wave, list
-	// ranking).
+	// breakdown (link MapReduce, filter, ordering wave).
 	Stats *pregel.Stats
 	Jobs  []*pregel.Stats
 
@@ -260,8 +262,8 @@ type Result struct {
 }
 
 // Build scaffolds contigs with the given read pairs: it places mates,
-// bundles links, and runs the filter / chain-label / order / rank Pregel
-// jobs described in the package comment.
+// bundles links, and runs the filter and order Pregel jobs described in the
+// package comment.
 func Build(contigs []Contig, pairs []Pair, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -330,19 +332,7 @@ func Build(contigs []Contig, pairs []Pair, opt Options) (*Result, error) {
 	})
 	res.LinksKept /= 2 // each kept link is recorded on both endpoints
 
-	st, err = chainLabel(g, cfg, clock)
-	if err != nil {
-		return nil, err
-	}
-	res.addJob(st)
-
 	st, err = orderChains(g)
-	if err != nil {
-		return nil, err
-	}
-	res.addJob(st)
-
-	st, err = rankOffsets(g, cfg, clock)
 	if err != nil {
 		return nil, err
 	}
@@ -383,8 +373,11 @@ func resolveInsert(opt Options, inserts sampleStats) (mean, sd float64, err erro
 	return mean, sd, nil
 }
 
-// collect walks every chain from its head along Pred links and emits one
-// Scaffold per chain, plus singletons for excluded and cyclic contigs.
+// collect groups the assigned contigs by Wave (their chain label), walks
+// every chain from its head along Pred links and emits one Scaffold per
+// chain, plus singletons for excluded and cyclic contigs. Starts is a
+// running sum along the walk: each member starts where the previous one
+// ends plus the rounded gap between them.
 func collect(g *pregel.Graph[SVertex, SMsg], contigs []Contig, included []bool, res *Result) error {
 	idx := make(map[pregel.VertexID]int, len(contigs))
 	for i, c := range contigs {
@@ -403,7 +396,7 @@ func collect(g *pregel.Graph[SVertex, SMsg], contigs []Contig, included []bool, 
 			singles = append(singles, ci)
 			return
 		}
-		chains[v.Chain] = append(chains[v.Chain], memberInfo{ci, *v})
+		chains[v.Wave] = append(chains[v.Wave], memberInfo{ci, *v})
 	})
 	for i := range contigs {
 		if !included[i] {
@@ -440,16 +433,19 @@ func collect(g *pregel.Graph[SVertex, SMsg], contigs []Contig, included []bool, 
 			}
 		}
 		var s Scaffold
+		start := 0
 		for m, n := head, 0; m != nil; n++ {
 			if n > len(members) {
 				return fmt.Errorf("scaffold: chain %x does not terminate", k)
 			}
-			if len(s.Contigs) > 0 {
-				s.Gaps = append(s.Gaps, int(math.Round(m.v.PredGap)))
+			if n > 0 {
+				gap := int(math.Round(m.v.PredGap))
+				s.Gaps = append(s.Gaps, gap)
+				start += contigs[s.Contigs[n-1]].Seq.Len() + gap
 			}
 			s.Contigs = append(s.Contigs, m.contig)
 			s.Flip = append(s.Flip, m.v.Flip)
-			s.Starts = append(s.Starts, int(m.v.EndSum)-contigs[m.contig].Seq.Len())
+			s.Starts = append(s.Starts, start)
 			m = succ[contigs[m.contig].ID]
 		}
 		if len(s.Contigs) != len(members) {

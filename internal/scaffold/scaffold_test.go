@@ -187,8 +187,8 @@ func TestBuildOrientsFlippedContig(t *testing.T) {
 	}
 }
 
-// TestBuildThreeContigChain checks ordering and list-ranked coordinates over
-// a longer chain, with deterministic repeated runs.
+// TestBuildThreeContigChain checks ordering and scaffold coordinates over a
+// longer chain, with deterministic repeated runs.
 func TestBuildThreeContigChain(t *testing.T) {
 	ref := testGenome(t, 9000, 41)
 	cuts := [][2]int{{0, 2400}, {2600, 5200}, {5400, 8600}}
@@ -216,7 +216,7 @@ func TestBuildThreeContigChain(t *testing.T) {
 		for j := 1; j < 3; j++ {
 			wantStart := s.Starts[j-1] + seqs[s.Contigs[j-1]].Len() + s.Gaps[j-1]
 			if s.Starts[j] != wantStart {
-				t.Errorf("start[%d] = %d, want %d (list ranking inconsistent with chain walk)", j, s.Starts[j], wantStart)
+				t.Errorf("start[%d] = %d, want %d (coordinates are not the running sum of lengths and gaps)", j, s.Starts[j], wantStart)
 			}
 		}
 		if prev != nil {
@@ -330,13 +330,7 @@ func TestCyclicChainFallsBackToSingletons(t *testing.T) {
 		v.Has = [2]bool{true, true}
 		g.AddVertex(id, v)
 	}
-	if _, err := chainLabel(g, cfg, clock); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := orderChains(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rankOffsets(g, cfg, clock); err != nil {
 		t.Fatal(err)
 	}
 	contigs := []Contig{{ID: 1, Seq: dna.ParseSeq("ACGT")}, {ID: 2, Seq: dna.ParseSeq("ACGT")}, {ID: 3, Seq: dna.ParseSeq("ACGT")}}
