@@ -1,10 +1,11 @@
-// Checkpoint codec methods: VData, svVertex, Msg and labelMsg carry the Pregel
-// engine's binary value codec by implementing pregel.CheckpointAppender /
-// pregel.CheckpointDecoder, which segment-graph jobs need to checkpoint or
-// run over a wire transport. VData fields are written in struct order, the
-// messages' one-byte fields first; vertex IDs are fixed 8-byte little-endian
-// (canonical k-mer codes and flipped IDs span the full 64-bit range, where
-// varints buy nothing).
+// Checkpoint codec methods: VData, svVertex, Msg, labelMsg and svMsg carry
+// the Pregel engine's binary value codec by implementing
+// pregel.CheckpointAppender / pregel.CheckpointDecoder, which segment-graph
+// jobs need to checkpoint or run over a wire transport. VData fields are
+// written in struct order, the messages' one-byte fields first; vertex IDs
+// are fixed 8-byte little-endian (canonical k-mer codes and flipped IDs span
+// the full 64-bit range, where varints buy nothing), except in svMsg, which
+// is mostly k-mer IDs and small addresses and writes both as uvarints.
 
 package core
 
@@ -175,10 +176,13 @@ func (m *labelMsg) DecodeCheckpoint(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// AppendCheckpoint implements pregel.CheckpointAppender.
+// AppendCheckpoint implements pregel.CheckpointAppender. Addresses are
+// uvarints: a worker number above a partition position.
 func (v *svVertex) AppendCheckpoint(buf []byte) []byte {
-	for _, id := range [...]pregel.VertexID{v.D, v.DD, v.NbrMin, v.Nbr[0], v.Nbr[1]} {
-		buf = pregel.AppendUint64(buf, uint64(id))
+	buf = pregel.AppendUint64(buf, uint64(v.D))
+	buf = pregel.AppendUint64(buf, uint64(v.NbrMin))
+	for _, a := range [...]pregel.Addr{v.DA, v.NbrMinA, v.NbrA[0], v.NbrA[1]} {
+		buf = pregel.AppendUvarint(buf, uint64(a))
 	}
 	var flags byte
 	for i, f := range [...]bool{v.Live[0], v.Live[1], v.DNew, v.Idle} {
@@ -191,12 +195,19 @@ func (v *svVertex) AppendCheckpoint(buf []byte) []byte {
 
 // DecodeCheckpoint implements pregel.CheckpointDecoder.
 func (v *svVertex) DecodeCheckpoint(data []byte) ([]byte, error) {
-	for _, id := range [...]*pregel.VertexID{&v.D, &v.DD, &v.NbrMin, &v.Nbr[0], &v.Nbr[1]} {
+	for _, id := range [...]*pregel.VertexID{&v.D, &v.NbrMin} {
 		x, rest, err := pregel.ConsumeUint64(data)
 		if err != nil {
 			return nil, err
 		}
 		*id, data = pregel.VertexID(x), rest
+	}
+	for _, a := range [...]*pregel.Addr{&v.DA, &v.NbrMinA, &v.NbrA[0], &v.NbrA[1]} {
+		x, rest, err := pregel.ConsumeUvarint(data)
+		if err != nil {
+			return nil, err
+		}
+		*a, data = pregel.Addr(x), rest
 	}
 	if len(data) < 1 || data[0] > 0xf {
 		return nil, fmt.Errorf("core: corrupt svVertex encoding: missing or invalid flags")
@@ -205,4 +216,25 @@ func (v *svVertex) DecodeCheckpoint(data []byte) ([]byte, error) {
 	v.Live = [2]bool{f&1 != 0, f&2 != 0}
 	v.DNew, v.Idle = f&4 != 0, f&8 != 0
 	return data[1:], nil
+}
+
+// AppendCheckpoint implements pregel.CheckpointAppender: the ID and the
+// address as uvarints.
+func (m *svMsg) AppendCheckpoint(buf []byte) []byte {
+	buf = pregel.AppendUvarint(buf, uint64(m.ID))
+	return pregel.AppendUvarint(buf, uint64(m.A))
+}
+
+// DecodeCheckpoint implements pregel.CheckpointDecoder.
+func (m *svMsg) DecodeCheckpoint(data []byte) ([]byte, error) {
+	id, data, err := pregel.ConsumeUvarint(data)
+	if err != nil {
+		return nil, err
+	}
+	a, data, err := pregel.ConsumeUvarint(data)
+	if err != nil {
+		return nil, err
+	}
+	m.ID, m.A = pregel.VertexID(id), pregel.Addr(a)
+	return data, nil
 }

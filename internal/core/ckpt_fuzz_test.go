@@ -160,13 +160,14 @@ func FuzzSVVertexCodecDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
 		v := svVertex{
-			D:      g.id(),
-			DD:     g.id(),
-			NbrMin: g.id(),
-			Nbr:    [2]pregel.VertexID{g.id(), g.id()},
-			Live:   [2]bool{g.flag(), g.flag()},
-			DNew:   g.flag(),
-			Idle:   g.flag(),
+			D:       g.id(),
+			NbrMin:  g.id(),
+			DA:      pregel.Addr(g.u64()),
+			NbrMinA: pregel.Addr(g.u64()),
+			NbrA:    [2]pregel.Addr{pregel.Addr(g.u64()), pregel.Addr(g.u64())},
+			Live:    [2]bool{g.flag(), g.flag()},
+			DNew:    g.flag(),
+			Idle:    g.flag(),
 		}
 		ckpttest.RoundTrip[svVertex](t, &v)
 		ckpttest.NoPanic[svVertex](t, data)
@@ -174,22 +175,57 @@ func FuzzSVVertexCodecDifferential(f *testing.F) {
 	})
 }
 
-// TestSVVertexLayoutFence keeps the S-V job's vertex at most 48 bytes,
-// which is what makes its supersteps cheap next to VData's, and pins its
-// encoding.
+// FuzzSVMsgCodecDifferential checks the S-V message against the gob
+// baseline.
+func FuzzSVMsgCodecDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x09, 0x0e, 0xc7, 0xf3, 0xa5, 0x02, 0, 0, 0x39, 0x30, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x40, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &fuzzGen{data: data}
+		m := svMsg{ID: g.id(), A: pregel.Addr(g.u64())}
+		ckpttest.RoundTrip[svMsg](t, &m)
+		ckpttest.NoPanic[svMsg](t, data)
+		ckpttest.Corrupt[svMsg](t, &m, data)
+	})
+}
+
+// TestSVVertexLayoutFence keeps the S-V job's vertex at 56 bytes — two IDs,
+// four addresses and four flags — which is what makes its supersteps cheap
+// next to VData's, and pins its encoding: the IDs fixed 8-byte, the
+// addresses uvarints, the flags one byte.
 func TestSVVertexLayoutFence(t *testing.T) {
-	v := svVertex{D: 0x0102030405060708, DD: 2, NbrMin: 3, Nbr: [2]pregel.VertexID{4, 5},
-		Live: [2]bool{true, false}, DNew: true}
-	if got := unsafe.Sizeof(v); got > 48 {
-		t.Errorf("svVertex is %d bytes, want at most 48", got)
+	v := svVertex{D: 0x0102030405060708, NbrMin: 3, DA: 2<<32 | 5, NbrMinA: 7,
+		NbrA: [2]pregel.Addr{4, 1 << 32}, Live: [2]bool{true, false}, DNew: true}
+	if got := unsafe.Sizeof(v); got != 56 {
+		t.Errorf("svVertex is %d bytes, want 56", got)
 	}
-	want := []byte{8, 7, 6, 5, 4, 3, 2, 1}
-	for _, id := range []byte{2, 3, 4, 5} {
-		want = append(want, id, 0, 0, 0, 0, 0, 0, 0)
-	}
-	want = append(want, 0b0101)
+	want := []byte{8, 7, 6, 5, 4, 3, 2, 1, 3, 0, 0, 0, 0, 0, 0, 0,
+		0x85, 0x80, 0x80, 0x80, 0x20, // DA = 2<<32 | 5
+		7,                            // NbrMinA
+		4,                            // NbrA[0]
+		0x80, 0x80, 0x80, 0x80, 0x10, // NbrA[1] = 1<<32
+		0b0101}
 	if got := v.AppendCheckpoint(nil); !bytes.Equal(got, want) {
 		t.Errorf("svVertex encoding changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestSVQueryTagIsNoVertexID: the tag that marks an S-V query is dbg's
+// flip bit, which neither a k-mer ID (at most 62 bits) nor a contig ID
+// carries, so a query can never be mistaken for a broadcast D.
+func TestSVQueryTagIsNoVertexID(t *testing.T) {
+	if svQuery != dbg.FlipID(0) {
+		t.Fatalf("svQuery = %#x, want dbg's flip bit %#x", uint64(svQuery), uint64(dbg.FlipID(0)))
+	}
+	for _, id := range []pregel.VertexID{
+		dbg.KmerID(dna.Kmer(1<<62 - 1)), // the largest 31-mer code
+		dbg.ContigID(1<<30-1, math.MaxUint32),
+		dbg.ContigID(0, 1),
+	} {
+		if id&svQuery != 0 {
+			t.Errorf("vertex ID %#x carries the S-V query tag", uint64(id))
+		}
 	}
 }
 
@@ -234,9 +270,9 @@ func TestLabelMsgLayoutFence(t *testing.T) {
 // TestLabelMsgWireBytesMatchesCodec keeps the labeling jobs' wire charges
 // honest. labelMsg's encoding has a fixed size, so labelMsgWireBytes must be
 // exactly the size of every representative (a hello, a push of a vertex ID
-// and of a flipped contig-end ID). An S-V message is a bare vertex ID,
-// which the engine encodes as a uvarint; svMsgWireBytes is its size for a
-// k-mer-sized ID of a default-option run.
+// and of a flipped contig-end ID). An S-V message is two uvarints;
+// svMsgWireBytes is its size for a k-mer-sized ID of a default-option run
+// and the address of a vertex on any worker but the first.
 func TestLabelMsgWireBytesMatchesCodec(t *testing.T) {
 	const kmerID = pregel.VertexID(0x2a5f3c71e09) // a 21-mer's 42-bit ID
 	for _, m := range []labelMsg{
@@ -248,8 +284,11 @@ func TestLabelMsgWireBytesMatchesCodec(t *testing.T) {
 			t.Errorf("%+v encodes in %d bytes, labelMsgWireBytes = %d", m, n, labelMsgWireBytes)
 		}
 	}
-	if n := len(pregel.AppendUvarint(nil, uint64(kmerID))); n != svMsgWireBytes {
-		t.Errorf("a k-mer ID encodes in %d bytes, svMsgWireBytes = %d", n, svMsgWireBytes)
+	for _, w := range []uint64{1, 3, 6} {
+		m := svMsg{ID: kmerID, A: pregel.Addr(w<<32 | 40_000)}
+		if n := len(m.AppendCheckpoint(nil)); n != svMsgWireBytes {
+			t.Errorf("%+v encodes in %d bytes, svMsgWireBytes = %d", m, n, svMsgWireBytes)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ const (
 // Msg is the message type of the segment graph's jobs (one Pregel vertex
 // program per operation, as in the paper) apart from contig labeling, whose
 // jobs run over the same vertices with smaller messages of their own
-// (labelMsg and bare vertex IDs, label.go); the labeling oracles in
+// (labelMsg and svMsg, label.go); the labeling oracles in
 // label_oracle_test.go keep Msg.
 //
 // No kind needs a sender and a pointer at once, so one ID field carries

@@ -57,10 +57,23 @@ type labelMsg struct {
 // (TestLabelMsgWireBytesMatchesCodec).
 const labelMsgWireBytes = 12
 
-// svMsgWireBytes is the charged wire size of one S-V message, a bare vertex
-// ID that the engine encodes as a uvarint: 6 bytes for a 21-mer's 42-bit ID
-// (TestLabelMsgWireBytesMatchesCodec).
-const svMsgWireBytes = 6
+// svMsg is the S-V job's message: a vertex ID and the address to reach
+// that vertex at (pregel.Addr), so that a receiver which adopts the ID as
+// its D or NbrMin can send to it without the engine looking the ID up. A
+// query carries svQuery in place of an ID and the querier's address.
+type svMsg struct {
+	ID pregel.VertexID
+	A  pregel.Addr
+}
+
+// svQuery tags an S-V query. It is dbg's flip bit, which no vertex ID — and
+// so no D — carries (TestSVQueryTagIsNoVertexID).
+const svQuery pregel.VertexID = 1 << 62
+
+// svMsgWireBytes is the charged wire size of one svMsg, which its codec
+// (ckpt.go) writes as two uvarints: 6 bytes for a 21-mer's 42-bit ID and 5
+// for the address of a vertex on worker 1-7 (TestLabelMsgWireBytesMatchesCodec).
+const svMsgWireBytes = 11
 
 // LabelContigs is operation ② (§IV-B): it marks every vertex of each
 // maximal unambiguous path with the path's unique contig label. Ambiguous
@@ -79,8 +92,8 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 		return err
 	}
 	// Each job runs over the same vertices with the smallest message it
-	// needs: hellos and list ranking send labelMsg over VData, S-V bare
-	// vertex IDs over its own svVertex (svRun).
+	// needs: hellos and list ranking send labelMsg over VData, S-V an
+	// (ID, address) svMsg over its own svVertex (svRun).
 	lg := pregel.WithMessages[labelMsg](g, labelMsgWireBytes)
 	if algo == LabelerLR {
 		if err := add(lg.Run(lrCompute, pregel.WithName("contig-label-lr"))); err != nil {
@@ -300,36 +313,44 @@ func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs
 
 const aggSVChanged = "sv-changed"
 
-// svVertex is a vertex's whole state in one S-V run: 48 bytes where VData
-// is 184, so the 85 or so supersteps of a long-path S-V job stream a
-// quarter of the vertex bytes (TestSVVertexLayoutFence). RunAs builds it
-// from VData (svRun) and hands back only the label.
+// svVertex is a vertex's whole state in one S-V run: 56 bytes where VData
+// is 184, so the 70 or so supersteps of a long-path S-V job stream under a
+// third of the vertex bytes (TestSVVertexLayoutFence). RunAs builds it from
+// VData (svRun) and hands back only the label.
 type svVertex struct {
-	// D is the parent pointer, DD the grandparent D[D[v]] learned in phase
-	// 2, NbrMin the smallest D any side neighbour has broadcast.
-	D, DD, NbrMin pregel.VertexID
-	// Nbr[i] is the neighbour on side i, an edge of the S-V subgraph if
-	// Live[i] (VData.HasSide && !Done).
-	Nbr  [2]pregel.VertexID
-	Live [2]bool
+	// D is the parent pointer, NbrMin the smallest D any side neighbour
+	// has broadcast.
+	D, NbrMin pregel.VertexID
+	// DA and NbrMinA are the addresses of D and NbrMin, NbrA[i] that of the
+	// neighbour on side i, an edge of the S-V subgraph if Live[i]
+	// (VData.HasSide && !Done).
+	DA, NbrMinA pregel.Addr
+	NbrA        [2]pregel.Addr
+	Live        [2]bool
 	// DNew marks a D not yet broadcast; Idle a vertex outside this run,
 	// which halts at once and keeps its VData labels.
 	DNew, Idle bool
 }
 
-// svRun runs simplified S-V (svRound) over the vertices of g that member
+// svRun runs simplified S-V (svCompute) over the vertices of g that member
 // accepts, each as an svVertex, and labels every one of them with its D.
-func svRun(g *Graph, name string, member func(*VData) bool, compute pregel.Compute[svVertex, pregel.VertexID]) (*pregel.Stats, error) {
-	return pregel.RunAs[svVertex, pregel.VertexID](g, svMsgWireBytes,
+// Side neighbours are resolved to addresses once, here; every later S-V
+// message goes by address.
+func svRun(g *Graph, name string, member func(*VData) bool, compute pregel.Compute[svVertex, svMsg]) (*pregel.Stats, error) {
+	return pregel.RunAs[svVertex, svMsg](g, svMsgWireBytes,
 		func(id pregel.VertexID, v *VData) svVertex {
 			if !member(v) {
 				return svVertex{Idle: true}
 			}
-			return svVertex{
-				D: id, NbrMin: id, DNew: true,
-				Nbr:  v.SideNbr,
-				Live: [2]bool{v.HasSide[0] && !v.Done[0], v.HasSide[1] && !v.Done[1]},
+			s := svVertex{D: id, NbrMin: id, DNew: true}
+			for i := 0; i < 2; i++ {
+				// A side neighbour that is not a vertex could only drop
+				// the broadcasts sent to it.
+				if v.HasSide[i] && !v.Done[i] {
+					s.NbrA[i], s.Live[i] = g.AddrOf(v.SideNbr[i])
+				}
 			}
+			return s
 		},
 		compute,
 		func(id pregel.VertexID, v *VData, s *svVertex) {
@@ -352,30 +373,22 @@ func svLabelMember(v *VData) bool { return !v.Ambig && !v.Labeled }
 func svCycleMember(v *VData) bool { return v.Cycle && !v.Labeled }
 
 // svCompute is the S-V job: a vertex outside the run halts at once, every
-// other one runs svRound until the rounds converge.
-func svCompute(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *svVertex, msgs []pregel.VertexID) {
-	if v.Idle {
-		ctx.VoteToHalt()
-		return
-	}
-	svRound(ctx, id, v, msgs)
-}
-
-// svRound executes one 4-phase simplified-S-V step over the side-neighbor
-// subgraph (sides with Live set are the surviving edges). phase is the
-// job's superstep % 4. Convergence is signalled through the shared boolean
-// aggregator; on convergence the vertex halts, and svRun labels it with D.
+// other one runs three-superstep simplified-S-V rounds over the
+// side-neighbor subgraph (sides with Live set are the surviving edges)
+// until they converge. phase is the job's superstep % 3. Convergence
+// is signalled through the shared boolean aggregator; on convergence the
+// vertex halts, and svRun labels it with D.
 //
-//	phase 0: apply hook proposals; query the parent D for its parent
-//	phase 1: answer queries with D
-//	phase 2: record DD = D[D[v]]; broadcast D to the side neighbours
-//	phase 3: tree hooking (if D is a root and a neighbour's D is smaller,
-//	         propose it to D), then shortcutting (D ← DD)
+//	phase 0: apply hook proposals; query the parent D for its parent;
+//	         broadcast a new D to the side neighbours
+//	phase 1: answer queries with D; fold broadcasts into NbrMin
+//	phase 2: DD = D[D[v]] is the reply; tree hooking (if D is a root and a
+//	         neighbour's D is smaller, propose it to D), then shortcutting
+//	         (D ← DD)
 //
-// Every phase receives exactly one kind of message, so a message is one bare
-// vertex ID whose meaning the phase implies: a query (phase 1) carries its
-// sender, a reply (phase 2), a neighbour broadcast (phase 3) or a hook
-// (phase 0) carries a D value.
+// Every message goes by address and names a vertex with its address, so a
+// vertex that adopts an ID as D or NbrMin can send to it next. Phase 1
+// receives queries and broadcasts; a query's ID is svQuery, which no D is.
 //
 // Each round sends only what its receiver does not already know, and leaves
 // every D exactly where the four-message round (label_oracle_test.go keeps it
@@ -387,55 +400,67 @@ func svCompute(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *svVe
 //     broadcasts only a D it has not sent yet (DNew), keeping the running
 //     minimum of what it received in NbrMin.
 //   - A root (D == id) answers a query with its own ID, which is the
-//     querier's D. So every vertex sets DD = D in phase 0, a root neither
-//     queries nor answers, and only a non-root's reply overwrites DD.
-func svRound(ctx *pregel.Context[pregel.VertexID], id pregel.VertexID, v *svVertex, msgs []pregel.VertexID) {
-	switch ctx.Superstep() % 4 {
+//     querier's D. So a root neither queries nor answers, and a vertex
+//     without a reply takes DD = D.
+//   - The broadcast and the query need nothing the other phases produce:
+//     D does not change between a round's hooks and its shortcut, so both
+//     leave in phase 0, one superstep before the reference sends its
+//     broadcast, and the round needs three supersteps instead of four.
+func svCompute(ctx *pregel.Context[svMsg], id pregel.VertexID, v *svVertex, msgs []svMsg) {
+	if v.Idle {
+		ctx.VoteToHalt()
+		return
+	}
+	switch ctx.Superstep() % 3 {
 	case 0:
-		if ctx.Superstep() > 0 {
+		if ctx.Superstep() == 0 {
+			v.DA = ctx.Addr()
+			v.NbrMinA = v.DA
+		} else {
 			if !ctx.PrevAggOr(aggSVChanged) {
 				ctx.VoteToHalt()
 				return
 			}
 			for _, hook := range msgs {
-				if hook < v.D {
-					v.D, v.DNew = hook, true
+				if hook.ID < v.D {
+					v.D, v.DA, v.DNew = hook.ID, hook.A, true
 					ctx.AggOr(aggSVChanged, true)
 				}
 			}
 		}
-		v.DD = v.D
 		if v.D != id {
-			ctx.Send(v.D, id)
-		}
-	case 1:
-		if v.D != id {
-			for _, querier := range msgs {
-				ctx.Send(querier, v.D)
-			}
-		}
-	case 2:
-		for _, dd := range msgs {
-			v.DD = dd
+			ctx.SendTo(v.DA, svMsg{ID: svQuery, A: ctx.Addr()})
 		}
 		if v.DNew {
 			for i := 0; i < 2; i++ {
 				if v.Live[i] {
-					ctx.Send(v.Nbr[i], v.D)
+					ctx.SendTo(v.NbrA[i], svMsg{ID: v.D, A: v.DA})
 				}
 			}
 			v.DNew = false
 		}
-	case 3:
-		for _, d := range msgs {
-			v.NbrMin = min(v.NbrMin, d)
+	case 1:
+		root := v.D == id
+		for _, m := range msgs {
+			if m.ID != svQuery {
+				if m.ID < v.NbrMin {
+					v.NbrMin, v.NbrMinA = m.ID, m.A
+				}
+			} else if !root {
+				ctx.SendTo(m.A, svMsg{ID: v.D, A: v.DA})
+			}
 		}
-		if best := min(v.D, v.NbrMin); v.DD == v.D && best < v.D {
-			ctx.Send(v.D, best)
+	case 2:
+		dd := svMsg{ID: v.D, A: v.DA}
+		for _, m := range msgs {
+			dd = m
+		}
+		if dd.ID == v.D && v.NbrMin < v.D {
+			ctx.SendTo(v.DA, svMsg{ID: v.NbrMin, A: v.NbrMinA})
 			ctx.AggOr(aggSVChanged, true)
 		}
-		if v.DD != v.D {
-			v.D, v.DNew = v.DD, true
+		if dd.ID != v.D {
+			v.D, v.DA, v.DNew = dd.ID, dd.A, true
 			ctx.AggOr(aggSVChanged, true)
 		}
 	}

@@ -768,29 +768,28 @@ func FuzzPushLRMatchesRequestRespond(f *testing.F) {
 	})
 }
 
-// dTrace records every S-V vertex's D after each phase 3, one slice per
-// worker so that parallel workers never append to the same one. A worker
-// runs its vertices in ID order, so two runs over the same partitioning
-// record the same (round superstep, vertex) sequence.
+// dTrace records every S-V vertex's D at the end of every round, one slice
+// per worker so that parallel workers never append to the same one. A
+// worker runs its vertices in ID order, so two runs over the same
+// partitioning record the same (round, vertex) sequence.
 type dTrace struct{ byWorker [][]dEntry }
 
 type dEntry struct {
-	step  int
+	round int
 	id, d pregel.VertexID
 }
 
 func newDTrace(workers int) *dTrace { return &dTrace{byWorker: make([][]dEntry, workers)} }
 
-// traceD runs compute and then, at every phase-3 superstep of an S-V job
-// whose rounds start at offset, records D (read through d) for the
-// vertices inSV accepts, stamped with the superstep counted from the first
-// round.
-func traceD[V, M any](tr *dTrace, compute pregel.Compute[V, M], offset int, inSV func(*V) bool, d func(*V) pregel.VertexID) pregel.Compute[V, M] {
+// traceD runs compute and then, at the last superstep of every round of an
+// S-V job whose rounds take period supersteps from offset on, records D
+// (read through d) for the vertices inSV accepts, stamped with the round.
+func traceD[V, M any](tr *dTrace, compute pregel.Compute[V, M], offset, period int, inSV func(*V) bool, d func(*V) pregel.VertexID) pregel.Compute[V, M] {
 	return func(ctx *pregel.Context[M], id pregel.VertexID, v *V, msgs []M) {
 		compute(ctx, id, v, msgs)
-		if s := ctx.Superstep() - offset; s >= 0 && s%4 == 3 && inSV(v) {
+		if s := ctx.Superstep() - offset; s >= 0 && s%period == period-1 && inSV(v) {
 			w := ctx.Worker()
-			tr.byWorker[w] = append(tr.byWorker[w], dEntry{s, id, d(v)})
+			tr.byWorker[w] = append(tr.byWorker[w], dEntry{s / period, id, d(v)})
 		}
 	}
 }
@@ -798,26 +797,31 @@ func traceD[V, M any](tr *dTrace, compute pregel.Compute[V, M], offset int, inSV
 // svProduct runs the product S-V job of a labeler on g, recording D into
 // tr: for the pure-S-V labeler the hello job and then, if any vertex is
 // left unlabeled, S-V (as LabelContigs runs them); for LR the cycle
-// fallback. It returns the supersteps and messages of both jobs together.
-func svProduct(g *Graph, algo Labeler, tr *dTrace) (supersteps int, msgs int64, err error) {
-	traced := traceD(tr, svCompute, 0, func(v *svVertex) bool { return !v.Idle },
+// fallback. It returns the supersteps of the S-V job (zero if it did not
+// run), and the supersteps and messages of both jobs together.
+func svProduct(g *Graph, algo Labeler, tr *dTrace) (svSteps, supersteps int, msgs int64, err error) {
+	traced := traceD(tr, svCompute, 0, 3, func(v *svVertex) bool { return !v.Idle },
 		func(v *svVertex) pregel.VertexID { return v.D })
 	if algo == LabelerLR {
 		st, err := svRun(g, "", svCycleMember, traced)
-		return st.Supersteps, st.Messages, err
+		return st.Supersteps, st.Supersteps, st.Messages, err
 	}
 	st, err := pregel.WithMessages[labelMsg](g, labelMsgWireBytes).Run(helloCompute)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	pending := false
 	g.ForEach(func(id pregel.VertexID, v *VData) { pending = pending || svLabelMember(v) })
 	if !pending {
-		return st.Supersteps, st.Messages, nil
+		return 0, st.Supersteps, st.Messages, nil
 	}
 	st2, err := svRun(g, "", svLabelMember, traced)
-	return st.Supersteps + st2.Supersteps, st.Messages + st2.Messages, err
+	return st2.Supersteps, st.Supersteps + st2.Supersteps, st.Messages + st2.Messages, err
 }
+
+// svOracleHellos is the supersteps of the hello phase in the pure-S-V
+// oracle job, which runs the hellos and S-V as one job.
+const svOracleHellos = 2
 
 // svOracle runs the four-message oracle job of a labeler on an oracleVData
 // copy of g over Msg, recording D into tr: for the pure-S-V labeler the
@@ -825,20 +829,24 @@ func svProduct(g *Graph, algo Labeler, tr *dTrace) (supersteps int, msgs int64, 
 func svOracle(g *pregel.Graph[oracleVData, Msg], algo Labeler, tr *dTrace) (*pregel.Stats, error) {
 	d := func(v *oracleVData) pregel.VertexID { return v.D }
 	if algo == LabelerSV {
-		return g.Run(traceD(tr, svLabelComputeOracle(2), 2, func(v *oracleVData) bool { return !v.Ambig && !v.Labeled }, d))
+		return g.Run(traceD(tr, svLabelComputeOracle(svOracleHellos), svOracleHellos, 4,
+			func(v *oracleVData) bool { return !v.Ambig && !v.Labeled }, d))
 	}
-	return g.Run(traceD(tr, svCycleComputeOracle, 0, func(v *oracleVData) bool { return v.Cycle && !v.Labeled }, d))
+	return g.Run(traceD(tr, svCycleComputeOracle, 0, 4, func(v *oracleVData) bool { return v.Cycle && !v.Labeled }, d))
 }
 
 // checkSVMatchesOracle labels g (unlabeled) and a copy of it, one with the
-// product S-V round over svVertex values and bare vertex-ID messages and
-// one with the four-message oracle over oracleVData and Msg, and requires
-// the same supersteps, the same D at every vertex after every phase 3, the
-// same final VData, and fewer messages whenever any vertex took part in S-V
-// — each takes part from round 1, where every vertex is a root and the
-// oracle's roots query and answer themselves. For LabelerLR the product
-// list ranking runs first and only a surviving cycle is compared. It
-// reports whether any vertex took part in S-V.
+// product S-V round over svVertex values and (ID, address) messages and one
+// with the four-message oracle over oracleVData and Msg, and compares them
+// round by round: the product's round r ends at its superstep 3r+2, the
+// oracle's at 4r+3, and every vertex must hold the same D after every
+// round. R rounds take the product 3R+1 supersteps and the oracle 4R+1
+// (the last one finds nothing changed), the final VData must be the same,
+// and the product must send no more messages, and fewer whenever any vertex
+// took part in S-V — each takes part from round 1, where every vertex is a
+// root and the oracle's roots query and answer themselves. For LabelerLR
+// the product list ranking runs first and only a surviving cycle is
+// compared. It reports whether any vertex took part in S-V.
 func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (ranSV bool) {
 	t.Helper()
 	if algo == LabelerLR {
@@ -853,7 +861,7 @@ func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (r
 	}
 	gr := toOracle(cloneGraph(gp))
 	tp, tr := newDTrace(gp.Workers()), newDTrace(gp.Workers())
-	supersteps, msgs, err := svProduct(gp, algo, tp)
+	svSteps, supersteps, msgs, err := svProduct(gp, algo, tp)
 	if err != nil {
 		t.Fatalf("%s: product S-V: %v", name, err)
 	}
@@ -862,8 +870,23 @@ func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (r
 		t.Fatalf("%s: oracle S-V: %v", name, err)
 	}
 	ranSV = slices.ContainsFunc(tr.byWorker, func(es []dEntry) bool { return len(es) > 0 })
-	if supersteps != ref.Supersteps {
-		t.Errorf("%s: %d supersteps, oracle %d", name, supersteps, ref.Supersteps)
+	refSV := ref.Supersteps
+	if algo == LabelerSV {
+		refSV -= svOracleHellos
+		if supersteps-svSteps != svOracleHellos {
+			t.Errorf("%s: hello job took %d supersteps, want %d", name, supersteps-svSteps, svOracleHellos)
+		}
+	}
+	switch {
+	case refSV == 0:
+		if svSteps != 0 {
+			t.Errorf("%s: S-V took %d supersteps where the oracle ran none", name, svSteps)
+		}
+	case (refSV-1)%4 != 0:
+		t.Errorf("%s: the oracle's S-V took %d supersteps, not 4R+1", name, refSV)
+	case svSteps != 3*(refSV-1)/4+1:
+		t.Errorf("%s: S-V took %d supersteps over %d rounds, want 3R+1 = %d (oracle %d = 4R+1)",
+			name, svSteps, (refSV-1)/4, 3*(refSV-1)/4+1, refSV)
 	}
 	if msgs > ref.Messages || ranSV && msgs == ref.Messages {
 		t.Errorf("%s: %d messages, oracle %d (S-V ran: %v)", name, msgs, ref.Messages, ranSV)
@@ -872,7 +895,7 @@ func checkSVMatchesOracle(t testing.TB, name string, gp *Graph, algo Labeler) (r
 	for w, want := range tr.byWorker {
 		if diff := firstDiff(tp.byWorker[w], want); diff != "" {
 			bad++
-			t.Errorf("%s: worker %d phase-3 D records (step, vertex, D) differ from the oracle's: %s", name, w, diff)
+			t.Errorf("%s: worker %d per-round D records (round, vertex, D) differ from the oracle's: %s", name, w, diff)
 		}
 	}
 	sGot := labelStates(gp, ownVData)
@@ -985,5 +1008,111 @@ func BenchmarkLabel(b *testing.B) {
 			b.ReportMetric(float64(ls.Supersteps), "supersteps")
 			b.ReportMetric(float64(ls.Messages), "msgs")
 		})
+	}
+}
+
+// roundDs folds D traces into (round, vertex) → D. A round replayed after a
+// recovery records again, and must record the same D.
+func roundDs(t *testing.T, name string, trs ...*dTrace) map[[2]uint64]pregel.VertexID {
+	t.Helper()
+	out := map[[2]uint64]pregel.VertexID{}
+	for _, tr := range trs {
+		for _, es := range tr.byWorker {
+			for _, e := range es {
+				k := [2]uint64{uint64(e.round), uint64(e.id)}
+				if d, ok := out[k]; ok && d != e.d {
+					t.Fatalf("%s: round %d, vertex %#x: D %#x on replay, %#x before", name, e.round, uint64(e.id), uint64(e.d), uint64(d))
+				}
+				out[k] = e.d
+			}
+		}
+	}
+	return out
+}
+
+// vertexLabel is a vertex's contig label and whether it has one.
+type vertexLabel struct {
+	label   pregel.VertexID
+	labeled bool
+}
+
+// labels is every vertex's vertexLabel.
+func labels(g *Graph) map[pregel.VertexID]vertexLabel {
+	out := map[pregel.VertexID]vertexLabel{}
+	g.ForEach(func(id pregel.VertexID, v *VData) { out[id] = vertexLabel{v.Label, v.Labeled} })
+	return out
+}
+
+// TestSVResumesMidJob: the addresses the S-V job sends to survive recovery.
+// A FaultPlan crash inside contig-label-sv, and a process killed mid-job
+// whose successor resumes it from a DirCheckpointer, both leave the same
+// labels and the same D after every round as a clean run, at workers
+// {1, 4, 7}.
+func TestSVResumesMidJob(t *testing.T) {
+	fixtures := map[string]labelFixture{
+		"path67":  namedSegSpecs()["path67"].fixture(),
+		"golden4": dbgFixture(goldenReads(t)[:400], 21, 1),
+	}
+	for fname, build := range fixtures {
+		for _, workers := range []int{1, 4, 7} {
+			name := fmt.Sprintf("%s/w%d", fname, workers)
+			run := func(cfg pregel.Config) (*Graph, *dTrace, int, error) {
+				g := build(t, cfg)
+				tr := newDTrace(workers)
+				svSteps, _, _, err := svProduct(g, LabelerSV, tr)
+				return g, tr, svSteps, err
+			}
+			clean, trClean, svSteps, err := run(pregel.Config{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: clean run: %v", name, err)
+			}
+			if svSteps < 12 {
+				t.Fatalf("%s: S-V took %d supersteps; the test needs at least four rounds", name, svSteps)
+			}
+			want := labels(clean)
+			wantDs := roundDs(t, name, trClean)
+			check := func(mode string, g *Graph, trs ...*dTrace) {
+				t.Helper()
+				if got := roundDs(t, name+"/"+mode, trs...); !reflect.DeepEqual(got, wantDs) {
+					t.Errorf("%s/%s: per-round D differs from the clean run's (%d vs %d records)", name, mode, len(got), len(wantDs))
+				}
+				if got := labels(g); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: labels differ from the clean run's", name, mode)
+				}
+			}
+
+			// The hello job ticks the plan twice; round 2+7 is the middle
+			// of S-V's third round.
+			plan := pregel.NewFaultPlan(pregel.Fault{Round: 2 + 7, Worker: workers - 1})
+			crashed, trCrash, _, err := run(pregel.Config{Workers: workers, CheckpointEvery: 2, Faults: plan})
+			if err != nil {
+				t.Fatalf("%s: crashed run: %v", name, err)
+			}
+			if plan.FiredCount() != 1 {
+				t.Fatalf("%s: the crash did not fire", name)
+			}
+			check("crash", crashed, trCrash)
+
+			dir := t.TempDir()
+			store1, err := pregel.NewDirCheckpointer(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first process dies at S-V's superstep 8, after its
+			// checkpoint there.
+			_, tr1, _, err := run(pregel.Config{Workers: workers, CheckpointEvery: 2, Checkpointer: store1, MaxSupersteps: 8})
+			if err == nil {
+				t.Fatalf("%s: the first process did not fail at its superstep limit", name)
+			}
+			store2, err := pregel.NewDirCheckpointer(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, tr2, _, err := run(pregel.Config{Workers: workers, CheckpointEvery: 2, Checkpointer: store2, Resume: true})
+			if err != nil {
+				t.Fatalf("%s: resumed run: %v", name, err)
+			}
+			check("resume", resumed, tr1, tr2)
+		}
 	}
 }

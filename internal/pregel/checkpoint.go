@@ -615,7 +615,7 @@ type aggSnapshot struct {
 
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
-// worker persists its own partition in parallel). On disk it is the v11
+// worker persists its own partition in parallel). On disk it is the v12
 // checksummed binary container (see codec.go); the worker blobs use the
 // binary value codec.
 type ckptFile struct {
@@ -1105,7 +1105,9 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 		// offset index to exist even for an empty partition.
 		w.inOff = growTo(cw.InOff, n+1)
 		w.inCur = growTo(w.inCur, n)
-		w.idx.rebuild(w.ids, n)
+		if !w.lazy {
+			w.idx.rebuild(w.ids, n)
+		}
 		// Dirty tracking restarts from the restored barrier.
 		if w.dirty != nil {
 			w.dirty = growTo(w.dirty, n)

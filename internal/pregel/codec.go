@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Checkpoint format v11, the only one this package reads or writes: a
+// Checkpoint format v12, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
@@ -30,9 +30,10 @@ import (
 // because the header dropped its routing table and migration counters, v9
 // because labeling's jobs changed (S-V got its own hello job, pending inboxes
 // hold smaller messages), v10 because S-V runs over a vertex value of its own
-// and the segment graph's vertex lost the S-V fields, and v11 because the
-// scaffold vertex lost its chain label and end coordinate, so an older file,
-// whose CRCs still verify, is refused instead of decoded wrongly.
+// and the segment graph's vertex lost the S-V fields, v11 because the
+// scaffold vertex lost its chain label and end coordinate, and v12 because
+// the S-V vertex and message carry addresses, so an older file, whose CRCs
+// still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -48,7 +49,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 11
+	ckptVersion = 12
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -721,7 +722,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v11 container.
+// decodeCkptFile parses a v12 container.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err

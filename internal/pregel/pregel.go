@@ -58,6 +58,18 @@ func (g *Graph[V, M]) warnf(format string, args ...any) {
 // contig (worker, ordinal) pairs directly into these 64-bit IDs (§IV-A).
 type VertexID uint64
 
+// Addr is a vertex's routing address within one Run: its worker in the high
+// 32 bits and its position in that worker's partition in the low 32 (the ID
+// recoding of GraphD, Yan et al., TPDS 2018). A message sent to an address
+// (Context.SendTo) is delivered by indexing the position, where a message
+// sent to an ID pays a hash probe of the destination's vertex index.
+// Positions are those Run's compaction and ID sort leave, and nothing
+// reorders a partition mid-run (RemoveSelf only marks a vertex removed), so
+// an address stays valid to the end of the Run that handed it out
+// (Context.Addr, or Graph.AddrOf in a RunAs in function) and means nothing
+// after it.
+type Addr uint64
+
 // hashID mixes a vertex ID before partitioning so that structured IDs (e.g.
 // contig IDs, which have a worker number in their high bits) still spread
 // evenly across workers. SplitMix64 finalizer.
@@ -243,16 +255,18 @@ func (c Config) withDefaults() Config {
 type Compute[V, M any] func(ctx *Context[M], id VertexID, val *V, msgs []M)
 
 // msgLane is one (source, destination) worker lane of routed messages as
-// two parallel arrays: msg[i] is addressed to vertex dst[i]. Delivery
-// resolves destinations in one pass over dst (8 bytes a message) and copies
-// payloads in a second pass over msg, so neither pass strides over the
-// other's bytes; a combining sender's fold index is built over dst.
+// two parallel arrays: msg[i] is addressed to dst[i], a vertex ID or, when
+// pos is set, a position in the destination partition (Context.SendTo).
+// Delivery resolves destinations in one pass over dst (8 bytes a message)
+// and copies payloads in a second pass over msg, so neither pass strides
+// over the other's bytes; a combining sender's fold index is built over dst.
 type msgLane[M any] struct {
 	dst []VertexID
 	msg []M
+	pos bool
 }
 
-func (l *msgLane[M]) reset() { l.dst, l.msg = l.dst[:0], l.msg[:0] }
+func (l *msgLane[M]) reset() { l.dst, l.msg, l.pos = l.dst[:0], l.msg[:0], false }
 
 // worker holds one partition of the vertex set. Vertices are kept in a
 // slice sorted by ID (plus a flat position index, see vindex) so iteration
@@ -319,15 +333,52 @@ type sender[M any] struct {
 	// vertex to its position in outbox[d], indexing outbox[d].dst.
 	fold []vindex
 
-	msgsOut   int64 // messages sent by this worker in current superstep
-	msgsLocal int64 // subset of msgsOut addressed back to this worker
+	// by is how this superstep's messages name their destinations: sendNone
+	// until the first send, then sendID (Send) or sendAddr (SendTo) for the
+	// rest of the superstep. job names the run in the panic for a mix.
+	by  uint8
+	job string
+}
+
+// sent returns the messages this worker's outbox holds after its compute
+// pass, and how many of them are addressed back to it. A combining lane
+// holds one message per destination, so these are the messages after the
+// fold, as delivered.
+func (s *sender[M]) sent() (msgs, local int64) {
+	for _, l := range s.outbox {
+		msgs += int64(len(l.dst))
+	}
+	return msgs, int64(len(s.outbox[s.self].dst))
+}
+
+// Destination kinds of one superstep's sends (sender.by).
+const (
+	sendNone uint8 = iota
+	sendID
+	sendAddr
+)
+
+// setBy fixes the destination kind of this superstep's sends at its first
+// message. Delivery resolves a whole lane one way, so a program that mixes
+// Send and SendTo within one superstep is a bug, reported at once.
+func (s *sender[M]) setBy(by uint8) {
+	if s.by != sendNone {
+		panic(fmt.Sprintf("pregel: job %q mixes Send and SendTo in one superstep", s.job))
+	}
+	s.by = by
+	for i := range s.outbox {
+		s.outbox[i].pos = by == sendAddr
+	}
 }
 
 // verts is one worker's partition of the vertex set: the IDs (kept sorted
-// by Run), their position index, values and halted/removed flags.
+// by Run), their position index, values and halted/removed flags. A RunAs
+// copy shares its parent's IDs and starts unindexed (lazy): a job that only
+// sends by address never needs the index, so it is built on first use.
 type verts[V any] struct {
 	ids    []VertexID
 	idx    vindex
+	lazy   bool
 	vals   []V
 	active []bool
 	dead   []bool
@@ -335,6 +386,15 @@ type verts[V any] struct {
 }
 
 func (w *verts[V]) vertexCount() int { return len(w.ids) - w.nDead }
+
+// index returns the position index of w, building it first if w is lazy.
+func (w *verts[V]) index() *vindex {
+	if w.lazy {
+		w.idx.rebuild(w.ids, len(w.ids))
+		w.lazy = false
+	}
+	return &w.idx
+}
 
 // Graph is a distributed vertex collection plus engine state. Create one
 // with NewGraph, populate it with AddVertex (or via MapReduce/Convert), then
@@ -417,11 +477,13 @@ func WithMessages[M2, V, M any](g *Graph[V, M], messageBytes int) *Graph[V, M2] 
 // RunAs runs one job with vertex values of type V2 and messages of type M2
 // over g's vertices: the values counterpart of WithMessages, for a job whose
 // state is a small part of V (Pregel+ ties the vertex class to the vertex
-// program, §II). Each worker's partition is cloned by position — IDs and
-// index slots copied, nothing re-sharded or re-inserted — and in builds every
-// live vertex's V2 from its V. The job then runs through Graph.Run, so
-// checkpoints, faults, Resume and the transport behave as for any job, with
-// messageBytes the charged wire size of one M2 (zero means
+// program, §II). Each worker's partition is copied by position — the IDs
+// shared read-only, nothing re-sharded or re-inserted, the ID index built
+// only if a message is sent to that worker by ID — and in builds every live
+// vertex's V2 from its V. Positions in the copy are g's, so in may resolve
+// the addresses the job sends to with g.AddrOf. The job then runs through
+// Graph.Run, so checkpoints, faults, Resume and the transport behave as for
+// any job, with messageBytes the charged wire size of one M2 (zero means
 // DefaultMessageBytes). Afterwards out hands each surviving vertex its V2
 // back, on the executor like in; a vertex the job removed (RemoveSelf) is
 // removed from g instead. A failed job hands nothing back. The copy does not
@@ -442,8 +504,8 @@ func RunAs[V2, M2, V, M any](g *Graph[V, M], messageBytes int,
 		w := g.workers[wi]
 		n := len(w.ids)
 		c := &verts[V2]{
-			ids:    slices.Clone(w.ids),
-			idx:    vindex{slots: slices.Clone(w.idx.slots), shift: w.idx.shift},
+			ids:    w.ids[:n:n], // capped: an append to the copy reallocates
+			lazy:   true,
 			vals:   make([]V2, n),
 			active: make([]bool, n),
 			dead:   make([]bool, n),
@@ -491,6 +553,18 @@ func (g *Graph[V, M]) Clock() *SimClock { return g.clock }
 // the op's own prefix.
 func (g *Graph[V, M]) SetJobPrefix(prefix string) { g.cfg.JobPrefix = prefix }
 
+// AddrOf returns the address of vertex id, for a job that sends to it by
+// address. It is meant for RunAs's in function, where g has just been sorted
+// and the copy's positions are g's; like every address it is valid for that
+// one run. It reads the ID index only, so a vertex removed since g's last
+// compaction still resolves.
+func (g *Graph[V, M]) AddrOf(id VertexID) (Addr, bool) {
+	wi := g.WorkerOf(id)
+	w := g.workers[wi]
+	i, ok := w.index().lookup(w.ids, id)
+	return Addr(uint64(wi)<<32 | uint64(i)), ok
+}
+
 // WorkerOf returns the worker index that owns id, as decided by the
 // configured Partitioner. Every placement decision in the engine routes
 // through here: vertex insertion, message-lane addressing, point lookups,
@@ -507,7 +581,7 @@ func (g *Graph[V, M]) Partitioner() Partitioner { return g.cfg.Partitioner }
 func (g *Graph[V, M]) AddVertex(id VertexID, val V) { g.workers[g.WorkerOf(id)].add(id, val) }
 
 func (w *verts[V]) add(id VertexID, val V) {
-	if i, ok := w.idx.lookup(w.ids, id); ok {
+	if i, ok := w.index().lookup(w.ids, id); ok {
 		if w.dead[i] {
 			w.dead[i] = false
 			w.nDead--
@@ -530,7 +604,7 @@ func (w *verts[V]) reserve(n int) {
 	w.vals = slices.Grow(w.vals, n)
 	w.active = slices.Grow(w.active, n)
 	w.dead = slices.Grow(w.dead, n)
-	w.idx.reserve(w.ids, len(w.ids)+n)
+	w.index().reserve(w.ids, len(w.ids)+n)
 }
 
 // LoadShards bulk-inserts records, vertex projecting each to its (ID, value).
@@ -589,11 +663,12 @@ func (w *verts[V]) compactSort() {
 	w.ids, w.vals, w.nDead = ids, vals, 0
 	w.active, w.dead = make([]bool, len(perm)), make([]bool, len(perm))
 	w.idx.rebuild(w.ids, len(w.ids))
+	w.lazy = false
 }
 
 // live returns the position of id if w holds it and it has not been removed.
 func (w *verts[V]) live(id VertexID) (int, bool) {
-	i, ok := w.idx.lookup(w.ids, id)
+	i, ok := w.index().lookup(w.ids, id)
 	return i, ok && !w.dead[i]
 }
 
@@ -751,6 +826,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	g.runTotal = g.combTotal
 	for _, w := range g.workers {
 		w.comb = g.combiner
+		w.job = o.name
 	}
 	wire := g.transportActive()
 	tr := g.cfg.Tracer
@@ -887,6 +963,16 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 		forEachWorker(g.cfg.Workers, g.cfg.Parallel, o.name, "compute", func(wi int) {
 			computeNs[wi] = g.runWorker(wi, step, compute)
 		})
+		// Whether a program mixes Send and SendTo must not depend on which
+		// vertices share a worker.
+		by := sendNone
+		for _, w := range g.workers {
+			if by == sendNone {
+				by = w.by
+			} else if w.by != sendNone && w.by != by {
+				panic(fmt.Sprintf("pregel: job %q mixes Send and SendTo in superstep %d", o.name, step))
+			}
+		}
 		if tr != nil {
 			wall1 = nowNs()
 		}
@@ -911,17 +997,16 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			}
 			return stats, stepErr
 		}
-		msgs, local := int64(0), int64(0)
-		for _, w := range g.workers {
-			msgs += w.msgsOut
-			local += w.msgsLocal
-		}
 		// Two-tier network charge: a worker's self-addressed messages stay
 		// intra-machine; only the rest travel the simulated wire.
+		msgs, local := int64(0), int64(0)
 		bytesPerWorker, localBytes := g.bytesPerWorker, g.localBytes
 		for wi, w := range g.workers {
-			bytesPerWorker[wi] = float64(w.msgsOut-w.msgsLocal) * float64(g.cfg.MessageBytes)
-			localBytes[wi] = float64(w.msgsLocal) * float64(g.cfg.MessageBytes)
+			out, self := w.sent()
+			msgs += out
+			local += self
+			bytesPerWorker[wi] = float64(out-self) * float64(g.cfg.MessageBytes)
+			localBytes[wi] = float64(self) * float64(g.cfg.MessageBytes)
 		}
 		var simComp, simNet float64
 		if tr != nil {
@@ -1018,6 +1103,7 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 		}
 		ctx.halt = false
 		ctx.remove = false
+		ctx.pos = uint32(i)
 		compute(ctx, vs.ids[i], &vs.vals[i], msgs)
 		if ctx.remove {
 			vs.dead[i] = true
@@ -1029,7 +1115,7 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	return float64(nowNs() - start)
 }
 
-// beginSuperstep empties the lanes, combine index and traffic counters.
+// beginSuperstep empties the lanes and the combine index.
 func (s *sender[M]) beginSuperstep() {
 	for i := range s.outbox {
 		s.outbox[i].reset()
@@ -1042,22 +1128,37 @@ func (s *sender[M]) beginSuperstep() {
 			s.fold[i].reset()
 		}
 	}
-	s.msgsOut, s.msgsLocal = 0, 0
+	s.by = sendNone
 }
 
-// send routes one message into the lane for its destination worker. With a
-// combiner installed it folds eagerly: the lane holds at most one message
-// per destination vertex and new messages fold into it in emission order, so
-// lanes never hold pre-combine volume and the result is identical to a
-// post-compute fold of the lane (combineEnvelopes, the reference kept with
-// the tests).
+// send routes one message into the lane for its destination worker.
 func (s *sender[M]) send(dst VertexID, m M) {
-	var dwi int
-	if s.part == nil {
-		dwi = HashPartitioner{}.Assign(dst, len(s.outbox))
-	} else {
-		dwi = s.part.Assign(dst, len(s.outbox))
+	if s.by != sendID {
+		s.setBy(sendID)
 	}
+	if s.part == nil {
+		s.put(HashPartitioner{}.Assign(dst, len(s.outbox)), dst, m)
+	} else {
+		s.put(s.part.Assign(dst, len(s.outbox)), dst, m)
+	}
+}
+
+// sendTo routes one message into the lane of the worker a names, keyed by
+// the position a names there.
+func (s *sender[M]) sendTo(a Addr, m M) {
+	if s.by != sendAddr {
+		s.setBy(sendAddr)
+	}
+	s.put(int(a>>32), VertexID(uint32(a)), m)
+}
+
+// put appends m for destination dst (an ID or a position, as the lane
+// holds) to the lane of worker dwi. With a combiner installed it folds
+// eagerly: the lane holds at most one message per destination and new
+// messages fold into it in emission order, so lanes never hold pre-combine
+// volume and the result is identical to a post-compute fold of the lane
+// (combineEnvelopes, the reference kept with the tests).
+func (s *sender[M]) put(dwi int, dst VertexID, m M) {
 	l := &s.outbox[dwi]
 	if s.comb != nil {
 		if i, ok := s.fold[dwi].lookup(l.dst, dst); ok {
@@ -1069,10 +1170,6 @@ func (s *sender[M]) send(dst VertexID, m M) {
 	l.msg = append(l.msg, m)
 	if s.comb != nil {
 		s.fold[dwi].push(l.dst)
-	}
-	s.msgsOut++
-	if dwi == s.self {
-		s.msgsLocal++
 	}
 }
 
@@ -1120,7 +1217,7 @@ func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool) {
 		if wire && swi != dwi { // local lanes never leave memory
 			payload, err := g.cfg.Transport.RecvLane(step, swi, dwi)
 			if err == nil {
-				err = decodeLane(payload, &dst.lanes[swi])
+				err = decodeLane(payload, &dst.lanes[swi], dwi, len(dst.ids))
 			}
 			if err != nil {
 				dst.deliverErr = err
@@ -1137,22 +1234,41 @@ func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool) {
 // countLane is the resolve-and-count half of delivery for one source lane:
 // each message's destination vertex index is resolved (and remembered in
 // rIdx for the placement pass), per-vertex counts accumulate, and dropped
-// and strict-mode accounting happens here. With a total combiner installed
-// the per-vertex count is capped at one — placeInbox folds further messages
-// into that single slot instead of appending.
+// and strict-mode accounting happens here. An ID lane resolves through the
+// vertex index; a position lane is the index already, so it is only bounds-
+// and removal-checked. With a total combiner installed the per-vertex count
+// is capped at one — placeInbox folds further messages into that single slot
+// instead of appending.
 func (g *Graph[V, M]) countLane(dst *worker[V, M], lane msgLane[M]) {
 	vs := dst.verts
-	counts := dst.inCur[:len(vs.ids)]
+	n := len(vs.ids)
+	counts := dst.inCur[:n]
 	fused := g.runTotal
 	base := len(dst.rIdx)
 	rIdx := slices.Grow(dst.rIdx, len(lane.dst))[:base+len(lane.dst)]
-	for m, id := range lane.dst {
-		i, ok := vs.live(id)
+	for m, key := range lane.dst {
+		i, ok := int(key), false
+		if !lane.pos {
+			i, ok = vs.live(key)
+		} else if key < VertexID(n) {
+			ok = !vs.dead[i]
+		} else {
+			rIdx[base+m] = -1
+			if dst.deliverErr == nil {
+				dst.deliverErr = fmt.Errorf("pregel: job %q: message to position %d of worker %d, whose partition has %d vertices",
+					g.runName, key, dst.self, n)
+			}
+			continue
+		}
 		if !ok {
 			rIdx[base+m] = -1
 			dst.dropped++
 			if g.cfg.Strict && dst.deliverErr == nil {
-				dst.deliverErr = fmt.Errorf("pregel: message to nonexistent vertex %d", id)
+				if lane.pos {
+					dst.deliverErr = fmt.Errorf("pregel: message to removed vertex %d", vs.ids[i])
+				} else {
+					dst.deliverErr = fmt.Errorf("pregel: message to nonexistent vertex %d", key)
+				}
 			}
 			continue
 		}
@@ -1211,6 +1327,7 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 type Context[M any] struct {
 	s         *sender[M]
 	superstep int
+	pos       uint32 // the computing vertex's position in its partition
 	halt      bool
 	remove    bool
 }
@@ -1224,8 +1341,18 @@ func (c *Context[M]) Worker() int { return c.s.self }
 // NumWorkers returns the number of logical workers.
 func (c *Context[M]) NumWorkers() int { return len(c.s.outbox) }
 
+// Addr returns this vertex's address, valid until the end of the run.
+func (c *Context[M]) Addr() Addr { return Addr(uint64(c.s.self)<<32 | uint64(c.pos)) }
+
 // Send sends m to vertex dst, to be delivered next superstep.
 func (c *Context[M]) Send(dst VertexID, m M) { c.s.send(dst, m) }
+
+// SendTo sends m to the vertex at address a (Context.Addr, Graph.AddrOf),
+// to be delivered next superstep: the same delivery as Send to that
+// vertex's ID, without the ID lookup at the destination. The messages of
+// one superstep go either by ID or by address, never both (a mix panics),
+// and a position outside its worker's partition fails the run.
+func (c *Context[M]) SendTo(a Addr, m M) { c.s.sendTo(a, m) }
 
 // VoteToHalt deactivates this vertex; it is reactivated by any incoming
 // message.

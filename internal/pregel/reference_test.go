@@ -189,11 +189,53 @@ type refScenario struct {
 	combine           int // 0 none, 1 partial, 2 total
 	strict, rangePart bool
 	crash             bool // checkpoint every 2 supersteps and crash once at round 2
+	delta             bool // with crash: the checkpoints after the first are deltas
+	// addr runs a twin graph whose program sends by address (SendTo) where
+	// the other sends by ID, and holds it to the same values, aggregators
+	// and counters. Both programs then send only to vertices that exist
+	// when the run starts, because only those have an address.
+	addr bool
 }
 
 func (sc refScenario) String() string {
-	return fmt.Sprintf("seed%d-w%d-par%v-ov%v-wire%v-comb%d-strict%v-range%v-crash%v", sc.seed, sc.workers,
+	name := fmt.Sprintf("seed%d-w%d-par%v-ov%v-wire%v-comb%d-strict%v-range%v-crash%v", sc.seed, sc.workers,
 		sc.parallel, sc.oversub, sc.wire, sc.combine, sc.strict, sc.rangePart, sc.crash)
+	if sc.delta {
+		name += "-delta"
+	}
+	if sc.addr {
+		name += "-addr"
+	}
+	return name
+}
+
+// sendCtx is a program context whose Send goes through send.
+type sendCtx struct {
+	progCtx
+	send func(dst VertexID, m int64)
+}
+
+func (c sendCtx) Send(dst VertexID, m int64) { c.send(dst, m) }
+
+// addressed returns prog restricted to the destinations in addrs, the
+// vertices that exist when a run starts: the by-ID form of the program and
+// its by-address twin, which sends the same messages with SendTo.
+func addressed(prog refProgram, addrs map[VertexID]Addr) (byID refProgram, byAddr Compute[int64, int64]) {
+	byID = func(ctx progCtx, id VertexID, val *int64, msgs []int64) {
+		prog(sendCtx{ctx, func(dst VertexID, m int64) {
+			if _, ok := addrs[dst]; ok {
+				ctx.Send(dst, m)
+			}
+		}}, id, val, msgs)
+	}
+	byAddr = func(ctx *Context[int64], id VertexID, val *int64, msgs []int64) {
+		prog(sendCtx{ctx, func(dst VertexID, m int64) {
+			if a, ok := addrs[dst]; ok {
+				ctx.SendTo(a, m)
+			}
+		}}, id, val, msgs)
+	}
+	return byID, byAddr
 }
 
 // refIDs is the ID pool scenarios draw from: the extremes, a run of IDs
@@ -264,24 +306,33 @@ func refProgramFor(rng *rand.Rand, pool []VertexID, missing bool) refProgram {
 
 // runRefScenario drives the engine and the reference through the same two
 // runs with vertex additions and removals in between, comparing the live
-// vertex set, every value and the run counters after each run.
+// vertex set, every value and the run counters after each run; with addr
+// set, a by-address twin graph too.
 func runRefScenario(t *testing.T, sc refScenario) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(sc.seed))
 	if sc.oversub {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(sc.workers, runtime.NumCPU())))
 	}
-	cfg := Config{Workers: sc.workers, Parallel: sc.parallel, Strict: sc.strict, Warn: func(string) {}}
-	if sc.rangePart {
-		cfg.Partitioner = RangePartitioner{Bits: 8}
+	newEngine := func() *Graph[int64, int64] {
+		cfg := Config{Workers: sc.workers, Parallel: sc.parallel, Strict: sc.strict, Warn: func(string) {}}
+		if sc.rangePart {
+			cfg.Partitioner = RangePartitioner{Bits: 8}
+		}
+		if sc.wire {
+			cfg.Transport = transport.NewMemWire(sc.workers)
+		}
+		if sc.crash {
+			cfg.CheckpointEvery, cfg.Faults = 2, NewFaultPlan(Fault{Round: 2, Worker: 1})
+			cfg.DeltaCheckpoints = sc.delta
+		}
+		return NewGraph[int64, int64](cfg)
 	}
-	if sc.wire {
-		cfg.Transport = transport.NewMemWire(sc.workers)
+	engines := []*Graph[int64, int64]{newEngine()}
+	if sc.addr {
+		engines = append(engines, newEngine())
 	}
-	if sc.crash {
-		cfg.CheckpointEvery, cfg.Faults = 2, NewFaultPlan(Fault{Round: 2, Worker: 1})
-	}
-	g := NewGraph[int64, int64](cfg)
+	g := engines[0]
 	ref := &refGraph{verts: map[VertexID]*refVertex{}, workerOf: g.WorkerOf, strict: sc.strict}
 	if sc.combine > 0 {
 		comb := func(a, b int64) int64 { return a + b }
@@ -289,63 +340,96 @@ func runRefScenario(t *testing.T, sc refScenario) {
 			comb = func(a, b int64) int64 { return min(a, b) }
 		}
 		ref.comb, ref.total = comb, sc.combine == 2
-		if ref.total {
-			g.SetTotalCombiner(comb)
-		} else {
-			g.SetCombiner(comb)
+		for _, e := range engines {
+			if ref.total {
+				e.SetTotalCombiner(comb)
+			} else {
+				e.SetCombiner(comb)
+			}
 		}
 	}
 	pool := refIDs(rng)
 	add := func(id VertexID, val int64) {
-		g.AddVertex(id, val)
+		for _, e := range engines {
+			e.AddVertex(id, val)
+		}
 		ref.verts[id] = &refVertex{val: val}
 	}
 	for _, id := range pool[:rng.Intn(len(pool))+1] {
 		add(id, rng.Int63n(1000))
 	}
 	for run := 0; run < 2; run++ {
-		prog := refProgramFor(rng, pool, !sc.strict || rng.Intn(2) == 0)
-		want, wantErr := ref.run(prog)
-		got, gotErr := g.Run(func(ctx *Context[int64], id VertexID, val *int64, msgs []int64) {
+		prog := refProgramFor(rng, pool, !sc.addr && (!sc.strict || rng.Intn(2) == 0))
+		computes := []Compute[int64, int64]{func(ctx *Context[int64], id VertexID, val *int64, msgs []int64) {
 			prog(ctx, id, val, msgs)
-		}, WithName(fmt.Sprintf("ref%d", run)))
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("run %d: engine error %v, reference error %v", run, gotErr, wantErr)
+		}}
+		if sc.addr {
+			// Addresses are positions after Run's compaction and sort,
+			// which the twin's partitions get here first (Run then finds
+			// nothing to do), so the table holds the run's addresses.
+			tw := engines[1]
+			tw.sortVertices()
+			addrs := map[VertexID]Addr{}
+			for _, id := range pool {
+				if a, ok := tw.AddrOf(id); ok {
+					addrs[id] = a
+				}
+			}
+			var byAddr Compute[int64, int64]
+			prog, byAddr = addressed(prog, addrs)
+			computes = append(computes, byAddr)
 		}
-		if gotErr != nil {
-			return // a Strict failure leaves the graph mid-superstep by contract
+		want, wantErr := ref.run(prog)
+		for e, eng := range engines {
+			got, gotErr := eng.Run(computes[e], WithName(fmt.Sprintf("ref%d", run)))
+			if (gotErr != nil) != (wantErr != nil) {
+				t.Fatalf("run %d engine %d: engine error %v, reference error %v", run, e, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue // a Strict failure leaves the graph mid-superstep by contract
+			}
+			vals := map[VertexID]int64{}
+			eng.ForEach(func(id VertexID, v *int64) { vals[id] = *v })
+			wantVals := map[VertexID]int64{}
+			for id, v := range ref.verts {
+				wantVals[id] = v.val
+			}
+			if !reflect.DeepEqual(vals, wantVals) {
+				t.Fatalf("run %d engine %d: vertex values differ from the reference:\n got %v\nwant %v", run, e, vals, wantVals)
+			}
+			if eng.VertexCount() != len(ref.verts) {
+				t.Fatalf("run %d engine %d: VertexCount %d, reference has %d", run, e, eng.VertexCount(), len(ref.verts))
+			}
+			if got.Supersteps != want.Supersteps || got.Messages != want.Messages ||
+				got.LocalMessages != want.LocalMessages || got.RemoteMessages != want.Messages-want.LocalMessages ||
+				got.DroppedMessages != want.DroppedMessages {
+				t.Fatalf("run %d engine %d: counters differ: engine supersteps=%d msgs=%d local=%d remote=%d dropped=%d, reference supersteps=%d msgs=%d local=%d dropped=%d",
+					run, e, got.Supersteps, got.Messages, got.LocalMessages, got.RemoteMessages, got.DroppedMessages,
+					want.Supersteps, want.Messages, want.LocalMessages, want.DroppedMessages)
+			}
+			if e > 0 && !reflect.DeepEqual(eng.agg.snapshot(), g.agg.snapshot()) {
+				t.Fatalf("run %d: by-address aggregators %v, by ID %v", run, eng.agg.snapshot(), g.agg.snapshot())
+			}
 		}
-		vals := map[VertexID]int64{}
-		g.ForEach(func(id VertexID, v *int64) { vals[id] = *v })
-		wantVals := map[VertexID]int64{}
-		for id, v := range ref.verts {
-			wantVals[id] = v.val
-		}
-		if !reflect.DeepEqual(vals, wantVals) {
-			t.Fatalf("run %d: vertex values differ from the reference:\n got %v\nwant %v", run, vals, wantVals)
-		}
-		if g.VertexCount() != len(ref.verts) {
-			t.Fatalf("run %d: VertexCount %d, reference has %d", run, g.VertexCount(), len(ref.verts))
-		}
-		if got.Supersteps != want.Supersteps || got.Messages != want.Messages ||
-			got.LocalMessages != want.LocalMessages || got.RemoteMessages != want.Messages-want.LocalMessages ||
-			got.DroppedMessages != want.DroppedMessages {
-			t.Fatalf("run %d: counters differ: engine supersteps=%d msgs=%d local=%d remote=%d dropped=%d, reference supersteps=%d msgs=%d local=%d dropped=%d",
-				run, got.Supersteps, got.Messages, got.LocalMessages, got.RemoteMessages, got.DroppedMessages,
-				want.Supersteps, want.Messages, want.LocalMessages, want.DroppedMessages)
+		if wantErr != nil {
+			return
 		}
 		// Between runs: remove some live vertices, re-add removed IDs (by the
 		// run's RemoveSelf or just now) and brand-new ones, replace a value.
 		for _, id := range pool {
 			switch rng.Intn(5) {
 			case 0:
-				g.RemoveVertex(id)
+				for _, e := range engines {
+					e.RemoveVertex(id)
+				}
 				delete(ref.verts, id)
 			case 1:
 				add(id, rng.Int63n(1000))
 			}
-			if v, ok := g.Value(id); ok != (ref.verts[id] != nil) || ok && v != ref.verts[id].val {
-				t.Fatalf("run %d: Value(%d) = %d,%v disagrees with the reference", run, id, v, ok)
+			for e, eng := range engines {
+				if v, ok := eng.Value(id); ok != (ref.verts[id] != nil) || ok && v != ref.verts[id].val {
+					t.Fatalf("run %d engine %d: Value(%d) = %d,%v disagrees with the reference", run, e, id, v, ok)
+				}
 			}
 		}
 	}
@@ -354,16 +438,35 @@ func runRefScenario(t *testing.T, sc refScenario) {
 // TestRunMatchesReference is the seeded table form of the differential
 // check: every engine schedule and delivery path against the interpreter.
 func TestRunMatchesReference(t *testing.T) {
+	refTable(t, func(sc refScenario, k int) refScenario {
+		sc.rangePart, sc.crash = k == 1, k == 2
+		return sc
+	}, 3)
+}
+
+// TestSendToMatchesReference is the same table with a by-address twin in
+// every scenario, and crashes recovered from delta checkpoints as well as
+// full ones.
+func TestSendToMatchesReference(t *testing.T) {
+	refTable(t, func(sc refScenario, k int) refScenario {
+		sc.rangePart, sc.crash, sc.delta, sc.addr = k == 1, k >= 2, k == 3, true
+		return sc
+	}, 4)
+}
+
+// refTable runs one subtest per configuration — workers, schedule, wire,
+// combiner, Strict — and per variant k < variants, which vary shapes.
+func refTable(t *testing.T, vary func(sc refScenario, k int) refScenario, variants int) {
 	seed := int64(0)
 	for _, workers := range []int{1, 4, 7} {
 		for _, mode := range []struct{ parallel, oversub bool }{{false, false}, {true, false}, {true, true}} {
 			for _, wire := range []bool{false, true} {
 				for combine := 0; combine < 3; combine++ {
 					for _, strict := range []bool{false, true} {
-						for k := 0; k < 3; k++ {
+						for k := 0; k < variants; k++ {
 							seed++
-							sc := refScenario{seed: seed, workers: workers, parallel: mode.parallel, oversub: mode.oversub,
-								wire: wire, combine: combine, strict: strict, rangePart: k == 1, crash: k == 2}
+							sc := vary(refScenario{seed: seed, workers: workers, parallel: mode.parallel, oversub: mode.oversub,
+								wire: wire, combine: combine, strict: strict}, k)
 							t.Run(sc.String(), func(t *testing.T) { runRefScenario(t, sc) })
 						}
 					}
@@ -378,9 +481,11 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint16(0))
 	f.Add(int64(2), uint16(0x1ff))
 	f.Add(int64(77), uint16(0x2a6))
+	f.Add(int64(5), uint16(0x1cbc)) // by address, crash with delta checkpoints, total combiner, wire
 	f.Fuzz(func(t *testing.T, seed int64, bits uint16) {
 		bit := func(i int) bool { return bits>>i&1 == 1 }
 		runRefScenario(t, refScenario{seed: seed, workers: int(bits&7) + 1, parallel: bit(3), oversub: bit(3) && bit(4),
-			wire: bit(5), combine: int(bits>>6&3) % 3, strict: bit(8), rangePart: bit(9), crash: bit(10)})
+			wire: bit(5), combine: int(bits>>6&3) % 3, strict: bit(8), rangePart: bit(9), crash: bit(10),
+			delta: bit(10) && bit(12), addr: bit(11)})
 	})
 }

@@ -378,22 +378,31 @@ func TestTransportWorkerCountMismatchRejected(t *testing.T) {
 // laneOf builds a msgLane from parallel destination and message lists.
 func laneOf[M any](dst []VertexID, msg []M) msgLane[M] { return msgLane[M]{dst: dst, msg: msg} }
 
-// TestLaneCodecRoundTrip pins the lane codec: lanes round-trip
-// through a reused decode buffer, and damaged payloads fail loudly.
+// posLaneOf builds a position lane (a SendTo lane).
+func posLaneOf[M any](dst []VertexID, msg []M) msgLane[M] {
+	return msgLane[M]{dst: dst, msg: msg, pos: true}
+}
+
+// TestLaneCodecRoundTrip pins the lane codec: ID and position lanes
+// round-trip through a reused decode buffer, and damaged payloads fail
+// loudly.
 func TestLaneCodecRoundTrip(t *testing.T) {
 	lanes := []msgLane[int64]{
 		{},
 		laneOf([]VertexID{}, []int64{}),
 		laneOf([]VertexID{1}, []int64{42}),
 		laneOf([]VertexID{7, 7, 99}, []int64{-3, 0, 1 << 40}),
+		posLaneOf([]VertexID{}, []int64{}),
+		posLaneOf([]VertexID{0, 99, 3}, []int64{5, -1, 1 << 40}),
 	}
 	var got msgLane[int64]
 	for i, lane := range lanes {
-		if err := decodeLane(encodeLane(nil, lane), &got); err != nil {
+		if err := decodeLane(encodeLane(nil, lane), &got, 2, 100); err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
-		if len(got.dst) != len(lane.dst) || len(got.msg) != len(lane.msg) {
-			t.Fatalf("lane %d: %d/%d destinations/messages, want %d", i, len(got.dst), len(got.msg), len(lane.dst))
+		if len(got.dst) != len(lane.dst) || len(got.msg) != len(lane.msg) || got.pos != lane.pos {
+			t.Fatalf("lane %d: %d/%d destinations/messages (positions %v), want %d (%v)",
+				i, len(got.dst), len(got.msg), got.pos, len(lane.dst), lane.pos)
 		}
 		for j := range lane.dst {
 			if got.dst[j] != lane.dst[j] || got.msg[j] != lane.msg[j] {
@@ -408,7 +417,7 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 	bad := map[string][]byte{
 		"empty":          nil,
 		"unknown flag":   {9, 1, 2},
-		"flag 1":         append([]byte{1}, good[1:]...),
+		"flag 2":         append([]byte{2}, good[1:]...),
 		"huge count":     {laneBinary, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1},
 		"count too big":  {laneBinary, 2, 1, 2},
 		"truncated":      good[:len(good)-1],
@@ -417,34 +426,69 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 	}
 	for name, payload := range bad {
 		got := laneOf([]VertexID{5}, []int64{5})
-		if err := decodeLane(payload, &got); err == nil {
+		if err := decodeLane(payload, &got, 2, 100); err == nil {
 			t.Errorf("%s: decoded %+v", name, got)
 		}
-		if len(got.dst) != 0 || len(got.msg) != 0 {
-			t.Errorf("%s: failed decode left %d/%d entries", name, len(got.dst), len(got.msg))
+		if len(got.dst) != 0 || len(got.msg) != 0 || got.pos {
+			t.Errorf("%s: failed decode left %d/%d entries (positions %v)", name, len(got.dst), len(got.msg), got.pos)
 		}
 	}
 }
 
+// TestLaneCodecRefusesForeignPositions: the same payload that is a valid ID
+// lane is refused as a position lane once a position falls outside the
+// receiving partition, with an error naming the worker, the position and
+// the partition size, and an unknown lane kind is refused with its flag
+// and worker.
+func TestLaneCodecRefusesForeignPositions(t *testing.T) {
+	payload := encodeLane(nil, posLaneOf([]VertexID{0, 7}, []int64{1, 2}))
+	var got msgLane[int64]
+	if err := decodeLane(payload, &got, 3, 8); err != nil {
+		t.Fatalf("in-range positions refused: %v", err)
+	}
+	err := decodeLane(payload, &got, 3, 7)
+	if err == nil {
+		t.Fatal("position 7 of a 7-vertex partition was accepted")
+	}
+	for _, want := range []string{"position 7", "worker 3", "has 7 vertices"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if len(got.dst) != 0 || got.pos {
+		t.Errorf("failed decode left %d entries (positions %v)", len(got.dst), got.pos)
+	}
+	wrong := append([]byte{lanePos + 1}, payload[1:]...)
+	if err := decodeLane(wrong, &got, 3, 8); err == nil || !strings.Contains(err.Error(), "worker 3") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("flag %d", lanePos+1)) {
+		t.Errorf("a lane of unknown kind: %v", err)
+	}
+}
+
 // FuzzLaneCodec feeds arbitrary payloads to the lane decoder, which reads
-// bytes another process wrote: it must never panic, must size its arrays
-// only from what the payload can hold, must keep destinations and messages
-// paired, and an accepted payload must re-encode to exactly its bytes.
+// bytes another process wrote, for a receiving partition of size vertices:
+// it must never panic, must size its arrays only from what the payload can
+// hold, must keep destinations and messages paired, must accept a position
+// lane only if every position is inside the partition, and an accepted
+// payload must re-encode to exactly its bytes.
 func FuzzLaneCodec(f *testing.F) {
 	for _, l := range []msgLane[int64]{
 		{},
 		laneOf([]VertexID{1}, []int64{42}),
 		laneOf([]VertexID{7, 7, 99, 1 << 63}, []int64{-3, 0, 1 << 40, -1 << 63}),
+		posLaneOf([]VertexID{0, 5, 5}, []int64{1, 2, 3}),
+		posLaneOf([]VertexID{6}, []int64{-1}),
 	} {
-		f.Add(encodeLane(nil, l))
+		f.Add(encodeLane(nil, l), uint16(6))
 	}
-	f.Add([]byte{laneBinary, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Add([]byte{1}) // the retired gob flag: must be rejected
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{laneBinary, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint16(0))
+	f.Add([]byte{lanePos, 1, 0x80, 0x01, 2}, uint16(128))
+	f.Add([]byte{2}, uint16(1)) // no such lane kind: must be rejected
+	f.Fuzz(func(t *testing.T, data []byte, size uint16) {
 		var l msgLane[int64]
-		if err := decodeLane(data, &l); err != nil {
-			if len(l.dst) != 0 || len(l.msg) != 0 {
-				t.Fatalf("failed decode left %d/%d entries", len(l.dst), len(l.msg))
+		if err := decodeLane(data, &l, 1, int(size)); err != nil {
+			if len(l.dst) != 0 || len(l.msg) != 0 || l.pos {
+				t.Fatalf("failed decode left %d/%d entries (positions %v)", len(l.dst), len(l.msg), l.pos)
 			}
 			return
 		}
@@ -453,6 +497,14 @@ func FuzzLaneCodec(f *testing.F) {
 		}
 		if cap(l.dst) > len(data) || cap(l.msg) > len(data) {
 			t.Fatalf("%d-byte payload reserved %d/%d entries", len(data), cap(l.dst), cap(l.msg))
+		}
+		if l.pos != (data[0] == lanePos) {
+			t.Fatalf("flag %d decoded as a position lane: %v", data[0], l.pos)
+		}
+		for _, p := range l.dst {
+			if l.pos && p >= VertexID(size) {
+				t.Fatalf("position %d accepted in a %d-vertex partition", p, size)
+			}
 		}
 		if re := encodeLane(nil, l); !bytes.Equal(re, data) {
 			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", re, data)

@@ -3,6 +3,9 @@ package pregel
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -332,5 +335,213 @@ func TestRunAsResumesMidJob(t *testing.T) {
 	}
 	if !reflect.DeepEqual(values(g2), values(ref)) {
 		t.Error("partitions after the resumed RunAs differ from an unbroken run's")
+	}
+}
+
+// addrVal is the value of the by-address ring job below: the addresses the
+// parent resolved for the vertex itself and its two ring neighbours, and
+// the label.
+type addrVal struct {
+	Self, Next, Prev Addr
+	Label            int64
+}
+
+func (v *addrVal) AppendCheckpoint(buf []byte) []byte {
+	for _, a := range [...]Addr{v.Self, v.Next, v.Prev} {
+		buf = AppendUvarint(buf, uint64(a))
+	}
+	return AppendVarint(buf, v.Label)
+}
+
+func (v *addrVal) DecodeCheckpoint(data []byte) (rest []byte, err error) {
+	for _, a := range [...]*Addr{&v.Self, &v.Next, &v.Prev} {
+		var x uint64
+		if x, data, err = ConsumeUvarint(data); err != nil {
+			return nil, err
+		}
+		*a = Addr(x)
+	}
+	v.Label, data, err = ConsumeVarint(data)
+	return data, err
+}
+
+// TestRunAsPinsPositions: a RunAs copy runs over its parent's positions —
+// g.AddrOf in the in function gives every vertex the address Context.Addr
+// reports in every superstep — and a checkpoint restore puts every vertex
+// back at the same position, whether in-process after a crash or in a new
+// process resuming a DirCheckpointer mid-job. The ring job sends only by
+// address, and it leaves the parent's IDs, which the copy shares, as they
+// were. The parent has removed
+// vertices and was filled out of ID order, so RunAs's own compaction and
+// sort decide the positions. Across workers {1, 4, 7}, both schedules.
+func TestRunAsPinsPositions(t *testing.T) {
+	const n = 300
+	var checked, moved atomic.Int64
+	build := func(cfg Config) *Graph[wideVal, wideMsg] {
+		g := buildWideGraph(cfg, n)
+		for id := VertexID(0); id < n; id += 13 {
+			g.RemoveVertex(id)
+		}
+		return g
+	}
+	in := func(g *Graph[wideVal, wideMsg]) func(VertexID, *wideVal) addrVal {
+		return func(id VertexID, v *wideVal) addrVal {
+			self, ok := g.AddrOf(id)
+			if !ok {
+				moved.Add(1)
+			}
+			a := addrVal{Self: self, Next: self, Prev: self, Label: v.Label}
+			if next, ok := g.AddrOf((id + 1) % n); ok {
+				a.Next = next
+			}
+			if prev, ok := g.AddrOf((id + n - 1) % n); ok {
+				a.Prev = prev
+			}
+			return a
+		}
+	}
+	ring := func(ctx *Context[int64], id VertexID, v *addrVal, msgs []int64) {
+		checked.Add(1)
+		if ctx.Addr() != v.Self {
+			moved.Add(1)
+		}
+		s := ctx.Superstep()
+		changed := s == 0
+		for _, m := range msgs {
+			if m < v.Label {
+				v.Label, changed = m, true
+			}
+		}
+		if s == 1 && id%11 == 5 {
+			ctx.RemoveSelf()
+			return
+		}
+		if changed {
+			ctx.SendTo(v.Next, v.Label)
+			ctx.SendTo(v.Prev, v.Label)
+		}
+		if id%3 != 0 || s >= 4 {
+			ctx.VoteToHalt()
+		}
+	}
+	out := func(_ VertexID, v *wideVal, a *addrVal) { v.Label = a.Label }
+	label := func(v *wideVal) int64 { return v.Label }
+	same := func(name string, got, want *Stats, g, ref *Graph[wideVal, wideMsg]) {
+		t.Helper()
+		if got.Supersteps != want.Supersteps || got.Messages != want.Messages || got.DroppedMessages != want.DroppedMessages {
+			t.Errorf("%s: %d supersteps, %d messages, %d dropped; clean run %d, %d, %d", name,
+				got.Supersteps, got.Messages, got.DroppedMessages, want.Supersteps, want.Messages, want.DroppedMessages)
+		}
+		if !reflect.DeepEqual(liveState(g, label), liveState(ref, label)) {
+			t.Errorf("%s: partitions differ from the clean run's", name)
+		}
+	}
+	for _, workers := range []int{1, 4, 7} {
+		for _, par := range []bool{false, true} {
+			name := fmt.Sprintf("w%d-par%v", workers, par)
+			checked.Store(0)
+			clean := build(Config{Workers: workers, Parallel: par})
+			clean.sortVertices()
+			ids := make([][]VertexID, workers)
+			for i, w := range clean.workers {
+				ids[i] = slices.Clone(w.ids)
+			}
+			want, err := RunAs[addrVal, int64](clean, 8, in(clean), ring, out)
+			if err != nil {
+				t.Fatalf("%s: clean run: %v", name, err)
+			}
+			if want.Supersteps <= 6 || want.DroppedMessages == 0 || checked.Load() == 0 {
+				t.Fatalf("%s: the job takes %d supersteps and drops %d messages; the test needs more than 6 and some",
+					name, want.Supersteps, want.DroppedMessages)
+			}
+			for i, w := range clean.workers {
+				if !slices.Equal(w.ids[:len(ids[i])], ids[i]) {
+					t.Errorf("%s: worker %d: RunAs changed the parent's IDs", name, i)
+				}
+			}
+
+			crash := build(Config{Workers: workers, Parallel: par, CheckpointEvery: 2,
+				Faults: NewFaultPlan(Fault{Round: 5, Worker: workers - 1})})
+			got, err := RunAs[addrVal, int64](crash, 8, in(crash), ring, out)
+			if err != nil {
+				t.Fatalf("%s: crashed run: %v", name, err)
+			}
+			if got.Recoveries != 1 {
+				t.Errorf("%s: %d recoveries, want 1", name, got.Recoveries)
+			}
+			same(name+"/crash", got, want, crash, clean)
+
+			dir := t.TempDir()
+			store1, err := NewDirCheckpointer(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g1 := build(Config{Workers: workers, Parallel: par, CheckpointEvery: 2, Checkpointer: store1, MaxSupersteps: 5})
+			if _, err := RunAs[addrVal, int64](g1, 8, in(g1), ring, out, WithName("pin")); err == nil {
+				t.Fatalf("%s: the first process's run did not fail at its superstep limit", name)
+			}
+			store2, err := NewDirCheckpointer(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g2 := build(Config{Workers: workers, Parallel: par, CheckpointEvery: 2, Checkpointer: store2, Resume: true})
+			got, err = RunAs[addrVal, int64](g2, 8, in(g2), ring, out, WithName("pin"))
+			if err != nil {
+				t.Fatalf("%s: resumed run: %v", name, err)
+			}
+			if got.CheckpointRestores != 1 {
+				t.Errorf("%s: %d restores, want the resumed run to restore once", name, got.CheckpointRestores)
+			}
+			same(name+"/resume", got, want, g2, clean)
+			if m := moved.Load(); m != 0 {
+				t.Fatalf("%s: %d vertices computed at a position other than the one AddrOf gave them", name, m)
+			}
+		}
+	}
+}
+
+// TestSendByOneKindPerSuperstep: a superstep's messages go either by ID or
+// by address. A program that mixes the two panics naming the job, whether
+// the mix meets in one worker's lanes or only across workers, and a
+// message to a position outside its worker's partition fails the run.
+func TestSendByOneKindPerSuperstep(t *testing.T) {
+	mixed := func(ctx *Context[int64], id VertexID, v *int64, msgs []int64) {
+		if ctx.Superstep() == 0 {
+			if id%2 == 0 {
+				ctx.Send(id, 1)
+			} else {
+				ctx.SendTo(ctx.Addr(), 1)
+			}
+		}
+		ctx.VoteToHalt()
+	}
+	// Even IDs send by ID, odd ones by address: under modPartitioner one
+	// worker holds both kinds, two workers one kind each.
+	for _, workers := range []int{1, 2} {
+		g := NewGraph[int64, int64](Config{Workers: workers, Partitioner: modPartitioner{}})
+		for id := VertexID(0); id < 40; id++ {
+			g.AddVertex(id, 0)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"mixer"`) {
+					t.Errorf("w%d: mixing Send and SendTo: recovered %v, want a panic naming the job", workers, r)
+				}
+			}()
+			g.Run(mixed, WithName("mixer"))
+		}()
+	}
+	g := NewGraph[int64, int64](Config{Workers: 2})
+	for id := VertexID(0); id < 10; id++ {
+		g.AddVertex(id, 0)
+	}
+	_, err := g.Run(func(ctx *Context[int64], id VertexID, v *int64, msgs []int64) {
+		if ctx.Superstep() == 0 && id == 3 {
+			ctx.SendTo(Addr(1<<32|1000), 1)
+		}
+		ctx.VoteToHalt()
+	}, WithName("stray"))
+	if err == nil || !strings.Contains(err.Error(), "position 1000 of worker 1") {
+		t.Errorf("a message past the partition: %v", err)
 	}
 }

@@ -25,15 +25,23 @@ import (
 // and restart), surfaces as a *transport.WorkerDownError, and the run
 // rolls back to its latest checkpoint exactly like an injected fault.
 
-// laneBinary is the lane payload's leading flag byte. The value codec is
-// the only lane encoding, so a decoder accepts no other flag: anything else
-// is a damaged payload.
-const laneBinary byte = 0
+// The lane payload's leading flag byte says what its destinations are:
+// vertex IDs (laneBinary) or positions in the destination partition
+// (lanePos, a SendTo lane). Both use the value codec for messages; any
+// other flag is a damaged payload.
+const (
+	laneBinary byte = 0
+	lanePos    byte = 1
+)
 
 // encodeLane appends the lane payload encoding of l to buf: the flag, the
 // message count and each (destination, message) pair.
 func encodeLane[M any](buf []byte, l msgLane[M]) []byte {
-	buf = append(buf, laneBinary)
+	if l.pos {
+		buf = append(buf, lanePos)
+	} else {
+		buf = append(buf, laneBinary)
+	}
 	buf = AppendUvarint(buf, uint64(len(l.dst)))
 	for i := range l.dst {
 		buf = AppendUvarint(buf, uint64(l.dst[i]))
@@ -42,18 +50,22 @@ func encodeLane[M any](buf []byte, l msgLane[M]) []byte {
 	return buf
 }
 
-// decodeLane decodes a lane payload into l, reusing its capacity. The
-// payload is bytes from the network: every failure is an error, and the
-// arrays are sized from the declared count only once the payload is known
-// to be long enough to hold it (each entry takes at least one byte).
-func decodeLane[M any](data []byte, l *msgLane[M]) error {
+// decodeLane decodes a lane payload for worker dst, whose partition holds
+// size vertices, into l, reusing its capacity. The payload is bytes from the
+// network: every failure is an error — a position lane's destination outside
+// the partition too — and the arrays are sized from the declared count only
+// once the payload is known to be long enough to hold it (each entry takes
+// at least one byte).
+func decodeLane[M any](data []byte, l *msgLane[M], dst, size int) error {
 	l.reset()
 	if len(data) == 0 {
-		return corruptf("pregel: transport lane payload is empty")
+		return corruptf("pregel: transport lane payload for worker %d is empty", dst)
 	}
-	if data[0] != laneBinary {
-		return corruptf("pregel: transport lane flag %d, want %d", data[0], laneBinary)
+	if data[0] != laneBinary && data[0] != lanePos {
+		return corruptf("pregel: transport lane flag %d for worker %d, want %d (vertex IDs) or %d (positions)",
+			data[0], dst, laneBinary, lanePos)
 	}
+	pos := data[0] == lanePos
 	n, data, err := ConsumeUvarint(data[1:])
 	if err != nil {
 		return err
@@ -61,11 +73,15 @@ func decodeLane[M any](data []byte, l *msgLane[M]) error {
 	if n > uint64(len(data)) {
 		return corruptf("pregel: transport lane declares %d messages in %d bytes", n, len(data))
 	}
-	l.dst, l.msg = slices.Grow(l.dst, int(n))[:n], slices.Grow(l.msg, int(n))[:n]
+	l.dst, l.msg, l.pos = slices.Grow(l.dst, int(n))[:n], slices.Grow(l.msg, int(n))[:n], pos
 	clear(l.msg) // each message decodes into a zero value, as a fresh one would
 	for i := range l.dst {
 		var d uint64
 		if d, data, err = ConsumeUvarint(data); err != nil {
+			break
+		}
+		if pos && d >= uint64(size) {
+			err = corruptf("pregel: transport lane addresses position %d of worker %d, whose partition has %d vertices", d, dst, size)
 			break
 		}
 		l.dst[i] = VertexID(d)
