@@ -64,11 +64,6 @@ type cliOpts struct {
 
 	workflow string
 
-	transport   string
-	peers       string
-	serveWorker int
-	listen      string
-
 	trace       string
 	traceFormat string
 	metricsOut  string
@@ -108,10 +103,6 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
 	fs.BoolVar(&o.resume, "resume", false, "resume a killed run from the checkpoints in -checkpoint")
 	fs.StringVar(&o.workflow, "workflow", "", "compose the assembly as an explicit op workflow instead of the canned pipeline, e.g. \"build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta\" (unset op parameters inherit the global flags)")
-	fs.StringVar(&o.transport, "transport", "mem", "message transport for every superstep shuffle: mem (in-process, the default) or tcp (drain lanes over the worker processes in -peers; output is byte-identical to mem)")
-	fs.StringVar(&o.peers, "peers", "", "with -transport=tcp, comma-separated worker depot addresses (host:port), one per -workers, in worker order")
-	fs.IntVar(&o.serveWorker, "serve-worker", -1, "run as lane-depot process for this worker index instead of assembling (pair with -listen; the coordinator lists this address in -peers)")
-	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "with -serve-worker, the address to listen on (port 0 picks an ephemeral port, printed on stdout)")
 	fs.StringVar(&o.trace, "trace", "", "write a structured trace of every superstep, op, MR phase and checkpoint to this file")
 	fs.StringVar(&o.traceFormat, "trace-format", "", "trace file format: jsonl (default) or chrome (load in Perfetto / chrome://tracing)")
 	fs.StringVar(&o.metricsOut, "metrics", "", "write engine metrics (Prometheus text format) to this file at exit")
@@ -141,13 +132,6 @@ func main() {
 			os.Exit(1)
 		}
 		if corrupt > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-	if o.serveWorker >= 0 {
-		if err := runServeWorker(o); err != nil {
-			fmt.Fprintln(os.Stderr, "ppa-assembler:", err)
 			os.Exit(1)
 		}
 		return
@@ -184,8 +168,7 @@ func run(o cliOpts) error {
 	return err
 }
 
-// cannedOptions renders the flags as the canned pipeline's options. The
-// caller closes opt.Transport.
+// cannedOptions renders the flags as the canned pipeline's options.
 func cannedOptions(o cliOpts, obs *observability) (core.Options, error) {
 	opt := core.Options{
 		K:                o.k,
@@ -209,10 +192,7 @@ func cannedOptions(o cliOpts, obs *observability) (core.Options, error) {
 	if opt.Labeler, err = parseLabeler(o.labeler); err != nil {
 		return opt, err
 	}
-	if opt.Partitioner, err = core.MakePartitioner(o.partitioner, o.k); err != nil {
-		return opt, err
-	}
-	opt.Transport, err = makeTransport(o)
+	opt.Partitioner, err = core.MakePartitioner(o.partitioner, o.k)
 	return opt, err
 }
 
@@ -223,9 +203,6 @@ func runCanned(o cliOpts, obs *observability) error {
 	opt, err := cannedOptions(o, obs)
 	if err != nil {
 		return err
-	}
-	if opt.Transport != nil {
-		defer opt.Transport.Close()
 	}
 
 	reads, err := loadReadList(o.in)
@@ -330,7 +307,6 @@ func runCanned(o cliOpts, obs *observability) error {
 		}
 		printCheckpointIO(res.CheckpointSaves, res.CheckpointRestores,
 			res.CheckpointBytesWritten, res.CheckpointBytesRestored)
-		printTransportSummary(opt.Transport)
 		if total := res.LocalMessages + res.RemoteMessages; total > 0 {
 			fmt.Fprintf(os.Stderr, "shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)\n",
 				total, 100*float64(res.RemoteMessages)/float64(total), o.partitioner)

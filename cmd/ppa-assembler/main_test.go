@@ -361,3 +361,25 @@ func TestCLIRejectsBadFaultPlan(t *testing.T) {
 		t.Fatal("malformed fault plan accepted")
 	}
 }
+
+// TestCLIRejectsZeroWorkers: -workers 0 is an error naming Workers, on the
+// canned pipeline and under -workflow alike, and writes no contigs — never a
+// run with every other flag silently reset to its default.
+func TestCLIRejectsZeroWorkers(t *testing.T) {
+	dir := t.TempDir()
+	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGT"})
+	out := filepath.Join(dir, "out.fasta")
+	for _, extra := range [][]string{nil, {"-workflow", "build,label,merge,fasta"}} {
+		args := append([]string{"-in", in, "-out", out, "-workers", "0", "-k", "31", "-q"}, extra...)
+		o, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "Workers") {
+			t.Errorf("%v: want an error naming Workers, got %v", args, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: contigs file was written", args)
+		}
+	}
+}

@@ -118,16 +118,9 @@ func runWorkflow(o cliOpts, obs *observability) error {
 			}
 		}
 	}
-	tp, err := makeTransport(o)
-	if err != nil {
-		return err
-	}
-	if tp != nil {
-		defer tp.Close()
-	}
 	env := &workflow.Env{
 		Workers: o.workers, Parallel: o.parallel,
-		Partitioner: part, Transport: tp, MessageBytes: core.MsgWireBytes,
+		Partitioner: part, MessageBytes: core.MsgWireBytes,
 		CheckpointEvery: every, Checkpointer: store,
 		DeltaCheckpoints: o.ckptDelta,
 		Faults:           faults, Resume: o.resume,
@@ -222,7 +215,6 @@ func printWorkflowSummary(o cliOpts, spec string, env *workflow.Env, st *core.St
 	}
 	printCheckpointIO(env.Clock.CheckpointSaves(), env.Clock.CheckpointRestores(),
 		env.Clock.CheckpointBytesWritten(), env.Clock.CheckpointBytesRestored())
-	printTransportSummary(env.Transport)
 	if total := env.Clock.LocalMessages() + env.Clock.RemoteMessages(); total > 0 {
 		fmt.Fprintf(os.Stderr, "shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)\n",
 			total, 100*float64(env.Clock.RemoteMessages())/float64(total), env.Partitioner.Name())

@@ -2,20 +2,15 @@
 // ppa-assembler: a trace file (-trace-format jsonl or chrome) and/or a
 // Prometheus-text metrics dump. It is the CI fence for the telemetry
 // contract — it fails when a trace is not well-formed JSON, when begin/end
-// spans are unbalanced, when a required span category is missing, or when an
-// expected metric family was not exported.
+// spans are unbalanced, when a required span category is missing, when a
+// workflow op's End span lacks its memory args, or when an expected metric
+// family was not exported.
 //
 // Usage:
 //
 //	tracecheck -format chrome trace.json
 //	tracecheck -format jsonl -require workflow,pregel,phase,mr trace.jsonl
 //	tracecheck -metrics metrics.prom
-//	tracecheck -transport -format jsonl tcp-trace.jsonl -metrics tcp-metrics.prom
-//
-// -transport validates a run over a wire transport (-transport=tcp): the
-// trace must carry the "transport" span category with connect, send, drain
-// and barrier spans, and the metrics dump must export the transport byte
-// counters.
 package main
 
 import (
@@ -33,17 +28,10 @@ func main() {
 	require := flag.String("require", "workflow,pregel,phase,mr", "comma-separated span categories that must appear in the trace")
 	metricsPath := flag.String("metrics", "", "also validate this Prometheus-text metrics file")
 	requireMetrics := flag.String("require-metrics", "pregel_messages_local_total,pregel_messages_remote_total,pregel_supersteps_total,workflow_ops_total", "comma-separated metric families that must appear in -metrics")
-	transport := flag.Bool("transport", false, "validate a wire-transport run: require the transport span category (connect/send/drain/barrier) in the trace and the transport byte counters in -metrics")
 	flag.Parse()
 
 	requireCats := splitList(*require)
 	requiredMetricList := splitList(*requireMetrics)
-	if *transport {
-		requireCats = append(requireCats, "transport")
-		requiredMetricList = append(requiredMetricList,
-			"transport_bytes_sent_total", "transport_bytes_received_total",
-			"transport_frames_sent_total", "transport_frames_received_total")
-	}
 
 	ok := true
 	if flag.NArg() > 1 {
@@ -54,11 +42,7 @@ func main() {
 		if err != nil {
 			fail("%s: %v", flag.Arg(0), err)
 		}
-		cerr := checkEvents(events, requireCats)
-		if cerr == nil && *transport {
-			cerr = checkTransportSpans(events)
-		}
-		if cerr != nil {
+		if cerr := checkEvents(events, requireCats); cerr != nil {
 			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", flag.Arg(0), cerr)
 			ok = false
 		} else {
@@ -163,9 +147,13 @@ func loadTrace(path, format string) ([]event, error) {
 	}
 }
 
+// opEndArgs are the measured args every workflow op End span carries.
+var opEndArgs = []string{"alloc_bytes", "alloc_objects", "gc_cpu_ns"}
+
 // checkEvents enforces the structural contract: every event is named and
-// categorized, ph is B/E/i, begin/end spans balance per (cat, name), and
-// every required category appears at least once.
+// categorized, ph is B/E/i, begin/end spans balance per (cat, name), every
+// workflow op End span carries opEndArgs as numbers, and every required
+// category appears at least once.
 func checkEvents(events []event, requireCats []string) error {
 	if len(events) == 0 {
 		return fmt.Errorf("empty trace")
@@ -186,6 +174,13 @@ func checkEvents(events []event, requireCats []string) error {
 			if open[key] < 0 {
 				return fmt.Errorf("event %d: end without begin for %s", i, key)
 			}
+			if key == "workflow/op" {
+				for _, a := range opEndArgs {
+					if _, ok := e.Args[a].(float64); !ok {
+						return fmt.Errorf("event %d: op End span without a numeric %q arg", i, a)
+					}
+				}
+			}
 		case "i":
 			// instants carry no balance
 		default:
@@ -200,26 +195,6 @@ func checkEvents(events []event, requireCats []string) error {
 	for _, c := range requireCats {
 		if !cats[c] {
 			return fmt.Errorf("required span category %q absent (saw %s)", c, strings.Join(keys(cats), ", "))
-		}
-	}
-	return nil
-}
-
-// checkTransportSpans enforces the wire-transport span contract on top of
-// the structural checks: the "transport" category must contain a connect
-// span plus per-superstep send, drain and barrier spans (their begin/end
-// balance is already guaranteed by checkEvents).
-func checkTransportSpans(events []event) error {
-	names := map[string]bool{}
-	for _, e := range events {
-		if e.Cat == "transport" {
-			names[e.Name] = true
-		}
-	}
-	for _, want := range []string{"connect", "send", "drain", "barrier"} {
-		if !names[want] {
-			return fmt.Errorf("transport span %q absent (saw %s) — was the run actually over a wire transport?",
-				want, strings.Join(keys(names), ", "))
 		}
 	}
 	return nil

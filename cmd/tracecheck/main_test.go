@@ -40,7 +40,7 @@ func TestLoadTraceChrome(t *testing.T) {
 func TestLoadTraceJSONL(t *testing.T) {
 	p := writeFile(t, "trace.jsonl",
 		`{"ph":"B","name":"op","cat":"workflow","wall_ns":100,"args":{"sim_us":0.000,"op":"build"}}
-{"ph":"E","name":"op","cat":"workflow","wall_ns":200,"args":{"sim_us":5.000}}
+{"ph":"E","name":"op","cat":"workflow","wall_ns":200,"args":{"sim_us":5.000,"op":"build","alloc_bytes":4096,"alloc_objects":3,"gc_cpu_ns":0}}
 `)
 	events, err := loadTrace(p, "jsonl")
 	if err != nil {
@@ -51,6 +51,32 @@ func TestLoadTraceJSONL(t *testing.T) {
 	}
 	if err := checkEvents(events, []string{"workflow"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckEventsOpEndMemory: a workflow op End span must carry each memory
+// arg as a number.
+func TestCheckEventsOpEndMemory(t *testing.T) {
+	full := map[string]any{"op": "build", "alloc_bytes": 4096.0, "alloc_objects": 3.0, "gc_cpu_ns": 0.0}
+	span := func(args map[string]any) []event {
+		return []event{{Name: "op", Cat: "workflow", Ph: "B"}, {Name: "op", Cat: "workflow", Ph: "E", Args: args}}
+	}
+	if err := checkEvents(span(full), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range opEndArgs {
+		args := map[string]any{}
+		for k, v := range full {
+			args[k] = v
+		}
+		delete(args, a)
+		if err := checkEvents(span(args), nil); err == nil || !strings.Contains(err.Error(), a) {
+			t.Errorf("op End span without %s: %v", a, err)
+		}
+		args[a] = "many"
+		if err := checkEvents(span(args), nil); err == nil {
+			t.Errorf("op End span with a string %s accepted", a)
+		}
 	}
 }
 
@@ -72,49 +98,6 @@ func TestCheckEventsUnbalanced(t *testing.T) {
 	}
 	if err := checkEvents(nil, nil); err == nil {
 		t.Fatal("empty trace not reported")
-	}
-}
-
-func TestCheckTransportSpans(t *testing.T) {
-	full := []event{
-		{Name: "connect", Cat: "transport", Ph: "B"}, {Name: "connect", Cat: "transport", Ph: "E"},
-		{Name: "send", Cat: "transport", Ph: "B"}, {Name: "send", Cat: "transport", Ph: "E"},
-		{Name: "drain", Cat: "transport", Ph: "B"}, {Name: "drain", Cat: "transport", Ph: "E"},
-		{Name: "barrier", Cat: "transport", Ph: "B"}, {Name: "barrier", Cat: "transport", Ph: "E"},
-	}
-	if err := checkTransportSpans(full); err != nil {
-		t.Fatal(err)
-	}
-	// A run that connected but never drained (e.g. the engine silently fell
-	// back to the loopback path) must fail the contract.
-	if err := checkTransportSpans(full[:2]); err == nil || !strings.Contains(err.Error(), `"send" absent`) {
-		t.Fatalf("missing transport spans not reported: %v", err)
-	}
-	if err := checkTransportSpans(nil); err == nil {
-		t.Fatal("transport-free trace not reported")
-	}
-}
-
-func TestCheckTransportMetricsRequired(t *testing.T) {
-	p := writeFile(t, "tcp.prom", `# TYPE transport_bytes_sent_total counter
-transport_bytes_sent_total 123456
-# TYPE transport_bytes_received_total counter
-transport_bytes_received_total 123456
-# TYPE transport_frames_sent_total counter
-transport_frames_sent_total 99
-# TYPE transport_frames_received_total counter
-transport_frames_received_total 99
-`)
-	families := []string{
-		"transport_bytes_sent_total", "transport_bytes_received_total",
-		"transport_frames_sent_total", "transport_frames_received_total",
-	}
-	if _, err := checkMetrics(p, families); err != nil {
-		t.Fatal(err)
-	}
-	memOnly := writeFile(t, "mem.prom", "# TYPE pregel_supersteps_total counter\npregel_supersteps_total 8\n")
-	if _, err := checkMetrics(memOnly, families); err == nil {
-		t.Fatal("missing transport counters not reported")
 	}
 }
 

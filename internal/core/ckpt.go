@@ -1,11 +1,11 @@
 // Checkpoint codec methods: VData, svVertex, Msg, labelMsg and svMsg carry
 // the Pregel engine's binary value codec by implementing
 // pregel.CheckpointAppender / pregel.CheckpointDecoder, which segment-graph
-// jobs need to checkpoint or run over a wire transport. VData fields are
-// written in struct order, the messages' one-byte fields first; vertex IDs
-// are fixed 8-byte little-endian (canonical k-mer codes and flipped IDs span
-// the full 64-bit range, where varints buy nothing), except in svMsg, which
-// is mostly k-mer IDs and small addresses and writes both as uvarints.
+// jobs need to checkpoint. VData fields are written in struct order, the
+// messages' one-byte fields first; vertex IDs are fixed 8-byte little-endian
+// (canonical k-mer codes and flipped IDs span the full 64-bit range, where
+// varints buy nothing), except in svMsg, which is mostly k-mer IDs and small
+// addresses and writes both as uvarints.
 
 package core
 

@@ -366,4 +366,14 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Assemble(nil, Options{Workers: 2, K: 10, Rounds: 1}); err == nil {
 		t.Error("even k accepted")
 	}
+	// Zero is refused like any other bad value, never swapped for a
+	// default that would drop the caller's other options.
+	if _, err := Assemble(nil, Options{Workers: 0, K: 31, Theta: 2, Rounds: 1}); err == nil ||
+		!strings.Contains(err.Error(), "Workers") {
+		t.Errorf("Workers=0 accepted or not named: %v", err)
+	}
+	if _, err := Assemble(nil, Options{Workers: 2, K: 31, Theta: 2, Rounds: 0}); err == nil ||
+		!strings.Contains(err.Error(), "Rounds") {
+		t.Errorf("Rounds=0 accepted or not named: %v", err)
+	}
 }

@@ -233,7 +233,7 @@ func TestAssemblePlanShape(t *testing.T) {
 	if got := p.String(); got != "build,label,merge,bubble,rebuild,link,split,tiptrim,label,merge" {
 		t.Errorf("split-enabled plan = %q", got)
 	}
-	// The zero value defaults to two rounds, exactly as Assemble does.
+	// The zero value means two rounds here (Assemble refuses it).
 	opt.Rounds = 0
 	opt.BranchSplitRatio = 0
 	if p, err = AssemblePlan(opt); err != nil {

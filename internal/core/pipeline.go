@@ -8,7 +8,6 @@ import (
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/scaffold"
 	"ppaassembler/internal/telemetry"
-	"ppaassembler/internal/transport"
 	"ppaassembler/internal/workflow"
 )
 
@@ -37,7 +36,8 @@ type Options struct {
 	// Labeler chooses the contig-labeling algorithm for both rounds.
 	Labeler Labeler
 	// Rounds of labeling+merging: 1 = stop after the first merge (no error
-	// correction), 2 = the paper's workflow ①②③④⑤⑥②③. Default 2.
+	// correction), 2 = the paper's workflow ①②③④⑤⑥②③. DefaultOptions
+	// sets 2; Assemble refuses any other value.
 	Rounds int
 	// Cost parameterizes the simulated cluster (zero value = default).
 	Cost pregel.CostModel
@@ -51,12 +51,6 @@ type Options struct {
 	// placement changes simulated network locality but never the
 	// assembler's output.
 	Partitioner pregel.Partitioner
-	// Transport is the message transport every stage shuffles over (see
-	// pregel.Config.Transport). Nil keeps the in-memory loopback shuffle;
-	// a TCP transport drains every superstep's lanes over real worker
-	// processes. Like Parallel and Partitioner, it never changes the
-	// assembler's output.
-	Transport transport.Transport
 
 	// CheckpointEvery enables Pregel-style fault tolerance for every job
 	// of the pipeline: each run checkpoints its state every N supersteps
@@ -197,7 +191,7 @@ type Result struct {
 func (o Options) Env(clock *pregel.SimClock) *workflow.Env {
 	return &workflow.Env{
 		Workers: o.Workers, Parallel: o.Parallel, Cost: o.Cost,
-		Partitioner: o.Partitioner, Transport: o.Transport, MessageBytes: MsgWireBytes,
+		Partitioner: o.Partitioner, MessageBytes: MsgWireBytes,
 		CheckpointEvery: o.CheckpointEvery, Checkpointer: o.Checkpointer,
 		DeltaCheckpoints: o.DeltaCheckpoints,
 		Faults:           o.Faults, Resume: o.Resume,
@@ -208,8 +202,8 @@ func (o Options) Env(clock *pregel.SimClock) *workflow.Env {
 
 // AssemblePlan decomposes the options into the paper's canned workflow
 // ①②③④⑤⑥②③ (or just ①②③ with Rounds == 1) over the op catalog of flow.go.
-// Custom workflows build their own plans from the same ops. Rounds
-// defaults to 2 exactly as in Assemble.
+// Custom workflows build their own plans from the same ops. A zero Rounds
+// means two here; Assemble, which validates its options first, refuses it.
 func AssemblePlan(opt Options) (*workflow.Plan[State], error) {
 	if opt.Rounds == 0 {
 		opt.Rounds = 2
@@ -242,12 +236,6 @@ func AssemblePlan(opt Options) (*workflow.Plan[State], error) {
 // decompose into per-op configs (AssemblePlan) and the per-op metrics fold
 // back into the Result.
 func Assemble(readShards [][]string, opt Options) (*Result, error) {
-	if opt.Workers == 0 {
-		opt = DefaultOptions(1)
-	}
-	if opt.Rounds == 0 {
-		opt.Rounds = 2
-	}
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}

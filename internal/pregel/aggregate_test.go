@@ -79,9 +79,9 @@ func TestAggregatorsIdenticalAcrossSchedules(t *testing.T) {
 
 // TestAggStateMergeAndSnapshot pins flip's merge at the unit level: values
 // accumulated by different workers publish as one merged set, which is what
-// a checkpoint and the transport barrier payload carry; names contributed
-// only with neutral values still publish (the old shared-map behaviour, and
-// part of the checkpoint bytes); and the accumulators are empty afterwards.
+// a checkpoint carries; names contributed only with neutral values still
+// publish (the old shared-map behaviour, and part of the checkpoint bytes);
+// and the accumulators are empty afterwards.
 func TestAggStateMergeAndSnapshot(t *testing.T) {
 	a := newAggState(3)
 	a.acc[0].addSum("s", 5)
@@ -101,9 +101,9 @@ func TestAggStateMergeAndSnapshot(t *testing.T) {
 	if got := a.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot after flip = %+v, want %+v", got, want)
 	}
-	wire, rest, err := consumeAggSnapshot(appendAggSnapshot(nil, a.snapshot()))
-	if err != nil || len(rest) != 0 || !reflect.DeepEqual(wire, want) {
-		t.Fatalf("barrier payload decodes to %+v (rest %d, err %v), want %+v", wire, len(rest), err, want)
+	dec, rest, err := consumeAggSnapshot(appendAggSnapshot(nil, a.snapshot()))
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(dec, want) {
+		t.Fatalf("checkpoint encoding decodes to %+v (rest %d, err %v), want %+v", dec, len(rest), err, want)
 	}
 	for i := range a.acc {
 		if n := len(a.acc[i].sum) + len(a.acc[i].min) + len(a.acc[i].or); n != 0 {

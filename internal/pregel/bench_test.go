@@ -57,8 +57,7 @@ func BenchmarkMessageThroughput(b *testing.B) {
 // throughput. Its allocs/op are mostly the graph's one-off lane warm-up
 // spread over b.N, so they move with -benchtime; the per-Run ceiling is
 // TestShuffleSteadyStateAllocationFree's. The root package's fence test
-// runs the same workload once per schedule and over TCP and gates its
-// traffic.
+// runs the same workload once per schedule and gates its traffic.
 func BenchmarkShuffle(b *testing.B) {
 	for _, mode := range []struct {
 		name     string

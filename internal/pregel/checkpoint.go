@@ -634,12 +634,6 @@ type ckptFile struct {
 	// alone would only report a generic identity mismatch).
 	PartitionerName string
 	NumWorkers      int
-	// TransportName records the message transport the run used ("mem",
-	// "memwire", "tcp"). Restores under a different transport are
-	// rejected: a checkpoint written by a distributed run names worker
-	// processes an in-memory resume does not have, and vice versa, so the
-	// mismatch almost always means the wrong topology was launched.
-	TransportName string
 	// Run counters at the barrier, restored on rollback so a recovered
 	// run reports the same totals as an unfailed one.
 	Supersteps      int
@@ -666,13 +660,12 @@ type ckptFile struct {
 // cadence, the store, and the run's identity fingerprint, plus the delta-
 // checkpoint chain position.
 type ckptRun struct {
-	store     Checkpointer
-	job       string
-	every     int
-	fp        uint64
-	part      string // Partitioner.Name() of the running graph
-	transport string // Transport.Name() of the running graph ("mem" when nil)
-	workers   int
+	store   Checkpointer
+	job     string
+	every   int
+	fp      uint64
+	part    string // Partitioner.Name() of the running graph
+	workers int
 
 	// delta: this run takes delta checkpoints (DeltaCheckpoints set, and
 	// the store implements DeltaCheckpointer).
@@ -738,16 +731,15 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 		}
 	}
 	return &ckptRun{
-		store:     store,
-		job:       job,
-		every:     g.cfg.CheckpointEvery,
-		fp:        g.runFingerprint(),
-		part:      g.cfg.Partitioner.Name(),
-		transport: g.transportName(),
-		workers:   g.cfg.Workers,
-		delta:     delta,
-		warn:      g.warnf,
-		metrics:   g.cfg.Metrics,
+		store:   store,
+		job:     job,
+		every:   g.cfg.CheckpointEvery,
+		fp:      g.runFingerprint(),
+		part:    g.cfg.Partitioner.Name(),
+		workers: g.cfg.Workers,
+		delta:   delta,
+		warn:    g.warnf,
+		metrics: g.cfg.Metrics,
 	}, nil
 }
 
@@ -831,7 +823,6 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		Kind:            kind,
 		PrevStep:        ck.lastStep,
 		PartitionerName: ck.part,
-		TransportName:   ck.transport,
 		NumWorkers:      ck.workers,
 		Supersteps:      stats.Supersteps,
 		Messages:        stats.Messages,
@@ -907,9 +898,6 @@ func (c *ckptChain) tip() *ckptFile {
 func (ck *ckptRun) validateIdentity(file *ckptFile) error {
 	if file.PartitionerName != ck.part {
 		return fmt.Errorf("pregel: checkpoint for job %q was written under partitioner %q, but this run places vertices with %q; restoring would scatter partition-local state — rerun with the original partitioner or delete the checkpoint directory to start fresh", ck.job, file.PartitionerName, ck.part)
-	}
-	if file.TransportName != ck.transport {
-		return fmt.Errorf("pregel: checkpoint for job %q was written under transport %q, but this run uses transport %q; resume with the original transport topology (-transport=%s) or delete the checkpoint directory to start fresh", ck.job, file.TransportName, ck.transport, file.TransportName)
 	}
 	if file.NumWorkers != ck.workers {
 		return fmt.Errorf("pregel: checkpoint for job %q was written with %d workers, but this run has %d; rerun with the original worker count or delete the checkpoint directory to start fresh", ck.job, file.NumWorkers, ck.workers)

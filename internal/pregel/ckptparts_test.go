@@ -232,8 +232,8 @@ func fuzzCkptFile(data []byte) *ckptFile {
 	}
 	f := &ckptFile{
 		Kind: next() % 2, Step: int(next()), PrevStep: int(next()), Pending: int64(int8(next())),
-		PartitionerName: string(take(int(next() % 8))), TransportName: string(take(int(next() % 8))),
-		Supersteps: int(next()), Messages: int64(next()) << 20, ClockNs: float64(next()) * 1e6,
+		PartitionerName: string(take(int(next() % 8))), Supersteps: int(next()),
+		Messages: int64(next()) << 20, ClockNs: float64(next()) * 1e6,
 		Fingerprint: uint64(next())<<56 | uint64(next()),
 	}
 	if k := int(next() % 4); k > 0 {

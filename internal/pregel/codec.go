@@ -10,12 +10,12 @@ import (
 	"strings"
 )
 
-// Checkpoint format v12, the only one this package reads or writes: a
+// Checkpoint format v13, the only one this package reads or writes: a
 // versioned, checksummed binary container. Layout (all integers
 // varint/uvarint unless noted):
 //
 //	magic "PPCK" | version | kind (full/delta) | step | prevStep | pending
-//	| partitioner name | transport name | numWorkers | run counters
+//	| partitioner name | numWorkers | run counters
 //	| clockNs (fixed 8 LE) | fingerprint (fixed 8 LE)
 //	| aggregator snapshot (sorted keys)
 //	| worker count | header CRC32C (fixed 4 LE, over every prior byte)
@@ -31,9 +31,10 @@ import (
 // because labeling's jobs changed (S-V got its own hello job, pending inboxes
 // hold smaller messages), v10 because S-V runs over a vertex value of its own
 // and the segment graph's vertex lost the S-V fields, v11 because the
-// scaffold vertex lost its chain label and end coordinate, and v12 because
-// the S-V vertex and message carry addresses, so an older file, whose CRCs
-// still verify, is refused instead of decoded wrongly.
+// scaffold vertex lost its chain label and end coordinate, v12 because the
+// S-V vertex and message carry addresses, and v13 because the header dropped
+// its transport name, so an older file, whose CRCs still verify, is refused
+// instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -49,7 +50,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 12
+	ckptVersion = 13
 
 	ckptKindFull  byte = 0
 	ckptKindDelta byte = 1
@@ -81,11 +82,10 @@ func corruptf(format string, args ...any) error {
 // CheckpointAppender is implemented by vertex-value and message types that
 // carry the engine's binary value codec: AppendCheckpoint appends a
 // self-delimiting encoding of the receiver to buf and returns the extended
-// slice. A run that checkpoints or ships lanes over a wire transport needs
-// the codec for both V and M (Run refuses it otherwise); an in-memory run
-// without checkpoints needs neither. Primitive value/message types
-// (integers, floats, bool, string, VertexID, struct{}) are handled by the
-// codec directly and need no methods.
+// slice. A run that checkpoints needs the codec for both V and M (Run
+// refuses it otherwise); a run without checkpoints needs neither. Primitive
+// value/message types (integers, floats, bool, string, VertexID, struct{})
+// are handled by the codec directly and need no methods.
 type CheckpointAppender interface {
 	AppendCheckpoint(buf []byte) []byte
 }
@@ -220,12 +220,11 @@ func binaryCodecFor[T any]() bool {
 	return ok
 }
 
-// checkCodecs refuses, before superstep 0, a run that must encode its
-// values — it checkpoints, or ships lanes over a non-loopback transport —
-// when V or M has no binary codec, naming the offending type(s). An
-// in-memory run without checkpoints encodes nothing and needs neither.
+// checkCodecs refuses, before superstep 0, a checkpointing run when V or M
+// has no binary codec, naming the offending type(s). A run without
+// checkpoints encodes nothing and needs neither.
 func (g *Graph[V, M]) checkCodecs(job string) error {
-	if g.cfg.CheckpointEvery <= 0 && !g.transportActive() {
+	if g.cfg.CheckpointEvery <= 0 {
 		return nil
 	}
 	var missing []string
@@ -238,7 +237,7 @@ func (g *Graph[V, M]) checkCodecs(job string) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	return fmt.Errorf("pregel: job %q: no binary value codec for %s; checkpoints and wire transports need one (implement CheckpointAppender and CheckpointDecoder)",
+	return fmt.Errorf("pregel: job %q: no binary value codec for %s; checkpoints need one (implement CheckpointAppender and CheckpointDecoder)",
 		job, strings.Join(missing, " or "))
 }
 
@@ -680,7 +679,6 @@ func appendCkptHeader(buf []byte, f *ckptFile) []byte {
 	buf = binary.AppendUvarint(buf, uint64(f.PrevStep))
 	buf = binary.AppendVarint(buf, f.Pending)
 	buf = appendCkptString(buf, f.PartitionerName)
-	buf = appendCkptString(buf, f.TransportName)
 	buf = binary.AppendUvarint(buf, uint64(f.NumWorkers))
 	buf = binary.AppendUvarint(buf, uint64(f.Supersteps))
 	buf = binary.AppendVarint(buf, f.Messages)
@@ -778,9 +776,6 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 		return fail(err)
 	}
 	if f.PartitionerName, data, err = consumeCkptString(data); err != nil {
-		return fail(err)
-	}
-	if f.TransportName, data, err = consumeCkptString(data); err != nil {
 		return fail(err)
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {

@@ -51,6 +51,70 @@ func TestValueCodecPrimitives(t *testing.T) {
 	roundTrip(t, struct{}{})
 }
 
+// plainMsg has no binary value codec.
+type plainMsg struct {
+	Share int64
+	Hops  int32
+}
+
+// TestRunRefusesTypesWithoutCodec: a checkpointing run over a codec-less
+// vertex or message type fails before superstep 0 with an error naming the
+// type, and leaves the graph untouched. The same types run without
+// checkpoints.
+func TestRunRefusesTypesWithoutCodec(t *testing.T) {
+	const n = 64
+	compute := func(ctx *Context[plainMsg], id VertexID, v *plainMsg, msgs []plainMsg) {
+		for _, m := range msgs {
+			v.Share += m.Share + int64(m.Hops)
+		}
+		if ctx.Superstep() >= 5 {
+			ctx.VoteToHalt()
+			return
+		}
+		ctx.Send(VertexID((uint64(id)+3)%n), plainMsg{Share: v.Share % 97, Hops: int32(ctx.Superstep())})
+	}
+	build := func(cfg Config) *Graph[plainMsg, plainMsg] {
+		g := NewGraph[plainMsg, plainMsg](cfg)
+		for i := 0; i < n; i++ {
+			g.AddVertex(VertexID(i), plainMsg{Share: int64(i)})
+		}
+		return g
+	}
+	sum := func(g *Graph[plainMsg, plainMsg]) (s int64) {
+		g.ForEach(func(_ VertexID, v *plainMsg) { s += v.Share })
+		return s
+	}
+	untouched := sum(build(Config{Workers: 4}))
+	g := build(Config{Workers: 4, CheckpointEvery: 2})
+	_, err := g.Run(compute, WithName("nocodec"))
+	if err == nil {
+		t.Fatal("a codec-less checkpointing run was accepted")
+	}
+	for _, want := range []string{"vertex type pregel.plainMsg", "message type pregel.plainMsg"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not name the %s: %v", want, err)
+		}
+	}
+	if got := sum(g); got != untouched {
+		t.Errorf("refused run changed vertex values (sum %d, want %d)", got, untouched)
+	}
+	// Only the offending type is named.
+	m := NewGraph[int64, plainMsg](Config{Workers: 4, CheckpointEvery: 2})
+	m.AddVertex(1, 0)
+	if _, err := m.Run(func(ctx *Context[plainMsg], _ VertexID, _ *int64, _ []plainMsg) { ctx.VoteToHalt() }); err == nil ||
+		strings.Contains(err.Error(), "vertex type") || !strings.Contains(err.Error(), "message type pregel.plainMsg") {
+		t.Errorf("codec-less message type with checkpoints: %v", err)
+	}
+
+	g = build(Config{Workers: 4})
+	if _, err := g.Run(compute, WithName("nocodec")); err != nil {
+		t.Fatalf("run without checkpoints: %v", err)
+	}
+	if sum(g) == untouched {
+		t.Error("the run without checkpoints did not compute")
+	}
+}
+
 func TestBinaryCodecAdmission(t *testing.T) {
 	if !binaryCodecFor[int64]() || !binaryCodecFor[VertexID]() || !binaryCodecFor[string]() {
 		t.Error("primitive types must admit the binary codec")
@@ -244,11 +308,11 @@ func TestDecodeCkptFileRejectsV1Gob(t *testing.T) {
 	}
 }
 
-// TestDecodeCkptFileRejectsFutureVersion: any version but v12 — the v2–v11
+// TestDecodeCkptFileRejectsFutureVersion: any version but v13 — the v2–v12
 // containers earlier commits wrote, or a future one — is one unsupported
 // format error, never a misread.
 func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
-	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ckptVersion + 1} {
+	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ckptVersion + 1} {
 		blob := encodeCkptFile(makeCodecCkptFile())
 		// The version uvarint sits right after the 4-byte magic; versions
 		// below 128 encode as one byte.

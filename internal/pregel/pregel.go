@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"ppaassembler/internal/telemetry"
-	"ppaassembler/internal/transport"
 )
 
 // stderrWarnOnce backs the default Config.Warn sink: each distinct message
@@ -84,19 +83,19 @@ func hashID(id VertexID) uint64 {
 type Config struct {
 	// Workers is the number of logical workers (simulated machines).
 	Workers int
-	// Parallel runs every per-worker phase — compute, delivery, transport
-	// send/drain, checkpoint encode, vertex sort, Convert, MapReduce map and
-	// reduce — on the engine's executor: min(Workers, GOMAXPROCS) goroutines
-	// that claim worker indices one at a time (see forEachWorker). The pool
-	// is bounded by the core count, not the worker count, so a logical
-	// worker has a core to itself while its compute is being timed and the
-	// per-worker nanoseconds that feed the simulated clock stay per-core
-	// measurements rather than time-sliced ones. Results are bit-identical
-	// to sequential execution for any worker count; only wall-clock time
-	// changes. The zero value runs workers one after another on the calling
-	// goroutine: the reference schedule (the CLI's -parallel=false) that
-	// engine tests and allocation fences are written against. The assembler
-	// turns Parallel on by default (core.DefaultOptions, ppa-assembler).
+	// Parallel runs every per-worker phase — compute, delivery, checkpoint
+	// encode, vertex sort, Convert, MapReduce map and reduce — on the
+	// engine's executor: min(Workers, GOMAXPROCS) goroutines that claim
+	// worker indices one at a time (see forEachWorker). The pool is bounded
+	// by the core count, not the worker count, so a logical worker has a core
+	// to itself while its compute is being timed and the per-worker
+	// nanoseconds that feed the simulated clock stay per-core measurements
+	// rather than time-sliced ones. Results are bit-identical to sequential
+	// execution for any worker count; only wall-clock time changes. The zero
+	// value runs workers one after another on the calling goroutine: the
+	// reference schedule (the CLI's -parallel=false) that engine tests and
+	// allocation fences are written against. The assembler turns Parallel on
+	// by default (core.DefaultOptions, ppa-assembler).
 	Parallel bool
 	// MessageBytes is the charged wire size of one message for the cost
 	// model and byte metrics. Zero means DefaultMessageBytes.
@@ -114,19 +113,6 @@ type Config struct {
 	// Checkpoints record the partitioner's name; Resume under a different
 	// one fails loudly instead of scattering partition-local state.
 	Partitioner Partitioner
-	// Transport moves superstep message lanes between logical workers.
-	// Nil (or the loopback mem transport) keeps the historical zero-copy
-	// in-memory shuffle. A non-loopback transport (memwire, tcp) makes
-	// every remote lane travel the encode/frame/decode wire path; results
-	// stay bit-identical because the lane codec is deterministic and lanes
-	// drain in source-worker order. Its worker count must equal Workers.
-	// Checkpoints record the transport's name; Resume under a different
-	// one fails loudly. A *transport.WorkerDownError during a superstep is
-	// treated like an injected worker crash: with checkpointing enabled
-	// the run rolls back and replays, otherwise it fails. V and M need the
-	// binary value codec (see CheckpointAppender) under a non-loopback
-	// transport, as they do with CheckpointEvery set.
-	Transport transport.Transport
 
 	// CheckpointEvery enables Pregel-style fault tolerance: every N
 	// supersteps each run snapshots its vertex state, pending inboxes,
@@ -215,10 +201,6 @@ func (c Config) Validate() error {
 	if c.DeltaCheckpoints && c.CheckpointEvery <= 0 {
 		return fmt.Errorf("pregel: DeltaCheckpoints requires CheckpointEvery > 0 (there are no checkpoints to make incremental)")
 	}
-	if c.Transport != nil && c.Workers > 0 && c.Transport.Workers() != c.Workers {
-		return fmt.Errorf("pregel: transport %q addresses %d workers, Config.Workers is %d",
-			c.Transport.Name(), c.Transport.Workers(), c.Workers)
-	}
 	return nil
 }
 
@@ -293,13 +275,6 @@ type worker[V, M any] struct {
 	inOff   []int32
 	inCur   []int32
 	rIdx    []int32
-
-	// lanes is the lane source of the delivery in progress, one lane per
-	// source worker: that worker's outbox column for this destination
-	// (borrowed, read-only) or, for a remote lane under a transport, this
-	// worker's own decode buffer. A graph's transport never changes, so a
-	// slot never switches kind.
-	lanes []msgLane[M]
 
 	sender[M]
 	ctx Context[M]
@@ -447,7 +422,6 @@ func newGraph[V, M any](cfg Config, clock *SimClock, vs []*verts[V]) *Graph[V, M
 	for i := 0; i < cfg.Workers; i++ {
 		g.workers = append(g.workers, &worker[V, M]{
 			verts:  vs[i],
-			lanes:  make([]msgLane[M], cfg.Workers),
 			sender: sender[M]{self: i, part: part, agg: g.agg, outbox: make([]msgLane[M], cfg.Workers)},
 		})
 	}
@@ -482,12 +456,12 @@ func WithMessages[M2, V, M any](g *Graph[V, M], messageBytes int) *Graph[V, M2] 
 // only if a message is sent to that worker by ID — and in builds every live
 // vertex's V2 from its V. Positions in the copy are g's, so in may resolve
 // the addresses the job sends to with g.AddrOf. The job then runs through
-// Graph.Run, so checkpoints, faults, Resume and the transport behave as for
-// any job, with messageBytes the charged wire size of one M2 (zero means
-// DefaultMessageBytes). Afterwards out hands each surviving vertex its V2
-// back, on the executor like in; a vertex the job removed (RemoveSelf) is
-// removed from g instead. A failed job hands nothing back. The copy does not
-// outlive the call.
+// Graph.Run, so checkpoints, faults and Resume behave as for any job, with
+// messageBytes the charged wire size of one M2 (zero means
+// DefaultMessageBytes). Afterwards out hands each surviving vertex its V2 back,
+// on the executor like in; a vertex the job removed (RemoveSelf) is removed
+// from g instead. A failed job hands nothing back. The copy does not outlive
+// the call.
 func RunAs[V2, M2, V, M any](g *Graph[V, M], messageBytes int,
 	in func(VertexID, *V) V2, compute Compute[V2, M2], out func(VertexID, *V, *V2),
 	opts ...RunOption) (*Stats, error) {
@@ -828,20 +802,8 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 		w.comb = g.combiner
 		w.job = o.name
 	}
-	wire := g.transportActive()
 	tr := g.cfg.Tracer
 	rm := newRunMetrics(g.cfg.Metrics)
-	if wire {
-		if tw := g.cfg.Transport.Workers(); tw != g.cfg.Workers {
-			return stats, fmt.Errorf("pregel: job %q: transport %q addresses %d workers, the graph has %d",
-				o.name, g.cfg.Transport.Name(), tw, g.cfg.Workers)
-		}
-		if err := g.transportConnect(); err != nil {
-			return stats, fmt.Errorf("pregel: job %q: %w", o.name, err)
-		}
-		txBase := g.cfg.Transport.Counters()
-		defer func() { foldTransportMetrics(g.cfg.Metrics, txBase, g.cfg.Transport.Counters()) }()
-	}
 	if tr != nil {
 		g.emit(telemetry.KindBegin, "job", "pregel", nowNs(), g.clock.Ns(),
 			telemetry.S("name", o.name), telemetry.I("vertices", int64(g.VertexCount())))
@@ -867,7 +829,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	}
 	step := 0
 	pending := int64(0) // messages delivered at the last barrier
-	downStreak := 0     // consecutive worker-down rollbacks (transport only)
 	if ck != nil {
 		restored := false
 		if g.cfg.Resume {
@@ -958,8 +919,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			sim0 = g.clock.Ns()
 		}
 		computeNs := g.computeNs
-		var delivered, dropped int64
-		var stepErr error
 		forEachWorker(g.cfg.Workers, g.cfg.Parallel, o.name, "compute", func(wi int) {
 			computeNs[wi] = g.runWorker(wi, step, compute)
 		})
@@ -977,25 +936,12 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			wall1 = nowNs()
 		}
 		// Barrier: deliver messages, apply aggregator values, record stats.
-		if wire {
-			delivered, dropped, stepErr = g.deliverViaTransport(step)
-		} else {
-			delivered, dropped, stepErr = g.deliver(step)
-		}
+		delivered, dropped, err := g.deliver()
 		if tr != nil {
 			wall2 = nowNs()
 		}
-		if stepErr != nil {
-			if wire && transport.IsWorkerDown(stepErr) {
-				if downStreak++; downStreak > maxTransportRecoveries {
-					return stats, fmt.Errorf("pregel: job %q: %d consecutive worker failures, giving up: %w", o.name, downStreak, stepErr)
-				}
-				if step, pending, err = g.transportRecover(ck, o.name, step, stepErr, stats); err != nil {
-					return stats, err
-				}
-				continue
-			}
-			return stats, stepErr
+		if err != nil {
+			return stats, err
 		}
 		// Two-tier network charge: a worker's self-addressed messages stay
 		// intra-machine; only the rest travel the simulated wire.
@@ -1051,21 +997,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 				telemetry.I("messages", msgs))
 		}
 		g.agg.flip()
-		if wire {
-			if berr := g.transportBarrier(step); berr != nil {
-				if !transport.IsWorkerDown(berr) {
-					return stats, berr
-				}
-				if downStreak++; downStreak > maxTransportRecoveries {
-					return stats, fmt.Errorf("pregel: job %q: %d consecutive worker failures, giving up: %w", o.name, downStreak, berr)
-				}
-				if step, pending, err = g.transportRecover(ck, o.name, step, berr, stats); err != nil {
-					return stats, err
-				}
-				continue
-			}
-		}
-		downStreak = 0
 		pending = delivered
 		step++
 		if ck != nil && step%ck.every == 0 {
@@ -1174,17 +1105,10 @@ func (s *sender[M]) put(dwi int, dst VertexID, m M) {
 }
 
 // deliver is the barriered shuffle: once every worker has computed, each
-// destination rebuilds its inbox (deliverTo), concurrently under Parallel.
-func (g *Graph[V, M]) deliver(step int) (delivered, dropped int64, err error) {
-	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "deliver", func(dwi int) {
-		g.deliverTo(dwi, step, false)
-	})
-	return g.collectDelivery()
-}
-
-// collectDelivery folds the per-destination delivery results into run
-// totals; called after the join of the delivery phase.
-func (g *Graph[V, M]) collectDelivery() (delivered, dropped int64, err error) {
+// destination rebuilds its inbox (deliverTo), concurrently under Parallel,
+// and the per-destination results fold into run totals.
+func (g *Graph[V, M]) deliver() (delivered, dropped int64, err error) {
+	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "deliver", g.deliverTo)
 	for _, w := range g.workers {
 		delivered += w.delivered
 		dropped += w.dropped
@@ -1196,37 +1120,23 @@ func (g *Graph[V, M]) collectDelivery() (delivered, dropped int64, err error) {
 }
 
 // deliverTo rebuilds destination worker dwi's inbox arena for the next
-// superstep: the engine's one delivery pass, whatever the schedule. It
-// gathers the lane source — per source worker, the messages addressed to
-// dwi: that worker's outbox column or, when wire is set and the lane is
-// remote, the lane fetched from the transport and decoded — counting each
-// lane as it arrives (countLane), then lays out and fills the arena
-// (placeInbox). Both passes take lanes in source-worker order, which gives
-// each vertex's messages the engine's (source worker, emission) order.
+// superstep: the engine's one delivery pass, whatever the schedule. It reads
+// each source worker's outbox column for dwi, counting each lane
+// (countLane), then lays out and fills the arena (placeInbox). Both passes
+// take lanes in source-worker order, which gives each vertex's messages the
+// engine's (source worker, emission) order.
 //
 // A destination drains only lanes addressed to it and touches only its own
 // arena, so deliverTo runs concurrently for all destinations under Parallel,
 // bit-identically to the sequential path because a lane is fixed once its
 // source has finished computing.
-func (g *Graph[V, M]) deliverTo(dwi, step int, wire bool) {
+func (g *Graph[V, M]) deliverTo(dwi int) {
 	dst := g.workers[dwi]
 	dst.delivered, dst.dropped, dst.deliverErr = 0, 0, nil
 	clear(dst.inCur[:len(dst.ids)])
 	dst.rIdx = dst.rIdx[:0]
-	for swi, src := range g.workers {
-		if wire && swi != dwi { // local lanes never leave memory
-			payload, err := g.cfg.Transport.RecvLane(step, swi, dwi)
-			if err == nil {
-				err = decodeLane(payload, &dst.lanes[swi], dwi, len(dst.ids))
-			}
-			if err != nil {
-				dst.deliverErr = err
-				return
-			}
-		} else {
-			dst.lanes[swi] = src.outbox[dwi]
-		}
-		g.countLane(dst, dst.lanes[swi])
+	for _, src := range g.workers {
+		g.countLane(dst, src.outbox[dwi])
 	}
 	g.placeInbox(dst)
 }
@@ -1286,7 +1196,7 @@ func (g *Graph[V, M]) countLane(dst *worker[V, M], lane msgLane[M]) {
 
 // placeInbox is the layout-and-place half of delivery: a prefix sum over
 // the per-vertex counts becomes the offset index, then the messages of
-// dst.lanes are copied into their group in lane order. With a total
+// dst's lanes are copied into their group in lane order. With a total
 // combiner, messages beyond a vertex's first fold into its single slot in
 // the same order, completing the cross-source combine during the shuffle
 // (superstep fusion).
@@ -1304,7 +1214,8 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 	dst.inArena = growTo(dst.inArena, int(off))
 	fused := g.runTotal
 	rIdx := dst.rIdx
-	for _, lane := range dst.lanes {
+	for _, src := range g.workers {
+		lane := src.outbox[dst.self]
 		for k, msg := range lane.msg {
 			i := rIdx[k]
 			if i < 0 {

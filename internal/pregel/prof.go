@@ -25,16 +25,15 @@ func EnableProfLabels(on bool) { profLabelsOn.Store(on) }
 func ProfLabelsEnabled() bool { return profLabelsOn.Load() }
 
 // forEachWorker is the engine's one executor: every per-worker phase
-// (compute, delivery, transport send/drain, checkpoint encode, vertex sort,
-// Convert, MapReduce map and reduce) runs fn(w) for each worker index
-// through it. Sequentially on the caller when parallel is unset; otherwise
-// min(workers, GOMAXPROCS) goroutines — the caller is one of them — claim
-// indices from an atomic counter. Bounding the pool by the core count is
-// what keeps a task's measured nanoseconds its own: a logical worker is
-// never time-sliced against its siblings while it is being timed for the
-// simulated clock, and at most that many tasks' scratch is live at once. A
-// task therefore must not wait on another task: its peer may not have been
-// claimed yet.
+// (compute, delivery, checkpoint encode, vertex sort, Convert, MapReduce map
+// and reduce) runs fn(w) for each worker index through it. Sequentially on
+// the caller when parallel is unset; otherwise min(workers, GOMAXPROCS)
+// goroutines — the caller is one of them — claim indices from an atomic
+// counter. Bounding the pool by the core count is what keeps a task's
+// measured nanoseconds its own: a logical worker is never time-sliced
+// against its siblings while it is being timed for the simulated clock, and
+// at most that many tasks' scratch is live at once. A task therefore must
+// not wait on another task: its peer may not have been claimed yet.
 //
 // With pprof labels on, every task carries job, phase and worker labels.
 func forEachWorker(workers int, parallel bool, job, phase string, fn func(w int)) {

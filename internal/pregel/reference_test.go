@@ -10,8 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"ppaassembler/internal/transport"
 )
 
 // The reference interpreter: Pregel semantics written the naive way — a map
@@ -178,9 +176,14 @@ func (r *refGraph) run(prog refProgram) (Stats, error) {
 // refScenario is one differential case: a configuration plus a seed that
 // determines the graph, two programs and the between-run mutations.
 type refScenario struct {
-	seed           int64
-	workers        int
-	parallel, wire bool
+	seed     int64
+	workers  int
+	parallel bool
+	// wire checkpoints at every barrier, so each superstep's vertex values
+	// and pending messages cross their binary codecs — the serialised path
+	// that remains now that the shuffle is in-process only. With crash, the
+	// recovery restores from the previous superstep's checkpoint.
+	wire bool
 	// oversub ("ov" in the name) raises GOMAXPROCS to the worker count for
 	// the scenario, so the executor's pool is one goroutine per logical
 	// worker — the schedule of a host with more cores than this one —
@@ -319,12 +322,12 @@ func runRefScenario(t *testing.T, sc refScenario) {
 		if sc.rangePart {
 			cfg.Partitioner = RangePartitioner{Bits: 8}
 		}
-		if sc.wire {
-			cfg.Transport = transport.NewMemWire(sc.workers)
-		}
 		if sc.crash {
 			cfg.CheckpointEvery, cfg.Faults = 2, NewFaultPlan(Fault{Round: 2, Worker: 1})
 			cfg.DeltaCheckpoints = sc.delta
+		}
+		if sc.wire {
+			cfg.CheckpointEvery = 1
 		}
 		return NewGraph[int64, int64](cfg)
 	}

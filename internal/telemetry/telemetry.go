@@ -52,16 +52,23 @@ func (k Kind) String() string {
 }
 
 // Arg is one key/value annotation on an event. Exactly one of Str or Int is
-// meaningful, selected by IsStr; the helpers S and I build them.
+// meaningful, selected by IsStr; the helpers S, I and M build them. Measured
+// marks an integer read off the host (bytes allocated, GC time): sinks write
+// it like any other arg, but Signature leaves it out, as it leaves out the
+// timestamps.
 type Arg struct {
-	Key   string
-	Str   string
-	Int   int64
-	IsStr bool
+	Key      string
+	Str      string
+	Int      int64
+	IsStr    bool
+	Measured bool
 }
 
 // I builds an integer arg.
 func I(key string, v int64) Arg { return Arg{Key: key, Int: v} }
+
+// M builds a measured integer arg.
+func M(key string, v int64) Arg { return Arg{Key: key, Int: v, Measured: true} }
 
 // S builds a string arg.
 func S(key, v string) Arg { return Arg{Key: key, Str: v, IsStr: true} }
@@ -83,9 +90,9 @@ type Event struct {
 	Args []Arg
 }
 
-// Signature renders the event with timestamps stripped: kind, category,
-// name and args only. Trace-determinism tests compare signature sequences
-// across worker counts and partitioners.
+// Signature renders the event with timestamps and measured args stripped:
+// kind, category, name and the other args only. Trace-determinism tests
+// compare signature sequences across worker counts and partitioners.
 func (e Event) Signature() string {
 	var b strings.Builder
 	b.WriteString(e.Kind.String())
@@ -94,6 +101,9 @@ func (e Event) Signature() string {
 	b.WriteByte('|')
 	b.WriteString(e.Name)
 	for _, a := range e.Args {
+		if a.Measured {
+			continue
+		}
 		b.WriteByte('|')
 		b.WriteString(a.Key)
 		b.WriteByte('=')

@@ -21,6 +21,14 @@ func TestSignature(t *testing.T) {
 	if e2.Signature() != want {
 		t.Fatalf("signature depends on timestamps")
 	}
+	// Nor do measured args, which sinks still write.
+	e2.Args = []Arg{I("step", 3), M("alloc_bytes", 4096), S("job", "label")}
+	if e2.Signature() != want {
+		t.Fatalf("signature depends on measured args: %q", e2.Signature())
+	}
+	if line := string(appendArgsJSON(nil, 0, e2.Args)); !strings.Contains(line, `"alloc_bytes":4096`) {
+		t.Fatalf("measured arg missing from the written args: %s", line)
+	}
 }
 
 func TestRecorder(t *testing.T) {

@@ -22,13 +22,13 @@ package workflow
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"time"
 
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/telemetry"
-	"ppaassembler/internal/transport"
 )
 
 // Artifact names a typed value flowing between operations (reads, the
@@ -77,11 +77,6 @@ type Env struct {
 	// core.PartitionOp); graphs already built keep the placement they were
 	// constructed with.
 	Partitioner pregel.Partitioner
-	// Transport is the message transport every op's graphs shuffle over
-	// (pregel.Config.Transport). Nil keeps the in-memory loopback shuffle;
-	// a TCP transport makes every op's superstep shuffle cross real worker
-	// processes. Output is byte-identical either way.
-	Transport transport.Transport
 	// MessageBytes is the charged wire size of one engine message (0 =
 	// pregel.DefaultMessageBytes). The assembler sets its Msg record's
 	// actual wire size here so the simulated network load reflects the
@@ -144,7 +139,7 @@ func (e *Env) normalize() error {
 func (e *Env) Config() pregel.Config {
 	return pregel.Config{
 		Workers: e.Workers, Parallel: e.Parallel, Cost: e.Cost,
-		Partitioner: e.Partitioner, Transport: e.Transport, MessageBytes: e.MessageBytes,
+		Partitioner: e.Partitioner, MessageBytes: e.MessageBytes,
 		CheckpointEvery: e.CheckpointEvery, Checkpointer: e.Checkpointer,
 		DeltaCheckpoints: e.DeltaCheckpoints,
 		Faults:           e.Faults, Resume: e.Resume,
@@ -270,7 +265,8 @@ func (p *Plan[S]) Provides(a Artifact) bool { return p.err == nil && p.live[a] }
 // Run executes the plan over st: it validates and normalizes env, then
 // runs every op in order with a deterministic job-key prefix derived from
 // the op's plan position, so arbitrary compositions checkpoint and resume
-// exactly like the canned pipelines.
+// exactly like the canned pipelines. With a tracer set, each op's End span
+// also carries what the op allocated and its GC CPU time (see opMem).
 func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 	if p.err != nil {
 		return p.err
@@ -310,19 +306,25 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 		// installs a sink (TraceOp) must not open that sink's stream with
 		// its own unbalanced End span.
 		tr := env.Tracer
+		var mem0 opMem
 		if tr != nil {
 			tr.Emit(telemetry.Event{
 				Kind: telemetry.KindBegin, Name: "op", Cat: "workflow",
 				WallNs: time.Now().UnixNano(), SimNs: env.Clock.Ns(),
 				Args: []telemetry.Arg{telemetry.S("op", name), telemetry.I("index", int64(i))},
 			})
+			mem0 = readOpMem()
 		}
 		opErr := op.Run(env, st)
 		if tr != nil {
+			mem := readOpMem()
 			tr.Emit(telemetry.Event{
 				Kind: telemetry.KindEnd, Name: "op", Cat: "workflow",
 				WallNs: time.Now().UnixNano(), SimNs: env.Clock.Ns(),
-				Args: []telemetry.Arg{telemetry.S("op", name)},
+				Args: []telemetry.Arg{telemetry.S("op", name),
+					telemetry.M("alloc_bytes", mem.allocBytes-mem0.allocBytes),
+					telemetry.M("alloc_objects", mem.allocObjects-mem0.allocObjects),
+					telemetry.M("gc_cpu_ns", mem.gcCPUNs-mem0.gcCPUNs)},
 			})
 		}
 		if env.Metrics != nil {
@@ -334,6 +336,23 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 	}
 	env.prefix = ""
 	return nil
+}
+
+// opMem is one reading of the runtime/metrics counters whose deltas an op's
+// End span carries as measured args: alloc_bytes and alloc_objects (heap
+// bytes and objects allocated) and gc_cpu_ns (GC CPU time). The counters are
+// process-wide, so a delta includes whatever else the process did meanwhile.
+type opMem struct{ allocBytes, allocObjects, gcCPUNs int64 }
+
+// readOpMem reads the counters; only a traced plan calls it.
+func readOpMem() opMem {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+	}
+	metrics.Read(s)
+	return opMem{int64(s[0].Value.Uint64()), int64(s[1].Value.Uint64()), int64(s[2].Value.Float64() * 1e9)}
 }
 
 // describeLive lists live artifacts for error messages, deterministically.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ppaassembler/internal/pregel"
+	"ppaassembler/internal/telemetry"
 )
 
 // fakeState records what the fake ops observed at run time.
@@ -187,5 +188,60 @@ func TestPlanRunWrapsOpErrors(t *testing.T) {
 func TestEmptyPlanErrors(t *testing.T) {
 	if err := NewPlan[fakeState]().Run(&Env{Workers: 1}, &fakeState{}); err == nil {
 		t.Fatal("empty plan ran")
+	}
+}
+
+// allocSink keeps allocOp's buffer reachable so the allocation happens.
+var allocSink []byte
+
+// allocOp allocates n bytes on the heap.
+type allocOp struct{ n int }
+
+func (allocOp) Info() Info { return Info{Name: "alloc"} }
+
+func (o allocOp) Run(*Env, *fakeState) error {
+	allocSink = make([]byte, o.n)
+	return nil
+}
+
+// TestOpEndSpanCarriesMemory: with a tracer set, each op's End span carries
+// what the op allocated and its GC CPU time as measured args, which stay out
+// of the span's signature; the Begin span carries none of them.
+func TestOpEndSpanCarriesMemory(t *testing.T) {
+	const n = 1 << 20
+	rec := telemetry.NewRecorder()
+	if err := NewPlan[fakeState]().Then(allocOp{n: n}).Run(&Env{Workers: 1, Tracer: rec}, &fakeState{}); err != nil {
+		t.Fatal(err)
+	}
+	var ends int
+	for _, e := range rec.Events() {
+		if e.Name != "op" {
+			continue
+		}
+		got := map[string]int64{}
+		for _, a := range e.Args {
+			if a.Measured {
+				got[a.Key] = a.Int
+			}
+		}
+		if e.Kind == telemetry.KindBegin {
+			if len(got) != 0 {
+				t.Errorf("op Begin span carries measured args %v", got)
+			}
+			continue
+		}
+		ends++
+		if got["alloc_bytes"] < n || got["alloc_objects"] < 1 {
+			t.Errorf("op End span: %v, want alloc_bytes >= %d and alloc_objects >= 1", got, n)
+		}
+		if v, ok := got["gc_cpu_ns"]; !ok || v < 0 {
+			t.Errorf("op End span: gc_cpu_ns = %d (present %v)", v, ok)
+		}
+		if sig := e.Signature(); sig != "E|workflow|op|op=alloc" {
+			t.Errorf("op End signature = %q", sig)
+		}
+	}
+	if ends != 1 {
+		t.Fatalf("%d op End spans, want 1", ends)
 	}
 }
