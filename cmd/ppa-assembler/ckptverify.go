@@ -29,12 +29,8 @@ func runCkptVerify(dir string, w io.Writer) (corrupt int, err error) {
 			corrupt++
 			fmt.Fprintf(w, "CORRUPT %-40s v%d %7dB: %v\n", f.Name, f.Version, f.Bytes, f.Err)
 		default:
-			kind := "full "
-			if f.Delta {
-				kind = "delta"
-			}
-			fmt.Fprintf(w, "OK      %-40s v%d %7dB %s job=%s step=%d sections=%d\n",
-				f.Name, f.Version, f.Bytes, kind, f.Job, f.Step, len(f.SectionEnds)-1)
+			fmt.Fprintf(w, "OK      %-40s v%d %7dB job=%s step=%d sections=%d\n",
+				f.Name, f.Version, f.Bytes, f.Job, f.Step, len(f.SectionEnds)-1)
 		}
 	}
 	total := 0

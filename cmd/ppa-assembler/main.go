@@ -56,7 +56,6 @@ type cliOpts struct {
 
 	checkpoint string
 	ckptEvery  int
-	ckptDelta  bool
 	ckptFsync  bool
 	ckptVerify bool
 	faultPlan  string
@@ -97,7 +96,6 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.IntVar(&o.scafMinLen, "scafminlen", 500, "exclude shorter contigs from scaffold linking")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint directory for fault tolerance (empty with -ckpt-every set = in-memory checkpoints)")
 	fs.IntVar(&o.ckptEvery, "ckpt-every", 0, "checkpoint every N supersteps (0 = no checkpointing; implied 5 when -checkpoint or -faultplan is set)")
-	fs.BoolVar(&o.ckptDelta, "ckpt-delta", false, "with checkpointing on, save incremental (dirty-vertex-only) checkpoints between full snapshots")
 	fs.BoolVar(&o.ckptFsync, "ckpt-fsync", true, "fsync checkpoint files and their directory on every save (disable only for throwaway runs; a machine crash may then corrupt or lose checkpoints)")
 	fs.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, CRC32C checksums), print a per-file report, and exit; no assembly is run")
 	fs.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
@@ -171,18 +169,17 @@ func run(o cliOpts) error {
 // cannedOptions renders the flags as the canned pipeline's options.
 func cannedOptions(o cliOpts, obs *observability) (core.Options, error) {
 	opt := core.Options{
-		K:                o.k,
-		Theta:            o.theta,
-		TipLen:           o.tip,
-		BubbleEditDist:   o.editDist,
-		Workers:          o.workers,
-		Parallel:         o.parallel,
-		Rounds:           o.rounds,
-		KeepGraph:        o.gfa != "",
-		Resume:           o.resume,
-		DeltaCheckpoints: o.ckptDelta,
-		Tracer:           obs.Tracer,
-		Metrics:          obs.Metrics,
+		K:              o.k,
+		Theta:          o.theta,
+		TipLen:         o.tip,
+		BubbleEditDist: o.editDist,
+		Workers:        o.workers,
+		Parallel:       o.parallel,
+		Rounds:         o.rounds,
+		KeepGraph:      o.gfa != "",
+		Resume:         o.resume,
+		Tracer:         obs.Tracer,
+		Metrics:        obs.Metrics,
 	}
 	var err error
 	opt.CheckpointEvery, opt.Checkpointer, opt.Faults, err = faultTolerance(o)
@@ -301,10 +298,7 @@ func runCanned(o cliOpts, obs *observability) error {
 			fmt.Fprintf(os.Stderr, "scaffold jobs:     %d supersteps, %d messages, %.2fs simulated\n",
 				sres.Stats.Supersteps, sres.Stats.Messages, sres.SimSeconds)
 		}
-		if opt.Faults != nil {
-			fmt.Fprintf(os.Stderr, "faults injected:   %d/%d fired, all recovered (checkpoint every %d supersteps)\n",
-				opt.Faults.FiredCount(), opt.Faults.Scheduled(), opt.CheckpointEvery)
-		}
+		printFaults(opt.Faults, opt.CheckpointEvery)
 		printCheckpointIO(res.CheckpointSaves, res.CheckpointRestores,
 			res.CheckpointBytesWritten, res.CheckpointBytesRestored)
 		if total := res.LocalMessages + res.RemoteMessages; total > 0 {

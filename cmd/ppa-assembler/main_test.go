@@ -362,6 +362,71 @@ func TestCLIRejectsBadFaultPlan(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsRepeatedFaultRound: two faults at one round would fire
+// only the first, so -faultplan refuses them before any work, naming both.
+func TestCLIRejectsRepeatedFaultRound(t *testing.T) {
+	dir := t.TempDir()
+	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGT"})
+	out := filepath.Join(dir, "out.fasta")
+	o := defaultOpts(in, out)
+	o.faultPlan = "3:0,3:1"
+	err := run(o)
+	if err == nil || !strings.Contains(err.Error(), `"3:0"`) || !strings.Contains(err.Error(), `"3:1"`) {
+		t.Fatalf("want an error naming both entries, got %v", err)
+	}
+	if _, serr := os.Stat(out); serr == nil {
+		t.Error("contigs written despite the refused fault plan")
+	}
+}
+
+// TestCLIFaultSummaryCountsUnfired: a fault scheduled past the run's last
+// round never fires, and the summary of the canned pipeline and of a
+// -workflow run says so instead of "all recovered".
+func TestCLIFaultSummaryCountsUnfired(t *testing.T) {
+	dir := t.TempDir()
+	ref, err := genome.Generate(genome.Spec{Name: "t", Length: 5_000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := readsim.Simulate(ref, readsim.Profile{ReadLen: 80, Coverage: 10, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := writeReadsFastq(t, dir, reads)
+	for _, spec := range []string{"", "build,label,merge,fasta"} {
+		o := defaultOpts(in, filepath.Join(dir, "out.fasta"))
+		o.quiet, o.workflow, o.faultPlan = false, spec, "0:0,99999:1"
+		summary := captureStderr(t, func() {
+			if err := run(o); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const want = "faults injected:   1/2 fired, 1 recovered, 1 never fired"
+		if !strings.Contains(summary, want) || strings.Contains(summary, "all recovered") {
+			t.Errorf("workflow %q: summary lacks %q:\n%s", spec, want, summary)
+		}
+	}
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 // TestCLIRejectsZeroWorkers: -workers 0 is an error naming Workers, on the
 // canned pipeline and under -workflow alike, and writes no contigs — never a
 // run with every other flag silently reset to its default.

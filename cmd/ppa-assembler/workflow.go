@@ -122,8 +122,7 @@ func runWorkflow(o cliOpts, obs *observability) error {
 		Workers: o.workers, Parallel: o.parallel,
 		Partitioner: part, MessageBytes: core.MsgWireBytes,
 		CheckpointEvery: every, Checkpointer: store,
-		DeltaCheckpoints: o.ckptDelta,
-		Faults:           faults, Resume: o.resume,
+		Faults: faults, Resume: o.resume,
 		Tracer: obs.Tracer, Metrics: obs.Metrics,
 	}
 
@@ -209,10 +208,7 @@ func printWorkflowSummary(o cliOpts, spec string, env *workflow.Env, st *core.St
 		fmt.Fprintf(os.Stderr, "scaffolds written: %d (%d multi-contig, largest chain %d contigs)\n",
 			len(sres.Scaffolds), multi, largest)
 	}
-	if env.Faults != nil {
-		fmt.Fprintf(os.Stderr, "faults injected:   %d/%d fired, all recovered (checkpoint every %d supersteps)\n",
-			env.Faults.FiredCount(), env.Faults.Scheduled(), env.CheckpointEvery)
-	}
+	printFaults(env.Faults, env.CheckpointEvery)
 	printCheckpointIO(env.Clock.CheckpointSaves(), env.Clock.CheckpointRestores(),
 		env.Clock.CheckpointBytesWritten(), env.Clock.CheckpointBytesRestored())
 	if total := env.Clock.LocalMessages() + env.Clock.RemoteMessages(); total > 0 {

@@ -68,10 +68,6 @@ type Options struct {
 	// Checkpointer by a previous (killed) process; see
 	// pregel.Config.Resume.
 	Resume bool
-	// DeltaCheckpoints makes cadence checkpoints after the first snapshot
-	// only the vertices dirtied since the previous save (see
-	// pregel.Config.DeltaCheckpoints).
-	DeltaCheckpoints bool
 
 	// Tracer, when non-nil, receives telemetry spans from every workflow
 	// op and every engine/MapReduce job of the pipeline (see
@@ -81,8 +77,8 @@ type Options struct {
 	// Prometheus-text dump (telemetry.Registry.WritePrometheus).
 	Metrics *telemetry.Registry
 	// Warn, when non-nil, receives the engine's non-fatal diagnostics from
-	// every stage — delta-checkpoint downgrades, corrupt checkpoint
-	// artifacts skipped during recovery (see pregel.Config.Warn). Nil
+	// every stage — corrupt checkpoint artifacts skipped during recovery
+	// (see pregel.Config.Warn). Nil
 	// routes each distinct message to stderr once per process.
 	Warn func(msg string)
 
@@ -193,8 +189,7 @@ func (o Options) Env(clock *pregel.SimClock) *workflow.Env {
 		Workers: o.Workers, Parallel: o.Parallel, Cost: o.Cost,
 		Partitioner: o.Partitioner, MessageBytes: MsgWireBytes,
 		CheckpointEvery: o.CheckpointEvery, Checkpointer: o.Checkpointer,
-		DeltaCheckpoints: o.DeltaCheckpoints,
-		Faults:           o.Faults, Resume: o.Resume,
+		Faults: o.Faults, Resume: o.Resume,
 		Clock:  clock,
 		Tracer: o.Tracer, Metrics: o.Metrics, Warn: o.Warn,
 	}

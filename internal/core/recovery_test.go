@@ -165,43 +165,6 @@ func TestPipelineCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestPipelineCrashDeltaCheckpoints is the delta-checkpoint leg of the
-// crash matrix: incremental (dirty-vertex-only) checkpoints between full
-// snapshots, crashed at sampled rounds — recovery replays the full+delta
-// chain through every pipeline stage and must write byte-identical
-// artifacts. VData/Msg implement the binary codec, so the segment-graph
-// jobs genuinely take the delta path here.
-func TestPipelineCrashDeltaCheckpoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline crash matrix is slow")
-	}
-	reads, pairs := recoveryGenomeReads(t)
-	probe := pregel.NewFaultPlan()
-	cBase, sBase, resBase, sresBase := runPipeline(t, reads, pairs, 4, true,
-		func(o *Options) { o.Faults = probe })
-	baseCounters := pipelineCounters(resBase, sresBase)
-
-	for _, failAt := range sampleRounds(probe.Rounds(), 6) {
-		plan := pregel.NewFaultPlan(pregel.Fault{Round: failAt, Worker: failAt})
-		cGot, sGot, resGot, sresGot := runPipeline(t, reads, pairs, 4, true,
-			func(o *Options) {
-				o.CheckpointEvery = 2
-				o.DeltaCheckpoints = true
-				o.Faults = plan
-			})
-		if plan.FiredCount() != 1 {
-			t.Errorf("fail@%d: fault did not fire", failAt)
-		}
-		if !bytes.Equal(cGot, cBase) || !bytes.Equal(sGot, sBase) {
-			t.Errorf("fail@%d: recovery from delta chain wrote different FASTA", failAt)
-		}
-		if got := pipelineCounters(resGot, sresGot); got != baseCounters {
-			t.Errorf("fail@%d: recovered pipeline counters differ:\nunfailed %s\nrecovered %s",
-				failAt, baseCounters, got)
-		}
-	}
-}
-
 // TestPipelineCrashSweepAllRounds is the exhaustive companion to the
 // sampled matrix: at workers=1 it crashes the pipeline at every single BSP
 // round — engine supersteps and MapReduce phases alike — and requires

@@ -147,18 +147,18 @@ func benchWorker(vertices, msgsPerVertex int) *worker[int64, int64] {
 }
 
 // BenchmarkCheckpointCodec measures full-snapshot encode/decode through
-// the binary worker-section codec, plus the delta encoder, on the synthetic
-// partition TestCheckpointCodecSizeFence gates the sizes of.
+// the binary worker-section codec on the synthetic partition
+// TestCheckpointCodecSizeFence gates the size of.
 func BenchmarkCheckpointCodec(b *testing.B) {
 	const vertices, msgsPerVertex = 50_000, 2
 	w := benchWorker(vertices, msgsPerVertex)
-	blob := encodeWorkerFull(w)
+	blob := encodeWorkerSection(w)
 
 	b.Run("encode-binary", func(b *testing.B) {
 		b.SetBytes(int64(len(blob)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			encodeWorkerFull(w)
+			encodeWorkerSection(w)
 		}
 	})
 	b.Run("decode-binary", func(b *testing.B) {
@@ -168,18 +168,6 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 			if _, err := decodeWorkerSection[int64, int64](blob); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("encode-delta", func(b *testing.B) {
-		w.dirty = make([]bool, vertices)
-		for i := 0; i < vertices; i += 20 {
-			w.dirty[i] = true
-		}
-		delta := encodeWorkerDelta(w)
-		b.SetBytes(int64(len(delta)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			encodeWorkerDelta(w)
 		}
 	})
 }

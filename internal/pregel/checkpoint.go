@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -30,7 +29,7 @@ import (
 // Implementations must be safe for concurrent use: independent graphs may
 // share one store.
 //
-// Ownership: Save and SaveDelta take an artifact as parts, whose
+// Ownership: Save takes an artifact as parts, whose
 // concatenation is the artifact, and the store takes ownership of them —
 // the caller never touches a part again, so a store may keep or write the
 // parts as they are instead of copying them into one blob. Every artifact
@@ -44,26 +43,6 @@ type Checkpointer interface {
 	// Latest returns the most recent checkpoint saved for job, or ok=false
 	// when none exists.
 	Latest(job string) (step int, data []byte, ok bool, err error)
-}
-
-// DeltaCheckpointer is an optional Checkpointer extension for incremental
-// checkpoints (Config.DeltaCheckpoints): a delta records only the vertices
-// dirtied since the preceding save and is only restorable together with the
-// full snapshot it chains from. Stores that don't implement it get full
-// snapshots on every save; the engine reports that downgrade through
-// Config.Warn and the pregel_checkpoint_delta_downgrades_total counter.
-// Both built-in stores implement it.
-type DeltaCheckpointer interface {
-	Checkpointer
-	// SaveDelta records an incremental checkpoint for job at step without
-	// superseding the preceding full checkpoint or earlier deltas. A later
-	// Save (full) supersedes the whole chain.
-	SaveDelta(job string, step int, parts ...[]byte) error
-	// Chain returns the newest full checkpoint plus every delta saved
-	// after it, in ascending step order; ok=false when no full checkpoint
-	// exists. Latest, by contrast, returns only the newest full snapshot
-	// (the newest blob restorable on its own).
-	Chain(job string) (steps []int, blobs [][]byte, ok bool, err error)
 }
 
 // jobTracker is the engine-side guard against checkpoint-key collisions: a
@@ -100,21 +79,19 @@ func (s *jobSet) trackJob(job string) error {
 // restore path: the raw bytes (or the read error), plus enough identity to
 // report the artifact in a warning.
 type ckptBlobRef struct {
-	step  int
-	delta bool
-	data  []byte
-	src   string // artifact name for diagnostics (file base name, or a mem: key)
-	err   error  // read failure, resolved by loadCheckpoint like corrupt bytes
+	data []byte
+	src  string // artifact name for diagnostics (file base name, or a mem: key)
+	err  error  // read failure, resolved by loadCheckpoint like corrupt bytes
 }
 
-// chainSource is the store hook behind corruption-aware recovery: instead
-// of only the newest restorable chain (Latest/Chain), it exposes every
-// candidate chain the store still holds, newest first, so a restore can
-// walk back past a corrupt artifact to the last intact snapshot. Both
-// built-in stores implement it; custom stores without it keep the strict
-// behavior (any decode failure aborts the run).
-type chainSource interface {
-	ckptChains(job string) ([][]ckptBlobRef, error)
+// generationSource is the store hook behind corruption-aware recovery:
+// instead of only the newest snapshot (Latest), it exposes every
+// generation the store still holds, newest first, so a restore can walk
+// back past a corrupt artifact to the last intact snapshot. Both built-in
+// stores implement it; custom stores without it keep the strict behavior
+// (any decode failure aborts the run).
+type generationSource interface {
+	ckptGenerations(job string) ([]ckptBlobRef, error)
 }
 
 // MemCheckpointer keeps checkpoints in process memory: the natural store
@@ -123,10 +100,9 @@ type chainSource interface {
 // them only when an artifact is read back, which only a restore does.
 type MemCheckpointer struct {
 	jobSet
-	mu     sync.Mutex
-	seq    int
-	data   map[string]memCkpt
-	deltas map[string][]memCkpt
+	mu   sync.Mutex
+	seq  int
+	data map[string]memCkpt
 }
 
 type memCkpt struct {
@@ -138,7 +114,7 @@ func (c memCkpt) blob() []byte { return bytes.Join(c.parts, nil) }
 
 // NewMemCheckpointer returns an empty in-memory store.
 func NewMemCheckpointer() *MemCheckpointer {
-	return &MemCheckpointer{data: map[string]memCkpt{}, deltas: map[string][]memCkpt{}}
+	return &MemCheckpointer{data: map[string]memCkpt{}}
 }
 
 // NextJob implements Checkpointer.
@@ -150,31 +126,16 @@ func (m *MemCheckpointer) NextJob(name string) string {
 	return job
 }
 
-// Save implements Checkpointer. A full save supersedes the job's previous
-// snapshot and any delta chain hanging off it.
+// Save implements Checkpointer. A save supersedes the job's previous
+// snapshot.
 func (m *MemCheckpointer) Save(job string, step int, parts ...[]byte) error {
 	m.mu.Lock()
 	m.data[job] = memCkpt{step: step, parts: parts}
-	if m.deltas != nil {
-		delete(m.deltas, job)
-	}
 	m.mu.Unlock()
 	return nil
 }
 
-// SaveDelta implements DeltaCheckpointer.
-func (m *MemCheckpointer) SaveDelta(job string, step int, parts ...[]byte) error {
-	m.mu.Lock()
-	if m.deltas == nil {
-		m.deltas = map[string][]memCkpt{}
-	}
-	m.deltas[job] = append(m.deltas[job], memCkpt{step: step, parts: parts})
-	m.mu.Unlock()
-	return nil
-}
-
-// Latest implements Checkpointer: the newest blob restorable on its own,
-// i.e. the newest full snapshot.
+// Latest implements Checkpointer.
 func (m *MemCheckpointer) Latest(job string) (int, []byte, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -185,42 +146,16 @@ func (m *MemCheckpointer) Latest(job string) (int, []byte, bool, error) {
 	return c.step, c.blob(), true, nil
 }
 
-// Chain implements DeltaCheckpointer.
-func (m *MemCheckpointer) Chain(job string) ([]int, [][]byte, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.data[job]
-	if !ok {
-		return nil, nil, false, nil
-	}
-	steps := []int{c.step}
-	blobs := [][]byte{c.blob()}
-	for _, d := range m.deltas[job] {
-		if d.step > c.step {
-			steps = append(steps, d.step)
-			blobs = append(blobs, d.blob())
-		}
-	}
-	return steps, blobs, true, nil
-}
-
-// ckptChains implements chainSource. The in-memory store keeps a single
-// generation, so there is exactly one candidate (or none).
-func (m *MemCheckpointer) ckptChains(job string) ([][]ckptBlobRef, error) {
+// ckptGenerations implements generationSource. The in-memory store keeps
+// a single generation, so there is exactly one candidate (or none).
+func (m *MemCheckpointer) ckptGenerations(job string) ([]ckptBlobRef, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.data[job]
 	if !ok {
 		return nil, nil
 	}
-	chain := []ckptBlobRef{{step: c.step, data: c.blob(), src: fmt.Sprintf("mem:%s@%08d", job, c.step)}}
-	for _, d := range m.deltas[job] {
-		if d.step > c.step {
-			chain = append(chain, ckptBlobRef{step: d.step, delta: true, data: d.blob(),
-				src: fmt.Sprintf("mem:%s@%08d(delta)", job, d.step)})
-		}
-	}
-	return [][]ckptBlobRef{chain}, nil
+	return []ckptBlobRef{{data: c.blob(), src: fmt.Sprintf("mem:%s@%08d", job, c.step)}}, nil
 }
 
 // DirCheckpointer persists checkpoints as files under one directory
@@ -233,9 +168,9 @@ func (m *MemCheckpointer) ckptChains(job string) ([][]ckptBlobRef, error) {
 // and the directory is fsynced — so under DurabilityFull (the default) a
 // checkpoint reported saved is on stable storage, surviving a machine
 // crash, not just a process crash. The store retains the newest
-// KeepGenerations full snapshots per job (plus the delta files between
-// them), giving corruption-aware recovery an older generation to walk back
-// to when the newest file fails its checksums.
+// KeepGenerations snapshots per job, giving corruption-aware recovery an
+// older generation to walk back to when the newest file fails its
+// checksums.
 type DirCheckpointer struct {
 	jobSet
 	dir        string
@@ -245,11 +180,10 @@ type DirCheckpointer struct {
 	mu         sync.Mutex
 	seq        int
 	// scanned marks jobs whose on-disk files (left by a previous process)
-	// have been folded into fulls/deltasOf, so only a job's first save pays
-	// for a directory scan.
+	// have been folded into retained, so only a job's first save pays for a
+	// directory scan.
 	scanned  map[string]bool
-	fulls    map[string][]int // ascending steps of the retained full files per job
-	deltasOf map[string][]int // ascending steps of the retained delta files per job
+	retained map[string][]int // ascending steps of the retained files per job
 }
 
 // DirStoreOptions configures NewDirCheckpointerOpts. The zero value gives
@@ -261,7 +195,7 @@ type DirStoreOptions struct {
 	FS FS
 	// Durability selects the fsync discipline; see the Durability doc.
 	Durability Durability
-	// KeepGenerations is how many full snapshots per job to retain. Older
+	// KeepGenerations is how many snapshots per job to retain. Older
 	// generations exist purely as recovery fallbacks for when the newest
 	// file is corrupt. Zero means the default of 2; 1 keeps only the
 	// newest snapshot, leaving no fallback.
@@ -293,8 +227,7 @@ func NewDirCheckpointerOpts(dir string, opts DirStoreOptions) (*DirCheckpointer,
 		durability: opts.Durability,
 		keep:       keep,
 		scanned:    map[string]bool{},
-		fulls:      map[string][]int{},
-		deltasOf:   map[string][]int{},
+		retained:   map[string][]int{},
 	}, nil
 }
 
@@ -313,19 +246,12 @@ func (d *DirCheckpointer) path(job string, step int) string {
 	return filepath.Join(d.dir, fmt.Sprintf("%s.%08d.ckpt", job, step))
 }
 
-// dpath is the delta-checkpoint file name: same shape as path with a
-// .dckpt extension, so full and incremental files sort and scan together
-// but never collide.
-func (d *DirCheckpointer) dpath(job string, step int) string {
-	return filepath.Join(d.dir, fmt.Sprintf("%s.%08d.dckpt", job, step))
-}
-
 // write commits one artifact: its parts in order into a unique temp file,
 // optional fsync, rename, optional directory fsync. The unique temp name
 // (os.CreateTemp-style random suffix) is what makes a shared checkpoint
 // directory safe — a fixed name would let two processes interleave writes
-// into the same file. Temp names never end in .ckpt/.dckpt, so the
-// scanners ignore strays left by a crash mid-write.
+// into the same file. Temp names never end in .ckpt, so the scanners
+// ignore strays left by a crash mid-write.
 func (d *DirCheckpointer) write(final string, parts [][]byte) error {
 	f, err := d.fsys.CreateTemp(d.dir, filepath.Base(final)+".tmp-*")
 	if err != nil {
@@ -369,16 +295,11 @@ func (d *DirCheckpointer) ensureScanned(job string) error {
 	if d.scanned[job] {
 		return nil
 	}
-	steps, dsteps, err := d.scan(job)
+	steps, err := d.scan(job)
 	if err != nil {
 		return err
 	}
-	for _, s := range steps {
-		d.fulls[job] = insertStep(d.fulls[job], s)
-	}
-	for _, s := range dsteps {
-		d.deltasOf[job] = insertStep(d.deltasOf[job], s)
-	}
+	d.retained[job] = steps
 	d.scanned[job] = true
 	return nil
 }
@@ -406,87 +327,49 @@ func (d *DirCheckpointer) Save(job string, step int, parts ...[]byte) error {
 	if err := d.write(d.path(job, step), parts); err != nil {
 		return err
 	}
-	// Drop superseded generations: full files beyond the newest keep, and
-	// delta files older than the oldest retained full. The new file is
+	// Drop superseded generations beyond the newest keep. The new file is
 	// durable before anything is deleted (write fsyncs the directory), so
 	// a crash at any point here leaves a restorable store.
-	fulls := insertStep(d.fulls[job], step)
-	if len(fulls) > d.keep {
-		for _, s := range fulls[:len(fulls)-d.keep] {
+	retained := insertStep(d.retained[job], step)
+	if len(retained) > d.keep {
+		for _, s := range retained[:len(retained)-d.keep] {
 			d.fsys.Remove(d.path(job, s))
 		}
-		fulls = append([]int(nil), fulls[len(fulls)-d.keep:]...)
+		retained = append([]int(nil), retained[len(retained)-d.keep:]...)
 	}
-	d.fulls[job] = fulls
-	oldest := fulls[0]
-	kept := d.deltasOf[job][:0]
-	for _, s := range d.deltasOf[job] {
-		if s < oldest {
-			d.fsys.Remove(d.dpath(job, s))
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	d.deltasOf[job] = kept
+	d.retained[job] = retained
 	return nil
 }
 
-// SaveDelta implements DeltaCheckpointer.
-func (d *DirCheckpointer) SaveDelta(job string, step int, parts ...[]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.ensureScanned(job); err != nil {
-		return err
-	}
-	if err := d.write(d.dpath(job, step), parts); err != nil {
-		return err
-	}
-	d.deltasOf[job] = insertStep(d.deltasOf[job], step)
-	return nil
-}
-
-// scan lists the checkpointed superstep numbers present for job: full
-// snapshots and deltas, each ascending.
-func (d *DirCheckpointer) scan(job string) (steps, dsteps []int, err error) {
+// scan lists the checkpointed superstep numbers present for job, ascending.
+func (d *DirCheckpointer) scan(job string) ([]int, error) {
 	names, err := d.fsys.ReadDir(d.dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pregel: scanning checkpoints: %w", err)
+		return nil, fmt.Errorf("pregel: scanning checkpoints: %w", err)
 	}
 	prefix := job + "."
+	var steps []int
 	for _, name := range names {
-		if !strings.HasPrefix(name, prefix) {
+		num, ok := strings.CutPrefix(name, prefix)
+		if !ok {
 			continue
 		}
-		num := strings.TrimPrefix(name, prefix)
-		delta := false
-		switch {
-		case strings.HasSuffix(num, ".dckpt"):
-			num, delta = strings.TrimSuffix(num, ".dckpt"), true
-		case strings.HasSuffix(num, ".ckpt"):
-			num = strings.TrimSuffix(num, ".ckpt")
-		default:
+		if num, ok = strings.CutSuffix(num, ".ckpt"); !ok {
 			continue
 		}
-		s, err := strconv.Atoi(num)
-		if err != nil {
-			continue
-		}
-		if delta {
-			dsteps = append(dsteps, s)
-		} else {
+		if s, err := strconv.Atoi(num); err == nil {
 			steps = append(steps, s)
 		}
 	}
 	sort.Ints(steps)
-	sort.Ints(dsteps)
-	return steps, dsteps, nil
+	return steps, nil
 }
 
-// Latest implements Checkpointer: the newest full snapshot.
+// Latest implements Checkpointer: the newest snapshot.
 func (d *DirCheckpointer) Latest(job string) (int, []byte, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	steps, _, err := d.scan(job)
+	steps, err := d.scan(job)
 	if err != nil {
 		return 0, nil, false, err
 	}
@@ -501,73 +384,24 @@ func (d *DirCheckpointer) Latest(job string) (int, []byte, bool, error) {
 	return step, data, true, nil
 }
 
-// Chain implements DeltaCheckpointer.
-func (d *DirCheckpointer) Chain(job string) ([]int, [][]byte, bool, error) {
+// ckptGenerations implements generationSource: every snapshot still in
+// the directory, newest first. Blobs are handed up with any read error
+// attached; loadCheckpoint decides whether a bad artifact walks recovery
+// back a generation.
+func (d *DirCheckpointer) ckptGenerations(job string) ([]ckptBlobRef, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	steps, dsteps, err := d.scan(job)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if len(steps) == 0 {
-		return nil, nil, false, nil
-	}
-	full := steps[len(steps)-1]
-	outSteps := []int{full}
-	for _, s := range dsteps {
-		if s > full {
-			outSteps = append(outSteps, s)
-		}
-	}
-	blobs := make([][]byte, len(outSteps))
-	for i, s := range outSteps {
-		p := d.path(job, s)
-		if i > 0 {
-			p = d.dpath(job, s)
-		}
-		if blobs[i], err = d.fsys.ReadFile(p); err != nil {
-			return nil, nil, false, fmt.Errorf("pregel: reading checkpoint: %w", err)
-		}
-	}
-	return outSteps, blobs, true, nil
-}
-
-// ckptChains implements chainSource: every candidate restore chain still
-// in the directory, newest generation first. Candidate i is the i-th
-// newest full snapshot plus the delta files saved between it and the next
-// newer full. Blobs are handed up with any read error attached;
-// loadCheckpoint decides whether a bad artifact truncates its chain or
-// walks recovery back a generation.
-func (d *DirCheckpointer) ckptChains(job string) ([][]ckptBlobRef, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	steps, dsteps, err := d.scan(job)
+	steps, err := d.scan(job)
 	if err != nil {
 		return nil, err
 	}
-	readRef := func(step int, delta bool) ckptBlobRef {
-		p := d.path(job, step)
-		if delta {
-			p = d.dpath(job, step)
-		}
-		data, err := d.fsys.ReadFile(p)
-		return ckptBlobRef{step: step, delta: delta, data: data, src: filepath.Base(p), err: err}
-	}
-	chains := make([][]ckptBlobRef, 0, len(steps))
+	gens := make([]ckptBlobRef, 0, len(steps))
 	for i := len(steps) - 1; i >= 0; i-- {
-		full, next := steps[i], math.MaxInt
-		if i+1 < len(steps) {
-			next = steps[i+1]
-		}
-		chain := []ckptBlobRef{readRef(full, false)}
-		for _, s := range dsteps {
-			if s > full && s < next {
-				chain = append(chain, readRef(s, true))
-			}
-		}
-		chains = append(chains, chain)
+		p := d.path(job, steps[i])
+		data, err := d.fsys.ReadFile(p)
+		gens = append(gens, ckptBlobRef{data: data, src: filepath.Base(p), err: err})
 	}
-	return chains, nil
+	return gens, nil
 }
 
 // jobKey builds the stable per-run key: the run name (or "run") plus the
@@ -615,17 +449,12 @@ type aggSnapshot struct {
 
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
-// worker persists its own partition in parallel). On disk it is the v12
-// checksummed binary container (see codec.go); the worker blobs use the
-// binary value codec.
+// worker persists its own partition in parallel). On disk it is the
+// checksummed binary container of format ckptVersion (see codec.go); the
+// worker blobs use the binary value codec.
 type ckptFile struct {
 	Step    int
 	Pending int64
-	// Kind distinguishes full snapshots from delta checkpoints; PrevStep
-	// is the step of the save a delta chains from (zero for full saves),
-	// which lets restore validate chain linkage.
-	Kind     byte
-	PrevStep int
 	// PartitionerName and NumWorkers identify the placement the snapshot
 	// was written under. Worker partitions are restored by index, so a
 	// restore under a different partitioner or worker count would scatter
@@ -657,8 +486,7 @@ type ckptFile struct {
 }
 
 // ckptRun is the per-Run checkpointing state: the reserved job key, the
-// cadence, the store, and the run's identity fingerprint, plus the delta-
-// checkpoint chain position.
+// cadence, the store, and the run's identity fingerprint.
 type ckptRun struct {
 	store   Checkpointer
 	job     string
@@ -666,15 +494,6 @@ type ckptRun struct {
 	fp      uint64
 	part    string // Partitioner.Name() of the running graph
 	workers int
-
-	// delta: this run takes delta checkpoints (DeltaCheckpoints set, and
-	// the store implements DeltaCheckpointer).
-	delta bool
-	// Chain position: whether a full snapshot exists, the step of the last
-	// save (full or delta), and how many deltas follow the last full.
-	haveFull        bool
-	lastStep        int
-	deltasSinceFull int
 
 	// warn and metrics carry the run's diagnostics sinks (Config.Warn and
 	// Config.Metrics) into the load path, which runs without a *Graph.
@@ -715,21 +534,6 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 			return nil, err
 		}
 	}
-	delta := false
-	if g.cfg.DeltaCheckpoints {
-		// A requested delta-checkpoint mode that cannot be honored must not
-		// degrade silently: the run keeps working (full snapshots restore
-		// identically) but writes more bytes per save than the caller asked
-		// for, so say why, once per cause under the default Warn sink.
-		if _, ok := store.(DeltaCheckpointer); ok {
-			delta = true
-		} else {
-			g.warnf("pregel: DeltaCheckpoints requested, but checkpoint store %T does not implement DeltaCheckpointer; every save falls back to a full snapshot", store)
-			if g.cfg.Metrics != nil {
-				g.cfg.Metrics.Counter("pregel_checkpoint_delta_downgrades_total").Add(1)
-			}
-		}
-	}
 	return &ckptRun{
 		store:   store,
 		job:     job,
@@ -737,7 +541,6 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 		fp:      g.runFingerprint(),
 		part:    g.cfg.Partitioner.Name(),
 		workers: g.cfg.Workers,
-		delta:   delta,
 		warn:    g.warnf,
 		metrics: g.cfg.Metrics,
 	}, nil
@@ -767,42 +570,17 @@ func (g *Graph[V, M]) runFingerprint() uint64 {
 // write to the simulated clock, and hands the container to the store as
 // parts (ckptParts), so no section is copied after its worker encoded it.
 // Each worker encodes and checksums its own section, concurrently in
-// Parallel mode, mirroring the compute/deliver phases. When the run takes
-// delta checkpoints, saves after the first snapshot encode only the
-// dirtied vertices, up to maxDeltaChain deltas (or a mostly-dirty graph)
-// before the next full.
+// Parallel mode, mirroring the compute/deliver phases.
 func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats *Stats) error {
 	wall0 := nowNs()
 	if g.cfg.Tracer != nil {
 		g.emit(telemetry.KindBegin, "checkpoint.save", "checkpoint", wall0, g.clock.Ns(),
 			telemetry.I("step", int64(step)))
 	}
-	useDelta := ck.delta && ck.haveFull && ck.deltasSinceFull < maxDeltaChain
-	if useDelta {
-		// A delta of a mostly-dirty graph costs more than a full snapshot
-		// (per-entry index and flags overhead); fall back to full. The
-		// dirty pattern is deterministic, so so is this decision.
-		total, dirty := 0, 0
-		for _, w := range g.workers {
-			total += len(w.ids)
-			for _, d := range w.dirty {
-				if d {
-					dirty++
-				}
-			}
-		}
-		if 4*dirty >= 3*total {
-			useDelta = false
-		}
-	}
 	blobs := make([][]byte, g.cfg.Workers)
 	crcs := make([]uint32, g.cfg.Workers)
 	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
-		if useDelta {
-			blobs[wi] = encodeWorkerDelta(g.workers[wi])
-		} else {
-			blobs[wi] = encodeWorkerFull(g.workers[wi])
-		}
+		blobs[wi] = encodeWorkerSection(g.workers[wi])
 		crcs[wi] = crc32.Checksum(blobs[wi], castagnoli)
 	})
 	maxBytes, totalBytes := 0.0, int64(0)
@@ -813,15 +591,9 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 	// Charge the write before stamping ClockNs so a resumed run starts at
 	// the post-write time and never under-reports.
 	g.clock.ChargeCheckpoint(maxBytes)
-	kind := ckptKindFull
-	if useDelta {
-		kind = ckptKindDelta
-	}
 	file := ckptFile{
 		Step:            step,
 		Pending:         pending,
-		Kind:            kind,
-		PrevStep:        ck.lastStep,
 		PartitionerName: ck.part,
 		NumWorkers:      ck.workers,
 		Supersteps:      stats.Supersteps,
@@ -835,30 +607,8 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		Agg:             g.agg.snapshot(),
 		Workers:         blobs,
 	}
-	parts := ckptParts(&file, crcs)
-	if useDelta {
-		if err := ck.store.(DeltaCheckpointer).SaveDelta(ck.job, step, parts...); err != nil {
-			return err
-		}
-		ck.deltasSinceFull++
-		stats.CheckpointDeltaSaves++
-		if g.cfg.Metrics != nil {
-			g.cfg.Metrics.Counter("pregel_checkpoint_delta_saves_total").Add(1)
-		}
-	} else {
-		if err := ck.store.Save(ck.job, step, parts...); err != nil {
-			return err
-		}
-		ck.haveFull = true
-		ck.deltasSinceFull = 0
-	}
-	ck.lastStep = step
-	// Everything up to this barrier is now captured; dirty tracking
-	// restarts for the next save.
-	for _, w := range g.workers {
-		if w.dirty != nil {
-			clear(w.dirty)
-		}
+	if err := ck.store.Save(ck.job, step, ckptParts(&file, crcs)...); err != nil {
+		return err
 	}
 	stats.CheckpointSaves++
 	stats.CheckpointBytesWritten += totalBytes
@@ -872,22 +622,6 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 			telemetry.I("step", int64(step)), telemetry.I("bytes", totalBytes))
 	}
 	return nil
-}
-
-// ckptChain is a decoded, restorable checkpoint: the newest full snapshot
-// plus every delta saved after it, in ascending step order. Non-delta runs
-// always carry an empty deltas slice.
-type ckptChain struct {
-	full   *ckptFile
-	deltas []*ckptFile
-}
-
-// tip is the chain's newest save — the barrier a restore resumes at.
-func (c *ckptChain) tip() *ckptFile {
-	if n := len(c.deltas); n > 0 {
-		return c.deltas[n-1]
-	}
-	return c.full
 }
 
 // validateIdentity rejects a checkpoint written by a different placement or
@@ -908,125 +642,64 @@ func (ck *ckptRun) validateIdentity(file *ckptFile) error {
 	return nil
 }
 
-// loadCheckpoint fetches and decodes the latest checkpoint (chain) for the
-// run, verifying that it was written by a run with the same identity and
-// that the delta chain is unbroken. With the built-in stores (chainSource)
-// the load is corruption-aware: an artifact failing its CRC or decode is
-// reported through Config.Warn and recovery walks back to the last intact
-// snapshot; only when no intact snapshot remains does the load fail.
-func (ck *ckptRun) loadCheckpoint() (*ckptChain, bool, error) {
-	if cs, ok := ck.store.(chainSource); ok {
-		return ck.loadFromChains(cs)
+// loadCheckpoint fetches and decodes the latest checkpoint for the run,
+// verifying that it was written by a run with the same identity. With the
+// built-in stores (generationSource) the load is corruption-aware: an
+// artifact failing its CRC or decode is reported through Config.Warn and
+// recovery walks back to the previous generation; only when no intact
+// snapshot remains does the load fail.
+func (ck *ckptRun) loadCheckpoint() (*ckptFile, bool, error) {
+	if gs, ok := ck.store.(generationSource); ok {
+		return ck.loadFromGenerations(gs)
 	}
-	// Custom stores expose only the newest chain; any decode failure is
+	// Custom stores expose only the newest snapshot; any decode failure is
 	// fatal since there is nothing to walk back to.
-	var blobs [][]byte
-	var ok bool
-	var err error
-	if ck.delta {
-		_, blobs, ok, err = ck.store.(DeltaCheckpointer).Chain(ck.job)
-	} else {
-		var data []byte
-		_, data, ok, err = ck.store.Latest(ck.job)
-		blobs = [][]byte{data}
-	}
+	_, data, ok, err := ck.store.Latest(ck.job)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	chain := &ckptChain{}
-	for i, data := range blobs {
-		file, err := decodeCkptFile(ck.job, data)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := ck.validateIdentity(file); err != nil {
-			return nil, false, err
-		}
-		if i == 0 {
-			if file.Kind != ckptKindFull {
-				return nil, false, fmt.Errorf("pregel: checkpoint chain for job %q starts with a delta at step %d; the full snapshot it chains from is missing — delete the checkpoint directory to start fresh", ck.job, file.Step)
-			}
-			chain.full = file
-			continue
-		}
-		prev := chain.tip()
-		if file.Kind != ckptKindDelta || file.PrevStep != prev.Step || file.Step <= prev.Step {
-			return nil, false, fmt.Errorf("pregel: delta checkpoint at step %d for job %q chains from step %d, but the preceding save in the chain is step %d; the chain is broken — delete the checkpoint directory to start fresh", file.Step, ck.job, file.PrevStep, prev.Step)
-		}
-		chain.deltas = append(chain.deltas, file)
+	file, err := decodeCkptFile(ck.job, data)
+	if err != nil {
+		return nil, false, err
 	}
-	// Resync the chain position so post-restore saves extend (or supersede)
-	// what the store already holds.
-	ck.haveFull = true
-	ck.lastStep = chain.tip().Step
-	ck.deltasSinceFull = len(chain.deltas)
-	return chain, true, nil
+	if err := ck.validateIdentity(file); err != nil {
+		return nil, false, err
+	}
+	return file, true, nil
 }
 
-// loadFromChains is the corruption-aware restore path. Candidate chains
-// are tried newest first: a corrupt delta truncates its chain at the last
-// intact save, a corrupt full snapshot abandons the whole candidate for
-// the previous generation. Every rejected artifact is warned about and
-// counted (pregel_checkpoint_corrupt_skipped_total). If corruption was
-// seen and no intact snapshot remains, the load fails — silently
-// recomputing from scratch would mask data loss.
-func (ck *ckptRun) loadFromChains(cs chainSource) (*ckptChain, bool, error) {
-	cands, err := cs.ckptChains(ck.job)
+// loadFromGenerations is the corruption-aware restore path. Generations are
+// tried newest first; a corrupt one is warned about, counted
+// (pregel_checkpoint_corrupt_skipped_total) and abandoned for the previous
+// generation. If corruption was seen and no intact snapshot remains, the
+// load fails — silently recomputing from scratch would mask data loss.
+func (ck *ckptRun) loadFromGenerations(gs generationSource) (*ckptFile, bool, error) {
+	gens, err := gs.ckptGenerations(ck.job)
 	if err != nil {
 		return nil, false, err
 	}
 	sawCorrupt := false
-	reject := func(ref ckptBlobRef, err error) {
-		sawCorrupt = true
-		ck.warnf("pregel: skipping corrupt checkpoint artifact %s (job %q): %v", ref.src, ck.job, err)
-		ck.count("pregel_checkpoint_corrupt_skipped_total", 1)
-	}
-	for _, cand := range cands {
-		chain := &ckptChain{}
-		for _, ref := range cand {
-			if ref.delta && !ck.delta {
-				// This run doesn't take delta checkpoints; delta files are
-				// leftovers from an earlier configuration, and the chain
-				// restores fine without them (just from an older barrier).
-				continue
-			}
-			file, derr := (*ckptFile)(nil), ref.err
-			if derr == nil {
-				file, derr = decodeCkptFile(ck.job, ref.data)
-			}
-			if derr != nil {
-				if ref.err != nil || errors.Is(derr, ErrCheckpointCorrupt) {
-					reject(ref, derr)
-					break // keep what decoded so far, or fall back a generation
-				}
-				return nil, false, derr
-			}
-			if err := ck.validateIdentity(file); err != nil {
-				return nil, false, err
-			}
-			if chain.full == nil {
-				if file.Kind != ckptKindFull {
-					return nil, false, fmt.Errorf("pregel: checkpoint chain for job %q starts with a delta at step %d; the full snapshot it chains from is missing — delete the checkpoint directory to start fresh", ck.job, file.Step)
-				}
-				chain.full = file
-				continue
-			}
-			prev := chain.tip()
-			if file.Kind != ckptKindDelta || file.PrevStep != prev.Step || file.Step <= prev.Step {
-				return nil, false, fmt.Errorf("pregel: delta checkpoint at step %d for job %q chains from step %d, but the preceding save in the chain is step %d; the chain is broken — delete the checkpoint directory to start fresh", file.Step, ck.job, file.PrevStep, prev.Step)
-			}
-			chain.deltas = append(chain.deltas, file)
+	for _, ref := range gens {
+		file, derr := (*ckptFile)(nil), ref.err
+		if derr == nil {
+			file, derr = decodeCkptFile(ck.job, ref.data)
 		}
-		if chain.full == nil {
-			continue
+		if derr != nil {
+			if ref.err != nil || errors.Is(derr, ErrCheckpointCorrupt) {
+				sawCorrupt = true
+				ck.warnf("pregel: skipping corrupt checkpoint artifact %s (job %q): %v", ref.src, ck.job, derr)
+				ck.count("pregel_checkpoint_corrupt_skipped_total", 1)
+				continue
+			}
+			return nil, false, derr
+		}
+		if err := ck.validateIdentity(file); err != nil {
+			return nil, false, err
 		}
 		if sawCorrupt {
-			ck.warnf("pregel: job %q recovering from checkpoint at step %d after skipping corrupt artifacts", ck.job, chain.tip().Step)
+			ck.warnf("pregel: job %q recovering from checkpoint at step %d after skipping corrupt artifacts", ck.job, file.Step)
 		}
-		ck.haveFull = true
-		ck.lastStep = chain.tip().Step
-		ck.deltasSinceFull = len(chain.deltas)
-		return chain, true, nil
+		return file, true, nil
 	}
 	if sawCorrupt {
 		return nil, false, fmt.Errorf("pregel: every checkpoint for job %q failed integrity verification; refusing to silently recompute from scratch — inspect the directory (ppa-assembler -ckpt-verify), restore the files, or delete the checkpoint directory to accept a full recompute", ck.job)
@@ -1034,52 +707,31 @@ func (ck *ckptRun) loadFromChains(cs chainSource) (*ckptChain, bool, error) {
 	return nil, false, nil
 }
 
-// restoreCheckpoint replaces the graph's in-run state with the chain's
-// state: the full snapshot with every delta folded in, aggregator values,
-// and the run counters inside stats (all run-level state comes from the
-// chain tip). It charges the recovery read to the clock — which, like real
-// time, only moves forward — and returns the superstep to resume at plus
-// the pending-message count at that barrier.
-func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step int, pending int64, err error) {
-	full, tip := chain.full, chain.tip()
-	if len(full.Workers) != g.cfg.Workers {
-		return 0, 0, fmt.Errorf("pregel: checkpoint has %d workers, graph has %d", len(full.Workers), g.cfg.Workers)
-	}
-	for _, d := range chain.deltas {
-		if len(d.Workers) != g.cfg.Workers {
-			return 0, 0, fmt.Errorf("pregel: delta checkpoint at step %d has %d workers, graph has %d", d.Step, len(d.Workers), g.cfg.Workers)
-		}
+// restoreCheckpoint replaces the graph's in-run state with the snapshot's:
+// worker partitions, aggregator values, and the run counters inside stats.
+// It charges the recovery read to the clock — which, like real time, only
+// moves forward — and returns the superstep to resume at plus the
+// pending-message count at that barrier.
+func (g *Graph[V, M]) restoreCheckpoint(file *ckptFile, stats *Stats) (step int, pending int64, err error) {
+	if len(file.Workers) != g.cfg.Workers {
+		return 0, 0, fmt.Errorf("pregel: checkpoint has %d workers, graph has %d", len(file.Workers), g.cfg.Workers)
 	}
 	wall0 := nowNs()
 	if g.cfg.Tracer != nil {
 		g.emit(telemetry.KindBegin, "checkpoint.restore", "checkpoint", wall0, g.clock.Ns(),
-			telemetry.I("step", int64(tip.Step)))
+			telemetry.I("step", int64(file.Step)))
 	}
 	errs := make([]error, g.cfg.Workers)
-	// Per-worker read cost spans the whole chain: each worker replays its
-	// own full section plus its slice of every delta.
 	maxBytes, totalBytes := 0.0, int64(0)
-	for wi := range full.Workers {
-		n := int64(len(full.Workers[wi]))
-		for _, d := range chain.deltas {
-			n += int64(len(d.Workers[wi]))
-		}
-		totalBytes += n
-		if b := float64(n); b > maxBytes {
-			maxBytes = b
-		}
+	for _, b := range file.Workers {
+		totalBytes += int64(len(b))
+		maxBytes = max(maxBytes, float64(len(b)))
 	}
 	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
-		cw, err := decodeWorkerSection[V, M](full.Workers[wi])
+		cw, err := decodeWorkerSection[V, M](file.Workers[wi])
 		if err != nil {
 			errs[wi] = err
 			return
-		}
-		for _, d := range chain.deltas {
-			if err := applyWorkerDelta(cw, d.Workers[wi]); err != nil {
-				errs[wi] = fmt.Errorf("delta at step %d: %w", d.Step, err)
-				return
-			}
 		}
 		w := g.workers[wi]
 		n := len(cw.IDs)
@@ -1096,25 +748,20 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 		if !w.lazy {
 			w.idx.rebuild(w.ids, n)
 		}
-		// Dirty tracking restarts from the restored barrier.
-		if w.dirty != nil {
-			w.dirty = growTo(w.dirty, n)
-			clear(w.dirty)
-		}
 	})
 	for wi, err := range errs {
 		if err != nil {
 			return 0, 0, fmt.Errorf("pregel: decoding checkpoint (worker %d): %w", wi, err)
 		}
 	}
-	g.agg.restore(tip.Agg)
-	stats.Supersteps = tip.Supersteps
-	stats.Messages = tip.Messages
-	stats.LocalMessages = tip.LocalMessages
-	stats.RemoteMessages = tip.RemoteMessages
-	stats.Bytes = tip.Bytes
-	stats.DroppedMessages = tip.DroppedMessages
-	g.clock.advanceTo(tip.ClockNs)
+	g.agg.restore(file.Agg)
+	stats.Supersteps = file.Supersteps
+	stats.Messages = file.Messages
+	stats.LocalMessages = file.LocalMessages
+	stats.RemoteMessages = file.RemoteMessages
+	stats.Bytes = file.Bytes
+	stats.DroppedMessages = file.DroppedMessages
+	g.clock.advanceTo(file.ClockNs)
 	g.clock.ChargeRecovery(maxBytes)
 	stats.CheckpointRestores++
 	stats.CheckpointBytesRestored += totalBytes
@@ -1125,7 +772,7 @@ func (g *Graph[V, M]) restoreCheckpoint(chain *ckptChain, stats *Stats) (step in
 	}
 	if g.cfg.Tracer != nil {
 		g.emit(telemetry.KindEnd, "checkpoint.restore", "checkpoint", nowNs(), g.clock.Ns(),
-			telemetry.I("step", int64(tip.Step)), telemetry.I("bytes", totalBytes))
+			telemetry.I("step", int64(file.Step)), telemetry.I("bytes", totalBytes))
 	}
-	return tip.Step, tip.Pending, nil
+	return file.Step, file.Pending, nil
 }

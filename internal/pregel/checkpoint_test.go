@@ -1,6 +1,8 @@
 package pregel
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -170,6 +172,30 @@ func TestMultipleFaultsOneRun(t *testing.T) {
 		t.Error("doubly-recovered run diverged from unfailed run")
 	}
 	sameRunStats(t, "double-fault", baseStats, stats)
+}
+
+// TestParseFaultPlanRejectsRepeatedRound: only one fault fires per round,
+// so a plan naming one round twice is refused, naming both entries as
+// written, instead of silently dropping the second crash.
+func TestParseFaultPlanRejectsRepeatedRound(t *testing.T) {
+	for spec, entries := range map[string][2]string{
+		"3:0,3:1":        {`"3:0"`, `"3:1"`},
+		"3:0, 7:2, 03:1": {`"3:0"`, `"03:1"`},
+	} {
+		_, err := ParseFaultPlan(spec)
+		if err == nil {
+			t.Fatalf("%q: a repeated round was accepted", spec)
+		}
+		for _, entry := range entries {
+			if !strings.Contains(err.Error(), entry) {
+				t.Errorf("%q: error does not name entry %s: %v", spec, entry, err)
+			}
+		}
+	}
+	p, err := ParseFaultPlan("3:0,4:0")
+	if err != nil || p.Scheduled() != 2 {
+		t.Fatalf("distinct rounds: %v, %d scheduled", err, p.Scheduled())
+	}
 }
 
 // TestDirCheckpointerResume simulates process death and restart: a first
@@ -538,5 +564,68 @@ func TestCheckpointChargesClock(t *testing.T) {
 	}
 	if tight <= loose {
 		t.Errorf("checkpointing every step simulated %.6fs, expected more than every-4 %.6fs", tight, loose)
+	}
+}
+
+// chainCompute is a pointer-chasing job: exactly one vertex computes per
+// superstep (vertex 0 starts a token that hops down the chain).
+func chainCompute(n int) Compute[int64, int64] {
+	return func(ctx *Context[int64], id VertexID, v *int64, msgs []int64) {
+		if ctx.Superstep() == 0 {
+			if id == 0 {
+				ctx.Send(1, 7)
+			}
+			ctx.VoteToHalt()
+			return
+		}
+		for _, m := range msgs {
+			*v += m + int64(ctx.Superstep())
+		}
+		if next := uint64(id) + 1; len(msgs) > 0 && next < uint64(n) {
+			ctx.Send(VertexID(next), *v)
+		}
+		ctx.VoteToHalt()
+	}
+}
+
+func buildChainGraph(cfg Config, n int) *Graph[int64, int64] {
+	g := NewGraph[int64, int64](cfg)
+	for i := 0; i < n; i++ {
+		g.AddVertex(VertexID(i), int64(i))
+	}
+	return g
+}
+
+func collectChain(g *Graph[int64, int64]) map[VertexID]int64 {
+	out := map[VertexID]int64{}
+	g.ForEach(func(id VertexID, v *int64) { out[id] = *v })
+	return out
+}
+
+// TestResumeRejectsV1GobCheckpoint: a checkpoint file written by an older
+// binary in the v1 gob format must fail the resume loudly, naming the
+// format mismatch — not silently recompute or crash with a decode panic.
+func TestResumeRejectsV1GobCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct{ Step int }{Step: 4}); err != nil {
+		t.Fatal(err)
+	}
+	// The key a fresh store reserves for WithName("v1") is v1@000.
+	if err := os.WriteFile(filepath.Join(dir, "v1@000.00000004.ckpt"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := NewDirCheckpointer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := buildChainGraph(Config{Workers: 2, CheckpointEvery: 2, Checkpointer: store, Resume: true}, 16)
+	_, err = g.Run(chainCompute(16), WithName("v1"))
+	if err == nil {
+		t.Fatal("resume over a v1 gob checkpoint succeeded")
+	}
+	if !strings.Contains(err.Error(), "unsupported checkpoint format") {
+		t.Errorf("error does not name the unsupported format: %v", err)
 	}
 }

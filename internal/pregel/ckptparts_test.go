@@ -12,7 +12,7 @@ import (
 )
 
 // encodeCkptFile is the whole-frame container encoder saves used before
-// ckptParts, kept verbatim (bar appendCkptHeader's dropped version
+// ckptParts, kept verbatim (bar appendContainerHeader's dropped version
 // argument) as the reference the parts must reproduce byte for byte, and
 // as the frame the decoder tests feed.
 func encodeCkptFile(f *ckptFile) []byte {
@@ -21,7 +21,7 @@ func encodeCkptFile(f *ckptFile) []byte {
 		size += len(b) + binary.MaxVarintLen64 + crc32.Size
 	}
 	buf := make([]byte, 0, size)
-	buf = appendCkptHeader(buf, f)
+	buf = appendContainerHeader(buf, f)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	for _, b := range f.Workers {
 		buf = binary.AppendUvarint(buf, uint64(len(b)))
@@ -106,40 +106,30 @@ func (r *partsRecorder) Save(job string, step int, parts ...[]byte) error {
 	return r.MemCheckpointer.Save(job, step, parts...)
 }
 
-func (r *partsRecorder) SaveDelta(job string, step int, parts ...[]byte) error {
-	r.record(parts)
-	return r.MemCheckpointer.SaveDelta(job, step, parts...)
-}
-
 // TestCkptPartsMatchFrame is the differential test of the parts layout
 // against the whole-frame encoder it replaced: hand-built containers
-// around real full, delta and empty worker sections, and every save the
-// engine makes across workers {1,4,7} — full and delta sections, empty
-// workers and aggregator snapshot — must concatenate to exactly the
-// reference frame of what they hold.
+// around real and empty worker sections, and every save the engine makes
+// across workers {1,4,7} — empty workers and aggregator snapshot included
+// — must concatenate to exactly the reference frame of what they hold.
 func TestCkptPartsMatchFrame(t *testing.T) {
-	w := buildCodecWorker()
-	full := encodeWorkerFull(w)
-	empty := encodeWorkerFull(&worker[int64, int64]{verts: &verts[int64]{}, inOff: []int32{0}})
-	w.dirty = []bool{true, false, false, true, false}
-	sections := [][]byte{full, encodeWorkerDelta(w), empty}
+	full := encodeWorkerSection(buildCodecWorker())
+	empty := encodeWorkerSection(&worker[int64, int64]{verts: &verts[int64]{}, inOff: []int32{0}})
+	sections := [][]byte{full, empty}
 	for _, workers := range []int{1, 4, 7} {
-		for _, kind := range []byte{ckptKindFull, ckptKindDelta} {
-			f := makeCodecCkptFile()
-			f.Kind, f.NumWorkers = kind, workers
-			f.Workers = make([][]byte, workers)
-			for i := range f.Workers {
-				f.Workers[i] = sections[i%len(sections)]
-			}
-			checkPartsMatchFrame(t, fmt.Sprintf("built w%d kind%d", workers, kind), f)
+		f := makeCodecCkptFile()
+		f.NumWorkers = workers
+		f.Workers = make([][]byte, workers)
+		for i := range f.Workers {
+			f.Workers[i] = sections[i%len(sections)]
 		}
+		checkPartsMatchFrame(t, fmt.Sprintf("built w%d", workers), f)
 	}
 
 	// Engine saves. Each recorded artifact decodes, and the reference frame
 	// of the decoded container is the concatenation of its parts, section
 	// for section — so the CRCs the worker tasks computed are the ones the
 	// coordinator used to compute.
-	var seen struct{ saves, deltas, aggs, empties int }
+	var seen struct{ saves, aggs, empties int }
 	check := func(label string, r *partsRecorder) {
 		t.Helper()
 		for si, parts := range r.saves {
@@ -155,7 +145,7 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 				if !bytes.Equal(parts[2*i+1], sec) {
 					t.Fatalf("%s save %d: part %d is not worker section %d", label, si, 2*i+1, i)
 				}
-				if f.Kind == ckptKindFull && len(sec) == 2 {
+				if len(sec) == 2 {
 					seen.empties++
 				}
 			}
@@ -163,9 +153,6 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 				t.Fatalf("%s save %d: parts differ from the reference frame", label, si)
 			}
 			seen.saves++
-			if f.Kind == ckptKindDelta {
-				seen.deltas++
-			}
 			if len(f.Agg.Sum) > 0 {
 				seen.aggs++
 			}
@@ -184,14 +171,6 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("hub w%d", workers), r)
-		// A token hopping down a chain dirties one vertex per superstep,
-		// so most saves are deltas.
-		r = &partsRecorder{MemCheckpointer: NewMemCheckpointer()}
-		c := buildChainGraph(Config{Workers: workers, Parallel: true, CheckpointEvery: 2, Checkpointer: r, DeltaCheckpoints: true}, 40)
-		if _, err := c.Run(withAgg(chainCompute(40)), WithName("partsdelta")); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("chain w%d", workers), r)
 		r = &partsRecorder{MemCheckpointer: NewMemCheckpointer()}
 		p := buildPRGraph(Config{Workers: workers, CheckpointEvery: 3, Checkpointer: r}, 96)
 		if _, err := p.Run(pageRankish(96, 7), WithName("partspagerank")); err != nil {
@@ -206,9 +185,9 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("empty workers", r)
-	if seen.deltas == 0 || seen.aggs == 0 || seen.empties == 0 {
-		t.Fatalf("coverage lost: %d saves, %d deltas, %d with aggregators, %d empty sections",
-			seen.saves, seen.deltas, seen.aggs, seen.empties)
+	if seen.aggs == 0 || seen.empties == 0 {
+		t.Fatalf("coverage lost: %d saves, %d with aggregators, %d empty sections",
+			seen.saves, seen.aggs, seen.empties)
 	}
 }
 
@@ -231,7 +210,7 @@ func fuzzCkptFile(data []byte) *ckptFile {
 		return b
 	}
 	f := &ckptFile{
-		Kind: next() % 2, Step: int(next()), PrevStep: int(next()), Pending: int64(int8(next())),
+		Step: int(next()), Pending: int64(int8(next())),
 		PartitionerName: string(take(int(next() % 8))), Supersteps: int(next()),
 		Messages: int64(next()) << 20, ClockNs: float64(next()) * 1e6,
 		Fingerprint: uint64(next())<<56 | uint64(next()),
@@ -320,51 +299,38 @@ func TestSectionBufHeavyTail(t *testing.T) {
 				active: make([]bool, n),
 				dead:   make([]bool, n),
 			},
-			dirty: make([]bool, n),
 			inOff: make([]int32, n+1),
 		}
 		for i := range w.ids {
-			w.ids[i], w.vals[i], w.dirty[i] = VertexID(3*i), "ab", i%2 == 0 || i == at
+			w.ids[i], w.vals[i] = VertexID(3*i), "ab"
 		}
 		w.vals[at] = strings.Repeat("x", huge)
 
-		full := encodeWorkerFull(w)
-		if reserved := cap(sectionBuf(w, n, 0)); at == 0 && reserved > len(full)+len(full)/4 {
-			t.Errorf("sampled huge value: reserved %d bytes for a %d-byte section", reserved, len(full))
+		sec := encodeWorkerSection(w)
+		if reserved := cap(sectionBuf(w)); at == 0 && reserved > len(sec)+len(sec)/4 {
+			t.Errorf("sampled huge value: reserved %d bytes for a %d-byte section", reserved, len(sec))
 		}
-		delta := encodeWorkerDelta(w)
-		for label, sec := range map[string][]byte{"full": full, "delta": delta} {
-			if slack := cap(sec) - len(sec); slack > max(len(sec)/4, 4096) {
-				t.Errorf("huge value at %d, %s section: %d bytes with %d slack", at, label, len(sec), slack)
-			}
+		if slack := cap(sec) - len(sec); slack > max(len(sec)/4, 4096) {
+			t.Errorf("huge value at %d: %d-byte section with %d slack", at, len(sec), slack)
 		}
 	}
 }
 
-// TestMemCheckpointerTakesOwnership: Save and SaveDelta keep the caller's
-// parts as they are, and every read path returns the joined artifact.
+// TestMemCheckpointerTakesOwnership: Save keeps the caller's parts as they
+// are, and every read path returns the joined artifact.
 func TestMemCheckpointerTakesOwnership(t *testing.T) {
 	m := NewMemCheckpointer()
-	full := [][]byte{[]byte("head"), []byte("section"), []byte("tail")}
-	delta := [][]byte{[]byte("d1"), []byte("d2")}
-	if err := m.Save("job@000", 4, full...); err != nil {
+	given := [][]byte{[]byte("head"), []byte("section"), []byte("tail")}
+	if err := m.Save("job@000", 4, given...); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SaveDelta("job@000", 6, delta...); err != nil {
-		t.Fatal(err)
+	kept := m.data["job@000"].parts
+	if len(kept) != len(given) {
+		t.Fatalf("store kept %d parts, was given %d", len(kept), len(given))
 	}
-	for label, pair := range map[string][2][][]byte{
-		"full":  {full, m.data["job@000"].parts},
-		"delta": {delta, m.deltas["job@000"][0].parts},
-	} {
-		given, kept := pair[0], pair[1]
-		if len(kept) != len(given) {
-			t.Fatalf("%s: store kept %d parts, was given %d", label, len(kept), len(given))
-		}
-		for i := range given {
-			if &kept[i][0] != &given[i][0] {
-				t.Errorf("%s: part %d was copied", label, i)
-			}
+	for i := range given {
+		if &kept[i][0] != &given[i][0] {
+			t.Errorf("part %d was copied", i)
 		}
 	}
 
@@ -372,15 +338,9 @@ func TestMemCheckpointerTakesOwnership(t *testing.T) {
 	if err != nil || !ok || step != 4 || string(blob) != "headsectiontail" {
 		t.Errorf("Latest = %d %q %v %v, want 4 \"headsectiontail\"", step, blob, ok, err)
 	}
-	steps, blobs, ok, err := m.Chain("job@000")
-	if err != nil || !ok || fmt.Sprint(steps) != "[4 6]" || len(blobs) != 2 ||
-		string(blobs[0]) != "headsectiontail" || string(blobs[1]) != "d1d2" {
-		t.Errorf("Chain = %v %q %v %v", steps, blobs, ok, err)
-	}
-	chains, err := m.ckptChains("job@000")
-	if err != nil || len(chains) != 1 || len(chains[0]) != 2 ||
-		string(chains[0][0].data) != "headsectiontail" || string(chains[0][1].data) != "d1d2" || !chains[0][1].delta {
-		t.Errorf("ckptChains = %+v %v", chains, err)
+	gens, err := m.ckptGenerations("job@000")
+	if err != nil || len(gens) != 1 || string(gens[0].data) != "headsectiontail" {
+		t.Errorf("ckptGenerations = %+v %v", gens, err)
 	}
 }
 

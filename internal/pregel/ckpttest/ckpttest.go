@@ -26,7 +26,8 @@ type Codec[T any] interface {
 //  1. the binary encoding is self-delimiting — decoding consumes exactly
 //     the appended bytes and returns any trailing data untouched;
 //  2. re-encoding the decoded value reproduces the original bytes
-//     (byte-identical round trip, the property delta checkpoints rely on);
+//     (byte-identical round trip, so a restored state saves the same
+//     checkpoint bytes again);
 //  3. the binary-decoded value equals the value a gob round trip (the
 //     baseline) produces, field for field.
 func RoundTrip[T any, P Codec[T]](t testing.TB, v *T) {

@@ -10,11 +10,12 @@ import (
 	"strings"
 )
 
-// Checkpoint format v13, the only one this package reads or writes: a
-// versioned, checksummed binary container. Layout (all integers
-// varint/uvarint unless noted):
+// Checkpoint format v14, the only one this package reads or writes: a
+// versioned, checksummed binary container holding one full snapshot of
+// every worker's partition. Layout (all integers varint/uvarint unless
+// noted):
 //
-//	magic "PPCK" | version | kind (full/delta) | step | prevStep | pending
+//	magic "PPCK" | version | step | pending
 //	| partitioner name | numWorkers | run counters
 //	| clockNs (fixed 8 LE) | fingerprint (fixed 8 LE)
 //	| aggregator snapshot (sorted keys)
@@ -32,9 +33,10 @@ import (
 // hold smaller messages), v10 because S-V runs over a vertex value of its own
 // and the segment graph's vertex lost the S-V fields, v11 because the
 // scaffold vertex lost its chain label and end coordinate, v12 because the
-// S-V vertex and message carry addresses, and v13 because the header dropped
-// its transport name, so an older file, whose CRCs still verify, is refused
-// instead of decoded wrongly.
+// S-V vertex and message carry addresses, v13 because the header dropped
+// its transport name, and v14 because delta checkpoints went away and the
+// header with them lost its kind byte and previous-step field, so an older
+// file, whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -43,24 +45,13 @@ import (
 //
 // Each worker section starts with one flag byte, wsecBinary: the partition
 // is encoded with the zero-copy value codec below, the only section
-// encoding, so any other flag is a damaged section. Delta containers
-// (kindDelta) hold only the vertices dirtied since the checkpoint at
-// prevStep; a restore replays the newest full container plus its delta
-// chain.
+// encoding, so any other flag is a damaged section.
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 13
-
-	ckptKindFull  byte = 0
-	ckptKindDelta byte = 1
+	ckptVersion = 14
 
 	wsecBinary byte = 0
-
-	// maxDeltaChain bounds how many delta checkpoints may follow a full
-	// snapshot before the next save is forced full again, bounding both
-	// recovery replay work and the disk footprint of a chain.
-	maxDeltaChain = 8
 )
 
 // castagnoli is the CRC32C table used by every checkpoint checksum.
@@ -157,12 +148,12 @@ func ConsumeBool(data []byte) (bool, []byte, error) {
 	return data[0] != 0, data[1:], nil
 }
 
-func appendCkptString(buf []byte, s string) []byte {
+func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-func consumeCkptString(data []byte) (string, []byte, error) {
+func consumeString(data []byte) (string, []byte, error) {
 	n, rest, err := ConsumeUvarint(data)
 	if err != nil {
 		return "", nil, err
@@ -261,7 +252,7 @@ func appendVal[T any](buf []byte, v *T) []byte {
 	case *bool:
 		return AppendBool(buf, *x)
 	case *string:
-		return appendCkptString(buf, *x)
+		return appendString(buf, *x)
 	case *VertexID:
 		return binary.AppendUvarint(buf, uint64(*x))
 	case *struct{}:
@@ -322,7 +313,7 @@ func consumeVal[T any](data []byte, v *T) ([]byte, error) {
 		*x = val
 		return rest, err
 	case *string:
-		val, rest, err := consumeCkptString(data)
+		val, rest, err := consumeString(data)
 		*x = val
 		return rest, err
 	case *VertexID:
@@ -382,23 +373,24 @@ func sampleSizes[V, M any](w *worker[V, M]) (verts, msgs sizeSample) {
 	return verts, msgs
 }
 
-// sectionBuf returns the empty buffer a binary section of entries vertex
-// entries and msgs messages is encoded into: an estimate scaled up from
-// sampleSizes (plus a byte per entry for the flags) with 1/16 headroom, so
-// the encoder does not regrow it. Every save samples afresh; the previous
-// section's length would be no guide, because pending inboxes fill and
-// drain between saves (the largest sections of a labeling job grow 43% and
-// shrink 22% from one save to the next, where the sample stays within 1%).
-func sectionBuf[V, M any](w *worker[V, M], entries, msgs int) []byte {
+// sectionBuf returns the empty buffer w's section is encoded into: an
+// estimate scaled up from sampleSizes (plus a byte per vertex for the
+// active/dead bitsets) with 1/16 headroom, so the encoder does not regrow
+// it. Every save samples afresh; the previous section's length would be no
+// guide, because pending inboxes fill and drain between saves (the largest
+// sections of a labeling job grow 43% and shrink 22% from one save to the
+// next, where the sample stays within 1%).
+func sectionBuf[V, M any](w *worker[V, M]) []byte {
 	verts, ms := sampleSizes(w)
-	size := 32 + entries + verts.scale(entries) + ms.scale(msgs)
+	n := len(w.ids)
+	size := 32 + n + verts.scale(n) + ms.scale(len(w.inArena))
 	return make([]byte, 0, size+size/16)
 }
 
 // fitSection returns an encoded section as the store will keep it: buf
 // itself, or an exact-size copy when the estimate overshot by more than a
 // quarter (and a page), so a misjudged sample never leaves slack held
-// until the next full save.
+// until the next save.
 func fitSection(buf []byte) []byte {
 	if cap(buf)-len(buf) <= max(len(buf)/4, 4096) {
 		return buf
@@ -406,11 +398,11 @@ func fitSection(buf []byte) []byte {
 	return append(make([]byte, 0, len(buf)), buf...)
 }
 
-// encodeWorkerFull serializes one worker partition as a full section with
-// the binary value codec, into a buffer from sectionBuf.
-func encodeWorkerFull[V, M any](w *worker[V, M]) []byte {
+// encodeWorkerSection serializes one worker partition with the binary
+// value codec, into a buffer from sectionBuf.
+func encodeWorkerSection[V, M any](w *worker[V, M]) []byte {
 	n := len(w.ids)
-	buf := sectionBuf(w, n, len(w.inArena))
+	buf := sectionBuf(w)
 	buf = append(buf, wsecBinary)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	// IDs delta-encoded: sorted runs cost ~1 byte per vertex, and uint64
@@ -435,7 +427,7 @@ func encodeWorkerFull[V, M any](w *worker[V, M]) []byte {
 	return fitSection(buf)
 }
 
-// decodeWorkerSection inverts encodeWorkerFull.
+// decodeWorkerSection inverts encodeWorkerSection.
 func decodeWorkerSection[V, M any](data []byte) (*ckptWorker[V, M], error) {
 	if len(data) == 0 {
 		return nil, corruptf("pregel: corrupt checkpoint: empty worker section")
@@ -517,168 +509,14 @@ func decodeWorkerSection[V, M any](data []byte) (*ckptWorker[V, M], error) {
 	return cw, nil
 }
 
-// encodeWorkerDelta serializes only the vertices dirtied since the last
-// save: ascending vertex index (delta-encoded), a flags byte
-// (active/dead), the value, and the vertex's pending inbox. Clean vertices
-// are guaranteed unchanged with an empty inbox at both barriers (see
-// worker.dirty), so the previous snapshot's entry remains valid for them.
-func encodeWorkerDelta[V, M any](w *worker[V, M]) []byte {
-	n := len(w.ids)
-	dirtyN, dirtyMsgs := 0, 0
-	for i, d := range w.dirty {
-		if d {
-			dirtyN++
-			dirtyMsgs += int(w.inOff[i+1] - w.inOff[i])
-		}
-	}
-	buf := sectionBuf(w, dirtyN, dirtyMsgs)
-	buf = append(buf, wsecBinary)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(dirtyN))
-	prev := 0
-	for i, d := range w.dirty {
-		if !d {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(i-prev))
-		prev = i
-		var flags byte
-		if w.active[i] {
-			flags |= 1
-		}
-		if w.dead[i] {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-		buf = appendVal(buf, &w.vals[i])
-		buf = binary.AppendUvarint(buf, uint64(w.inOff[i+1]-w.inOff[i]))
-		for j := w.inOff[i]; j < w.inOff[i+1]; j++ {
-			buf = appendVal(buf, &w.inArena[j])
-		}
-	}
-	return fitSection(buf)
-}
-
-// applyWorkerDelta folds a delta section into a decoded full snapshot,
-// rebuilding the inbox arena with the dirty vertices' entries replaced.
-func applyWorkerDelta[V, M any](cw *ckptWorker[V, M], data []byte) error {
-	if len(data) == 0 {
-		return corruptf("pregel: corrupt delta checkpoint: empty worker section")
-	}
-	flag, data := data[0], data[1:]
-	if flag != wsecBinary {
-		return corruptf("pregel: corrupt delta checkpoint: section flag %d", flag)
-	}
-	un, data, err := ConsumeUvarint(data)
-	if err != nil {
-		return err
-	}
-	if un > uint64(len(cw.IDs)) {
-		return corruptf("pregel: delta checkpoint has %d vertices, snapshot has %d", un, len(cw.IDs))
-	}
-	n := int(un)
-	if n != len(cw.IDs) {
-		return corruptf("pregel: delta checkpoint has %d vertices, snapshot has %d", n, len(cw.IDs))
-	}
-	ud, data, err := ConsumeUvarint(data)
-	if err != nil {
-		return err
-	}
-	// Each dirty entry costs at least its index delta and flags byte.
-	if ud > uint64(len(data)) {
-		return corruptf("pregel: corrupt delta checkpoint: %d dirty entries in %d bytes", ud, len(data))
-	}
-	dirtyN := int(ud)
-
-	newArena := make([]M, 0, len(cw.InArena))
-	newOff := make([]int32, n+1)
-	nextIdx := -1
-	prev := 0
-	readIdx := func() error {
-		if dirtyN == 0 {
-			nextIdx = n // past the end
-			return nil
-		}
-		d, rest, err := ConsumeUvarint(data)
-		if err != nil {
-			return err
-		}
-		data = rest
-		nextIdx = prev + int(d)
-		prev = nextIdx
-		dirtyN--
-		return nil
-	}
-	if err := readIdx(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		newOff[i] = int32(len(newArena))
-		if i != nextIdx {
-			// Clean vertex: previous snapshot entry stands.
-			newArena = append(newArena, cw.InArena[cw.InOff[i]:cw.InOff[i+1]]...)
-			continue
-		}
-		if len(data) < 1 {
-			return corruptf("pregel: corrupt delta checkpoint: truncated entry")
-		}
-		flags := data[0]
-		data = data[1:]
-		cw.Active[i] = flags&1 != 0
-		cw.Dead[i] = flags&2 != 0
-		if data, err = consumeVal(data, &cw.Vals[i]); err != nil {
-			return err
-		}
-		cnt, rest, err := ConsumeUvarint(data)
-		if err != nil {
-			return err
-		}
-		// Zero-size message types carry no payload bytes to run out of, so
-		// the count itself must be bounded; sized types fail fast below
-		// when the bytes run dry.
-		if cnt > uint64(math.MaxInt32) {
-			return corruptf("pregel: corrupt delta checkpoint: vertex inbox claims %d messages", cnt)
-		}
-		data = rest
-		for j := uint64(0); j < cnt; j++ {
-			var m M
-			if data, err = consumeVal(data, &m); err != nil {
-				return err
-			}
-			newArena = append(newArena, m)
-		}
-		if int64(len(newArena)) > math.MaxInt32 {
-			return corruptf("pregel: corrupt delta checkpoint: merged inbox arena overflows the offset table")
-		}
-		if err := readIdx(); err != nil {
-			return err
-		}
-	}
-	newOff[n] = int32(len(newArena))
-	if len(data) != 0 {
-		return corruptf("pregel: corrupt delta checkpoint: %d trailing bytes", len(data))
-	}
-	cw.InArena = newArena
-	cw.InOff = newOff
-	cw.NDead = 0
-	for _, d := range cw.Dead {
-		if d {
-			cw.NDead++
-		}
-	}
-	return nil
-}
-
-// appendCkptHeader writes the container header — everything up to and
+// appendContainerHeader writes the container header — everything up to and
 // including the worker count, which is the header-CRC coverage.
-func appendCkptHeader(buf []byte, f *ckptFile) []byte {
+func appendContainerHeader(buf []byte, f *ckptFile) []byte {
 	buf = append(buf, ckptMagic...)
 	buf = binary.AppendUvarint(buf, ckptVersion)
-	buf = append(buf, f.Kind)
 	buf = binary.AppendUvarint(buf, uint64(f.Step))
-	buf = binary.AppendUvarint(buf, uint64(f.PrevStep))
 	buf = binary.AppendVarint(buf, f.Pending)
-	buf = appendCkptString(buf, f.PartitionerName)
+	buf = appendString(buf, f.PartitionerName)
 	buf = binary.AppendUvarint(buf, uint64(f.NumWorkers))
 	buf = binary.AppendUvarint(buf, uint64(f.Supersteps))
 	buf = binary.AppendVarint(buf, f.Messages)
@@ -700,7 +538,7 @@ func appendCkptHeader(buf []byte, f *ckptFile) []byte {
 // CRC alone. The parts' concatenation is the container.
 func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	parts := make([][]byte, 0, 2*len(f.Workers)+1)
-	hdr := appendCkptHeader(make([]byte, 0, 160), f)
+	hdr := appendContainerHeader(make([]byte, 0, 160), f)
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, castagnoli))
 	if len(f.Workers) > 0 {
 		hdr = binary.AppendUvarint(hdr, uint64(len(f.Workers[0])))
@@ -720,7 +558,7 @@ func ckptParts(f *ckptFile, crcs []uint32) [][]byte {
 	return parts
 }
 
-// decodeCkptFile parses a v12 container.
+// decodeCkptFile parses a container of format ckptVersion.
 func decodeCkptFile(job string, data []byte) (*ckptFile, error) {
 	f, _, err := decodeCkptFileBounds(job, data)
 	return f, err
@@ -759,23 +597,15 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 	fail := func(err error) (*ckptFile, []int64, error) {
 		return nil, nil, fmt.Errorf("pregel: decoding checkpoint (job %q): %w", job, err)
 	}
-	if len(data) < 1 {
-		return fail(corruptf("truncated header"))
-	}
-	f.Kind, data = data[0], data[1:]
 	var u uint64
 	if u, data, err = ConsumeUvarint(data); err != nil {
 		return fail(err)
 	}
 	f.Step = int(u)
-	if u, data, err = ConsumeUvarint(data); err != nil {
-		return fail(err)
-	}
-	f.PrevStep = int(u)
 	if f.Pending, data, err = ConsumeVarint(data); err != nil {
 		return fail(err)
 	}
-	if f.PartitionerName, data, err = consumeCkptString(data); err != nil {
+	if f.PartitionerName, data, err = consumeString(data); err != nil {
 		return fail(err)
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {
@@ -873,7 +703,7 @@ func appendAggSnapshot(buf []byte, a aggSnapshot) []byte {
 	})
 	buf = binary.AppendUvarint(buf, uint64(len(ks)))
 	for _, k := range ks {
-		buf = appendCkptString(buf, k)
+		buf = appendString(buf, k)
 		buf = binary.AppendVarint(buf, a.Sum[k])
 	}
 	ks = sortedKeys(len(a.Min), func(app func(string)) {
@@ -883,7 +713,7 @@ func appendAggSnapshot(buf []byte, a aggSnapshot) []byte {
 	})
 	buf = binary.AppendUvarint(buf, uint64(len(ks)))
 	for _, k := range ks {
-		buf = appendCkptString(buf, k)
+		buf = appendString(buf, k)
 		buf = binary.AppendVarint(buf, a.Min[k])
 	}
 	ks = sortedKeys(len(a.Or), func(app func(string)) {
@@ -893,7 +723,7 @@ func appendAggSnapshot(buf []byte, a aggSnapshot) []byte {
 	})
 	buf = binary.AppendUvarint(buf, uint64(len(ks)))
 	for _, k := range ks {
-		buf = appendCkptString(buf, k)
+		buf = appendString(buf, k)
 		buf = AppendBool(buf, a.Or[k])
 	}
 	return buf
@@ -923,7 +753,7 @@ func consumeAggSnapshot(data []byte) (aggSnapshot, []byte, error) {
 	for i := uint64(0); i < n; i++ {
 		var k string
 		var v int64
-		if k, data, err = consumeCkptString(data); err != nil {
+		if k, data, err = consumeString(data); err != nil {
 			return a, nil, err
 		}
 		if v, data, err = ConsumeVarint(data); err != nil {
@@ -943,7 +773,7 @@ func consumeAggSnapshot(data []byte) (aggSnapshot, []byte, error) {
 	for i := uint64(0); i < n; i++ {
 		var k string
 		var v int64
-		if k, data, err = consumeCkptString(data); err != nil {
+		if k, data, err = consumeString(data); err != nil {
 			return a, nil, err
 		}
 		if v, data, err = ConsumeVarint(data); err != nil {
@@ -963,7 +793,7 @@ func consumeAggSnapshot(data []byte) (aggSnapshot, []byte, error) {
 	for i := uint64(0); i < n; i++ {
 		var k string
 		var v bool
-		if k, data, err = consumeCkptString(data); err != nil {
+		if k, data, err = consumeString(data); err != nil {
 			return a, nil, err
 		}
 		if v, data, err = ConsumeBool(data); err != nil {

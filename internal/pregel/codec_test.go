@@ -159,12 +159,12 @@ func TestWorkerSectionRoundTrip(t *testing.T) {
 		IDs: w.ids, Vals: w.vals, Active: w.active, Dead: w.dead,
 		NDead: 1, InArena: w.inArena, InOff: w.inOff,
 	}
-	got, err := decodeWorkerSection[int64, int64](encodeWorkerFull(w))
+	got, err := decodeWorkerSection[int64, int64](encodeWorkerSection(w))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sectionEqual(t, "binary", got, want)
-	bad := encodeWorkerFull(w)
+	bad := encodeWorkerSection(w)
 	bad[0] = 1 // the flag byte the retired gob sections carried
 	if _, err := decodeWorkerSection[int64, int64](bad); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("section flag 1 decoded with %v, want a corrupt-section error", err)
@@ -183,82 +183,27 @@ func TestWorkerSectionBinarySmallerThanGob(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if bin := encodeWorkerFull(w); len(bin) >= gb.Len() {
+	if bin := encodeWorkerSection(w); len(bin) >= gb.Len() {
 		t.Errorf("binary section is %d bytes, gob is %d; the zero-copy codec should be denser", len(bin), gb.Len())
 	}
 }
 
-// TestCheckpointCodecSizeFence gates the section sizes of the synthetic
-// partition BenchmarkCheckpointCodec encodes. Both sizes are deterministic;
-// each ceiling is the committed baseline of the former benchmark artifact
+// TestCheckpointCodecSizeFence gates the section size of the synthetic
+// partition BenchmarkCheckpointCodec encodes. The size is deterministic;
+// the ceiling is the committed baseline of the former benchmark artifact
 // (commit 8584b4f) times 1.25.
 func TestCheckpointCodecSizeFence(t *testing.T) {
-	const (
-		maxFullBytes  = 984_699 * 1.25 // baseline full_bytes: 984 699
-		maxDeltaRatio = 0.0388 * 1.25  // baseline delta_ratio at 5% dirty: 38 224 / 984 699
-	)
-	w := benchWorker(50_000, 2)
-	full := encodeWorkerFull(w)
-	w.dirty = make([]bool, len(w.ids))
-	for i := 0; i < len(w.dirty); i += 20 {
-		w.dirty[i] = true
-	}
-	delta := encodeWorkerDelta(w)
-	ratio := float64(len(delta)) / float64(len(full))
-	t.Logf("full section %d bytes, 5%%-dirty delta %d bytes (ratio %.4f)", len(full), len(delta), ratio)
+	const maxFullBytes = 984_699 * 1.25 // baseline full_bytes: 984 699
+	full := encodeWorkerSection(benchWorker(50_000, 2))
+	t.Logf("full section %d bytes", len(full))
 	if float64(len(full)) > maxFullBytes {
 		t.Errorf("full section is %d bytes, ceiling %.0f", len(full), maxFullBytes)
-	}
-	if ratio > maxDeltaRatio || ratio >= 0.5 {
-		t.Errorf("5%%-dirty delta is %.4f of the full section, ceiling %.4f", ratio, maxDeltaRatio)
-	}
-}
-
-// TestWorkerDeltaMergesToFull: mutate a worker, mark the touched vertices
-// dirty, and the delta applied to the old snapshot must equal a fresh full
-// snapshot of the mutated worker.
-func TestWorkerDeltaMergesToFull(t *testing.T) {
-	w := buildCodecWorker()
-	snap, err := decodeWorkerSection[int64, int64](encodeWorkerFull(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Mutate vertices 0 and 3: new values, flipped flags, a rewritten
-	// inbox for 0 (2 msgs -> 1 msg) and a new message for 3.
-	w.dirty = []bool{true, false, false, true, false}
-	w.vals[0], w.active[0] = 999, false
-	w.vals[3], w.active[3] = -999, true
-	w.inArena = []int64{77, 12, 88}
-	w.inOff = []int32{0, 1, 1, 2, 3, 3}
-
-	delta := encodeWorkerDelta(w)
-	if err := applyWorkerDelta(snap, delta); err != nil {
-		t.Fatal(err)
-	}
-	want, err := decodeWorkerSection[int64, int64](encodeWorkerFull(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sectionEqual(t, "delta-merged", snap, want)
-}
-
-func TestWorkerDeltaRejectsMismatchedSize(t *testing.T) {
-	w := buildCodecWorker()
-	w.dirty = make([]bool, len(w.ids))
-	delta := encodeWorkerDelta(w)
-	snap := &ckptWorker[int64, int64]{
-		IDs: []VertexID{1}, Vals: []int64{0}, Active: []bool{true}, Dead: []bool{false},
-		InOff: []int32{0, 0},
-	}
-	if err := applyWorkerDelta(snap, delta); err == nil {
-		t.Error("applying a 5-vertex delta to a 1-vertex snapshot succeeded")
 	}
 }
 
 func makeCodecCkptFile() *ckptFile {
 	return &ckptFile{
-		Step: 6, Pending: 17, Kind: ckptKindDelta, PrevStep: 4,
+		Step: 6, Pending: 17,
 		PartitionerName: "hash", NumWorkers: 3,
 		Supersteps: 7, Messages: 1234, LocalMessages: 1000, RemoteMessages: 234,
 		Bytes: 99999, DroppedMessages: 2, ClockNs: 1.5e9, Fingerprint: 0xdeadbeefcafe,
@@ -283,7 +228,7 @@ func TestCkptFileRoundTrip(t *testing.T) {
 }
 
 func TestCkptFileRoundTripEmptyAgg(t *testing.T) {
-	f := &ckptFile{Kind: ckptKindFull, PartitionerName: "range", NumWorkers: 1, Workers: [][]byte{{0}}}
+	f := &ckptFile{PartitionerName: "range", NumWorkers: 1, Workers: [][]byte{{0}}}
 	got, err := decodeCkptFile("job@000", encodeCkptFile(f))
 	if err != nil {
 		t.Fatal(err)
@@ -308,11 +253,11 @@ func TestDecodeCkptFileRejectsV1Gob(t *testing.T) {
 	}
 }
 
-// TestDecodeCkptFileRejectsFutureVersion: any version but v13 — the v2–v12
-// containers earlier commits wrote, or a future one — is one unsupported
-// format error, never a misread.
+// TestDecodeCkptFileRejectsFutureVersion: any version but ckptVersion —
+// the v2–v13 containers earlier commits wrote, or a future one — is one
+// unsupported format error, never a misread.
 func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
-	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ckptVersion + 1} {
+	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, ckptVersion + 1} {
 		blob := encodeCkptFile(makeCodecCkptFile())
 		// The version uvarint sits right after the 4-byte magic; versions
 		// below 128 encode as one byte.

@@ -303,10 +303,6 @@ type Stats struct {
 	CheckpointRestores      int
 	CheckpointBytesWritten  int64
 	CheckpointBytesRestored int64
-	// CheckpointDeltaSaves counts the subset of CheckpointSaves that were
-	// incremental (Config.DeltaCheckpoints); saves minus delta-saves is the
-	// number of full snapshots taken.
-	CheckpointDeltaSaves int
 	// SimSeconds is the simulated clock reading when the run finished
 	// (cumulative across jobs sharing the clock).
 	SimSeconds float64
@@ -325,7 +321,6 @@ func (s *Stats) Add(other *Stats) {
 	s.CheckpointRestores += other.CheckpointRestores
 	s.CheckpointBytesWritten += other.CheckpointBytesWritten
 	s.CheckpointBytesRestored += other.CheckpointBytesRestored
-	s.CheckpointDeltaSaves += other.CheckpointDeltaSaves
 	if other.SimSeconds > s.SimSeconds {
 		s.SimSeconds = other.SimSeconds
 	}

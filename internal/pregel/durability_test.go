@@ -19,12 +19,9 @@ import (
 )
 
 // ringCompute is a deterministic multi-superstep job (messages,
-// aggregators, vote-to-halt) over primitive vertex/message types, so both
-// full and delta checkpoints take the binary codec path. Only the first
-// ringActive vertices keep circulating tokens; the rest halt after
-// superstep 0, keeping the dirty set small enough that delta mode really
-// writes deltas instead of tripping the mostly-dirty full-snapshot
-// fallback.
+// aggregators, vote-to-halt) over primitive vertex/message types, so
+// checkpoints take the binary codec path. Only the first ringActive
+// vertices keep circulating tokens; the rest halt after superstep 0.
 const ringActive = 6
 
 func ringCompute(n, steps int) pregel.Compute[int64, int64] {
@@ -82,21 +79,19 @@ func ringBaseline(t *testing.T) map[pregel.VertexID]int64 {
 }
 
 // checkpointedRun executes the job on fs with a testfs-backed
-// DirCheckpointer and returns the final values. delta toggles incremental
-// checkpoints; resume runs with Config.Resume; warn collects engine
-// diagnostics.
-func checkpointedRun(fs *testfs.FS, delta, resume bool, warn func(string)) (map[pregel.VertexID]int64, error) {
+// DirCheckpointer and returns the final values. resume runs with
+// Config.Resume; warn collects engine diagnostics.
+func checkpointedRun(fs *testfs.FS, resume bool, warn func(string)) (map[pregel.VertexID]int64, error) {
 	store, err := pregel.NewDirCheckpointerOpts("/ck", pregel.DirStoreOptions{FS: fs})
 	if err != nil {
 		return nil, err
 	}
 	g := buildRing(pregel.Config{
-		Workers:          4,
-		CheckpointEvery:  3,
-		Checkpointer:     store,
-		DeltaCheckpoints: delta,
-		Resume:           resume,
-		Warn:             warn,
+		Workers:         4,
+		CheckpointEvery: 3,
+		Checkpointer:    store,
+		Resume:          resume,
+		Warn:            warn,
 	}, ringN)
 	if _, err := g.Run(ringCompute(ringN, ringSteps), pregel.WithName("ring")); err != nil {
 		return nil, err
@@ -104,78 +99,65 @@ func checkpointedRun(fs *testfs.FS, delta, resume bool, warn func(string)) (map[
 	return ringVals(g), nil
 }
 
-// TestTornTailWalkBack is the satellite-4 crash-matrix leg: truncate the
+// TestTornTailWalkBack is the torn-tail crash-matrix leg: truncate the
 // newest checkpoint artifact at every section boundary (and a byte past
 // each, catching mid-section tears) and require a resumed run to walk back
 // to the previous intact snapshot and finish byte-identical — with a
 // warning naming the damaged file, never silently.
 func TestTornTailWalkBack(t *testing.T) {
 	want := ringBaseline(t)
-	for _, delta := range []bool{false, true} {
-		name := "full"
-		if delta {
-			name = "delta"
+	t.Run("full", func(t *testing.T) {
+		base := testfs.New()
+		if _, err := checkpointedRun(base, false, func(string) {}); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			base := testfs.New()
-			if _, err := checkpointedRun(base, delta, false, func(string) {}); err != nil {
-				t.Fatal(err)
+		rep, err := pregel.VerifyCheckpointDirFS("/ck", base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := rep.Corrupt(); len(bad) != 0 {
+			t.Fatalf("clean run left corrupt artifacts: %+v", bad)
+		}
+		// Newest artifact = the one holding the highest step.
+		var newest pregel.CkptFileInfo
+		for _, f := range rep.Files {
+			if !f.Temp && f.Step > newest.Step {
+				newest = f
 			}
-			rep, err := pregel.VerifyCheckpointDirFS("/ck", base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bad := rep.Corrupt(); len(bad) != 0 {
-				t.Fatalf("clean run left corrupt artifacts: %+v", bad)
-			}
-			// Newest artifact = the one holding the highest step; prefer the
-			// delta when both exist at that step (it supersedes the full).
-			var newest pregel.CkptFileInfo
-			for _, f := range rep.Files {
-				if f.Temp {
-					continue
-				}
-				if f.Step > newest.Step || (f.Step == newest.Step && f.Delta && !newest.Delta) {
-					newest = f
-				}
-			}
-			if newest.Name == "" || len(newest.SectionEnds) == 0 {
-				t.Fatalf("no newest artifact found in %+v", rep.Files)
-			}
-			if delta && !newest.Delta {
-				t.Fatalf("delta mode left a full snapshot as the newest artifact: %+v", newest)
-			}
+		}
+		if newest.Name == "" || len(newest.SectionEnds) == 0 {
+			t.Fatalf("no newest artifact found in %+v", rep.Files)
+		}
 
-			cuts := []int64{0}
-			for _, end := range newest.SectionEnds {
-				if end < newest.Bytes {
-					cuts = append(cuts, end, end+1)
+		cuts := []int64{0}
+		for _, end := range newest.SectionEnds {
+			if end < newest.Bytes {
+				cuts = append(cuts, end, end+1)
+			}
+		}
+		cuts = append(cuts, newest.Bytes-1)
+		for _, cut := range cuts {
+			fs := base.Clone()
+			if err := fs.Truncate("/ck/"+newest.Name, int(cut)); err != nil {
+				t.Fatal(err)
+			}
+			var warns []string
+			got, err := checkpointedRun(fs, true, func(msg string) { warns = append(warns, msg) })
+			if err != nil {
+				t.Fatalf("cut at %d: resume failed: %v", cut, err)
+			}
+			sameVals(t, fmt.Sprintf("cut at %d", cut), want, got)
+			found := false
+			for _, w := range warns {
+				if strings.Contains(w, newest.Name) && strings.Contains(w, "corrupt") {
+					found = true
 				}
 			}
-			cuts = append(cuts, newest.Bytes-1)
-			for _, cut := range cuts {
-				fs := base.Clone()
-				if err := fs.Truncate("/ck/"+newest.Name, int(cut)); err != nil {
-					t.Fatal(err)
-				}
-				var warns []string
-				got, err := checkpointedRun(fs, delta, true, func(msg string) { warns = append(warns, msg) })
-				if err != nil {
-					t.Fatalf("cut at %d: resume failed: %v", cut, err)
-				}
-				sameVals(t, fmt.Sprintf("cut at %d", cut), want, got)
-				found := false
-				for _, w := range warns {
-					if strings.Contains(w, newest.Name) && strings.Contains(w, "corrupt") {
-						found = true
-					}
-				}
-				if !found {
-					t.Errorf("cut at %d: no warning names the damaged artifact %s: %q", cut, newest.Name, warns)
-				}
+			if !found {
+				t.Errorf("cut at %d: no warning names the damaged artifact %s: %q", cut, newest.Name, warns)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestDroppedFsyncCrashMatrix sweeps a lying disk across every fsync of a
@@ -187,7 +169,7 @@ func TestDroppedFsyncCrashMatrix(t *testing.T) {
 	want := ringBaseline(t)
 
 	clean := testfs.New()
-	if _, err := checkpointedRun(clean, false, false, func(string) {}); err != nil {
+	if _, err := checkpointedRun(clean, false, func(string) {}); err != nil {
 		t.Fatal(err)
 	}
 	total := clean.Syncs()
@@ -198,11 +180,11 @@ func TestDroppedFsyncCrashMatrix(t *testing.T) {
 	for k := 0; k <= total; k++ {
 		fs := testfs.New()
 		fs.DropSyncsAfter(k)
-		if _, err := checkpointedRun(fs, false, false, func(string) {}); err != nil {
+		if _, err := checkpointedRun(fs, false, func(string) {}); err != nil {
 			t.Fatalf("k=%d: dropped syncs must look like success to the writer, got %v", k, err)
 		}
 		fs.Crash()
-		got, err := checkpointedRun(fs, false, true, func(string) {})
+		got, err := checkpointedRun(fs, true, func(string) {})
 		switch {
 		case err == nil:
 			sameVals(t, fmt.Sprintf("k=%d resume", k), want, got)
@@ -210,7 +192,7 @@ func TestDroppedFsyncCrashMatrix(t *testing.T) {
 			// Loud refusal is acceptable; deleting the directory and rerunning
 			// must then reproduce the baseline.
 			fresh := testfs.New()
-			got, err := checkpointedRun(fresh, false, false, func(string) {})
+			got, err := checkpointedRun(fresh, false, func(string) {})
 			if err != nil {
 				t.Fatalf("k=%d: rerun after refusal: %v", k, err)
 			}
@@ -231,13 +213,13 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 	for n := 0; ; n++ {
 		fs := testfs.New()
 		fs.FailAfterOps(n)
-		_, err := checkpointedRun(fs, false, false, func(string) {})
+		_, err := checkpointedRun(fs, false, func(string) {})
 		if err != nil && !errors.Is(err, testfs.ErrInjected) {
 			t.Fatalf("n=%d: run failed with a non-injected error: %v", n, err)
 		}
 		injected := err != nil
 		fs.Crash()
-		got, rerr := checkpointedRun(fs, false, true, func(string) {})
+		got, rerr := checkpointedRun(fs, true, func(string) {})
 		if rerr != nil {
 			t.Fatalf("n=%d: resume after crash: %v", n, rerr)
 		}
@@ -278,7 +260,7 @@ func TestDurabilityNoneSkipsFsync(t *testing.T) {
 func TestResumeAfterPartialRunTornTail(t *testing.T) {
 	want := ringBaseline(t)
 	clean := testfs.New()
-	if _, err := checkpointedRun(clean, false, false, func(string) {}); err != nil {
+	if _, err := checkpointedRun(clean, false, func(string) {}); err != nil {
 		t.Fatal(err)
 	}
 	fs := testfs.New()
@@ -295,7 +277,7 @@ func TestResumeAfterPartialRunTornTail(t *testing.T) {
 		t.Fatalf("run under a byte budget below its write volume: %v, want ErrInjected", err)
 	}
 	fs.Crash()
-	got, err := checkpointedRun(fs, false, true, func(string) {})
+	got, err := checkpointedRun(fs, true, func(string) {})
 	if err != nil {
 		t.Fatalf("resume after torn-tail crash: %v", err)
 	}

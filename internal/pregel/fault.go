@@ -43,9 +43,12 @@ func NewFaultPlan(faults ...Fault) *FaultPlan {
 
 // ParseFaultPlan parses a CLI-style schedule: a comma-separated list of
 // ROUND:WORKER pairs, e.g. "12:0,57:3" (crash worker 0 at global round 12,
-// then worker 3 at round 57). An empty string is an empty plan.
+// then worker 3 at round 57). An empty string is an empty plan. A round may
+// appear once: only one fault fires per round, so a second one there would
+// never fire.
 func ParseFaultPlan(s string) (*FaultPlan, error) {
 	var faults []Fault
+	entries := map[int]string{} // round -> the entry that scheduled it
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -63,6 +66,10 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 		if err != nil || w < 0 {
 			return nil, fmt.Errorf("pregel: fault %q: bad worker", part)
 		}
+		if prev, dup := entries[r]; dup {
+			return nil, fmt.Errorf("pregel: faults %q and %q share round %d; only one worker can crash per round", prev, part, r)
+		}
+		entries[r] = part
 		faults = append(faults, Fault{Round: r, Worker: w})
 	}
 	return NewFaultPlan(faults...), nil

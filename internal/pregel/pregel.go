@@ -25,9 +25,7 @@ import (
 )
 
 // stderrWarnOnce backs the default Config.Warn sink: each distinct message
-// goes to stderr once per process. Dedup keys on the full message, which
-// deliberately omits job names for per-configuration warnings (like a
-// delta-checkpoint downgrade) so a hundred-job pipeline warns once.
+// goes to stderr once per process.
 var stderrWarnOnce struct {
 	mu   sync.Mutex
 	seen map[string]bool
@@ -127,16 +125,6 @@ type Config struct {
 	// installs a fresh MemCheckpointer; pass a DirCheckpointer (shared by
 	// every stage of a pipeline) to survive process death.
 	Checkpointer Checkpointer
-	// DeltaCheckpoints makes cadence checkpoints incremental: after a full
-	// snapshot, subsequent saves record only the vertices dirtied (computed
-	// on, or delivered a message) since the previous save, bounded by a
-	// short chain before the next full snapshot. Requires a store
-	// implementing DeltaCheckpointer; without one every save stays a full
-	// snapshot, and the downgrade is reported through Warn plus the
-	// pregel_checkpoint_delta_downgrades_total counter. Recovery
-	// replays the newest full snapshot plus its delta chain and is
-	// bit-identical to recovering from a full save.
-	DeltaCheckpoints bool
 	// Faults, when non-nil, is a worker-crash schedule for fault-injection
 	// testing; see FaultPlan. Graphs created from this Config (including
 	// via Convert) share the plan, so one schedule spans a whole pipeline.
@@ -170,11 +158,9 @@ type Config struct {
 	// depths). Instrument handles are resolved once per run.
 	Metrics *telemetry.Registry
 	// Warn, when non-nil, receives the engine's non-fatal diagnostics: a
-	// requested delta-checkpoint mode that had to fall back to full
-	// snapshots, a corrupt checkpoint artifact skipped during recovery.
-	// Nil routes each distinct message to stderr once per process (repeats
-	// are suppressed so a pipeline of a hundred jobs warns once, not a
-	// hundred times); a caller-supplied Warn receives every occurrence.
+	// corrupt checkpoint artifact skipped during recovery. Nil routes each
+	// distinct message to stderr once per process (repeats are
+	// suppressed); a caller-supplied Warn receives every occurrence.
 	Warn func(msg string)
 }
 
@@ -197,9 +183,6 @@ func (c Config) Validate() error {
 	}
 	if c.Resume && c.CheckpointEvery <= 0 {
 		return fmt.Errorf("pregel: Resume requires CheckpointEvery > 0 (there are no checkpoints to resume from)")
-	}
-	if c.DeltaCheckpoints && c.CheckpointEvery <= 0 {
-		return fmt.Errorf("pregel: DeltaCheckpoints requires CheckpointEvery > 0 (there are no checkpoints to make incremental)")
 	}
 	return nil
 }
@@ -284,13 +267,6 @@ type worker[V, M any] struct {
 	delivered  int64
 	dropped    int64
 	deliverErr error
-
-	// dirty marks vertices touched since the last checkpoint save (compute
-	// invoked, or a message delivered); nil unless the current run takes
-	// delta checkpoints. A clean vertex is guaranteed to have an unchanged
-	// value and flags and an empty inbox at both barriers, because a
-	// non-empty inbox forces reactivation and therefore compute.
-	dirty []bool
 }
 
 // sender is the send half of a worker: everything Context.Send and the
@@ -818,15 +794,6 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	if err != nil {
 		return stats, err
 	}
-	// Dirty tracking exists only when this run takes delta checkpoints.
-	for _, w := range g.workers {
-		if ck != nil && ck.delta {
-			w.dirty = growTo(w.dirty, len(w.ids))
-			clear(w.dirty)
-		} else {
-			w.dirty = nil
-		}
-	}
 	step := 0
 	pending := int64(0) // messages delivered at the last barrier
 	if ck != nil {
@@ -1029,9 +996,6 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 		if !vs.active[i] {
 			continue
 		}
-		if w.dirty != nil {
-			w.dirty[i] = true
-		}
 		ctx.halt = false
 		ctx.remove = false
 		ctx.pos = uint32(i)
@@ -1184,9 +1148,6 @@ func (g *Graph[V, M]) countLane(dst *worker[V, M], lane msgLane[M]) {
 		}
 		rIdx[base+m] = int32(i)
 		dst.delivered++
-		if dst.dirty != nil {
-			dst.dirty[i] = true
-		}
 		if !fused || counts[i] == 0 {
 			counts[i]++
 		}

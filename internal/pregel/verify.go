@@ -16,12 +16,11 @@ type CkptFileInfo struct {
 	Name string
 	Job  string
 	Step int
-	// Delta marks .dckpt files, Temp marks stray .tmp-* files a crash left
-	// mid-write (harmless debris, never counted as corruption).
-	Delta bool
-	Temp  bool
-	// Version is the container format version the file claims (10 is the
-	// only one read), 0 when the frame is too damaged to tell.
+	// Temp marks stray .tmp-* files a crash left mid-write (harmless
+	// debris, never counted as corruption).
+	Temp bool
+	// Version is the container format version the file claims (ckptVersion
+	// is the only one read), 0 when the frame is too damaged to tell.
 	Version int
 	// Bytes is the file size; SectionEnds are the container's internal
 	// boundaries (header end, then each worker section's end) — the exact
@@ -67,7 +66,7 @@ func VerifyCheckpointDirFS(dir string, fsys FS) (*CkptDirReport, error) {
 	sort.Strings(names)
 	rep := &CkptDirReport{Dir: dir}
 	for _, name := range names {
-		job, step, delta, ok := parseCkptName(name)
+		job, step, ok := parseCkptName(name)
 		if !ok {
 			if strings.Contains(name, ".tmp-") {
 				rep.Files = append(rep.Files, CkptFileInfo{Name: name, Temp: true,
@@ -75,7 +74,7 @@ func VerifyCheckpointDirFS(dir string, fsys FS) (*CkptDirReport, error) {
 			}
 			continue
 		}
-		info := CkptFileInfo{Name: name, Job: job, Step: step, Delta: delta}
+		info := CkptFileInfo{Name: name, Job: job, Step: step}
 		data, err := fsys.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			info.Err = err
@@ -90,8 +89,6 @@ func VerifyCheckpointDirFS(dir string, fsys FS) (*CkptDirReport, error) {
 			info.Err = err
 		case file.Step != step:
 			info.Err = fmt.Errorf("file name says step %d but the container holds step %d", step, file.Step)
-		case delta != (file.Kind == ckptKindDelta):
-			info.Err = fmt.Errorf("file extension and container kind disagree (kind byte %d)", file.Kind)
 		default:
 			info.SectionEnds = bounds
 		}
@@ -100,27 +97,19 @@ func VerifyCheckpointDirFS(dir string, fsys FS) (*CkptDirReport, error) {
 	return rep, nil
 }
 
-// parseCkptName splits a checkpoint file name (job.%08d.ckpt or .dckpt)
-// into its job key and step.
-func parseCkptName(name string) (job string, step int, delta, ok bool) {
-	rest := name
-	switch {
-	case strings.HasSuffix(rest, ".dckpt"):
-		rest, delta = strings.TrimSuffix(rest, ".dckpt"), true
-	case strings.HasSuffix(rest, ".ckpt"):
-		rest = strings.TrimSuffix(rest, ".ckpt")
-	default:
-		return "", 0, false, false
-	}
+// parseCkptName splits a checkpoint file name (job.%08d.ckpt) into its
+// job key and step.
+func parseCkptName(name string) (job string, step int, ok bool) {
+	rest, ok := strings.CutSuffix(name, ".ckpt")
 	i := strings.LastIndex(rest, ".")
-	if i < 0 {
-		return "", 0, false, false
+	if !ok || i < 0 {
+		return "", 0, false
 	}
 	s, err := strconv.Atoi(rest[i+1:])
 	if err != nil {
-		return "", 0, false, false
+		return "", 0, false
 	}
-	return rest[:i], s, delta, true
+	return rest[:i], s, true
 }
 
 // ckptBlobVersion peeks at a container's version field; 0 when the frame

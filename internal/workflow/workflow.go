@@ -90,9 +90,6 @@ type Env struct {
 	Checkpointer    pregel.Checkpointer
 	Faults          *pregel.FaultPlan
 	Resume          bool
-	// DeltaCheckpoints enables incremental checkpoints
-	// (pregel.Config.DeltaCheckpoints) for every op.
-	DeltaCheckpoints bool
 
 	// Clock is the simulated-cluster clock every op charges. Plan.Run
 	// installs a fresh one when nil.
@@ -141,8 +138,7 @@ func (e *Env) Config() pregel.Config {
 		Workers: e.Workers, Parallel: e.Parallel, Cost: e.Cost,
 		Partitioner: e.Partitioner, MessageBytes: e.MessageBytes,
 		CheckpointEvery: e.CheckpointEvery, Checkpointer: e.Checkpointer,
-		DeltaCheckpoints: e.DeltaCheckpoints,
-		Faults:           e.Faults, Resume: e.Resume,
+		Faults: e.Faults, Resume: e.Resume,
 		JobPrefix: e.prefix,
 		Tracer:    e.Tracer, Metrics: e.Metrics, Warn: e.Warn,
 	}
