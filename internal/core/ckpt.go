@@ -1,11 +1,12 @@
 // Checkpoint codec methods: VData, svVertex, Msg, labelMsg and svMsg carry
 // the Pregel engine's binary value codec by implementing
 // pregel.CheckpointAppender / pregel.CheckpointDecoder, which segment-graph
-// jobs need to checkpoint. VData fields are written in struct order, the
-// messages' one-byte fields first; vertex IDs are fixed 8-byte little-endian
-// (canonical k-mer codes and flipped IDs span the full 64-bit range, where
-// varints buy nothing), except in svMsg, which is mostly k-mer IDs and small
-// addresses and writes both as uvarints.
+// jobs need to checkpoint. VData writes its node, then the ambiguity mask,
+// then the labeling and tip state, whatever the declaration order; the
+// messages write their one-byte fields first; vertex IDs are fixed 8-byte
+// little-endian (canonical k-mer codes and flipped IDs span the full 64-bit
+// range, where varints buy nothing), except in svMsg, which is mostly k-mer
+// IDs and small addresses and writes both as uvarints.
 
 package core
 
@@ -20,10 +21,7 @@ import (
 // AppendCheckpoint implements pregel.CheckpointAppender.
 func (v *VData) AppendCheckpoint(buf []byte) []byte {
 	buf = v.Node.AppendCheckpoint(buf)
-	buf = pregel.AppendUvarint(buf, uint64(len(v.NbrAmbig)))
-	for _, b := range v.NbrAmbig {
-		buf = pregel.AppendBool(buf, b)
-	}
+	buf = pregel.AppendUvarint(buf, uint64(v.NbrAmbig))
 	buf = pregel.AppendBool(buf, v.Ambig)
 	for i := 0; i < 2; i++ {
 		buf = pregel.AppendUint64(buf, uint64(v.SideNbr[i]))
@@ -45,22 +43,15 @@ func (v *VData) DecodeCheckpoint(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	na, data, err := pregel.ConsumeUvarint(data)
+	mask, data, err := pregel.ConsumeUvarint(data)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(data)) < na {
-		return nil, fmt.Errorf("core: corrupt VData encoding: %d ambiguity flags in %d bytes", na, len(data))
+	// A mask bit marks an adjacency item, so none may lie past the last one.
+	if mask > math.MaxUint32 || mask>>len(v.Node.Adj) != 0 {
+		return nil, fmt.Errorf("core: corrupt VData encoding: ambiguity mask %#x over %d adjacency items", mask, len(v.Node.Adj))
 	}
-	v.NbrAmbig = nil
-	if na > 0 {
-		v.NbrAmbig = make([]bool, na)
-	}
-	for i := range v.NbrAmbig {
-		if v.NbrAmbig[i], data, err = pregel.ConsumeBool(data); err != nil {
-			return nil, err
-		}
-	}
+	v.NbrAmbig = uint32(mask)
 	if v.Ambig, data, err = pregel.ConsumeBool(data); err != nil {
 		return nil, err
 	}

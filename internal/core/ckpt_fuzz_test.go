@@ -74,15 +74,21 @@ func (g *fuzzGen) node() dbg.Node {
 
 // FuzzVDataCodecDifferential checks the segment-graph vertex value — the
 // richest state shape the checkpoint codec carries (nested node, sequence,
-// adjacency, per-side labeling state) — against the gob baseline.
+// adjacency, per-side labeling state) — against the gob baseline. An
+// ambiguity mask with a bit past the last adjacency item is not a state the
+// pipeline makes, and its encoding must fail to decode.
 func FuzzVDataCodecDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x05, 0x00, 0x41})
+	// A node with no adjacency items (kind, empty sequence, coverage, item
+	// count) and ambiguity mask bit 0.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
 		v := VData{
 			Node:       g.node(),
+			NbrAmbig:   uint32(g.b()),
 			Ambig:      g.flag(),
 			Label:      g.id(),
 			Labeled:    g.flag(),
@@ -90,18 +96,19 @@ func FuzzVDataCodecDifferential(f *testing.F) {
 			LastActive: int64(g.u64()),
 			TipProbed:  g.flag(),
 		}
-		if na := g.n(6); na > 0 {
-			v.NbrAmbig = make([]bool, na)
-			for i := range v.NbrAmbig {
-				v.NbrAmbig[i] = g.flag()
-			}
-		}
 		for i := 0; i < 2; i++ {
 			v.SideNbr[i] = g.id()
 			v.HasSide[i] = g.flag()
 			v.P[i] = g.id()
 			v.PSide[i] = g.b()
 			v.Done[i] = g.flag()
+		}
+		if v.NbrAmbig>>len(v.Node.Adj) != 0 {
+			var got VData
+			if _, err := got.DecodeCheckpoint(v.AppendCheckpoint(nil)); err == nil {
+				t.Fatalf("mask %#b over %d adjacency items decoded", v.NbrAmbig, len(v.Node.Adj))
+			}
+			v.NbrAmbig &= 1<<len(v.Node.Adj) - 1
 		}
 		ckpttest.RoundTrip[VData](t, &v)
 		ckpttest.NoPanic[VData](t, data)
@@ -229,12 +236,44 @@ func TestSVQueryTagIsNoVertexID(t *testing.T) {
 	}
 }
 
-// TestVDataLayoutFence keeps the segment graph's vertex at most 184 bytes:
-// every job of ops ②–⑤ but S-V streams it once per superstep, and every
-// checkpoint encodes it.
+// TestVDataLayoutFence pins the segment graph's vertex at 136 bytes and its
+// widest-first field order: every job of ops ②–⑤ but S-V streams it once
+// per superstep, and every checkpoint encodes it.
 func TestVDataLayoutFence(t *testing.T) {
-	if got := unsafe.Sizeof(VData{}); got > 184 {
-		t.Errorf("VData is %d bytes, want at most 184", got)
+	var v VData
+	if got := unsafe.Sizeof(v); got != 136 {
+		t.Errorf("VData is %d bytes, want 136: a field was added or the widest-first order broken", got)
+	}
+	offsets := []struct {
+		field     string
+		got, want uintptr
+	}{
+		{"Node", unsafe.Offsetof(v.Node), 0},
+		{"SideNbr", unsafe.Offsetof(v.SideNbr), 72},
+		{"P", unsafe.Offsetof(v.P), 88},
+		{"Label", unsafe.Offsetof(v.Label), 104},
+		{"LastActive", unsafe.Offsetof(v.LastActive), 112},
+		{"NbrAmbig", unsafe.Offsetof(v.NbrAmbig), 120},
+		{"PSide", unsafe.Offsetof(v.PSide), 124},
+		{"HasSide", unsafe.Offsetof(v.HasSide), 126},
+		{"Done", unsafe.Offsetof(v.Done), 128},
+		{"Ambig", unsafe.Offsetof(v.Ambig), 130},
+		{"Labeled", unsafe.Offsetof(v.Labeled), 131},
+		{"Cycle", unsafe.Offsetof(v.Cycle), 132},
+		{"TipProbed", unsafe.Offsetof(v.TipProbed), 133},
+	}
+	for _, o := range offsets {
+		if o.got != o.want {
+			t.Errorf("VData.%s at offset %d, want %d", o.field, o.got, o.want)
+		}
+	}
+}
+
+// TestMemberLayoutFence pins op ③'s shuffle record at 24 bytes (32 with its
+// 8-byte key): it must point at the partition's node, not copy it.
+func TestMemberLayoutFence(t *testing.T) {
+	if got := unsafe.Sizeof(member{}); got != 24 {
+		t.Errorf("member is %d bytes, want 24", got)
 	}
 }
 

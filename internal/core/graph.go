@@ -12,15 +12,12 @@ import (
 )
 
 // VData is the vertex value for all core operations: the segment node plus
-// per-operation scratch state (the paper's vertex attribute a(v)).
+// per-operation scratch state (the paper's vertex attribute a(v)). Fields
+// are declared widest first so the struct packs into 136 bytes
+// (TestVDataLayoutFence); the checkpoint codec (ckpt.go) is per field and
+// does not see this order.
 type VData struct {
 	Node dbg.Node
-	// NbrAmbig marks which adjacency items point at ambiguous (⟨m-n⟩)
-	// neighbors; it is learned in the labeling hello exchange and consumed
-	// when rebuilding adjacency after merging (operation ⑤ setup).
-	NbrAmbig []bool
-	// Ambig records this vertex's own ⟨m-n⟩ status at labeling time.
-	Ambig bool
 
 	// Contig-labeling state. A vertex has up to two "sides"; SideNbr[i] is
 	// the neighbour on side i (HasSide[i] false for dead ends). P is
@@ -30,18 +27,30 @@ type VData struct {
 	// Simplified S-V keeps its state in an svVertex of its own (label.go)
 	// and writes back only Label and Labeled.
 	SideNbr    [2]pregel.VertexID
-	HasSide    [2]bool
 	P          [2]pregel.VertexID
-	PSide      [2]uint8
-	Done       [2]bool
 	Label      pregel.VertexID
-	Labeled    bool
-	Cycle      bool
 	LastActive int64
+
+	// NbrAmbig is a bit mask over Node.Adj: bit i is set when Adj[i]
+	// points at an ambiguous (⟨m-n⟩) neighbor. It is learned in the
+	// labeling hello exchange and consumed when rebuilding adjacency after
+	// merging (operation ⑤ setup). A k-mer has at most 32 items (one per
+	// dbg.Bitmap32 bit) and a contig 2, so 32 bits cover every vertex.
+	NbrAmbig uint32
+	PSide    [2]uint8
+	HasSide  [2]bool
+	Done     [2]bool
+	// Ambig records this vertex's own ⟨m-n⟩ status at labeling time.
+	Ambig   bool
+	Labeled bool
+	Cycle   bool
 
 	// Tip-removal state.
 	TipProbed bool
 }
+
+// nbrAmbig reports whether Node.Adj[i] points at an ambiguous neighbor.
+func (v *VData) nbrAmbig(i int) bool { return v.NbrAmbig>>i&1 != 0 }
 
 // MsgKind discriminates the message types of the core operations.
 type MsgKind uint8

@@ -175,9 +175,11 @@ func helloPhase(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msg
 	case 1:
 		// A vertex receives one hello per real adjacency item (at most
 		// eight for a k-mer), so matching is a scan of msgs, not a map.
-		v.NbrAmbig = make([]bool, len(v.Node.Adj))
+		v.NbrAmbig = 0
 		for i, a := range v.Node.Adj {
-			v.NbrAmbig[i] = a.Nbr != dbg.NullID && helloAmbig(msgs, a.Nbr)
+			if a.Nbr != dbg.NullID && helloAmbig(msgs, a.Nbr) {
+				v.NbrAmbig |= 1 << i
+			}
 		}
 		if v.Ambig {
 			ctx.VoteToHalt()

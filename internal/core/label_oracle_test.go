@@ -98,10 +98,10 @@ func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, ms
 			}
 			helloSides[m.ID] = append(helloSides[m.ID], m.Side)
 		}
-		v.NbrAmbig = make([]bool, len(v.Node.Adj))
+		v.NbrAmbig = 0
 		for i, a := range v.Node.Adj {
 			if a.Nbr != dbg.NullID && ambigFrom[a.Nbr] {
-				v.NbrAmbig[i] = true
+				v.NbrAmbig |= 1 << i
 			}
 		}
 		if v.Ambig {
@@ -349,7 +349,6 @@ func cloneGraph(g *Graph) *Graph {
 		// slices.Clone keeps an empty slice non-nil, as labelStates'
 		// DeepEqual requires of a copy taken after labeling.
 		d.Node.Adj = slices.Clone(v.Node.Adj)
-		d.NbrAmbig = slices.Clone(v.NbrAmbig)
 		c.AddVertex(id, d)
 	})
 	return c
@@ -424,7 +423,7 @@ func checkPushMatchesOracle(t testing.TB, name string, build labelFixture, cfg p
 			continue
 		}
 		if bad++; bad <= 3 {
-			t.Errorf("%s: vertex %#x differs\n product P=%#x PSide=%v Done=%v Label=%#x Labeled=%v Cycle=%v NbrAmbig=%v\n oracle  P=%#x PSide=%v Done=%v Label=%#x Labeled=%v Cycle=%v NbrAmbig=%v",
+			t.Errorf("%s: vertex %#x differs\n product P=%#x PSide=%v Done=%v Label=%#x Labeled=%v Cycle=%v NbrAmbig=%#b\n oracle  P=%#x PSide=%v Done=%v Label=%#x Labeled=%v Cycle=%v NbrAmbig=%#b",
 				name, uint64(id),
 				g.P, g.PSide, g.Done, uint64(g.Label), g.Labeled, g.Cycle, g.NbrAmbig,
 				w.P, w.PSide, w.Done, uint64(w.Label), w.Labeled, w.Cycle, w.NbrAmbig)

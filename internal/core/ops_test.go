@@ -80,16 +80,16 @@ func TestLabelingSetsNbrAmbig(t *testing.T) {
 		}
 	})
 	g.ForEach(func(id pregel.VertexID, v *VData) {
-		if len(v.NbrAmbig) != len(v.Node.Adj) {
-			t.Fatalf("vertex %x: NbrAmbig length %d != adj %d", id, len(v.NbrAmbig), len(v.Node.Adj))
+		if v.NbrAmbig>>len(v.Node.Adj) != 0 {
+			t.Fatalf("vertex %x: NbrAmbig %#b marks items past adj %d", id, v.NbrAmbig, len(v.Node.Adj))
 		}
 		for i, a := range v.Node.Adj {
 			if a.Nbr == dbg.NullID {
 				continue
 			}
-			if v.NbrAmbig[i] != ambigSet[a.Nbr] {
+			if v.nbrAmbig(i) != ambigSet[a.Nbr] {
 				t.Errorf("vertex %x adj %d: NbrAmbig=%v but neighbor ambig=%v",
-					id, i, v.NbrAmbig[i], ambigSet[a.Nbr])
+					id, i, v.nbrAmbig(i), ambigSet[a.Nbr])
 			}
 		}
 	})

@@ -332,7 +332,7 @@ func BuildMixedGraph(g1 *Graph, contigs [][]ContigRec, cfg pregel.Config, clock 
 		}
 		node := dbg.Node{Kind: v.Node.Kind, Seq: v.Node.Seq, Cov: v.Node.Cov}
 		for i, a := range v.Node.Adj {
-			if i < len(v.NbrAmbig) && v.NbrAmbig[i] {
+			if v.nbrAmbig(i) {
 				node.Adj = append(node.Adj, a)
 			}
 		}

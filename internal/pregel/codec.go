@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Checkpoint format v14, the only one this package reads or writes: a
+// Checkpoint format v15, the only one this package reads or writes: a
 // versioned, checksummed binary container holding one full snapshot of
 // every worker's partition. Layout (all integers varint/uvarint unless
 // noted):
@@ -34,9 +34,11 @@ import (
 // and the segment graph's vertex lost the S-V fields, v11 because the
 // scaffold vertex lost its chain label and end coordinate, v12 because the
 // S-V vertex and message carry addresses, v13 because the header dropped
-// its transport name, and v14 because delta checkpoints went away and the
-// header with them lost its kind byte and previous-step field, so an older
-// file, whose CRCs still verify, is refused instead of decoded wrongly.
+// its transport name, v14 because delta checkpoints went away and the
+// header with them lost its kind byte and previous-step field, and v15
+// because the segment graph's vertex writes its neighbour-ambiguity flags
+// as one bit mask instead of a counted list of bools, so an older file,
+// whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -49,7 +51,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 14
+	ckptVersion = 15
 
 	wsecBinary byte = 0
 )
