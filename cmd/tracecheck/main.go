@@ -148,7 +148,7 @@ func loadTrace(path, format string) ([]event, error) {
 }
 
 // opEndArgs are the measured args every workflow op End span carries.
-var opEndArgs = []string{"alloc_bytes", "alloc_objects", "gc_cpu_ns"}
+var opEndArgs = []string{"alloc_bytes", "alloc_objects", "gc_cpu_ns", "heap_live_max_bytes"}
 
 // checkEvents enforces the structural contract: every event is named and
 // categorized, ph is B/E/i, begin/end spans balance per (cat, name), every

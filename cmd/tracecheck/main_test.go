@@ -40,7 +40,7 @@ func TestLoadTraceChrome(t *testing.T) {
 func TestLoadTraceJSONL(t *testing.T) {
 	p := writeFile(t, "trace.jsonl",
 		`{"ph":"B","name":"op","cat":"workflow","wall_ns":100,"args":{"sim_us":0.000,"op":"build"}}
-{"ph":"E","name":"op","cat":"workflow","wall_ns":200,"args":{"sim_us":5.000,"op":"build","alloc_bytes":4096,"alloc_objects":3,"gc_cpu_ns":0}}
+{"ph":"E","name":"op","cat":"workflow","wall_ns":200,"args":{"sim_us":5.000,"op":"build","alloc_bytes":4096,"alloc_objects":3,"gc_cpu_ns":0,"heap_live_max_bytes":65536}}
 `)
 	events, err := loadTrace(p, "jsonl")
 	if err != nil {
@@ -57,7 +57,7 @@ func TestLoadTraceJSONL(t *testing.T) {
 // TestCheckEventsOpEndMemory: a workflow op End span must carry each memory
 // arg as a number.
 func TestCheckEventsOpEndMemory(t *testing.T) {
-	full := map[string]any{"op": "build", "alloc_bytes": 4096.0, "alloc_objects": 3.0, "gc_cpu_ns": 0.0}
+	full := map[string]any{"op": "build", "alloc_bytes": 4096.0, "alloc_objects": 3.0, "gc_cpu_ns": 0.0, "heap_live_max_bytes": 65536.0}
 	span := func(args map[string]any) []event {
 		return []event{{Name: "op", Cat: "workflow", Ph: "B"}, {Name: "op", Cat: "workflow", Ph: "E", Args: args}}
 	}

@@ -3,10 +3,10 @@
 // pregel.CheckpointAppender / pregel.CheckpointDecoder, which segment-graph
 // jobs need to checkpoint. VData writes its node, then the ambiguity mask,
 // then the labeling and tip state, whatever the declaration order; the
-// messages write their one-byte fields first; vertex IDs are fixed 8-byte
-// little-endian (canonical k-mer codes and flipped IDs span the full 64-bit
-// range, where varints buy nothing), except in svMsg, which is mostly k-mer
-// IDs and small addresses and writes both as uvarints.
+// messages write their one-byte fields first. Vertex IDs are fixed 8-byte
+// little-endian in svVertex, Msg and labelMsg (flipped and contig IDs span
+// the full 64-bit range, where varints buy nothing), and uvarints in VData
+// and svMsg, whose IDs are mostly k-mer codes or unset.
 
 package core
 
@@ -18,23 +18,33 @@ import (
 	"ppaassembler/internal/pregel"
 )
 
-// AppendCheckpoint implements pregel.CheckpointAppender.
+// AppendCheckpoint implements pregel.CheckpointAppender: the node, the
+// ambiguity mask, one byte of the eight flags, the two side indices, the
+// five vertex IDs as uvarints (a k-mer ID takes 6 bytes for k = 21, an
+// unset one 1) and LastActive.
 func (v *VData) AppendCheckpoint(buf []byte) []byte {
 	buf = v.Node.AppendCheckpoint(buf)
 	buf = pregel.AppendUvarint(buf, uint64(v.NbrAmbig))
-	buf = pregel.AppendBool(buf, v.Ambig)
-	for i := 0; i < 2; i++ {
-		buf = pregel.AppendUint64(buf, uint64(v.SideNbr[i]))
-		buf = pregel.AppendBool(buf, v.HasSide[i])
-		buf = pregel.AppendUint64(buf, uint64(v.P[i]))
-		buf = append(buf, v.PSide[i])
-		buf = pregel.AppendBool(buf, v.Done[i])
+	var flags byte
+	for i, f := range v.flags() {
+		if *f {
+			flags |= 1 << i
+		}
 	}
-	buf = pregel.AppendUint64(buf, uint64(v.Label))
-	buf = pregel.AppendBool(buf, v.Labeled)
-	buf = pregel.AppendBool(buf, v.Cycle)
-	buf = pregel.AppendVarint(buf, v.LastActive)
-	return pregel.AppendBool(buf, v.TipProbed)
+	buf = append(buf, flags, v.PSide[0], v.PSide[1])
+	for _, id := range v.ids() {
+		buf = pregel.AppendUvarint(buf, uint64(*id))
+	}
+	return pregel.AppendVarint(buf, v.LastActive)
+}
+
+// flags and ids list VData's booleans and vertex IDs in codec order.
+func (v *VData) flags() [8]*bool {
+	return [8]*bool{&v.HasSide[0], &v.HasSide[1], &v.Done[0], &v.Done[1], &v.Ambig, &v.Labeled, &v.Cycle, &v.TipProbed}
+}
+
+func (v *VData) ids() [5]*pregel.VertexID {
+	return [5]*pregel.VertexID{&v.SideNbr[0], &v.SideNbr[1], &v.P[0], &v.P[1], &v.Label}
 }
 
 // DecodeCheckpoint implements pregel.CheckpointDecoder.
@@ -48,49 +58,26 @@ func (v *VData) DecodeCheckpoint(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	// A mask bit marks an adjacency item, so none may lie past the last one.
-	if mask > math.MaxUint32 || mask>>len(v.Node.Adj) != 0 {
-		return nil, fmt.Errorf("core: corrupt VData encoding: ambiguity mask %#x over %d adjacency items", mask, len(v.Node.Adj))
+	if mask > math.MaxUint32 || mask>>v.Node.Degree() != 0 {
+		return nil, fmt.Errorf("core: corrupt VData encoding: ambiguity mask %#x over %d adjacency items", mask, v.Node.Degree())
 	}
 	v.NbrAmbig = uint32(mask)
-	if v.Ambig, data, err = pregel.ConsumeBool(data); err != nil {
-		return nil, err
+	if len(data) < 3 {
+		return nil, fmt.Errorf("core: corrupt VData encoding: truncated flags")
 	}
-	for i := 0; i < 2; i++ {
-		var id uint64
-		if id, data, err = pregel.ConsumeUint64(data); err != nil {
+	for i, f := range v.flags() {
+		*f = data[0]>>i&1 != 0
+	}
+	v.PSide = [2]uint8{data[1], data[2]}
+	data = data[3:]
+	for _, id := range v.ids() {
+		x, rest, err := pregel.ConsumeUvarint(data)
+		if err != nil {
 			return nil, err
 		}
-		v.SideNbr[i] = pregel.VertexID(id)
-		if v.HasSide[i], data, err = pregel.ConsumeBool(data); err != nil {
-			return nil, err
-		}
-		if id, data, err = pregel.ConsumeUint64(data); err != nil {
-			return nil, err
-		}
-		v.P[i] = pregel.VertexID(id)
-		if len(data) < 1 {
-			return nil, fmt.Errorf("core: corrupt VData encoding: truncated side")
-		}
-		v.PSide[i], data = data[0], data[1:]
-		if v.Done[i], data, err = pregel.ConsumeBool(data); err != nil {
-			return nil, err
-		}
-	}
-	var id uint64
-	if id, data, err = pregel.ConsumeUint64(data); err != nil {
-		return nil, err
-	}
-	v.Label = pregel.VertexID(id)
-	if v.Labeled, data, err = pregel.ConsumeBool(data); err != nil {
-		return nil, err
-	}
-	if v.Cycle, data, err = pregel.ConsumeBool(data); err != nil {
-		return nil, err
+		*id, data = pregel.VertexID(x), rest
 	}
 	if v.LastActive, data, err = pregel.ConsumeVarint(data); err != nil {
-		return nil, err
-	}
-	if v.TipProbed, data, err = pregel.ConsumeBool(data); err != nil {
 		return nil, err
 	}
 	return data, nil

@@ -9,6 +9,7 @@ import (
 
 	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/dna"
+	"ppaassembler/internal/genome"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/pregel/ckpttest"
 )
@@ -54,15 +55,28 @@ func (g *fuzzGen) adj() dbg.Adj {
 	return dbg.Adj{
 		Nbr:    g.id(),
 		In:     g.flag(),
-		PSelf:  dbg.Polarity(g.b()),
-		PNbr:   dbg.Polarity(g.b()),
+		PSelf:  dbg.Polarity(g.b() & 1),
+		PNbr:   dbg.Polarity(g.b() & 1),
 		Cov:    uint32(g.u64()),
 		NbrLen: int32(g.u64()),
 	}
 }
 
+// node draws either form: a derived k-mer (odd K, an ID that is a K-mer
+// code, at most InlineCovs items) or an explicit node.
 func (g *fuzzGen) node() dbg.Node {
-	n := dbg.Node{Kind: dbg.NodeKind(g.b()), Seq: g.seq(), Cov: uint32(g.u64())}
+	if g.flag() {
+		k := 1 + 2*g.n(15)
+		n := dbg.Node{ID: g.id() & pregel.VertexID(dna.KmerMask(k)), Kind: dbg.KindKmer, K: uint8(k), Cov: uint32(g.u64())}
+		for bm := uint32(g.u64()); bm != 0 && n.Bits.Count() < dbg.InlineCovs; bm &= bm - 1 {
+			n.Bits |= dbg.Bitmap32(bm & -bm)
+		}
+		for i := range n.Bits.Count() {
+			n.Covs[i] = uint32(g.u64())
+		}
+		return n
+	}
+	n := dbg.NewNode(g.id(), dbg.NodeKind(g.b()&1), g.seq(), uint32(g.u64()), nil)
 	if na := g.n(4); na > 0 {
 		n.Adj = make([]dbg.Adj, na)
 		for i := range n.Adj {
@@ -103,12 +117,12 @@ func FuzzVDataCodecDifferential(f *testing.F) {
 			v.PSide[i] = g.b()
 			v.Done[i] = g.flag()
 		}
-		if v.NbrAmbig>>len(v.Node.Adj) != 0 {
+		if v.NbrAmbig>>v.Node.Degree() != 0 {
 			var got VData
 			if _, err := got.DecodeCheckpoint(v.AppendCheckpoint(nil)); err == nil {
-				t.Fatalf("mask %#b over %d adjacency items decoded", v.NbrAmbig, len(v.Node.Adj))
+				t.Fatalf("mask %#b over %d adjacency items decoded", v.NbrAmbig, v.Node.Degree())
 			}
-			v.NbrAmbig &= 1<<len(v.Node.Adj) - 1
+			v.NbrAmbig &= 1<<v.Node.Degree() - 1
 		}
 		ckpttest.RoundTrip[VData](t, &v)
 		ckpttest.NoPanic[VData](t, data)
@@ -236,36 +250,74 @@ func TestSVQueryTagIsNoVertexID(t *testing.T) {
 	}
 }
 
-// TestVDataLayoutFence pins the segment graph's vertex at 136 bytes and its
-// widest-first field order: every job of ops ②–⑤ but S-V streams it once
-// per superstep, and every checkpoint encodes it.
+// TestVDataLayoutFence bounds a k-mer vertex's partition value at 120
+// bytes and pins VData's widest-first field order: every job of ops ②–⑤
+// but S-V streams it once per superstep, and every checkpoint encodes it.
+// A derived k-mer's node (dbg.TestNodeSizeFence) owns no heap object, so
+// the value is the whole cost of the vertex.
 func TestVDataLayoutFence(t *testing.T) {
 	var v VData
-	if got := unsafe.Sizeof(v); got != 136 {
-		t.Errorf("VData is %d bytes, want 136: a field was added or the widest-first order broken", got)
+	if got := unsafe.Sizeof(v); got > 120 {
+		t.Errorf("VData is %d bytes, want at most 120", got)
 	}
 	offsets := []struct {
 		field     string
 		got, want uintptr
 	}{
 		{"Node", unsafe.Offsetof(v.Node), 0},
-		{"SideNbr", unsafe.Offsetof(v.SideNbr), 72},
-		{"P", unsafe.Offsetof(v.P), 88},
-		{"Label", unsafe.Offsetof(v.Label), 104},
-		{"LastActive", unsafe.Offsetof(v.LastActive), 112},
-		{"NbrAmbig", unsafe.Offsetof(v.NbrAmbig), 120},
-		{"PSide", unsafe.Offsetof(v.PSide), 124},
-		{"HasSide", unsafe.Offsetof(v.HasSide), 126},
-		{"Done", unsafe.Offsetof(v.Done), 128},
-		{"Ambig", unsafe.Offsetof(v.Ambig), 130},
-		{"Labeled", unsafe.Offsetof(v.Labeled), 131},
-		{"Cycle", unsafe.Offsetof(v.Cycle), 132},
-		{"TipProbed", unsafe.Offsetof(v.TipProbed), 133},
+		{"SideNbr", unsafe.Offsetof(v.SideNbr), 48},
+		{"P", unsafe.Offsetof(v.P), 64},
+		{"Label", unsafe.Offsetof(v.Label), 80},
+		{"LastActive", unsafe.Offsetof(v.LastActive), 88},
+		{"NbrAmbig", unsafe.Offsetof(v.NbrAmbig), 96},
+		{"PSide", unsafe.Offsetof(v.PSide), 100},
+		{"HasSide", unsafe.Offsetof(v.HasSide), 102},
+		{"Done", unsafe.Offsetof(v.Done), 104},
+		{"Ambig", unsafe.Offsetof(v.Ambig), 106},
+		{"Labeled", unsafe.Offsetof(v.Labeled), 107},
+		{"Cycle", unsafe.Offsetof(v.Cycle), 108},
+		{"TipProbed", unsafe.Offsetof(v.TipProbed), 109},
 	}
 	for _, o := range offsets {
 		if o.got != o.want {
 			t.Errorf("VData.%s at offset %d, want %d", o.field, o.got, o.want)
 		}
+	}
+}
+
+// TestNewSegmentGraphAllocsFence: converting the DBG into the segment
+// graph allocates per worker and lane, never per vertex, because a derived
+// k-mer node owns no heap object. Two graphs four times apart in size
+// cost the same number of allocations, give or take one regrowth per lane:
+// Convert sizes a lane from its source's share scanned so far, so a lane
+// can grow once more on either graph. A cost per vertex would add
+// thousands.
+func TestNewSegmentGraphAllocsFence(t *testing.T) {
+	const k = 21
+	cfg := pregel.Config{Workers: 3}
+	allocs := func(genomeLen int) (float64, int) {
+		ref, err := genome.Generate(genome.Spec{Length: genomeLen, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ref.String()
+		var reads []string
+		for i := 0; i+100 <= len(s); i += 40 {
+			reads = append(reads, s[i:i+100])
+		}
+		b, err := dbg.BuildDBG(pregel.NewSimClock(pregel.DefaultCost()), cfg, [][]string{reads}, k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { NewSegmentGraph(b, cfg, k) }), b.Graph.VertexCount()
+	}
+	small, nSmall := allocs(4000)
+	large, nLarge := allocs(16000)
+	if nLarge < 3*nSmall {
+		t.Fatalf("graphs of %d and %d vertices are too close in size", nSmall, nLarge)
+	}
+	if lanes := float64(cfg.Workers * cfg.Workers); large > small+lanes || small > large+lanes {
+		t.Errorf("NewSegmentGraph allocates %.0f times for %d vertices and %.0f for %d: a cost per vertex", small, nSmall, large, nLarge)
 	}
 }
 

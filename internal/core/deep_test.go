@@ -26,29 +26,21 @@ func chainGraph(t *testing.T, segLens []int) (*Graph, pregel.VertexID, []pregel.
 	for i, l := range segLens {
 		id := dbg.ContigID(1, uint32(i+1))
 		ids = append(ids, id)
-		node := dbg.Node{
-			Kind: dbg.KindContig,
-			Seq:  dna.ParseSeq(strings.Repeat("A", l)),
-			Cov:  1,
-			Adj: []dbg.Adj{
-				{Nbr: prev, In: true, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 5},
-				{Nbr: dbg.NullID, In: false, PSelf: dbg.L},
-			},
-		}
+		node := dbg.NewNode(0, dbg.KindContig, dna.ParseSeq(strings.Repeat("A", l)), 1, []dbg.Adj{
+			{Nbr: prev, In: true, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 5},
+			{Nbr: dbg.NullID, In: false, PSelf: dbg.L},
+		})
 		if i < len(segLens)-1 {
 			node.Adj[1] = dbg.Adj{Nbr: dbg.ContigID(1, uint32(i+2)), In: false, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: int32(segLens[i+1])}
 		}
 		g.AddVertex(id, VData{Node: node})
 		prev = id
 	}
-	g.AddVertex(hub, VData{Node: dbg.Node{
-		Kind: dbg.KindKmer, Seq: dna.ParseSeq("ACGTA"),
-		Adj: []dbg.Adj{
-			arm1,
-			arm2,
-			{Nbr: ids[0], In: false, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: int32(segLens[0])},
-		},
-	}})
+	g.AddVertex(hub, VData{Node: dbg.NewNode(0, dbg.KindKmer, dna.ParseSeq("ACGTA"), 0, []dbg.Adj{
+		arm1,
+		arm2,
+		{Nbr: ids[0], In: false, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: int32(segLens[0])},
+	})})
 	return g, hub, ids
 }
 

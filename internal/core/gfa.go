@@ -40,7 +40,7 @@ func WriteGFA(w io.Writer, g *Graph, k int) error {
 		if err != nil {
 			return
 		}
-		_, err = fmt.Fprintf(bw, "S\t%s\t%s\tdp:i:%d\n", name(id), v.Node.Seq.String(), v.Node.Cov)
+		_, err = fmt.Fprintf(bw, "S\t%s\t%s\tdp:i:%d\n", name(id), v.Node.Oriented(dbg.L).String(), v.Node.Cov)
 	})
 	if err != nil {
 		return err
@@ -49,7 +49,7 @@ func WriteGFA(w io.Writer, g *Graph, k int) error {
 		if err != nil {
 			return
 		}
-		for _, a := range v.Node.Adj {
+		for _, a := range v.Node.Items() {
 			if a.Nbr == dbg.NullID || a.Nbr < id {
 				continue // the smaller endpoint emits the link
 			}

@@ -13,9 +13,9 @@ import (
 
 // VData is the vertex value for all core operations: the segment node plus
 // per-operation scratch state (the paper's vertex attribute a(v)). Fields
-// are declared widest first so the struct packs into 136 bytes
-// (TestVDataLayoutFence); the checkpoint codec (ckpt.go) is per field and
-// does not see this order.
+// are declared widest first so the struct packs into 112 bytes
+// (TestVDataLayoutFence), which is all a derived k-mer costs; the
+// checkpoint codec (ckpt.go) is per field and does not see this order.
 type VData struct {
 	Node dbg.Node
 
@@ -31,11 +31,11 @@ type VData struct {
 	Label      pregel.VertexID
 	LastActive int64
 
-	// NbrAmbig is a bit mask over Node.Adj: bit i is set when Adj[i]
-	// points at an ambiguous (⟨m-n⟩) neighbor. It is learned in the
+	// NbrAmbig is a bit mask over the node's items: bit i is set when
+	// item i points at an ambiguous (⟨m-n⟩) neighbor. It is learned in the
 	// labeling hello exchange and consumed when rebuilding adjacency after
-	// merging (operation ⑤ setup). A k-mer has at most 32 items (one per
-	// dbg.Bitmap32 bit) and a contig 2, so 32 bits cover every vertex.
+	// merging (operation ⑤ setup). A k-mer has at most dbg.MaxDegree
+	// items and a contig 2, so 32 bits cover every vertex.
 	NbrAmbig uint32
 	PSide    [2]uint8
 	HasSide  [2]bool
@@ -48,9 +48,6 @@ type VData struct {
 	// Tip-removal state.
 	TipProbed bool
 }
-
-// nbrAmbig reports whether Node.Adj[i] points at an ambiguous neighbor.
-func (v *VData) nbrAmbig(i int) bool { return v.NbrAmbig>>i&1 != 0 }
 
 // MsgKind discriminates the message types of the core operations.
 type MsgKind uint8
@@ -134,7 +131,7 @@ func NewSegmentGraph(b *dbg.BuildResult, cfg pregel.Config, k int) *Graph {
 func (v *VData) arrangeSides() {
 	v.HasSide = [2]bool{}
 	i := 0
-	for _, a := range v.Node.Adj {
+	for _, a := range v.Node.Items() {
 		if a.Nbr == dbg.NullID {
 			continue
 		}

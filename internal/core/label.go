@@ -158,7 +158,7 @@ func helloPhase(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msg
 		if v.Ambig {
 			// Ambiguous vertices announce without side bookkeeping and
 			// take no further part in labeling (§IV-B ②, superstep 1).
-			for _, a := range v.Node.Adj {
+			for _, a := range v.Node.Items() {
 				if a.Nbr != dbg.NullID {
 					ctx.Send(a.Nbr, labelMsg{Kind: MsgHello, ID: id, Flag: true})
 				}
@@ -176,7 +176,7 @@ func helloPhase(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msg
 		// A vertex receives one hello per real adjacency item (at most
 		// eight for a k-mer), so matching is a scan of msgs, not a map.
 		v.NbrAmbig = 0
-		for i, a := range v.Node.Adj {
+		for i, a := range v.Node.Items() {
 			if a.Nbr != dbg.NullID && helloAmbig(msgs, a.Nbr) {
 				v.NbrAmbig |= 1 << i
 			}
@@ -316,8 +316,8 @@ func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs
 const aggSVChanged = "sv-changed"
 
 // svVertex is a vertex's whole state in one S-V run: 56 bytes where VData
-// is 184, so the 70 or so supersteps of a long-path S-V job stream under a
-// third of the vertex bytes (TestSVVertexLayoutFence). RunAs builds it from
+// is 112, so the 70 or so supersteps of a long-path S-V job stream half the
+// vertex bytes (TestSVVertexLayoutFence). RunAs builds it from
 // VData (svRun) and hands back only the label.
 type svVertex struct {
 	// D is the parent pointer, NbrMin the smallest D any side neighbour

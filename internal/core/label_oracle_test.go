@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ppaassembler/internal/dbg"
+	"ppaassembler/internal/dna"
 	"ppaassembler/internal/genome"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/readsim"
@@ -42,7 +43,7 @@ func (v *VData) arrangeSidesByRealAdj() {
 func TestArrangeSidesMatchesRealAdj(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for it := 0; it < 2000; it++ {
-		v := VData{SideNbr: [2]pregel.VertexID{77, 78}}
+		v := VData{Node: dbg.NewNode(0, dbg.KindKmer, dna.Seq{}, 0, nil), SideNbr: [2]pregel.VertexID{77, 78}}
 		for range r.Intn(9) {
 			nbr := pregel.VertexID(1 + r.Intn(20))
 			if r.Intn(3) == 0 {
@@ -57,7 +58,7 @@ func TestArrangeSidesMatchesRealAdj(t *testing.T) {
 			t.Fatalf("adj %+v: sides %v %v, reference %v %v", v.Node.Adj, v.HasSide, v.SideNbr, want.HasSide, want.SideNbr)
 		}
 	}
-	v := VData{Node: dbg.Node{Adj: []dbg.Adj{{Nbr: dbg.NullID}, {Nbr: 4}, {Nbr: 9}, {Nbr: 2}}}}
+	v := VData{Node: dbg.NewNode(0, dbg.KindKmer, dna.Seq{}, 0, []dbg.Adj{{Nbr: dbg.NullID}, {Nbr: 4}, {Nbr: 9}, {Nbr: 2}})}
 	if allocs := testing.AllocsPerRun(100, v.arrangeSides); allocs != 0 {
 		t.Errorf("arrangeSides allocates %.0f times per vertex, want 0", allocs)
 	}
@@ -99,7 +100,7 @@ func helloPhaseOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, ms
 			helloSides[m.ID] = append(helloSides[m.ID], m.Side)
 		}
 		v.NbrAmbig = 0
-		for i, a := range v.Node.Adj {
+		for i, a := range v.Node.Items() {
 			if a.Nbr != dbg.NullID && ambigFrom[a.Nbr] {
 				v.NbrAmbig |= 1 << i
 			}
@@ -346,9 +347,13 @@ func cloneGraph(g *Graph) *Graph {
 	c := pregel.NewGraph[VData, Msg](g.Config())
 	g.ForEach(func(id pregel.VertexID, v *VData) {
 		d := *v
-		// slices.Clone keeps an empty slice non-nil, as labelStates'
-		// DeepEqual requires of a copy taken after labeling.
-		d.Node.Adj = slices.Clone(v.Node.Adj)
+		if v.Node.Explicit != nil {
+			// slices.Clone keeps an empty slice non-nil, as labelStates'
+			// DeepEqual requires of a copy taken after labeling.
+			ext := *v.Node.Explicit
+			ext.Adj = slices.Clone(ext.Adj)
+			d.Node.Explicit = &ext
+		}
 		c.AddVertex(id, d)
 	})
 	return c
@@ -520,7 +525,7 @@ func newSegSpec(r *rand.Rand, n int, hubs map[int]bool, edges []segEdge) *segSpe
 					adj[e] = perEnd[i][e][0]
 				}
 			}
-			s.nodes[i] = dbg.Node{Kind: dbg.KindContig, Cov: 1, Adj: adj}
+			s.nodes[i] = dbg.NewNode(0, dbg.KindContig, dna.Seq{}, 1, adj)
 			continue
 		}
 		adj := order[i]
@@ -529,7 +534,7 @@ func newSegSpec(r *rand.Rand, n int, hubs map[int]bool, edges []segEdge) *segSpe
 				adj[j] = adj[j].Flip()
 			}
 		}
-		s.nodes[i] = dbg.Node{Kind: dbg.KindKmer, Cov: 1, Adj: adj}
+		s.nodes[i] = dbg.NewNode(0, dbg.KindKmer, dna.Seq{}, 1, adj)
 	}
 	return s
 }

@@ -178,7 +178,7 @@ func (x *groupIndex) target(a dbg.Adj) *member {
 // outEdge returns n's item that leaves it in orientation p towards another
 // member of the group, normalized to p, and that member (nil if none).
 func (x *groupIndex) outEdge(n *dbg.Node, p dbg.Polarity) (dbg.Adj, *member) {
-	for _, a := range n.Adj {
+	for _, a := range n.Items() {
 		if m := x.target(a); m != nil {
 			if e := a.Normalized(p); !e.In {
 				return e, m
@@ -220,7 +220,7 @@ func stitchGroup(worker int, ordinal *uint32, idx *groupIndex, group []member, k
 	orient := dbg.L
 	var outItem dbg.Adj
 	var next *member
-	for _, a := range start.Node.Adj {
+	for _, a := range start.Node.Items() {
 		if m := idx.target(a); m != nil {
 			if a.In {
 				a = a.Flip()
@@ -312,15 +312,8 @@ func stitchGroup(worker int, ordinal *uint32, idx *groupIndex, group []member, k
 	}
 
 	*ordinal++
-	rec = ContigRec{
-		ID: dbg.ContigID(worker, *ordinal),
-		Node: dbg.Node{
-			Kind: dbg.KindContig,
-			Seq:  sb.Seq(),
-			Cov:  cov,
-			Adj:  []dbg.Adj{left, right},
-		},
-	}
+	id := dbg.ContigID(worker, *ordinal)
+	rec = ContigRec{ID: id, Node: dbg.NewNode(id, dbg.KindContig, sb.Seq(), cov, []dbg.Adj{left, right})}
 	return rec, false, nil
 }
 
@@ -336,10 +329,7 @@ func orientedKmer(id pregel.VertexID, p dbg.Polarity, k int) dna.Kmer {
 
 // segLen is a member's sequence length in bases.
 func segLen(m *member, k int) int {
-	if m.Node.Kind == dbg.KindKmer {
-		return k
-	}
-	return m.Node.Seq.Len()
+	return m.Node.Len()
 }
 
 // appendMember appends a member's whole sequence in orientation p and
@@ -362,7 +352,7 @@ func appendMember(sb *dna.Builder, m *member, p dbg.Polarity, k int) dna.Kmer {
 // the walk orientation (§IV-A: "we always keep the contig-side edge
 // polarity to be L").
 func externalEnd(n *dbg.Node, idx *groupIndex, orient dbg.Polarity, wantIn bool) dbg.Adj {
-	for _, a := range n.Adj {
+	for _, a := range n.Items() {
 		if a.Nbr == dbg.NullID || idx.target(a) != nil {
 			continue
 		}
@@ -376,7 +366,7 @@ func externalEnd(n *dbg.Node, idx *groupIndex, orient dbg.Polarity, wantIn bool)
 
 func countInternal(n *dbg.Node, idx *groupIndex) int {
 	c := 0
-	for _, a := range n.Adj {
+	for _, a := range n.Items() {
 		if idx.target(a) != nil {
 			c++
 		}
@@ -387,7 +377,7 @@ func countInternal(n *dbg.Node, idx *groupIndex) int {
 func minAdjCov(n *dbg.Node) uint32 {
 	var cov uint32
 	has := false
-	for _, a := range n.Adj {
+	for _, a := range n.Items() {
 		if a.Nbr != dbg.NullID && (!has || a.Cov < cov) {
 			cov, has = a.Cov, true
 		}

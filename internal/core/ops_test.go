@@ -80,16 +80,16 @@ func TestLabelingSetsNbrAmbig(t *testing.T) {
 		}
 	})
 	g.ForEach(func(id pregel.VertexID, v *VData) {
-		if v.NbrAmbig>>len(v.Node.Adj) != 0 {
-			t.Fatalf("vertex %x: NbrAmbig %#b marks items past adj %d", id, v.NbrAmbig, len(v.Node.Adj))
+		if v.NbrAmbig>>v.Node.Degree() != 0 {
+			t.Fatalf("vertex %x: NbrAmbig %#b marks items past adj %d", id, v.NbrAmbig, v.Node.Degree())
 		}
-		for i, a := range v.Node.Adj {
+		for i, a := range v.Node.Items() {
 			if a.Nbr == dbg.NullID {
 				continue
 			}
-			if v.nbrAmbig(i) != ambigSet[a.Nbr] {
+			if marked := v.NbrAmbig>>i&1 != 0; marked != ambigSet[a.Nbr] {
 				t.Errorf("vertex %x adj %d: NbrAmbig=%v but neighbor ambig=%v",
-					id, i, v.nbrAmbig(i), ambigSet[a.Nbr])
+					id, i, marked, ambigSet[a.Nbr])
 			}
 		}
 	})
@@ -171,15 +171,10 @@ func TestMergeContigCoverageIsMinEdge(t *testing.T) {
 func mkContig(id pregel.VertexID, seq string, cov uint32, nb1, nb2 pregel.VertexID) ContigRec {
 	return ContigRec{
 		ID: id,
-		Node: dbg.Node{
-			Kind: dbg.KindContig,
-			Seq:  dna.ParseSeq(seq),
-			Cov:  cov,
-			Adj: []dbg.Adj{
-				{Nbr: nb1, In: true, PSelf: dbg.L, PNbr: dbg.L},
-				{Nbr: nb2, In: false, PSelf: dbg.L, PNbr: dbg.L},
-			},
-		},
+		Node: dbg.NewNode(0, dbg.KindContig, dna.ParseSeq(seq), cov, []dbg.Adj{
+			{Nbr: nb1, In: true, PSelf: dbg.L, PNbr: dbg.L},
+			{Nbr: nb2, In: false, PSelf: dbg.L, PNbr: dbg.L},
+		}),
 	}
 }
 
@@ -267,16 +262,14 @@ func TestLinkContigsRebuildsAdjacency(t *testing.T) {
 	ctg := mkContig(dbg.ContigID(0, 1), "CGTATTTGGG", 7, kmerID, dbg.NullID)
 	ctg.Node.Adj[0].PNbr = dbg.H // polarity on the k-mer's side
 	ctg.Node.Adj[0].Cov = 7
-	g.AddVertex(kmerID, VData{Ambig: true, Node: dbg.Node{
-		Kind: dbg.KindKmer, Seq: dna.ParseSeq("ACGTA"),
-	}})
+	g.AddVertex(kmerID, VData{Ambig: true, Node: dbg.NewNode(0, dbg.KindKmer, dna.ParseSeq("ACGTA"), 0, nil)})
 	g.AddVertex(ctg.ID, VData{Node: ctg.Node})
 	if _, err := LinkContigs(g); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := g.Value(kmerID)
-	if len(v.Node.Adj) != 1 {
-		t.Fatalf("k-mer adjacency = %d items, want 1", len(v.Node.Adj))
+	if v.Node.Degree() != 1 {
+		t.Fatalf("k-mer adjacency = %d items, want 1", v.Node.Degree())
 	}
 	item := v.Node.Adj[0]
 	if item.Nbr != ctg.ID || item.In != false || item.PSelf != dbg.H || item.PNbr != dbg.L {
@@ -291,15 +284,10 @@ func TestLinkContigsRebuildsAdjacency(t *testing.T) {
 // the hub's non-tip branches are well above any tip threshold.
 func addLongArm(g *Graph, id pregel.VertexID, hub pregel.VertexID, in bool) dbg.Adj {
 	seq := strings.Repeat("ACGT", 50)
-	node := dbg.Node{
-		Kind: dbg.KindContig,
-		Seq:  dna.ParseSeq(seq),
-		Cov:  9,
-		Adj: []dbg.Adj{
-			{Nbr: hub, In: true, PSelf: dbg.L, PNbr: dbg.L, Cov: 9, NbrLen: 5},
-			{Nbr: dbg.NullID, In: false, PSelf: dbg.L},
-		},
-	}
+	node := dbg.NewNode(0, dbg.KindContig, dna.ParseSeq(seq), 9, []dbg.Adj{
+		{Nbr: hub, In: true, PSelf: dbg.L, PNbr: dbg.L, Cov: 9, NbrLen: 5},
+		{Nbr: dbg.NullID, In: false, PSelf: dbg.L},
+	})
 	g.AddVertex(id, VData{Node: node})
 	return dbg.Adj{Nbr: id, In: in, PSelf: dbg.L, PNbr: dbg.L, Cov: 9, NbrLen: int32(len(seq))}
 }
@@ -314,14 +302,11 @@ func TestRemoveTipsDeletesShortDanglingChain(t *testing.T) {
 	arm1 := addLongArm(g, dbg.ContigID(0, 11), hub, true)
 	arm2 := addLongArm(g, dbg.ContigID(0, 12), hub, false)
 	tip := mkContig(dbg.ContigID(0, 1), "ACGTATT", 1, hub, dbg.NullID) // 7 bp dangling
-	g.AddVertex(hub, VData{Node: dbg.Node{
-		Kind: dbg.KindKmer, Seq: dna.ParseSeq("ACGTA"),
-		Adj: []dbg.Adj{
-			arm1,
-			arm2,
-			{Nbr: tip.ID, In: false, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 7},
-		},
-	}})
+	g.AddVertex(hub, VData{Node: dbg.NewNode(0, dbg.KindKmer, dna.ParseSeq("ACGTA"), 0, []dbg.Adj{
+		arm1,
+		arm2,
+		{Nbr: tip.ID, In: false, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 7},
+	})})
 	tipNode := tip.Node
 	tipNode.Adj[0] = dbg.Adj{Nbr: hub, In: true, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 5}
 	g.AddVertex(tip.ID, VData{Node: tipNode})
@@ -340,7 +325,7 @@ func TestRemoveTipsDeletesShortDanglingChain(t *testing.T) {
 	if !ok {
 		t.Fatal("hub deleted")
 	}
-	for _, a := range h.Node.Adj {
+	for _, a := range h.Node.Items() {
 		if a.Nbr == tip.ID {
 			t.Error("hub still points at the removed tip")
 		}
@@ -360,14 +345,11 @@ func TestRemoveTipsKeepsLongDanglingChain(t *testing.T) {
 	arm1 := addLongArm(g, dbg.ContigID(0, 21), hub, true)
 	arm2 := addLongArm(g, dbg.ContigID(0, 22), hub, false)
 	shortTip := mkContig(dbg.ContigID(0, 23), "ACGTATT", 1, hub, dbg.NullID)
-	g.AddVertex(hub, VData{Node: dbg.Node{
-		Kind: dbg.KindKmer, Seq: dna.ParseSeq("ACGTA"),
-		Adj: []dbg.Adj{
-			arm1,
-			arm2,
-			{Nbr: shortTip.ID, In: false, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 7},
-		},
-	}})
+	g.AddVertex(hub, VData{Node: dbg.NewNode(0, dbg.KindKmer, dna.ParseSeq("ACGTA"), 0, []dbg.Adj{
+		arm1,
+		arm2,
+		{Nbr: shortTip.ID, In: false, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 7},
+	})})
 	stNode := shortTip.Node
 	stNode.Adj[0] = dbg.Adj{Nbr: hub, In: true, PSelf: dbg.L, PNbr: dbg.L, Cov: 1, NbrLen: 5}
 	g.AddVertex(shortTip.ID, VData{Node: stNode})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/scaffold"
 	"ppaassembler/internal/telemetry"
@@ -330,13 +329,7 @@ func BuildMixedGraph(g1 *Graph, contigs [][]ContigRec, cfg pregel.Config, clock 
 		if !v.Ambig {
 			return
 		}
-		node := dbg.Node{Kind: v.Node.Kind, Seq: v.Node.Seq, Cov: v.Node.Cov}
-		for i, a := range v.Node.Adj {
-			if v.nbrAmbig(i) {
-				node.Adj = append(node.Adj, a)
-			}
-		}
-		emit(id, VData{Node: node})
+		emit(id, VData{Node: v.Node.Filtered(v.NbrAmbig)})
 	})
 	g2.UseClock(clock)
 	for _, shard := range contigs {

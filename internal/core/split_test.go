@@ -16,22 +16,16 @@ func splitGraph(weakCov uint32) (*Graph, pregel.VertexID, pregel.VertexID) {
 	strong := pregel.VertexID(dna.ParseKmer("CCCGG"))
 	weak := pregel.VertexID(dna.ParseKmer("TTTAA"))
 	in := pregel.VertexID(dna.ParseKmer("GGGTT"))
-	g.AddVertex(hub, VData{Node: dbg.Node{
-		Kind: dbg.KindKmer, Seq: dna.ParseSeq("ACGTA"),
-		Adj: []dbg.Adj{
-			{Nbr: in, In: true, Cov: 20, NbrLen: 5},
-			{Nbr: strong, In: false, Cov: 20, NbrLen: 5},
-			{Nbr: weak, In: false, Cov: weakCov, NbrLen: 5},
-		},
-	}})
+	g.AddVertex(hub, VData{Node: dbg.NewNode(0, dbg.KindKmer, dna.ParseSeq("ACGTA"), 0, []dbg.Adj{
+		{Nbr: in, In: true, Cov: 20, NbrLen: 5},
+		{Nbr: strong, In: false, Cov: 20, NbrLen: 5},
+		{Nbr: weak, In: false, Cov: weakCov, NbrLen: 5},
+	})})
 	for _, v := range []struct {
 		id pregel.VertexID
 		in bool
 	}{{strong, true}, {weak, true}, {in, false}} {
-		g.AddVertex(v.id, VData{Node: dbg.Node{
-			Kind: dbg.KindKmer, Seq: dna.ParseSeq("AAAAA"),
-			Adj: []dbg.Adj{{Nbr: hub, In: v.in, Cov: 20, NbrLen: 5}},
-		}})
+		g.AddVertex(v.id, VData{Node: dbg.NewNode(0, dbg.KindKmer, dna.ParseSeq("AAAAA"), 0, []dbg.Adj{{Nbr: hub, In: v.in, Cov: 20, NbrLen: 5}})})
 	}
 	return g, hub, weak
 }

@@ -32,11 +32,11 @@ func TestDumpLoadSegmentsRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("vertex %x lost", id)
 		}
-		if !v2.Node.Seq.Equal(v.Node.Seq) || len(v2.Node.Adj) != len(v.Node.Adj) {
+		if !v2.Node.Oriented(dbg.L).Equal(v.Node.Oriented(dbg.L)) || v2.Node.Degree() != v.Node.Degree() {
 			t.Fatalf("vertex %x node differs", id)
 		}
-		for i := range v.Node.Adj {
-			if v2.Node.Adj[i] != v.Node.Adj[i] {
+		for i, a := range v.Node.Items() {
+			if v2.Node.Adj[i] != a {
 				t.Fatalf("vertex %x adj %d differs", id, i)
 			}
 		}

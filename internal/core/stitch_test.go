@@ -42,14 +42,14 @@ func kmerPath(t *testing.T, seq string) []member {
 	}
 	group := make([]member, n)
 	for i := range group {
-		node := &dbg.Node{Kind: dbg.KindKmer, Seq: dbg.KmerOf(ids[i]).Seq(stitchK), Cov: 3}
+		node := dbg.NewNode(ids[i], dbg.KindKmer, dbg.KmerOf(ids[i]).Seq(stitchK), 3, nil)
 		if i > 0 {
-			node.Adj = append(node.Adj, dbg.Adj{Nbr: ids[i-1], In: true, PSelf: pol[i], PNbr: pol[i-1], Cov: 3, NbrLen: stitchK})
+			node.AddItem(dbg.Adj{Nbr: ids[i-1], In: true, PSelf: pol[i], PNbr: pol[i-1], Cov: 3, NbrLen: stitchK})
 		}
 		if i < n-1 {
-			node.Adj = append(node.Adj, dbg.Adj{Nbr: ids[i+1], PSelf: pol[i], PNbr: pol[i+1], Cov: 3, NbrLen: stitchK})
+			node.AddItem(dbg.Adj{Nbr: ids[i+1], PSelf: pol[i], PNbr: pol[i+1], Cov: 3, NbrLen: stitchK})
 		}
-		group[i] = member{ID: ids[i], label: ids[0], Node: node}
+		group[i] = member{ID: ids[i], label: ids[0], Node: &node}
 	}
 	return group
 }
@@ -62,15 +62,17 @@ func contigPath(seq string) []member {
 	c := dbg.ContigID(0, 1)
 	rest := seq[1:]
 	return []member{
-		{ID: a, label: a, Node: &dbg.Node{Kind: dbg.KindKmer, Seq: dbg.KmerOf(a).Seq(stitchK), Cov: 2, Adj: []dbg.Adj{
+		{ID: a, label: a, Node: ptr(dbg.NewNode(a, dbg.KindKmer, dbg.KmerOf(a).Seq(stitchK), 2, []dbg.Adj{
 			{Nbr: c, PSelf: pa, PNbr: dbg.L, Cov: 2, NbrLen: int32(len(rest))},
-		}}},
-		{ID: c, label: a, Node: &dbg.Node{Kind: dbg.KindContig, Seq: dna.ParseSeq(rest), Cov: 4, Adj: []dbg.Adj{
+		}))},
+		{ID: c, label: a, Node: ptr(dbg.NewNode(c, dbg.KindContig, dna.ParseSeq(rest), 4, []dbg.Adj{
 			{Nbr: a, In: true, PSelf: dbg.L, PNbr: pa, Cov: 2, NbrLen: stitchK},
 			{Nbr: dbg.NullID, PSelf: dbg.L},
-		}}},
+		}))},
 	}
 }
+
+func ptr[T any](v T) *T { return &v }
 
 func stitch(group []member) (ContigRec, error) {
 	var ord uint32
@@ -136,7 +138,7 @@ func TestStitchGroupRejectsNeighbourOutsideGroup(t *testing.T) {
 	mid := len(group) / 2
 	for _, cut := range [][2]int{{mid - 1, mid}, {mid, mid - 1}} {
 		m := &group[cut[0]]
-		for j := range m.Node.Adj {
+		for j := range m.Node.Items() {
 			if m.Node.Adj[j].Nbr == group[cut[1]].ID {
 				m.Node.Adj[j].Nbr = dbg.ContigID(7, uint32(cut[0]+1))
 			}

@@ -50,7 +50,7 @@ func LinkContigs(g *Graph) (*pregel.Stats, error) {
 				}
 				// Perspective reversal (not Property 1): the edge that is
 				// the contig's in-end is the k-mer's out-edge.
-				v.Node.Adj = append(v.Node.Adj, dbg.Adj{
+				v.Node.AddItem(dbg.Adj{
 					Nbr:    m.ID,
 					In:     !m.Flag,
 					PSelf:  m.P1,
@@ -90,7 +90,7 @@ func RemoveTips(g *Graph, k, tipLen int) (*TipResult, error) {
 					if !ok {
 						break
 					}
-					newLen := int(m.Len) + v.Node.Seq.Len() - (k - 1)
+					newLen := int(m.Len) + v.Node.Len() - (k - 1)
 					if newLen <= tipLen {
 						ctx.Send(other.Nbr, Msg{Kind: MsgTipReq, ID: id, Len: tipReqLen(newLen, tipLen)})
 					}
@@ -120,7 +120,7 @@ func RemoveTips(g *Graph, k, tipLen int) (*TipResult, error) {
 		}
 		switch v.Node.Type() {
 		case dbg.TypeIsolated:
-			if v.Node.Seq.Len() <= tipLen {
+			if v.Node.Len() <= tipLen {
 				ctx.RemoveSelf()
 				return
 			}
@@ -128,7 +128,7 @@ func RemoveTips(g *Graph, k, tipLen int) (*TipResult, error) {
 			if !v.TipProbed {
 				v.TipProbed = true
 				real := v.Node.RealAdj()
-				ctx.Send(real[0].Nbr, Msg{Kind: MsgTipReq, ID: id, Len: tipReqLen(v.Node.Seq.Len(), tipLen)})
+				ctx.Send(real[0].Nbr, Msg{Kind: MsgTipReq, ID: id, Len: tipReqLen(v.Node.Len(), tipLen)})
 			}
 		}
 		if !mutated {
@@ -155,7 +155,7 @@ func tipReqLen(n, tipLen int) int32 {
 // otherSide returns an adjacency item of n that does not point at from
 // (the relay direction of a REQUEST/DELETE wave).
 func otherSide(n *dbg.Node, from pregel.VertexID) (dbg.Adj, bool) {
-	for _, a := range n.Adj {
+	for _, a := range n.Items() {
 		if a.Nbr != dbg.NullID && a.Nbr != from {
 			return a, true
 		}

@@ -201,6 +201,9 @@ func TestPropKmerVertexItemsMatchInserted(t *testing.T) {
 		want := map[byte]uint32{}
 		for i := 0; i < r.Intn(40); i++ {
 			a := randomAdj(r)
+			if _, seen := want[a.Encode()]; !seen && len(want) == MaxDegree {
+				continue // no k-mer has more items
+			}
 			want[a.Encode()] += a.Cov
 			v.AddEdge(a)
 		}
@@ -225,7 +228,7 @@ func TestCovsVarintRoundTrip(t *testing.T) {
 	v.AddEdge(AdjKmer{Base: dna.T, Cov: 300})
 	v.AddEdge(AdjKmer{Base: dna.G, In: true, Cov: 4_000_000})
 	enc := v.EncodeCovs()
-	got, err := DecodeCovs(enc, len(v.Covs))
+	got, err := DecodeCovs(enc, v.Degree())
 	if err != nil {
 		t.Fatal(err)
 	}

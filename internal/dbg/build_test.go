@@ -1,6 +1,8 @@
 package dbg
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/pregel"
+	"ppaassembler/internal/pregel/ckpttest"
 )
 
 // eachKPlus1 slides a (k+1)-wide window over every maximal ACGT run of the
@@ -198,7 +201,7 @@ func TestBuildDBGBothStrandsMerge(t *testing.T) {
 		if v.Adj != v2.Adj {
 			t.Fatalf("bitmaps differ at %x", id)
 		}
-		for i := range v.Covs {
+		for i := range v.Degree() {
 			if v2.Covs[i] != 2*v.Covs[i] {
 				t.Errorf("coverage not doubled at %x", id)
 			}
@@ -255,11 +258,9 @@ func TestPropBuildDBGWorkerCountInvariant(t *testing.T) {
 					ok = false
 					return
 				}
-				for i := range v.Covs {
-					if ov.Covs[i] != v.Covs[i] {
-						ok = false
-						return
-					}
+				if ov.Covs != v.Covs {
+					ok = false
+					return
 				}
 			})
 			if !ok {
@@ -289,81 +290,249 @@ func randomGenome(r *rand.Rand, n int) string {
 	return string(b)
 }
 
-// kmerNodeViaItems is KmerNode as it was before it walked the bitmap itself:
-// materialise Items(), grow Adj by append. Kept here as the reference.
-func kmerNodeViaItems(id pregel.VertexID, v *KmerVertex, k int) Node {
+// kmerNodeExplicit is KmerNode as it was before a k-mer node derived its
+// items from the bitmap: the sequence word and an exactly-sized item slice,
+// resolved in ascending bit order, with the smallest coverage as the node's.
+// Kept here as the reference the derived form must match.
+func kmerNodeExplicit(id pregel.VertexID, v *KmerVertex, k int) Node {
 	self := KmerOf(id)
-	n := Node{Kind: KindKmer, Seq: self.Seq(k)}
-	for i, a := range v.Items() {
-		n.Adj = append(n.Adj, Adj{
-			Nbr: KmerID(a.Neighbor(self, k)), In: a.In, PSelf: a.PSelf, PNbr: a.PNbr,
-			Cov: a.Cov, NbrLen: int32(k),
-		})
-		if i == 0 || a.Cov < n.Cov {
-			n.Cov = a.Cov
+	var adj []Adj
+	var cov uint32
+	for rest := uint32(v.Adj); rest != 0; rest &= rest - 1 {
+		a := itemAt(bits.TrailingZeros32(rest))
+		c := v.Covs[len(adj)]
+		if len(adj) == 0 || c < cov {
+			cov = c
 		}
+		adj = append(adj, Adj{
+			Nbr:    KmerID(a.Neighbor(self, k)),
+			In:     a.In,
+			PSelf:  a.PSelf,
+			PNbr:   a.PNbr,
+			Cov:    c,
+			NbrLen: int32(k),
+		})
 	}
-	return n
+	return NewNode(id, KindKmer, self.Seq(k), cov, adj)
+}
+
+// itemsOf collects a node's items through its iterator.
+func itemsOf(n *Node) []Adj {
+	var out []Adj
+	for _, a := range n.Items() {
+		out = append(out, a)
+	}
+	return out
+}
+
+// checkKmerNode compares KmerNode(id, v, k) with the explicit reference:
+// the same items in the same order, the same coverage and sequence, and
+// the derived form exactly up to InlineCovs items.
+func checkKmerNode(t testing.TB, id pregel.VertexID, v *KmerVertex, k int) {
+	t.Helper()
+	got, want := KmerNode(id, v, k), kmerNodeExplicit(id, v, k)
+	if derived := got.Explicit == nil; derived != (v.Degree() <= InlineCovs) {
+		t.Fatalf("k=%d bitmap %032b: derived=%v with %d items", k, v.Adj, derived, v.Degree())
+	}
+	gi, wi := itemsOf(&got), itemsOf(&want)
+	if !reflect.DeepEqual(gi, wi) || got.Cov != want.Cov || got.Degree() != want.Degree() ||
+		!got.Oriented(L).Equal(want.Seq) || got.Len() != k || got.Type() != want.Type() {
+		t.Fatalf("k=%d bitmap %032b:\n got %+v cov %d\nwant %+v cov %d", k, v.Adj, gi, got.Cov, wi, want.Cov)
+	}
+}
+
+// randomVertex is a vertex of up to MaxDegree random items with distinct
+// coverages (so a wrong rank or a wrong minimum shows).
+func randomVertex(r *rand.Rand) KmerVertex {
+	var v KmerVertex
+	for bm := r.Uint32() & r.Uint32(); bm != 0 && v.Degree() < MaxDegree; bm &= bm - 1 {
+		v.Adj |= Bitmap32(bm & -bm)
+	}
+	for i := range v.Degree() {
+		v.Covs[i] = 1 + uint32(r.Intn(1000))
+	}
+	return v
 }
 
 func TestKmerNodeConversion(t *testing.T) {
 	reads := []string{"ATTGCAAGT"}
 	res := buildFromReads(t, reads, 3, 0, 2)
 	res.Graph.ForEach(func(id pregel.VertexID, v *KmerVertex) {
-		n := KmerNode(id, v, 3)
-		if n.Kind != KindKmer || n.Seq.Len() != 3 {
-			t.Fatalf("bad node %+v", n)
-		}
-		if len(n.Adj) != v.Degree() {
-			t.Errorf("node adj %d != vertex degree %d", len(n.Adj), v.Degree())
-		}
-		for i, a := range n.Adj {
-			if a.NbrLen != 3 {
-				t.Errorf("NbrLen = %d", a.NbrLen)
-			}
-			if a.Cov != v.Items()[i].Cov {
-				t.Errorf("cov mismatch")
-			}
-		}
+		checkKmerNode(t, id, v, 3)
 	})
 
-	// Every bitmap, not only the ones a small build produces: random
-	// vertices of every degree 0..32 with distinct coverages (so a wrong
-	// rank or a wrong minimum shows), against the Items()-based reference.
+	// Every degree a vertex can have, not only the ones a small build
+	// produces.
 	r := rand.New(rand.NewSource(3))
 	for _, k := range []int{3, 21, 31} {
 		for trial := 0; trial < 400; trial++ {
-			var v KmerVertex
-			switch trial {
-			case 0: // isolated: no items, Adj stays nil
-			case 1:
-				v.Adj = ^Bitmap32(0)
-			default:
-				v.Adj = Bitmap32(r.Uint32() & r.Uint32())
-			}
-			for i := 0; i < v.Adj.Count(); i++ {
-				v.Covs = append(v.Covs, 1+uint32(r.Intn(1000)))
+			v := randomVertex(r)
+			if trial == 0 {
+				v = KmerVertex{} // isolated: no items
 			}
 			self, _ := dna.Kmer(r.Uint64() & dna.KmerMask(k)).Canonical(k)
-			got, want := KmerNode(KmerID(self), &v, k), kmerNodeViaItems(KmerID(self), &v, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d bitmap %032b:\n got %+v\nwant %+v", k, v.Adj, got, want)
-			}
+			checkKmerNode(t, KmerID(self), &v, k)
 		}
 	}
 
-	// Alloc fence: the sequence word and the exactly-sized Adj, nothing else.
-	v := KmerVertex{Adj: 0b1000_0100_0010_0001_0000_0000_1000_0001, Covs: []uint32{9, 8, 7, 6, 5, 4}}
+	// Alloc fence: a derived k-mer owns no heap object.
+	v := KmerVertex{Adj: 0b1000_0000_0010_0000_0000_0000_1000_0001, Covs: [MaxDegree]uint32{9, 8, 7, 6}}
 	id := KmerID(dna.ParseKmer("ACGTACGTACGTACGTACGTA"))
-	if allocs := testing.AllocsPerRun(100, func() { nodeSink = KmerNode(id, &v, 21) }); allocs > 2 {
-		t.Errorf("KmerNode allocates %.0f times per node, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { nodeSink = KmerNode(id, &v, 21) }); allocs != 0 {
+		t.Errorf("KmerNode allocates %.0f times per derived node, want 0", allocs)
 	}
+	n := KmerNode(id, &v, 21)
+	if allocs := testing.AllocsPerRun(100, func() {
+		typeSink = n.Type()
+		for _, a := range n.Items() {
+			adjSink = a
+		}
+	}); allocs != 0 {
+		t.Errorf("reading a derived node allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestMaxDegreeVertex builds, from every (k+1)-mer, vertices with the most
+// items any de Bruijn graph can give a k-mer: MaxDegree, on odd k. The
+// vertex fits KmerVertex, turns into an explicit node with the reference's
+// items, and survives a checkpoint round trip.
+func TestMaxDegreeVertex(t *testing.T) {
+	for _, k := range []int{3, 5, 7} {
+		g := map[pregel.VertexID]*KmerVertex{}
+		add := func(id pregel.VertexID, a AdjKmer) {
+			if g[id] == nil {
+				g[id] = &KmerVertex{}
+			}
+			g[id].AddEdge(a)
+		}
+		for w := dna.Kmer(0); w < 1<<(2*uint(k+1)); w++ {
+			if c, _ := w.Canonical(k + 1); c != w {
+				continue
+			}
+			src, si, dst, di := EdgeEndpoints(K1Mer{ID: w, Cov: uint32(w) + 1}, k)
+			add(src, si)
+			add(dst, di)
+		}
+		top := 0
+		for id, v := range g {
+			top = max(top, v.Degree())
+			if v.Degree() == MaxDegree {
+				checkKmerNode(t, id, v, k)
+				ckpttest.RoundTrip[KmerVertex](t, v)
+				n := KmerNode(id, v, k)
+				ckpttest.RoundTrip[Node](t, &n)
+			}
+		}
+		if top != MaxDegree {
+			t.Fatalf("k=%d: largest degree %d, want MaxDegree %d", k, top, MaxDegree)
+		}
+	}
+}
+
+// TestDerivedNodeEditsMatchExplicit: removing edges from, filtering and
+// extending a derived k-mer leave the items the same edits leave on the
+// explicit reference.
+func TestDerivedNodeEditsMatchExplicit(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	const k = 21
+	for trial := 0; trial < 500; trial++ {
+		v := randomVertex(r)
+		for v.Degree() > InlineCovs {
+			v = randomVertex(r)
+		}
+		self, _ := dna.Kmer(r.Uint64() & dna.KmerMask(k)).Canonical(k)
+		id := KmerID(self)
+		got, want := KmerNode(id, &v, k), kmerNodeExplicit(id, &v, k)
+		mask := r.Uint32()
+		fg, fw := got.Filtered(mask), want.Filtered(mask)
+		if !reflect.DeepEqual(itemsOf(&fg), itemsOf(&fw)) || fg.Explicit != nil {
+			t.Fatalf("bitmap %032b: Filtered(%b) = %+v, want %+v", v.Adj, mask, itemsOf(&fg), itemsOf(&fw))
+		}
+		if v.Degree() > 0 {
+			nbr := itemsOf(&got)[r.Intn(v.Degree())].Nbr
+			if a, b := got.RemoveEdgeTo(nbr), want.RemoveEdgeTo(nbr); a != b {
+				t.Fatalf("bitmap %032b: removed %d, reference %d", v.Adj, a, b)
+			}
+			if !reflect.DeepEqual(itemsOf(&got), itemsOf(&want)) {
+				t.Fatalf("bitmap %032b: after RemoveEdgeTo %+v, want %+v", v.Adj, itemsOf(&got), itemsOf(&want))
+			}
+			ckpttest.RoundTrip[Node](t, &got)
+		}
+		extra := Adj{Nbr: ContigID(1, 1), PNbr: L, Cov: 4, NbrLen: 40}
+		got.AddItem(extra)
+		want.AddItem(extra)
+		if !reflect.DeepEqual(itemsOf(&got), itemsOf(&want)) || !got.Oriented(L).Equal(want.Seq) {
+			t.Fatalf("bitmap %032b: after AddItem %+v, want %+v", v.Adj, itemsOf(&got), itemsOf(&want))
+		}
+	}
+}
+
+// FuzzKmerNodeItems checks the bitmap-derived items of KmerNode against
+// the explicit reference on fuzzed k, k-mer, bitmap and coverages. The
+// seeds include a self-loop (k+1)-mer, a palindromic one, a period-1 run
+// and a vertex of MaxDegree items.
+func FuzzKmerNodeItems(f *testing.F) {
+	// seed adds the vertex kmer gets from the given (k+1)-mers, or from
+	// every (k+1)-mer when none is given.
+	seed := func(k int, kmer string, cov uint32, k1mers ...string) {
+		var v KmerVertex
+		id := KmerID(dna.ParseKmer(kmer))
+		var ws []dna.Kmer
+		for _, w := range k1mers {
+			ws = append(ws, dna.ParseKmer(w))
+		}
+		if len(ws) == 0 {
+			for w := dna.Kmer(0); w < 1<<(2*uint(k+1)); w++ {
+				ws = append(ws, w)
+			}
+		}
+		for _, w := range ws {
+			e, _ := w.Canonical(k + 1)
+			if e != w && len(k1mers) == 0 {
+				continue
+			}
+			src, si, dst, di := EdgeEndpoints(K1Mer{ID: e, Cov: cov}, k)
+			if src == id {
+				v.AddEdge(si)
+			}
+			if dst == id {
+				v.AddEdge(di)
+			}
+		}
+		data := []byte{byte(k / 2)}
+		data = binary.LittleEndian.AppendUint64(data, uint64(id))
+		data = binary.LittleEndian.AppendUint32(data, uint32(v.Adj))
+		for _, c := range v.Covs[:v.Degree()] {
+			data = binary.LittleEndian.AppendUint32(data, c)
+		}
+		f.Add(data)
+	}
+	seed(5, "AAAAA", 7, "AAAAAA")                     // self-loop: both ends are AAAAA
+	seed(5, "ACGCG", 3, "ACGCGT", "TACGCG")           // ACGCGT is its own reverse complement
+	seed(5, "AAAAA", 2, "AAAAAA", "AAAAAC", "CAAAAA") // period-1 run with its exits
+	seed(3, "ATA", 5)                                 // MaxDegree: ATAT and TATA are palindromes
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &fuzzGen{data: data}
+		k := 1 + 2*(int(g.b())%15)
+		self, _ := dna.Kmer(g.u64() & dna.KmerMask(k)).Canonical(k)
+		var v KmerVertex
+		for bm := g.u32(); bm != 0 && v.Degree() < MaxDegree; bm &= bm - 1 {
+			v.Adj |= Bitmap32(bm & -bm)
+		}
+		for i := range v.Degree() {
+			v.Covs[i] = g.u32()
+		}
+		checkKmerNode(t, KmerID(self), &v, k)
+	})
 }
 
 var nodeSink Node
 
+func ptr[T any](v T) *T { return &v }
+
 func TestNodeTypeClassification(t *testing.T) {
-	mk := func(adj ...Adj) *Node { return &Node{Kind: KindKmer, Seq: dna.ParseSeq("ACA"), Adj: adj} }
+	mk := func(adj ...Adj) *Node { return ptr(NewNode(0, KindKmer, dna.ParseSeq("ACA"), 0, adj)) }
 	inL := Adj{Nbr: 1, In: true, PSelf: L, PNbr: L}
 	outL := Adj{Nbr: 2, In: false, PSelf: L, PNbr: L}
 	if got := mk().Type(); got != TypeIsolated {
@@ -398,19 +567,19 @@ func TestNodeTypeClassification(t *testing.T) {
 }
 
 func TestNodeInOut(t *testing.T) {
-	n := &Node{Kind: KindKmer, Seq: dna.ParseSeq("ACA"), Adj: []Adj{
+	n := ptr(NewNode(0, KindKmer, dna.ParseSeq("ACA"), 0, []Adj{
 		{Nbr: 7, In: true, PSelf: H, PNbr: L, Cov: 2},
 		{Nbr: 9, In: false, PSelf: L, PNbr: H, Cov: 3},
-	}}
+	}))
 	// Normalize to L: first item flips to out(L), second already out(L)?
 	// First: in,H -> flipped = out,L. Second stays out,L. Both out -> m-n!
 	if n.Type() != TypeManyAny {
 		t.Fatalf("type = %v", n.Type())
 	}
-	n2 := &Node{Kind: KindKmer, Seq: dna.ParseSeq("ACA"), Adj: []Adj{
+	n2 := ptr(NewNode(0, KindKmer, dna.ParseSeq("ACA"), 0, []Adj{
 		{Nbr: 7, In: true, PSelf: L, PNbr: L, Cov: 2},
 		{Nbr: 9, In: false, PSelf: L, PNbr: H, Cov: 3},
-	}}
+	}))
 	in, out := n2.InOut(L)
 	if in.Nbr != 7 || out.Nbr != 9 {
 		t.Errorf("InOut(L) = %v,%v", in.Nbr, out.Nbr)
@@ -471,13 +640,13 @@ func TestNodeTypeMatchesRealAdj(t *testing.T) {
 	pol := func() Polarity { return []Polarity{L, H}[r.Intn(2)] }
 	oneOne := 0
 	for it := 0; it < 5000; it++ {
-		n := &Node{Kind: KindKmer}
+		n := ptr(NewNode(0, KindKmer, dna.Seq{}, 0, nil))
 		for range r.Intn(9) {
 			nbr := pregel.VertexID(1 + r.Intn(20))
 			if r.Intn(3) == 0 {
 				nbr = NullID
 			}
-			n.Adj = append(n.Adj, Adj{Nbr: nbr, In: r.Intn(2) == 0, PSelf: pol(), PNbr: pol(), Cov: uint32(r.Intn(9))})
+			n.AddItem(Adj{Nbr: nbr, In: r.Intn(2) == 0, PSelf: pol(), PNbr: pol(), Cov: uint32(r.Intn(9))})
 		}
 		want := typeByRealAdj(n)
 		if got := n.Type(); got != want {
@@ -497,7 +666,7 @@ func TestNodeTypeMatchesRealAdj(t *testing.T) {
 	if oneOne == 0 {
 		t.Fatal("no <1-1> node among the random inputs")
 	}
-	n := &Node{Kind: KindKmer, Adj: []Adj{{Nbr: NullID}, {Nbr: 7, In: true}, {Nbr: 9}}}
+	n := ptr(NewNode(0, KindKmer, dna.Seq{}, 0, []Adj{{Nbr: NullID}, {Nbr: 7, In: true}, {Nbr: 9}}))
 	if allocs := testing.AllocsPerRun(100, func() { typeSink = n.Type(); adjSink, _ = n.InOut(H) }); allocs != 0 {
 		t.Errorf("Type and InOut allocate %.0f times per node, want 0", allocs)
 	}
@@ -509,14 +678,14 @@ var (
 )
 
 func TestNodeRemoveEdgeTo(t *testing.T) {
-	km := &Node{Kind: KindKmer, Adj: []Adj{{Nbr: 1}, {Nbr: 2}, {Nbr: 1}}}
+	km := ptr(NewNode(0, KindKmer, dna.Seq{}, 0, []Adj{{Nbr: 1}, {Nbr: 2}, {Nbr: 1}}))
 	if got := km.RemoveEdgeTo(1); got != 2 {
 		t.Errorf("removed %d, want 2", got)
 	}
 	if len(km.Adj) != 1 || km.Adj[0].Nbr != 2 {
 		t.Errorf("remaining adj %v", km.Adj)
 	}
-	ct := &Node{Kind: KindContig, Adj: []Adj{{Nbr: 5, In: true}, {Nbr: 6}}}
+	ct := ptr(NewNode(0, KindContig, dna.Seq{}, 0, []Adj{{Nbr: 5, In: true}, {Nbr: 6}}))
 	ct.RemoveEdgeTo(5)
 	if len(ct.Adj) != 2 || ct.Adj[0].Nbr != NullID {
 		t.Errorf("contig end not nulled: %v", ct.Adj)
@@ -541,5 +710,39 @@ func TestAdjSameEdge(t *testing.T) {
 	c.NbrLen = 4
 	if !a.SameEdge(c) {
 		t.Error("coverage/len must be ignored")
+	}
+}
+
+// TestNodeSizeFence pins both k-mer vertex types: the build vertex at 44
+// bytes and pointer-free, the segment node at 48 bytes with one pointer,
+// Explicit, which a derived k-mer leaves nil.
+func TestNodeSizeFence(t *testing.T) {
+	var pointers func(reflect.Type) int
+	pointers = func(ty reflect.Type) int {
+		switch ty.Kind() {
+		case reflect.Struct:
+			n := 0
+			for i := range ty.NumField() {
+				n += pointers(ty.Field(i).Type)
+			}
+			return n
+		case reflect.Array:
+			return ty.Len() * pointers(ty.Elem())
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			return 1
+		}
+		return 0
+	}
+	for _, c := range []struct {
+		v              any
+		size, pointers int
+	}{{KmerVertex{}, 44, 0}, {Node{}, 48, 1}} {
+		ty := reflect.TypeOf(c.v)
+		if got := int(ty.Size()); got != c.size {
+			t.Errorf("%v is %d bytes, want %d", ty, got, c.size)
+		}
+		if got := pointers(ty); got != c.pointers {
+			t.Errorf("%v holds %d pointers, want %d", ty, got, c.pointers)
+		}
 	}
 }

@@ -48,12 +48,15 @@ func UnmarshalKmerRecord(s string) (pregel.VertexID, KmerVertex, error) {
 		return 0, KmerVertex{}, fmt.Errorf("dbg: bad k-mer record bitmap: %w", err)
 	}
 	v := KmerVertex{Adj: Bitmap32(binary.LittleEndian.Uint32(b4[:]))}
+	if v.Degree() > MaxDegree {
+		return 0, KmerVertex{}, fmt.Errorf("dbg: bad k-mer record: %d items, at most %d", v.Degree(), MaxDegree)
+	}
 	rest := raw[len(raw)-r.Len():]
-	covs, err := DecodeCovs(rest, v.Adj.Count())
+	covs, err := DecodeCovs(rest, v.Degree())
 	if err != nil {
 		return 0, KmerVertex{}, err
 	}
-	v.Covs = covs
+	copy(v.Covs[:], covs)
 	return pregel.VertexID(id), v, nil
 }
 
@@ -69,14 +72,15 @@ func MarshalNodeRecord(id pregel.VertexID, n *Node) string {
 	putUvarint(uint64(id))
 	buf.WriteByte(byte(n.Kind))
 	putUvarint(uint64(n.Cov))
-	putUvarint(uint64(n.Seq.Len()))
-	for _, w := range n.Seq.Words() {
+	seq := n.Oriented(L)
+	putUvarint(uint64(seq.Len()))
+	for _, w := range seq.Words() {
 		var b8 [8]byte
 		binary.LittleEndian.PutUint64(b8[:], w)
 		buf.Write(b8[:])
 	}
-	putUvarint(uint64(len(n.Adj)))
-	for _, a := range n.Adj {
+	putUvarint(uint64(n.Degree()))
+	for _, a := range n.Items() {
 		putUvarint(uint64(a.Nbr))
 		flags := byte(0)
 		if a.In {
@@ -91,7 +95,8 @@ func MarshalNodeRecord(id pregel.VertexID, n *Node) string {
 	return hex.EncodeToString(buf.Bytes())
 }
 
-// UnmarshalNodeRecord inverts MarshalNodeRecord.
+// UnmarshalNodeRecord inverts MarshalNodeRecord up to the node's form: it
+// returns an explicit node, with the same sequence and items.
 func UnmarshalNodeRecord(s string) (pregel.VertexID, Node, error) {
 	raw, err := hex.DecodeString(s)
 	if err != nil {
@@ -139,7 +144,7 @@ func UnmarshalNodeRecord(s string) (pregel.VertexID, Node, error) {
 	if nAdj > uint64(len(raw)) {
 		return 0, Node{}, fmt.Errorf("dbg: implausible adjacency count %d", nAdj)
 	}
-	node := Node{Kind: NodeKind(kind), Cov: uint32(cov), Seq: seq}
+	var adj []Adj
 	for i := uint64(0); i < nAdj; i++ {
 		nbr, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -157,7 +162,7 @@ func UnmarshalNodeRecord(s string) (pregel.VertexID, Node, error) {
 		if err != nil {
 			return fail("adjacency length", err)
 		}
-		node.Adj = append(node.Adj, Adj{
+		adj = append(adj, Adj{
 			Nbr:    pregel.VertexID(nbr),
 			In:     flags&1 != 0,
 			PSelf:  Polarity(flags >> 1 & 1),
@@ -169,5 +174,5 @@ func UnmarshalNodeRecord(s string) (pregel.VertexID, Node, error) {
 	if r.Len() != 0 {
 		return 0, Node{}, fmt.Errorf("dbg: %d trailing bytes in node record", r.Len())
 	}
-	return pregel.VertexID(id), node, nil
+	return pregel.VertexID(id), NewNode(pregel.VertexID(id), NodeKind(kind), seq, uint32(cov), adj), nil
 }

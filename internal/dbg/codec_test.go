@@ -22,7 +22,7 @@ func TestKmerRecordRoundTrip(t *testing.T) {
 	if id2 != id || v2.Adj != v.Adj {
 		t.Errorf("round trip mismatch: id %x vs %x", id2, id)
 	}
-	for i := range v.Covs {
+	for i := range v.Covs[:v.Degree()] {
 		if v2.Covs[i] != v.Covs[i] {
 			t.Errorf("cov %d mismatch", i)
 		}
@@ -41,7 +41,7 @@ func TestPropKmerRecordRoundTrip(t *testing.T) {
 		if err != nil || id2 != id || v2.Adj != v.Adj {
 			return false
 		}
-		for i := range v.Covs {
+		for i := range v.Covs[:v.Degree()] {
 			if v2.Covs[i] != v.Covs[i] {
 				return false
 			}
@@ -54,15 +54,10 @@ func TestPropKmerRecordRoundTrip(t *testing.T) {
 }
 
 func TestNodeRecordRoundTrip(t *testing.T) {
-	n := Node{
-		Kind: KindContig,
-		Seq:  dna.ParseSeq("ACGTTGCAAGCTTAGCATCCGATCGGATTACA"),
-		Cov:  17,
-		Adj: []Adj{
-			{Nbr: 12345, In: true, PSelf: L, PNbr: H, Cov: 9, NbrLen: 21},
-			{Nbr: NullID, In: false, PSelf: L},
-		},
-	}
+	n := NewNode(0, KindContig, dna.ParseSeq("ACGTTGCAAGCTTAGCATCCGATCGGATTACA"), 17, []Adj{
+		{Nbr: 12345, In: true, PSelf: L, PNbr: H, Cov: 9, NbrLen: 21},
+		{Nbr: NullID, In: false, PSelf: L},
+	})
 	id := ContigID(3, 99)
 	id2, n2, err := UnmarshalNodeRecord(MarshalNodeRecord(id, &n))
 	if err != nil {
@@ -86,11 +81,7 @@ func TestPropNodeRecordRoundTrip(t *testing.T) {
 		for i := 0; i < r.Intn(200); i++ {
 			sb.Append(dna.Base(r.Intn(4)))
 		}
-		n := Node{
-			Kind: NodeKind(r.Intn(2)),
-			Seq:  sb.Seq(),
-			Cov:  uint32(r.Intn(1 << 20)),
-		}
+		n := NewNode(0, NodeKind(r.Intn(2)), sb.Seq(), uint32(r.Intn(1<<20)), nil)
 		for i := 0; i < r.Intn(5); i++ {
 			n.Adj = append(n.Adj, Adj{
 				Nbr:    pregel.VertexID(r.Uint64()),
@@ -131,7 +122,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Truncated but hex-valid node record.
-	n := Node{Kind: KindKmer, Seq: dna.ParseSeq("ACGTA")}
+	n := NewNode(0, KindKmer, dna.ParseSeq("ACGTA"), 0, nil)
 	rec := MarshalNodeRecord(7, &n)
 	if _, _, err := UnmarshalNodeRecord(rec[:len(rec)-4]); err == nil {
 		t.Error("truncated node record accepted")

@@ -3,21 +3,34 @@ package dbg
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
+
+// MaxDegree is the most adjacency items a k-mer vertex of a de Bruijn graph
+// can hold. Flipping an item to self polarity L (Property 1) names one of
+// the k-mer's eight one-base extensions (four appended bases, four
+// prepended), and an extension is one (k+1)-mer. A (k+1)-mer gives an
+// endpoint at most two items (one per end), and both land on the same
+// extension only when the (k+1)-mer is its own reverse complement. That
+// forces the appended base to complement the k-mer's first base, or the
+// prepended one its last, so at most two extensions carry two items:
+// 8 + 2 = 10. Odd k reaches it (TestMaxDegreeVertex builds one).
+const MaxDegree = 10
 
 // KmerVertex is the memory-compact k-mer vertex produced by DBG
 // construction: a 32-bit adjacency bitmap plus one coverage count per set
 // bit (§IV-A). Coverage counts serialize as variable-length integers; in
-// memory they are a []uint32 parallel to the set bits in ascending bit
-// order.
+// memory they sit inline, Covs[i] belonging to the i-th set bit in
+// ascending bit order, so a vertex owns no heap object.
 type KmerVertex struct {
 	Adj  Bitmap32
-	Covs []uint32
+	Covs [MaxDegree]uint32
 }
 
 // AddEdge records an adjacency item, accumulating coverage if the item is
-// already present.
+// already present. It panics past MaxDegree items, which no set of
+// (k+1)-mers produces.
 func (v *KmerVertex) AddEdge(a AdjKmer) {
 	i := bitIndex(a)
 	r := v.Adj.rank(i)
@@ -25,9 +38,12 @@ func (v *KmerVertex) AddEdge(a AdjKmer) {
 		v.Covs[r] += a.Cov
 		return
 	}
+	n := v.Adj.Count()
+	if n == MaxDegree {
+		panic(fmt.Sprintf("dbg: k-mer vertex item %d past MaxDegree", n+1))
+	}
 	v.Adj = v.Adj.Set(a)
-	v.Covs = append(v.Covs, 0)
-	copy(v.Covs[r+1:], v.Covs[r:])
+	copy(v.Covs[r+1:n+1], v.Covs[r:n])
 	v.Covs[r] = a.Cov
 }
 
@@ -43,14 +59,10 @@ func (v *KmerVertex) Merge(o KmerVertex) {
 // bit order.
 func (v *KmerVertex) Items() []AdjKmer {
 	out := make([]AdjKmer, 0, v.Adj.Count())
-	j := 0
-	for bit := 0; bit < 32; bit++ {
-		if v.Adj&(1<<bit) != 0 {
-			a := itemAt(bit)
-			a.Cov = v.Covs[j]
-			j++
-			out = append(out, a)
-		}
+	for rest := uint32(v.Adj); rest != 0; rest &= rest - 1 {
+		a := itemAt(bits.TrailingZeros32(rest))
+		a.Cov = v.Covs[len(out)]
+		out = append(out, a)
 	}
 	return out
 }
@@ -61,11 +73,9 @@ func (v *KmerVertex) Degree() int { return v.Adj.Count() }
 // EncodeCovs serializes the coverage list as uvarints (the paper's
 // variable-length integers, which keep small counts at one byte).
 func (v *KmerVertex) EncodeCovs() []byte {
-	buf := make([]byte, 0, len(v.Covs))
-	var tmp [binary.MaxVarintLen32]byte
-	for _, c := range v.Covs {
-		n := binary.PutUvarint(tmp[:], uint64(c))
-		buf = append(buf, tmp[:n]...)
+	buf := make([]byte, 0, v.Degree())
+	for _, c := range v.Covs[:v.Degree()] {
+		buf = binary.AppendUvarint(buf, uint64(c))
 	}
 	return buf
 }

@@ -84,6 +84,23 @@ type ckptBlobRef struct {
 	err  error  // read failure, resolved by loadCheckpoint like corrupt bytes
 }
 
+// snapshotReleaser is a store that drops a job's snapshot on request. The
+// engine asks before it encodes the job's next snapshot, so the save does
+// not hold two, and once the job has finished. Faults fire only at the top
+// of a superstep, so no rollback falls between the release and the save.
+// Only the in-memory store releases: a directory's generations are what a
+// killed process resumes from.
+type snapshotReleaser interface {
+	releaseSnapshot(job string)
+}
+
+// releaseSnapshot drops the run's snapshot if the store releases.
+func (ck *ckptRun) releaseSnapshot() {
+	if r, ok := ck.store.(snapshotReleaser); ok {
+		r.releaseSnapshot(ck.job)
+	}
+}
+
 // generationSource is the store hook behind corruption-aware recovery:
 // instead of only the newest snapshot (Latest), it exposes every
 // generation the store still holds, newest first, so a restore can walk
@@ -97,7 +114,10 @@ type generationSource interface {
 // MemCheckpointer keeps checkpoints in process memory: the natural store
 // for simulated-failure experiments and tests, where recovery happens
 // within one process. It keeps the parts it is given as they are and joins
-// them only when an artifact is read back, which only a restore does.
+// them only when an artifact is read back, which only a restore does. The
+// engine releases a job's snapshot before saving the next one and when the
+// job finishes (snapshotReleaser), so the store holds at most one snapshot
+// per running job and none for a finished one.
 type MemCheckpointer struct {
 	jobSet
 	mu   sync.Mutex
@@ -144,6 +164,13 @@ func (m *MemCheckpointer) Latest(job string) (int, []byte, bool, error) {
 		return 0, nil, false, nil
 	}
 	return c.step, c.blob(), true, nil
+}
+
+// releaseSnapshot implements snapshotReleaser.
+func (m *MemCheckpointer) releaseSnapshot(job string) {
+	m.mu.Lock()
+	delete(m.data, job)
+	m.mu.Unlock()
 }
 
 // ckptGenerations implements generationSource. The in-memory store keeps
@@ -577,6 +604,7 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		g.emit(telemetry.KindBegin, "checkpoint.save", "checkpoint", wall0, g.clock.Ns(),
 			telemetry.I("step", int64(step)))
 	}
+	ck.releaseSnapshot()
 	blobs := make([][]byte, g.cfg.Workers)
 	crcs := make([]uint32, g.cfg.Workers)
 	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {

@@ -367,3 +367,49 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		}
 	}
 }
+
+// heldAtSave is a MemCheckpointer that counts, at every Save, the
+// snapshots the store still holds.
+type heldAtSave struct {
+	*MemCheckpointer
+	saves, held int
+}
+
+func (h *heldAtSave) Save(job string, step int, parts ...[]byte) error {
+	h.mu.Lock()
+	h.saves++
+	h.held += len(h.data)
+	h.mu.Unlock()
+	return h.MemCheckpointer.Save(job, step, parts...)
+}
+
+// TestMemCheckpointerReleasesSnapshots: the in-memory store holds no
+// snapshot while the next one is encoded and saved, none once the job has
+// finished, and a crash still rolls back to the last one.
+func TestMemCheckpointerReleasesSnapshots(t *testing.T) {
+	ref := buildHubGraph(Config{Workers: 3}, 60)
+	if _, err := ref.Run(hubCompute(60, 5, 9), WithName("ref")); err != nil {
+		t.Fatal(err)
+	}
+	h := &heldAtSave{MemCheckpointer: NewMemCheckpointer()}
+	g := buildHubGraph(Config{Workers: 3, CheckpointEvery: 2, Checkpointer: h,
+		Faults: NewFaultPlan(Fault{Round: 5, Worker: 1})}, 60)
+	st, err := g.Run(hubCompute(60, 5, 9), WithName("released"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Recoveries != 1 || h.saves < 3 {
+		t.Fatalf("%d recoveries and %d saves, want 1 and at least 3", st.Recoveries, h.saves)
+	}
+	if h.held != 0 {
+		t.Errorf("the store held %d snapshots across %d saves, want 0", h.held, h.saves)
+	}
+	if n := len(h.data); n != 0 {
+		t.Errorf("the store holds %d snapshots after the job finished, want 0", n)
+	}
+	ref.ForEach(func(id VertexID, v *int64) {
+		if got, _ := g.Value(id); got != *v {
+			t.Fatalf("vertex %d = %d after recovery, want %d", id, got, *v)
+		}
+	})
+}

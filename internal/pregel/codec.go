@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Checkpoint format v15, the only one this package reads or writes: a
+// Checkpoint format v16, the only one this package reads or writes: a
 // versioned, checksummed binary container holding one full snapshot of
 // every worker's partition. Layout (all integers varint/uvarint unless
 // noted):
@@ -35,10 +35,12 @@ import (
 // scaffold vertex lost its chain label and end coordinate, v12 because the
 // S-V vertex and message carry addresses, v13 because the header dropped
 // its transport name, v14 because delta checkpoints went away and the
-// header with them lost its kind byte and previous-step field, and v15
+// header with them lost its kind byte and previous-step field, v15
 // because the segment graph's vertex writes its neighbour-ambiguity flags
-// as one bit mask instead of a counted list of bools, so an older file,
-// whose CRCs still verify, is refused instead of decoded wrongly.
+// as one bit mask instead of a counted list of bools, and v16 because a
+// k-mer node is written as its bitmap and coverages, an item's flags as one
+// byte, and a k-mer vertex's coverage count is its bitmap's; so an older
+// file, whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -51,7 +53,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 15
+	ckptVersion = 16
 
 	wsecBinary byte = 0
 )

@@ -166,6 +166,7 @@ func MapReduceCfg[I, K, V, O any](
 	stats := &Stats{Name: name, Workers: workers}
 	tr := cfg.Tracer
 	emitEv := func(kind telemetry.Kind, evName string, wallNs int64, simNs float64, args ...telemetry.Arg) {
+		telemetry.SampleHeap() // a phase boundary, for the enclosing spans' peak live heap
 		tr.Emit(telemetry.Event{Kind: kind, Name: evName, Cat: "mr", WallNs: wallNs, SimNs: simNs, Args: args})
 	}
 	var wallMap0 int64

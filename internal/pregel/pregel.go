@@ -783,10 +783,12 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	if tr != nil {
 		g.emit(telemetry.KindBegin, "job", "pregel", nowNs(), g.clock.Ns(),
 			telemetry.S("name", o.name), telemetry.I("vertices", int64(g.VertexCount())))
+		heap := telemetry.WatchHeap()
 		defer func() {
 			g.emit(telemetry.KindEnd, "job", "pregel", nowNs(), g.clock.Ns(),
 				telemetry.I("supersteps", int64(stats.Supersteps)),
-				telemetry.I("messages", stats.Messages))
+				telemetry.I("messages", stats.Messages),
+				telemetry.M("heap_live_max_bytes", heap.Close()))
 		}()
 	}
 
@@ -951,6 +953,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			// sequence is identical across partitioners and worker counts.
 			wall3 := nowNs()
 			sim1 := g.clock.Ns()
+			telemetry.SampleHeap()
 			g.emit(telemetry.KindBegin, "superstep", "pregel", wall0, sim0,
 				telemetry.I("step", int64(step)), telemetry.I("active", activeVerts))
 			g.emit(telemetry.KindBegin, "compute", "phase", wall0, sim0)
@@ -971,6 +974,9 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 				return stats, err
 			}
 		}
+	}
+	if ck != nil {
+		ck.releaseSnapshot()
 	}
 	stats.SimSeconds = g.clock.Seconds() // cumulative; callers can diff
 	return stats, nil

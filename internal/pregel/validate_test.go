@@ -103,17 +103,20 @@ func TestJobPrefixInKeys(t *testing.T) {
 	g := NewGraph[int, int](cfg)
 	g.AddVertex(7, 0)
 	noop := func(ctx *Context[int], id VertexID, v *int, msgs []int) { ctx.VoteToHalt() }
-	if _, err := g.Run(noop, WithName("remove-tips")); err != nil {
+	st, err := g.Run(noop, WithName("remove-tips"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	for job := range store.data {
+	// The store releases a finished job's snapshot, so the keys are read
+	// off its reservations.
+	store.jobSet.mu.Lock()
+	defer store.jobSet.mu.Unlock()
+	for job := range store.reserved {
 		if !strings.HasPrefix(job, "s03.tiptrim.remove-tips@") {
 			t.Errorf("job key %q does not carry the sanitized prefix", job)
 		}
 	}
-	if len(store.data) == 0 {
+	if len(store.reserved) == 0 || st.CheckpointSaves == 0 {
 		t.Fatal("no checkpoint saved")
 	}
 }

@@ -303,6 +303,7 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 		// its own unbalanced End span.
 		tr := env.Tracer
 		var mem0 opMem
+		var heap *telemetry.HeapWatch
 		if tr != nil {
 			tr.Emit(telemetry.Event{
 				Kind: telemetry.KindBegin, Name: "op", Cat: "workflow",
@@ -310,6 +311,7 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 				Args: []telemetry.Arg{telemetry.S("op", name), telemetry.I("index", int64(i))},
 			})
 			mem0 = readOpMem()
+			heap = telemetry.WatchHeap()
 		}
 		opErr := op.Run(env, st)
 		if tr != nil {
@@ -320,7 +322,8 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 				Args: []telemetry.Arg{telemetry.S("op", name),
 					telemetry.M("alloc_bytes", mem.allocBytes-mem0.allocBytes),
 					telemetry.M("alloc_objects", mem.allocObjects-mem0.allocObjects),
-					telemetry.M("gc_cpu_ns", mem.gcCPUNs-mem0.gcCPUNs)},
+					telemetry.M("gc_cpu_ns", mem.gcCPUNs-mem0.gcCPUNs),
+					telemetry.M("heap_live_max_bytes", heap.Close())},
 			})
 		}
 		if env.Metrics != nil {
@@ -336,7 +339,8 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 
 // opMem is one reading of the runtime/metrics counters whose deltas an op's
 // End span carries as measured args: alloc_bytes and alloc_objects (heap
-// bytes and objects allocated) and gc_cpu_ns (GC CPU time). The counters are
+// bytes and objects allocated) and gc_cpu_ns (GC CPU time). The span's
+// fourth measured arg, heap_live_max_bytes, is a telemetry.HeapWatch. The counters are
 // process-wide, so a delta includes whatever else the process did meanwhile.
 type opMem struct{ allocBytes, allocObjects, gcCPUNs int64 }
 

@@ -205,7 +205,8 @@ func (o allocOp) Run(*Env, *fakeState) error {
 }
 
 // TestOpEndSpanCarriesMemory: with a tracer set, each op's End span carries
-// what the op allocated and its GC CPU time as measured args, which stay out
+// what the op allocated, its GC CPU time and its peak live heap as measured
+// args, which stay out
 // of the span's signature; the Begin span carries none of them.
 func TestOpEndSpanCarriesMemory(t *testing.T) {
 	const n = 1 << 20
@@ -236,6 +237,9 @@ func TestOpEndSpanCarriesMemory(t *testing.T) {
 		}
 		if v, ok := got["gc_cpu_ns"]; !ok || v < 0 {
 			t.Errorf("op End span: gc_cpu_ns = %d (present %v)", v, ok)
+		}
+		if v, ok := got["heap_live_max_bytes"]; !ok || v < 0 {
+			t.Errorf("op End span: heap_live_max_bytes = %d (present %v)", v, ok)
 		}
 		if sig := e.Signature(); sig != "E|workflow|op|op=alloc" {
 			t.Errorf("op End signature = %q", sig)
