@@ -295,24 +295,16 @@ func BenchmarkScaffolding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := core.DefaultOptions(4)
 		opt.K = experiments.K
-		res, err := core.Assemble(pregel.ShardSlice(reads, 4), opt)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st, _ := assembleScaffold(b, opt, reads, pairs, scaffold.Options{InsertMean: 700, InsertSD: 60})
 		var clens []int
-		for _, c := range res.Contigs {
-			clens = append(clens, c.Len())
+		for _, c := range st.ScaffoldContigs {
+			clens = append(clens, c.Seq.Len())
 		}
 		contigN50 += float64(quality.N50(clens))
-		sres, contigs, err := core.ScaffoldContigs(res, opt, pairs, scaffold.Options{
-			InsertMean: 700, InsertSD: 60,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		sres := st.Scaffold
 		var slens []int
 		for _, s := range sres.Scaffolds {
-			slens = append(slens, s.Span(contigs))
+			slens = append(slens, s.Span(st.ScaffoldContigs))
 		}
 		scafN50 += float64(quality.N50(slens))
 		sim += sres.SimSeconds

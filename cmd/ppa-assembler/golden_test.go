@@ -145,7 +145,7 @@ func TestGoldenPipelinePartitionerIdentical(t *testing.T) {
 	dir := t.TempDir()
 	_, readsPath, _ := goldenPipelineFiles(t, dir)
 	outs := map[string][2]string{}
-	for _, partitioner := range []string{"hash", "range", "minimizer"} {
+	for _, partitioner := range []string{"hash", "minimizer"} {
 		contigsOut := filepath.Join(dir, "contigs_"+partitioner+".fasta")
 		scaffoldsOut := filepath.Join(dir, "scaffolds_"+partitioner+".fasta")
 		o := defaultOpts(readsPath, contigsOut)
@@ -192,13 +192,13 @@ func TestDefaultScheduleIsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := cannedOptions(o, &observability{})
+		env, err := engineEnv(o, &observability{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := extra == nil; o.parallel != want || opt.Parallel != want || opt.Env(nil).Config().Parallel != want {
-			t.Errorf("args %v: flag %v, core.Options %v, pregel.Config %v; want Parallel=%v all the way down",
-				extra, o.parallel, opt.Parallel, opt.Env(nil).Config().Parallel, want)
+		if want := extra == nil; o.parallel != want || env.Parallel != want || env.Config().Parallel != want {
+			t.Errorf("args %v: flag %v, workflow.Env %v, pregel.Config %v; want Parallel=%v all the way down",
+				extra, o.parallel, env.Parallel, env.Config().Parallel, want)
 		}
 		if err := run(o); err != nil {
 			t.Fatal(err)

@@ -5,10 +5,15 @@
 // as written by readsim -paired), and ordered, oriented, N-gapped scaffolds
 // are written alongside the contigs.
 //
+// Every run is a workflow spec over the op catalog of internal/core: the
+// flags spell the default one (see defaultSpec), and -workflow replaces it
+// with a user composition.
+//
 // Usage:
 //
 //	ppa-assembler -in reads.fastq -out contigs.fasta [flags]
 //	ppa-assembler -in pairs.fastq -out contigs.fasta -scaffold scaffolds.fasta [-insert 500]
+//	ppa-assembler -in reads.fastq -out contigs.fasta -workflow "build,label,merge,fasta"
 //
 // Flags mirror the paper's parameters: -k (k-mer length), -theta
 // ((k+1)-mer coverage threshold), -tip (tip-length threshold, paper: 80),
@@ -25,10 +30,8 @@ import (
 	"os"
 	"strings"
 
-	"ppaassembler/internal/core"
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
-	"ppaassembler/internal/scaffold"
 	"ppaassembler/internal/shardio"
 )
 
@@ -83,11 +86,11 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.IntVar(&o.editDist, "editdist", 5, "bubble edit-distance threshold")
 	fs.IntVar(&o.workers, "workers", 4, "logical Pregel workers")
 	fs.BoolVar(&o.parallel, "parallel", true, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
-	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter), range (contiguous k-mer ID spans), minimizer (co-locate DBG-adjacent k-mers); output is identical for all of them, only simulated network locality changes")
+	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter) or minimizer (co-locate DBG-adjacent k-mers); output is identical for both, only simulated network locality changes")
 	fs.StringVar(&o.labeler, "labeler", "lr", "contig labeling algorithm: lr or sv")
-	fs.IntVar(&o.rounds, "rounds", 2, "labeling+merging rounds (1 = no error correction)")
+	fs.IntVar(&o.rounds, "rounds", 2, "labeling+merging rounds of the default workflow (1 = no error correction)")
 	fs.IntVar(&o.minLen, "minlen", 0, "omit contigs shorter than this from the output")
-	fs.StringVar(&o.gfa, "gfa", "", "also write the assembly graph in GFA v1 to this path")
+	fs.StringVar(&o.gfa, "gfa", "", "also write the error-corrected assembly graph in GFA v1 to this path (needs a workflow that links contigs: -rounds 2 or a spec with link)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the run summary")
 	fs.StringVar(&o.scaffoldOut, "scaffold", "", "scaffold the contigs with the (interleaved paired) input reads and write scaffold FASTA here")
 	fs.Float64Var(&o.insert, "insert", 0, "paired-end mean insert size (0 = estimate from the data)")
@@ -100,7 +103,7 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, CRC32C checksums), print a per-file report, and exit; no assembly is run")
 	fs.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
 	fs.BoolVar(&o.resume, "resume", false, "resume a killed run from the checkpoints in -checkpoint")
-	fs.StringVar(&o.workflow, "workflow", "", "compose the assembly as an explicit op workflow instead of the canned pipeline, e.g. \"build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta\" (unset op parameters inherit the global flags)")
+	fs.StringVar(&o.workflow, "workflow", "", "compose the assembly as an explicit op workflow instead of the default one -rounds and -scaffold spell, e.g. \"build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta\" (unset op parameters inherit the global flags)")
 	fs.StringVar(&o.trace, "trace", "", "write a structured trace of every superstep, op, MR phase and checkpoint to this file")
 	fs.StringVar(&o.traceFormat, "trace-format", "", "trace file format: jsonl (default) or chrome (load in Perfetto / chrome://tracing)")
 	fs.StringVar(&o.metricsOut, "metrics", "", "write engine metrics (Prometheus text format) to this file at exit")
@@ -111,37 +114,42 @@ func parseFlags(args []string) (cliOpts, error) {
 	return o, err
 }
 
-func main() {
-	o, err := parseFlags(os.Args[1:])
+func main() { os.Exit(cliMain(os.Args[1:])) }
+
+// cliMain runs the command line (without the program name) and returns the
+// process exit status.
+func cliMain(args []string) int {
+	o, err := parseFlags(args)
 	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
+		return 0
 	}
 	if err != nil {
-		os.Exit(2) // the flag set has already printed the error and the usage
+		return 2 // the flag set has already printed the error and the usage
 	}
 	if o.ckptVerify {
 		if o.checkpoint == "" {
 			fmt.Fprintln(os.Stderr, "ppa-assembler: -ckpt-verify requires -checkpoint")
-			os.Exit(2)
+			return 2
 		}
 		corrupt, err := runCkptVerify(o.checkpoint, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ppa-assembler:", err)
-			os.Exit(1)
+			return 1
 		}
 		if corrupt > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if o.in == "" {
 		fmt.Fprintln(os.Stderr, "ppa-assembler: -in is required (see -h)")
-		os.Exit(2)
+		return 2
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ppa-assembler:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func run(o cliOpts) error {
@@ -153,162 +161,13 @@ func run(o cliOpts) error {
 	if err != nil {
 		return err
 	}
-	if o.workflow != "" {
-		err = runWorkflow(o, obs)
-	} else {
-		err = runCanned(o, obs)
-	}
+	err = runWorkflow(o, obs)
 	// Flush the trace/metrics/profile files even when the run failed — a
 	// truncated trace of a failed run is exactly when one wants to look.
 	if ferr := obs.finish(); err == nil {
 		err = ferr
 	}
 	return err
-}
-
-// cannedOptions renders the flags as the canned pipeline's options.
-func cannedOptions(o cliOpts, obs *observability) (core.Options, error) {
-	opt := core.Options{
-		K:              o.k,
-		Theta:          o.theta,
-		TipLen:         o.tip,
-		BubbleEditDist: o.editDist,
-		Workers:        o.workers,
-		Parallel:       o.parallel,
-		Rounds:         o.rounds,
-		KeepGraph:      o.gfa != "",
-		Resume:         o.resume,
-		Tracer:         obs.Tracer,
-		Metrics:        obs.Metrics,
-	}
-	var err error
-	opt.CheckpointEvery, opt.Checkpointer, opt.Faults, err = faultTolerance(o)
-	if err != nil {
-		return opt, err
-	}
-	if opt.Labeler, err = parseLabeler(o.labeler); err != nil {
-		return opt, err
-	}
-	opt.Partitioner, err = core.MakePartitioner(o.partitioner, o.k)
-	return opt, err
-}
-
-func runCanned(o cliOpts, obs *observability) error {
-	if o.gfa != "" && o.rounds != 2 {
-		return fmt.Errorf("-gfa requires -rounds 2 (the graph is built during error correction)")
-	}
-	opt, err := cannedOptions(o, obs)
-	if err != nil {
-		return err
-	}
-
-	reads, err := loadReadList(o.in)
-	if err != nil {
-		return err
-	}
-	var pairs []scaffold.Pair
-	if o.scaffoldOut != "" {
-		// Pair up front so an odd read count fails before assembly.
-		if pairs, err = scaffold.PairUp(reads); err != nil {
-			return err
-		}
-	}
-
-	res, err := core.Assemble(pregel.ShardSlice(reads, o.workers), opt)
-	if err != nil {
-		return err
-	}
-
-	var recs []fastx.Record
-	for i, c := range res.Contigs {
-		if c.Len() < o.minLen {
-			continue
-		}
-		recs = append(recs, fastx.Record{
-			Name: fmt.Sprintf("contig_%d length=%d cov=%d", i+1, c.Len(), c.Node.Cov),
-			Seq:  c.Node.Seq.String(),
-		})
-	}
-	w := os.Stdout
-	if o.out != "-" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := fastx.WriteFasta(w, recs, 70); err != nil {
-		return err
-	}
-	if o.gfa != "" {
-		gf, err := os.Create(o.gfa)
-		if err != nil {
-			return err
-		}
-		defer gf.Close()
-		if err := core.WriteGFA(gf, res.FinalGraph, o.k); err != nil {
-			return err
-		}
-	}
-	// Scaffolding runs after the contig and GFA outputs are on disk, so a
-	// scaffolding failure (e.g. no pairs to estimate the insert size from)
-	// never discards the finished assembly.
-	var sres *scaffold.Result
-	if o.scaffoldOut != "" {
-		var scontigs []scaffold.Contig
-		sres, scontigs, err = core.ScaffoldContigs(res, opt, pairs, scaffold.Options{
-			InsertMean: o.insert, InsertSD: o.insertSD,
-			MinSupport: o.minSupport, MinContigLen: o.scafMinLen,
-		})
-		if err != nil {
-			return err
-		}
-		sf, err := os.Create(o.scaffoldOut)
-		if err != nil {
-			return err
-		}
-		defer sf.Close()
-		if err := fastx.WriteFasta(sf, scaffold.Records(scontigs, sres.Scaffolds), 70); err != nil {
-			return err
-		}
-	}
-	if !o.quiet {
-		fmt.Fprintf(os.Stderr, "k-mer vertices:    %d\n", res.KmerVertices)
-		fmt.Fprintf(os.Stderr, "(k+1)-mers kept:   %d / %d (theta=%d)\n", res.K1Kept, res.K1Distinct, o.theta)
-		fmt.Fprintf(os.Stderr, "bubbles pruned:    %d\n", res.BubblesPruned)
-		fmt.Fprintf(os.Stderr, "tip vertices gone: %d (+%d+%d dropped at merge)\n",
-			res.TipVerticesRemoved, res.TipsDroppedAtMerge[0], res.TipsDroppedAtMerge[1])
-		fmt.Fprintf(os.Stderr, "contigs written:   %d\n", len(recs))
-		if sres != nil {
-			multi, largest := 0, 0
-			for _, s := range sres.Scaffolds {
-				if s.Len() > 1 {
-					multi++
-				}
-				if s.Len() > largest {
-					largest = s.Len()
-				}
-			}
-			fmt.Fprintf(os.Stderr, "scaffolds written: %d (%d multi-contig, largest chain %d contigs)\n",
-				len(sres.Scaffolds), multi, largest)
-			fmt.Fprintf(os.Stderr, "scaffold links:    %d bundles, %d kept (insert %.0f±%.0f, %d/%d pairs placed)\n",
-				sres.LinkBundles, sres.LinksKept, sres.InsertMean, sres.InsertSD,
-				sres.PairsPlaced, sres.PairsTotal)
-			fmt.Fprintf(os.Stderr, "scaffold jobs:     %d supersteps, %d messages, %.2fs simulated\n",
-				sres.Stats.Supersteps, sres.Stats.Messages, sres.SimSeconds)
-		}
-		printFaults(opt.Faults, opt.CheckpointEvery)
-		printCheckpointIO(res.CheckpointSaves, res.CheckpointRestores,
-			res.CheckpointBytesWritten, res.CheckpointBytesRestored)
-		if total := res.LocalMessages + res.RemoteMessages; total > 0 {
-			fmt.Fprintf(os.Stderr, "shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)\n",
-				total, 100*float64(res.RemoteMessages)/float64(total), o.partitioner)
-		}
-		fmt.Fprintf(os.Stderr, "simulated time:    %.2fs (%d workers), wall %.2fs\n",
-			res.SimSeconds, o.workers, res.WallSeconds)
-	}
-	return nil
 }
 
 // loadReadList accepts a FASTQ/FASTA file (by extension, optionally

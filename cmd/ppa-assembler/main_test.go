@@ -200,9 +200,33 @@ func TestCLIRejectsOddPairedInput(t *testing.T) {
 // TestScaffoldFailureKeepsContigs: when scaffolding fails after a
 // successful assembly (here: every contig is below -scafminlen, so there is
 // nothing to estimate the insert size from), the contig output must already
-// be on disk.
+// be on disk — for the default workflow and for an explicit spec ending
+// fasta,scaffold alike.
 func TestScaffoldFailureKeepsContigs(t *testing.T) {
 	dir := t.TempDir()
+	in := pairedTestReads(t, dir)
+	for _, spec := range []string{"", cannedSpec + ",scaffold"} {
+		out := filepath.Join(dir, "contigs.fasta")
+		os.Remove(out)
+		o := defaultOpts(in, out)
+		o.workflow = spec
+		o.scaffoldOut = filepath.Join(dir, "scaffolds.fasta")
+		o.scafMinLen = 1 << 30 // exclude everything: insert estimation must fail
+		if err := run(o); err == nil {
+			t.Fatalf("workflow %q: scaffolding with no linkable contigs succeeded", spec)
+		}
+		if _, err := os.Stat(out); err != nil {
+			t.Errorf("workflow %q: contigs output lost on scaffolding failure: %v", spec, err)
+		}
+		if _, err := os.Stat(o.scaffoldOut); !os.IsNotExist(err) {
+			t.Errorf("workflow %q: scaffold file written despite failure", spec)
+		}
+	}
+}
+
+// pairedTestReads writes interleaved read pairs of a small genome.
+func pairedTestReads(t *testing.T, dir string) string {
+	t.Helper()
 	ref, err := genome.Generate(genome.Spec{Name: "t", Length: 15_000, Seed: 55})
 	if err != nil {
 		t.Fatal(err)
@@ -214,19 +238,37 @@ func TestScaffoldFailureKeepsContigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := writeReadsFastq(t, dir, readsim.Interleave(pairs))
-	out := filepath.Join(dir, "contigs.fasta")
-	o := defaultOpts(in, out)
-	o.scaffoldOut = filepath.Join(dir, "scaffolds.fasta")
-	o.scafMinLen = 1 << 30 // exclude everything: insert estimation must fail
-	if err := run(o); err == nil {
-		t.Fatal("scaffolding with no linkable contigs succeeded")
+	return writeReadsFastq(t, dir, readsim.Interleave(pairs))
+}
+
+// TestOutputWriteFailureExits: a contig, scaffold or GFA output that cannot
+// be written (here /dev/full, where every write fails) makes the command
+// exit non-zero with an error naming the path.
+func TestOutputWriteFailureExits(t *testing.T) {
+	const full = "/dev/full"
+	if _, err := os.Stat(full); err != nil {
+		t.Skip(full + " is not available")
 	}
-	if _, err := os.Stat(out); err != nil {
-		t.Errorf("contigs output lost on scaffolding failure: %v", err)
-	}
-	if _, err := os.Stat(o.scaffoldOut); !os.IsNotExist(err) {
-		t.Error("scaffold file written despite failure")
+	dir := t.TempDir()
+	in := pairedTestReads(t, dir)
+	for _, outputs := range [][]string{
+		{"-out", full},
+		{"-scaffold", full},
+		{"-gfa", full},
+	} {
+		args := []string{"-in", in, "-out", filepath.Join(dir, "c.fasta"), "-k", "15", "-workers", "3", "-insert", "400", "-q"}
+		if outputs[0] != "-scaffold" {
+			args = append(args, "-scaffold", filepath.Join(dir, "s.fasta"))
+		}
+		args = append(args, outputs...)
+		var code int
+		stderr := captureStderr(t, func() { code = cliMain(args) })
+		if code == 0 {
+			t.Errorf("%s %s: exit status 0", outputs[0], full)
+		}
+		if !strings.Contains(stderr, full) {
+			t.Errorf("%s %s: error does not name the path: %q", outputs[0], full, stderr)
+		}
 	}
 }
 
@@ -380,7 +422,7 @@ func TestCLIRejectsRepeatedFaultRound(t *testing.T) {
 }
 
 // TestCLIFaultSummaryCountsUnfired: a fault scheduled past the run's last
-// round never fires, and the summary of the canned pipeline and of a
+// round never fires, and the summary of the default workflow and of a
 // -workflow run says so instead of "all recovered".
 func TestCLIFaultSummaryCountsUnfired(t *testing.T) {
 	dir := t.TempDir()
@@ -428,7 +470,7 @@ func captureStderr(t *testing.T, fn func()) string {
 }
 
 // TestCLIRejectsZeroWorkers: -workers 0 is an error naming Workers, on the
-// canned pipeline and under -workflow alike, and writes no contigs — never a
+// default workflow and under -workflow alike, and writes no contigs — never a
 // run with every other flag silently reset to its default.
 func TestCLIRejectsZeroWorkers(t *testing.T) {
 	dir := t.TempDir()

@@ -111,29 +111,3 @@ func (obs *observability) finish() error {
 	}
 	return first
 }
-
-// printFaults appends the fault-injection line to the run summary when a
-// -faultplan was given. It says "all recovered" only when every scheduled
-// fault fired: a fault scheduled past the run's last round never fires.
-func printFaults(p *pregel.FaultPlan, every int) {
-	if p == nil {
-		return
-	}
-	fired, scheduled := p.FiredCount(), p.Scheduled()
-	outcome := "all recovered"
-	if fired < scheduled {
-		outcome = fmt.Sprintf("%d recovered, %d never fired (the run ended before its round)", fired, scheduled-fired)
-	}
-	fmt.Fprintf(os.Stderr, "faults injected:   %d/%d fired, %s (checkpoint every %d supersteps)\n",
-		fired, scheduled, outcome, every)
-}
-
-// printCheckpointIO appends the checkpoint I/O line to the run summary when
-// any checkpoint was saved or restored.
-func printCheckpointIO(saves, restores int64, written, restored int64) {
-	if saves == 0 && restores == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "checkpoint I/O:    %d saves (%d bytes written), %d restores (%d bytes read)\n",
-		saves, written, restores, restored)
-}

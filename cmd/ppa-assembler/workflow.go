@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+	"time"
 
 	"ppaassembler/internal/core"
 	"ppaassembler/internal/fastx"
@@ -24,41 +27,70 @@ func parseLabeler(s string) (core.Labeler, error) {
 	}
 }
 
-// faultTolerance assembles the checkpoint/fault-injection settings shared
-// by the canned pipeline and -workflow paths: a checkpoint directory or a
-// fault plan implies checkpointing even without an explicit cadence.
-func faultTolerance(o cliOpts) (every int, store pregel.Checkpointer, faults *pregel.FaultPlan, err error) {
-	every = o.ckptEvery
-	if every <= 0 && (o.checkpoint != "" || o.faultPlan != "") {
-		every = 5
+// engineEnv renders the engine flags as the plan's environment. A
+// checkpoint directory or a fault plan implies checkpointing even without
+// an explicit cadence.
+func engineEnv(o cliOpts, obs *observability) (*workflow.Env, error) {
+	env := &workflow.Env{
+		Workers: o.workers, Parallel: o.parallel, MessageBytes: core.MsgWireBytes,
+		CheckpointEvery: o.ckptEvery, Resume: o.resume,
+		Tracer: obs.Tracer, Metrics: obs.Metrics,
 	}
+	if env.CheckpointEvery <= 0 && (o.checkpoint != "" || o.faultPlan != "") {
+		env.CheckpointEvery = 5
+	}
+	var err error
 	if o.checkpoint != "" {
 		durability := pregel.DurabilityFull
 		if !o.ckptFsync {
 			durability = pregel.DurabilityNone
 		}
-		store, err = pregel.NewDirCheckpointerOpts(o.checkpoint, pregel.DirStoreOptions{Durability: durability})
-		if err != nil {
-			return 0, nil, nil, err
+		if env.Checkpointer, err = pregel.NewDirCheckpointerOpts(o.checkpoint, pregel.DirStoreOptions{Durability: durability}); err != nil {
+			return nil, err
 		}
 	}
 	if o.faultPlan != "" {
-		if faults, err = pregel.ParseFaultPlan(o.faultPlan); err != nil {
-			return 0, nil, nil, err
+		if env.Faults, err = pregel.ParseFaultPlan(o.faultPlan); err != nil {
+			return nil, err
 		}
 	}
-	return every, store, faults, nil
+	env.Partitioner, err = core.MakePartitioner(o.partitioner, o.k)
+	return env, err
 }
 
-// runWorkflow executes a user-composed -workflow spec: the global flags
-// become the spec's parameter defaults, the plan is type-checked before any
-// input is read, and the fasta/scaffold artifacts it produces are written
-// to -out and -scaffold.
-func runWorkflow(o cliOpts, obs *observability) error {
-	if o.gfa != "" {
-		return fmt.Errorf("-gfa is not supported with -workflow (the canned pipeline tracks the final graph)")
+// defaultSpec renders -rounds and -scaffold as the workflow the command runs
+// without -workflow: operations ①②③, with -rounds 2 the error-correction
+// round ④⑤⑥②③, the contig FASTA, and with -scaffold stage ⑦.
+func defaultSpec(o cliOpts) (string, error) {
+	var spec string
+	switch o.rounds {
+	case 1:
+		spec = "build,label,merge,fasta"
+	case 2:
+		spec = "build,label,merge,bubble,rebuild,link,tiptrim,label,merge,fasta"
+	default:
+		return "", fmt.Errorf("-rounds must be 1 or 2, got %d", o.rounds)
 	}
-	if o.rounds != 2 {
+	if o.scaffoldOut != "" {
+		spec += ",scaffold"
+	}
+	return spec, nil
+}
+
+// runWorkflow executes the run's workflow spec (-workflow, or the default
+// the flags spell): the global flags become the spec's parameter defaults,
+// the plan and its outputs are checked before any input is read, and the
+// fasta, graph and scaffold artifacts it produces are written to -out,
+// -gfa and -scaffold.
+func runWorkflow(o cliOpts, obs *observability) error {
+	start := time.Now()
+	spec := o.workflow
+	if spec == "" {
+		var err error
+		if spec, err = defaultSpec(o); err != nil {
+			return err
+		}
+	} else if o.rounds != 2 {
 		return fmt.Errorf("-rounds is ignored with -workflow; compose the rounds in the spec instead")
 	}
 	labeler, err := parseLabeler(o.labeler)
@@ -77,36 +109,32 @@ func runWorkflow(o cliOpts, obs *observability) error {
 			MinSupport: o.minSupport, MinContigLen: o.scafMinLen,
 		},
 	}
-	plan, err := workflow.Parse(core.OpRegistry(def), o.workflow, core.ArtReads, core.ArtPairs)
+	plan, err := workflow.Parse(core.OpRegistry(def), spec, core.ArtReads, core.ArtPairs)
 	if err != nil {
 		return err
 	}
 	wantsScaffolds := plan.Provides(core.ArtScaffolds)
-	wantsFasta := plan.Provides(core.ArtFasta)
-	if !wantsFasta && !wantsScaffolds {
-		return fmt.Errorf("workflow %q writes no output; append a fasta or scaffold op", o.workflow)
+	if !plan.Provides(core.ArtFasta) && !wantsScaffolds {
+		return fmt.Errorf("workflow %q writes no output; append a fasta or scaffold op", spec)
 	}
 	if wantsScaffolds && o.scaffoldOut == "" {
-		return fmt.Errorf("workflow %q scaffolds, but -scaffold gives no output path", o.workflow)
+		return fmt.Errorf("workflow %q scaffolds, but -scaffold gives no output path", spec)
 	}
 	if !wantsScaffolds && o.scaffoldOut != "" {
-		return fmt.Errorf("-scaffold %s is set, but workflow %q has no scaffold op", o.scaffoldOut, o.workflow)
+		return fmt.Errorf("-scaffold %s is set, but workflow %q has no scaffold op", o.scaffoldOut, spec)
+	}
+	if o.gfa != "" && !plan.Provides(core.ArtLinked) {
+		return fmt.Errorf("-gfa needs the error-corrected graph, but workflow %q never links contigs into it (use -rounds 2, or a spec with rebuild,link)", spec)
 	}
 
-	every, store, faults, err := faultTolerance(o)
+	env, err := engineEnv(o, obs)
 	if err != nil {
 		return err
 	}
-	part, err := core.MakePartitioner(o.partitioner, o.k)
-	if err != nil {
-		return err
-	}
-	// The k-mer-aware strategies (range, minimizer) are sized by -k, but a
-	// spec may override k on its build op; a mismatch would silently
-	// degenerate the placement (e.g. a 2·21-bit range over 15-mer IDs puts
-	// every vertex on worker 0) and make the locality numbers meaningless.
-	// A partition op earlier in the spec supersedes the flag, so only the
-	// flag-sized frame is checked.
+	// The minimizer strategy is sized by -k, but a spec may override k on
+	// its build op; a mismatch would silently degrade the placement and
+	// make the locality numbers meaningless. A partition op earlier in the
+	// spec supersedes the flag, so only the flag-sized frame is checked.
 	if o.partitioner != "" && o.partitioner != "hash" {
 		for _, op := range plan.Ops() {
 			if _, ok := op.(core.PartitionOp); ok {
@@ -114,16 +142,9 @@ func runWorkflow(o cliOpts, obs *observability) error {
 			}
 			if b, ok := op.(core.BuildDBGOp); ok && b.K != o.k {
 				return fmt.Errorf("-partitioner %s is sized for -k %d, but the workflow builds with k=%d; size it in the spec instead (e.g. \"partition:scheme=%s:k=%d,%s\") or align -k",
-					o.partitioner, o.k, b.K, o.partitioner, b.K, o.workflow)
+					o.partitioner, o.k, b.K, o.partitioner, b.K, spec)
 			}
 		}
-	}
-	env := &workflow.Env{
-		Workers: o.workers, Parallel: o.parallel,
-		Partitioner: part, MessageBytes: core.MsgWireBytes,
-		CheckpointEvery: every, Checkpointer: store,
-		Faults: faults, Resume: o.resume,
-		Tracer: obs.Tracer, Metrics: obs.Metrics,
 	}
 
 	reads, err := loadReadList(o.in)
@@ -137,63 +158,75 @@ func runWorkflow(o cliOpts, obs *observability) error {
 			return err
 		}
 	}
-	if err := plan.Run(env, st); err != nil {
-		return err
-	}
-
-	if wantsFasta {
-		w := os.Stdout
-		if o.out != "-" {
-			f, err := os.Create(o.out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+	runErr := plan.Run(env, st)
+	// The contigs are written even when an op after the fasta op failed
+	// (say, scaffolding with no pairs to estimate the insert size from):
+	// that failure never discards the finished assembly.
+	if st.Fasta != nil {
+		if err := writeOutput(o.out, func(w io.Writer) error { return fastx.WriteFasta(w, st.Fasta, 70) }); err != nil {
+			return errors.Join(runErr, err)
 		}
-		if err := fastx.WriteFasta(w, st.Fasta, 70); err != nil {
+	}
+	if runErr != nil {
+		return runErr
+	}
+	if o.gfa != "" {
+		if err := writeOutput(o.gfa, func(w io.Writer) error { return core.WriteGFA(w, st.Graph, st.K) }); err != nil {
 			return err
 		}
 	}
 	if wantsScaffolds {
-		sf, err := os.Create(o.scaffoldOut)
-		if err != nil {
-			return err
-		}
-		defer sf.Close()
-		if err := fastx.WriteFasta(sf, scaffold.Records(st.ScaffoldContigs, st.Scaffold.Scaffolds), 70); err != nil {
+		recs := scaffold.Records(st.ScaffoldContigs, st.Scaffold.Scaffolds)
+		if err := writeOutput(o.scaffoldOut, func(w io.Writer) error { return fastx.WriteFasta(w, recs, 70) }); err != nil {
 			return err
 		}
 	}
 	if !o.quiet {
-		printWorkflowSummary(o, plan.String(), env, st, wantsFasta)
+		printSummary(plan.String(), env, st, time.Since(start))
 	}
 	return nil
 }
 
-// printWorkflowSummary reports the run in the shape of the canned
-// pipeline's summary, driven by whichever metrics the composed ops filled.
-func printWorkflowSummary(o cliOpts, spec string, env *workflow.Env, st *core.State, wroteFasta bool) {
+// writeOutput creates path ("-" is stdout), writes it with write and
+// returns the first error, Close's included; the file's errors name the
+// path.
+func writeOutput(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// printSummary reports the run on stderr from whichever metrics its ops
+// filled, and the shared clock's traffic, checkpoint and time totals.
+func printSummary(spec string, env *workflow.Env, st *core.State, wall time.Duration) {
+	p := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	m := &st.Metrics
-	fmt.Fprintf(os.Stderr, "workflow:          %s\n", spec)
+	p("workflow:          %s", spec)
 	if m.KmerVertices > 0 {
-		fmt.Fprintf(os.Stderr, "k-mer vertices:    %d\n", m.KmerVertices)
-		// The spec may override -theta per op, so the flag value is not
-		// reported here.
-		fmt.Fprintf(os.Stderr, "(k+1)-mers kept:   %d / %d\n", m.K1Kept, m.K1Distinct)
+		p("k-mer vertices:    %d", m.KmerVertices)
+		// The spec may override -theta per op, so the flag is not reported.
+		p("(k+1)-mers kept:   %d / %d", m.K1Kept, m.K1Distinct)
 	}
 	if m.BubblesPruned > 0 {
-		fmt.Fprintf(os.Stderr, "bubbles pruned:    %d\n", m.BubblesPruned)
+		p("bubbles pruned:    %d", m.BubblesPruned)
 	}
 	if m.TipVerticesRemoved > 0 || len(m.MergeDroppedTips) > 0 {
-		fmt.Fprintf(os.Stderr, "tip vertices gone: %d (merge-time drops %v)\n",
-			m.TipVerticesRemoved, m.MergeDroppedTips)
+		p("tip vertices gone: %d (merge-time drops %v)", m.TipVerticesRemoved, m.MergeDroppedTips)
 	}
 	if m.BranchesCut > 0 {
-		fmt.Fprintf(os.Stderr, "branches cut:      %d\n", m.BranchesCut)
+		p("branches cut:      %d", m.BranchesCut)
 	}
-	if wroteFasta {
-		fmt.Fprintf(os.Stderr, "contigs written:   %d\n", len(st.Fasta))
+	if st.Fasta != nil {
+		p("contigs written:   %d", len(st.Fasta))
 	}
 	if sres := st.Scaffold; sres != nil {
 		multi, largest := 0, 0
@@ -201,19 +234,32 @@ func printWorkflowSummary(o cliOpts, spec string, env *workflow.Env, st *core.St
 			if s.Len() > 1 {
 				multi++
 			}
-			if s.Len() > largest {
-				largest = s.Len()
-			}
+			largest = max(largest, s.Len())
 		}
-		fmt.Fprintf(os.Stderr, "scaffolds written: %d (%d multi-contig, largest chain %d contigs)\n",
-			len(sres.Scaffolds), multi, largest)
+		p("scaffolds written: %d (%d multi-contig, largest chain %d contigs)", len(sres.Scaffolds), multi, largest)
+		p("scaffold links:    %d bundles, %d kept (insert %.0f±%.0f, %d/%d pairs placed)",
+			sres.LinkBundles, sres.LinksKept, sres.InsertMean, sres.InsertSD, sres.PairsPlaced, sres.PairsTotal)
+		p("scaffold jobs:     %d supersteps, %d messages, %.2fs simulated",
+			sres.Stats.Supersteps, sres.Stats.Messages, sres.SimSeconds)
 	}
-	printFaults(env.Faults, env.CheckpointEvery)
-	printCheckpointIO(env.Clock.CheckpointSaves(), env.Clock.CheckpointRestores(),
-		env.Clock.CheckpointBytesWritten(), env.Clock.CheckpointBytesRestored())
-	if total := env.Clock.LocalMessages() + env.Clock.RemoteMessages(); total > 0 {
-		fmt.Fprintf(os.Stderr, "shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)\n",
-			total, 100*float64(env.Clock.RemoteMessages())/float64(total), env.Partitioner.Name())
+	c := env.Clock
+	if f := env.Faults; f != nil {
+		// "all recovered" only when every scheduled fault fired: a fault
+		// scheduled past the run's last round never fires.
+		fired, scheduled := f.FiredCount(), f.Scheduled()
+		outcome := "all recovered"
+		if fired < scheduled {
+			outcome = fmt.Sprintf("%d recovered, %d never fired (the run ended before its round)", fired, scheduled-fired)
+		}
+		p("faults injected:   %d/%d fired, %s (checkpoint every %d supersteps)", fired, scheduled, outcome, env.CheckpointEvery)
 	}
-	fmt.Fprintf(os.Stderr, "simulated time:    %.2fs (%d workers)\n", env.Clock.Seconds(), env.Workers)
+	if c.CheckpointSaves() > 0 || c.CheckpointRestores() > 0 {
+		p("checkpoint I/O:    %d saves (%d bytes written), %d restores (%d bytes read)",
+			c.CheckpointSaves(), c.CheckpointBytesWritten(), c.CheckpointRestores(), c.CheckpointBytesRestored())
+	}
+	if total := c.LocalMessages() + c.RemoteMessages(); total > 0 {
+		p("shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)",
+			total, 100*float64(c.RemoteMessages())/float64(total), env.Partitioner.Name())
+	}
+	p("simulated time:    %.2fs (%d workers), wall %.2fs", c.Seconds(), env.Workers, wall.Seconds())
 }

@@ -1,13 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ppaassembler/internal/core"
+	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/genome"
+	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/readsim"
+	"ppaassembler/internal/scaffold"
+	"ppaassembler/internal/workflow"
 )
 
 // cannedSpec is the -workflow spelling of the stock two-round pipeline
@@ -40,65 +47,126 @@ func readFile(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestWorkflowSpecMatchesCannedPipeline: composing the stock pipeline as a
-// -workflow spec must write byte-identical contig FASTA to the canned
-// core.Assemble path.
+// libraryRun is the library path for o's flags: the plan core.AssemblePlan
+// builds from the equivalent core.Options, then the fasta op and, with
+// -scaffold, core.ScaffoldOp, run as one plan over the same reads. It
+// returns the contig and scaffold FASTA the CLI would write.
+func libraryRun(t *testing.T, o cliOpts) (contigs, scaffolds []byte) {
+	t.Helper()
+	reads, err := loadReadList(o.in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions(o.workers)
+	opt.K, opt.Theta, opt.TipLen, opt.BubbleEditDist = o.k, o.theta, o.tip, o.editDist
+	opt.Parallel, opt.Rounds = o.parallel, o.rounds
+	if opt.Labeler, err = parseLabeler(o.labeler); err != nil {
+		t.Fatal(err)
+	}
+	asm, err := core.AssemblePlan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := workflow.NewPlan[core.State](core.ArtReads, core.ArtPairs)
+	for _, op := range asm.Ops() {
+		plan.Then(op)
+	}
+	plan.Then(core.EmitFastaOp{MinLen: o.minLen})
+	st := &core.State{Reads: pregel.ShardSlice(reads, o.workers)}
+	if o.scaffoldOut != "" {
+		plan.Then(core.ScaffoldOp{Lib: scaffold.Options{
+			InsertMean: o.insert, InsertSD: o.insertSD,
+			MinSupport: o.minSupport, MinContigLen: o.scafMinLen,
+		}})
+		if st.Pairs, err = scaffold.PairUp(reads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := plan.Run(opt.Env(nil), st); err != nil {
+		t.Fatal(err)
+	}
+	var cb, sb bytes.Buffer
+	if err := fastx.WriteFasta(&cb, st.Fasta, 70); err != nil {
+		t.Fatal(err)
+	}
+	if st.Scaffold != nil {
+		if err := fastx.WriteFasta(&sb, scaffold.Records(st.ScaffoldContigs, st.Scaffold.Scaffolds), 70); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cb.Bytes(), sb.Bytes()
+}
+
+// TestWorkflowSpecMatchesCannedPipeline: the command without -workflow
+// must write byte-identical contig FASTA to the library's canned plan
+// (core.AssemblePlan), for -rounds 1 and 2.
 func TestWorkflowSpecMatchesCannedPipeline(t *testing.T) {
 	dir := t.TempDir()
 	in := workflowTestReads(t, dir)
-
-	cannedOut := filepath.Join(dir, "canned.fasta")
-	if err := run(defaultOpts(in, cannedOut)); err != nil {
-		t.Fatal(err)
-	}
-
-	wfOut := filepath.Join(dir, "wf.fasta")
-	o := defaultOpts(in, wfOut)
-	o.workflow = cannedSpec
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-
-	canned, wf := readFile(t, cannedOut), readFile(t, wfOut)
-	if len(canned) == 0 {
-		t.Fatal("canned pipeline wrote no contigs")
-	}
-	if string(canned) != string(wf) {
-		t.Error("-workflow composition of the stock pipeline differs from core.Assemble output")
+	for _, rounds := range []int{1, 2} {
+		o := defaultOpts(in, filepath.Join(dir, "cli.fasta"))
+		o.rounds = rounds
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		cli := readFile(t, o.out)
+		lib, _ := libraryRun(t, o)
+		if len(cli) == 0 {
+			t.Fatalf("rounds=%d: the CLI wrote no contigs", rounds)
+		}
+		if !bytes.Equal(cli, lib) {
+			t.Errorf("rounds=%d: CLI contig FASTA differs from core.AssemblePlan's", rounds)
+		}
 	}
 }
 
 // TestWorkflowScaffoldMatchesCannedPipeline runs the paired golden dataset
-// through a -workflow spec ending in scaffold and demands byte-identical
-// contig and scaffold FASTA against the canned -scaffold path.
+// through the command with -scaffold and demands byte-identical contig and
+// scaffold FASTA against core.AssemblePlan followed by core.ScaffoldOp, for
+// -rounds 1 and 2.
 func TestWorkflowScaffoldMatchesCannedPipeline(t *testing.T) {
 	dir := t.TempDir()
 	_, readsPath, _ := goldenPipelineFiles(t, dir)
-
-	canned := defaultOpts(readsPath, filepath.Join(dir, "c.fasta"))
-	canned.k = 21
-	canned.workers = 4
-	canned.scaffoldOut = filepath.Join(dir, "c_scaf.fasta")
-	canned.insert, canned.insertSD = 650, 55
-	if err := run(canned); err != nil {
-		t.Fatal(err)
+	for _, rounds := range []int{1, 2} {
+		o := defaultOpts(readsPath, filepath.Join(dir, "c.fasta"))
+		o.k = 21
+		o.workers = 4
+		o.rounds = rounds
+		o.scaffoldOut = filepath.Join(dir, "c_scaf.fasta")
+		o.insert, o.insertSD = 650, 55
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		contigs, scaffolds := libraryRun(t, o)
+		if !bytes.Equal(readFile(t, o.out), contigs) {
+			t.Errorf("rounds=%d: CLI contig FASTA differs from the library plan's", rounds)
+		}
+		if !bytes.Equal(readFile(t, o.scaffoldOut), scaffolds) {
+			t.Errorf("rounds=%d: CLI scaffold FASTA differs from the library plan's", rounds)
+		}
 	}
+}
 
-	wf := defaultOpts(readsPath, filepath.Join(dir, "w.fasta"))
-	wf.k = 21
-	wf.workers = 4
-	wf.scaffoldOut = filepath.Join(dir, "w_scaf.fasta")
-	wf.insert, wf.insertSD = 650, 55
-	wf.workflow = cannedSpec + ",scaffold"
-	if err := run(wf); err != nil {
-		t.Fatal(err)
+// TestGFAExplicitSpecMatchesDefault: -gfa under an explicit spec that links
+// contigs writes the same graph, and the same contigs, as the default run.
+func TestGFAExplicitSpecMatchesDefault(t *testing.T) {
+	dir := t.TempDir()
+	in := workflowTestReads(t, dir)
+	var outs [2][2][]byte
+	for i, spec := range []string{"", cannedSpec} {
+		o := defaultOpts(in, filepath.Join(dir, fmt.Sprintf("c%d.fasta", i)))
+		o.gfa = filepath.Join(dir, fmt.Sprintf("g%d.gfa", i))
+		o.workflow = spec
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = [2][]byte{readFile(t, o.out), readFile(t, o.gfa)}
 	}
-
-	if string(readFile(t, canned.out)) != string(readFile(t, wf.out)) {
-		t.Error("workflow contig FASTA differs from canned pipeline")
+	if !bytes.HasPrefix(outs[0][1], []byte("H\tVN:Z:1.0")) || !bytes.Contains(outs[0][1], []byte("\nS\t")) {
+		t.Fatalf("default run wrote no GFA segments:\n%.200s", outs[0][1])
 	}
-	if string(readFile(t, canned.scaffoldOut)) != string(readFile(t, wf.scaffoldOut)) {
-		t.Error("workflow scaffold FASTA differs from canned pipeline")
+	if !bytes.Equal(outs[0][0], outs[1][0]) || !bytes.Equal(outs[0][1], outs[1][1]) {
+		t.Error("-gfa under the explicit spec differs from the default run")
 	}
 }
 
@@ -246,7 +314,7 @@ func TestWorkflowKillAndResumeNonDefaultPartitioner(t *testing.T) {
 	// Resume under a different placement must fail loudly.
 	o = defaultOpts(in, filepath.Join(dir, "wrong.fasta"))
 	o.workflow = cannedSpec
-	o.partitioner = "range"
+	o.partitioner = "hash"
 	o.checkpoint = ckptDir
 	o.ckptEvery = 3
 	o.resume = true
@@ -254,14 +322,14 @@ func TestWorkflowKillAndResumeNonDefaultPartitioner(t *testing.T) {
 	if err == nil {
 		t.Fatal("resume under a different partitioner succeeded")
 	}
-	if !strings.Contains(err.Error(), `partitioner "minimizer"`) || !strings.Contains(err.Error(), `"range"`) {
+	if !strings.Contains(err.Error(), `partitioner "minimizer"`) || !strings.Contains(err.Error(), `"hash"`) {
 		t.Errorf("error %q does not name the partitioner mismatch", err)
 	}
 }
 
-// TestPartitionerFlagRejected: an unknown -partitioner fails before any
-// assembly, in both the canned and -workflow paths, and the partition
-// spec op validates its scheme at parse time.
+// TestPartitionerFlagRejected: an unknown -partitioner (range among them:
+// it was deleted) fails before any assembly, with and without -workflow,
+// and the partition spec op validates its scheme at parse time.
 func TestPartitionerFlagRejected(t *testing.T) {
 	dir := t.TempDir()
 	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGTACGTACGT"})
@@ -271,6 +339,8 @@ func TestPartitionerFlagRejected(t *testing.T) {
 		func(o *cliOpts) { o.workflow = "partition:scheme=frobnicate," + cannedSpec },
 		func(o *cliOpts) { o.partitioner = "affinity" },
 		func(o *cliOpts) { o.workflow = "partition:scheme=affinity," + cannedSpec },
+		func(o *cliOpts) { o.partitioner = "range" },
+		func(o *cliOpts) { o.workflow = "partition:scheme=range," + cannedSpec },
 	} {
 		o := defaultOpts(in, filepath.Join(dir, "x.fasta"))
 		mutate(&o)
@@ -281,7 +351,7 @@ func TestPartitionerFlagRejected(t *testing.T) {
 	}
 	// A partition op mid-spec is accepted and applies to later graphs.
 	o := defaultOpts(in, filepath.Join(dir, "y.fasta"))
-	o.workflow = "partition:scheme=range:k=15," + cannedSpec
+	o.workflow = "partition:scheme=minimizer:k=15," + cannedSpec
 	if err := run(o); err != nil {
 		t.Errorf("partition spec op rejected: %v", err)
 	}
@@ -289,15 +359,15 @@ func TestPartitionerFlagRejected(t *testing.T) {
 	// spec builds with a different k (the placement would silently
 	// degenerate) — unless a partition op in the spec supersedes the flag.
 	o = defaultOpts(in, filepath.Join(dir, "z.fasta"))
-	o.partitioner = "range"
+	o.partitioner = "minimizer"
 	o.workflow = "build:k=11," + "label,merge,fasta"
 	err := run(o)
 	if err == nil || !strings.Contains(err.Error(), "k=11") {
-		t.Errorf("k-mismatched -partitioner range accepted: %v", err)
+		t.Errorf("k-mismatched -partitioner minimizer accepted: %v", err)
 	}
 	o = defaultOpts(in, filepath.Join(dir, "w.fasta"))
-	o.partitioner = "range"
-	o.workflow = "partition:scheme=range:k=11,build:k=11,label,merge,fasta"
+	o.partitioner = "minimizer"
+	o.workflow = "partition:scheme=minimizer:k=11,build:k=11,label,merge,fasta"
 	if err := run(o); err != nil {
 		t.Errorf("spec-sized partition op rejected: %v", err)
 	}
@@ -328,7 +398,8 @@ func TestWorkflowSpecRejected(t *testing.T) {
 		{func(o *cliOpts) { o.workflow = "frobnicate" }, "unknown op"},
 		{func(o *cliOpts) { o.workflow = "build,label,merge" }, "writes no output"},
 		{func(o *cliOpts) { o.workflow = cannedSpec + ",scaffold" }, "-scaffold gives no output path"},
-		{func(o *cliOpts) { o.workflow = cannedSpec; o.gfa = filepath.Join(dir, "g.gfa") }, "-gfa is not supported"},
+		{func(o *cliOpts) { o.workflow = "build,label,merge,fasta"; o.gfa = filepath.Join(dir, "g.gfa") }, "-gfa needs the error-corrected graph"},
+		{func(o *cliOpts) { o.rounds = 3 }, "-rounds must be 1 or 2"},
 		{func(o *cliOpts) { o.workflow = "build:k=banana,label,merge,fasta" }, "want an integer"},
 	}
 	for _, c := range cases {

@@ -1,9 +1,10 @@
 // Scaffolding walkthrough: simulate paired-end reads from a repeat-bearing
-// genome, assemble contigs with the PPA workflow ①–⑥ (contigs break at every
-// planted repeat), then run the paired-end scaffolding stage ⑦ — mate
-// placement, link bundling, the ambiguity-filter handshake, and the ordering
-// wave, whose winning endpoint labels each chain and orients its contigs —
-// and evaluate the scaffolds against the known reference.
+// genome, then run one workflow plan that assembles contigs with the PPA
+// workflow ①–⑥ (contigs break at every planted repeat) and scaffolds them
+// in stage ⑦ — mate placement, link bundling, the ambiguity-filter
+// handshake, and the ordering wave, whose winning endpoint labels each chain
+// and orients its contigs — and evaluate the scaffolds against the known
+// reference.
 //
 // Run with: go run ./examples/scaffolding
 package main
@@ -18,6 +19,7 @@ import (
 	"ppaassembler/internal/quality"
 	"ppaassembler/internal/readsim"
 	"ppaassembler/internal/scaffold"
+	"ppaassembler/internal/workflow"
 )
 
 func main() {
@@ -44,27 +46,27 @@ func main() {
 	}
 	fmt.Printf("simulated %d read pairs from a %d bp reference\n", len(simPairs), ref.Len())
 
-	// 3. Assemble. The repeats fragment the assembly into several contigs.
-	opt := core.DefaultOptions(4)
-	opt.K = 21
-	reads := readsim.Interleave(simPairs)
-	res, err := core.Assemble(pregel.ShardSlice(reads, opt.Workers), opt)
+	// 3. One plan: the assembly ops ①–⑥ the ppa-assembler CLI runs by
+	// default, then scaffold stage ⑦ on the same simulated cluster clock.
+	// The insert size is deliberately left at zero: the scaffolder
+	// estimates it from pairs whose mates land on one contig.
+	def := core.DefaultOpDefaults()
+	def.K = 21
+	plan, err := workflow.Parse(core.OpRegistry(def),
+		"build,label,merge,bubble,rebuild,link,tiptrim,label,merge,scaffold", core.ArtReads, core.ArtPairs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("assembled %d contigs (simulated %.2fs)\n", len(res.Contigs), res.SimSeconds)
-
-	// 4. Scaffold stage ⑦ on the same simulated cluster clock. The insert
-	// size is deliberately left at zero: the scaffolder estimates it from
-	// pairs whose mates land on one contig.
-	pairs := make([]scaffold.Pair, len(simPairs))
-	for i, p := range simPairs {
-		pairs[i] = scaffold.Pair{R1: p.R1, R2: p.R2}
+	env := &workflow.Env{Workers: 4, Parallel: true, MessageBytes: core.MsgWireBytes}
+	st := &core.State{Reads: pregel.ShardSlice(readsim.Interleave(simPairs), env.Workers)}
+	for _, p := range simPairs {
+		st.Pairs = append(st.Pairs, scaffold.Pair{R1: p.R1, R2: p.R2})
 	}
-	sres, contigs, err := core.ScaffoldContigs(res, opt, pairs, scaffold.Options{})
-	if err != nil {
+	if err := plan.Run(env, st); err != nil {
 		log.Fatal(err)
 	}
+	sres, contigs := st.Scaffold, st.ScaffoldContigs
+	fmt.Printf("assembled %d contigs (simulated %.2fs)\n", len(contigs), env.Clock.Seconds()-sres.SimSeconds)
 	fmt.Printf("estimated insert: %.0f ± %.0f bp (true: %d ± %d)\n",
 		sres.InsertMean, sres.InsertSD, insertMean, insertSD)
 	fmt.Printf("links: %d bundles observed, %d kept after filtering\n",
@@ -81,7 +83,7 @@ func main() {
 		}
 	}
 	fmt.Printf("%d scaffolds (%d multi-contig), pipeline simulated time %.2fs\n",
-		len(sres.Scaffolds), multi, res.SimSeconds)
+		len(sres.Scaffolds), multi, env.Clock.Seconds())
 
 	// 5. Evaluate against the known reference: every join must be
 	// consistent, with gaps sized to within ~2 insert standard deviations.

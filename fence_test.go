@@ -8,6 +8,7 @@ import (
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/readsim"
 	"ppaassembler/internal/scaffold"
+	"ppaassembler/internal/workflow"
 )
 
 // The engine-shuffle workload of internal/pregel.BenchmarkShuffle: a
@@ -35,7 +36,6 @@ type pipelineBaseline struct {
 
 var pipelineBaselines = []pipelineBaseline{
 	{"hash", 0.704993476236769, 0.10113452976390386},
-	{"range", 0.6409374098555534, 0.11146457814769568},
 	{"minimizer", 0.5527388000176567, 0.09480172813287815},
 }
 
@@ -52,22 +52,6 @@ func fanoutCompute(ctx *pregel.Context[int64], id pregel.VertexID, val *int64, i
 	for j := 0; j < shuffleFanout; j++ {
 		dst := pregel.VertexID((uint64(id)*2654435761 + uint64(j)*40503 + 7) % shuffleVertices)
 		ctx.Send(dst, int64(id)+int64(j))
-	}
-}
-
-// ringCompute is the neighbor-exchange variant — every vertex talks to its
-// ID neighbors, the engine-level proxy for DBG-edge traffic.
-func ringCompute(ctx *pregel.Context[int64], id pregel.VertexID, val *int64, in []int64) {
-	for _, m := range in {
-		*val += m
-	}
-	if ctx.Superstep() >= shuffleSupersteps {
-		ctx.VoteToHalt()
-		return
-	}
-	for j := 1; j <= shuffleFanout/2; j++ {
-		ctx.Send(pregel.VertexID((uint64(id)+uint64(j))%shuffleVertices), int64(id))
-		ctx.Send(pregel.VertexID((uint64(id)+shuffleVertices-uint64(j))%shuffleVertices), int64(id))
 	}
 }
 
@@ -114,18 +98,35 @@ func benchGenomeReads(t *testing.T) ([]string, []scaffold.Pair) {
 	return readsim.Interleave(simPairs), pairs
 }
 
-// runPipeline assembles and scaffolds the standard workload on 4 workers
-// under opt's partitioner, cost model and checkpoint cadence.
-func runPipeline(t *testing.T, opt core.Options, reads []string, pairs []scaffold.Pair) *core.Result {
-	t.Helper()
-	res, err := core.Assemble(pregel.ShardSlice(reads, opt.Workers), opt)
+// assembleScaffold assembles and scaffolds reads and pairs as one plan —
+// core.AssemblePlan's ops, then core.ScaffoldOp with lib — and returns the
+// final state and the clock the plan charged.
+func assembleScaffold(tb testing.TB, opt core.Options, reads []string, pairs []scaffold.Pair, lib scaffold.Options) (*core.State, *pregel.SimClock) {
+	tb.Helper()
+	asm, err := core.AssemblePlan(opt)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, _, err := core.ScaffoldContigs(res, opt, pairs, scaffold.Options{InsertMean: 600, InsertSD: 50}); err != nil {
-		t.Fatal(err)
+	plan := workflow.NewPlan[core.State](core.ArtReads, core.ArtPairs)
+	for _, op := range asm.Ops() {
+		plan.Then(op)
 	}
-	return res
+	plan.Then(core.ScaffoldOp{Lib: lib})
+	env := opt.Env(nil)
+	st := &core.State{Reads: pregel.ShardSlice(reads, opt.Workers), Pairs: pairs}
+	if err := plan.Run(env, st); err != nil {
+		tb.Fatal(err)
+	}
+	return st, env.Clock
+}
+
+// runPipeline assembles and scaffolds the standard workload under opt's
+// partitioner, cost model and checkpoint cadence, and returns the clock the
+// run charged.
+func runPipeline(t *testing.T, opt core.Options, reads []string, pairs []scaffold.Pair) *pregel.SimClock {
+	t.Helper()
+	_, clock := assembleScaffold(t, opt, reads, pairs, scaffold.Options{InsertMean: 600, InsertSD: 50})
+	return clock
 }
 
 // TestDeterministicFences holds the traffic, placement, simulated-network
@@ -138,18 +139,6 @@ func TestDeterministicFences(t *testing.T) {
 	if par.LocalMessages != seq.LocalMessages || par.RemoteMessages != seq.RemoteMessages {
 		t.Errorf("parallel schedule changed shuffle traffic: %d/%d local/remote, sequential %d/%d",
 			par.LocalMessages, par.RemoteMessages, seq.LocalMessages, seq.RemoteMessages)
-	}
-
-	// On the ring workload range placement leaves only span-boundary
-	// traffic on the wire. The workload's IDs are dense in [0, vertices),
-	// so a 15-bit range covers them.
-	hashRing := runShuffle(t, pregel.Config{Partitioner: pregel.HashPartitioner{}}, ringCompute)
-	rangeRing := runShuffle(t, pregel.Config{Partitioner: pregel.RangePartitioner{Bits: 15}}, ringCompute)
-	hf := remoteFraction(hashRing.LocalMessages, hashRing.RemoteMessages)
-	rf := remoteFraction(rangeRing.LocalMessages, rangeRing.RemoteMessages)
-	t.Logf("ring shuffle remote fraction: hash %.4f, range %.4f", hf, rf)
-	if rf >= hf/2 {
-		t.Errorf("ring shuffle: range remote fraction %.4f not below half of hash's %.4f", rf, hf)
 	}
 
 	// The standard pipeline per partitioner, in the communication-bound
@@ -168,9 +157,9 @@ func TestDeterministicFences(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt.Partitioner = part
-		res := runPipeline(t, opt, reads, pairs)
-		frac[b.name] = remoteFraction(res.LocalMessages, res.RemoteMessages)
-		net[b.name] = res.SimSeconds
+		clock := runPipeline(t, opt, reads, pairs)
+		frac[b.name] = remoteFraction(clock.LocalMessages(), clock.RemoteMessages())
+		net[b.name] = clock.Seconds()
 		t.Logf("pipeline %-9s: remote fraction %.4f (ceiling %.4f), net makespan %.4fs (ceiling %.4fs)",
 			b.name, frac[b.name], b.remoteFraction*fenceSlack, net[b.name], b.netSimSeconds*fenceSlack)
 		if frac[b.name] > b.remoteFraction*fenceSlack {
@@ -191,12 +180,12 @@ func TestDeterministicFences(t *testing.T) {
 	// checkpoints and restores none.
 	opt := core.DefaultOptions(4)
 	opt.K, opt.CheckpointEvery = 21, 5
-	res := runPipeline(t, opt, reads, pairs)
-	t.Logf("checkpoint I/O: %d saves (%d bytes), %d restores", res.CheckpointSaves, res.CheckpointBytesWritten, res.CheckpointRestores)
-	if res.CheckpointSaves == 0 || res.CheckpointBytesWritten == 0 {
-		t.Errorf("fault-free checkpointed pipeline saved nothing: %d saves, %d bytes", res.CheckpointSaves, res.CheckpointBytesWritten)
+	clock := runPipeline(t, opt, reads, pairs)
+	t.Logf("checkpoint I/O: %d saves (%d bytes), %d restores", clock.CheckpointSaves(), clock.CheckpointBytesWritten(), clock.CheckpointRestores())
+	if clock.CheckpointSaves() == 0 || clock.CheckpointBytesWritten() == 0 {
+		t.Errorf("fault-free checkpointed pipeline saved nothing: %d saves, %d bytes", clock.CheckpointSaves(), clock.CheckpointBytesWritten())
 	}
-	if res.CheckpointRestores != 0 {
-		t.Errorf("fault-free pipeline restored %d checkpoints", res.CheckpointRestores)
+	if clock.CheckpointRestores() != 0 {
+		t.Errorf("fault-free pipeline restored %d checkpoints", clock.CheckpointRestores())
 	}
 }

@@ -2,53 +2,13 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"testing"
 
-	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/genome"
-	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/readsim"
 	"ppaassembler/internal/scaffold"
 )
-
-// assembleAndScaffoldOnce runs the full pipeline (assemble + scaffold) over
-// the example genome's paired reads and renders both FASTA outputs exactly
-// as cmd/ppa-assembler does, so byte equality here is byte equality of the
-// shipped artifacts.
-func assembleAndScaffoldOnce(t *testing.T, reads []string, pairs []scaffold.Pair, workers int, parallel bool) (contigFasta, scaffoldFasta []byte, res *Result, sres *scaffold.Result) {
-	t.Helper()
-	opt := DefaultOptions(workers)
-	opt.K = 21
-	opt.Parallel = parallel
-	res, err := Assemble(pregel.ShardSlice(reads, workers), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []fastx.Record
-	for i, c := range res.Contigs {
-		recs = append(recs, fastx.Record{
-			Name: fmt.Sprintf("contig_%d length=%d cov=%d", i+1, c.Len(), c.Node.Cov),
-			Seq:  c.Node.Seq.String(),
-		})
-	}
-	var cb bytes.Buffer
-	if err := fastx.WriteFasta(&cb, recs, 70); err != nil {
-		t.Fatal(err)
-	}
-	sres, scontigs, err := ScaffoldContigs(res, opt, pairs, scaffold.Options{
-		InsertMean: 600, InsertSD: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb bytes.Buffer
-	if err := fastx.WriteFasta(&sb, scaffold.Records(scontigs, sres.Scaffolds), 70); err != nil {
-		t.Fatal(err)
-	}
-	return cb.Bytes(), sb.Bytes(), res, sres
-}
 
 // exampleGenomeReads builds the deterministic paired-read set shared by the
 // determinism tests: a repeat-bearing reference, so scaffolding has real
@@ -87,8 +47,8 @@ func TestPipelineParallelDeterminism(t *testing.T) {
 	reads, pairs := exampleGenomeReads(t)
 	perWorkerSorted := map[int][]string{}
 	for _, workers := range []int{1, 4, 7} {
-		cSeq, sSeq, resSeq, sresSeq := assembleAndScaffoldOnce(t, reads, pairs, workers, false)
-		cPar, sPar, resPar, sresPar := assembleAndScaffoldOnce(t, reads, pairs, workers, true)
+		cSeq, sSeq, resSeq, sresSeq := runPipeline(t, reads, pairs, workers, false, nil)
+		cPar, sPar, resPar, sresPar := runPipeline(t, reads, pairs, workers, true, nil)
 		if !bytes.Equal(cSeq, cPar) {
 			t.Errorf("workers=%d: contig FASTA differs between Parallel=false and true", workers)
 		}
@@ -156,8 +116,8 @@ func TestPipelineRepeatRunsIdentical(t *testing.T) {
 		t.Skip("pipeline determinism matrix is slow")
 	}
 	reads, pairs := exampleGenomeReads(t)
-	c1, s1, _, _ := assembleAndScaffoldOnce(t, reads, pairs, 4, true)
-	c2, s2, _, _ := assembleAndScaffoldOnce(t, reads, pairs, 4, true)
+	c1, s1, _, _ := runPipeline(t, reads, pairs, 4, true, nil)
+	c2, s2, _, _ := runPipeline(t, reads, pairs, 4, true, nil)
 	if !bytes.Equal(c1, c2) {
 		t.Error("two identical parallel runs produced different contig FASTA")
 	}

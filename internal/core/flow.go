@@ -17,10 +17,9 @@ import (
 // This file is the assembler's op catalog for the workflow layer: every
 // assembly operation of the paper's API (§IV-B) as a first-class
 // workflow.Op with typed artifacts and per-op configuration. The old
-// monolithic Options struct decomposes into these per-op structs;
-// Assemble and ScaffoldContigs are canned plans over them (pipeline.go),
-// and the ppa-assembler CLI exposes the same catalog as a -workflow spec
-// through OpRegistry.
+// monolithic Options struct decomposes into these per-op structs; Assemble
+// is a canned plan over them (pipeline.go), and the ppa-assembler CLI runs
+// every assembly as a spec over the same catalog through OpRegistry.
 
 // Artifacts produced and consumed by the catalog. "labels" and "ambig" are
 // scratch annotations living on graph vertices (written by the labeling
@@ -73,7 +72,8 @@ type State struct {
 
 	Scaffold        *scaffold.Result
 	ScaffoldContigs []scaffold.Contig
-	Fasta           []fastx.Record
+	// Fasta is nil until a fasta op has run.
+	Fasta []fastx.Record
 
 	Metrics Metrics
 }
@@ -424,8 +424,9 @@ func (o EmitFastaOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o EmitFastaOp) Run(env *workflow.Env, st *State) error {
-	var recs []fastx.Record
-	for i, c := range pregel.Flatten(st.Contigs) {
+	flat := pregel.Flatten(st.Contigs)
+	recs := make([]fastx.Record, 0, len(flat))
+	for i, c := range flat {
 		if c.Len() < o.MinLen {
 			continue
 		}
@@ -441,7 +442,7 @@ func (o EmitFastaOp) Run(env *workflow.Env, st *State) error {
 // ScaffoldOp is the pipeline's stage ⑦ as a workflow op: paired-end
 // scaffolding of the current contig set (mate placement and link bundling,
 // link filtering, and the ordering/orientation wave — the jobs of package
-// scaffold). Unset library options inherit the plan's environment.
+// scaffold). The jobs run under the plan's environment and charge its clock.
 type ScaffoldOp struct {
 	Lib scaffold.Options
 }
@@ -464,50 +465,7 @@ func (o ScaffoldOp) Run(env *workflow.Env, st *State) error {
 			Seq:  c.Node.Seq,
 		}
 	}
-	opt := o.Lib
-	if opt.Workers <= 0 {
-		opt.Workers = env.Workers
-	}
-	if opt.Cost == (pregel.CostModel{}) {
-		opt.Cost = env.Cost
-	}
-	if opt.Partitioner == nil {
-		opt.Partitioner = env.Partitioner
-	}
-	if opt.MessageBytes <= 0 {
-		opt.MessageBytes = env.MessageBytes
-	}
-	if !opt.Parallel {
-		opt.Parallel = env.Parallel
-	}
-	if opt.Clock == nil {
-		opt.Clock = env.Clock
-	}
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointEvery = env.CheckpointEvery
-	}
-	if opt.Checkpointer == nil {
-		opt.Checkpointer = env.Checkpointer
-	}
-	if opt.Faults == nil {
-		opt.Faults = env.Faults
-	}
-	if !opt.Resume {
-		opt.Resume = env.Resume
-	}
-	if opt.JobPrefix == "" {
-		opt.JobPrefix = env.JobPrefix()
-	}
-	if opt.Tracer == nil {
-		opt.Tracer = env.Tracer
-	}
-	if opt.Metrics == nil {
-		opt.Metrics = env.Metrics
-	}
-	if opt.Warn == nil {
-		opt.Warn = env.Warn
-	}
-	sres, err := scaffold.Build(contigs, st.Pairs, opt)
+	sres, err := scaffold.Build(contigs, st.Pairs, o.Lib, env.Config(), env.Clock)
 	if err != nil {
 		return err
 	}
@@ -612,7 +570,7 @@ func DefaultOpDefaults() OpDefaults {
 //	merge[:tiplen=80]           contig merging (op ③)
 //	bubble[:editdist=5][:mincov=0]  bubble filtering (op ④)
 //	rebuild                     mixed-graph conversion (ambiguous k-mers + contigs)
-//	partition[:scheme=hash|range|minimizer][:k=21]
+//	partition[:scheme=hash|minimizer][:k=21]
 //	                            vertex placement for graphs built from here on
 //	link                        contig announcement (op ⑤ setup)
 //	split:ratio=N               branch splitting (Spaler extension)

@@ -17,13 +17,16 @@ func TestWriteGFAStructure(t *testing.T) {
 	genome := a + b + c + b + a[:60] // repeats -> ambiguous vertices survive
 	reads := readsFromGenome(genome, 60, 20)
 	opt := testOpts(3, k, LabelerLR)
-	opt.KeepGraph = true
-	res := assemble(t, reads, opt)
-	if res.FinalGraph == nil {
-		t.Fatal("KeepGraph did not retain the graph")
+	plan, err := AssemblePlan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &State{Reads: pregel.ShardSlice(reads, opt.Workers)}
+	if err := plan.Run(opt.Env(nil), st); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteGFA(&buf, res.FinalGraph, k); err != nil {
+	if err := WriteGFA(&buf, st.Graph, st.K); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -61,8 +64,8 @@ func TestWriteGFAStructure(t *testing.T) {
 			t.Fatalf("unexpected record %q", l)
 		}
 	}
-	if nS != res.FinalGraph.VertexCount() {
-		t.Errorf("S lines = %d, vertices = %d", nS, res.FinalGraph.VertexCount())
+	if nS != st.Graph.VertexCount() {
+		t.Errorf("S lines = %d, vertices = %d", nS, st.Graph.VertexCount())
 	}
 	if nL == 0 {
 		t.Error("no links exported despite ambiguous junctions")

@@ -20,31 +20,22 @@ import (
 
 // PartitionerNames lists the selectable strategies, for flag help and
 // error messages.
-const PartitionerNames = "hash, range or minimizer"
+const PartitionerNames = "hash or minimizer"
 
 // MakePartitioner builds a named placement strategy:
 //
 //	hash       SplitMix64 scatter (the default; byte-identical to the
 //	           engine's historical behavior)
-//	range      contiguous spans of the 2k-bit k-mer ID space, so each
-//	           worker owns one lexicographic slice of k-mer space; contig
-//	           and NULL IDs fall back to hash
 //	minimizer  k-mers placed by their canonical minimizer, so DBG-adjacent
 //	           k-mers — which share k-1 bases and almost always a
 //	           minimizer — co-locate (see dbg.MinimizerPartitioner); the
 //	           measured locality winner on the assemble+scaffold workload
 //
-// k is the run's k-mer length, which sizes the range partitioner's ID
-// space and the minimizer windows.
+// k is the run's k-mer length, which sizes the minimizer windows.
 func MakePartitioner(name string, k int) (pregel.Partitioner, error) {
 	switch name {
 	case "", "hash":
 		return pregel.HashPartitioner{}, nil
-	case "range":
-		if err := dna.ValidK(k); err != nil {
-			return nil, fmt.Errorf("core: range partitioner: %w", err)
-		}
-		return pregel.RangePartitioner{Bits: uint(2 * k)}, nil
 	case "minimizer":
 		if err := dna.ValidK(k); err != nil {
 			return nil, fmt.Errorf("core: minimizer partitioner: %w", err)
@@ -59,12 +50,12 @@ func MakePartitioner(name string, k int) (pregel.Partitioner, error) {
 // adopt it, while graphs already live keep the placement they were
 // constructed with (follow with a stage seam to re-shard an existing
 // graph). In specs it appears as
-// partition:scheme=hash|range|minimizer (with an optional :k=N
-// sizing the k-mer-aware schemes).
+// partition:scheme=hash|minimizer (with an optional :k=N sizing the
+// minimizer windows).
 type PartitionOp struct {
 	// Scheme is a MakePartitioner name.
 	Scheme string
-	// K sizes the range partitioner's ID space (the run's k-mer length).
+	// K sizes the minimizer windows (the run's k-mer length).
 	K int
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ppaassembler/internal/fastx"
-	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/scaffold"
 )
 
@@ -15,40 +13,11 @@ import (
 // CLI does, so byte equality here is byte equality of shipped artifacts.
 func partitionerRun(t *testing.T, reads []string, pairs []scaffold.Pair, workers int, parallel bool, partitioner string) (contigFasta, scaffoldFasta []byte, res *Result, sres *scaffold.Result) {
 	t.Helper()
-	opt := DefaultOptions(workers)
-	opt.K = 21
-	opt.Parallel = parallel
-	part, err := MakePartitioner(partitioner, opt.K)
+	part, err := MakePartitioner(partitioner, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Partitioner = part
-	res, err = Assemble(pregel.ShardSlice(reads, workers), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []fastx.Record
-	for i, c := range res.Contigs {
-		recs = append(recs, fastx.Record{
-			Name: fmt.Sprintf("contig_%d length=%d cov=%d", i+1, c.Len(), c.Node.Cov),
-			Seq:  c.Node.Seq.String(),
-		})
-	}
-	var cb bytes.Buffer
-	if err := fastx.WriteFasta(&cb, recs, 70); err != nil {
-		t.Fatal(err)
-	}
-	sres, scontigs, err := ScaffoldContigs(res, opt, pairs, scaffold.Options{
-		InsertMean: 600, InsertSD: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb bytes.Buffer
-	if err := fastx.WriteFasta(&sb, scaffold.Records(scontigs, sres.Scaffolds), 70); err != nil {
-		t.Fatal(err)
-	}
-	return cb.Bytes(), sb.Bytes(), res, sres
+	return runPipeline(t, reads, pairs, workers, parallel, func(o *Options) { o.Partitioner = part })
 }
 
 // TestPipelinePartitionerByteIdentity is the placement-independence
@@ -67,7 +36,7 @@ func TestPipelinePartitionerByteIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4, 7} {
 		cBase, sBase, resBase, sresBase := partitionerRun(t, reads, pairs, workers, false, "hash")
 		baseTotal := resBase.LocalMessages + resBase.RemoteMessages
-		for _, partitioner := range []string{"hash", "range", "minimizer"} {
+		for _, partitioner := range []string{"hash", "minimizer"} {
 			for _, parallel := range []bool{false, true} {
 				if partitioner == "hash" && !parallel {
 					continue // that run is the baseline itself

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ppaassembler/internal/pregel"
-	"ppaassembler/internal/scaffold"
 	"ppaassembler/internal/telemetry"
 	"ppaassembler/internal/workflow"
 )
@@ -91,10 +90,6 @@ type Options struct {
 	// removal: at ambiguous vertices, edges out-covered ratio-to-one by a
 	// parallel edge are cut (must be >= 2 when set).
 	BranchSplitRatio uint32
-	// KeepGraph retains the post-error-correction mixed graph on the
-	// Result (for GFA export or further custom operations); it is
-	// otherwise released for garbage collection.
-	KeepGraph bool
 }
 
 // DefaultOptions returns the paper-inspired defaults with the given worker
@@ -164,21 +159,8 @@ type Result struct {
 	CheckpointSaves, CheckpointRestores             int64
 	CheckpointBytesWritten, CheckpointBytesRestored int64
 
-	// FinalGraph is the post-error-correction mixed graph (only when
-	// Options.KeepGraph was set); pass it to WriteGFA.
-	FinalGraph *Graph
-
-	// Clock is the simulated-cluster clock the run charged; follow-on
-	// stages (scaffolding) keep charging it so the pipeline accumulates
-	// one end-to-end simulated time.
+	// Clock is the simulated-cluster clock the run charged.
 	Clock *pregel.SimClock
-
-	// Checkpointer is the store every assembly stage checkpointed to
-	// (including one installed by default when Options.CheckpointEvery was
-	// set with a nil store); ScaffoldContigs inherits it so the whole
-	// pipeline reserves job keys in one order, which is what Resume
-	// relies on.
-	Checkpointer pregel.Checkpointer
 }
 
 // Env renders the engine-wide half of the options as a workflow
@@ -243,8 +225,15 @@ func Assemble(readShards [][]string, opt Options) (*Result, error) {
 	if err := plan.Run(env, st); err != nil {
 		return nil, err
 	}
+	res := newResult(st, env.Clock)
+	res.WallSeconds = time.Since(start).Seconds()
+	return res, nil
+}
 
-	res := &Result{Clock: env.Clock, Checkpointer: env.Checkpointer}
+// newResult folds a finished plan's per-op metrics and its clock's totals
+// into a Result.
+func newResult(st *State, clock *pregel.SimClock) *Result {
+	res := &Result{Clock: clock}
 	m := &st.Metrics
 	res.K1Distinct, res.K1Kept = m.K1Distinct, m.K1Kept
 	res.KmerVertices, res.MidVertices = m.KmerVertices, m.MidVertices
@@ -265,58 +254,14 @@ func Assemble(readShards [][]string, opt Options) (*Result, error) {
 	res.Round1Contigs = m.MergeContigs[0]
 	res.Contigs = m.MergeContigs[len(m.MergeContigs)-1]
 	res.FinalContigs = len(res.Contigs)
-	if opt.KeepGraph && opt.Rounds == 2 {
-		res.FinalGraph = st.Graph
-	}
-	res.SimSeconds = env.Clock.Seconds()
-	res.readClockCounters()
-	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
-}
-
-// readClockCounters refreshes the Result's pipeline-wide traffic and
-// checkpoint-I/O totals from the shared clock.
-func (r *Result) readClockCounters() {
-	if r.Clock == nil {
-		return
-	}
-	r.LocalMessages = r.Clock.LocalMessages()
-	r.RemoteMessages = r.Clock.RemoteMessages()
-	r.CheckpointSaves = r.Clock.CheckpointSaves()
-	r.CheckpointRestores = r.Clock.CheckpointRestores()
-	r.CheckpointBytesWritten = r.Clock.CheckpointBytesWritten()
-	r.CheckpointBytesRestored = r.Clock.CheckpointBytesRestored()
-}
-
-// ScaffoldContigs is the pipeline's seventh stage (⑦): paired-end
-// scaffolding of the final contig set with package scaffold. The contigs
-// keep their (worker, ordinal) vertex IDs, and the scaffolding jobs charge
-// the assembly's simulated clock, so the stage extends the same end-to-end
-// accounting as operations ①–⑥. Library options (insert size, support,
-// seed length) come in via opt; Workers/Parallel/Cost and the clock are
-// inherited from the assembly run unless opt overrides them.
-func ScaffoldContigs(res *Result, asmOpt Options, pairs []scaffold.Pair, opt scaffold.Options) (*scaffold.Result, []scaffold.Contig, error) {
-	env := asmOpt.Env(res.Clock)
-	if env.Workers <= 0 {
-		// scaffold.Build historically defaulted a zero worker count.
-		env.Workers = 1
-	}
-	if env.Checkpointer == nil {
-		// Assemble normalizes a nil store on its own copy of the options;
-		// the Result carries the store actually used.
-		env.Checkpointer = res.Checkpointer
-	}
-	plan := workflow.NewPlan[State](ArtContigs, ArtPairs).
-		Then(ScaffoldOp{Lib: opt})
-	st := &State{Contigs: [][]ContigRec{res.Contigs}, Pairs: pairs}
-	if err := plan.Run(env, st); err != nil {
-		return nil, nil, err
-	}
-	if res.Clock != nil {
-		res.SimSeconds = res.Clock.Seconds()
-		res.readClockCounters()
-	}
-	return st.Scaffold, st.ScaffoldContigs, nil
+	res.SimSeconds = clock.Seconds()
+	res.LocalMessages = clock.LocalMessages()
+	res.RemoteMessages = clock.RemoteMessages()
+	res.CheckpointSaves = clock.CheckpointSaves()
+	res.CheckpointRestores = clock.CheckpointRestores()
+	res.CheckpointBytesWritten = clock.CheckpointBytesWritten()
+	res.CheckpointBytesRestored = clock.CheckpointBytesRestored()
+	return res
 }
 
 // BuildMixedGraph assembles the operation-⑤ input graph: the ambiguous

@@ -10,6 +10,7 @@ import (
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/readsim"
 	"ppaassembler/internal/scaffold"
+	"ppaassembler/internal/workflow"
 )
 
 // recoveryGenomeReads is a smaller cousin of exampleGenomeReads sized for
@@ -36,8 +37,9 @@ func recoveryGenomeReads(t *testing.T) ([]string, []scaffold.Pair) {
 	return readsim.Interleave(simPairs), pairs
 }
 
-// runPipeline assembles and scaffolds with the given fault-tolerance knobs
-// and renders both FASTA artifacts exactly as cmd/ppa-assembler does.
+// runPipeline assembles and scaffolds as one plan — AssemblePlan's ops,
+// then the fasta op and ScaffoldOp — with the given knobs, and renders both
+// FASTA artifacts exactly as cmd/ppa-assembler does.
 func runPipeline(t *testing.T, reads []string, pairs []scaffold.Pair, workers int, parallel bool, mutate func(*Options)) (contigFasta, scaffoldFasta []byte, res *Result, sres *scaffold.Result) {
 	t.Helper()
 	opt := DefaultOptions(workers)
@@ -46,32 +48,28 @@ func runPipeline(t *testing.T, reads []string, pairs []scaffold.Pair, workers in
 	if mutate != nil {
 		mutate(&opt)
 	}
-	res, err := Assemble(pregel.ShardSlice(reads, workers), opt)
+	asm, err := AssemblePlan(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []fastx.Record
-	for i, c := range res.Contigs {
-		recs = append(recs, fastx.Record{
-			Name: fmt.Sprintf("contig_%d length=%d cov=%d", i+1, c.Len(), c.Node.Cov),
-			Seq:  c.Node.Seq.String(),
-		})
+	plan := workflow.NewPlan[State](ArtReads, ArtPairs)
+	for _, op := range asm.Ops() {
+		plan.Then(op)
 	}
-	var cb bytes.Buffer
-	if err := fastx.WriteFasta(&cb, recs, 70); err != nil {
+	plan.Then(EmitFastaOp{}).Then(ScaffoldOp{Lib: scaffold.Options{InsertMean: 600, InsertSD: 50}})
+	env := opt.Env(nil)
+	st := &State{Reads: pregel.ShardSlice(reads, workers), Pairs: pairs}
+	if err := plan.Run(env, st); err != nil {
 		t.Fatal(err)
 	}
-	sres, scontigs, err := ScaffoldContigs(res, opt, pairs, scaffold.Options{
-		InsertMean: 600, InsertSD: 50,
-	})
-	if err != nil {
+	var cb, sb bytes.Buffer
+	if err := fastx.WriteFasta(&cb, st.Fasta, 70); err != nil {
 		t.Fatal(err)
 	}
-	var sb bytes.Buffer
-	if err := fastx.WriteFasta(&sb, scaffold.Records(scontigs, sres.Scaffolds), 70); err != nil {
+	if err := fastx.WriteFasta(&sb, scaffold.Records(st.ScaffoldContigs, st.Scaffold.Scaffolds), 70); err != nil {
 		t.Fatal(err)
 	}
-	return cb.Bytes(), sb.Bytes(), res, sres
+	return cb.Bytes(), sb.Bytes(), newResult(st, env.Clock), st.Scaffold
 }
 
 // pipelineCounters fingerprints every deterministic counter the pipeline

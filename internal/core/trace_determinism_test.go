@@ -67,7 +67,7 @@ func TestTraceDeterminism(t *testing.T) {
 		t.Skip("trace determinism matrix is slow")
 	}
 	reads := traceReads(t)
-	partitioners := []string{"hash", "range", "minimizer"}
+	partitioners := []string{"hash", "minimizer"}
 	workerCounts := []int{1, 4, 7}
 
 	var baseShape []string // kind|cat|name sequence, the cross-worker invariant

@@ -69,8 +69,8 @@ func convertReference[V2, M2, V1, M1 any](
 	return dst
 }
 
-// modPartitioner places by the ID's low bits: a placement unlike hash and
-// range, standing in for dbg's minimizer scheme (which this package cannot
+// modPartitioner places by the ID's low bits: a placement unlike hash,
+// standing in for dbg's minimizer scheme (which this package cannot
 // import).
 type modPartitioner struct{}
 
@@ -82,7 +82,7 @@ type convScenario struct {
 	seed             int64
 	srcWorkers       int
 	dstWorkers       int
-	part             int // 0 hash, 1 range, 2 mod, 3 map overrides over hash
+	part             int // 0 hash, 1 contiguous blocks, 2 mod, 3 map overrides over hash
 	parallel         bool
 	fanout, keepOneN int // emits per kept vertex; keep one source vertex in keepOneN
 	collide          bool
@@ -129,7 +129,11 @@ func runConvScenario(t *testing.T, sc convScenario) {
 	var part Partitioner
 	switch sc.part {
 	case 1:
-		part = RangePartitioner{Bits: 10}
+		blocks := mapPartitioner{}
+		for i, id := range ids {
+			blocks[id*2] = i * sc.dstWorkers / len(ids)
+		}
+		part = blocks
 	case 2:
 		part = modPartitioner{}
 	case 3:

@@ -79,7 +79,7 @@ func runPartFuzz(t *testing.T, fg partFuzzGraph, part Partitioner, workers int, 
 }
 
 // fuzzPartitioners builds the three placement strategies under test: the
-// hash default, a range partitioner covering the fuzz ID space, and a
+// hash default, placement by the ID's low bits, and a
 // map partitioner whose overrides are derived from the seed — an arbitrary
 // learned placement.
 func fuzzPartitioners(fg partFuzzGraph, seed uint64, workers int) []Partitioner {
@@ -96,7 +96,7 @@ func fuzzPartitioners(fg partFuzzGraph, seed uint64, workers int) []Partitioner 
 	}
 	return []Partitioner{
 		HashPartitioner{},
-		RangePartitioner{Bits: 7}, // 2^7 = 128 >= max n; larger IDs fall back
+		modPartitioner{},
 		table,
 	}
 }

@@ -86,7 +86,7 @@ const (
 func checkAgainstReference[K any](t *testing.T, name string, order laneOrder, genKey func(*rand.Rand) K, hash func(K) uint64, less func(a, b K) bool) {
 	for _, workers := range []int{1, 4, 7} {
 		for _, parallel := range []bool{false, true} {
-			for _, part := range []Partitioner{nil, HashPartitioner{}, RangePartitioner{Bits: 16}} {
+			for _, part := range []Partitioner{nil, HashPartitioner{}, modPartitioner{}} {
 				rng := rand.New(rand.NewSource(int64(workers)*31 + 7))
 				input := make([][]mrRecord[K], workers)
 				for w := range input {

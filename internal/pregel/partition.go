@@ -1,7 +1,5 @@
 package pregel
 
-import "math/bits"
-
 // Partitioner decides which logical worker owns each vertex. It is the
 // engine's pluggable placement layer: every routing decision — AddVertex,
 // message delivery lanes, Value/SetValue lookups, Convert re-sharding —
@@ -40,31 +38,4 @@ func (HashPartitioner) Name() string { return "hash" }
 // Assign implements Partitioner.
 func (HashPartitioner) Assign(id VertexID, workers int) int {
 	return int(hashID(id) % uint64(workers))
-}
-
-// RangePartitioner splits a Bits-bit ID space into workers contiguous,
-// equal-width spans: worker = floor(id · workers / 2^Bits). The assembler
-// uses it over the 2-bit-packed k-mer encoding (Bits = 2k), where the ID
-// order is the lexicographic order of the k-mer sequences, so one worker
-// owns one contiguous slice of k-mer space. IDs outside the declared space —
-// for the assembler: contig and NULL IDs, which carry bit 63 — fall back to
-// hash placement, so the partitioner stays total over arbitrary ID schemes.
-type RangePartitioner struct {
-	// Bits is the width of the ranged ID space; IDs >= 1<<Bits fall back
-	// to hash placement. Zero (or > 63) disables ranging entirely.
-	Bits uint
-}
-
-// Name implements Partitioner.
-func (p RangePartitioner) Name() string { return "range" }
-
-// Assign implements Partitioner.
-func (p RangePartitioner) Assign(id VertexID, workers int) int {
-	if p.Bits == 0 || p.Bits > 63 || uint64(id)>>p.Bits != 0 {
-		return int(hashID(id) % uint64(workers))
-	}
-	// floor(id * workers / 2^Bits) via the 128-bit product, so Bits up to
-	// 63 cannot overflow. id < 2^Bits ensures the result is < workers.
-	hi, lo := bits.Mul64(uint64(id), uint64(workers))
-	return int(hi<<(64-p.Bits) | lo>>p.Bits)
 }

@@ -20,78 +20,6 @@ func TestHashPartitionerMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestRangePartitionerSpans: range placement must be monotone over the
-// declared ID space (contiguous spans), cover every worker for a full
-// sweep, and stay in bounds at the space's edges.
-func TestRangePartitionerSpans(t *testing.T) {
-	const bits = 10
-	p := RangePartitioner{Bits: bits}
-	for _, workers := range []int{1, 3, 4, 7} {
-		seen := make([]bool, workers)
-		prev := 0
-		for id := uint64(0); id < 1<<bits; id++ {
-			w := p.Assign(VertexID(id), workers)
-			if w < 0 || w >= workers {
-				t.Fatalf("workers=%d id=%d: worker %d out of range", workers, id, w)
-			}
-			if w < prev {
-				t.Fatalf("workers=%d id=%d: placement went backwards (%d after %d)", workers, id, w, prev)
-			}
-			prev = w
-			seen[w] = true
-		}
-		for w, ok := range seen {
-			if !ok {
-				t.Errorf("workers=%d: worker %d owns no IDs", workers, w)
-			}
-		}
-	}
-}
-
-// TestRangePartitionerFallback: IDs outside the declared space (contig and
-// NULL IDs in the assembler's scheme) must fall back to hash placement.
-func TestRangePartitionerFallback(t *testing.T) {
-	p := RangePartitioner{Bits: 42}
-	h := HashPartitioner{}
-	for _, id := range []VertexID{1 << 42, 1 << 63, 1<<63 | 12345, 1 << 62} {
-		if got, want := p.Assign(id, 7), h.Assign(id, 7); got != want {
-			t.Errorf("id=%x: range fallback %d != hash %d", id, got, want)
-		}
-	}
-	// Degenerate widths disable ranging entirely.
-	for _, bits := range []uint{0, 64} {
-		p := RangePartitioner{Bits: bits}
-		if got, want := p.Assign(5, 7), h.Assign(5, 7); got != want {
-			t.Errorf("bits=%d: expected hash fallback, got %d want %d", bits, got, want)
-		}
-	}
-}
-
-// TestRangePartitionerBalance: over a dense ID space, span widths differ by
-// at most one ID, i.e. the split is as balanced as arithmetic allows.
-func TestRangePartitionerBalance(t *testing.T) {
-	const bits = 12
-	p := RangePartitioner{Bits: bits}
-	for _, workers := range []int{3, 4, 7} {
-		counts := make([]int, workers)
-		for id := uint64(0); id < 1<<bits; id++ {
-			counts[p.Assign(VertexID(id), workers)]++
-		}
-		min, max := counts[0], counts[0]
-		for _, c := range counts {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		if max-min > 1 {
-			t.Errorf("workers=%d: span sizes range %d..%d, want spread <= 1", workers, min, max)
-		}
-	}
-}
-
 // mapPartitioner places the IDs it lists on their worker and hashes the
 // rest: an arbitrary learned placement, for the tests that hold the engine
 // invariant under any placement. Entries must be below the worker count.
@@ -143,8 +71,8 @@ func runPlacement(t *testing.T, part Partitioner, workers int, parallel bool) (m
 
 // TestPlacementInvariance: vertex states and message totals are identical
 // under every partitioner; only the local/remote split moves. The ring
-// workload has perfect range locality, so the range partitioner must beat
-// hash on remote fraction.
+// workload has contiguous-span locality, so block placement must beat hash
+// on remote fraction.
 func TestPlacementInvariance(t *testing.T) {
 	baseVals, baseStats := runPlacement(t, HashPartitioner{}, 4, false)
 	blocks := mapPartitioner{}
@@ -155,7 +83,6 @@ func TestPlacementInvariance(t *testing.T) {
 		name string
 		part Partitioner
 	}{
-		{"range", RangePartitioner{Bits: 9}},
 		{"map", blocks},
 	} {
 		for _, parallel := range []bool{false, true} {
@@ -184,39 +111,65 @@ func TestPlacementInvariance(t *testing.T) {
 	}
 }
 
+// runGuardJob runs a checkpointed job over a fresh DirCheckpointer on dir,
+// which restarts the job-key sequence exactly like a killed-and-restarted
+// process.
+func runGuardJob(t *testing.T, dir string, part Partitioner, resume bool) error {
+	t.Helper()
+	store, err := NewDirCheckpointer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGraph[int64, int64](Config{
+		Workers: 4, Partitioner: part,
+		CheckpointEvery: 2, Checkpointer: store, Resume: resume,
+	})
+	for i := 0; i < 64; i++ {
+		g.AddVertex(VertexID(i), 0)
+	}
+	_, err = g.Run(partSumCompute(64, 4), WithName("guard"))
+	return err
+}
+
 // TestCheckpointPartitionerGuard: resuming a checkpointed job under a
 // different partitioner must fail with an error naming both strategies —
 // before the generic fingerprint check gets a chance to obscure the cause.
 func TestCheckpointPartitionerGuard(t *testing.T) {
 	dir := t.TempDir()
-	run := func(part Partitioner, resume bool) error {
-		// A fresh DirCheckpointer per run restarts the job-key sequence,
-		// exactly like a killed-and-restarted process.
-		store, err := NewDirCheckpointer(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := NewGraph[int64, int64](Config{
-			Workers: 4, Partitioner: part,
-			CheckpointEvery: 2, Checkpointer: store, Resume: resume,
-		})
-		for i := 0; i < 64; i++ {
-			g.AddVertex(VertexID(i), 0)
-		}
-		_, err = g.Run(partSumCompute(64, 4), WithName("guard"))
-		return err
-	}
-	if err := run(RangePartitioner{Bits: 6}, false); err != nil {
+	if err := runGuardJob(t, dir, modPartitioner{}, false); err != nil {
 		t.Fatal(err)
 	}
-	err := run(HashPartitioner{}, true)
+	err := runGuardJob(t, dir, HashPartitioner{}, true)
 	if err == nil {
 		t.Fatal("resume under a different partitioner succeeded")
 	}
-	for _, want := range []string{`partitioner "range"`, `"hash"`} {
+	for _, want := range []string{`partitioner "mod"`, `"hash"`} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
+	}
+}
+
+// retiredRangePartitioner stands in for the deleted range strategy: only
+// its name reaches a checkpoint header.
+type retiredRangePartitioner struct{}
+
+func (retiredRangePartitioner) Name() string { return "range" }
+func (retiredRangePartitioner) Assign(id VertexID, workers int) int {
+	return modPartitioner{}.Assign(id, workers)
+}
+
+// TestResumeRefusesRangeCheckpoint: a checkpoint written under the range
+// partitioner, which no longer exists, cannot be resumed; the error names
+// the strategy the checkpoint recorded.
+func TestResumeRefusesRangeCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	if err := runGuardJob(t, dir, retiredRangePartitioner{}, false); err != nil {
+		t.Fatal(err)
+	}
+	err := runGuardJob(t, dir, HashPartitioner{}, true)
+	if err == nil || !strings.Contains(err.Error(), `partitioner "range"`) {
+		t.Fatalf("want an error naming the range partitioner, got %v", err)
 	}
 }
 
@@ -256,7 +209,7 @@ func TestCheckpointWorkerCountGuard(t *testing.T) {
 // unfailed run.
 func TestStatsLocalRemoteSurviveRecovery(t *testing.T) {
 	clean, _ := func() (*Stats, error) {
-		g := NewGraph[int64, int64](Config{Workers: 4, Partitioner: RangePartitioner{Bits: 9}, CheckpointEvery: 2})
+		g := NewGraph[int64, int64](Config{Workers: 4, Partitioner: modPartitioner{}, CheckpointEvery: 2})
 		for i := 0; i < 512; i++ {
 			g.AddVertex(VertexID(i), 0)
 		}
@@ -267,7 +220,7 @@ func TestStatsLocalRemoteSurviveRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGraph[int64, int64](Config{
-		Workers: 4, Partitioner: RangePartitioner{Bits: 9},
+		Workers: 4, Partitioner: modPartitioner{},
 		CheckpointEvery: 2, Faults: faults,
 	})
 	for i := 0; i < 512; i++ {

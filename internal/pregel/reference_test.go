@@ -188,10 +188,10 @@ type refScenario struct {
 	// the scenario, so the executor's pool is one goroutine per logical
 	// worker — the schedule of a host with more cores than this one —
 	// instead of the few the test machine has.
-	oversub           bool
-	combine           int // 0 none, 1 partial, 2 total
-	strict, rangePart bool
-	crash             bool // checkpoint every 2 supersteps and crash once at round 2
+	oversub         bool
+	combine         int // 0 none, 1 partial, 2 total
+	strict, modPart bool
+	crash           bool // checkpoint every 2 supersteps and crash once at round 2
 	// addr runs a twin graph whose program sends by address (SendTo) where
 	// the other sends by ID, and holds it to the same values, aggregators
 	// and counters. Both programs then send only to vertices that exist
@@ -200,8 +200,8 @@ type refScenario struct {
 }
 
 func (sc refScenario) String() string {
-	name := fmt.Sprintf("seed%d-w%d-par%v-ov%v-wire%v-comb%d-strict%v-range%v-crash%v", sc.seed, sc.workers,
-		sc.parallel, sc.oversub, sc.wire, sc.combine, sc.strict, sc.rangePart, sc.crash)
+	name := fmt.Sprintf("seed%d-w%d-par%v-ov%v-wire%v-comb%d-strict%v-mod%v-crash%v", sc.seed, sc.workers,
+		sc.parallel, sc.oversub, sc.wire, sc.combine, sc.strict, sc.modPart, sc.crash)
 	if sc.addr {
 		name += "-addr"
 	}
@@ -315,8 +315,8 @@ func runRefScenario(t *testing.T, sc refScenario) {
 	}
 	newEngine := func() *Graph[int64, int64] {
 		cfg := Config{Workers: sc.workers, Parallel: sc.parallel, Strict: sc.strict, Warn: func(string) {}}
-		if sc.rangePart {
-			cfg.Partitioner = RangePartitioner{Bits: 8}
+		if sc.modPart {
+			cfg.Partitioner = modPartitioner{}
 		}
 		if sc.crash {
 			cfg.CheckpointEvery, cfg.Faults = 2, NewFaultPlan(Fault{Round: 2, Worker: 1})
@@ -437,7 +437,7 @@ func runRefScenario(t *testing.T, sc refScenario) {
 // check: every engine schedule and delivery path against the interpreter.
 func TestRunMatchesReference(t *testing.T) {
 	refTable(t, func(sc refScenario, k int) refScenario {
-		sc.rangePart, sc.crash = k == 1, k == 2
+		sc.modPart, sc.crash = k == 1, k == 2
 		return sc
 	}, 3)
 }
@@ -446,7 +446,7 @@ func TestRunMatchesReference(t *testing.T) {
 // every scenario, and a crash in two of its four variants (two seeds).
 func TestSendToMatchesReference(t *testing.T) {
 	refTable(t, func(sc refScenario, k int) refScenario {
-		sc.rangePart, sc.crash, sc.addr = k == 1, k >= 2, true
+		sc.modPart, sc.crash, sc.addr = k == 1, k >= 2, true
 		return sc
 	}, 4)
 }
@@ -482,7 +482,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, bits uint16) {
 		bit := func(i int) bool { return bits>>i&1 == 1 }
 		runRefScenario(t, refScenario{seed: seed, workers: int(bits&7) + 1, parallel: bit(3), oversub: bit(3) && bit(4),
-			wire: bit(5), combine: int(bits>>6&3) % 3, strict: bit(8), rangePart: bit(9), crash: bit(10),
+			wire: bit(5), combine: int(bits>>6&3) % 3, strict: bit(8), modPart: bit(9), crash: bit(10),
 			addr: bit(11)})
 	})
 }

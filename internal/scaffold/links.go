@@ -69,17 +69,17 @@ func (s *sampleStats) sd() float64 {
 // both mates of each pair and emits either a link observation (mates on two
 // contigs) or an insert-size sample (mates properly oriented on one contig);
 // reduce bundles observations per oriented join. Mappers run concurrently
-// under opt.Parallel, so the pair counters accumulate per map worker and
+// under cfg.Parallel, so the pair counters accumulate per map worker and
 // fold into res after the shuffle.
-func bundleLinks(ix *contigIndex, pairs []Pair, opt Options, clock *pregel.SimClock, res *Result) ([]linkBundle, sampleStats, *pregel.Stats) {
-	shards := pregel.ShardSlice(pairs, opt.Workers)
+func bundleLinks(ix *contigIndex, pairs []Pair, cfg pregel.Config, clock *pregel.SimClock, res *Result) ([]linkBundle, sampleStats, *pregel.Stats) {
+	shards := pregel.ShardSlice(pairs, cfg.Workers)
 	type pairCounts struct{ placed, sameContig, linking int }
-	counts := make([]pairCounts, opt.Workers)
-	votes := make([][]vote, opt.Workers) // place's scratch, one per map worker
+	counts := make([]pairCounts, cfg.Workers)
+	votes := make([][]vote, cfg.Workers) // place's scratch, one per map worker
 	out, st := pregel.MapReduceCfg(
 		clock, pregel.MRConfig{
-			Workers: opt.Workers, PairBytes: 24, Parallel: opt.Parallel, Faults: opt.Faults,
-			Name: opt.JobPrefix + "links", Tracer: opt.Tracer, Metrics: opt.Metrics,
+			Workers: cfg.Workers, PairBytes: 24, Parallel: cfg.Parallel, Faults: cfg.Faults,
+			Name: cfg.JobPrefix + "links", Tracer: cfg.Tracer, Metrics: cfg.Metrics,
 		},
 		shards, // 24 ≈ key + span on the wire
 		func(w int, p Pair, emit func(linkKey, float64)) {

@@ -39,7 +39,6 @@ import (
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
-	"ppaassembler/internal/telemetry"
 )
 
 // End names one side of a contig in its stored orientation: L precedes base
@@ -101,46 +100,10 @@ func FromSeqs(seqs []dna.Seq) []Contig {
 	return out
 }
 
-// Options configures a scaffolding run.
+// Options holds the library parameters of a scaffolding run. The engine
+// settings (workers, schedule, placement, checkpointing, telemetry) come in
+// as the pregel.Config passed to Build.
 type Options struct {
-	// Workers is the number of logical Pregel workers.
-	Workers int
-	// Parallel runs engine workers on all cores (see pregel.Config.Parallel).
-	Parallel bool
-	// Cost parameterizes the simulated cluster (zero value = default).
-	Cost pregel.CostModel
-	// Partitioner places the contig-link graph's vertices (nil = hash);
-	// the assembly pipeline threads its own strategy through so the whole
-	// run shares one placement.
-	Partitioner pregel.Partitioner
-	// MessageBytes is the charged wire size of one scaffolding message
-	// (0 = engine default); the pipeline passes its Msg wire size so both
-	// stages price traffic consistently.
-	MessageBytes int
-	// Clock, when non-nil, is the shared pipeline clock scaffolding charges
-	// its supersteps to; nil starts a fresh clock.
-	Clock *pregel.SimClock
-
-	// CheckpointEvery, Checkpointer, Faults and Resume configure Pregel-
-	// style fault tolerance for the scaffolding jobs, exactly as on
-	// pregel.Config; the assembly pipeline threads one shared store and
-	// fault plan through every stage.
-	CheckpointEvery int
-	Checkpointer    pregel.Checkpointer
-	Faults          *pregel.FaultPlan
-	Resume          bool
-	// JobPrefix is prepended to every scaffolding job's checkpoint key
-	// (see pregel.Config.JobPrefix); the workflow layer sets a per-op
-	// prefix so keys stay deterministic in arbitrary compositions.
-	JobPrefix string
-
-	// Tracer, Metrics and Warn thread telemetry and non-fatal diagnostics
-	// into every scaffolding job, exactly as on pregel.Config; the
-	// assembly pipeline passes its own so one trace covers the whole run.
-	Tracer  telemetry.Tracer
-	Metrics *telemetry.Registry
-	Warn    func(msg string)
-
 	// SeedLen is the exact-match seed length for mate placement (default
 	// 31, the paper's k; must exceed the assembly k-1 so seeds cannot tie
 	// across the k-1-base overlap of adjacent contigs).
@@ -163,9 +126,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
 	if o.SeedLen <= 0 {
 		o.SeedLen = 31
 	}
@@ -174,9 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinContigLen <= 0 {
 		o.MinContigLen = 500
-	}
-	if o.CheckpointEvery > 0 && o.Checkpointer == nil {
-		o.Checkpointer = pregel.NewMemCheckpointer()
 	}
 	return o
 }
@@ -263,8 +220,10 @@ type Result struct {
 
 // Build scaffolds contigs with the given read pairs: it places mates,
 // bundles links, and runs the filter and order Pregel jobs described in the
-// package comment.
-func Build(contigs []Contig, pairs []Pair, opt Options) (*Result, error) {
+// package comment. Every job runs under cfg (cfg.JobPrefix prefixes their
+// names and checkpoint keys) and charges clock; a nil clock starts a fresh
+// one.
+func Build(contigs []Contig, pairs []Pair, opt Options, cfg pregel.Config, clock *pregel.SimClock) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -276,19 +235,14 @@ func Build(contigs []Contig, pairs []Pair, opt Options) (*Result, error) {
 		}
 		seen[c.ID] = true
 	}
-	clock := opt.Clock
 	if clock == nil {
-		clock = pregel.NewSimClock(opt.Cost)
+		clock = pregel.NewSimClock(cfg.Cost)
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
 	}
 	sim0 := clock.Seconds()
-	cfg := pregel.Config{
-		Workers: opt.Workers, Parallel: opt.Parallel, Cost: opt.Cost,
-		Partitioner: opt.Partitioner, MessageBytes: opt.MessageBytes,
-		CheckpointEvery: opt.CheckpointEvery, Checkpointer: opt.Checkpointer,
-		Faults: opt.Faults, Resume: opt.Resume, JobPrefix: opt.JobPrefix,
-		Tracer: opt.Tracer, Metrics: opt.Metrics, Warn: opt.Warn,
-	}
-	res := &Result{Stats: &pregel.Stats{Name: "scaffold", Workers: opt.Workers}}
+	res := &Result{Stats: &pregel.Stats{Name: "scaffold", Workers: cfg.Workers}}
 	res.PairsTotal = len(pairs)
 
 	included := make([]bool, len(contigs))
@@ -306,7 +260,7 @@ func Build(contigs []Contig, pairs []Pair, opt Options) (*Result, error) {
 	}
 
 	// 2. Mate placement and link bundling (mini-MapReduce).
-	links, inserts, st := bundleLinks(ix, pairs, opt, clock, res)
+	links, inserts, st := bundleLinks(ix, pairs, cfg, clock, res)
 	res.LinkBundles = len(links)
 	res.addJob(st)
 

@@ -115,8 +115,8 @@ func TestBuildJoinsTwoContigs(t *testing.T) {
 	pairs := simPairs(t, ref, 80, 20, 600, 60, 22)
 
 	res, err := Build(contigs, pairs, Options{
-		Workers: 3, SeedLen: 21, MinContigLen: 100,
-	})
+		SeedLen: 21, MinContigLen: 100,
+	}, pregel.Config{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestBuildOrientsFlippedContig(t *testing.T) {
 	pairs := simPairs(t, ref, 80, 20, 600, 60, 32)
 
 	res, err := Build(contigs, pairs, Options{
-		Workers: 2, SeedLen: 21, MinContigLen: 100, InsertMean: 600, InsertSD: 60,
-	})
+		SeedLen: 21, MinContigLen: 100, InsertMean: 600, InsertSD: 60,
+	}, pregel.Config{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,8 @@ func TestBuildThreeContigChain(t *testing.T) {
 	var prev *Result
 	for i := 0; i < 2; i++ {
 		res, err := Build(FromSeqs(seqs), pairs, Options{
-			Workers: 4, SeedLen: 21, MinContigLen: 100, InsertMean: 600, InsertSD: 50,
-		})
+			SeedLen: 21, MinContigLen: 100, InsertMean: 600, InsertSD: 50,
+		}, pregel.Config{Workers: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +249,8 @@ func TestBuildExcludesShortRepeatContig(t *testing.T) {
 	pairs := simPairs(t, ref, 80, 25, 700, 60, 53)
 
 	res, err := Build(contigs, pairs, Options{
-		Workers: 3, SeedLen: 21, MinContigLen: 500, InsertMean: 700, InsertSD: 60,
-	})
+		SeedLen: 21, MinContigLen: 500, InsertMean: 700, InsertSD: 60,
+	}, pregel.Config{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,14 +345,14 @@ func TestCyclicChainFallsBackToSingletons(t *testing.T) {
 
 func TestBuildRejectsBadInput(t *testing.T) {
 	contigs := []Contig{{ID: 1, Seq: dna.ParseSeq("ACGTACGT")}, {ID: 1, Seq: dna.ParseSeq("TTTTAAAA")}}
-	if _, err := Build(contigs, nil, Options{}); err == nil {
+	if _, err := Build(contigs, nil, Options{}, pregel.Config{}, nil); err == nil {
 		t.Error("duplicate contig IDs accepted")
 	}
-	if _, err := Build(FromSeqs([]dna.Seq{dna.ParseSeq("ACGT")}), nil, Options{SeedLen: 33}); err == nil {
+	if _, err := Build(FromSeqs([]dna.Seq{dna.ParseSeq("ACGT")}), nil, Options{SeedLen: 33}, pregel.Config{}, nil); err == nil {
 		t.Error("oversized seed accepted")
 	}
 	// No pairs and no insert mean: nothing to estimate from.
-	if _, err := Build(FromSeqs([]dna.Seq{testGenome(t, 1000, 61)}), nil, Options{MinContigLen: 100}); err == nil {
+	if _, err := Build(FromSeqs([]dna.Seq{testGenome(t, 1000, 61)}), nil, Options{MinContigLen: 100}, pregel.Config{}, nil); err == nil {
 		t.Error("missing insert size accepted")
 	}
 }
