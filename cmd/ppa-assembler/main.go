@@ -197,11 +197,13 @@ func loadReadList(path string) ([]string, error) {
 	defer f.Close()
 	switch fastx.BaseExt(path) {
 	case ".fastq", ".fq":
-		recs, err := fastx.ReadFastq(f)
-		if err != nil {
-			return nil, err
+		// Only the sequences are kept. A plain file's size bounds them; a
+		// gzip stream's inflated size is unknown, so its arena grows.
+		size := st.Size()
+		if strings.HasSuffix(strings.ToLower(path), ".gz") {
+			size = 0
 		}
-		return fastx.Seqs(recs), nil
+		return fastx.ReadFastqSeqs(f, size)
 	case ".fasta", ".fa":
 		recs, err := fastx.ReadFasta(f)
 		if err != nil {

@@ -111,7 +111,9 @@ func buildMRConfig(cfg pregel.Config) pregel.MRConfig {
 // counts locally before shuffling (the paper's "(ID, count) pair ...
 // otherwise the count is increased by 1"). It does so by sort-and-scan: one
 // slot per window (exact for N-free reads, never grown otherwise), one radix
-// sort, one (ID, run length) pair per distinct ID in ascending order.
+// sort of the bare IDs (in place, with no window-sized scratch; see
+// pregel.RadixSort), one (ID, run length) pair per distinct ID in ascending
+// order.
 //
 // A (k+1)-mer is routed to the worker owning its canonical prefix k-mer (a
 // routing projection, not a mixing hash — see MRConfig.Partitioner). Phase

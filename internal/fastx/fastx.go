@@ -6,6 +6,7 @@ package fastx
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -90,50 +91,102 @@ func WriteFasta(w io.Writer, recs []Record, width int) error {
 
 // ReadFastq parses FASTQ records from r (strict four-line records).
 func ReadFastq(r io.Reader) ([]Record, error) {
+	var out []Record
+	err := scanFastq(r, func(name, seq, qual []byte) {
+		out = append(out, Record{Name: string(name), Seq: string(seq), Qual: string(qual)})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadFastqSeqs parses r exactly as ReadFastq does, with the same checks and
+// the same line-numbered errors, but keeps only the sequences: they are
+// substrings of one arena string, so no header, quality string or
+// per-record allocation outlives the parse. sizeHint, when positive, is the
+// byte length of the text r yields (a plain file's size); since every
+// sequence is matched by a quality string of its length, half of it bounds
+// the arena, which is then allocated once. Zero means unknown (a gzip
+// stream) and the arena grows as it fills.
+func ReadFastqSeqs(r io.Reader, sizeHint int64) ([]string, error) {
+	var arena strings.Builder
+	if sizeHint > 0 {
+		arena.Grow(int(sizeHint / 2))
+	}
+	var ends []int
+	err := scanFastq(r, func(_, seq, _ []byte) {
+		arena.Write(seq)
+		ends = append(ends, arena.Len())
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Cut only once the arena is final: a substring taken before it grew
+	// would keep the outgrown buffer alive.
+	all := arena.String()
+	seqs := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		seqs[i] = all[start:end]
+		start = end
+	}
+	return seqs, nil
+}
+
+// scanFastq is the one FASTQ record loop. It reads strict four-line records
+// from r and calls record with each record's trimmed name, its sequence and
+// its quality once the header, the '+' line and the quality length have
+// checked out; the slices are only valid during the call. After an error
+// it delivers nothing more and returns the error, naming the line.
+func scanFastq(r io.Reader, record func(name, seq, qual []byte)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var out []Record
 	line := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			line++
-			t := strings.TrimRight(sc.Text(), "\r\n")
-			return t, true
+	next := func() ([]byte, bool) {
+		if !sc.Scan() {
+			return nil, false
 		}
-		return "", false
+		line++
+		return bytes.TrimRight(sc.Bytes(), "\r\n"), true
 	}
+	// The scanner reuses its buffer for every line, so the header and
+	// sequence are copied out before the next two lines are read.
+	var name, seq []byte
 	for {
 		h, ok := next()
 		if !ok {
 			break
 		}
-		if strings.TrimSpace(h) == "" {
+		if len(bytes.TrimSpace(h)) == 0 {
 			continue
 		}
-		if !strings.HasPrefix(h, "@") {
-			return nil, fmt.Errorf("fastx: line %d: expected @header, got %q", line, h)
+		if !bytes.HasPrefix(h, []byte("@")) {
+			return fmt.Errorf("fastx: line %d: expected @header, got %q", line, h)
 		}
-		seq, ok := next()
+		name = append(name[:0], bytes.TrimSpace(h[1:])...)
+		s, ok := next()
 		if !ok {
-			return nil, fmt.Errorf("fastx: line %d: truncated record", line)
+			return fmt.Errorf("fastx: line %d: truncated record", line)
 		}
+		seq = append(seq[:0], s...)
 		plus, ok := next()
-		if !ok || !strings.HasPrefix(plus, "+") {
-			return nil, fmt.Errorf("fastx: line %d: expected + separator", line)
+		if !ok || !bytes.HasPrefix(plus, []byte("+")) {
+			return fmt.Errorf("fastx: line %d: expected + separator", line)
 		}
 		qual, ok := next()
 		if !ok {
-			return nil, fmt.Errorf("fastx: line %d: missing quality line", line)
+			return fmt.Errorf("fastx: line %d: missing quality line", line)
 		}
 		if len(qual) != len(seq) {
-			return nil, fmt.Errorf("fastx: line %d: quality length %d != sequence length %d", line, len(qual), len(seq))
+			return fmt.Errorf("fastx: line %d: quality length %d != sequence length %d", line, len(qual), len(seq))
 		}
-		out = append(out, Record{Name: strings.TrimSpace(h[1:]), Seq: seq, Qual: qual})
+		record(name, seq, qual)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fastx: %w", err)
+		return fmt.Errorf("fastx: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // WriteFastq writes records to w; records without quality get a constant

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,39 @@ func TestFastqErrors(t *testing.T) {
 	} {
 		if _, err := ReadFastq(strings.NewReader(in)); err == nil {
 			t.Errorf("malformed FASTQ accepted: %q", in)
+		}
+	}
+}
+
+// TestReadFastqSeqs pins the sequence-only reader to ReadFastq: the same
+// sequences for a valid file (whatever the size hint, which only presizes
+// the arena) and the same error text for every malformed one.
+func TestReadFastqSeqs(t *testing.T) {
+	valid := "@r1 desc\nACGTN\n+r1\nIIIII\n\n@r2\r\nGG\r\n+\r\n!!\r\n@r3\n\n+\n\n"
+	for _, hint := range []int64{0, 1, int64(len(valid)), 1 << 20} {
+		got, err := ReadFastqSeqs(strings.NewReader(valid), hint)
+		if err != nil {
+			t.Fatalf("hint %d: %v", hint, err)
+		}
+		if want := []string{"ACGTN", "GG", ""}; !slices.Equal(got, want) {
+			t.Errorf("hint %d: sequences %q, want %q", hint, got, want)
+		}
+	}
+	if got, err := ReadFastqSeqs(strings.NewReader(""), 0); err != nil || len(got) != 0 {
+		t.Errorf("empty input: %q, %v", got, err)
+	}
+	for _, in := range []string{
+		"ACGT\nACGT\n+\nIIII\n",
+		"@r\nACGT\nIIII\n",
+		"@r\nACGT\n+\nII\n",
+		"@r\nACGT\n+\n",
+		"@r\nACGT\n",
+		"@r1\nAC\n+\nII\n@r2\nACGT\n+\nIII\n",
+	} {
+		_, want := ReadFastq(strings.NewReader(in))
+		got, err := ReadFastqSeqs(strings.NewReader(in), int64(len(in)))
+		if want == nil || err == nil || err.Error() != want.Error() || got != nil {
+			t.Errorf("%q: sequence reader returned %q, %v; ReadFastq's error is %v", in, got, err, want)
 		}
 	}
 }

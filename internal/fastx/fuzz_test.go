@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -13,7 +14,11 @@ import (
 // parser four ways — plain; gzipped as two concatenated members and read
 // through Open; that gzip stream cut short mid-member; and the raw bytes
 // posing as a .gz file — and requires, every time, no panic and either an
-// error or a record list no larger than the input it was parsed from.
+// error or a record list no larger than the input it was parsed from. The
+// sequence-only reader the assembler loads FASTQ with runs differentially
+// beside it, plain (presized from the input length) and through Open on the
+// gzip stream (unsized): it must accept and reject exactly what ReadFastq
+// does, and return exactly the sequences of ReadFastq's records.
 func FuzzReadFastq(f *testing.F) {
 	f.Add([]byte("@r1\nACGT\n+\nIIII\n@r2 desc\nNNAC\n+r2\n!!!!\n"), uint16(9))
 	f.Add([]byte("@r1\r\nACGT\r\n+\r\nIIII\r\n\r\n"), uint16(30))
@@ -40,6 +45,22 @@ func FuzzReadFastq(f *testing.F) {
 		}
 		plain, plainErr := ReadFastq(bytes.NewReader(data))
 		bounded("plain", plain, plainErr, len(data))
+		sameSeqs := func(what string, seqs []string, err error) {
+			if (err == nil) != (plainErr == nil) {
+				t.Fatalf("%s: sequence reader error %v, ReadFastq error %v", what, err, plainErr)
+			}
+			if err != nil {
+				if seqs != nil {
+					t.Fatalf("%s: sequences returned alongside error %v", what, err)
+				}
+				return
+			}
+			if want := Seqs(plain); !slices.Equal(seqs, want) {
+				t.Fatalf("%s: sequence reader kept %d sequences, ReadFastq's records hold %d (or they differ)", what, len(seqs), len(want))
+			}
+		}
+		seqs, err := ReadFastqSeqs(bytes.NewReader(data), int64(len(data)))
+		sameSeqs("plain sequences", seqs, err)
 
 		// Through Open, as a user's reads.fastq.gz would arrive.
 		viaOpen := func(name string, content []byte) ([]Record, error) {
@@ -65,6 +86,13 @@ func FuzzReadFastq(f *testing.F) {
 			t.Fatalf("gzip round trip changed the parse: %d records, err %v; plain %d records, err %v",
 				len(whole), wholeErr, len(plain), plainErr)
 		}
+		r, err := Open(filepath.Join(dir, "whole.fastq.gz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, err = ReadFastqSeqs(r, 0)
+		r.Close()
+		sameSeqs("gzip sequences", seqs, err)
 		// Cut mid-member this is an error; cut on the member boundary it is
 		// a valid shorter file. Either way it stays within the input.
 		short := zipped.Bytes()[:int(cut)%zipped.Len()]

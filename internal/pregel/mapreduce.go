@@ -155,10 +155,6 @@ func MapReduceCfg[I, K, V, O any](
 ) ([][]O, *Stats) {
 	cfg = cfg.withDefaults()
 	workers := cfg.Workers
-	type pair struct {
-		k K
-		v V
-	}
 	name := cfg.Name
 	if name == "" {
 		name = "mapreduce"
@@ -184,35 +180,34 @@ func MapReduceCfg[I, K, V, O any](
 	}
 
 	// Map phase: each worker maps its shard into per-destination lanes.
-	buckets := make([][]mapLane[pair], workers) // [src][dst]
+	buckets := make([][]mapLane[K, V], workers) // [src][dst]
 	mapNs := make([]float64, workers)
 	outBytes := make([]float64, workers)
 	localBytes := make([]float64, workers)
 	emitted := make([]int64, workers)
 	emittedLocal := make([]int64, workers)
 	mapWorker := func(w int) {
-		lanes := make([]mapLane[pair], workers)
+		lanes := make([]mapLane[K, V], workers)
 		buckets[w] = lanes
 		if w >= len(input) {
 			return
 		}
 		// First block: one pair per item, spread evenly.
 		for d := range lanes {
-			lanes[d].cur = make([]pair, 0, len(input[w])/workers+1)
+			lanes[d].grow(len(input[w])/workers + 1)
 		}
-		emit := func(k K, v V) {
-			d := route(k)
-			lanes[d].push(pair{k, v})
-			emitted[w]++
-			if d == w {
-				emittedLocal[w]++
-			}
-		}
+		emit := func(k K, v V) { lanes[route(k)].push(k, v) }
 		start := nowNs()
 		for _, item := range input[w] {
 			mapFn(w, item, emit)
 		}
 		mapNs[w] = float64(nowNs() - start)
+		// The pair counts are the lane lengths, read once the mapper is done
+		// rather than counted per emitted pair.
+		for d := range lanes {
+			emitted[w] += int64(lanes[d].len())
+		}
+		emittedLocal[w] = int64(lanes[w].len())
 	}
 	forEachWorker(workers, cfg.Parallel, name, "map", mapWorker)
 	wallMap1 := int64(0)
@@ -289,13 +284,10 @@ func MapReduceCfg[I, K, V, O any](
 		arrived := make([]V, 0, total)
 		runs := make([]int, workers+1) // lane s arrived at [runs[s], runs[s+1])
 		for s := 0; s < workers; s++ {
-			for _, block := range buckets[s][d].blocks() {
-				for _, p := range block {
-					keys = append(keys, p.k)
-					arrived = append(arrived, p.v)
-				}
-			}
-			buckets[s][d] = mapLane[pair]{}
+			lane := &buckets[s][d]
+			keys = drain(keys, lane.fullK, lane.curK)
+			arrived = drain(arrived, lane.fullV, lane.curV)
+			*lane = mapLane[K, V]{}
 			runs[s+1] = len(keys)
 		}
 		start := nowNs()
@@ -412,34 +404,54 @@ func checkArrivalBound(job string, n int) {
 // as a list of blocks that are filled once and never copied: the mapper
 // sizes the first block, and each next one doubles up to laneBlockPairs. A
 // job whose map emits a whole shard from one item (DBG phase (i)) thus
-// never regrows a lane, and a lane wastes at most one block's tail.
-type mapLane[P any] struct {
-	full [][]P
-	cur  []P
+// never regrows a lane, and a lane wastes at most one block's tail. Keys
+// and values sit in parallel blocks of equal capacity rather than in
+// (key, value) structs, so a pair costs the two sizes and no padding (12
+// bytes instead of 16 for DBG phase (i)'s (uint64, uint32)), and the
+// reducer drains each lane with one bulk append per block and side.
+type mapLane[K, V any] struct {
+	fullK [][]K
+	fullV [][]V
+	curK  []K
+	curV  []V
 }
 
 // laneBlockPairs caps a map-lane block after the first.
 const laneBlockPairs = 4096
 
-func (l *mapLane[P]) push(p P) {
-	if len(l.cur) == cap(l.cur) {
-		l.full = append(l.full, l.cur)
-		l.cur = make([]P, 0, min(2*cap(l.cur), laneBlockPairs))
-	}
-	l.cur = append(l.cur, p)
+// grow starts a new current block of capacity c.
+func (l *mapLane[K, V]) grow(c int) {
+	l.curK = make([]K, 0, c)
+	l.curV = make([]V, 0, c)
 }
 
-func (l *mapLane[P]) len() int {
-	n := len(l.cur)
-	for _, b := range l.full {
+func (l *mapLane[K, V]) push(k K, v V) {
+	if len(l.curK) == cap(l.curK) {
+		l.fullK = append(l.fullK, l.curK)
+		l.fullV = append(l.fullV, l.curV)
+		l.grow(min(2*cap(l.curK), laneBlockPairs))
+	}
+	l.curK = append(l.curK, k)
+	l.curV = append(l.curV, v)
+}
+
+func (l *mapLane[K, V]) len() int {
+	n := len(l.curK)
+	for _, b := range l.fullK {
 		n += len(b)
 	}
 	return n
 }
 
-// blocks returns the lane's blocks in emission order. It is called once, by
-// the reducer that drains and then drops the lane.
-func (l *mapLane[P]) blocks() [][]P { return append(l.full, l.cur) }
+// drain appends one side of a lane, its full blocks and then cur, to dst in
+// emission order. The reducer drains each lane's keys and values once and
+// then drops the lane.
+func drain[T any](dst []T, full [][]T, cur []T) []T {
+	for _, b := range full {
+		dst = append(dst, b...)
+	}
+	return append(dst, cur...)
+}
 
 // runsAscending reports whether every run keys[runs[s]:runs[s+1]] is in
 // ascending order (equal neighbours allowed).

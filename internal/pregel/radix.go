@@ -21,16 +21,25 @@ const radixBlockMin = 1 << 17
 // Up to radixBlockMin keys it is a least-significant-digit sort: one
 // counting pass fills all eight histograms, and a digit on which every key
 // agrees is skipped, so 2k-bit k-mer IDs cost ⌈2k/8⌉ scatter passes rather
-// than eight. Larger inputs first take one most-significant-digit scatter
-// on the top 8 bits of the range in which the keys differ, into at most 256
+// than eight. Larger inputs first take one most-significant-digit pass on
+// the top 8 bits of the range in which the keys differ, into at most 256
 // buckets, and then run the same LSD passes on each bucket while it is in
-// cache, ping-ponging between the bucket and the matching range of the
-// input, so that the result lands back in keys.
+// cache.
 //
 // It is the one radix loop of the repository: the MapReduce reducer sorts
 // (key, arrival index) with it, DBG construction's mapper sorts bare
-// (k+1)-mers and the scaffolder its seed index. It allocates one scratch
-// copy of each slice it was given, and nothing when no digit differs.
+// (k+1)-mers and the scaffolder its seed index. What it allocates depends
+// on the path, and nothing is allocated when no digit differs:
+//   - below radixBlockMin, one scratch copy of each slice it was given, the
+//     LSD passes ping-ponging between it and the input;
+//   - from radixBlockMin with a payload, the same two copies: the MSD pass
+//     scatters into them out of place, because an in-place pass is not
+//     stable and callers rely on equal keys keeping their arrival order (the
+//     reducer groups values by it, the scaffolder's seed index too);
+//   - from radixBlockMin without a payload, where equal keys are
+//     interchangeable, only one buffer the size of the largest MSD bucket:
+//     the MSD pass permutes the keys in place (McIlroy, Bostic and McIlroy's
+//     American flag sort) and every bucket's LSD passes reuse the buffer.
 func RadixSort(keys []uint64, payload []int32) {
 	n := len(keys)
 	if payload != nil && len(payload) != n {
@@ -66,39 +75,67 @@ func RadixSort(keys []uint64, payload []int32) {
 	for b := 1; b <= 256; b++ {
 		start[b] += start[b-1]
 	}
-	scratch := make([]uint64, n)
-	var pscratch []int32
-	next := start
 	if payload == nil {
-		for _, k := range keys {
-			b := byte(k >> shift)
-			scratch[next[b]] = k
-			next[b]++
-		}
-	} else {
-		pscratch = make([]int32, n)
-		for i, k := range keys {
-			b := byte(k >> shift)
-			p := next[b]
-			scratch[p], pscratch[p] = k, payload[i]
-			next[b] = p + 1
-		}
+		flagSortBlocks(keys, &start, shift)
+		return
+	}
+	scratch := make([]uint64, n)
+	pscratch := make([]int32, n)
+	next := start
+	for i, k := range keys {
+		b := byte(k >> shift)
+		p := next[b]
+		scratch[p], pscratch[p] = k, payload[i]
+		next[b] = p + 1
 	}
 	// Within a bucket only the bits below shift differ; the passes skip the
-	// digits above them.
+	// digits above them. They ping-pong between the bucket and the matching
+	// range of the input, so that the result lands back in keys.
 	for b := 0; b < 256; b++ {
 		lo, hi := start[b], start[b+1]
 		if hi == lo {
 			continue
 		}
-		var psrc, pdst []int32
-		if payload != nil {
-			psrc, pdst = pscratch[lo:hi], payload[lo:hi]
-		}
-		out, pout := lsdPasses(scratch[lo:hi], keys[lo:hi], psrc, pdst)
+		out, pout := lsdPasses(scratch[lo:hi], keys[lo:hi], pscratch[lo:hi], payload[lo:hi])
 		if &out[0] != &keys[lo] {
 			copy(keys[lo:hi], out)
-			copy(pdst, pout)
+			copy(payload[lo:hi], pout)
+		}
+	}
+}
+
+// flagSortBlocks is RadixSort's payload-free blocked path. start holds the
+// bucket boundaries of the digit at shift; the keys are permuted into their
+// buckets in place, cycle by cycle (each key taken out of a misplaced slot
+// is dropped into the next free slot of its own bucket, displacing the key
+// there, until a key belonging to the slot's bucket comes back), and each
+// bucket is then finished by LSD passes against one shared scratch buffer.
+func flagSortBlocks(keys []uint64, start *[257]int, shift uint) {
+	next := *start
+	largest := 0
+	for b := 0; b < 256; b++ {
+		end := start[b+1]
+		largest = max(largest, end-start[b])
+		for i := next[b]; i < end; i = next[b] {
+			k := keys[i]
+			for d := byte(k >> shift); int(d) != b; d = byte(k >> shift) {
+				p := next[d]
+				next[d] = p + 1
+				keys[p], k = k, keys[p]
+			}
+			keys[i] = k
+			next[b] = i + 1
+		}
+	}
+	scratch := make([]uint64, largest)
+	for b := 0; b < 256; b++ {
+		lo, hi := start[b], start[b+1]
+		if hi-lo < 2 {
+			continue
+		}
+		out, _ := lsdPasses(keys[lo:hi], scratch[:hi-lo], nil, nil)
+		if &out[0] != &keys[lo] {
+			copy(keys[lo:hi], out)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -113,6 +114,48 @@ func TestRadixSortMatchesStableSort(t *testing.T) {
 		keys, payload := make([]uint64, n), make([]int32, n)
 		if a := testing.AllocsPerRun(3, func() { RadixSort(keys, payload) }); a != 0 {
 			t.Errorf("%d equal keys: %.0f allocations, want 0", n, a)
+		}
+	}
+}
+
+// TestRadixSortAllocFence pins what each blocked path allocates. Without a
+// payload the MSD pass permutes the keys in place and the buckets share one
+// scratch buffer the size of the largest, so sorting 4·radixBlockMin random
+// 44-bit k-mer IDs (buckets of about n/256 keys) must allocate well under the
+// n×8 bytes of a scratch copy, in one allocation. With a payload the MSD
+// pass stays out of place for stability: one copy of the keys and one of the
+// payload. Equal keys allocate nothing on either path.
+func TestRadixSortAllocFence(t *testing.T) {
+	n := 4 * radixBlockMin
+	rng := rand.New(rand.NewSource(44))
+	orig := make([]uint64, n)
+	for i := range orig {
+		orig[i] = rng.Uint64() & (1<<44 - 1)
+	}
+	keys, payload := make([]uint64, n), make([]int32, n)
+	allocated := func(payload []int32) (bytes uint64, allocs float64) {
+		var before, after runtime.MemStats
+		allocs = testing.AllocsPerRun(1, func() {
+			copy(keys, orig)
+			runtime.ReadMemStats(&before)
+			RadixSort(keys, payload)
+			runtime.ReadMemStats(&after)
+		})
+		if !slices.IsSorted(keys) {
+			t.Fatal("keys not sorted")
+		}
+		return after.TotalAlloc - before.TotalAlloc, allocs
+	}
+	if b, a := allocated(nil); b >= uint64(n) || a > 1 {
+		t.Errorf("payload-free sort of %d keys allocated %d bytes in %.0f allocations; want < %d bytes (no n-sized scratch) in at most 1", n, b, a, n)
+	}
+	if b, a := allocated(payload); b < uint64(12*n) || a != 2 {
+		t.Errorf("payload sort of %d keys allocated %d bytes in %.0f allocations; want its two out-of-place copies (≥ %d bytes, 2 allocations)", n, b, a, 12*n)
+	}
+	clear(keys)
+	for _, p := range [][]int32{nil, payload} {
+		if a := testing.AllocsPerRun(3, func() { RadixSort(keys, p) }); a != 0 {
+			t.Errorf("%d equal keys (payload %v): %.0f allocations, want 0", n, p != nil, a)
 		}
 	}
 }
