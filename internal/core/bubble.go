@@ -30,7 +30,7 @@ func pairLess(a, b endPair) bool {
 	return a.Hi < b.Hi
 }
 
-// FilterBubbles is operation ④ (§IV-B): a mini-MapReduce that groups
+// FilterBubblesCfg is operation ④ (§IV-B): a mini-MapReduce that groups
 // contigs sharing both (ambiguous) end vertices and, within each group,
 // prunes the lower-coverage arm of any pair whose sequences are within
 // maxEditDist of each other (after orienting both arms in the same
@@ -41,12 +41,9 @@ func pairLess(a, b endPair) bool {
 // suggests as a user customization: an arm with coverage below minArmCov
 // is pruned whenever a stronger parallel arm exists, regardless of edit
 // distance.
-func FilterBubbles(clock *pregel.SimClock, workers int, contigs [][]ContigRec, maxEditDist int, minArmCov uint32) (*BubbleResult, error) {
-	return FilterBubblesCfg(clock, pregel.MRConfig{Workers: workers, PairBytes: 64}, contigs, maxEditDist, minArmCov)
-}
-
-// FilterBubblesCfg is FilterBubbles with explicit shuffle configuration;
-// cfg.Parallel runs the mappers and reducers on all cores.
+//
+// cfg.Parallel runs the mappers and reducers on all cores; a zero
+// cfg.PairBytes charges 64 bytes a shuffled contig.
 func FilterBubblesCfg(clock *pregel.SimClock, cfg pregel.MRConfig, contigs [][]ContigRec, maxEditDist int, minArmCov uint32) (*BubbleResult, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1

@@ -671,7 +671,7 @@ func mixedFixture(reads []string, k int, theta uint32) labelFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bub, err := FilterBubbles(g.Clock(), cfg.Workers, merged.Contigs, 5, 0)
+		bub, err := FilterBubblesCfg(g.Clock(), pregel.MRConfig{Workers: cfg.Workers, PairBytes: 64}, merged.Contigs, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

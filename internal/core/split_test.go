@@ -77,7 +77,7 @@ func TestFilterBubblesMinArmCov(t *testing.T) {
 	// above threshold), so only the coverage rule can prune it.
 	strong := mkContig(dbg.ContigID(0, 1), "ACGTTGCAAGCT", 20, a, b)
 	weak := mkContig(dbg.ContigID(0, 2), "TGCACCGGTATA", 1, a, b)
-	res, err := FilterBubbles(pregel.NewSimClock(pregel.DefaultCost()), 1,
+	res, err := FilterBubblesCfg(pregel.NewSimClock(pregel.DefaultCost()), pregel.MRConfig{Workers: 1, PairBytes: 64},
 		[][]ContigRec{{strong, weak}}, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestFilterBubblesMinArmCov(t *testing.T) {
 		t.Errorf("wrong survivor")
 	}
 	// Without the coverage rule the weak arm survives.
-	res2, err := FilterBubbles(pregel.NewSimClock(pregel.DefaultCost()), 1,
+	res2, err := FilterBubblesCfg(pregel.NewSimClock(pregel.DefaultCost()), pregel.MRConfig{Workers: 1, PairBytes: 64},
 		[][]ContigRec{{strong, weak}}, 3, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package pregel
 
-import "math"
-
 // aggEntry is one aggregator: its name and current value.
 type aggEntry[T any] struct {
 	name string
@@ -21,37 +19,32 @@ func aggFind[T any](s []aggEntry[T], name string) *T {
 	return nil
 }
 
-// aggSlot returns name's value in *s, adding a zero entry (fresh) if absent.
-func aggSlot[T any](s *[]aggEntry[T], name string) (v *T, fresh bool) {
+// aggSlot returns name's value in *s, adding a zero entry if absent.
+func aggSlot[T any](s *[]aggEntry[T], name string) *T {
 	if v := aggFind(*s, name); v != nil {
-		return v, false
+		return v
 	}
 	*s = append(*s, aggEntry[T]{name: name})
-	return &(*s)[len(*s)-1].val, true
+	return &(*s)[len(*s)-1].val
 }
 
-// aggVals is one set of aggregator values. Three aggregator families cover
-// everything the assembler needs: int64 sums, int64 mins, and boolean ORs.
+// aggVals is one set of aggregator values. Two aggregator families cover
+// everything the assembler needs: int64 sums (list ranking) and boolean ORs
+// (S-V labeling).
 type aggVals struct {
-	sum, min []aggEntry[int64]
-	or       []aggEntry[bool]
+	sum []aggEntry[int64]
+	or  []aggEntry[bool]
 }
 
-func (a *aggVals) clear() { a.sum, a.min, a.or = a.sum[:0], a.min[:0], a.or[:0] }
+func (a *aggVals) clear() { a.sum, a.or = a.sum[:0], a.or[:0] }
 
 func (a *aggVals) addSum(name string, delta int64) {
-	v, _ := aggSlot(&a.sum, name)
+	v := aggSlot(&a.sum, name)
 	*v += delta
 }
 
-func (a *aggVals) addMin(name string, x int64) {
-	if v, fresh := aggSlot(&a.min, name); fresh || x < *v {
-		*v = x
-	}
-}
-
 func (a *aggVals) addOr(name string, x bool) {
-	v, _ := aggSlot(&a.or, name)
+	v := aggSlot(&a.or, name)
 	*v = *v || x
 }
 
@@ -63,7 +56,7 @@ func (a *aggVals) addOr(name string, x bool) {
 // worker's goroutine only) and reads the published values (prev), which no
 // one writes until the barrier. flip runs on the coordinator between
 // supersteps: it merges the accumulators in worker order and publishes the
-// result. All three operators are commutative and associative, so the merged
+// result. Both operators are commutative and associative, so the merged
 // values do not depend on how vertices were spread over workers.
 type aggState struct {
 	prev  aggVals   // published: the previous superstep's merged values
@@ -91,9 +84,6 @@ func (a *aggState) flip() {
 		w := &a.acc[i]
 		for _, e := range w.sum {
 			next.addSum(e.name, e.val)
-		}
-		for _, e := range w.min {
-			next.addMin(e.name, e.val)
 		}
 		for _, e := range w.or {
 			next.addOr(e.name, e.val)
@@ -123,7 +113,7 @@ func aggEntries[T any](s []aggEntry[T], m map[string]T) []aggEntry[T] {
 // accumulators are empty by construction (flip just ran), so only the
 // published values need persisting.
 func (a *aggState) snapshot() aggSnapshot {
-	return aggSnapshot{Sum: aggMap(a.prev.sum), Min: aggMap(a.prev.min), Or: aggMap(a.prev.or)}
+	return aggSnapshot{Sum: aggMap(a.prev.sum), Or: aggMap(a.prev.or)}
 }
 
 // restore replaces the published values with a snapshot's and clears the
@@ -131,7 +121,6 @@ func (a *aggState) snapshot() aggSnapshot {
 func (a *aggState) restore(s aggSnapshot) {
 	a.reset()
 	a.prev.sum = aggEntries(a.prev.sum, s.Sum)
-	a.prev.min = aggEntries(a.prev.min, s.Min)
 	a.prev.or = aggEntries(a.prev.or, s.Or)
 }
 
@@ -140,13 +129,6 @@ func (a *aggState) prevSum(name string) int64 {
 		return *v
 	}
 	return 0
-}
-
-func (a *aggState) prevMin(name string) (int64, bool) {
-	if v := aggFind(a.prev.min, name); v != nil {
-		return *v, true
-	}
-	return math.MaxInt64, false
 }
 
 func (a *aggState) prevOr(name string) bool {

@@ -9,17 +9,13 @@ import (
 // aggProbe is a job built to expose aggregator mistakes: contributions
 // depend on the vertex (so per-worker accumulators differ and some workers
 // contribute nothing to a name), one superstep contributes nothing at all
-// (PrevAggMin must then report ok=false, PrevAggSum zero), and every vertex
+// (PrevAggSum must then read zero, PrevAggOr false), and every vertex
 // folds what it reads back into its value, order-sensitively, every
 // superstep.
 func aggProbe(steps int) Compute[int64, int64] {
 	return func(ctx *Context[int64], id VertexID, v *int64, _ []int64) {
 		s := ctx.Superstep()
-		mn, ok := ctx.PrevAggMin("min")
-		*v = *v*1000003 + ctx.PrevAggSum("sum")*31 + mn
-		if ok {
-			*v++
-		}
+		*v = *v*1000003 + ctx.PrevAggSum("sum")*31
 		if ctx.PrevAggOr("or") {
 			*v += 7
 		}
@@ -30,7 +26,6 @@ func aggProbe(steps int) Compute[int64, int64] {
 		}
 		if s != 2 { // superstep 2 is silent
 			ctx.AggSum("sum", int64(id)*int64(s+1))
-			ctx.AggMin("min", int64(id)%17-int64(s))
 			ctx.AggOr("or", (int(id)+s)%5 == 0)
 		}
 		if id == 11 {
@@ -53,7 +48,7 @@ func runAggProbe(t *testing.T, cfg Config, n, steps int) map[VertexID]int64 {
 	return out
 }
 
-// TestAggregatorsIdenticalAcrossSchedules: Sum/Min/Or results and PrevAgg*
+// TestAggregatorsIdenticalAcrossSchedules: Sum/Or results and PrevAgg*
 // visibility do not depend on how vertices are spread over workers, on
 // whether workers run on goroutines, or on a rollback to a checkpoint taken
 // at any barrier (which must have captured the merged values). Under -race
@@ -87,15 +82,12 @@ func TestAggStateMergeAndSnapshot(t *testing.T) {
 	a.acc[0].addSum("s", 5)
 	a.acc[2].addSum("s", -2)
 	a.acc[1].addSum("zero", 0)
-	a.acc[1].addMin("m", 9)
-	a.acc[2].addMin("m", -4)
 	a.acc[0].addOr("o", false)
 	a.acc[2].addOr("o", true)
 	a.acc[1].addOr("never", false)
 	a.flip()
 	want := aggSnapshot{
 		Sum: map[string]int64{"s": 3, "zero": 0},
-		Min: map[string]int64{"m": -4},
 		Or:  map[string]bool{"o": true, "never": false},
 	}
 	if got := a.snapshot(); !reflect.DeepEqual(got, want) {
@@ -106,13 +98,13 @@ func TestAggStateMergeAndSnapshot(t *testing.T) {
 		t.Fatalf("checkpoint encoding decodes to %+v (rest %d, err %v), want %+v", dec, len(rest), err, want)
 	}
 	for i := range a.acc {
-		if n := len(a.acc[i].sum) + len(a.acc[i].min) + len(a.acc[i].or); n != 0 {
+		if n := len(a.acc[i].sum) + len(a.acc[i].or); n != 0 {
 			t.Errorf("worker %d accumulator holds %d entries after flip", i, n)
 		}
 	}
 	a.flip() // a silent superstep publishes nothing
-	if v, ok := a.prevMin("m"); ok || len(a.prev.sum)+len(a.prev.or) != 0 {
-		t.Errorf("values survived a silent superstep: min=%d,%v sum=%v or=%v", v, ok, a.prev.sum, a.prev.or)
+	if len(a.prev.sum)+len(a.prev.or) != 0 {
+		t.Errorf("values survived a silent superstep: sum=%v or=%v", a.prev.sum, a.prev.or)
 	}
 	a.acc[1].addSum("s", 1)
 	a.restore(want)
@@ -130,23 +122,21 @@ func TestAggregatorsResetBetweenRuns(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			g.AddVertex(VertexID(i), 0)
 		}
-		first := func(ctx *Context[int64], id VertexID, _ *int64, _ []int64) {
+		first := func(ctx *Context[int64], _ VertexID, _ *int64, _ []int64) {
 			ctx.AggSum("a", 1)
-			ctx.AggMin("a", int64(id))
 			ctx.AggOr("a", true)
 			ctx.VoteToHalt()
 		}
-		second := func(ctx *Context[int64], id VertexID, _ *int64, _ []int64) {
-			mn, ok := ctx.PrevAggMin("a")
+		second := func(ctx *Context[int64], _ VertexID, _ *int64, _ []int64) {
 			switch ctx.Superstep() {
 			case 0:
-				if s := ctx.PrevAggSum("a"); s != 0 || ok || ctx.PrevAggOr("a") {
-					t.Errorf("workers=%d: run 2 superstep 0 sees sum=%d min=%d,%v or=%v from run 1", workers, s, mn, ok, ctx.PrevAggOr("a"))
+				if s := ctx.PrevAggSum("a"); s != 0 || ctx.PrevAggOr("a") {
+					t.Errorf("workers=%d: run 2 superstep 0 sees sum=%d or=%v from run 1", workers, s, ctx.PrevAggOr("a"))
 				}
 				ctx.AggSum("a", 2)
 			case 1:
-				if s := ctx.PrevAggSum("a"); s != 100 || ok {
-					t.Errorf("workers=%d: run 2 superstep 1 sees sum=%d (want 100) min=%d,%v (want none)", workers, s, mn, ok)
+				if s := ctx.PrevAggSum("a"); s != 100 || ctx.PrevAggOr("a") {
+					t.Errorf("workers=%d: run 2 superstep 1 sees sum=%d (want 100) or=%v (want false)", workers, s, ctx.PrevAggOr("a"))
 				}
 				ctx.VoteToHalt()
 			}

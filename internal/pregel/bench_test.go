@@ -183,8 +183,8 @@ func BenchmarkMapReduceShuffle(b *testing.B) {
 	clock := NewSimClock(DefaultCost())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _ := MapReduce(
-			clock, 4, 8, shards,
+		out, _ := MapReduceCfg(
+			clock, MRConfig{Workers: 4, PairBytes: 8}, shards,
 			func(w int, item uint64, emit func(uint64, uint64)) { emit(item, 1) },
 			Uint64Hash,
 			func(a, c uint64) bool { return a < c },
@@ -217,8 +217,8 @@ func BenchmarkMapReduceGroup(b *testing.B) {
 		const keys = 5_000
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, _ := MapReduce(
-				clock, 4, 48, shards,
+			out, _ := MapReduceCfg(
+				clock, MRConfig{Workers: 4, PairBytes: 48}, shards,
 				func(w int, item uint64, emit func(key, val)) {
 					item %= keys
 					emit(key{item % 71, item / 71}, val{span: float64(item)})
@@ -236,8 +236,8 @@ func BenchmarkMapReduceGroup(b *testing.B) {
 		const keys = n / 2
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, _ := MapReduce(
-				clock, 4, 48, shards,
+			out, _ := MapReduceCfg(
+				clock, MRConfig{Workers: 4, PairBytes: 48}, shards,
 				func(w int, item uint64, emit func(uint64, val)) {
 					item %= keys
 					emit(Uint64Hash(item)>>20, val{span: float64(item)})
@@ -295,42 +295,6 @@ func BenchmarkConvert(b *testing.B) {
 					b.Fatal("wrong vertex count")
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkCombinerWin shows the traffic reduction from a sum combiner on
-// an all-to-one pattern.
-func BenchmarkCombinerWin(b *testing.B) {
-	for _, combine := range []bool{false, true} {
-		name := "plain"
-		if combine {
-			name = "combined"
-		}
-		b.Run(name, func(b *testing.B) {
-			const n = 20_000
-			g := NewGraph[int, int](Config{Workers: 4})
-			if combine {
-				g.SetCombiner(func(a, c int) int { return a + c })
-			}
-			for i := 0; i < n; i++ {
-				g.AddVertex(VertexID(i), 0)
-			}
-			b.ResetTimer()
-			var msgs int64
-			for i := 0; i < b.N; i++ {
-				st, err := g.Run(func(ctx *Context[int], id VertexID, val *int, msgs []int) {
-					if ctx.Superstep() == 0 {
-						ctx.Send(0, 1)
-					}
-					ctx.VoteToHalt()
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += st.Messages
-			}
-			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 		})
 	}
 }

@@ -470,7 +470,6 @@ type ckptWorker[V, M any] struct {
 // a barrier).
 type aggSnapshot struct {
 	Sum map[string]int64
-	Min map[string]int64
 	Or  map[string]bool
 }
 

@@ -216,10 +216,9 @@ func fuzzCkptFile(data []byte) *ckptFile {
 		Fingerprint: uint64(next())<<56 | uint64(next()),
 	}
 	if k := int(next() % 4); k > 0 {
-		f.Agg.Sum, f.Agg.Min, f.Agg.Or = map[string]int64{}, map[string]int64{}, map[string]bool{}
+		f.Agg.Sum, f.Agg.Or = map[string]int64{}, map[string]bool{}
 		for i := 0; i < k; i++ {
 			f.Agg.Sum[string(take(3))] = int64(int8(next()))
-			f.Agg.Min[string(take(2))] = -int64(next())
 			f.Agg.Or[string(take(1))] = next()%2 == 1
 		}
 	}

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Checkpoint format v16, the only one this package reads or writes: a
+// Checkpoint format v17, the only one this package reads or writes: a
 // versioned, checksummed binary container holding one full snapshot of
 // every worker's partition. Layout (all integers varint/uvarint unless
 // noted):
@@ -39,8 +40,9 @@ import (
 // because the segment graph's vertex writes its neighbour-ambiguity flags
 // as one bit mask instead of a counted list of bools, and v16 because a
 // k-mer node is written as its bitmap and coverages, an item's flags as one
-// byte, and a k-mer vertex's coverage count is its bitmap's; so an older
-// file, whose CRCs still verify, is refused instead of decoded wrongly.
+// byte, and a k-mer vertex's coverage count is its bitmap's, and v17
+// because the aggregator snapshot lost its min section; so an older file,
+// whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
 // the header, each worker section as encoded (and checksummed) by its own
@@ -53,7 +55,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 16
+	ckptVersion = 17
 
 	wsecBinary byte = 0
 )
@@ -691,119 +693,55 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 	return &f, bounds, nil
 }
 
-// appendAggSnapshot encodes the three aggregator maps with sorted keys, so
+// appendAggSnapshot encodes the two aggregator maps with sorted keys, so
 // equal states encode to equal bytes.
 func appendAggSnapshot(buf []byte, a aggSnapshot) []byte {
-	sortedKeys := func(n int, collect func(app func(string))) []string {
-		ks := make([]string, 0, n)
-		collect(func(k string) { ks = append(ks, k) })
-		sort.Strings(ks)
-		return ks
-	}
-	ks := sortedKeys(len(a.Sum), func(app func(string)) {
-		for k := range a.Sum {
-			app(k)
-		}
-	})
+	buf = appendAggMap(buf, a.Sum, binary.AppendVarint)
+	return appendAggMap(buf, a.Or, AppendBool)
+}
+
+func appendAggMap[T any](buf []byte, m map[string]T, appendVal func([]byte, T) []byte) []byte {
+	ks := slices.Sorted(maps.Keys(m))
 	buf = binary.AppendUvarint(buf, uint64(len(ks)))
 	for _, k := range ks {
-		buf = appendString(buf, k)
-		buf = binary.AppendVarint(buf, a.Sum[k])
-	}
-	ks = sortedKeys(len(a.Min), func(app func(string)) {
-		for k := range a.Min {
-			app(k)
-		}
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(ks)))
-	for _, k := range ks {
-		buf = appendString(buf, k)
-		buf = binary.AppendVarint(buf, a.Min[k])
-	}
-	ks = sortedKeys(len(a.Or), func(app func(string)) {
-		for k := range a.Or {
-			app(k)
-		}
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(ks)))
-	for _, k := range ks {
-		buf = appendString(buf, k)
-		buf = AppendBool(buf, a.Or[k])
+		buf = appendVal(appendString(buf, k), m[k])
 	}
 	return buf
 }
 
-func consumeAggSnapshot(data []byte) (aggSnapshot, []byte, error) {
-	var a aggSnapshot
-	// Each map entry costs at least two bytes (key length + value), so an
-	// entry count beyond the remaining bytes is corruption; checked before
-	// the sized make calls below.
-	guard := func(n uint64, data []byte) error {
-		if n > uint64(len(data)) {
-			return corruptf("pregel: corrupt checkpoint: aggregator snapshot claims %d entries in %d bytes", n, len(data))
-		}
-		return nil
+func consumeAggSnapshot(data []byte) (a aggSnapshot, rest []byte, err error) {
+	if a.Sum, data, err = consumeAggMap(data, ConsumeVarint); err != nil {
+		return a, nil, err
 	}
+	a.Or, data, err = consumeAggMap(data, ConsumeBool)
+	return a, data, err
+}
+
+// consumeAggMap decodes one appendAggMap section. Each entry costs at least
+// two bytes (key length + value), so an entry count beyond the remaining
+// bytes is corruption; it is checked before the sized make.
+func consumeAggMap[T any](data []byte, consumeVal func([]byte) (T, []byte, error)) (map[string]T, []byte, error) {
 	n, data, err := ConsumeUvarint(data)
 	if err != nil {
-		return a, nil, err
+		return nil, nil, err
 	}
-	if err := guard(n, data); err != nil {
-		return a, nil, err
+	if n > uint64(len(data)) {
+		return nil, nil, corruptf("pregel: corrupt checkpoint: aggregator snapshot claims %d entries in %d bytes", n, len(data))
 	}
+	var m map[string]T
 	if n > 0 {
-		a.Sum = make(map[string]int64, n)
+		m = make(map[string]T, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		var k string
-		var v int64
+		var v T
 		if k, data, err = consumeString(data); err != nil {
-			return a, nil, err
+			return nil, nil, err
 		}
-		if v, data, err = ConsumeVarint(data); err != nil {
-			return a, nil, err
+		if v, data, err = consumeVal(data); err != nil {
+			return nil, nil, err
 		}
-		a.Sum[k] = v
+		m[k] = v
 	}
-	if n, data, err = ConsumeUvarint(data); err != nil {
-		return a, nil, err
-	}
-	if err := guard(n, data); err != nil {
-		return a, nil, err
-	}
-	if n > 0 {
-		a.Min = make(map[string]int64, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v int64
-		if k, data, err = consumeString(data); err != nil {
-			return a, nil, err
-		}
-		if v, data, err = ConsumeVarint(data); err != nil {
-			return a, nil, err
-		}
-		a.Min[k] = v
-	}
-	if n, data, err = ConsumeUvarint(data); err != nil {
-		return a, nil, err
-	}
-	if err := guard(n, data); err != nil {
-		return a, nil, err
-	}
-	if n > 0 {
-		a.Or = make(map[string]bool, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v bool
-		if k, data, err = consumeString(data); err != nil {
-			return a, nil, err
-		}
-		if v, data, err = ConsumeBool(data); err != nil {
-			return a, nil, err
-		}
-		a.Or[k] = v
-	}
-	return a, data, nil
+	return m, data, nil
 }

@@ -119,12 +119,11 @@ func TestCrashMatrixPageRank(t *testing.T) {
 
 // TestCheckpointStressParallelShuffle hammers checkpointing under the
 // parallel shuffle for the race detector: every-superstep checkpoints,
-// repeated crashes, a message combiner, and concurrent per-worker
+// repeated crashes, and concurrent per-worker
 // encode/decode during save and restore.
 func TestCheckpointStressParallelShuffle(t *testing.T) {
 	const n, iters = 200, 12
 	base := buildPRGraph(Config{Workers: 8, Parallel: true}, n)
-	base.SetCombiner(func(a, b int64) int64 { return a + b })
 	if _, err := base.Run(pageRankish(n, iters), WithName("stress")); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,6 @@ func TestCheckpointStressParallelShuffle(t *testing.T) {
 			Fault{Round: 9, Worker: 3},
 		),
 	}, n)
-	g.SetCombiner(func(a, b int64) int64 { return a + b })
 	stats, err := g.Run(pageRankish(n, iters), WithName("stress"))
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func buildFuzzedGraph(data []byte, workers int) *Graph[int64, int64] {
 	}
 	acc := &g.agg.acc[int(take(k+3))%workers]
 	acc.addSum("s", int64(int8(take(k))))
-	acc.addMin("m", int64(int8(take(k+1))))
 	acc.addOr("o", take(k+2)%2 == 0)
 	g.agg.flip()
 	return g

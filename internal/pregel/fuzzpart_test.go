@@ -43,14 +43,10 @@ func (fg partFuzzGraph) compute(ctx *Context[int64], id VertexID, val *int64, ms
 		*val += m
 	}
 	*val += ctx.PrevAggSum("sum")
-	if min, ok := ctx.PrevAggMin("min"); ok {
-		*val ^= min
-	}
 	if ctx.PrevAggOr("or") {
 		*val++
 	}
 	ctx.AggSum("sum", *val%7)
-	ctx.AggMin("min", int64(id)%13)
 	ctx.AggOr("or", *val%5 == 0)
 	if ctx.Superstep() >= fg.rounds {
 		ctx.VoteToHalt()

@@ -8,58 +8,6 @@ import (
 	"ppaassembler/internal/telemetry"
 )
 
-// MapReduce is the paper's first Pregel+ API extension (§II): a mini
-// MapReduce procedure used during graph loading and for the grouping steps
-// of DBG construction (op ①), contig merging (op ③) and bubble filtering
-// (op ④).
-//
-// The input is sharded per worker (input[w] is worker w's shard, mirroring
-// HDFS block placement). Each worker maps its shard, emitted (key, value)
-// pairs are shuffled to worker keyHash(key) % W (or through a configured
-// Partitioner; see MRConfig), stably grouped by key with keyLess, and
-// reduced; reduce output stays on the reducing worker (which is how contigs
-// acquire their (worker, ordinal) IDs in op ③).
-//
-// Ordering guarantee: a reducer sees its keys in ascending keyLess order and
-// each key's values in (source worker, emission) order — order-sensitive
-// reducers (float sums, chain stitching) rely on it. Grouping sorts a
-// permutation of 4-byte arrival indices and gathers the values once; whole
-// records never move. How it sorts is selected by the key type and the
-// input, never by an option: when K is exactly uint64 (the k-mer, vertex and
-// label IDs of every hot job) and every lane a reducer receives is already
-// ascending (DBG phase (i)'s mappers emit their sorted counts in order), the
-// lanes are merged in O(n·W), ties leaving the lower source worker first;
-// other uint64 keys go through RadixSort, O(n) per differing key byte; either
-// way groups are the equal-key runs of the sorted key array. Any other K
-// (struct keys, named integer types) takes an O(n log n) comparison sort of
-// the permutation under keyLess. The uint64 paths order by integer value,
-// so a uint64-keyed job must pass the ascending keyLess, a < b: it is called
-// once per group boundary and a disagreement panics naming the job, rather
-// than being silently ignored. MRConfig.Metrics counts the reducers that
-// merged in mr_reducers_merged_total.
-//
-// Cost: the clock is charged one shuffle round — barrier latency + slowest
-// mapper + most-loaded link — and one reduce round. pairBytes is the charged
-// wire size of one shuffled pair.
-//
-// The vals slice passed to reduceFn aliases a per-reducer arena and is only
-// valid for the duration of that reduce call; copy it to retain it.
-//
-// MapReduce runs sequentially; MapReduceCfg adds multi-core execution.
-func MapReduce[I, K, V, O any](
-	clock *SimClock,
-	workers int,
-	pairBytes int,
-	input [][]I,
-	mapFn func(worker int, item I, emit func(K, V)),
-	keyHash func(K) uint64,
-	keyLess func(K, K) bool,
-	reduceFn func(worker int, key K, vals []V, emit func(O)),
-) ([][]O, *Stats) {
-	return MapReduceCfg(clock, MRConfig{Workers: workers, PairBytes: pairBytes},
-		input, mapFn, keyHash, keyLess, reduceFn)
-}
-
 // MRConfig configures one MapReduceCfg run.
 type MRConfig struct {
 	// Workers is the number of logical workers (map shards / reducers).
@@ -139,11 +87,45 @@ func (c MRConfig) withDefaults() MRConfig {
 	return c
 }
 
-// MapReduceCfg is MapReduce with explicit configuration, including parallel
-// per-worker execution (see MRConfig.Parallel).
+// MapReduceCfg is the paper's first Pregel+ API extension (§II): a mini
+// MapReduce procedure used during graph loading and for the grouping steps
+// of DBG construction (op ①), contig merging (op ③) and bubble filtering
+// (op ④).
+//
+// The input is sharded per worker (input[w] is worker w's shard, mirroring
+// HDFS block placement). Each worker maps its shard, emitted (key, value)
+// pairs are shuffled to worker keyHash(key) % W (or through a configured
+// Partitioner; see MRConfig), stably grouped by key with keyLess, and
+// reduced; reduce output stays on the reducing worker (which is how contigs
+// acquire their (worker, ordinal) IDs in op ③).
+//
+// Ordering guarantee: a reducer sees its keys in ascending keyLess order and
+// each key's values in (source worker, emission) order — order-sensitive
+// reducers (float sums, chain stitching) rely on it. Grouping sorts a
+// permutation of 4-byte arrival indices and gathers the values once; whole
+// records never move. How it sorts is selected by the key type and the
+// input, never by an option: when K is exactly uint64 (the k-mer, vertex and
+// label IDs of every hot job) and every lane a reducer receives is already
+// ascending (DBG phase (i)'s mappers emit their sorted counts in order), the
+// lanes are merged in O(n·W), ties leaving the lower source worker first;
+// other uint64 keys go through RadixSort, O(n) per differing key byte; either
+// way groups are the equal-key runs of the sorted key array. Any other K
+// (struct keys, named integer types) takes an O(n log n) comparison sort of
+// the permutation under keyLess. The uint64 paths order by integer value,
+// so a uint64-keyed job must pass the ascending keyLess, a < b: it is called
+// once per group boundary and a disagreement panics naming the job, rather
+// than being silently ignored. MRConfig.Metrics counts the reducers that
+// merged in mr_reducers_merged_total.
+//
+// Cost: the clock is charged one shuffle round — barrier latency + slowest
+// mapper + most-loaded link — and one reduce round. cfg.PairBytes is the
+// charged wire size of one shuffled pair.
 //
 // The vals slice passed to reduceFn aliases a per-reducer arena and is only
-// valid for the duration of that reduce call.
+// valid for the duration of that reduce call; copy it to retain it.
+//
+// cfg.Parallel runs the per-worker map and reduce tasks on the engine's
+// executor (see MRConfig.Parallel).
 func MapReduceCfg[I, K, V, O any](
 	clock *SimClock,
 	cfg MRConfig,
@@ -401,10 +383,12 @@ func checkArrivalBound(job string, n int) {
 }
 
 // mapLane is one mapper's output for one reducer, in emission order, held
-// as a list of blocks that are filled once and never copied: the mapper
-// sizes the first block, and each next one doubles up to laneBlockPairs. A
-// job whose map emits a whole shard from one item (DBG phase (i)) thus
-// never regrows a lane, and a lane wastes at most one block's tail. Keys
+// as a list of blocks that are filled once and never copied, so a lane
+// wastes at most one block's tail. The mapper sizes the first block at one
+// pair per input item, spread evenly over the reducers, and each next block
+// doubles up to laneBlockPairs. A job whose map emits a whole shard from
+// one item (DBG phase (i)) therefore starts every lane at a one-pair block
+// and walks 1, 2, 4, … 4096 before its blocks reach full size. Keys
 // and values sit in parallel blocks of equal capacity rather than in
 // (key, value) structs, so a pair costs the two sizes and no padding (12
 // bytes instead of 16 for DBG phase (i)'s (uint64, uint32)), and the

@@ -101,9 +101,6 @@ type Config struct {
 	// MaxSupersteps aborts a run that fails to terminate. Zero means
 	// DefaultMaxSupersteps.
 	MaxSupersteps int
-	// Strict makes a message sent to a nonexistent vertex a run error
-	// instead of a silently dropped (but counted) message.
-	Strict bool
 	// Cost is the simulated-cluster cost model. Zero value = DefaultCost().
 	Cost CostModel
 	// Partitioner maps vertex IDs to workers (see Partitioner). Nil means
@@ -224,7 +221,7 @@ type Compute[V, M any] func(ctx *Context[M], id VertexID, val *V, msgs []M)
 // pos is set, a position in the destination partition (Context.SendTo).
 // Delivery resolves destinations in one pass over dst (8 bytes a message)
 // and copies payloads in a second pass over msg, so neither pass strides
-// over the other's bytes; a combining sender's fold index is built over dst.
+// over the other's bytes.
 type msgLane[M any] struct {
 	dst []VertexID
 	msg []M
@@ -276,13 +273,9 @@ type worker[V, M any] struct {
 type sender[M any] struct {
 	self int         // this worker's index
 	part Partitioner // placement; nil for the default hash, which send calls statically
-	comb func(a, b M) M
 	agg  *aggState
 
 	outbox []msgLane[M] // one lane per destination worker, so len(outbox) is the worker count
-	// Eager-combine index (combiner runs only): fold[d] maps a destination
-	// vertex to its position in outbox[d], indexing outbox[d].dst.
-	fold []vindex
 
 	// by is how this superstep's messages name their destinations: sendNone
 	// until the first send, then sendID (Send) or sendAddr (SendTo) for the
@@ -292,9 +285,7 @@ type sender[M any] struct {
 }
 
 // sent returns the messages this worker's outbox holds after its compute
-// pass, and how many of them are addressed back to it. A combining lane
-// holds one message per destination, so these are the messages after the
-// fold, as delivered.
+// pass, and how many of them are addressed back to it.
 func (s *sender[M]) sent() (msgs, local int64) {
 	for _, l := range s.outbox {
 		msgs += int64(len(l.dst))
@@ -351,21 +342,10 @@ func (w *verts[V]) index() *vindex {
 // with NewGraph, populate it with AddVertex (or via MapReduce/Convert), then
 // Run one or more jobs over it.
 type Graph[V, M any] struct {
-	cfg      Config
-	workers  []*worker[V, M]
-	clock    *SimClock
-	agg      *aggState
-	combiner func(a, b M) M
-	// combTotal declares the installed combiner total (SetTotalCombiner):
-	// delivery may then fold across source workers too, so compute sees at
-	// most one combined message per vertex (superstep fusion).
-	combTotal bool
-	// runTotal is combTotal as locked at Run start, when every sender's
-	// comb is locked to combiner. Send and delivery read only those, never
-	// g.combiner, so installing a combiner mid-run can never split one
-	// superstep between combined and uncombined semantics — it takes effect
-	// at the next Run. runTotal implies a non-nil comb.
-	runTotal bool
+	cfg     Config
+	workers []*worker[V, M]
+	clock   *SimClock
+	agg     *aggState
 
 	// Per-superstep scratch, reused across supersteps and runs.
 	computeNs      []float64
@@ -410,7 +390,7 @@ func newGraph[V, M any](cfg Config, clock *SimClock, vs []*verts[V]) *Graph[V, M
 // shuffle bytes, and no vertex is copied as Convert would copy it. The two
 // graphs share every worker's vertex partition (IDs, values, halted and
 // removed flags) and the simulated clock; each keeps its own message lanes,
-// inbox arenas, aggregators and combiner. The view takes g's configuration
+// inbox arenas and aggregators. The view takes g's configuration
 // as it is now, with messageBytes as the charged wire size of one M2
 // (zero means DefaultMessageBytes). Runs on g and on its views must not
 // overlap, since each Run sorts and rewrites the shared partitions.
@@ -491,7 +471,7 @@ func RunAs[V2, M2, V, M any](g *Graph[V, M], messageBytes int,
 func (g *Graph[V, M]) Workers() int { return g.cfg.Workers }
 
 // Config returns the (defaulted) configuration the graph was built with, so
-// downstream stages can inherit Parallel/Strict/cost settings.
+// downstream stages can inherit Parallel and cost settings.
 func (g *Graph[V, M]) Config() Config { return g.cfg }
 
 // Clock returns the simulated-cluster clock shared by all jobs on g.
@@ -722,31 +702,6 @@ type runOpts struct {
 // graph and a clock).
 func WithName(name string) RunOption { return func(o *runOpts) { o.name = name } }
 
-// SetCombiner installs a Pregel message combiner for subsequent runs:
-// messages addressed to the same destination vertex within one worker's
-// outbox are folded pairwise with fn before shuffling, reducing message
-// traffic exactly as Google's Pregel combiners do. Pass nil to remove.
-// The combiner must be commutative and associative; compute functions then
-// receive at most one combined message per (worker, destination) pair.
-//
-// The combiner is captured once at Run start: a SetCombiner while a run is
-// in flight (e.g. from a compute function) never changes the semantics of
-// the run already executing — messages queued before the call and messages
-// queued after it are treated identically — and takes effect at the next
-// Run. SetCombiner must not be called concurrently with a Parallel run.
-func (g *Graph[V, M]) SetCombiner(fn func(a, b M) M) { g.combiner, g.combTotal = fn, false }
-
-// SetTotalCombiner installs fn exactly like SetCombiner and additionally
-// declares the job combiner-total: the folded value of ALL messages to a
-// vertex is what compute needs, never the per-source pieces. Delivery then
-// completes the fold across source workers while placing messages
-// (superstep fusion — the combine work of the next superstep's compute is
-// fused into the shuffle), so compute receives at most ONE combined message
-// per vertex. Folding happens in source-worker order, so results are
-// identical to running SetCombiner and folding the per-worker pieces in
-// compute. The same Run-start capture rule as SetCombiner applies.
-func (g *Graph[V, M]) SetTotalCombiner(fn func(a, b M) M) { g.combiner, g.combTotal = fn, fn != nil }
-
 // Run executes compute over the graph in supersteps until every vertex has
 // voted to halt and no messages are in flight, or the superstep limit is
 // reached. All vertices start active (standard Pregel semantics). It returns
@@ -771,11 +726,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	g.runName = o.name
 	g.sortVertices()
 	g.agg.reset()
-	// Lock the combiner for the whole run (see SetCombiner): send and
-	// delivery read the run-scoped copies only.
-	g.runTotal = g.combTotal
 	for _, w := range g.workers {
-		w.comb = g.combiner
 		w.job = o.name
 	}
 	tr := g.cfg.Tracer
@@ -1016,18 +967,10 @@ func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	return float64(nowNs() - start)
 }
 
-// beginSuperstep empties the lanes and the combine index.
+// beginSuperstep empties the lanes.
 func (s *sender[M]) beginSuperstep() {
 	for i := range s.outbox {
 		s.outbox[i].reset()
-	}
-	if s.comb != nil {
-		if s.fold == nil {
-			s.fold = make([]vindex, len(s.outbox))
-		}
-		for i := range s.fold {
-			s.fold[i].reset()
-		}
 	}
 	s.by = sendNone
 }
@@ -1054,24 +997,11 @@ func (s *sender[M]) sendTo(a Addr, m M) {
 }
 
 // put appends m for destination dst (an ID or a position, as the lane
-// holds) to the lane of worker dwi. With a combiner installed it folds
-// eagerly: the lane holds at most one message per destination and new
-// messages fold into it in emission order, so lanes never hold pre-combine
-// volume and the result is identical to a post-compute fold of the lane
-// (combineEnvelopes, the reference kept with the tests).
+// holds) to the lane of worker dwi.
 func (s *sender[M]) put(dwi int, dst VertexID, m M) {
 	l := &s.outbox[dwi]
-	if s.comb != nil {
-		if i, ok := s.fold[dwi].lookup(l.dst, dst); ok {
-			l.msg[i] = s.comb(l.msg[i], m)
-			return
-		}
-	}
 	l.dst = append(l.dst, dst)
 	l.msg = append(l.msg, m)
-	if s.comb != nil {
-		s.fold[dwi].push(l.dst)
-	}
 }
 
 // deliver is the barriered shuffle: once every worker has computed, each
@@ -1113,17 +1043,15 @@ func (g *Graph[V, M]) deliverTo(dwi int) {
 
 // countLane is the resolve-and-count half of delivery for one source lane:
 // each message's destination vertex index is resolved (and remembered in
-// rIdx for the placement pass), per-vertex counts accumulate, and dropped
-// and strict-mode accounting happens here. An ID lane resolves through the
-// vertex index; a position lane is the index already, so it is only bounds-
-// and removal-checked. With a total combiner installed the per-vertex count
-// is capped at one — placeInbox folds further messages into that single slot
-// instead of appending.
+// rIdx for the placement pass), per-vertex counts accumulate, and messages
+// to missing or removed vertices are counted as dropped. An ID lane resolves
+// through the vertex index; a position lane is the index already, so it is
+// only bounds- and removal-checked, and a position outside the partition
+// fails the run.
 func (g *Graph[V, M]) countLane(dst *worker[V, M], lane msgLane[M]) {
 	vs := dst.verts
 	n := len(vs.ids)
 	counts := dst.inCur[:n]
-	fused := g.runTotal
 	base := len(dst.rIdx)
 	rIdx := slices.Grow(dst.rIdx, len(lane.dst))[:base+len(lane.dst)]
 	for m, key := range lane.dst {
@@ -1143,30 +1071,18 @@ func (g *Graph[V, M]) countLane(dst *worker[V, M], lane msgLane[M]) {
 		if !ok {
 			rIdx[base+m] = -1
 			dst.dropped++
-			if g.cfg.Strict && dst.deliverErr == nil {
-				if lane.pos {
-					dst.deliverErr = fmt.Errorf("pregel: message to removed vertex %d", vs.ids[i])
-				} else {
-					dst.deliverErr = fmt.Errorf("pregel: message to nonexistent vertex %d", key)
-				}
-			}
 			continue
 		}
 		rIdx[base+m] = int32(i)
 		dst.delivered++
-		if !fused || counts[i] == 0 {
-			counts[i]++
-		}
+		counts[i]++
 	}
 	dst.rIdx = rIdx
 }
 
 // placeInbox is the layout-and-place half of delivery: a prefix sum over
 // the per-vertex counts becomes the offset index, then the messages of
-// dst's lanes are copied into their group in lane order. With a total
-// combiner, messages beyond a vertex's first fold into its single slot in
-// the same order, completing the cross-source combine during the shuffle
-// (superstep fusion).
+// dst's lanes are copied into their group in lane order.
 func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 	n := len(dst.ids)
 	counts := dst.inCur[:n]
@@ -1179,18 +1095,12 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 	}
 	dst.inOff[n] = off
 	dst.inArena = growTo(dst.inArena, int(off))
-	fused := g.runTotal
 	rIdx := dst.rIdx
 	for _, src := range g.workers {
 		lane := src.outbox[dst.self]
 		for k, msg := range lane.msg {
 			i := rIdx[k]
 			if i < 0 {
-				continue
-			}
-			if fused && counts[i] > dst.inOff[i] {
-				slot := &dst.inArena[dst.inOff[i]]
-				*slot = dst.comb(*slot, msg)
 				continue
 			}
 			dst.inArena[counts[i]] = msg
@@ -1243,19 +1153,12 @@ func (c *Context[M]) RemoveSelf() { c.remove = true }
 // AggSum adds delta to the named sum aggregator for this superstep.
 func (c *Context[M]) AggSum(name string, delta int64) { c.s.agg.acc[c.s.self].addSum(name, delta) }
 
-// AggMin folds v into the named min aggregator for this superstep.
-func (c *Context[M]) AggMin(name string, v int64) { c.s.agg.acc[c.s.self].addMin(name, v) }
-
 // AggOr ORs v into the named boolean aggregator for this superstep.
 func (c *Context[M]) AggOr(name string, v bool) { c.s.agg.acc[c.s.self].addOr(name, v) }
 
 // PrevAggSum returns the value the named sum aggregator had at the end of
 // the previous superstep (0 if never set).
 func (c *Context[M]) PrevAggSum(name string) int64 { return c.s.agg.prevSum(name) }
-
-// PrevAggMin returns the previous-superstep min aggregator value and whether
-// any vertex contributed to it.
-func (c *Context[M]) PrevAggMin(name string) (int64, bool) { return c.s.agg.prevMin(name) }
 
 // PrevAggOr returns the previous-superstep boolean OR aggregator value.
 func (c *Context[M]) PrevAggOr(name string) bool { return c.s.agg.prevOr(name) }

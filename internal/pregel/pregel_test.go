@@ -104,20 +104,6 @@ func TestPropagationChain(t *testing.T) {
 	})
 }
 
-func TestStrictModeRejectsUnknownDestination(t *testing.T) {
-	g := NewGraph[int, int](Config{Workers: 2, Strict: true})
-	g.AddVertex(1, 0)
-	_, err := g.Run(func(ctx *Context[int], id VertexID, val *int, msgs []int) {
-		if ctx.Superstep() == 0 {
-			ctx.Send(999, 1)
-		}
-		ctx.VoteToHalt()
-	})
-	if err == nil {
-		t.Fatal("expected error for message to nonexistent vertex")
-	}
-}
-
 func TestNonStrictCountsDropped(t *testing.T) {
 	g := NewGraph[int, int](Config{Workers: 2})
 	g.AddVertex(1, 0)
@@ -182,13 +168,9 @@ func TestAggregatorsVisibleNextSuperstep(t *testing.T) {
 		switch ctx.Superstep() {
 		case 0:
 			ctx.AggSum("total", int64(id))
-			ctx.AggMin("min", int64(id))
 			ctx.AggOr("any7", id == 7)
 		case 1:
 			*val = ctx.PrevAggSum("total")
-			if mn, ok := ctx.PrevAggMin("min"); !ok || mn != 1 {
-				*val = -1
-			}
 			if !ctx.PrevAggOr("any7") {
 				*val = -2
 			}

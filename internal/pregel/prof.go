@@ -21,9 +21,6 @@ var profLabelsOn atomic.Bool
 // `go tool pprof -tagfocus phase=compute` isolates one phase.
 func EnableProfLabels(on bool) { profLabelsOn.Store(on) }
 
-// ProfLabelsEnabled reports whether labels are currently attached.
-func ProfLabelsEnabled() bool { return profLabelsOn.Load() }
-
 // forEachWorker is the engine's one executor: every per-worker phase
 // (compute, delivery, checkpoint encode, vertex sort, Convert, MapReduce map
 // and reduce) runs fn(w) for each worker index through it. Sequentially on

@@ -7,8 +7,8 @@ import (
 )
 
 // vindex is the engine's one ID → position lookup structure: a flat
-// open-addressing table over a slice of IDs the caller owns (a worker's ids,
-// or a combining sender's per-lane destination list). A slot holds
+// open-addressing table over a slice of IDs the caller owns (a worker's
+// ids). A slot holds
 // position+1 (0 = empty) and a probe compares the key against ids[position],
 // so there is no second key array — four bytes per slot at a load factor of
 // at most one half — and the common lookup is one multiply, one slot read
@@ -64,9 +64,6 @@ func (x *vindex) reserve(ids []VertexID, n int) {
 		x.rebuild(ids, n)
 	}
 }
-
-// reset empties the table, keeping its slot array.
-func (x *vindex) reset() { clear(x.slots) }
 
 // place claims the first free slot of ids[pos]'s probe run.
 func (x *vindex) place(ids []VertexID, pos int) {
