@@ -196,9 +196,9 @@ func TestDefaultScheduleIsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := extra == nil; o.parallel != want || env.Parallel != want || env.Config().Parallel != want {
-			t.Errorf("args %v: flag %v, workflow.Env %v, pregel.Config %v; want Parallel=%v all the way down",
-				extra, o.parallel, env.Parallel, env.Config().Parallel, want)
+		if want := extra == nil; o.parallel != want || env.Parallel != want {
+			t.Errorf("args %v: flag %v, engine config %v; want Parallel=%v all the way down",
+				extra, o.parallel, env.Parallel, want)
 		}
 		if err := run(o); err != nil {
 			t.Fatal(err)

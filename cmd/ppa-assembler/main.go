@@ -30,6 +30,7 @@ import (
 	"os"
 	"strings"
 
+	"ppaassembler/internal/core"
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/shardio"
@@ -77,18 +78,19 @@ type cliOpts struct {
 func parseFlags(args []string) (cliOpts, error) {
 	var o cliOpts
 	var theta uint
+	def := core.DefaultOptions(4) // the paper's parameters, on 4 workers
 	fs := flag.NewFlagSet("ppa-assembler", flag.ContinueOnError)
 	fs.StringVar(&o.in, "in", "", "input reads: FASTQ/FASTA file (optionally .gz), one-read-per-line text file, or a shardio store directory")
 	fs.StringVar(&o.out, "out", "contigs.fasta", "output FASTA path (\"-\" for stdout)")
-	fs.IntVar(&o.k, "k", 21, "k-mer length (odd, <= 31)")
-	fs.UintVar(&theta, "theta", 1, "drop (k+1)-mers with coverage <= theta")
-	fs.IntVar(&o.tip, "tip", 80, "tip-length threshold")
-	fs.IntVar(&o.editDist, "editdist", 5, "bubble edit-distance threshold")
-	fs.IntVar(&o.workers, "workers", 4, "logical Pregel workers")
-	fs.BoolVar(&o.parallel, "parallel", true, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
+	fs.IntVar(&o.k, "k", def.K, "k-mer length (odd, <= 31)")
+	fs.UintVar(&theta, "theta", uint(def.Theta), "drop (k+1)-mers with coverage <= theta")
+	fs.IntVar(&o.tip, "tip", def.TipLen, "tip-length threshold")
+	fs.IntVar(&o.editDist, "editdist", def.BubbleEditDist, "bubble edit-distance threshold")
+	fs.IntVar(&o.workers, "workers", def.Workers, "logical Pregel workers")
+	fs.BoolVar(&o.parallel, "parallel", def.Parallel, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
 	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter) or minimizer (co-locate DBG-adjacent k-mers); output is identical for both, only simulated network locality changes")
 	fs.StringVar(&o.labeler, "labeler", "lr", "contig labeling algorithm: lr or sv")
-	fs.IntVar(&o.rounds, "rounds", 2, "labeling+merging rounds of the default workflow (1 = no error correction)")
+	fs.IntVar(&o.rounds, "rounds", def.Rounds, "labeling+merging rounds of the default workflow (1 = no error correction)")
 	fs.IntVar(&o.minLen, "minlen", 0, "omit contigs shorter than this from the output")
 	fs.StringVar(&o.gfa, "gfa", "", "also write the error-corrected assembly graph in GFA v1 to this path (needs a workflow that links contigs: -rounds 2 or a spec with link)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the run summary")

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ppaassembler/internal/core"
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/genome"
 	"ppaassembler/internal/quality"
@@ -488,5 +489,20 @@ func TestCLIRejectsZeroWorkers(t *testing.T) {
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("%v: contigs file was written", args)
 		}
+	}
+}
+
+// TestFlagDefaultsAreDefaultOptions: a command line without the paper's
+// parameter flags assembles with core.DefaultOptions.
+func TestFlagDefaultsAreDefaultOptions(t *testing.T) {
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := core.DefaultOptions(o.workers)
+	got := [...]any{o.k, o.theta, o.tip, o.editDist, o.rounds, o.parallel}
+	want := [...]any{def.K, def.Theta, def.TipLen, def.BubbleEditDist, def.Rounds, def.Parallel}
+	if got != want {
+		t.Errorf("flag defaults -k -theta -tip -editdist -rounds -parallel = %v, DefaultOptions %v", got, want)
 	}
 }

@@ -31,11 +31,11 @@ func parseLabeler(s string) (core.Labeler, error) {
 // checkpoint directory or a fault plan implies checkpointing even without
 // an explicit cadence.
 func engineEnv(o cliOpts, obs *observability) (*workflow.Env, error) {
-	env := &workflow.Env{
-		Workers: o.workers, Parallel: o.parallel, MessageBytes: core.MsgWireBytes,
+	env := &workflow.Env{Config: pregel.Config{
+		Workers: o.workers, Parallel: o.parallel,
 		CheckpointEvery: o.ckptEvery, Resume: o.resume,
 		Tracer: obs.Tracer, Metrics: obs.Metrics,
-	}
+	}}
 	if env.CheckpointEvery <= 0 && (o.checkpoint != "" || o.faultPlan != "") {
 		env.CheckpointEvery = 5
 	}

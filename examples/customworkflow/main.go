@@ -65,7 +65,7 @@ func main() {
 	}
 	fmt.Printf("plan: %s\n", plan)
 
-	env := &workflow.Env{Workers: 4}
+	env := &workflow.Env{Config: pregel.Config{Workers: 4}}
 	st := &core.State{Reads: pregel.ShardSlice(reads, env.Workers)}
 	if err := plan.Run(env, st); err != nil {
 		log.Fatal(err)

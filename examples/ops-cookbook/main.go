@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("1. parsed spec into %d ops: %s\n", len(plan.Ops()), plan)
 
 	st := &core.State{Reads: shards}
-	if err := plan.Run(&workflow.Env{Workers: 4}, st); err != nil {
+	if err := plan.Run(&workflow.Env{Config: pregel.Config{Workers: 4}}, st); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("   assembled %d contigs (tiptrim ran with minlen=40)\n\n", len(st.Fasta))
@@ -74,7 +74,7 @@ func main() {
 		log.Fatal(err)
 	}
 	st2 := &core.State{Reads: shards}
-	if err := api.Run(&workflow.Env{Workers: 4}, st2); err != nil {
+	if err := api.Run(&workflow.Env{Config: pregel.Config{Workers: 4}}, st2); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("2. one-round plan %q: %d contigs >= 200 bp\n\n", api.String(), len(st2.Fasta))
@@ -93,7 +93,7 @@ func main() {
 		Then(core.MergeOp{TipLen: 80}).
 		Then(core.EmitFastaOp{MinLen: 200})
 	st3 := &core.State{Reads: shards}
-	if err := staged.Run(&workflow.Env{Workers: 4}, st3); err != nil {
+	if err := staged.Run(&workflow.Env{Config: pregel.Config{Workers: 4}}, st3); err != nil {
 		log.Fatal(err)
 	}
 	parts, _ := filepath.Glob(filepath.Join(stageDir, "segments", "part-*"))
@@ -132,9 +132,9 @@ func main() {
 		Then(core.EmitFastaOp{MinLen: 200})
 	faults := pregel.NewFaultPlan(pregel.Fault{Round: 12, Worker: 2})
 	st4 := &core.State{Reads: shards}
-	err = ft.Run(&workflow.Env{
+	err = ft.Run(&workflow.Env{Config: pregel.Config{
 		Workers: 4, CheckpointEvery: 4, Checkpointer: store, Faults: faults,
-	}, st4)
+	}}, st4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	env := &workflow.Env{Workers: 4, Parallel: true, MessageBytes: core.MsgWireBytes}
+	env := &workflow.Env{Config: pregel.Config{Workers: 4, Parallel: true}}
 	st := &core.State{Reads: pregel.ShardSlice(readsim.Interleave(simPairs), env.Workers)}
 	for _, p := range simPairs {
 		st.Pairs = append(st.Pairs, scaffold.Pair{R1: p.R1, R2: p.R2})

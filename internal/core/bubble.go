@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+
 	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/pregel"
@@ -30,7 +32,7 @@ func pairLess(a, b endPair) bool {
 	return a.Hi < b.Hi
 }
 
-// FilterBubblesCfg is operation ④ (§IV-B): a mini-MapReduce that groups
+// FilterBubbles is operation ④ (§IV-B): a mini-MapReduce that groups
 // contigs sharing both (ambiguous) end vertices and, within each group,
 // prunes the lower-coverage arm of any pair whose sequences are within
 // maxEditDist of each other (after orienting both arms in the same
@@ -42,23 +44,18 @@ func pairLess(a, b endPair) bool {
 // is pruned whenever a stronger parallel arm exists, regardless of edit
 // distance.
 //
-// cfg.Parallel runs the mappers and reducers on all cores; a zero
-// cfg.PairBytes charges 64 bytes a shuffled contig.
-func FilterBubblesCfg(clock *pregel.SimClock, cfg pregel.MRConfig, contigs [][]ContigRec, maxEditDist int, minArmCov uint32) (*BubbleResult, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.PairBytes <= 0 {
-		cfg.PairBytes = 64
-	}
+// The job runs under cfg (see pregel.MapReduce) and is named after its
+// plan position (cfg.JobPrefix without its trailing dot, e.g. "s03.bubble").
+func FilterBubbles(clock *pregel.SimClock, cfg pregel.Config, contigs [][]ContigRec, maxEditDist int, minArmCov uint32) (*BubbleResult, error) {
 	res := &BubbleResult{}
 	type keyed struct {
 		rec      ContigRec
 		inBubble bool
 	}
-	prunedPerWorker := make([]int, cfg.Workers)
-	out, st := pregel.MapReduceCfg(
+	prunedPerWorker := make([]int, max(cfg.Workers, 1))
+	out, st := pregel.MapReduce(
 		clock, cfg,
+		pregel.MRConfig{Name: strings.TrimSuffix(cfg.JobPrefix, "."), PairBytes: 64}, // ≈ a contig record on the wire
 		contigs,
 		func(w int, c ContigRec, emit func(endPair, keyed)) {
 			nb1, nb2 := c.Node.Adj[0].Nbr, c.Node.Adj[1].Nbr

@@ -122,14 +122,13 @@ func (o BuildDBGOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o BuildDBGOp) Run(env *workflow.Env, st *State) error {
-	cfg := env.Config()
-	build, err := dbg.BuildDBG(env.Clock, cfg, st.Reads, o.K, o.Theta)
+	build, err := dbg.BuildDBG(env.Clock, env.Config, st.Reads, o.K, o.Theta)
 	if err != nil {
 		return err
 	}
 	st.Metrics.K1Distinct, st.Metrics.K1Kept = build.K1Distinct, build.K1Kept
 	st.Metrics.KmerVertices = build.Graph.VertexCount()
-	st.Graph = NewSegmentGraph(build, cfg, o.K)
+	st.Graph = NewSegmentGraph(build, env.Config, o.K)
 	st.K = o.K
 	return nil
 }
@@ -148,7 +147,7 @@ func (o LabelOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o LabelOp) Run(env *workflow.Env, st *State) error {
-	st.Graph.SetJobPrefix(env.JobPrefix())
+	st.Graph.SetJobPrefix(env.JobPrefix)
 	ls, err := LabelContigs(st.Graph, o.Algo)
 	if err != nil {
 		return err
@@ -213,7 +212,7 @@ func (o BubblePopOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o BubblePopOp) Run(env *workflow.Env, st *State) error {
-	bub, err := FilterBubblesCfg(env.Clock, env.MRConfig(), st.Contigs, o.EditDist, o.MinCov)
+	bub, err := FilterBubbles(env.Clock, env.Config, st.Contigs, o.EditDist, o.MinCov)
 	if err != nil {
 		return err
 	}
@@ -241,7 +240,7 @@ func (o RebuildOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o RebuildOp) Run(env *workflow.Env, st *State) error {
-	st.Graph = BuildMixedGraph(st.Graph, st.Contigs, env.Config(), env.Clock)
+	st.Graph = BuildMixedGraph(st.Graph, st.Contigs, env.Config, env.Clock)
 	st.Metrics.MidVertices = st.Graph.VertexCount()
 	st.Contigs = nil
 	return nil
@@ -262,7 +261,7 @@ func (o LinkContigsOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o LinkContigsOp) Run(env *workflow.Env, st *State) error {
-	st.Graph.SetJobPrefix(env.JobPrefix())
+	st.Graph.SetJobPrefix(env.JobPrefix)
 	_, err := LinkContigs(st.Graph)
 	return err
 }
@@ -283,7 +282,7 @@ func (o SplitOp) Info() workflow.Info {
 
 // Run implements workflow.Op.
 func (o SplitOp) Run(env *workflow.Env, st *State) error {
-	st.Graph.SetJobPrefix(env.JobPrefix())
+	st.Graph.SetJobPrefix(env.JobPrefix)
 	split, err := SplitBranches(st.Graph, o.Ratio)
 	if err != nil {
 		return err
@@ -311,7 +310,7 @@ func (o TipTrimOp) Run(env *workflow.Env, st *State) error {
 	if err != nil {
 		return err
 	}
-	st.Graph.SetJobPrefix(env.JobPrefix())
+	st.Graph.SetJobPrefix(env.JobPrefix)
 	tips, err := RemoveTips(st.Graph, k, o.MinLen)
 	if err != nil {
 		return err
@@ -364,7 +363,7 @@ func (o StageOp) Run(env *workflow.Env, st *State) error {
 		if err := chargeStageIO(env, store); err != nil {
 			return err
 		}
-		g, err := LoadSegments(store, env.Config(), env.Clock)
+		g, err := LoadSegments(store, env.Config, env.Clock)
 		if err != nil {
 			return err
 		}
@@ -465,7 +464,7 @@ func (o ScaffoldOp) Run(env *workflow.Env, st *State) error {
 			Seq:  c.Node.Seq,
 		}
 	}
-	sres, err := scaffold.Build(contigs, st.Pairs, o.Lib, env.Config(), env.Clock)
+	sres, err := scaffold.Build(contigs, st.Pairs, o.Lib, env.Config, env.Clock)
 	if err != nil {
 		return err
 	}
@@ -557,9 +556,11 @@ type OpDefaults struct {
 	Scaffold       scaffold.Options
 }
 
-// DefaultOpDefaults mirrors DefaultOptions for spec parsing.
+// DefaultOpDefaults is DefaultOptions' assembly parameters, for spec
+// parsing.
 func DefaultOpDefaults() OpDefaults {
-	return OpDefaults{K: 21, Theta: 1, TipLen: 80, BubbleEditDist: 5, Labeler: LabelerLR}
+	o := DefaultOptions(1)
+	return OpDefaults{K: o.K, Theta: o.Theta, TipLen: o.TipLen, BubbleEditDist: o.BubbleEditDist, Labeler: o.Labeler}
 }
 
 // OpRegistry returns the spec registry of the assembler's op catalog, the

@@ -11,6 +11,7 @@ import (
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/shardio"
+	"ppaassembler/internal/telemetry"
 	"ppaassembler/internal/workflow"
 )
 
@@ -182,7 +183,7 @@ func TestStagedPlanMatchesInMemoryTwin(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := &State{Reads: pregel.ShardSlice(reads, 4)}
-		if err := p.Run(&workflow.Env{Workers: 4}, st); err != nil {
+		if err := p.Run(&workflow.Env{Config: pregel.Config{Workers: 4}}, st); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -275,5 +276,32 @@ func TestOpRegistryAliases(t *testing.T) {
 	}
 	if _, err := workflow.Parse(reg, "build,label,merge,split:ratio=1,fasta", ArtReads); err == nil {
 		t.Error("split ratio 1 accepted")
+	}
+}
+
+// TestMsgChargeIndependentOfEnv: the wire size a segment-graph message is
+// charged at is bound where the graph is built, so the same plan charges
+// the same bytes under the environment Options.Env renders and under a bare
+// one that names no message size.
+func TestMsgChargeIndependentOfEnv(t *testing.T) {
+	reads, _ := exampleGenomeReads(t)
+	opt := DefaultOptions(4)
+	charged := func(env *workflow.Env) int64 {
+		reg := telemetry.NewRegistry()
+		env.Metrics = reg
+		plan, err := AssemblePlan(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Run(env, &State{Reads: pregel.ShardSlice(reads, 4)}); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("pregel_bytes_total").Value()
+	}
+	bare := &workflow.Env{}
+	bare.Workers, bare.Parallel = opt.Workers, opt.Parallel
+	viaOptions, viaBare := charged(opt.Env(nil)), charged(bare)
+	if viaOptions == 0 || viaOptions != viaBare {
+		t.Errorf("pregel_bytes_total: %d under Options.Env, %d under a bare Env", viaOptions, viaBare)
 	}
 }

@@ -107,9 +107,11 @@ type Msg struct {
 // varint-packed length and coverage (2 for a hello or a tip DELETE, 3 for a
 // contig announcement or a tip REQUEST). TestMsgWireBytesMatchesCodec keeps
 // it within two bytes of the largest representative encoding. The engine's
-// generic 16-byte default undercharges this record; every segment-graph job
-// declares the real size so locality-aware placement is priced against the
-// traffic the paper's cluster would actually carry.
+// generic 16-byte default undercharges this record, so every constructor of
+// a segment graph (NewSegmentGraph, BuildMixedGraph, LoadSegments) sets it
+// on the graph, whatever the caller's Config says: locality-aware placement
+// is priced against the traffic the paper's cluster would actually carry,
+// under any environment.
 const MsgWireBytes = 17
 
 // Graph is the segment graph all core operations run on.
@@ -119,6 +121,7 @@ type Graph = pregel.Graph[VData, Msg]
 // graph consumed by operations ②–⑤, using the engine's in-memory job
 // concatenation (the convert UDF of §II). k is the k-mer length.
 func NewSegmentGraph(b *dbg.BuildResult, cfg pregel.Config, k int) *Graph {
+	cfg.MessageBytes = MsgWireBytes
 	return pregel.Convert[VData, Msg](b.Graph, cfg,
 		func(id pregel.VertexID, v dbg.KmerVertex, emit func(pregel.VertexID, VData)) {
 			emit(id, VData{Node: dbg.KmerNode(id, &v, k)})

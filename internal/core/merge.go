@@ -78,16 +78,14 @@ func MergeContigs(g *Graph, k, tipLen int) (*MergeResult, error) {
 	droppedTips := make([]int, workers)
 	errs := make([]error, workers)
 	index := make([]groupIndex, workers)
-	// The grouping deliberately leaves MRConfig.Partitioner nil: the
-	// reducer index is baked into every contig's (worker, ordinal) ID and
-	// therefore into the output's naming and order, so merge grouping must
-	// stay placement-invariant — all three partitioners must produce
-	// byte-identical contigs.
-	out, st := pregel.MapReduceCfg(
-		g.Clock(), pregel.MRConfig{
-			Workers: workers, PairBytes: 64, Parallel: g.Config().Parallel, Faults: g.Config().Faults,
-			Name: g.Config().JobPrefix + "group", Tracer: g.Config().Tracer, Metrics: g.Config().Metrics,
-		},
+	// The grouping is deliberately not MRConfig.Routed: the reducer index
+	// is baked into every contig's (worker, ordinal) ID and therefore into
+	// the output's naming and order, so merge grouping must stay
+	// placement-invariant — every partitioner must produce byte-identical
+	// contigs.
+	cfg := g.Config()
+	out, st := pregel.MapReduce(
+		g.Clock(), cfg, pregel.MRConfig{Name: cfg.JobPrefix + "group", PairBytes: 64},
 		input, // 64 ≈ id + packed node on the wire, rough charge; a pair in memory is 32
 		func(w int, m member, emit func(uint64, member)) {
 			emit(uint64(m.label), m)

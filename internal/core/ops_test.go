@@ -183,7 +183,7 @@ func TestFilterBubblesPrunesLowCoverageArm(t *testing.T) {
 	hi := mkContig(dbg.ContigID(0, 1), "ACGTTGCAAGCT", 20, a, b)
 	lo := mkContig(dbg.ContigID(0, 2), "ACGTTACAAGCT", 2, a, b) // 1 substitution
 	other := mkContig(dbg.ContigID(0, 3), "TTTTTGGGGGCCCCC", 9, a, dbg.NullID)
-	res, err := FilterBubblesCfg(pregel.NewSimClock(pregel.DefaultCost()), pregel.MRConfig{Workers: 2, PairBytes: 64},
+	res, err := FilterBubbles(pregel.NewSimClock(pregel.DefaultCost()), pregel.Config{Workers: 2},
 		[][]ContigRec{{hi, lo, other}}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestFilterBubblesKeepsDissimilarArms(t *testing.T) {
 	a, b := pregel.VertexID(100), pregel.VertexID(200)
 	c1 := mkContig(dbg.ContigID(0, 1), "ACGTTGCAAGCT", 20, a, b)
 	c2 := mkContig(dbg.ContigID(0, 2), "TGCACCGGTATA", 2, a, b) // unrelated
-	res, err := FilterBubblesCfg(pregel.NewSimClock(pregel.DefaultCost()), pregel.MRConfig{Workers: 2, PairBytes: 64},
+	res, err := FilterBubbles(pregel.NewSimClock(pregel.DefaultCost()), pregel.Config{Workers: 2},
 		[][]ContigRec{{c1, c2}}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestFilterBubblesOrientsArms(t *testing.T) {
 	rc := dna.ParseSeq(fwd).ReverseComplement().String()
 	c1 := mkContig(dbg.ContigID(0, 1), fwd, 20, a, b)
 	c2 := mkContig(dbg.ContigID(0, 2), rc, 2, b, a)
-	res, err := FilterBubblesCfg(pregel.NewSimClock(pregel.DefaultCost()), pregel.MRConfig{Workers: 2, PairBytes: 64},
+	res, err := FilterBubbles(pregel.NewSimClock(pregel.DefaultCost()), pregel.Config{Workers: 2},
 		[][]ContigRec{{c1, c2}}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestFilterBubblesThreeArms(t *testing.T) {
 		mkContig(dbg.ContigID(0, 2), "ACGTTACAAGCT", 5, a, b),
 		mkContig(dbg.ContigID(0, 3), "ACGTTCCAAGCT", 2, a, b),
 	}
-	res, err := FilterBubblesCfg(pregel.NewSimClock(pregel.DefaultCost()), pregel.MRConfig{Workers: 1, PairBytes: 64},
+	res, err := FilterBubbles(pregel.NewSimClock(pregel.DefaultCost()), pregel.Config{Workers: 1},
 		[][]ContigRec{arms}, 5, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ppaassembler/internal/pregel"
-	"ppaassembler/internal/telemetry"
 	"ppaassembler/internal/workflow"
 )
 
@@ -15,8 +14,8 @@ import (
 //
 // Options is the compatibility shim over the workflow layer: it decomposes
 // into the per-op option structs of the op catalog (BuildDBGOp, LabelOp,
-// MergeOp, BubblePopOp, SplitOp, TipTrimOp — see AssemblePlan) plus a
-// workflow.Env carrying the engine-wide settings. New code composing its
+// MergeOp, BubblePopOp, SplitOp, TipTrimOp — see AssemblePlan) plus the
+// engine configuration every job runs under (Env). New code composing its
 // own workflows should use those directly.
 type Options struct {
 	// K is the k-mer length (odd, <= 31; the paper uses 31).
@@ -29,56 +28,12 @@ type Options struct {
 	// BubbleEditDist prunes a bubble arm when its edit distance to a
 	// higher-coverage arm is below this threshold (paper: 5).
 	BubbleEditDist int
-	// Workers is the number of logical Pregel workers.
-	Workers int
 	// Labeler chooses the contig-labeling algorithm for both rounds.
 	Labeler Labeler
 	// Rounds of labeling+merging: 1 = stop after the first merge (no error
 	// correction), 2 = the paper's workflow ①②③④⑤⑥②③. DefaultOptions
 	// sets 2; Assemble refuses any other value.
 	Rounds int
-	// Cost parameterizes the simulated cluster (zero value = default).
-	Cost pregel.CostModel
-	// Parallel runs every stage's logical workers on all cores (see
-	// pregel.Config.Parallel). DefaultOptions sets it; false is the
-	// sequential reference schedule. It never changes the assembler's
-	// output.
-	Parallel bool
-	// Partitioner is the vertex-placement strategy for every stage (nil =
-	// hash, the historical behavior). Build one with MakePartitioner;
-	// placement changes simulated network locality but never the
-	// assembler's output.
-	Partitioner pregel.Partitioner
-
-	// CheckpointEvery enables Pregel-style fault tolerance for every job
-	// of the pipeline: each run checkpoints its state every N supersteps
-	// and a worker failure rolls back to the latest checkpoint and
-	// replays (see pregel.Config.CheckpointEvery). Zero disables it.
-	CheckpointEvery int
-	// Checkpointer stores the snapshots; every stage shares it. Nil with
-	// CheckpointEvery > 0 installs an in-memory store. Use a
-	// pregel.DirCheckpointer to survive process death (with Resume).
-	Checkpointer pregel.Checkpointer
-	// Faults injects simulated worker crashes across the whole pipeline
-	// (engine supersteps and MapReduce phases alike); see pregel.FaultPlan.
-	Faults *pregel.FaultPlan
-	// Resume makes every job fast-forward from checkpoints left in
-	// Checkpointer by a previous (killed) process; see
-	// pregel.Config.Resume.
-	Resume bool
-
-	// Tracer, when non-nil, receives telemetry spans from every workflow
-	// op and every engine/MapReduce job of the pipeline (see
-	// pregel.Config.Tracer). Nil disables tracing at zero cost.
-	Tracer telemetry.Tracer
-	// Metrics, when non-nil, collects engine and workflow counters for a
-	// Prometheus-text dump (telemetry.Registry.WritePrometheus).
-	Metrics *telemetry.Registry
-	// Warn, when non-nil, receives the engine's non-fatal diagnostics from
-	// every stage — corrupt checkpoint artifacts skipped during recovery
-	// (see pregel.Config.Warn). Nil
-	// routes each distinct message to stderr once per process.
-	Warn func(msg string)
 
 	// Optional extension operations (§V names both as user
 	// customizations; zero disables them):
@@ -90,31 +45,37 @@ type Options struct {
 	// removal: at ambiguous vertices, edges out-covered ratio-to-one by a
 	// parallel edge are cut (must be >= 2 when set).
 	BranchSplitRatio uint32
+
+	// Config is the engine configuration of every job of the pipeline
+	// (workers, schedule, placement, checkpointing, faults, telemetry).
+	// Placement (Partitioner, built with MakePartitioner) and the schedule
+	// (Parallel) change simulated network locality and wall time but never
+	// the assembler's output. MessageBytes is not read: each graph charges
+	// its own message type's wire size (MsgWireBytes on the segment graph).
+	pregel.Config
 }
 
 // DefaultOptions returns the paper-inspired defaults with the given worker
-// count.
+// count, on the parallel schedule.
 func DefaultOptions(workers int) Options {
 	return Options{
 		K:              21,
 		Theta:          1,
 		TipLen:         80,
 		BubbleEditDist: 5,
-		Workers:        workers,
-		Parallel:       true,
 		Labeler:        LabelerLR,
 		Rounds:         2,
+		Config:         pregel.Config{Workers: workers, Parallel: true},
 	}
 }
 
-func (o Options) validate() error {
+// Validate rejects a Rounds other than 1 or 2 and then an invalid engine
+// configuration (see pregel.Config.Validate).
+func (o Options) Validate() error {
 	if o.Rounds < 1 || o.Rounds > 2 {
 		return fmt.Errorf("core: Rounds must be 1 or 2, got %d", o.Rounds)
 	}
-	if o.Workers <= 0 {
-		return fmt.Errorf("core: Workers must be positive, got %d", o.Workers)
-	}
-	return nil
+	return o.Config.Validate()
 }
 
 // Result is the output of one assembly run plus everything the paper's
@@ -163,17 +124,10 @@ type Result struct {
 	Clock *pregel.SimClock
 }
 
-// Env renders the engine-wide half of the options as a workflow
-// environment sharing the given clock (nil starts a fresh one on Run).
+// Env renders the options' engine configuration as a workflow environment
+// sharing the given clock (nil starts a fresh one on Run).
 func (o Options) Env(clock *pregel.SimClock) *workflow.Env {
-	return &workflow.Env{
-		Workers: o.Workers, Parallel: o.Parallel, Cost: o.Cost,
-		Partitioner: o.Partitioner, MessageBytes: MsgWireBytes,
-		CheckpointEvery: o.CheckpointEvery, Checkpointer: o.Checkpointer,
-		Faults: o.Faults, Resume: o.Resume,
-		Clock:  clock,
-		Tracer: o.Tracer, Metrics: o.Metrics, Warn: o.Warn,
-	}
+	return &workflow.Env{Config: o.Config, Clock: clock}
 }
 
 // AssemblePlan decomposes the options into the paper's canned workflow
@@ -212,7 +166,7 @@ func AssemblePlan(opt Options) (*workflow.Plan[State], error) {
 // decompose into per-op configs (AssemblePlan) and the per-op metrics fold
 // back into the Result.
 func Assemble(readShards [][]string, opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -270,6 +224,7 @@ func newResult(st *State, clock *pregel.SimClock) *Result {
 // contig vertices. It is exported so custom workflows can compose the
 // operations differently from the stock pipeline.
 func BuildMixedGraph(g1 *Graph, contigs [][]ContigRec, cfg pregel.Config, clock *pregel.SimClock) *Graph {
+	cfg.MessageBytes = MsgWireBytes
 	g2 := pregel.Convert[VData, Msg](g1, cfg, func(id pregel.VertexID, v VData, emit func(pregel.VertexID, VData)) {
 		if !v.Ambig {
 			return

@@ -35,6 +35,7 @@ func LoadSegments(store *shardio.Store, cfg pregel.Config, clock *pregel.SimCloc
 	if err != nil {
 		return nil, err
 	}
+	cfg.MessageBytes = MsgWireBytes
 	g := pregel.NewGraph[VData, Msg](cfg)
 	if clock != nil {
 		g.UseClock(clock)

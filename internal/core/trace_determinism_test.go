@@ -194,7 +194,7 @@ func TestTraceOpMidPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &workflow.Env{Workers: 4, MessageBytes: MsgWireBytes}
+	env := &workflow.Env{Config: pregel.Config{Workers: 4}}
 	st := &State{Reads: pregel.ShardSlice(reads, 4)}
 	if err := plan.Run(env, st); err != nil {
 		t.Fatal(err)

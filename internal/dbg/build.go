@@ -42,21 +42,19 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 
 	// Keys are (k+1)-mer and k-mer IDs, so both phases group through the
 	// same partitioner that will place the graph's vertices (keyHash is the
-	// identity projection; see MRConfig.Partitioner): each reduced
-	// KmerVertex of phase (ii) is born on the worker that owns it, and the
-	// LoadShards pass below is a local, already-sorted insert rather than a
-	// second shuffle.
-	mrCfg := buildMRConfig(cfg)
-	k1Shards := countK1Mers(clock, mrCfg, readShards, k, theta, res)
+	// identity projection; see MRConfig.Routed): each reduced KmerVertex of
+	// phase (ii) is born on the worker that owns it, and the LoadShards
+	// pass below is a local, already-sorted insert rather than a second
+	// shuffle.
+	k1Shards := countK1Mers(clock, cfg, readShards, k, theta, res)
 
 	// Phase (ii): one adjacency item per (k+1)-mer endpoint.
 	type partial struct {
 		item AdjKmer
 	}
-	mrCfg.PairBytes = 10 // 8-byte key + 1-byte item + varint cov
-	mrCfg.Name = cfg.JobPrefix + "adj"
-	vertShards, st2 := pregel.MapReduceCfg(
-		clock, mrCfg,
+	vertShards, st2 := pregel.MapReduce(
+		clock, cfg,
+		pregel.MRConfig{Name: cfg.JobPrefix + "adj", PairBytes: 10, Routed: true}, // 8-byte key + 1-byte item + varint cov
 		k1Shards,
 		func(w int, e K1Mer, emit func(uint64, partial)) {
 			srcID, srcItem, dstID, dstItem := EdgeEndpoints(e, k)
@@ -87,21 +85,6 @@ type kvPair struct {
 	v  KmerVertex
 }
 
-// buildMRConfig derives the configuration both mini-MapReduce phases of
-// BuildDBG share from the graph configuration (phase (i)'s name and pair
-// size; phase (ii) overrides those two).
-func buildMRConfig(cfg pregel.Config) pregel.MRConfig {
-	part := cfg.Partitioner
-	if part == nil {
-		part = pregel.HashPartitioner{}
-	}
-	return pregel.MRConfig{
-		Workers: max(cfg.Workers, 1), PairBytes: 12, // ~8-byte key + varint count on the wire
-		Parallel: cfg.Parallel, Faults: cfg.Faults, Partitioner: part,
-		Name: cfg.JobPrefix + "k1", Tracer: cfg.Tracer, Metrics: cfg.Metrics,
-	}
-}
-
 // countK1Mers is phase (i) of BuildDBG: it counts the canonical (k+1)-mers
 // of every read, drops those with coverage <= theta, and returns the
 // survivors per reducer in ascending ID order, recording the distinct and
@@ -116,13 +99,13 @@ func buildMRConfig(cfg pregel.Config) pregel.MRConfig {
 // order.
 //
 // A (k+1)-mer is routed to the worker owning its canonical prefix k-mer (a
-// routing projection, not a mixing hash — see MRConfig.Partitioner). Phase
+// routing projection, not a mixing hash — see MRConfig.Routed). Phase
 // (ii) then runs its map on that worker, so the prefix-endpoint adjacency
 // pair it emits is intra-machine by construction under every partitioner —
 // and under locality-aware placement the suffix endpoint, which shares k-1
 // bases, usually is too.
-func countK1Mers(clock *pregel.SimClock, mrCfg pregel.MRConfig, readShards [][]string, k int, theta uint32, res *BuildResult) [][]K1Mer {
-	workers := mrCfg.Workers
+func countK1Mers(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, k int, theta uint32, res *BuildResult) [][]K1Mer {
+	workers := max(cfg.Workers, 1)
 	shardItems := make([][][]string, workers)
 	for w := 0; w < workers && w < len(readShards); w++ {
 		shardItems[w] = [][]string{readShards[w]}
@@ -131,8 +114,9 @@ func countK1Mers(clock *pregel.SimClock, mrCfg pregel.MRConfig, readShards [][]s
 	// so the θ-filter counters accumulate per reducer and fold afterwards.
 	k1Distinct := make([]int64, workers)
 	k1Kept := make([]int64, workers)
-	k1Shards, st := pregel.MapReduceCfg(
-		clock, mrCfg,
+	k1Shards, st := pregel.MapReduce(
+		clock, cfg,
+		pregel.MRConfig{Name: cfg.JobPrefix + "k1", PairBytes: 12, Routed: true}, // ~8-byte key + varint count on the wire
 		shardItems,
 		func(w int, reads []string, emit func(uint64, uint32)) {
 			windows := 0

@@ -111,7 +111,7 @@ func TestCountK1MersMatchesMapReference(t *testing.T) {
 					}
 					cfg := pregel.Config{Workers: workers, Parallel: parallel, Partitioner: part}
 					res := &BuildResult{}
-					got := countK1Mers(pregel.NewSimClock(pregel.DefaultCost()), buildMRConfig(cfg), shards, k, theta, res)
+					got := countK1Mers(pregel.NewSimClock(pregel.DefaultCost()), cfg, shards, k, theta, res)
 					if res.K1Distinct != wantDistinct || res.K1Kept != wantKept {
 						t.Errorf("%s: distinct/kept = %d/%d, reference %d/%d", label, res.K1Distinct, res.K1Kept, wantDistinct, wantKept)
 					}
@@ -180,12 +180,12 @@ func BenchmarkBuildDBGCount(b *testing.B) {
 			b.Fatal(err)
 		}
 		shards := pregel.ShardSlice(reads, workers)
-		mrCfg := buildMRConfig(pregel.Config{Workers: workers})
+		cfg := pregel.Config{Workers: workers}
 		b.Run(size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res := &BuildResult{}
-				countK1Mers(pregel.NewSimClock(pregel.DefaultCost()), mrCfg, shards, k, 2, res)
+				countK1Mers(pregel.NewSimClock(pregel.DefaultCost()), cfg, shards, k, 2, res)
 				if res.K1Kept == 0 || res.K1Kept*2 > res.K1Distinct {
 					b.Fatalf("kept %d of %d distinct (k+1)-mers: not a noisy read set", res.K1Kept, res.K1Distinct)
 				}

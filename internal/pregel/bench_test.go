@@ -183,8 +183,8 @@ func BenchmarkMapReduceShuffle(b *testing.B) {
 	clock := NewSimClock(DefaultCost())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _ := MapReduceCfg(
-			clock, MRConfig{Workers: 4, PairBytes: 8}, shards,
+		out, _ := MapReduce(
+			clock, Config{Workers: 4}, MRConfig{PairBytes: 8}, shards,
 			func(w int, item uint64, emit func(uint64, uint64)) { emit(item, 1) },
 			Uint64Hash,
 			func(a, c uint64) bool { return a < c },
@@ -217,8 +217,8 @@ func BenchmarkMapReduceGroup(b *testing.B) {
 		const keys = 5_000
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, _ := MapReduceCfg(
-				clock, MRConfig{Workers: 4, PairBytes: 48}, shards,
+			out, _ := MapReduce(
+				clock, Config{Workers: 4}, MRConfig{PairBytes: 48}, shards,
 				func(w int, item uint64, emit func(key, val)) {
 					item %= keys
 					emit(key{item % 71, item / 71}, val{span: float64(item)})
@@ -236,8 +236,8 @@ func BenchmarkMapReduceGroup(b *testing.B) {
 		const keys = n / 2
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, _ := MapReduceCfg(
-				clock, MRConfig{Workers: 4, PairBytes: 48}, shards,
+			out, _ := MapReduce(
+				clock, Config{Workers: 4}, MRConfig{PairBytes: 48}, shards,
 				func(w int, item uint64, emit func(uint64, val)) {
 					item %= keys
 					emit(Uint64Hash(item)>>20, val{span: float64(item)})

@@ -352,7 +352,7 @@ func TestMapReduceFaultRecovery(t *testing.T) {
 		// (θ-filter totals, merge ordinals): a double-invoked task would
 		// double them.
 		reduced := make([]int64, 4)
-		out, st := MapReduceCfg(clock, MRConfig{Workers: 4, Faults: faults}, input,
+		out, st := MapReduce(clock, Config{Workers: 4, Faults: faults}, MRConfig{}, input,
 			func(w int, item int, emit func(uint64, int)) { emit(uint64(item), 1) },
 			Uint64Hash,
 			func(a, b uint64) bool { return a < b },

@@ -24,8 +24,8 @@ type Fault struct {
 }
 
 // FaultPlan is a deterministic worker-crash schedule for fault-injection
-// testing. Install one via Config.Faults (engine jobs) or MRConfig.Faults
-// (mini-MapReduce); each fault fires exactly once. A FaultPlan must not be
+// testing. Install one via Config.Faults (engine jobs and mini-MapReduces
+// alike); each fault fires exactly once. A FaultPlan must not be
 // shared by concurrently executing jobs: pipelines tick it from their
 // single-threaded coordinators in stage order.
 //

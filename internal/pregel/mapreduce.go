@@ -8,94 +8,40 @@ import (
 	"ppaassembler/internal/telemetry"
 )
 
-// MRConfig configures one MapReduceCfg run.
+// MRConfig holds what differs between the MapReduce jobs of one run; the
+// engine settings (Workers, Parallel, Faults, Tracer, Metrics) come from
+// the Config passed next to it.
 type MRConfig struct {
-	// Workers is the number of logical workers (map shards / reducers).
-	Workers int
-	// PairBytes is the charged wire size of one shuffled (key, value) pair.
-	// Zero means DefaultMessageBytes.
-	PairBytes int
-	// Parallel runs the map tasks (one per source worker) and then the
-	// shuffle+sort+reduce tasks (one per destination worker) on the engine's
-	// executor, at most one goroutine per core (see Config.Parallel), so at
-	// most that many mappers' scratch is live at once.
-	// Each mapper writes only its own per-destination buckets and each
-	// reducer drains only the bucket lanes addressed to it, mirroring the
-	// Pregel engine's shuffle; the output is identical to sequential
-	// execution. Map and reduce UDFs are then called concurrently from
-	// different workers and must not write shared state without
-	// per-worker partitioning.
-	Parallel bool
-	// Partitioner, when non-nil, routes keys to reducers through the same
-	// placement strategy the Pregel engine uses for vertices: keyHash is
-	// then treated as a key → routing-ID projection (usually the identity
-	// on a vertex-ID key, NOT a mixing hash) and the reducer is
-	// Partitioner.Assign(routingID). A reduce whose output feeds a graph
-	// keyed by the same IDs thus lands on the destination vertex's home
-	// worker. With a nil Partitioner keys group by keyHash(k) % Workers,
-	// the historical behavior; for a routing ID the two paths agree
-	// exactly when the partitioner is HashPartitioner, since Assign applies
-	// the same SplitMix64 mix as Uint64Hash. Call sites whose reducer
-	// identity is part of the output contract (the assembler's contig
-	// merge, whose reducer index is baked into contig IDs) deliberately
-	// leave this nil so the grouping stays placement-invariant.
-	Partitioner Partitioner
-	// Faults, when non-nil, injects worker crashes for fault-tolerance
-	// testing. MapReduce recovers by lineage, not by checkpoint: the
-	// failed worker's map or reduce task re-runs from its in-memory input
-	// (map shard, or shuffled bucket lanes), the classic MapReduce failure
-	// model. Each phase ticks the shared plan once, so a pipeline-wide
-	// schedule can land a crash inside a shuffle round. Because map and
-	// reduce UDFs are allowed to accumulate caller-owned per-worker state
-	// (the assembler's θ-filter counters, merge ordinals and pair counts
-	// all do), the redo is priced, not re-invoked: the failed task's
-	// second execution is identical by construction for deterministic
-	// UDFs, so recovery only charges the clock an extra round carried by
-	// the failed worker alone.
-	Faults *FaultPlan
-
 	// Name labels this MapReduce in trace spans and pprof labels (e.g.
 	// "build.k1", "scaffold.links"). Empty means "mapreduce".
 	Name string
-	// Tracer, when non-nil, receives map/shuffle/reduce phase spans; see
-	// Config.Tracer for the emission contract.
-	Tracer telemetry.Tracer
-	// Metrics, when non-nil, receives the mr_* counters.
-	Metrics *telemetry.Registry
+	// PairBytes is the charged wire size of one shuffled (key, value) pair.
+	// Zero means DefaultMessageBytes.
+	PairBytes int
+	// Routed sends keys to reducers through Config.Partitioner (nil: hash),
+	// the placement strategy the Pregel engine uses for vertices: keyHash
+	// is then treated as a key → routing-ID projection (usually the
+	// identity on a vertex-ID key, NOT a mixing hash) and the reducer is
+	// Partitioner.Assign(routingID). A reduce whose output feeds a graph
+	// keyed by the same IDs thus lands on the destination vertex's home
+	// worker. Unrouted keys group by keyHash(k) % Workers; for a routing ID
+	// the two paths agree exactly when the partitioner is HashPartitioner,
+	// since Assign applies the same SplitMix64 mix as Uint64Hash. Jobs whose
+	// reducer identity is part of the output contract (the assembler's
+	// contig merge, whose reducer index is baked into contig IDs) stay
+	// unrouted so the grouping stays placement-invariant.
+	Routed bool
 }
 
-// Validate rejects nonsensical MapReduce configurations with a clear
-// error; like Config.Validate it is meant to be called early by CLIs and
-// the workflow layer (zero values are still defaulted for library use).
-func (c MRConfig) Validate() error {
-	if c.Workers <= 0 {
-		return fmt.Errorf("pregel: MapReduce Workers must be positive, got %d", c.Workers)
-	}
-	if c.PairBytes < 0 {
-		return fmt.Errorf("pregel: MapReduce PairBytes must not be negative, got %d", c.PairBytes)
-	}
-	return nil
-}
-
-func (c MRConfig) withDefaults() MRConfig {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.PairBytes <= 0 {
-		c.PairBytes = DefaultMessageBytes
-	}
-	return c
-}
-
-// MapReduceCfg is the paper's first Pregel+ API extension (§II): a mini
+// MapReduce is the paper's first Pregel+ API extension (§II): a mini
 // MapReduce procedure used during graph loading and for the grouping steps
 // of DBG construction (op ①), contig merging (op ③) and bubble filtering
 // (op ④).
 //
 // The input is sharded per worker (input[w] is worker w's shard, mirroring
 // HDFS block placement). Each worker maps its shard, emitted (key, value)
-// pairs are shuffled to worker keyHash(key) % W (or through a configured
-// Partitioner; see MRConfig), stably grouped by key with keyLess, and
+// pairs are shuffled to worker keyHash(key) % W (or through the partitioner;
+// see MRConfig.Routed), stably grouped by key with keyLess, and
 // reduced; reduce output stays on the reducing worker (which is how contigs
 // acquire their (worker, ordinal) IDs in op ③).
 //
@@ -114,30 +60,55 @@ func (c MRConfig) withDefaults() MRConfig {
 // the permutation under keyLess. The uint64 paths order by integer value,
 // so a uint64-keyed job must pass the ascending keyLess, a < b: it is called
 // once per group boundary and a disagreement panics naming the job, rather
-// than being silently ignored. MRConfig.Metrics counts the reducers that
-// merged in mr_reducers_merged_total.
+// than being silently ignored. cfg.Metrics counts the reducers that
+// merged in mr_reducers_merged_total, besides the mr_* pair and byte totals.
 //
 // Cost: the clock is charged one shuffle round — barrier latency + slowest
-// mapper + most-loaded link — and one reduce round. cfg.PairBytes is the
+// mapper + most-loaded link — and one reduce round. job.PairBytes is the
 // charged wire size of one shuffled pair.
 //
 // The vals slice passed to reduceFn aliases a per-reducer arena and is only
 // valid for the duration of that reduce call; copy it to retain it.
 //
-// cfg.Parallel runs the per-worker map and reduce tasks on the engine's
-// executor (see MRConfig.Parallel).
-func MapReduceCfg[I, K, V, O any](
+// cfg.Parallel runs the map tasks (one per source worker) and then the
+// shuffle+sort+reduce tasks (one per destination worker) on the engine's
+// executor, at most one goroutine per core, so at most that many mappers'
+// scratch is live at once. Each mapper writes only its own per-destination
+// buckets and each reducer drains only the bucket lanes addressed to it;
+// the output is identical to sequential execution. Map and reduce UDFs are
+// then called concurrently from different workers and must not write
+// shared state without per-worker partitioning.
+//
+// cfg.Faults injects worker crashes. MapReduce recovers by lineage, not by
+// checkpoint: the failed worker's map or reduce task re-runs from its
+// in-memory input (map shard, or shuffled bucket lanes), the classic
+// MapReduce failure model. Each phase ticks the shared plan once, so a
+// pipeline-wide schedule can land a crash inside a shuffle round. Because
+// map and reduce UDFs are allowed to accumulate caller-owned per-worker
+// state (the assembler's θ-filter counters, merge ordinals and pair counts
+// all do), the redo is priced, not re-invoked: the failed task's second
+// execution is identical by construction for deterministic UDFs, so
+// recovery only charges the clock an extra round carried by the failed
+// worker alone.
+//
+// Of cfg, MapReduce reads Workers, Parallel, Faults, Tracer, Metrics and,
+// for a routed job, Partitioner; every other field is ignored.
+func MapReduce[I, K, V, O any](
 	clock *SimClock,
-	cfg MRConfig,
+	cfg Config,
+	job MRConfig,
 	input [][]I,
 	mapFn func(worker int, item I, emit func(K, V)),
 	keyHash func(K) uint64,
 	keyLess func(K, K) bool,
 	reduceFn func(worker int, key K, vals []V, emit func(O)),
 ) ([][]O, *Stats) {
-	cfg = cfg.withDefaults()
-	workers := cfg.Workers
-	name := cfg.Name
+	workers := max(cfg.Workers, 1)
+	pairBytes := job.PairBytes
+	if pairBytes <= 0 {
+		pairBytes = DefaultMessageBytes
+	}
+	name := job.Name
 	if name == "" {
 		name = "mapreduce"
 	}
@@ -153,11 +124,15 @@ func MapReduceCfg[I, K, V, O any](
 		emitEv(telemetry.KindBegin, "mr", wallMap0, clock.Ns(), telemetry.S("name", name))
 	}
 
-	// Key grouping: with a partitioner, keyHash projects the key to a
-	// routing ID placed like a vertex; without one, it is a mixing hash
-	// taken modulo the worker count (the historical behavior).
+	// Key grouping: a routed job's keyHash projects the key to a routing ID
+	// placed like a vertex; otherwise it is a mixing hash taken modulo the
+	// worker count.
 	route := func(k K) int { return int(keyHash(k) % uint64(workers)) }
-	if part := cfg.Partitioner; part != nil {
+	if job.Routed {
+		part := cfg.Partitioner
+		if part == nil {
+			part = HashPartitioner{}
+		}
 		route = func(k K) int { return part.Assign(VertexID(keyHash(k)), workers) }
 	}
 
@@ -199,7 +174,7 @@ func MapReduceCfg[I, K, V, O any](
 	if w, fired := cfg.Faults.tick(workers); fired {
 		// Lineage recovery: worker w's map output is lost and its task
 		// re-runs from the in-memory shard while the other workers wait —
-		// charged as an extra round carried by w alone (see MRConfig.Faults
+		// charged as an extra round carried by w alone (see MapReduce
 		// for why the UDFs are not literally invoked a second time).
 		if tr != nil {
 			emitEv(telemetry.KindInstant, "fault", nowNs(), clock.Ns(),
@@ -209,18 +184,18 @@ func MapReduceCfg[I, K, V, O any](
 		redoBytes := make([]float64, workers)
 		redoLocal := make([]float64, workers)
 		redo[w] = mapNs[w]
-		redoBytes[w] = float64(emitted[w]-emittedLocal[w]) * float64(cfg.PairBytes)
-		redoLocal[w] = float64(emittedLocal[w]) * float64(cfg.PairBytes)
+		redoBytes[w] = float64(emitted[w]-emittedLocal[w]) * float64(pairBytes)
+		redoLocal[w] = float64(emittedLocal[w]) * float64(pairBytes)
 		clock.ChargeSuperstepTiered(redo, redoBytes, redoLocal)
 		stats.Recoveries++
 	}
 	for w := 0; w < workers; w++ {
-		outBytes[w] = float64(emitted[w]-emittedLocal[w]) * float64(cfg.PairBytes)
-		localBytes[w] = float64(emittedLocal[w]) * float64(cfg.PairBytes)
+		outBytes[w] = float64(emitted[w]-emittedLocal[w]) * float64(pairBytes)
+		localBytes[w] = float64(emittedLocal[w]) * float64(pairBytes)
 		stats.Messages += emitted[w]
 		stats.LocalMessages += emittedLocal[w]
 		stats.RemoteMessages += emitted[w] - emittedLocal[w]
-		stats.Bytes += emitted[w] * int64(cfg.PairBytes)
+		stats.Bytes += emitted[w] * int64(pairBytes)
 	}
 	var simMap0, simComp float64
 	if tr != nil {

@@ -36,7 +36,7 @@ func sumInOrder(vals []float64) float64 {
 	return s
 }
 
-// referenceGroups is the specification MapReduceCfg must match: per reducer,
+// referenceGroups is the specification MapReduce must match: per reducer,
 // concatenate the lanes in source-worker order, stable-sort by key, cut into
 // groups. sort.SliceStable lives on here, in the test only.
 func referenceGroups[K any](input [][]mrRecord[K], workers int, route func(K) int, less func(a, b K) bool) [][]mrGroup[K] {
@@ -77,7 +77,7 @@ const (
 	oneLaneUnsorted
 )
 
-// checkAgainstReference runs MapReduceCfg over random heavily-duplicated
+// checkAgainstReference runs MapReduce over random heavily-duplicated
 // input for every worker count × Parallel × Partitioner combination and
 // requires keys, per-key value order and per-reducer output order to equal
 // the reference exactly. For the sorted lane orders it also requires the
@@ -112,8 +112,9 @@ func checkAgainstReference[K any](t *testing.T, name string, order laneOrder, ge
 				want := referenceGroups(input, workers, route, less)
 
 				reg := telemetry.NewRegistry()
-				got, _ := MapReduceCfg(NewSimClock(DefaultCost()),
-					MRConfig{Workers: workers, Parallel: parallel, Partitioner: part, Metrics: reg},
+				got, _ := MapReduce(NewSimClock(DefaultCost()),
+					Config{Workers: workers, Parallel: parallel, Partitioner: part, Metrics: reg},
+					MRConfig{Routed: part != nil},
 					input,
 					func(w int, r mrRecord[K], emit func(K, float64)) { emit(r.key, r.val) },
 					hash, less,
@@ -196,7 +197,7 @@ func TestMapReduceMatchesStableReference(t *testing.T) {
 // groupKeys runs one single-reducer MapReduce that emits every item as its
 // own key and returns the keys in the order the reducer saw them.
 func groupKeys[K any](name string, items []K, less func(a, b K) bool) []K {
-	out, _ := MapReduceCfg(NewSimClock(DefaultCost()), MRConfig{Workers: 1, Name: name},
+	out, _ := MapReduce(NewSimClock(DefaultCost()), Config{Workers: 1}, MRConfig{Name: name},
 		[][]K{items},
 		func(w int, k K, emit func(K, struct{})) { emit(k, struct{}{}) },
 		func(K) uint64 { return 0 }, less,

@@ -25,8 +25,8 @@ func TestMapReduceWordCount(t *testing.T) {
 		count int
 	}
 	// Key by hash of word; carry the word in the value for output.
-	out, st := MapReduceCfg(
-		NewSimClock(DefaultCost()), MRConfig{Workers: 3, PairBytes: 16}, input,
+	out, st := MapReduce(
+		NewSimClock(DefaultCost()), Config{Workers: 3}, MRConfig{PairBytes: 16}, input,
 		func(w int, line string, emit func(uint64, string)) {
 			for _, word := range strings.Fields(line) {
 				emit(wordID(word), word)
@@ -59,8 +59,8 @@ func TestMapReduceGroupsAllValuesForKey(t *testing.T) {
 	for i := range input {
 		input[i] = i
 	}
-	out, _ := MapReduceCfg(
-		NewSimClock(DefaultCost()), MRConfig{Workers: 7, PairBytes: 8}, ShardSlice(input, 7),
+	out, _ := MapReduce(
+		NewSimClock(DefaultCost()), Config{Workers: 7}, MRConfig{PairBytes: 8}, ShardSlice(input, 7),
 		func(w int, item int, emit func(uint64, int)) {
 			emit(uint64(item%10), item)
 		},
@@ -90,8 +90,8 @@ func TestMapReduceDeterministicValueOrder(t *testing.T) {
 	// which must be stable across runs.
 	input := ShardSlice([]int{5, 1, 9, 3, 7, 2, 8}, 3)
 	run := func() []int {
-		out, _ := MapReduceCfg(
-			NewSimClock(DefaultCost()), MRConfig{Workers: 3, PairBytes: 8}, input,
+		out, _ := MapReduce(
+			NewSimClock(DefaultCost()), Config{Workers: 3}, MRConfig{PairBytes: 8}, input,
 			func(w int, item int, emit func(uint64, int)) { emit(0, item) },
 			Uint64Hash, lessU64,
 			func(w int, key uint64, vals []int, emit func(int)) {
@@ -111,8 +111,8 @@ func TestMapReduceDeterministicValueOrder(t *testing.T) {
 }
 
 func TestMapReduceEmptyInput(t *testing.T) {
-	out, st := MapReduceCfg(
-		NewSimClock(DefaultCost()), MRConfig{Workers: 4, PairBytes: 8}, nil,
+	out, st := MapReduce(
+		NewSimClock(DefaultCost()), Config{Workers: 4}, MRConfig{PairBytes: 8}, nil,
 		func(w int, item struct{}, emit func(uint64, int)) {},
 		Uint64Hash, lessU64,
 		func(w int, key uint64, vals []int, emit func(int)) { emit(1) },
@@ -155,8 +155,8 @@ func TestPropMapReduceEquivalentToSequentialGroupBy(t *testing.T) {
 			items[i] = uint64(r.Intn(20))
 		}
 		workers := 1 + r.Intn(8)
-		out, _ := MapReduceCfg(
-			NewSimClock(DefaultCost()), MRConfig{Workers: workers, PairBytes: 8}, ShardSlice(items, workers),
+		out, _ := MapReduce(
+			NewSimClock(DefaultCost()), Config{Workers: workers}, MRConfig{PairBytes: 8}, ShardSlice(items, workers),
 			func(w int, item uint64, emit func(uint64, uint64)) { emit(item, 1) },
 			Uint64Hash, lessU64,
 			func(w int, key uint64, vals []uint64, emit func([2]uint64)) {

@@ -33,18 +33,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestMRConfigValidate(t *testing.T) {
-	if err := (MRConfig{Workers: 2}).Validate(); err != nil {
-		t.Fatalf("valid MR config rejected: %v", err)
-	}
-	if err := (MRConfig{}).Validate(); err == nil || !strings.Contains(err.Error(), "Workers") {
-		t.Errorf("zero-worker MR config: %v", err)
-	}
-	if err := (MRConfig{Workers: 1, PairBytes: -8}).Validate(); err == nil || !strings.Contains(err.Error(), "PairBytes") {
-		t.Errorf("negative PairBytes MR config: %v", err)
-	}
-}
-
 // collidingStore is a Checkpointer whose NextJob ignores the reservation
 // sequence — the kind of custom-store bug the duplicate-key guard exists
 // for. Embedding MemCheckpointer gives it checkpoint storage plus the

@@ -140,3 +140,19 @@ func FuzzSMsgCodecDifferential(f *testing.F) {
 		ckpttest.Corrupt[SMsg](t, &m, data)
 	})
 }
+
+// TestSMsgWireBytesMatchesCodec keeps the scaffold jobs' wire charge honest:
+// a wave between two contigs of an assembler run (IDs with the contig bit
+// set, see dbg.ContigID) encodes in exactly sMsgWireBytes, and a proposal
+// in no more.
+func TestSMsgWireBytesMatchesCodec(t *testing.T) {
+	const a, b = pregel.VertexID(1<<63 | 3<<32 | 17), pregel.VertexID(1<<63 | 1<<32 | 2)
+	wave := SMsg{Kind: msgWave, From: a, FromEnd: R, ToEnd: L, Wave: b, Gap: 312.5}
+	if n := len(wave.AppendCheckpoint(nil)); n != sMsgWireBytes {
+		t.Errorf("wave %+v encodes in %d bytes, sMsgWireBytes = %d", wave, n, sMsgWireBytes)
+	}
+	propose := SMsg{Kind: msgPropose, From: a, FromEnd: L, ToEnd: R}
+	if n := len(propose.AppendCheckpoint(nil)); n > sMsgWireBytes {
+		t.Errorf("proposal %+v encodes in %d bytes, more than sMsgWireBytes = %d", propose, n, sMsgWireBytes)
+	}
+}

@@ -76,12 +76,9 @@ func bundleLinks(ix *contigIndex, pairs []Pair, cfg pregel.Config, clock *pregel
 	type pairCounts struct{ placed, sameContig, linking int }
 	counts := make([]pairCounts, cfg.Workers)
 	votes := make([][]vote, cfg.Workers) // place's scratch, one per map worker
-	out, st := pregel.MapReduceCfg(
-		clock, pregel.MRConfig{
-			Workers: cfg.Workers, PairBytes: 24, Parallel: cfg.Parallel, Faults: cfg.Faults,
-			Name: cfg.JobPrefix + "links", Tracer: cfg.Tracer, Metrics: cfg.Metrics,
-		},
-		shards, // 24 ≈ key + span on the wire
+	out, st := pregel.MapReduce(
+		clock, cfg, pregel.MRConfig{Name: cfg.JobPrefix + "links", PairBytes: 24}, // ≈ key + span on the wire
+		shards,
 		func(w int, p Pair, emit func(linkKey, float64)) {
 			// A pair counts only with both mates placed, so an unplaced
 			// first mate ends it before the second is mapped.
@@ -159,6 +156,7 @@ func bundleLinks(ix *contigIndex, pairs []Pair, cfg pregel.Config, clock *pregel
 // included contig, with the bundled links attached to both endpoint vertices
 // as filter-job candidates.
 func buildLinkGraph(contigs []Contig, included []bool, links []linkBundle, insertMean float64, cfg pregel.Config, clock *pregel.SimClock) *pregel.Graph[SVertex, SMsg] {
+	cfg.MessageBytes = sMsgWireBytes
 	g := pregel.NewGraph[SVertex, SMsg](cfg)
 	g.UseClock(clock)
 	cand := map[pregel.VertexID][]Link{}

@@ -56,6 +56,12 @@ const (
 	msgWave
 )
 
+// sMsgWireBytes is the charged wire size of one SMsg: its codec's size for a
+// wave between two assembler contigs, whose IDs take ten uvarint bytes each.
+// Waves are the bulk of the scaffold jobs' traffic; a proposal carries no
+// wave ID and is nine bytes shorter (TestSMsgWireBytesMatchesCodec).
+const sMsgWireBytes = 31
+
 // filterLinks is the ambiguity-filter job, a two-superstep handshake.
 // Superstep 0: every vertex keeps, per end, the end's candidate link iff it
 // is the only one with Weight >= minSupport, and proposes it to the

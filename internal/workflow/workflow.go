@@ -4,9 +4,11 @@
 // chain into their own workflows. An Op declares the artifacts it needs,
 // produces and consumes; a Plan validates the artifact flow at build time
 // (before any compute) and then runs the ops in order, threading one shared
-// execution environment — simulated clock, checkpoint store, fault plan —
-// through every job so checkpoint/resume and fault injection keep working
-// across arbitrary user compositions.
+// execution environment (Env) through every job: a single pregel.Config,
+// whose checkpoint store, fault plan and tracer every engine and MapReduce
+// job of every op uses, plus one simulated clock. That is what keeps
+// checkpoint/resume, fault injection and end-to-end time accounting
+// working across arbitrary user compositions.
 //
 // The package is deliberately generic over the state type S: the engine
 // knows nothing about assembly. The op catalog for the assembler (BuildDBG,
@@ -61,63 +63,36 @@ type Op[S any] interface {
 }
 
 // Env is the shared execution environment a plan threads through every op:
-// the engine parameters plus the cross-job state (simulated clock,
-// checkpoint store, fault plan) that must be shared for end-to-end time
-// accounting, crash schedules and resume to span the whole composition.
+// one engine configuration plus the simulated clock, which must be shared
+// for end-to-end time accounting, crash schedules and resume to span the
+// whole composition.
 type Env struct {
-	// Workers is the number of logical Pregel workers, shared by every op.
-	Workers int
-	// Parallel runs engine workers and MapReduce tasks on all cores (see
-	// pregel.Config.Parallel).
-	Parallel bool
-	// Cost parameterizes the simulated cluster (zero value = default).
-	Cost pregel.CostModel
-	// Partitioner is the vertex-placement strategy every op builds its
-	// graphs with (nil = hash). Ops may replace it mid-plan (see
-	// core.PartitionOp); graphs already built keep the placement they were
-	// constructed with.
-	Partitioner pregel.Partitioner
-	// MessageBytes is the charged wire size of one engine message (0 =
-	// pregel.DefaultMessageBytes). The assembler sets its Msg record's
-	// actual wire size here so the simulated network load reflects the
-	// traffic the paper's cluster would carry.
-	MessageBytes int
-
-	// CheckpointEvery, Checkpointer, Faults and Resume configure Pregel-
-	// style fault tolerance exactly as on pregel.Config; the plan passes
-	// them to every op so one store and one crash schedule span the run.
-	CheckpointEvery int
-	Checkpointer    pregel.Checkpointer
-	Faults          *pregel.FaultPlan
-	Resume          bool
+	// Config is the engine configuration of every job the ops start:
+	// Pregel runs, Convert and mini-MapReduce alike, so one checkpoint
+	// store, one crash schedule, one tracer and one metrics registry span
+	// the run. Plan.Run writes each op's deterministic job-key prefix
+	// (plan position plus op name, e.g. "s03.tiptrim.") into JobPrefix
+	// before running the op, so checkpoint keys are stable and
+	// self-describing for any composition and a re-executed plan
+	// re-reserves identical keys on Resume; it clears JobPrefix when the
+	// plan finishes. Ops may replace Partitioner mid-plan (core.PartitionOp;
+	// graphs already built keep theirs) and install or wrap Tracer
+	// (core.TraceOp, how the `trace:` spec op turns tracing on for the rest
+	// of a plan). A traced plan also brackets itself and each op with
+	// spans, and Metrics counts the ops run.
+	pregel.Config
 
 	// Clock is the simulated-cluster clock every op charges. Plan.Run
 	// installs a fresh one when nil.
 	Clock *pregel.SimClock
 
-	// Tracer, when non-nil, receives telemetry spans from every op and
-	// every engine/MapReduce job the ops start: Plan.Run brackets the plan
-	// and each op with spans, and Config/MRConfig thread the tracer down
-	// to the engine. Ops may install or wrap it mid-plan (core.TraceOp is
-	// how the `trace:` spec op turns tracing on for the rest of a plan).
-	Tracer telemetry.Tracer
-	// Metrics, when non-nil, collects engine and workflow counters.
-	Metrics *telemetry.Registry
-	// Warn, when non-nil, receives the engine's non-fatal diagnostics
-	// (pregel.Config.Warn) from every op. Nil routes each distinct message
-	// to stderr once per process.
-	Warn func(msg string)
-
-	prefix  string         // current op's deterministic job-key prefix
 	closers []func() error // sinks to flush/close when the plan finishes
 }
 
-// normalize fills the cross-job state exactly once per run.
+// normalize validates the configuration and fills the cross-job state
+// exactly once per run.
 func (e *Env) normalize() error {
-	if err := e.Config().Validate(); err != nil {
-		return err
-	}
-	if err := e.MRConfig().Validate(); err != nil {
+	if err := e.Config.Validate(); err != nil {
 		return err
 	}
 	if e.Clock == nil {
@@ -130,40 +105,6 @@ func (e *Env) normalize() error {
 	}
 	return nil
 }
-
-// Config renders the environment as an engine configuration for the
-// current op, including its deterministic job-key prefix.
-func (e *Env) Config() pregel.Config {
-	return pregel.Config{
-		Workers: e.Workers, Parallel: e.Parallel, Cost: e.Cost,
-		Partitioner: e.Partitioner, MessageBytes: e.MessageBytes,
-		CheckpointEvery: e.CheckpointEvery, Checkpointer: e.Checkpointer,
-		Faults: e.Faults, Resume: e.Resume,
-		JobPrefix: e.prefix,
-		Tracer:    e.Tracer, Metrics: e.Metrics, Warn: e.Warn,
-	}
-}
-
-// MRConfig renders the environment as a mini-MapReduce configuration.
-// MapReduce jobs recover by lineage, not checkpoint, so only the crash
-// schedule is threaded through. The partitioner deliberately is not:
-// MRConfig.Partitioner reinterprets keyHash as a routing-ID projection,
-// which only call sites with vertex-ID keys opt into explicitly (the DBG
-// build); generic ops keep hashed grouping so their reducer assignment
-// stays placement-invariant.
-func (e *Env) MRConfig() pregel.MRConfig {
-	return pregel.MRConfig{
-		Workers: e.Workers, Parallel: e.Parallel, Faults: e.Faults,
-		Name: strings.TrimSuffix(e.prefix, "."), Tracer: e.Tracer, Metrics: e.Metrics,
-	}
-}
-
-// JobPrefix is the deterministic job-key prefix of the op being run
-// (e.g. "s03.tiptrim."): plan position plus op name. Ops prepend it —
-// via pregel.Config.JobPrefix or Graph.SetJobPrefix — to every job they
-// start, so checkpoint keys are stable and self-describing for any
-// composition, and a re-executed plan re-reserves identical keys on Resume.
-func (e *Env) JobPrefix() string { return e.prefix }
 
 // AddCloser registers fn to run when the enclosing Plan.Run finishes,
 // success or failure — how trace/metrics sinks opened mid-plan (by
@@ -260,8 +201,8 @@ func (p *Plan[S]) Provides(a Artifact) bool { return p.err == nil && p.live[a] }
 
 // Run executes the plan over st: it validates and normalizes env, then
 // runs every op in order with a deterministic job-key prefix derived from
-// the op's plan position, so arbitrary compositions checkpoint and resume
-// exactly like the canned pipelines. With a tracer set, each op's End span
+// the op's plan position (Env.JobPrefix), so arbitrary compositions
+// checkpoint and resume exactly like the canned pipelines. With a tracer set, each op's End span
 // also carries what the op allocated and its GC CPU time (see opMem).
 func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 	if p.err != nil {
@@ -277,6 +218,7 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 	// fails — a truncated trace of a failed run is exactly when one wants
 	// to look at it.
 	defer func() {
+		env.JobPrefix = ""
 		if cerr := env.runClosers(); err == nil {
 			err = cerr
 		}
@@ -296,7 +238,7 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 	}
 	for i, op := range p.ops {
 		name := op.Info().Name
-		env.prefix = fmt.Sprintf("s%02d.%s.", i, sanitizeName(name))
+		env.JobPrefix = fmt.Sprintf("s%02d.%s.", i, sanitizeName(name))
 		// Checked per op, not once: an op may install the tracer mid-plan.
 		// The End goes to the tracer that saw the Begin — an op that
 		// installs a sink (TraceOp) must not open that sink's stream with
@@ -333,7 +275,6 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 			return fmt.Errorf("workflow: op %d (%s): %w", i, name, opErr)
 		}
 	}
-	env.prefix = ""
 	return nil
 }
 

@@ -31,7 +31,7 @@ func (o fakeOp) Info() Info {
 
 func (o fakeOp) Run(env *Env, st *fakeState) error {
 	st.ran = append(st.ran, o.name)
-	st.prefixes = append(st.prefixes, env.JobPrefix())
+	st.prefixes = append(st.prefixes, env.JobPrefix)
 	st.clocks = append(st.clocks, env.Clock)
 	return o.fail
 }
@@ -72,7 +72,7 @@ func TestPlanRejectsMissingArtifact(t *testing.T) {
 	// The poisoned plan must refuse to run and ignore further ops.
 	p.Then(fakeOp{name: "late"})
 	st := &fakeState{}
-	if runErr := p.Run(&Env{Workers: 2}, st); !errors.Is(runErr, err) && runErr == nil {
+	if runErr := p.Run(&Env{Config: pregel.Config{Workers: 2}}, st); !errors.Is(runErr, err) && runErr == nil {
 		t.Fatal("poisoned plan ran anyway")
 	}
 	if len(st.ran) != 0 {
@@ -116,7 +116,7 @@ func TestPlanRunAssignsDeterministicJobPrefixes(t *testing.T) {
 		Then(fakeOp{name: "build"}).
 		Then(fakeOp{name: "tip trim!"})
 	st := &fakeState{}
-	if err := p.Run(&Env{Workers: 2}, st); err != nil {
+	if err := p.Run(&Env{Config: pregel.Config{Workers: 2}}, st); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"s00.build.", "s01.tip_trim_."}
@@ -128,7 +128,7 @@ func TestPlanRunAssignsDeterministicJobPrefixes(t *testing.T) {
 }
 
 func TestPlanRunNormalizesEnv(t *testing.T) {
-	env := &Env{Workers: 3, CheckpointEvery: 2}
+	env := &Env{Config: pregel.Config{Workers: 3, CheckpointEvery: 2}}
 	st := &fakeState{}
 	p := NewPlan[fakeState]().Then(fakeOp{name: "a"}).Then(fakeOp{name: "b"})
 	if err := p.Run(env, st); err != nil {
@@ -143,22 +143,20 @@ func TestPlanRunNormalizesEnv(t *testing.T) {
 	if st.clocks[0] == nil || st.clocks[0] != st.clocks[1] {
 		t.Error("ops did not share one clock")
 	}
-	cfg := env.Config()
-	if cfg.Workers != 3 || cfg.CheckpointEvery != 2 || cfg.Checkpointer == nil {
-		t.Errorf("Config() lost environment fields: %+v", cfg)
+	if env.Workers != 3 || env.CheckpointEvery != 2 {
+		t.Errorf("Run changed the configuration: %+v", env.Config)
 	}
-	mr := env.MRConfig()
-	if mr.Workers != 3 {
-		t.Errorf("MRConfig().Workers = %d", mr.Workers)
+	if env.JobPrefix != "" {
+		t.Errorf("JobPrefix = %q after the plan finished, want it cleared", env.JobPrefix)
 	}
 }
 
 func TestPlanRunValidatesConfigEarly(t *testing.T) {
 	for _, env := range []*Env{
-		{Workers: 0},
-		{Workers: -4},
-		{Workers: 2, CheckpointEvery: -1},
-		{Workers: 2, Resume: true},
+		{Config: pregel.Config{Workers: 0}},
+		{Config: pregel.Config{Workers: -4}},
+		{Config: pregel.Config{Workers: 2, CheckpointEvery: -1}},
+		{Config: pregel.Config{Workers: 2, Resume: true}},
 	} {
 		st := &fakeState{}
 		err := NewPlan[fakeState]().Then(fakeOp{name: "a"}).Run(env, st)
@@ -176,9 +174,13 @@ func TestPlanRunWrapsOpErrors(t *testing.T) {
 	p := NewPlan[fakeState]().
 		Then(fakeOp{name: "ok"}).
 		Then(fakeOp{name: "bad", fail: boom})
-	err := p.Run(&Env{Workers: 1}, &fakeState{})
+	env := &Env{Config: pregel.Config{Workers: 1}}
+	err := p.Run(env, &fakeState{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("op error not propagated: %v", err)
+	}
+	if env.JobPrefix != "" {
+		t.Errorf("JobPrefix = %q after the plan failed, want it cleared", env.JobPrefix)
 	}
 	if !strings.Contains(err.Error(), "op 1 (bad)") {
 		t.Errorf("error %q does not name the failing op", err)
@@ -186,7 +188,7 @@ func TestPlanRunWrapsOpErrors(t *testing.T) {
 }
 
 func TestEmptyPlanErrors(t *testing.T) {
-	if err := NewPlan[fakeState]().Run(&Env{Workers: 1}, &fakeState{}); err == nil {
+	if err := NewPlan[fakeState]().Run(&Env{Config: pregel.Config{Workers: 1}}, &fakeState{}); err == nil {
 		t.Fatal("empty plan ran")
 	}
 }
@@ -211,7 +213,7 @@ func (o allocOp) Run(*Env, *fakeState) error {
 func TestOpEndSpanCarriesMemory(t *testing.T) {
 	const n = 1 << 20
 	rec := telemetry.NewRecorder()
-	if err := NewPlan[fakeState]().Then(allocOp{n: n}).Run(&Env{Workers: 1, Tracer: rec}, &fakeState{}); err != nil {
+	if err := NewPlan[fakeState]().Then(allocOp{n: n}).Run(&Env{Config: pregel.Config{Workers: 1, Tracer: rec}}, &fakeState{}); err != nil {
 		t.Fatal(err)
 	}
 	var ends int
