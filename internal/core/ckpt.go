@@ -7,10 +7,18 @@
 // little-endian in svVertex, Msg and labelMsg (flipped and contig IDs span
 // the full 64-bit range, where varints buy nothing), and uvarints in VData
 // and svMsg, whose IDs are mostly k-mer codes or unset.
+//
+// A snapshot taken inside contig labeling holds addresses where its jobs
+// keep them: an svVertex's and an svMsg's, a list-ranking VData's P for an
+// undone side and a labelMsg push's ID (a pregel.Addr each, see VData), and
+// an unlabeled vertex's side positions in Label. An address or a position
+// means something only in partitions laid out as the run that wrote it
+// found them; a resumed run restores those partitions before it reads one.
 
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -21,7 +29,8 @@ import (
 // AppendCheckpoint implements pregel.CheckpointAppender: the node, the
 // ambiguity mask, one byte of the eight flags, the two side indices, the
 // five vertex IDs as uvarints (a k-mer ID takes 6 bytes for k = 21, an
-// unset one 1) and LastActive.
+// unset one 1; mid-labeling, P may hold addresses and Label side
+// positions) and LastActive.
 func (v *VData) AppendCheckpoint(buf []byte) []byte {
 	buf = v.Node.AppendCheckpoint(buf)
 	buf = pregel.AppendUvarint(buf, uint64(v.NbrAmbig))
@@ -129,11 +138,14 @@ func (m *Msg) DecodeCheckpoint(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// AppendCheckpoint implements pregel.CheckpointAppender.
+// AppendCheckpoint implements pregel.CheckpointAppender: the one-byte
+// fields, the ID (a vertex ID, or a push's address) fixed 8-byte and the
+// position fixed 4-byte.
 func (m *labelMsg) AppendCheckpoint(buf []byte) []byte {
 	buf = append(buf, byte(m.Kind), m.Side, m.Side2)
 	buf = pregel.AppendBool(buf, m.Flag)
-	return pregel.AppendUint64(buf, uint64(m.ID))
+	buf = pregel.AppendUint64(buf, uint64(m.ID))
+	return binary.LittleEndian.AppendUint32(buf, m.Pos)
 }
 
 // DecodeCheckpoint implements pregel.CheckpointDecoder.
@@ -150,8 +162,11 @@ func (m *labelMsg) DecodeCheckpoint(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.ID = pregel.VertexID(id)
-	return data, nil
+	if len(data) < 4 {
+		return nil, fmt.Errorf("core: corrupt labelMsg encoding: truncated position")
+	}
+	m.ID, m.Pos = pregel.VertexID(id), binary.LittleEndian.Uint32(data)
+	return data[4:], nil
 }
 
 // AppendCheckpoint implements pregel.CheckpointAppender. Addresses are

@@ -156,7 +156,7 @@ func FuzzMsgCodecDifferential(f *testing.F) {
 // baseline.
 func FuzzLabelMsgCodecDifferential(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{2, 1, 0, 1, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x11, 0x80})
+	f.Add([]byte{2, 1, 0, 1, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x11, 0x80, 0x40, 0x9c, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
 		m := labelMsg{
@@ -165,6 +165,7 @@ func FuzzLabelMsgCodecDifferential(f *testing.F) {
 			Side2: g.b(),
 			Flag:  g.flag(),
 			ID:    g.id(),
+			Pos:   uint32(g.u64()),
 		}
 		ckpttest.RoundTrip[labelMsg](t, &m)
 		ckpttest.NoPanic[labelMsg](t, data)
@@ -330,7 +331,8 @@ func TestMemberLayoutFence(t *testing.T) {
 }
 
 // TestLabelMsgLayoutFence pins labelMsg at 16 bytes (a routed lane entry,
-// destination plus message, is 24), its field offsets, and its encoding.
+// destination plus message, is 24) with the position in the ID's padding,
+// its field offsets, and its encoding.
 func TestLabelMsgLayoutFence(t *testing.T) {
 	var m labelMsg
 	if got := unsafe.Sizeof(m); got != 16 {
@@ -341,18 +343,19 @@ func TestLabelMsgLayoutFence(t *testing.T) {
 		got, want uintptr
 	}{
 		{"ID", unsafe.Offsetof(m.ID), 0},
-		{"Kind", unsafe.Offsetof(m.Kind), 8},
-		{"Side", unsafe.Offsetof(m.Side), 9},
-		{"Side2", unsafe.Offsetof(m.Side2), 10},
-		{"Flag", unsafe.Offsetof(m.Flag), 11},
+		{"Pos", unsafe.Offsetof(m.Pos), 8},
+		{"Kind", unsafe.Offsetof(m.Kind), 12},
+		{"Side", unsafe.Offsetof(m.Side), 13},
+		{"Side2", unsafe.Offsetof(m.Side2), 14},
+		{"Flag", unsafe.Offsetof(m.Flag), 15},
 	}
 	for _, o := range offsets {
 		if o.got != o.want {
 			t.Errorf("labelMsg.%s at offset %d, want %d", o.field, o.got, o.want)
 		}
 	}
-	m = labelMsg{Kind: MsgResp, ID: 0x0102030405060708, Side: 1, Side2: 2, Flag: true}
-	want := []byte{byte(MsgResp), 1, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1}
+	m = labelMsg{Kind: MsgResp, ID: 0x0102030405060708, Pos: 0x0a0b0c0d, Side: 1, Side2: 2, Flag: true}
+	want := []byte{byte(MsgResp), 1, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1, 0xd, 0xc, 0xb, 0xa}
 	if got := m.AppendCheckpoint(nil); !bytes.Equal(got, want) {
 		t.Errorf("labelMsg encoding changed:\n got %v\nwant %v", got, want)
 	}
@@ -360,15 +363,15 @@ func TestLabelMsgLayoutFence(t *testing.T) {
 
 // TestLabelMsgWireBytesMatchesCodec keeps the labeling jobs' wire charges
 // honest. labelMsg's encoding has a fixed size, so labelMsgWireBytes must be
-// exactly the size of every representative (a hello, a push of a vertex ID
-// and of a flipped contig-end ID). An S-V message is two uvarints;
+// exactly the size of every representative (a hello with its position, a
+// push of an address and of a flipped contig-end ID). An S-V message is two uvarints;
 // svMsgWireBytes is its size for a k-mer-sized ID of a default-option run
 // and the address of a vertex on any worker but the first.
 func TestLabelMsgWireBytesMatchesCodec(t *testing.T) {
 	const kmerID = pregel.VertexID(0x2a5f3c71e09) // a 21-mer's 42-bit ID
 	for _, m := range []labelMsg{
-		{Kind: MsgHello, ID: kmerID, Side: 1, Flag: true},
-		{Kind: MsgResp, ID: kmerID, Side: 1, Side2: 1},
+		{Kind: MsgHello, ID: kmerID, Pos: 40_000, Side: 1, Flag: true},
+		{Kind: MsgResp, ID: pregel.VertexID(3<<32 | 40_000), Side: 1, Side2: 1},
 		{Kind: MsgResp, ID: dbg.FlipID(kmerID), Side: 1},
 	} {
 		if n := len(m.AppendCheckpoint(nil)); n != labelMsgWireBytes {

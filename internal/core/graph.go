@@ -24,6 +24,11 @@ type VData struct {
 	// the pair of predecessor pointers of §IV-B ② (Figure 11), PSide the
 	// side index of the pointer target that faces away from this vertex,
 	// and Done marks sides whose pointer reached a flipped contig-end ID.
+	// Inside the list-ranking job an undone side's P holds the target's
+	// pregel.Addr instead of its ID, so that every push goes by address;
+	// LabelContigs returns IDs (a cycle member's undone sides are
+	// translated back). Until a vertex is labeled, Label holds its side
+	// neighbours' positions (sidePos), which the hellos deliver.
 	// Simplified S-V keeps its state in an svVertex of its own (label.go)
 	// and writes back only Label and Labeled.
 	SideNbr    [2]pregel.VertexID
@@ -144,6 +149,17 @@ func (v *VData) arrangeSides() {
 			break
 		}
 	}
+}
+
+// sidePos returns the partition position of the neighbour on side i, which
+// with its ID (SideNbr) forms its address. The hellos leave both positions
+// in Label, unused until the vertex is labeled (setSidePos); only an
+// undone side's is set.
+func (v *VData) sidePos(i int) uint32 { return uint32(v.Label >> (32 * i)) }
+
+// setSidePos stores the side neighbours' positions for sidePos.
+func (v *VData) setSidePos(pos [2]uint32) {
+	v.Label = pregel.VertexID(pos[1])<<32 | pregel.VertexID(pos[0])
 }
 
 // undoneSides counts sides that have not reached a contig end.

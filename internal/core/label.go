@@ -41,21 +41,25 @@ type LabelStats struct {
 const aggUndone = "lr-undone-sides"
 
 // labelMsg is the message of the hello supersteps and of push list ranking:
-// a hello carries the sender (ID), its side and its ambiguity (Flag), a
-// list-ranking push the new pointer (ID, Side2) for the receiver's side
-// Side. At 16 bytes it is two thirds of Msg, which labeling never needs:
-// no labeling message carries a length, a coverage or a polarity.
+// a hello carries the sender (ID), its position in its partition (Pos, so
+// that the receiver can form its address), its side and its ambiguity
+// (Flag); a list-ranking push carries the new pointer (ID, Side2) for the
+// receiver's side Side, where the pointer is an address or a flipped
+// contig-end ID (VData.P). At 16 bytes it is two thirds of Msg, which
+// labeling never needs: no labeling message carries a length, a coverage or
+// a polarity.
 type labelMsg struct {
 	ID          pregel.VertexID
+	Pos         uint32
 	Kind        MsgKind
 	Side, Side2 uint8
 	Flag        bool
 }
 
 // labelMsgWireBytes is the charged wire size of one labelMsg: its codec
-// (ckpt.go) writes kind, sides and flag (4) and one fixed 8-byte vertex ID
-// (TestLabelMsgWireBytesMatchesCodec).
-const labelMsgWireBytes = 12
+// (ckpt.go) writes kind, sides and flag (4), one fixed 8-byte ID and a
+// fixed 4-byte position (TestLabelMsgWireBytesMatchesCodec).
+const labelMsgWireBytes = 16
 
 // svMsg is the S-V job's message: a vertex ID and the address to reach
 // that vertex at (pregel.Addr), so that a receiver which adopts the ID as
@@ -100,10 +104,17 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 			return nil, err
 		}
 		// Cycles of ⟨1-1⟩ vertices never reach a contig end; label the
-		// marked residue with the simplified S-V algorithm (§IV-B ②).
+		// marked residue with the simplified S-V algorithm (§IV-B ②). Their
+		// undone sides still point by address, which only this run's
+		// positions resolve, so they turn back into IDs here.
 		g.ForEach(func(id pregel.VertexID, v *VData) {
 			if v.Cycle {
 				ls.CycleVertices++
+				for i := 0; i < 2; i++ {
+					if !v.Done[i] {
+						v.P[i] = g.IDAt(pregel.Addr(v.P[i]))
+					}
+				}
 			}
 		})
 		if ls.CycleVertices > 0 {
@@ -134,11 +145,13 @@ func LabelContigs(g *Graph, algo Labeler) (*LabelStats, error) {
 }
 
 // helloPhase implements supersteps 0 and 1 shared by both labelers: every
-// vertex announces (identity, side index, ambiguity) to its neighbors, then
-// unambiguous vertices set up their side pointers, replacing edges to
-// ambiguous neighbors and dead ends by flipped self-loops (Figure 11), and
-// every vertex records NbrAmbig. It reports whether the caller should
-// return (vertex halted or fully handled).
+// vertex announces (identity, position, side index, ambiguity) to its
+// neighbors by ID, then unambiguous vertices set up their side pointers,
+// replacing edges to ambiguous neighbors and dead ends by flipped
+// self-loops (Figure 11), and every vertex records NbrAmbig. An unlabeled
+// vertex keeps its side neighbours' positions (VData.sidePos), from which
+// list ranking and S-V form their addresses. It reports whether the caller
+// should return (vertex halted or fully handled).
 //
 // Side setup establishes the back-pointer invariant list ranking relies on:
 // if x.P[s] == y (unflipped) and x.PSide[s] == j, then y.P[1-j] == x and
@@ -155,12 +168,13 @@ func helloPhase(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msg
 		v.TipProbed = false
 		v.LastActive = -1
 		v.arrangeSides()
+		hello := labelMsg{Kind: MsgHello, ID: id, Pos: ctx.Pos(), Flag: v.Ambig}
 		if v.Ambig {
 			// Ambiguous vertices announce without side bookkeeping and
 			// take no further part in labeling (§IV-B ②, superstep 1).
 			for _, a := range v.Node.Items() {
 				if a.Nbr != dbg.NullID {
-					ctx.Send(a.Nbr, labelMsg{Kind: MsgHello, ID: id, Flag: true})
+					ctx.Send(a.Nbr, hello)
 				}
 			}
 			ctx.VoteToHalt()
@@ -168,49 +182,93 @@ func helloPhase(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msg
 		}
 		for i := 0; i < 2; i++ {
 			if v.HasSide[i] {
-				ctx.Send(v.SideNbr[i], labelMsg{Kind: MsgHello, ID: id, Side: uint8(i)})
+				hello.Side = uint8(i)
+				ctx.Send(v.SideNbr[i], hello)
 			}
 		}
 		return true
 	case 1:
 		// A vertex receives one hello per real adjacency item (at most
 		// eight for a k-mer), so matching is a scan of msgs, not a map.
+		// An ambiguous neighbour flags every hello it sends, a clear one
+		// none, so its first hello tells which it is.
+		var first [2]labelMsg
+		var side [2]uint8
+		var heard [2]bool
+		for i := 0; i < 2; i++ {
+			if v.HasSide[i] {
+				// Side 1 takes the neighbor's second hello when side 0
+				// took its first (both sides on one neighbor).
+				skip := 0
+				if i == 1 && v.HasSide[0] && v.SideNbr[0] == v.SideNbr[1] {
+					skip = 1
+				}
+				first[i], side[i], heard[i] = helloFrom(msgs, v.SideNbr[i], skip)
+			}
+		}
 		v.NbrAmbig = 0
-		for i, a := range v.Node.Items() {
-			if a.Nbr != dbg.NullID && helloAmbig(msgs, a.Nbr) {
-				v.NbrAmbig |= 1 << i
+		if v.Node.Explicit == nil && v.Node.Degree() <= 2 {
+			// A derived k-mer has no NULL item, so up to two items are
+			// its sides, in order: no neighbour ID is derived again.
+			for i := 0; i < 2; i++ {
+				if first[i].Flag {
+					v.NbrAmbig |= 1 << i
+				}
+			}
+		} else {
+			for i, a := range v.Node.Items() {
+				if a.Nbr != dbg.NullID && helloAmbig(msgs, a.Nbr) {
+					v.NbrAmbig |= 1 << i
+				}
 			}
 		}
 		if v.Ambig {
 			ctx.VoteToHalt()
 			return true
 		}
+		var pos [2]uint32
 		for i := 0; i < 2; i++ {
-			nbr := v.SideNbr[i]
-			if !v.HasSide[i] || helloAmbig(msgs, nbr) {
+			if !v.HasSide[i] || !heard[i] || first[i].Flag {
 				// Dead end, or edge to an ambiguous vertex: this vertex is
 				// a contig end on side i — install the flipped self-loop.
+				// So is an edge the neighbour does not list back, which no
+				// graph of ops ①–⑤ has: without its hello there is no
+				// address to send to.
 				v.P[i] = dbg.FlipID(id)
 				v.Done[i] = true
 				continue
 			}
-			// Side 1 takes the neighbor's second hello when side 0 took
-			// its first (both sides on one neighbor).
-			skip := 0
-			if i == 1 && v.HasSide[0] && v.SideNbr[0] == nbr {
-				skip = 1
-			}
-			v.P[i] = nbr
-			v.PSide[i] = 1 - helloSide(msgs, nbr, skip)
+			v.P[i] = v.SideNbr[i]
+			v.PSide[i] = 1 - side[i]
+			pos[i] = first[i].Pos
 		}
 		if v.Done[0] && v.Done[1] {
 			v.finishLabel()
 			ctx.VoteToHalt()
 			return true
 		}
+		v.setSidePos(pos)
 		return false // caller continues with algorithm-specific setup
 	}
 	return false
+}
+
+// helloFrom returns the first hello from nbr, whether nbr sent any, and the
+// sender side of the hello that follows skip earlier ones in arrival order
+// (side 0 if nbr sent no such hello).
+func helloFrom(msgs []labelMsg, nbr pregel.VertexID, skip int) (first labelMsg, side uint8, ok bool) {
+	for i := range msgs {
+		if m := &msgs[i]; m.Kind == MsgHello && m.ID == nbr {
+			if !ok {
+				first, ok = *m, true
+			}
+			if skip == 0 {
+				return first, m.Side, true
+			}
+			skip--
+		}
+	}
+	return first, 0, ok
 }
 
 // helloAmbig reports whether any hello from nbr carries the ambiguity flag.
@@ -221,20 +279,6 @@ func helloAmbig(msgs []labelMsg, nbr pregel.VertexID) bool {
 		}
 	}
 	return false
-}
-
-// helloSide returns the sender side of the hello from nbr that follows skip
-// earlier ones in arrival order (side 0 if nbr sent no such hello).
-func helloSide(msgs []labelMsg, nbr pregel.VertexID, skip int) uint8 {
-	for i := range msgs {
-		if m := &msgs[i]; m.Kind == MsgHello && m.ID == nbr {
-			if skip == 0 {
-				return m.Side
-			}
-			skip--
-		}
-	}
-	return 0
 }
 
 // helloCompute is the S-V labeler's first job: the two hello supersteps
@@ -273,7 +317,13 @@ func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs
 		if helloPhase(ctx, id, v, msgs) {
 			return
 		}
-		// Sides are set up and some are pending: round 1 starts here.
+		// Sides are set up and some are pending: round 1 starts here, and
+		// from here on every pointer to a vertex is its address.
+		for i := 0; i < 2; i++ {
+			if !v.Done[i] {
+				v.P[i] = pregel.VertexID(ctx.AddrAt(v.P[i], v.sidePos(i)))
+			}
+		}
 	} else {
 		if v.Ambig || v.Labeled || v.Cycle {
 			ctx.VoteToHalt()
@@ -308,7 +358,7 @@ func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs
 	ctx.AggSum(aggUndone, v.undoneSides())
 	for i := 0; i < 2; i++ {
 		if !v.Done[i] {
-			ctx.Send(v.P[i], labelMsg{Kind: MsgResp, Side: 1 - v.PSide[i], ID: v.P[1-i], Side2: v.PSide[1-i]})
+			ctx.SendTo(pregel.Addr(v.P[i]), labelMsg{Kind: MsgResp, Side: 1 - v.PSide[i], ID: v.P[1-i], Side2: v.PSide[1-i]})
 		}
 	}
 }
@@ -336,8 +386,9 @@ type svVertex struct {
 
 // svRun runs simplified S-V (svCompute) over the vertices of g that member
 // accepts, each as an svVertex, and labels every one of them with its D.
-// Side neighbours are resolved to addresses once, here; every later S-V
-// message goes by address.
+// Side neighbours' addresses are formed once, here, from the positions the
+// hellos left (VData.sidePos): no ID is looked up, and every S-V message
+// goes by address.
 func svRun(g *Graph, name string, member func(*VData) bool, compute pregel.Compute[svVertex, svMsg]) (*pregel.Stats, error) {
 	return pregel.RunAs[svVertex, svMsg](g, svMsgWireBytes,
 		func(id pregel.VertexID, v *VData) svVertex {
@@ -346,10 +397,8 @@ func svRun(g *Graph, name string, member func(*VData) bool, compute pregel.Compu
 			}
 			s := svVertex{D: id, NbrMin: id, DNew: true}
 			for i := 0; i < 2; i++ {
-				// A side neighbour that is not a vertex could only drop
-				// the broadcasts sent to it.
 				if v.HasSide[i] && !v.Done[i] {
-					s.NbrA[i], s.Live[i] = g.AddrOf(v.SideNbr[i])
+					s.NbrA[i], s.Live[i] = g.AddrAt(v.SideNbr[i], v.sidePos(i)), true
 				}
 			}
 			return s

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ppaassembler/internal/fastx"
@@ -236,5 +237,101 @@ func TestPipelineResumeFromDisk(t *testing.T) {
 	}
 	if !bytes.Equal(s1, s2) {
 		t.Error("resumed pipeline produced different scaffold FASTA")
+	}
+}
+
+// lrState is what list ranking leaves in one vertex: its pointers, which
+// inside the job are addresses, and its label.
+type lrState struct {
+	P       [2]pregel.VertexID
+	PSide   [2]uint8
+	Done    [2]bool
+	Label   pregel.VertexID
+	Labeled bool
+}
+
+// lrStates is every vertex's lrState.
+func lrStates(g *Graph) map[pregel.VertexID]lrState {
+	out := map[pregel.VertexID]lrState{}
+	g.ForEach(func(id pregel.VertexID, v *VData) {
+		out[id] = lrState{v.P, v.PSide, v.Done, v.Label, v.Labeled}
+	})
+	return out
+}
+
+// TestLRResumesMidJob: the addresses list ranking keeps in P and sends in
+// its pushes survive recovery. A FaultPlan crash inside the push rounds of
+// contig-label-lr, and a process killed after a mid-job checkpoint whose
+// successor resumes the job from a DirCheckpointer, both leave the same
+// labels and the same final P, PSide and Done as a clean run, at workers
+// {1, 4, 7}. cycle33 also sends its cycle through the S-V fallback, whose
+// P must come back as IDs.
+func TestLRResumesMidJob(t *testing.T) {
+	fixtures := map[string]labelFixture{
+		"path67":  namedSegSpecs()["path67"].fixture(),
+		"cycle33": namedSegSpecs()["cycle33"].fixture(),
+		"golden4": dbgFixture(goldenReads(t)[:400], 21, 1),
+	}
+	for fname, build := range fixtures {
+		for _, workers := range []int{1, 4, 7} {
+			name := fmt.Sprintf("%s/w%d", fname, workers)
+			run := func(cfg pregel.Config) (*Graph, *LabelStats, error) {
+				g := build(t, cfg)
+				ls, err := LabelContigs(g, LabelerLR)
+				return g, ls, err
+			}
+			clean, ls, err := run(pregel.Config{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: clean run: %v", name, err)
+			}
+			t.Logf("%s: %d supersteps, %d cycle vertices", name, ls.Supersteps, ls.CycleVertices)
+			want := lrStates(clean)
+			clean.ForEach(func(id pregel.VertexID, v *VData) {
+				for i := 0; i < 2; i++ {
+					if _, ok := want[v.P[i]]; !v.Ambig && !v.Done[i] && !ok {
+						t.Errorf("%s: vertex %#x side %d points at %#x, which is no vertex ID", name, uint64(id), i, uint64(v.P[i]))
+					}
+				}
+			})
+			check := func(mode string, g *Graph) {
+				t.Helper()
+				if got := lrStates(g); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: P, PSide, Done or labels differ from the clean run's", name, mode)
+				}
+			}
+
+			// Checkpointed every superstep, the first crash replays
+			// superstep 1 from an inbox of hellos, whose positions the
+			// snapshot must keep; the second hits the third push round.
+			plan := pregel.NewFaultPlan(pregel.Fault{Round: 1, Worker: workers - 1}, pregel.Fault{Round: 5, Worker: 0})
+			crashed, _, err := run(pregel.Config{Workers: workers, CheckpointEvery: 1, Faults: plan})
+			if err != nil {
+				t.Fatalf("%s: crashed run: %v", name, err)
+			}
+			if plan.FiredCount() != 2 {
+				t.Fatalf("%s: %d of the 2 crashes fired", name, plan.FiredCount())
+			}
+			check("crash", crashed)
+
+			dir := t.TempDir()
+			store1, err := pregel.NewDirCheckpointer(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first process dies at list ranking's superstep 6, after
+			// its checkpoint there.
+			if _, _, err := run(pregel.Config{Workers: workers, CheckpointEvery: 2, Checkpointer: store1, MaxSupersteps: 6}); err == nil {
+				t.Fatalf("%s: the first process did not fail at its superstep limit", name)
+			}
+			store2, err := pregel.NewDirCheckpointer(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, _, err := run(pregel.Config{Workers: workers, CheckpointEvery: 2, Checkpointer: store2, Resume: true})
+			if err != nil {
+				t.Fatalf("%s: resumed run: %v", name, err)
+			}
+			check("resume", resumed)
+		}
 	}
 }

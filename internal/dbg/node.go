@@ -232,23 +232,30 @@ func (n *Node) firstReal() (first [2]Adj, deg int) {
 // Type classifies the node per §IV-A: ⟨1-1⟩ requires exactly two real
 // neighbors that, once both items are normalized to the same self-side
 // polarity (possible by Property 1), form one in-edge and one out-edge.
+// A derived k-mer is classified from its bitmap alone: every set bit is a
+// real item whose direction and polarity need no neighbour ID.
 func (n *Node) Type() NodeType {
-	real, deg := n.firstReal()
-	switch deg {
-	case 0:
-		return TypeIsolated
-	case 1:
-		return TypeOne
-	case 2:
-		a := real[0].Normalized(L)
-		b := real[1].Normalized(L)
-		if a.In != b.In {
-			return TypeOneOne
-		}
-		return TypeManyAny
-	default:
-		return TypeManyAny
+	var deg int
+	var aIn, bIn bool // the first two real items' directions at self polarity L
+	if n.Explicit == nil {
+		deg = n.Bits.Count()
+		rest := uint32(n.Bits)
+		a, b := itemAt(bits.TrailingZeros32(rest)), itemAt(bits.TrailingZeros32(rest&(rest-1)))
+		aIn, bIn = a.In != (a.PSelf != L), b.In != (b.PSelf != L)
+	} else {
+		var real [2]Adj
+		real, deg = n.firstReal()
+		aIn, bIn = real[0].Normalized(L).In, real[1].Normalized(L).In
 	}
+	switch {
+	case deg == 0:
+		return TypeIsolated
+	case deg == 1:
+		return TypeOne
+	case deg == 2 && aIn != bIn:
+		return TypeOneOne
+	}
+	return TypeManyAny
 }
 
 // InOut returns the in-item and out-item of a ⟨1-1⟩ node after normalizing

@@ -11,7 +11,7 @@ import (
 	"strings"
 )
 
-// Checkpoint format v17, the only one this package reads or writes: a
+// Checkpoint format v18, the only one this package reads or writes: a
 // versioned, checksummed binary container holding one full snapshot of
 // every worker's partition. Layout (all integers varint/uvarint unless
 // noted):
@@ -40,8 +40,10 @@ import (
 // because the segment graph's vertex writes its neighbour-ambiguity flags
 // as one bit mask instead of a counted list of bools, and v16 because a
 // k-mer node is written as its bitmap and coverages, an item's flags as one
-// byte, and a k-mer vertex's coverage count is its bitmap's, and v17
-// because the aggregator snapshot lost its min section; so an older file,
+// byte, and a k-mer vertex's coverage count is its bitmap's, v17
+// because the aggregator snapshot lost its min section, and v18 because a
+// labeling message carries its sender's position and a list-ranking
+// vertex's pointers are addresses; so an older file,
 // whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
@@ -55,7 +57,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 17
+	ckptVersion = 18
 
 	wsecBinary byte = 0
 )

@@ -253,10 +253,10 @@ func TestDecodeCkptFileRejectsV1Gob(t *testing.T) {
 }
 
 // TestDecodeCkptFileRejectsFutureVersion: any version but ckptVersion —
-// the v2–v16 containers earlier commits wrote, or a future one — is one
+// the v2–v17 containers earlier commits wrote, or a future one — is one
 // unsupported format error, never a misread.
 func TestDecodeCkptFileRejectsFutureVersion(t *testing.T) {
-	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ckptVersion + 1} {
+	for _, ver := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, ckptVersion + 1} {
 		blob := encodeCkptFile(makeCodecCkptFile())
 		// The version uvarint sits right after the 4-byte magic; versions
 		// below 128 encode as one byte.

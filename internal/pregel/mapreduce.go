@@ -149,9 +149,9 @@ func MapReduce[I, K, V, O any](
 		if w >= len(input) {
 			return
 		}
-		// First block: one pair per item, spread evenly.
+		// First block: one pair per item, spread evenly (mapLane).
 		for d := range lanes {
-			lanes[d].grow(len(input[w])/workers + 1)
+			lanes[d].grow(max(len(input[w])/workers+1, laneFirstPairs))
 		}
 		emit := func(k K, v V) { lanes[route(k)].push(k, v) }
 		start := nowNs()
@@ -360,10 +360,11 @@ func checkArrivalBound(job string, n int) {
 // mapLane is one mapper's output for one reducer, in emission order, held
 // as a list of blocks that are filled once and never copied, so a lane
 // wastes at most one block's tail. The mapper sizes the first block at one
-// pair per input item, spread evenly over the reducers, and each next block
-// doubles up to laneBlockPairs. A job whose map emits a whole shard from
-// one item (DBG phase (i)) therefore starts every lane at a one-pair block
-// and walks 1, 2, 4, … 4096 before its blocks reach full size. Keys
+// pair per input item, spread evenly over the reducers, but at least
+// laneFirstPairs, and each next block doubles up to laneBlockPairs. A job
+// whose map emits a whole shard from one item (DBG phase (i)) thus starts
+// every lane at laneFirstPairs and reaches full-size blocks after three
+// doublings. Keys
 // and values sit in parallel blocks of equal capacity rather than in
 // (key, value) structs, so a pair costs the two sizes and no padding (12
 // bytes instead of 16 for DBG phase (i)'s (uint64, uint32)), and the
@@ -375,8 +376,12 @@ type mapLane[K, V any] struct {
 	curV  []V
 }
 
-// laneBlockPairs caps a map-lane block after the first.
-const laneBlockPairs = 4096
+// laneFirstPairs floors a map lane's first block and laneBlockPairs caps
+// every block after it.
+const (
+	laneFirstPairs = 512
+	laneBlockPairs = 4096
+)
 
 // grow starts a new current block of capacity c.
 func (l *mapLane[K, V]) grow(c int) {

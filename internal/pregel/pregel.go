@@ -63,8 +63,11 @@ type VertexID uint64
 // Positions are those Run's compaction and ID sort leave, and nothing
 // reorders a partition mid-run (RemoveSelf only marks a vertex removed), so
 // an address stays valid to the end of the Run that handed it out
-// (Context.Addr, or Graph.AddrOf in a RunAs in function) and means nothing
-// after it.
+// (Context.Addr, or Graph.AddrOf in a RunAs in function). A later Run on a
+// graph that no vertex was added to or removed from finds its partitions
+// sorted and leaves every vertex where it was, so the addresses, and the
+// positions a job passes on (Context.Pos, AddrAt), hold there too; after
+// any other change they mean nothing.
 type Addr uint64
 
 // hashID mixes a vertex ID before partitioning so that structured IDs (e.g.
@@ -492,8 +495,19 @@ func (g *Graph[V, M]) AddrOf(id VertexID) (Addr, bool) {
 	wi := g.WorkerOf(id)
 	w := g.workers[wi]
 	i, ok := w.index().lookup(w.ids, id)
-	return Addr(uint64(wi)<<32 | uint64(i)), ok
+	return addrAt(wi, uint32(i)), ok
 }
+
+// AddrAt returns the address of vertex id if it sits at position pos of
+// its worker's partition (the Context.Pos it computes at), without looking
+// id up: the placement gives the worker, pos the rest.
+func (g *Graph[V, M]) AddrAt(id VertexID, pos uint32) Addr { return addrAt(g.WorkerOf(id), pos) }
+
+// IDAt inverts an address: the ID of the vertex at a, in the partitions as
+// g's last Run left them.
+func (g *Graph[V, M]) IDAt(a Addr) VertexID { return g.workers[a>>32].ids[uint32(a)] }
+
+func addrAt(worker int, pos uint32) Addr { return Addr(uint64(worker)<<32 | uint64(pos)) }
 
 // WorkerOf returns the worker index that owns id, as decided by the
 // configured Partitioner. Every placement decision in the engine routes
@@ -980,11 +994,15 @@ func (s *sender[M]) send(dst VertexID, m M) {
 	if s.by != sendID {
 		s.setBy(sendID)
 	}
+	s.put(s.workerOf(dst), dst, m)
+}
+
+// workerOf is Graph.WorkerOf from inside a compute pass.
+func (s *sender[M]) workerOf(id VertexID) int {
 	if s.part == nil {
-		s.put(HashPartitioner{}.Assign(dst, len(s.outbox)), dst, m)
-	} else {
-		s.put(s.part.Assign(dst, len(s.outbox)), dst, m)
+		return HashPartitioner{}.Assign(id, len(s.outbox))
 	}
+	return s.part.Assign(id, len(s.outbox))
 }
 
 // sendTo routes one message into the lane of the worker a names, keyed by
@@ -1130,7 +1148,15 @@ func (c *Context[M]) Worker() int { return c.s.self }
 func (c *Context[M]) NumWorkers() int { return len(c.s.outbox) }
 
 // Addr returns this vertex's address, valid until the end of the run.
-func (c *Context[M]) Addr() Addr { return Addr(uint64(c.s.self)<<32 | uint64(c.pos)) }
+func (c *Context[M]) Addr() Addr { return addrAt(c.s.self, c.pos) }
+
+// Pos returns this vertex's position in its partition. A vertex that tells
+// a neighbour its ID and Pos lets the neighbour form its address (AddrAt).
+func (c *Context[M]) Pos() uint32 { return c.pos }
+
+// AddrAt returns the address of vertex id if it computes at position pos
+// (its Pos), as Graph.AddrAt does.
+func (c *Context[M]) AddrAt(id VertexID, pos uint32) Addr { return addrAt(c.s.workerOf(id), pos) }
 
 // Send sends m to vertex dst, to be delivered next superstep.
 func (c *Context[M]) Send(dst VertexID, m M) { c.s.send(dst, m) }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -543,5 +544,62 @@ func TestSendByOneKindPerSuperstep(t *testing.T) {
 	}, WithName("stray"))
 	if err == nil || !strings.Contains(err.Error(), "position 1000 of worker 1") {
 		t.Errorf("a message past the partition: %v", err)
+	}
+}
+
+// TestAddrAtFormsAndInverts: a vertex's ID and Pos are all another vertex
+// needs to form its address, inside a job (Context.AddrAt) and between jobs
+// (Graph.AddrAt), and Graph.IDAt turns the address back into the ID. A
+// second Run on a graph nothing was added to or removed from keeps every
+// position, so positions one job learned still address the next job's
+// vertices. The graph was filled out of ID order and lost vertices, so the
+// first Run's compaction and sort decide the positions. Across workers
+// {1, 4, 7}, the default hash placement and a custom partitioner.
+func TestAddrAtFormsAndInverts(t *testing.T) {
+	type seen struct {
+		pos  uint32
+		addr Addr
+	}
+	for _, workers := range []int{1, 4, 7} {
+		for _, part := range []Partitioner{nil, modPartitioner{}} {
+			name := fmt.Sprintf("w%d-%T", workers, part)
+			g := NewGraph[int64, int64](Config{Workers: workers, Partitioner: part})
+			for id := VertexID(200); id > 0; id-- {
+				g.AddVertex(id*7, 0)
+			}
+			for id := VertexID(7); id <= 1400; id += 7 * 9 {
+				g.RemoveVertex(id)
+			}
+			var mu sync.Mutex
+			record := func(into map[VertexID]seen) Compute[int64, int64] {
+				return func(ctx *Context[int64], id VertexID, v *int64, msgs []int64) {
+					if got := ctx.AddrAt(id, ctx.Pos()); got != ctx.Addr() {
+						t.Errorf("%s: vertex %d: AddrAt(id, Pos) = %#x, Addr = %#x", name, id, got, ctx.Addr())
+					}
+					mu.Lock()
+					into[id] = seen{ctx.Pos(), ctx.Addr()}
+					mu.Unlock()
+					ctx.VoteToHalt()
+				}
+			}
+			first, second := map[VertexID]seen{}, map[VertexID]seen{}
+			if _, err := g.Run(record(first)); err != nil {
+				t.Fatal(err)
+			}
+			for id, s := range first {
+				if a := g.AddrAt(id, s.pos); a != s.addr {
+					t.Errorf("%s: vertex %d: Graph.AddrAt = %#x, Context.Addr = %#x", name, id, a, s.addr)
+				}
+				if got := g.IDAt(s.addr); got != id {
+					t.Errorf("%s: IDAt(%#x) = %d, want %d", name, s.addr, got, id)
+				}
+			}
+			if _, err := g.Run(record(second)); err != nil {
+				t.Fatal(err)
+			}
+			if len(first) != g.VertexCount() || !reflect.DeepEqual(first, second) {
+				t.Errorf("%s: a second Run on the unchanged graph moved vertices (%d, %d of %d seen)", name, len(first), len(second), g.VertexCount())
+			}
+		}
 	}
 }
