@@ -70,12 +70,12 @@ func benchFig12(b *testing.B, dsName string) {
 		for _, w := range []int{1, 4, 16} {
 			b.Run(a.Name()+"/workers="+itoa(w), func(b *testing.B) {
 				shards := pregel.ShardSlice(d.Reads, w)
+				opt := core.DefaultOptions(w)
+				opt.K = experiments.K
 				simTotal := 0.0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := a.Assemble(shards, baselines.Options{
-						K: experiments.K, Theta: 1, TipLen: 80, Workers: w,
-					})
+					res, err := a.Assemble(shards, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -145,10 +145,10 @@ func benchQuality(b *testing.B, dsName string) {
 	for _, a := range asms {
 		b.Run(a.Name(), func(b *testing.B) {
 			var n50, frac float64
+			opt := core.DefaultOptions(4)
+			opt.K = experiments.K
 			for i := 0; i < b.N; i++ {
-				res, err := a.Assemble(pregel.ShardSlice(d.Reads, 4), baselines.Options{
-					K: experiments.K, Theta: 1, TipLen: 80, Workers: 4,
-				})
+				res, err := a.Assemble(pregel.ShardSlice(d.Reads, 4), opt)
 				if err != nil {
 					b.Fatal(err)
 				}

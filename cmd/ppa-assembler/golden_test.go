@@ -85,11 +85,11 @@ func TestGoldenPipelineMetrics(t *testing.T) {
 	contigsOut := filepath.Join(dir, "contigs.fasta")
 	scaffoldsOut := filepath.Join(dir, "scaffolds.fasta")
 	o := defaultOpts(readsPath, contigsOut)
-	o.k = 21
-	o.workers = 4
+	o.K = 21
+	o.Workers = 4
 	o.scaffoldOut = scaffoldsOut
-	o.insert = 650
-	o.insertSD = 55
+	o.Scaffold.InsertMean = 650
+	o.Scaffold.InsertSD = 55
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +149,12 @@ func TestGoldenPipelinePartitionerIdentical(t *testing.T) {
 		contigsOut := filepath.Join(dir, "contigs_"+partitioner+".fasta")
 		scaffoldsOut := filepath.Join(dir, "scaffolds_"+partitioner+".fasta")
 		o := defaultOpts(readsPath, contigsOut)
-		o.k = 21
-		o.workers = 4
+		o.K = 21
+		o.Workers = 4
 		o.partitioner = partitioner
 		o.scaffoldOut = scaffoldsOut
-		o.insert = 650
-		o.insertSD = 55
+		o.Scaffold.InsertMean = 650
+		o.Scaffold.InsertSD = 55
 		if err := run(o); err != nil {
 			t.Fatal(err)
 		}
@@ -196,9 +196,9 @@ func TestDefaultScheduleIsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := extra == nil; o.parallel != want || env.Parallel != want {
+		if want := extra == nil; o.Parallel != want || env.Parallel != want {
 			t.Errorf("args %v: flag %v, engine config %v; want Parallel=%v all the way down",
-				extra, o.parallel, env.Parallel, want)
+				extra, o.Parallel, env.Parallel, want)
 		}
 		if err := run(o); err != nil {
 			t.Fatal(err)
@@ -231,12 +231,12 @@ func TestGoldenPipelineParallelIdentical(t *testing.T) {
 		contigsOut := filepath.Join(dir, "contigs_"+suffix+".fasta")
 		scaffoldsOut := filepath.Join(dir, "scaffolds_"+suffix+".fasta")
 		o := defaultOpts(readsPath, contigsOut)
-		o.k = 21
-		o.workers = 4
-		o.parallel = parallel
+		o.K = 21
+		o.Workers = 4
+		o.Parallel = parallel
 		o.scaffoldOut = scaffoldsOut
-		o.insert = 650
-		o.insertSD = 55
+		o.Scaffold.InsertMean = 650
+		o.Scaffold.InsertSD = 55
 		if err := run(o); err != nil {
 			t.Fatal(err)
 		}

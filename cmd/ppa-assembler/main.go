@@ -6,8 +6,8 @@
 // are written alongside the contigs.
 //
 // Every run is a workflow spec over the op catalog of internal/core: the
-// flags spell the default one (see defaultSpec), and -workflow replaces it
-// with a user composition.
+// flags spell the default one (core.Options.Spec, then fasta and with
+// -scaffold scaffold), and -workflow replaces it with a user composition.
 //
 // Usage:
 //
@@ -36,34 +36,25 @@ import (
 	"ppaassembler/internal/shardio"
 )
 
-// cliOpts carries every flag so run stays testable.
+// cliOpts carries every flag so run stays testable. The assembly and engine
+// flags bind straight to the embedded core.Options; the rest name files,
+// modes and what core.Options holds in a built form (-labeler, -partitioner,
+// -checkpoint, -faultplan).
 type cliOpts struct {
+	core.Options
+
 	in, out     string
-	k           int
-	theta       uint32
-	tip         int
-	editDist    int
-	workers     int
-	parallel    bool
 	partitioner string
 	labeler     string
-	rounds      int
-	minLen      int
 	gfa         string
 	quiet       bool
 
 	scaffoldOut string
-	insert      float64
-	insertSD    float64
-	minSupport  int
-	scafMinLen  int
 
 	checkpoint string
-	ckptEvery  int
 	ckptFsync  bool
 	ckptVerify bool
 	faultPlan  string
-	resume     bool
 
 	workflow string
 
@@ -76,35 +67,35 @@ type cliOpts struct {
 
 // parseFlags reads the command line (without the program name) into cliOpts.
 func parseFlags(args []string) (cliOpts, error) {
-	var o cliOpts
+	o := cliOpts{Options: core.DefaultOptions(4)} // the paper's parameters, on 4 workers
+	def := o.Options
 	var theta uint
-	def := core.DefaultOptions(4) // the paper's parameters, on 4 workers
 	fs := flag.NewFlagSet("ppa-assembler", flag.ContinueOnError)
 	fs.StringVar(&o.in, "in", "", "input reads: FASTQ/FASTA file (optionally .gz), one-read-per-line text file, or a shardio store directory")
 	fs.StringVar(&o.out, "out", "contigs.fasta", "output FASTA path (\"-\" for stdout)")
-	fs.IntVar(&o.k, "k", def.K, "k-mer length (odd, <= 31)")
+	fs.IntVar(&o.K, "k", def.K, "k-mer length (odd, <= 31)")
 	fs.UintVar(&theta, "theta", uint(def.Theta), "drop (k+1)-mers with coverage <= theta")
-	fs.IntVar(&o.tip, "tip", def.TipLen, "tip-length threshold")
-	fs.IntVar(&o.editDist, "editdist", def.BubbleEditDist, "bubble edit-distance threshold")
-	fs.IntVar(&o.workers, "workers", def.Workers, "logical Pregel workers")
-	fs.BoolVar(&o.parallel, "parallel", def.Parallel, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
+	fs.IntVar(&o.TipLen, "tip", def.TipLen, "tip-length threshold")
+	fs.IntVar(&o.BubbleEditDist, "editdist", def.BubbleEditDist, "bubble edit-distance threshold")
+	fs.IntVar(&o.Workers, "workers", def.Workers, "logical Pregel workers")
+	fs.BoolVar(&o.Parallel, "parallel", def.Parallel, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
 	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter) or minimizer (co-locate DBG-adjacent k-mers); output is identical for both, only simulated network locality changes")
 	fs.StringVar(&o.labeler, "labeler", "lr", "contig labeling algorithm: lr or sv")
-	fs.IntVar(&o.rounds, "rounds", def.Rounds, "labeling+merging rounds of the default workflow (1 = no error correction)")
-	fs.IntVar(&o.minLen, "minlen", 0, "omit contigs shorter than this from the output")
+	fs.IntVar(&o.Rounds, "rounds", def.Rounds, "labeling+merging rounds of the default workflow (1 = no error correction)")
+	fs.IntVar(&o.MinLen, "minlen", def.MinLen, "omit contigs shorter than this from the output")
 	fs.StringVar(&o.gfa, "gfa", "", "also write the error-corrected assembly graph in GFA v1 to this path (needs a workflow that links contigs: -rounds 2 or a spec with link)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the run summary")
 	fs.StringVar(&o.scaffoldOut, "scaffold", "", "scaffold the contigs with the (interleaved paired) input reads and write scaffold FASTA here")
-	fs.Float64Var(&o.insert, "insert", 0, "paired-end mean insert size (0 = estimate from the data)")
-	fs.Float64Var(&o.insertSD, "insertsd", 0, "insert-size standard deviation (0 = estimate)")
-	fs.IntVar(&o.minSupport, "minsupport", 3, "minimum read pairs supporting a scaffold link")
-	fs.IntVar(&o.scafMinLen, "scafminlen", 500, "exclude shorter contigs from scaffold linking")
+	fs.Float64Var(&o.Scaffold.InsertMean, "insert", def.Scaffold.InsertMean, "paired-end mean insert size (0 = estimate from the data)")
+	fs.Float64Var(&o.Scaffold.InsertSD, "insertsd", def.Scaffold.InsertSD, "insert-size standard deviation (0 = estimate)")
+	fs.IntVar(&o.Scaffold.MinSupport, "minsupport", def.Scaffold.MinSupport, "minimum read pairs supporting a scaffold link")
+	fs.IntVar(&o.Scaffold.MinContigLen, "scafminlen", def.Scaffold.MinContigLen, "exclude shorter contigs from scaffold linking")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint directory for fault tolerance (empty with -ckpt-every set = in-memory checkpoints)")
-	fs.IntVar(&o.ckptEvery, "ckpt-every", 0, "checkpoint every N supersteps (0 = no checkpointing; implied 5 when -checkpoint or -faultplan is set)")
+	fs.IntVar(&o.CheckpointEvery, "ckpt-every", def.CheckpointEvery, "checkpoint every N supersteps (0 = no checkpointing; implied 5 when -checkpoint or -faultplan is set)")
 	fs.BoolVar(&o.ckptFsync, "ckpt-fsync", true, "fsync checkpoint files and their directory on every save (disable only for throwaway runs; a machine crash may then corrupt or lose checkpoints)")
 	fs.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, CRC32C checksums), print a per-file report, and exit; no assembly is run")
 	fs.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
-	fs.BoolVar(&o.resume, "resume", false, "resume a killed run from the checkpoints in -checkpoint")
+	fs.BoolVar(&o.Resume, "resume", def.Resume, "resume a killed run from the checkpoints in -checkpoint")
 	fs.StringVar(&o.workflow, "workflow", "", "compose the assembly as an explicit op workflow instead of the default one -rounds and -scaffold spell, e.g. \"build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta\" (unset op parameters inherit the global flags)")
 	fs.StringVar(&o.trace, "trace", "", "write a structured trace of every superstep, op, MR phase and checkpoint to this file")
 	fs.StringVar(&o.traceFormat, "trace-format", "", "trace file format: jsonl (default) or chrome (load in Perfetto / chrome://tracing)")
@@ -112,7 +103,7 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (engine goroutines carry job/phase/worker pprof labels)")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 	err := fs.Parse(args)
-	o.theta = uint32(theta)
+	o.Theta = uint32(theta)
 	return o, err
 }
 
@@ -156,7 +147,7 @@ func cliMain(args []string) int {
 
 func run(o cliOpts) error {
 	// Validate flag combinations before any work is done or output written.
-	if o.resume && o.checkpoint == "" {
+	if o.Resume && o.checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint (there is nothing to resume from in-memory checkpoints)")
 	}
 	obs, err := openObservability(o)

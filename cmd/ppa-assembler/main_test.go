@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,12 +33,12 @@ func writeReadsFastq(t *testing.T, dir string, reads []string) string {
 	return path
 }
 
+// defaultOpts is the paper's parameters at k=15 on 3 workers, on the
+// sequential schedule, writing in to out without a summary.
 func defaultOpts(in, out string) cliOpts {
-	return cliOpts{
-		in: in, out: out, k: 15, theta: 1, tip: 80, editDist: 5,
-		workers: 3, labeler: "lr", rounds: 2, quiet: true,
-		insert: 0, insertSD: 0, minSupport: 3, scafMinLen: 500,
-	}
+	o := cliOpts{Options: core.DefaultOptions(3), in: in, out: out, labeler: "lr", quiet: true}
+	o.K, o.Parallel = 15, false
+	return o
 }
 
 func TestEndToEndCLI(t *testing.T) {
@@ -114,7 +115,7 @@ func TestEndToEndScaffolding(t *testing.T) {
 	out := filepath.Join(dir, "contigs.fasta")
 	scafOut := filepath.Join(dir, "scaffolds.fasta")
 	o := defaultOpts(in, out)
-	o.k = 21
+	o.K = 21
 	o.scaffoldOut = scafOut
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -174,7 +175,7 @@ func TestCLIValidatesGFARoundsUpFront(t *testing.T) {
 	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGT"})
 	out := filepath.Join(dir, "contigs.fasta")
 	o := defaultOpts(in, out)
-	o.rounds = 1
+	o.Rounds = 1
 	o.gfa = filepath.Join(dir, "graph.gfa")
 	if err := run(o); err == nil {
 		t.Fatal("-gfa with -rounds 1 accepted")
@@ -212,7 +213,7 @@ func TestScaffoldFailureKeepsContigs(t *testing.T) {
 		o := defaultOpts(in, out)
 		o.workflow = spec
 		o.scaffoldOut = filepath.Join(dir, "scaffolds.fasta")
-		o.scafMinLen = 1 << 30 // exclude everything: insert estimation must fail
+		o.Scaffold.MinContigLen = 1 << 30 // exclude everything: insert estimation must fail
 		if err := run(o); err == nil {
 			t.Fatalf("workflow %q: scaffolding with no linkable contigs succeeded", spec)
 		}
@@ -359,7 +360,7 @@ func TestEndToEndFaultInjection(t *testing.T) {
 	faulty := filepath.Join(dir, "faulty.fasta")
 	o = defaultOpts(in, faulty)
 	o.checkpoint = filepath.Join(dir, "ckpts")
-	o.ckptEvery = 3
+	o.CheckpointEvery = 3
 	o.faultPlan = "7:1,15:2"
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -388,7 +389,7 @@ func TestCLIRejectsResumeWithoutDir(t *testing.T) {
 	dir := t.TempDir()
 	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGT"})
 	o := defaultOpts(in, filepath.Join(dir, "out.fasta"))
-	o.resume = true
+	o.Resume = true
 	if err := run(o); err == nil {
 		t.Fatal("-resume without -checkpoint accepted")
 	}
@@ -493,16 +494,44 @@ func TestCLIRejectsZeroWorkers(t *testing.T) {
 }
 
 // TestFlagDefaultsAreDefaultOptions: a command line without the paper's
-// parameter flags assembles with core.DefaultOptions.
+// parameter flags assembles with core.DefaultOptions(4), every field of it.
 func TestFlagDefaultsAreDefaultOptions(t *testing.T) {
 	o, err := parseFlags(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def := core.DefaultOptions(o.workers)
-	got := [...]any{o.k, o.theta, o.tip, o.editDist, o.rounds, o.parallel}
-	want := [...]any{def.K, def.Theta, def.TipLen, def.BubbleEditDist, def.Rounds, def.Parallel}
-	if got != want {
-		t.Errorf("flag defaults -k -theta -tip -editdist -rounds -parallel = %v, DefaultOptions %v", got, want)
+	if want := core.DefaultOptions(4); !reflect.DeepEqual(o.Options, want) {
+		t.Errorf("flag defaults = %+v, DefaultOptions(4) = %+v", o.Options, want)
+	}
+}
+
+// TestHelpMatchesGolden pins the command's whole surface: -h must print
+// every flag with its type, default and text exactly as
+// testdata/help.golden has them. Regenerate the file only for a deliberate
+// change of the command line.
+func TestHelpMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "help.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := -1
+	got := captureStderr(t, func() { code = cliMain([]string{"-h"}) })
+	if code != 0 {
+		t.Errorf("-h exits %d, want 0", code)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gl), len(wl)); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("-h differs from testdata/help.golden at line %d:\n got %q\nwant %q", i+1, g, w)
+			}
+		}
 	}
 }

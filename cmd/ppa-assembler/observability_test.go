@@ -22,16 +22,16 @@ func TestTraceRunByteIdentical(t *testing.T) {
 
 	runOnce := func(suffix string, observe bool) (contigs, scaffolds []byte) {
 		o := defaultOpts(readsPath, filepath.Join(dir, "contigs_"+suffix+".fasta"))
-		o.k = 21
-		o.workers = 4
+		o.K = 21
+		o.Workers = 4
 		o.scaffoldOut = filepath.Join(dir, "scaffolds_"+suffix+".fasta")
-		o.insert = 650
-		o.insertSD = 55
+		o.Scaffold.InsertMean = 650
+		o.Scaffold.InsertSD = 55
 		if observe {
 			o.trace = filepath.Join(dir, "trace.json")
 			o.traceFormat = "chrome"
 			o.metricsOut = filepath.Join(dir, "metrics.prom")
-			o.ckptEvery = 5
+			o.CheckpointEvery = 5
 		}
 		if err := run(o); err != nil {
 			t.Fatal(err)
@@ -121,8 +121,8 @@ func TestTraceJSONLFormat(t *testing.T) {
 	dir := t.TempDir()
 	_, readsPath, _ := goldenPipelineFiles(t, dir)
 	o := defaultOpts(readsPath, filepath.Join(dir, "contigs.fasta"))
-	o.k = 21
-	o.workers = 4
+	o.K = 21
+	o.Workers = 4
 	o.trace = filepath.Join(dir, "trace.jsonl")
 	o.traceFormat = "jsonl"
 	if err := run(o); err != nil {
@@ -159,9 +159,9 @@ func TestProfilingFlags(t *testing.T) {
 	dir := t.TempDir()
 	_, readsPath, _ := goldenPipelineFiles(t, dir)
 	o := defaultOpts(readsPath, filepath.Join(dir, "contigs.fasta"))
-	o.k = 21
-	o.workers = 4
-	o.parallel = true // exercise the per-goroutine label path too
+	o.K = 21
+	o.Workers = 4
+	o.Parallel = true // exercise the per-goroutine label path too
 	o.cpuProfile = filepath.Join(dir, "cpu.pprof")
 	o.memProfile = filepath.Join(dir, "mem.pprof")
 	if err := run(o); err != nil {

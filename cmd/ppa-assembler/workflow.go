@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"ppaassembler/internal/core"
@@ -15,30 +14,12 @@ import (
 	"ppaassembler/internal/workflow"
 )
 
-// parseLabeler maps the -labeler flag to a core.Labeler.
-func parseLabeler(s string) (core.Labeler, error) {
-	switch strings.ToLower(s) {
-	case "lr":
-		return core.LabelerLR, nil
-	case "sv":
-		return core.LabelerSV, nil
-	default:
-		return 0, fmt.Errorf("unknown labeler %q (want lr or sv)", s)
-	}
-}
-
-// engineEnv renders the engine flags as the plan's environment. A
-// checkpoint directory or a fault plan implies checkpointing even without
-// an explicit cadence.
+// engineEnv renders the engine flags as the plan's environment: the
+// embedded options' engine configuration, the telemetry sinks, and the
+// checkpoint store, fault plan and placement the flags name.
 func engineEnv(o cliOpts, obs *observability) (*workflow.Env, error) {
-	env := &workflow.Env{Config: pregel.Config{
-		Workers: o.workers, Parallel: o.parallel,
-		CheckpointEvery: o.ckptEvery, Resume: o.resume,
-		Tracer: obs.Tracer, Metrics: obs.Metrics,
-	}}
-	if env.CheckpointEvery <= 0 && (o.checkpoint != "" || o.faultPlan != "") {
-		env.CheckpointEvery = 5
-	}
+	env := o.Env(nil)
+	env.Tracer, env.Metrics = obs.Tracer, obs.Metrics
 	var err error
 	if o.checkpoint != "" {
 		durability := pregel.DurabilityFull
@@ -54,62 +35,40 @@ func engineEnv(o cliOpts, obs *observability) (*workflow.Env, error) {
 			return nil, err
 		}
 	}
-	env.Partitioner, err = core.MakePartitioner(o.partitioner, o.k)
+	env.Partitioner, err = core.MakePartitioner(o.partitioner, o.K)
 	return env, err
 }
 
-// defaultSpec renders -rounds and -scaffold as the workflow the command runs
-// without -workflow: operations ①②③, with -rounds 2 the error-correction
-// round ④⑤⑥②③, the contig FASTA, and with -scaffold stage ⑦.
-func defaultSpec(o cliOpts) (string, error) {
-	var spec string
-	switch o.rounds {
-	case 1:
-		spec = "build,label,merge,fasta"
-	case 2:
-		spec = "build,label,merge,bubble,rebuild,link,tiptrim,label,merge,fasta"
-	default:
-		return "", fmt.Errorf("-rounds must be 1 or 2, got %d", o.rounds)
-	}
-	if o.scaffoldOut != "" {
-		spec += ",scaffold"
-	}
-	return spec, nil
-}
-
-// runWorkflow executes the run's workflow spec (-workflow, or the default
-// the flags spell): the global flags become the spec's parameter defaults,
-// the plan and its outputs are checked before any input is read, and the
-// fasta, graph and scaffold artifacts it produces are written to -out,
-// -gfa and -scaffold.
+// runWorkflow executes the run's workflow spec: -workflow, or without it
+// the options' canned plan (core.Options.Spec), the contig FASTA and with
+// -scaffold stage ⑦. The global flags become the spec's parameter defaults,
+// the options, the plan and its outputs are checked before any input is
+// read, and the fasta, graph and scaffold artifacts it produces are written
+// to -out, -gfa and -scaffold.
 func runWorkflow(o cliOpts, obs *observability) error {
 	start := time.Now()
-	spec := o.workflow
-	if spec == "" {
-		var err error
-		if spec, err = defaultSpec(o); err != nil {
-			return err
-		}
-	} else if o.rounds != 2 {
-		return fmt.Errorf("-rounds is ignored with -workflow; compose the rounds in the spec instead")
-	}
-	labeler, err := parseLabeler(o.labeler)
-	if err != nil {
+	var err error
+	if o.Labeler, err = core.ParseLabeler(o.labeler); err != nil {
 		return err
 	}
-	def := core.OpDefaults{
-		K:              o.k,
-		Theta:          o.theta,
-		TipLen:         o.tip,
-		BubbleEditDist: o.editDist,
-		Labeler:        labeler,
-		MinLen:         o.minLen,
-		Scaffold: scaffold.Options{
-			InsertMean: o.insert, InsertSD: o.insertSD,
-			MinSupport: o.minSupport, MinContigLen: o.scafMinLen,
-		},
+	// A checkpoint directory or a fault plan implies checkpointing even
+	// without an explicit cadence; a negative one is refused by Validate.
+	if o.CheckpointEvery == 0 && (o.checkpoint != "" || o.faultPlan != "") {
+		o.CheckpointEvery = 5
 	}
-	plan, err := workflow.Parse(core.OpRegistry(def), spec, core.ArtReads, core.ArtPairs)
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	spec := o.workflow
+	if spec == "" {
+		spec = o.Spec() + ",fasta"
+		if o.scaffoldOut != "" {
+			spec += ",scaffold"
+		}
+	} else if o.Rounds != 2 {
+		return fmt.Errorf("-rounds is ignored with -workflow; compose the rounds in the spec instead")
+	}
+	plan, err := workflow.Parse(core.OpRegistry(o.Options), spec, core.ArtReads, core.ArtPairs)
 	if err != nil {
 		return err
 	}
@@ -140,9 +99,9 @@ func runWorkflow(o cliOpts, obs *observability) error {
 			if _, ok := op.(core.PartitionOp); ok {
 				break
 			}
-			if b, ok := op.(core.BuildDBGOp); ok && b.K != o.k {
+			if b, ok := op.(core.BuildDBGOp); ok && b.K != o.K {
 				return fmt.Errorf("-partitioner %s is sized for -k %d, but the workflow builds with k=%d; size it in the spec instead (e.g. \"partition:scheme=%s:k=%d,%s\") or align -k",
-					o.partitioner, o.k, b.K, o.partitioner, b.K, spec)
+					o.partitioner, o.K, b.K, o.partitioner, b.K, spec)
 			}
 		}
 	}
@@ -151,7 +110,7 @@ func runWorkflow(o cliOpts, obs *observability) error {
 	if err != nil {
 		return err
 	}
-	st := &core.State{Reads: pregel.ShardSlice(reads, o.workers)}
+	st := &core.State{Reads: pregel.ShardSlice(reads, o.Workers)}
 	if wantsScaffolds {
 		// Pair up front so an odd read count fails before assembly.
 		if st.Pairs, err = scaffold.PairUp(reads); err != nil {

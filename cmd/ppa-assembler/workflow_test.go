@@ -57,13 +57,10 @@ func libraryRun(t *testing.T, o cliOpts) (contigs, scaffolds []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.DefaultOptions(o.workers)
-	opt.K, opt.Theta, opt.TipLen, opt.BubbleEditDist = o.k, o.theta, o.tip, o.editDist
-	opt.Parallel, opt.Rounds = o.parallel, o.rounds
-	if opt.Labeler, err = parseLabeler(o.labeler); err != nil {
+	if o.Labeler, err = core.ParseLabeler(o.labeler); err != nil {
 		t.Fatal(err)
 	}
-	asm, err := core.AssemblePlan(opt)
+	asm, err := core.AssemblePlan(o.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +68,15 @@ func libraryRun(t *testing.T, o cliOpts) (contigs, scaffolds []byte) {
 	for _, op := range asm.Ops() {
 		plan.Then(op)
 	}
-	plan.Then(core.EmitFastaOp{MinLen: o.minLen})
-	st := &core.State{Reads: pregel.ShardSlice(reads, o.workers)}
+	plan.Then(core.EmitFastaOp{MinLen: o.MinLen})
+	st := &core.State{Reads: pregel.ShardSlice(reads, o.Workers)}
 	if o.scaffoldOut != "" {
-		plan.Then(core.ScaffoldOp{Lib: scaffold.Options{
-			InsertMean: o.insert, InsertSD: o.insertSD,
-			MinSupport: o.minSupport, MinContigLen: o.scafMinLen,
-		}})
+		plan.Then(core.ScaffoldOp{Lib: o.Scaffold})
 		if st.Pairs, err = scaffold.PairUp(reads); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := plan.Run(opt.Env(nil), st); err != nil {
+	if err := plan.Run(o.Env(nil), st); err != nil {
 		t.Fatal(err)
 	}
 	var cb, sb bytes.Buffer
@@ -105,7 +99,7 @@ func TestWorkflowSpecMatchesCannedPipeline(t *testing.T) {
 	in := workflowTestReads(t, dir)
 	for _, rounds := range []int{1, 2} {
 		o := defaultOpts(in, filepath.Join(dir, "cli.fasta"))
-		o.rounds = rounds
+		o.Rounds = rounds
 		if err := run(o); err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +123,11 @@ func TestWorkflowScaffoldMatchesCannedPipeline(t *testing.T) {
 	_, readsPath, _ := goldenPipelineFiles(t, dir)
 	for _, rounds := range []int{1, 2} {
 		o := defaultOpts(readsPath, filepath.Join(dir, "c.fasta"))
-		o.k = 21
-		o.workers = 4
-		o.rounds = rounds
+		o.K = 21
+		o.Workers = 4
+		o.Rounds = rounds
 		o.scaffoldOut = filepath.Join(dir, "c_scaf.fasta")
-		o.insert, o.insertSD = 650, 55
+		o.Scaffold.InsertMean, o.Scaffold.InsertSD = 650, 55
 		if err := run(o); err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +223,7 @@ func TestWorkflowKillAndResume(t *testing.T) {
 	o = defaultOpts(in, firstOut)
 	o.workflow = cannedSpec
 	o.checkpoint = ckptDir
-	o.ckptEvery = 3
+	o.CheckpointEvery = 3
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +236,8 @@ func TestWorkflowKillAndResume(t *testing.T) {
 	o = defaultOpts(in, resumedOut)
 	o.workflow = cannedSpec
 	o.checkpoint = ckptDir
-	o.ckptEvery = 3
-	o.resume = true
+	o.CheckpointEvery = 3
+	o.Resume = true
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +249,7 @@ func TestWorkflowKillAndResume(t *testing.T) {
 	crashOut := filepath.Join(dir, "crash.fasta")
 	o = defaultOpts(in, crashOut)
 	o.workflow = cannedSpec
-	o.ckptEvery = 3
+	o.CheckpointEvery = 3
 	o.faultPlan = "9:1"
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -288,7 +282,7 @@ func TestWorkflowKillAndResumeNonDefaultPartitioner(t *testing.T) {
 	o.workflow = cannedSpec
 	o.partitioner = "minimizer"
 	o.checkpoint = ckptDir
-	o.ckptEvery = 3
+	o.CheckpointEvery = 3
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +296,8 @@ func TestWorkflowKillAndResumeNonDefaultPartitioner(t *testing.T) {
 	o.workflow = cannedSpec
 	o.partitioner = "minimizer"
 	o.checkpoint = ckptDir
-	o.ckptEvery = 3
-	o.resume = true
+	o.CheckpointEvery = 3
+	o.Resume = true
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +310,8 @@ func TestWorkflowKillAndResumeNonDefaultPartitioner(t *testing.T) {
 	o.workflow = cannedSpec
 	o.partitioner = "hash"
 	o.checkpoint = ckptDir
-	o.ckptEvery = 3
-	o.resume = true
+	o.CheckpointEvery = 3
+	o.Resume = true
 	err := run(o)
 	if err == nil {
 		t.Fatal("resume under a different partitioner succeeded")
@@ -374,10 +368,11 @@ func TestPartitionerFlagRejected(t *testing.T) {
 }
 
 // TestWorkflowSpecRejected covers the fail-early paths: type errors,
-// unknown ops, and flag combinations are reported before any assembly.
+// unknown ops, and flag combinations are reported before any assembly. The
+// input does not exist, so a case that read it first would fail on that.
 func TestWorkflowSpecRejected(t *testing.T) {
 	dir := t.TempDir()
-	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGTACGTACGT"})
+	in := filepath.Join(dir, "missing.fastq")
 	out := filepath.Join(dir, "x.fasta")
 
 	cases := []struct {
@@ -390,7 +385,7 @@ func TestWorkflowSpecRejected(t *testing.T) {
 		{func(o *cliOpts) { o.workflow = "build,label,merge,rebuild,tiptrim,label,merge,fasta" }, `needs "graph"`},
 		{func(o *cliOpts) { o.workflow = "build,link,fasta" }, `needs "mixed"`},
 		{func(o *cliOpts) { o.workflow = "stage,build,label,merge,fasta" }, "needs one of"},
-		{func(o *cliOpts) { o.workflow = cannedSpec; o.rounds = 1 }, "-rounds is ignored"},
+		{func(o *cliOpts) { o.workflow = cannedSpec; o.Rounds = 1 }, "-rounds is ignored"},
 		{func(o *cliOpts) {
 			o.workflow = "build,label,merge,fasta"
 			o.scaffoldOut = "nowhere.fasta"
@@ -399,7 +394,8 @@ func TestWorkflowSpecRejected(t *testing.T) {
 		{func(o *cliOpts) { o.workflow = "build,label,merge" }, "writes no output"},
 		{func(o *cliOpts) { o.workflow = cannedSpec + ",scaffold" }, "-scaffold gives no output path"},
 		{func(o *cliOpts) { o.workflow = "build,label,merge,fasta"; o.gfa = filepath.Join(dir, "g.gfa") }, "-gfa needs the error-corrected graph"},
-		{func(o *cliOpts) { o.rounds = 3 }, "-rounds must be 1 or 2"},
+		{func(o *cliOpts) { o.Rounds = 3 }, "Rounds must be 1 or 2"},
+		{func(o *cliOpts) { o.CheckpointEvery, o.checkpoint = -1, filepath.Join(dir, "ckpt") }, "CheckpointEvery must not be negative"},
 		{func(o *cliOpts) { o.workflow = "build:k=banana,label,merge,fasta" }, "want an integer"},
 	}
 	for _, c := range cases {

@@ -47,8 +47,9 @@ func main() {
 
 	// ── 1. A workflow as a spec string ─────────────────────────────────
 	// The registry turns op names + key=value parameters into configured
-	// ops; OpDefaults supplies whatever the spec leaves unset.
-	reg := core.OpRegistry(core.DefaultOpDefaults())
+	// ops; the core.Options it is built from supply whatever the spec
+	// leaves unset (the ppa-assembler flags reach a -workflow spec this way).
+	reg := core.OpRegistry(core.DefaultOptions(4))
 	spec := "build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta"
 	plan, err := workflow.Parse(reg, spec, core.ArtReads)
 	if err != nil {
@@ -64,7 +65,7 @@ func main() {
 
 	// ── 2. The same composition through the typed Plan API ─────────────
 	// Each op is a struct whose fields are its entire configuration — the
-	// old monolithic core.Options decomposes into exactly these.
+	// registry above builds exactly these from a spec.
 	api := workflow.NewPlan[core.State](core.ArtReads).
 		Then(core.BuildDBGOp{K: 21, Theta: 1}).
 		Then(core.LabelOp{Algo: core.LabelerLR}).

@@ -47,17 +47,16 @@ func main() {
 	fmt.Printf("simulated %d read pairs from a %d bp reference\n", len(simPairs), ref.Len())
 
 	// 3. One plan: the assembly ops ①–⑥ the ppa-assembler CLI runs by
-	// default, then scaffold stage ⑦ on the same simulated cluster clock.
-	// The insert size is deliberately left at zero: the scaffolder
-	// estimates it from pairs whose mates land on one contig.
-	def := core.DefaultOpDefaults()
-	def.K = 21
-	plan, err := workflow.Parse(core.OpRegistry(def),
-		"build,label,merge,bubble,rebuild,link,tiptrim,label,merge,scaffold", core.ArtReads, core.ArtPairs)
+	// default (the paper's parameters, spelled by Options.Spec), then
+	// scaffold stage ⑦ on the same simulated cluster clock. The insert size
+	// is deliberately left at zero: the scaffolder estimates it from pairs
+	// whose mates land on one contig.
+	opt := core.DefaultOptions(4)
+	plan, err := workflow.Parse(core.OpRegistry(opt), opt.Spec()+",scaffold", core.ArtReads, core.ArtPairs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	env := &workflow.Env{Config: pregel.Config{Workers: 4, Parallel: true}}
+	env := opt.Env(nil)
 	st := &core.State{Reads: pregel.ShardSlice(readsim.Interleave(simPairs), env.Workers)}
 	for _, p := range simPairs {
 		st.Pairs = append(st.Pairs, scaffold.Pair{R1: p.R1, R2: p.R2})

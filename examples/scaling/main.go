@@ -14,6 +14,7 @@ import (
 	"text/tabwriter"
 
 	"ppaassembler/internal/baselines"
+	"ppaassembler/internal/core"
 	"ppaassembler/internal/genome"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/readsim"
@@ -46,9 +47,7 @@ func main() {
 	for _, w := range workerCounts {
 		fmt.Fprintf(tw, "%d", w)
 		for _, a := range asms {
-			res, err := a.Assemble(pregel.ShardSlice(reads, w), baselines.Options{
-				K: 21, Theta: 1, TipLen: 80, Workers: w,
-			})
+			res, err := a.Assemble(pregel.ShardSlice(reads, w), core.DefaultOptions(w))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package baselines
 import (
 	"time"
 
+	"ppaassembler/internal/core"
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/pregel"
 )
@@ -20,7 +21,7 @@ type ABySS struct{}
 func (ABySS) Name() string { return "ABySS-style" }
 
 // Assemble implements Assembler.
-func (ABySS) Assemble(readShards [][]string, opt Options) (*Result, error) {
+func (ABySS) Assemble(readShards [][]string, opt core.Options) (*Result, error) {
 	if err := dna.ValidK(opt.K); err != nil {
 		return nil, err
 	}

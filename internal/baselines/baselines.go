@@ -29,15 +29,6 @@ import (
 	"ppaassembler/internal/pregel"
 )
 
-// Options configures a baseline run (a subset of core.Options).
-type Options struct {
-	K       int
-	Theta   uint32
-	TipLen  int
-	Workers int
-	Cost    pregel.CostModel
-}
-
 // Result is a baseline assembly outcome.
 type Result struct {
 	Contigs                 []dna.Seq
@@ -45,31 +36,23 @@ type Result struct {
 }
 
 // Assembler is the common interface over PPA-assembler and the baselines.
+// Every assembler takes the pipeline's own options; the baselines read K,
+// Theta, TipLen, Workers and Cost from them.
 type Assembler interface {
 	Name() string
-	Assemble(readShards [][]string, opt Options) (*Result, error)
+	Assemble(readShards [][]string, opt core.Options) (*Result, error)
 }
 
 // PPA adapts the core pipeline to the Assembler interface.
-type PPA struct {
-	// Labeler selects LR or S-V (default LR).
-	Labeler core.Labeler
-}
+type PPA struct{}
 
 // Name implements Assembler.
 func (PPA) Name() string { return "PPA-assembler" }
 
-// Assemble implements Assembler by running the full workflow ①②③④⑤⑥②③.
-func (p PPA) Assemble(readShards [][]string, opt Options) (*Result, error) {
-	o := core.DefaultOptions(opt.Workers)
-	o.K = opt.K
-	o.Theta = opt.Theta
-	o.Labeler = p.Labeler
-	o.Cost = opt.Cost
-	if opt.TipLen > 0 {
-		o.TipLen = opt.TipLen
-	}
-	res, err := core.Assemble(readShards, o)
+// Assemble implements Assembler by running the workflow opt spells
+// (①②③④⑤⑥②③ with two Rounds).
+func (PPA) Assemble(readShards [][]string, opt core.Options) (*Result, error) {
+	res, err := core.Assemble(readShards, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ppaassembler/internal/core"
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/genome"
 	"ppaassembler/internal/pregel"
@@ -26,8 +27,10 @@ func dataset(t *testing.T, length int, subRate float64, seed int64) (dna.Seq, []
 	return ref, pregel.ShardSlice(reads, 4)
 }
 
-func opts() Options {
-	return Options{K: testK, Theta: 1, TipLen: 50, Workers: 4}
+func opts() core.Options {
+	o := core.DefaultOptions(4)
+	o.K, o.TipLen = testK, 50
+	return o
 }
 
 func allAssemblers() []Assembler {

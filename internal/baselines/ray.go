@@ -3,6 +3,7 @@ package baselines
 import (
 	"time"
 
+	"ppaassembler/internal/core"
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/pregel"
 )
@@ -26,7 +27,7 @@ const (
 func (Ray) Name() string { return "Ray-style" }
 
 // Assemble implements Assembler.
-func (Ray) Assemble(readShards [][]string, opt Options) (*Result, error) {
+func (Ray) Assemble(readShards [][]string, opt core.Options) (*Result, error) {
 	if err := dna.ValidK(opt.K); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package baselines
 import (
 	"time"
 
+	"ppaassembler/internal/core"
 	"ppaassembler/internal/dna"
 	"ppaassembler/internal/pregel"
 )
@@ -29,7 +30,7 @@ const swapRoundFactor = 3
 func (SWAP) Name() string { return "SWAP-style" }
 
 // Assemble implements Assembler.
-func (SWAP) Assemble(readShards [][]string, opt Options) (*Result, error) {
+func (SWAP) Assemble(readShards [][]string, opt core.Options) (*Result, error) {
 	if err := dna.ValidK(opt.K); err != nil {
 		return nil, err
 	}

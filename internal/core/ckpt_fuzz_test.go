@@ -432,7 +432,7 @@ func TestMsgLayoutFence(t *testing.T) {
 // encoded, and MsgWireBytes must be within two bytes of the largest.
 func TestMsgWireBytesMatchesCodec(t *testing.T) {
 	const kmerID = pregel.VertexID(0x2a5f3c71e09b) // a 21-mer's 42-bit ID
-	tipLen := DefaultOpDefaults().TipLen
+	tipLen := DefaultOptions(1).TipLen
 	reps := []Msg{
 		{Kind: MsgHello, ID: kmerID, Side: 1, Flag: true},
 		{Kind: MsgReq, ID: kmerID, Side: 1, Side2: 1},

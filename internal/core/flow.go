@@ -16,10 +16,10 @@ import (
 
 // This file is the assembler's op catalog for the workflow layer: every
 // assembly operation of the paper's API (§IV-B) as a first-class
-// workflow.Op with typed artifacts and per-op configuration. The old
-// monolithic Options struct decomposes into these per-op structs; Assemble
-// is a canned plan over them (pipeline.go), and the ppa-assembler CLI runs
-// every assembly as a spec over the same catalog through OpRegistry.
+// workflow.Op with typed artifacts and per-op configuration. OpRegistry
+// parses specs into these ops, taking every parameter a spec leaves unset
+// from Options; Assemble runs Options.Spec (pipeline.go), and the
+// ppa-assembler CLI runs every assembly as a spec over the same registry.
 
 // Artifacts produced and consumed by the catalog. "labels" and "ambig" are
 // scratch annotations living on graph vertices (written by the labeling
@@ -542,32 +542,14 @@ func (o TraceOp) Run(env *workflow.Env, st *State) error {
 	return nil
 }
 
-// OpDefaults seeds the spec-registry factories with defaults for
-// parameters a spec leaves unset — the ppa-assembler CLI passes its global
-// flag values here, so `-workflow "build,label,merge"` honors -k and -tip.
-type OpDefaults struct {
-	K              int
-	Theta          uint32
-	TipLen         int
-	BubbleEditDist int
-	BubbleMinCov   uint32
-	Labeler        Labeler
-	MinLen         int
-	Scaffold       scaffold.Options
-}
-
-// DefaultOpDefaults is DefaultOptions' assembly parameters, for spec
-// parsing.
-func DefaultOpDefaults() OpDefaults {
-	o := DefaultOptions(1)
-	return OpDefaults{K: o.K, Theta: o.Theta, TipLen: o.TipLen, BubbleEditDist: o.BubbleEditDist, Labeler: o.Labeler}
-}
-
 // OpRegistry returns the spec registry of the assembler's op catalog, the
-// grammar behind the ppa-assembler -workflow flag:
+// grammar behind the ppa-assembler -workflow flag. A parameter a spec leaves
+// unset takes its value from def's assembly fields (tiptrim's minlen from
+// TipLen, fasta's from MinLen, scaffold's from Scaffold), so the command's
+// flags reach every spec; def's engine fields are not read:
 //
 //	build[:k=21][:theta=1]      DBG construction (op ①)
-//	label[:algo=lr|sv]          contig labeling (op ②); aliases: listrank, svlabel
+//	label[:algo=lr|sv]          contig labeling (op ②, see ParseLabeler); aliases: listrank, svlabel
 //	merge[:tiplen=80]           contig merging (op ③)
 //	bubble[:editdist=5][:mincov=0]  bubble filtering (op ④)
 //	rebuild                     mixed-graph conversion (ambiguous k-mers + contigs)
@@ -582,7 +564,7 @@ func DefaultOpDefaults() OpDefaults {
 //	fasta[:minlen=0]            render contigs as FASTA
 //	scaffold[:insert=0][:insertsd=0][:minsupport=3][:minlen=500][:seed=31]
 //	                            paired-end scaffolding (stage ⑦)
-func OpRegistry(def OpDefaults) workflow.Registry[State] {
+func OpRegistry(def Options) workflow.Registry[State] {
 	labelOp := func(algo Labeler) workflow.Factory[State] {
 		return func(p *workflow.Params) (workflow.Op[State], error) {
 			return LabelOp{Algo: algo}, p.Err()
@@ -593,17 +575,12 @@ func OpRegistry(def OpDefaults) workflow.Registry[State] {
 			return BuildDBGOp{K: p.Int("k", def.K), Theta: p.Uint32("theta", def.Theta)}, p.Err()
 		},
 		"label": func(p *workflow.Params) (workflow.Op[State], error) {
-			op := LabelOp{}
-			switch algo := p.Str("algo", ""); algo {
-			case "", "lr":
-				op.Algo = def.Labeler
-				if algo == "lr" {
-					op.Algo = LabelerLR
+			op := LabelOp{Algo: def.Labeler}
+			if algo := p.Str("algo", ""); algo != "" {
+				var err error
+				if op.Algo, err = ParseLabeler(algo); err != nil {
+					return nil, err
 				}
-			case "sv":
-				op.Algo = LabelerSV
-			default:
-				return nil, fmt.Errorf("parameter algo=%q: want lr or sv", algo)
 			}
 			return op, p.Err()
 		},

@@ -252,12 +252,14 @@ func TestAssemblePlanShape(t *testing.T) {
 // TestOpRegistryAliases: the labeling aliases and parameter plumbing of
 // the spec registry.
 func TestOpRegistryAliases(t *testing.T) {
-	reg := OpRegistry(DefaultOpDefaults())
+	reg := OpRegistry(DefaultOptions(1))
 	for spec, want := range map[string]Labeler{
 		"listrank":      LabelerLR,
 		"svlabel":       LabelerSV,
 		"label":         LabelerLR,
 		"label:algo=sv": LabelerSV,
+		"label:algo=SV": LabelerSV,
+		"label:algo=LR": LabelerLR,
 	} {
 		p, err := workflow.Parse(reg, "build,"+spec+",merge,fasta", ArtReads)
 		if err != nil {

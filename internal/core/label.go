@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"ppaassembler/internal/dbg"
@@ -19,6 +21,18 @@ const (
 	// LabelerSV labels with the simplified S-V algorithm alone.
 	LabelerSV
 )
+
+// ParseLabeler maps a labeler name, lr or sv in any case, to its Labeler:
+// the -labeler flag's and the label op's algo parameter's one parser.
+func ParseLabeler(name string) (Labeler, error) {
+	switch strings.ToLower(name) {
+	case "lr":
+		return LabelerLR, nil
+	case "sv":
+		return LabelerSV, nil
+	}
+	return 0, fmt.Errorf("unknown labeler %q (want lr or sv)", name)
+}
 
 func (l Labeler) String() string {
 	if l == LabelerSV {

@@ -5,18 +5,20 @@ import (
 	"time"
 
 	"ppaassembler/internal/pregel"
+	"ppaassembler/internal/scaffold"
 	"ppaassembler/internal/workflow"
 )
 
-// Options configures an assembly run. The defaults mirror the paper's
-// experimental settings (§V) scaled to this reproduction: edit-distance
-// threshold 5 for bubble filtering and length threshold 80 for tip removal.
+// Options is the one parameter set of an assembly run. The defaults mirror
+// the paper's experimental settings (§V) scaled to this reproduction:
+// edit-distance threshold 5 for bubble filtering and length threshold 80 for
+// tip removal.
 //
-// Options is the compatibility shim over the workflow layer: it decomposes
-// into the per-op option structs of the op catalog (BuildDBGOp, LabelOp,
-// MergeOp, BubblePopOp, SplitOp, TipTrimOp — see AssemblePlan) plus the
-// engine configuration every job runs under (Env). New code composing its
-// own workflows should use those directly.
+// The assembly fields are the defaults of the op catalog's spec parameters
+// (OpRegistry): Spec renders the paper's canned workflow over them, and a
+// user spec inherits every parameter it leaves unset. The embedded Config is
+// the engine configuration every job runs under (Env). The ppa-assembler
+// flags bind straight to these fields.
 type Options struct {
 	// K is the k-mer length (odd, <= 31; the paper uses 31).
 	K int
@@ -46,6 +48,12 @@ type Options struct {
 	// parallel edge are cut (must be >= 2 when set).
 	BranchSplitRatio uint32
 
+	// MinLen omits contigs shorter than this from the FASTA (the fasta
+	// op's default; 0 keeps everything).
+	MinLen int
+	// Scaffold is the paired-end library of the scaffold op (stage ⑦).
+	Scaffold scaffold.Options
+
 	// Config is the engine configuration of every job of the pipeline
 	// (workers, schedule, placement, checkpointing, faults, telemetry).
 	// Placement (Partitioner, built with MakePartitioner) and the schedule
@@ -65,12 +73,14 @@ func DefaultOptions(workers int) Options {
 		BubbleEditDist: 5,
 		Labeler:        LabelerLR,
 		Rounds:         2,
+		Scaffold:       scaffold.Options{MinSupport: 3, MinContigLen: 500},
 		Config:         pregel.Config{Workers: workers, Parallel: true},
 	}
 }
 
 // Validate rejects a Rounds other than 1 or 2 and then an invalid engine
-// configuration (see pregel.Config.Validate).
+// configuration (see pregel.Config.Validate). It is the one check of Rounds:
+// AssemblePlan and the ppa-assembler command both run it.
 func (o Options) Validate() error {
 	if o.Rounds < 1 || o.Rounds > 2 {
 		return fmt.Errorf("core: Rounds must be 1 or 2, got %d", o.Rounds)
@@ -130,41 +140,42 @@ func (o Options) Env(clock *pregel.SimClock) *workflow.Env {
 	return &workflow.Env{Config: o.Config, Clock: clock}
 }
 
-// AssemblePlan decomposes the options into the paper's canned workflow
-// ①②③④⑤⑥②③ (or just ①②③ with Rounds == 1) over the op catalog of flow.go.
-// Custom workflows build their own plans from the same ops. A zero Rounds
-// means two here; Assemble, which validates its options first, refuses it.
+// Spec renders the options as the paper's canned workflow ①②③④⑤⑥②③, or
+// just ①②③ with Rounds == 1, in the spec grammar of OpRegistry; every op
+// takes its parameters from the options. A nonzero BranchSplitRatio adds the
+// split op before tip removal. Append fasta or scaffold to write output.
+func (o Options) Spec() string {
+	spec := "build,label,merge"
+	if o.Rounds == 1 {
+		return spec
+	}
+	spec += ",bubble,rebuild,link"
+	if o.BranchSplitRatio > 0 {
+		spec += fmt.Sprintf(",split:ratio=%d", o.BranchSplitRatio)
+	}
+	return spec + ",tiptrim,label,merge"
+}
+
+// AssemblePlan validates the options and parses their Spec over the op
+// catalog of flow.go. Custom workflows build their own plans from the same
+// ops. A zero Rounds means two here; Assemble, which validates its options
+// as they are, refuses it.
 func AssemblePlan(opt Options) (*workflow.Plan[State], error) {
 	if opt.Rounds == 0 {
 		opt.Rounds = 2
 	}
-	if opt.Rounds < 1 || opt.Rounds > 2 {
-		return nil, fmt.Errorf("core: Rounds must be 1 or 2, got %d", opt.Rounds)
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-	p := workflow.NewPlan[State](ArtReads).
-		Then(BuildDBGOp{K: opt.K, Theta: opt.Theta}).
-		Then(LabelOp{Algo: opt.Labeler}).
-		Then(MergeOp{TipLen: opt.TipLen})
-	if opt.Rounds == 2 {
-		p.Then(BubblePopOp{EditDist: opt.BubbleEditDist, MinCov: opt.BubbleMinCov}).
-			Then(RebuildOp{}).
-			Then(LinkContigsOp{})
-		if opt.BranchSplitRatio > 0 {
-			p.Then(SplitOp{Ratio: opt.BranchSplitRatio})
-		}
-		p.Then(TipTrimOp{MinLen: opt.TipLen}).
-			Then(LabelOp{Algo: opt.Labeler}).
-			Then(MergeOp{TipLen: opt.TipLen})
-	}
-	return p, p.Err()
+	return workflow.Parse(OpRegistry(opt), opt.Spec(), ArtReads)
 }
 
 // Assemble runs the paper's workflow ①②③④⑤⑥②③ over the sharded reads: DBG
 // construction, contig labeling and merging, bubble filtering, tip removal,
 // then a second labeling/merging round to grow contigs across corrected
-// regions. It is a thin canned plan over the workflow layer: the options
-// decompose into per-op configs (AssemblePlan) and the per-op metrics fold
-// back into the Result.
+// regions. It is a thin canned plan over the workflow layer: the options'
+// Spec is parsed into ops (AssemblePlan) and the per-op metrics fold back
+// into the Result.
 func Assemble(readShards [][]string, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err

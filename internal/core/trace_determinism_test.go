@@ -188,8 +188,7 @@ func TestTraceOpMidPlan(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.jsonl")
 	reads := traceReads(t)
 
-	def := OpDefaults{K: 21, Theta: 1, TipLen: 80, Labeler: LabelerLR}
-	plan, err := workflow.Parse(OpRegistry(def),
+	plan, err := workflow.Parse(OpRegistry(DefaultOptions(4)),
 		"build,trace:file="+tracePath+",label,merge,fasta", ArtReads)
 	if err != nil {
 		t.Fatal(err)

@@ -76,13 +76,13 @@ func AllDatasetNames() []string {
 	return []string{"sim-HC2", "sim-HCX", "sim-HC14", "sim-BI"}
 }
 
-// coreOptions returns the paper-default pipeline options for a dataset.
+// coreOptions returns the paper-default pipeline options for a dataset, the
+// options every assembler of a table or figure runs with.
 //
 // Schedule: every table and figure in this package — simulated seconds
 // included — is measured under the default schedule (core.DefaultOptions
-// sets Parallel; the baselines' PPA adapter does the same), the one a
-// user's run takes, so the simulated and the wall seconds of a row come
-// from one run. That is sound for the simulated clock because the engine's
+// sets Parallel), the one a user's run takes, so the simulated and the wall
+// seconds of a row come from one run. That is sound for the simulated clock because the engine's
 // executor never runs more logical workers at once than there are cores: a
 // worker's compute is timed with a core to itself, and the simulated time
 // stays within about a sixth of the sequential schedule's on the 2-core
@@ -148,9 +148,7 @@ func Fig12(d *Dataset, workerCounts []int) ([]Fig12Row, error) {
 			row.Wall = map[int]float64{}
 		}
 		for _, w := range workerCounts {
-			res, err := a.Assemble(pregel.ShardSlice(d.Reads, w), baselines.Options{
-				K: K, Theta: 1, TipLen: 80, Workers: w,
-			})
+			res, err := a.Assemble(pregel.ShardSlice(d.Reads, w), coreOptions(w, core.LabelerLR))
 			if err != nil {
 				return nil, err
 			}
@@ -267,9 +265,7 @@ func QualityComparison(d *Dataset, workers int) ([]QualityRow, error) {
 		ref = d.Ref
 	}
 	for _, a := range asms {
-		res, err := a.Assemble(pregel.ShardSlice(d.Reads, workers), baselines.Options{
-			K: K, Theta: 1, TipLen: 80, Workers: workers,
-		})
+		res, err := a.Assemble(pregel.ShardSlice(d.Reads, workers), coreOptions(workers, core.LabelerLR))
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func FuzzParseSpec(f *testing.F) {
 	} {
 		f.Add(spec)
 	}
-	reg := core.OpRegistry(core.DefaultOpDefaults())
+	reg := core.OpRegistry(core.DefaultOptions(1))
 	f.Fuzz(func(t *testing.T, spec string) {
 		plan, err := workflow.Parse(reg, spec, core.ArtReads, core.ArtPairs)
 		if (plan == nil) == (err == nil) {
