@@ -7,9 +7,10 @@ type aggEntry[T any] struct {
 }
 
 // aggFind returns name's value in s, or nil. A job registers a handful of
-// names and looks one up per vertex per superstep, so a scan over a few
-// entries (lengths, then one pointer compare for the constant names jobs use)
-// beats hashing the name.
+// names, and a Context looks one up only when its accessor is handed a
+// different name than last time (aggMemo), so a scan over a few entries
+// (lengths, then one pointer compare for the constant names jobs use) beats
+// hashing the name.
 func aggFind[T any](s []aggEntry[T], name string) *T {
 	for i := range s {
 		if s[i].name == name {
@@ -26,6 +27,13 @@ func aggSlot[T any](s *[]aggEntry[T], name string) *T {
 	}
 	*s = append(*s, aggEntry[T]{name: name})
 	return &(*s)[len(*s)-1].val
+}
+
+// aggMemo is one Context accessor's memory of the last aggregator name it
+// resolved and what that resolved to.
+type aggMemo[T any] struct {
+	name string
+	val  T
 }
 
 // aggVals is one set of aggregator values. Two aggregator families cover

@@ -148,3 +148,101 @@ func TestAggregatorsResetBetweenRuns(t *testing.T) {
 		}
 	}
 }
+
+// slotProbe is a job whose vertices switch aggregator names mid-compute, the
+// pattern a Context that remembered a worker-accumulator slot across a
+// resolve of another name would get wrong: each vertex contributes to and
+// reads "" (the empty name, which a fresh memo names), makes a contribution
+// to "b" (on a worker's first vertex of a superstep, the first of that
+// superstep, which appends to the accumulator and may move it), then uses ""
+// again, and likewise for the ORs "" and "y". "c" joins at superstep 2 and
+// "y" at 1, so accumulators that earlier supersteps sized for fewer names
+// grow then, and only some vertices touch "c", so on some workers its first
+// contribution comes mid-superstep. The sum accessors' last name in a vertex
+// is their first in the next, so a memo kept past the barrier would be used
+// stale. Every read is folded into the value order-sensitively.
+func slotProbe(steps int) refProgram {
+	return func(ctx progCtx, id VertexID, v *int64, _ []int64) {
+		s := ctx.Superstep()
+		fold := func(x int64) { *v = *v*1000003 + x }
+		ctx.AggSum("", int64(id)+1)
+		fold(ctx.PrevAggSum(""))
+		ctx.AggOr("", (int(id)+s)%3 == 0)
+		ctx.AggSum("b", int64(s)*7+int64(id)%5)
+		if s >= 1 {
+			ctx.AggOr("y", (int(id)*s)%4 == 1)
+		}
+		ctx.AggSum("", int64(id)*int64(s+2))
+		ctx.AggOr("", id%7 == 3)
+		fold(ctx.PrevAggSum("b"))
+		if s >= 2 && id%3 != 0 {
+			ctx.AggSum("c", int64(id)^int64(s))
+			ctx.AggSum("", 3)
+		}
+		fold(2*ctx.PrevAggSum("c") + ctx.PrevAggSum(""))
+		if ctx.PrevAggOr("") {
+			fold(5)
+		}
+		if ctx.PrevAggOr("y") {
+			fold(11)
+		}
+		ctx.AggSum("b", -1)
+		ctx.AggSum("", 1)
+		if s >= steps || (s >= 3 && id%5 == 0) {
+			ctx.VoteToHalt()
+		}
+	}
+}
+
+// TestAggregatorSlotsSurviveNewNames: contributions made around the first
+// contribution of a superstep to another name are all counted, under every
+// schedule, worker count and crash-and-replay, as the 1-worker sequential
+// run and the reference interpreter count them.
+func TestAggregatorSlotsSurviveNewNames(t *testing.T) {
+	const n, steps = 90, 6
+	prog := slotProbe(steps)
+	run := func(cfg Config) (map[VertexID]int64, int) {
+		t.Helper()
+		g := NewGraph[int64, int64](cfg)
+		for i := 0; i < n; i++ {
+			g.AddVertex(VertexID(i), int64(i))
+		}
+		compute := func(ctx *Context[int64], id VertexID, v *int64, msgs []int64) { prog(ctx, id, v, msgs) }
+		st, err := g.Run(compute, WithName("slotprobe"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[VertexID]int64{}
+		g.ForEach(func(id VertexID, v *int64) { out[id] = *v })
+		return out, st.Recoveries
+	}
+	want, _ := run(Config{Workers: 1})
+	ref := &refGraph{verts: map[VertexID]*refVertex{}, workerOf: func(VertexID) int { return 0 }}
+	for i := 0; i < n; i++ {
+		ref.verts[VertexID(i)] = &refVertex{val: int64(i)}
+	}
+	ref.run(prog)
+	for id, v := range ref.verts {
+		if want[id] != v.val {
+			t.Fatalf("1-worker sequential run: vertex %d = %d, reference %d", id, want[id], v.val)
+		}
+	}
+	for _, workers := range []int{1, 4, 7} {
+		for _, parallel := range []bool{false, true} {
+			for crashAt := -1; crashAt <= steps; crashAt++ {
+				cfg, crashes := Config{Workers: workers, Parallel: parallel}, 0
+				if crashAt >= 0 {
+					cfg.CheckpointEvery, cfg.Faults, crashes = 1, NewFaultPlan(Fault{Round: crashAt, Worker: crashAt}), 1
+				}
+				got, recoveries := run(cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d parallel=%v crash@%d: values differ from the 1-worker sequential run",
+						workers, parallel, crashAt)
+				}
+				if recoveries != crashes {
+					t.Errorf("workers=%d parallel=%v crash@%d: %d recoveries, want %d", workers, parallel, crashAt, recoveries, crashes)
+				}
+			}
+		}
+	}
+}

@@ -949,33 +949,47 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 
 // runWorker executes one superstep for one worker partition and returns the
 // measured compute nanoseconds.
+//
+// The loop reads the partition's arrays through locals resliced to one
+// length, never through w or vs: compute is an opaque func value that may
+// write anything w reaches, so after every call the compiler would reload
+// each slice header from w and check its bounds again, which on an
+// all-active job (S-V keeps every vertex active every superstep) costs more
+// than many compute bodies. Keep per-vertex reads on locals when editing the
+// body.
 func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	w := g.workers[wi]
 	w.beginSuperstep()
 	w.ctx = Context[M]{s: &w.sender, superstep: step}
+	// A fresh memo names "", so it starts out holding that name's values.
+	w.ctx.prevSum.val, w.ctx.prevOr.val = w.agg.prevSum(""), w.agg.prevOr("")
 	ctx := &w.ctx
 	vs := w.verts
+	n := len(vs.ids)
+	ids, vals, dead, active := vs.ids[:n], vs.vals[:n], vs.dead[:n], vs.active[:n]
+	// Vertex i's messages are arena[lo[i]:hi[i]]: two views of inOff, each
+	// of length n, so neither index needs a check.
+	arena, lo, hi := w.inArena, w.inOff[:n], w.inOff[1:n+1]
 	start := nowNs()
-	for i := range vs.ids {
-		if vs.dead[i] {
+	for i, id := range ids {
+		if dead[i] {
 			continue
 		}
-		msgs := w.inArena[w.inOff[i]:w.inOff[i+1]]
+		msgs := arena[lo[i]:hi[i]]
 		if len(msgs) > 0 {
-			vs.active[i] = true
-		}
-		if !vs.active[i] {
+			active[i] = true
+		} else if !active[i] {
 			continue
 		}
 		ctx.halt = false
 		ctx.remove = false
 		ctx.pos = uint32(i)
-		compute(ctx, vs.ids[i], &vs.vals[i], msgs)
+		compute(ctx, id, &vals[i], msgs)
 		if ctx.remove {
-			vs.dead[i] = true
+			dead[i] = true
 			vs.nDead++
 		} else if ctx.halt {
-			vs.active[i] = false
+			active[i] = false
 		}
 	}
 	return float64(nowNs() - start)
@@ -1129,13 +1143,27 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 }
 
 // Context is passed to the compute function. It is only valid for the
-// duration of one compute call.
+// duration of one compute call. The aggregator accessors are cheap to call
+// per vertex: each remembers the last name it resolved in this superstep.
 type Context[M any] struct {
 	s         *sender[M]
 	superstep int
 	pos       uint32 // the computing vertex's position in its partition
 	halt      bool
 	remove    bool
+
+	// One memo per aggregator accessor, kept across the worker's vertices
+	// for one superstep (runWorker builds a fresh Context every superstep).
+	// A published value cannot change before the barrier. A slot points into
+	// this worker's accumulator, which a first contribution to another name
+	// may grow and move, so a memo holds only the slot of its own latest
+	// resolve (nil before the first), and sums and ORs live in separate
+	// slices. The hit paths of PrevAggSum and PrevAggOr are small enough to
+	// inline into compute; keep them so.
+	sum     aggMemo[*int64]
+	or      aggMemo[*bool]
+	prevSum aggMemo[int64]
+	prevOr  aggMemo[bool]
 }
 
 // Superstep returns the current superstep number (0-based).
@@ -1177,14 +1205,34 @@ func (c *Context[M]) VoteToHalt() { c.halt = true }
 func (c *Context[M]) RemoveSelf() { c.remove = true }
 
 // AggSum adds delta to the named sum aggregator for this superstep.
-func (c *Context[M]) AggSum(name string, delta int64) { c.s.agg.acc[c.s.self].addSum(name, delta) }
+func (c *Context[M]) AggSum(name string, delta int64) {
+	if c.sum.val == nil || c.sum.name != name {
+		c.sum = aggMemo[*int64]{name, aggSlot(&c.s.agg.acc[c.s.self].sum, name)}
+	}
+	*c.sum.val += delta
+}
 
 // AggOr ORs v into the named boolean aggregator for this superstep.
-func (c *Context[M]) AggOr(name string, v bool) { c.s.agg.acc[c.s.self].addOr(name, v) }
+func (c *Context[M]) AggOr(name string, v bool) {
+	if c.or.val == nil || c.or.name != name {
+		c.or = aggMemo[*bool]{name, aggSlot(&c.s.agg.acc[c.s.self].or, name)}
+	}
+	*c.or.val = *c.or.val || v
+}
 
 // PrevAggSum returns the value the named sum aggregator had at the end of
 // the previous superstep (0 if never set).
-func (c *Context[M]) PrevAggSum(name string) int64 { return c.s.agg.prevSum(name) }
+func (c *Context[M]) PrevAggSum(name string) int64 {
+	if c.prevSum.name != name {
+		c.prevSum = aggMemo[int64]{name, c.s.agg.prevSum(name)}
+	}
+	return c.prevSum.val
+}
 
 // PrevAggOr returns the previous-superstep boolean OR aggregator value.
-func (c *Context[M]) PrevAggOr(name string) bool { return c.s.agg.prevOr(name) }
+func (c *Context[M]) PrevAggOr(name string) bool {
+	if c.prevOr.name != name {
+		c.prevOr = aggMemo[bool]{name, c.s.agg.prevOr(name)}
+	}
+	return c.prevOr.val
+}
