@@ -52,7 +52,6 @@ type cliOpts struct {
 	scaffoldOut string
 
 	checkpoint string
-	ckptFsync  bool
 	ckptVerify bool
 	faultPlan  string
 
@@ -92,7 +91,6 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.IntVar(&o.Scaffold.MinContigLen, "scafminlen", def.Scaffold.MinContigLen, "exclude shorter contigs from scaffold linking")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint directory for fault tolerance (empty with -ckpt-every set = in-memory checkpoints)")
 	fs.IntVar(&o.CheckpointEvery, "ckpt-every", def.CheckpointEvery, "checkpoint every N supersteps (0 = no checkpointing; implied 5 when -checkpoint or -faultplan is set)")
-	fs.BoolVar(&o.ckptFsync, "ckpt-fsync", true, "fsync checkpoint files and their directory on every save (disable only for throwaway runs; a machine crash may then corrupt or lose checkpoints)")
 	fs.BoolVar(&o.ckptVerify, "ckpt-verify", false, "verify the integrity of every artifact in -checkpoint (frame structure, CRC32C checksums), print a per-file report, and exit; no assembly is run")
 	fs.StringVar(&o.faultPlan, "faultplan", "", "inject simulated worker crashes: comma-separated ROUND:WORKER pairs counted over all BSP rounds, e.g. \"12:0,57:3\"")
 	fs.BoolVar(&o.Resume, "resume", def.Resume, "resume a killed run from the checkpoints in -checkpoint")

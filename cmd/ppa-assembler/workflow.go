@@ -22,11 +22,7 @@ func engineEnv(o cliOpts, obs *observability) (*workflow.Env, error) {
 	env.Tracer, env.Metrics = obs.Tracer, obs.Metrics
 	var err error
 	if o.checkpoint != "" {
-		durability := pregel.DurabilityFull
-		if !o.ckptFsync {
-			durability = pregel.DurabilityNone
-		}
-		if env.Checkpointer, err = pregel.NewDirCheckpointerOpts(o.checkpoint, pregel.DirStoreOptions{Durability: durability}); err != nil {
+		if env.Checkpointer, err = pregel.NewDirCheckpointer(o.checkpoint); err != nil {
 			return nil, err
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/shardio"
@@ -20,7 +19,7 @@ import (
 func graphRecords(g *Graph) []string {
 	var recs []string
 	g.ForEach(func(id pregel.VertexID, v *VData) {
-		recs = append(recs, dbg.MarshalNodeRecord(id, &v.Node))
+		recs = append(recs, nodeRecord(&v.Node))
 	})
 	sort.Strings(recs)
 	return recs

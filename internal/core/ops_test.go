@@ -171,7 +171,7 @@ func TestMergeContigCoverageIsMinEdge(t *testing.T) {
 func mkContig(id pregel.VertexID, seq string, cov uint32, nb1, nb2 pregel.VertexID) ContigRec {
 	return ContigRec{
 		ID: id,
-		Node: dbg.NewNode(0, dbg.KindContig, dna.ParseSeq(seq), cov, []dbg.Adj{
+		Node: dbg.NewNode(id, dbg.KindContig, dna.ParseSeq(seq), cov, []dbg.Adj{
 			{Nbr: nb1, In: true, PSelf: dbg.L, PNbr: dbg.L},
 			{Nbr: nb2, In: false, PSelf: dbg.L, PNbr: dbg.L},
 		}),

@@ -222,34 +222,37 @@ func TestPropKmerVertexItemsMatchInserted(t *testing.T) {
 	}
 }
 
+// TestCovsVarintRoundTrip: coverages travel as uvarints (the paper's
+// variable-length integers), so a small count costs one byte.
 func TestCovsVarintRoundTrip(t *testing.T) {
 	v := KmerVertex{}
 	v.AddEdge(AdjKmer{Base: dna.A, Cov: 1})
 	v.AddEdge(AdjKmer{Base: dna.T, Cov: 300})
 	v.AddEdge(AdjKmer{Base: dna.G, In: true, Cov: 4_000_000})
-	enc := v.EncodeCovs()
-	got, err := DecodeCovs(enc, v.Degree())
-	if err != nil {
-		t.Fatal(err)
+	var got KmerVertex
+	if rest, err := got.DecodeCheckpoint(v.AppendCheckpoint(nil)); err != nil || len(rest) != 0 || got != v {
+		t.Fatalf("decoded %+v (%d bytes left, %v), want %+v", got, len(rest), err, v)
 	}
-	for i := range got {
-		if got[i] != v.Covs[i] {
-			t.Errorf("cov[%d] = %d, want %d", i, got[i], v.Covs[i])
-		}
-	}
-	// Small counts must take one byte (the paper's space argument).
+	// Small counts must take one byte (the paper's space argument): the
+	// one-byte bitmap of a single low item, then its coverage.
 	one := KmerVertex{}
 	one.AddEdge(AdjKmer{Base: dna.A, Cov: 9})
-	if len(one.EncodeCovs()) != 1 {
-		t.Errorf("1-digit coverage took %d bytes", len(one.EncodeCovs()))
+	if n := len(one.AppendCheckpoint(nil)); n != 2 {
+		t.Errorf("bitmap plus 1-digit coverage took %d bytes, want 2", n)
 	}
 }
 
+// TestDecodeCovsErrors: a coverage list cut short, or a coverage past
+// uint32, fails the decode.
 func TestDecodeCovsErrors(t *testing.T) {
-	if _, err := DecodeCovs([]byte{0x80}, 1); err == nil {
-		t.Error("truncated varint accepted")
-	}
-	if _, err := DecodeCovs([]byte{1, 2}, 1); err == nil {
-		t.Error("trailing bytes accepted")
+	for _, data := range [][]byte{
+		{0x03, 0x01},                         // two items, one coverage
+		{0x01, 0x80},                         // a truncated uvarint
+		{0x01, 0x85, 0x80, 0x80, 0x80, 0x10}, // 2^32+5
+	} {
+		var v KmerVertex
+		if _, err := v.DecodeCheckpoint(data); err == nil {
+			t.Errorf("% x decoded as %+v", data, v)
+		}
 	}
 }

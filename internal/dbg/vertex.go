@@ -1,7 +1,6 @@
 package dbg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -69,36 +68,6 @@ func (v *KmerVertex) Items() []AdjKmer {
 
 // Degree returns the number of adjacency items.
 func (v *KmerVertex) Degree() int { return v.Adj.Count() }
-
-// EncodeCovs serializes the coverage list as uvarints (the paper's
-// variable-length integers, which keep small counts at one byte).
-func (v *KmerVertex) EncodeCovs() []byte {
-	buf := make([]byte, 0, v.Degree())
-	for _, c := range v.Covs[:v.Degree()] {
-		buf = binary.AppendUvarint(buf, uint64(c))
-	}
-	return buf
-}
-
-// DecodeCovs parses a uvarint coverage list of the given count.
-func DecodeCovs(b []byte, count int) ([]uint32, error) {
-	out := make([]uint32, 0, count)
-	for i := 0; i < count; i++ {
-		c, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, fmt.Errorf("dbg: truncated coverage list at item %d", i)
-		}
-		if c > 1<<32-1 {
-			return nil, fmt.Errorf("dbg: coverage %d overflows uint32", c)
-		}
-		out = append(out, uint32(c))
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("dbg: %d trailing bytes after coverage list", len(b))
-	}
-	return out, nil
-}
 
 // SortedItems returns Items sorted by encoded byte, a stable order for
 // deterministic iteration in tests.

@@ -27,7 +27,9 @@ import (
 // what lets a killed process resume from an on-disk store (Config.Resume).
 //
 // Implementations must be safe for concurrent use: independent graphs may
-// share one store.
+// share one store. The interface has unexported methods, so a store is
+// MemCheckpointer, DirCheckpointer, or a type that embeds one and
+// overrides NextJob or Save.
 //
 // Ownership: Save takes an artifact as parts, whose
 // concatenation is the artifact, and the store takes ownership of them —
@@ -40,23 +42,28 @@ type Checkpointer interface {
 	// Save durably records the checkpoint for the given job and superstep,
 	// replacing any earlier checkpoint of the same job.
 	Save(job string, step int, parts ...[]byte) error
-	// Latest returns the most recent checkpoint saved for job, or ok=false
-	// when none exists.
-	Latest(job string) (step int, data []byte, ok bool, err error)
-}
 
-// jobTracker is the engine-side guard against checkpoint-key collisions: a
-// store that implements it records every key an actual run reserved, and a
-// second reservation of the same key within the same store instance fails
-// the run loudly. Two jobs silently sharing a key would overwrite each
-// other's checkpoints and corrupt Resume, so the built-in stores both
-// implement it; custom Checkpointer implementations opt in by embedding
-// one of them.
-type jobTracker interface {
+	// trackJob is the engine-side guard against checkpoint-key
+	// collisions: it records every key an actual run reserved, and a
+	// second reservation of the same key within the same store instance
+	// fails the run loudly. Two jobs silently sharing a key would
+	// overwrite each other's checkpoints and corrupt Resume.
 	trackJob(job string) error
+	// releaseSnapshot drops a job's snapshot. The engine asks before it
+	// encodes the job's next snapshot, so the save does not hold two, and
+	// once the job has finished. Faults fire only at the top of a
+	// superstep, so no rollback falls between the release and the save.
+	// Only the in-memory store releases: a directory's generations are
+	// what a killed process resumes from.
+	releaseSnapshot(job string)
+	// ckptGenerations returns every generation the store still holds for
+	// job, newest first, so a restore can walk back past a corrupt
+	// artifact to the last intact snapshot.
+	ckptGenerations(job string) ([]ckptBlobRef, error)
 }
 
-// jobSet is the shared reservation registry of the built-in stores.
+// jobSet is the shared reservation registry of the built-in stores: it
+// implements Checkpointer.trackJob for both.
 type jobSet struct {
 	mu       sync.Mutex
 	reserved map[string]bool
@@ -84,40 +91,13 @@ type ckptBlobRef struct {
 	err  error  // read failure, resolved by loadCheckpoint like corrupt bytes
 }
 
-// snapshotReleaser is a store that drops a job's snapshot on request. The
-// engine asks before it encodes the job's next snapshot, so the save does
-// not hold two, and once the job has finished. Faults fire only at the top
-// of a superstep, so no rollback falls between the release and the save.
-// Only the in-memory store releases: a directory's generations are what a
-// killed process resumes from.
-type snapshotReleaser interface {
-	releaseSnapshot(job string)
-}
-
-// releaseSnapshot drops the run's snapshot if the store releases.
-func (ck *ckptRun) releaseSnapshot() {
-	if r, ok := ck.store.(snapshotReleaser); ok {
-		r.releaseSnapshot(ck.job)
-	}
-}
-
-// generationSource is the store hook behind corruption-aware recovery:
-// instead of only the newest snapshot (Latest), it exposes every
-// generation the store still holds, newest first, so a restore can walk
-// back past a corrupt artifact to the last intact snapshot. Both built-in
-// stores implement it; custom stores without it keep the strict behavior
-// (any decode failure aborts the run).
-type generationSource interface {
-	ckptGenerations(job string) ([]ckptBlobRef, error)
-}
-
 // MemCheckpointer keeps checkpoints in process memory: the natural store
 // for simulated-failure experiments and tests, where recovery happens
 // within one process. It keeps the parts it is given as they are and joins
 // them only when an artifact is read back, which only a restore does. The
 // engine releases a job's snapshot before saving the next one and when the
-// job finishes (snapshotReleaser), so the store holds at most one snapshot
-// per running job and none for a finished one.
+// job finishes (Checkpointer.releaseSnapshot), so the store holds at most
+// one snapshot per running job and none for a finished one.
 type MemCheckpointer struct {
 	jobSet
 	mu   sync.Mutex
@@ -155,25 +135,14 @@ func (m *MemCheckpointer) Save(job string, step int, parts ...[]byte) error {
 	return nil
 }
 
-// Latest implements Checkpointer.
-func (m *MemCheckpointer) Latest(job string) (int, []byte, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.data[job]
-	if !ok {
-		return 0, nil, false, nil
-	}
-	return c.step, c.blob(), true, nil
-}
-
-// releaseSnapshot implements snapshotReleaser.
+// releaseSnapshot implements Checkpointer.
 func (m *MemCheckpointer) releaseSnapshot(job string) {
 	m.mu.Lock()
 	delete(m.data, job)
 	m.mu.Unlock()
 }
 
-// ckptGenerations implements generationSource. The in-memory store keeps
+// ckptGenerations implements Checkpointer. The in-memory store keeps
 // a single generation, so there is exactly one candidate (or none).
 func (m *MemCheckpointer) ckptGenerations(job string) ([]ckptBlobRef, error) {
 	m.mu.Lock()
@@ -192,20 +161,18 @@ func (m *MemCheckpointer) ckptGenerations(job string) ([]ckptBlobRef, error) {
 //
 // Commit protocol: each blob goes to a uniquely named temp file (safe when
 // several processes share the directory), is fsynced, renamed into place,
-// and the directory is fsynced — so under DurabilityFull (the default) a
-// checkpoint reported saved is on stable storage, surviving a machine
-// crash, not just a process crash. The store retains the newest
-// KeepGenerations snapshots per job, giving corruption-aware recovery an
-// older generation to walk back to when the newest file fails its
-// checksums.
+// and the directory is fsynced — so a checkpoint reported saved is on
+// stable storage, surviving a machine crash (a kernel panic or power loss
+// right after Save returns), not just a process crash. The store retains
+// the newest keepGenerations snapshots per job, giving corruption-aware
+// recovery an older generation to walk back to when the newest file fails
+// its checksums.
 type DirCheckpointer struct {
 	jobSet
-	dir        string
-	fsys       FS
-	durability Durability
-	keep       int
-	mu         sync.Mutex
-	seq        int
+	dir  string
+	fsys FS
+	mu   sync.Mutex
+	seq  int
 	// scanned marks jobs whose on-disk files (left by a previous process)
 	// have been folded into retained, so only a job's first save pays for a
 	// directory scan.
@@ -213,20 +180,17 @@ type DirCheckpointer struct {
 	retained map[string][]int // ascending steps of the retained files per job
 }
 
-// DirStoreOptions configures NewDirCheckpointerOpts. The zero value gives
-// the production defaults: the real filesystem, DurabilityFull, two
-// retained generations.
+// keepGenerations is how many snapshots per job a DirCheckpointer
+// retains: the newest, and one older purely as the recovery fallback for
+// when the newest file is corrupt.
+const keepGenerations = 2
+
+// DirStoreOptions configures NewDirCheckpointerOpts. The zero value is the
+// production store on the real filesystem.
 type DirStoreOptions struct {
 	// FS is the filesystem the store runs against; nil means the real one
 	// (OSFS). Tests inject internal/testfs here to exercise crash faults.
 	FS FS
-	// Durability selects the fsync discipline; see the Durability doc.
-	Durability Durability
-	// KeepGenerations is how many snapshots per job to retain. Older
-	// generations exist purely as recovery fallbacks for when the newest
-	// file is corrupt. Zero means the default of 2; 1 keeps only the
-	// newest snapshot, leaving no fallback.
-	KeepGenerations int
 }
 
 // NewDirCheckpointer creates (if needed) and opens a checkpoint directory
@@ -241,20 +205,14 @@ func NewDirCheckpointerOpts(dir string, opts DirStoreOptions) (*DirCheckpointer,
 	if fsys == nil {
 		fsys = OSFS()
 	}
-	keep := opts.KeepGenerations
-	if keep <= 0 {
-		keep = 2
-	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pregel: checkpoint dir: %w", err)
 	}
 	return &DirCheckpointer{
-		dir:        dir,
-		fsys:       fsys,
-		durability: opts.Durability,
-		keep:       keep,
-		scanned:    map[string]bool{},
-		retained:   map[string][]int{},
+		dir:      dir,
+		fsys:     fsys,
+		scanned:  map[string]bool{},
+		retained: map[string][]int{},
 	}, nil
 }
 
@@ -274,7 +232,7 @@ func (d *DirCheckpointer) path(job string, step int) string {
 }
 
 // write commits one artifact: its parts in order into a unique temp file,
-// optional fsync, rename, optional directory fsync. The unique temp name
+// fsync, rename, directory fsync. The unique temp name
 // (os.CreateTemp-style random suffix) is what makes a shared checkpoint
 // directory safe — a fixed name would let two processes interleave writes
 // into the same file. Temp names never end in .ckpt, so the scanners
@@ -295,10 +253,8 @@ func (d *DirCheckpointer) write(final string, parts [][]byte) error {
 			return abort("writing", err)
 		}
 	}
-	if d.durability == DurabilityFull {
-		if err := f.Sync(); err != nil {
-			return abort("syncing", err)
-		}
+	if err := f.Sync(); err != nil {
+		return abort("syncing", err)
 	}
 	if err := f.Close(); err != nil {
 		d.fsys.Remove(tmp)
@@ -308,10 +264,8 @@ func (d *DirCheckpointer) write(final string, parts [][]byte) error {
 		d.fsys.Remove(tmp)
 		return fmt.Errorf("pregel: committing checkpoint: %w", err)
 	}
-	if d.durability == DurabilityFull {
-		if err := d.fsys.SyncDir(d.dir); err != nil {
-			return fmt.Errorf("pregel: syncing checkpoint dir: %w", err)
-		}
+	if err := d.fsys.SyncDir(d.dir); err != nil {
+		return fmt.Errorf("pregel: syncing checkpoint dir: %w", err)
 	}
 	return nil
 }
@@ -354,15 +308,15 @@ func (d *DirCheckpointer) Save(job string, step int, parts ...[]byte) error {
 	if err := d.write(d.path(job, step), parts); err != nil {
 		return err
 	}
-	// Drop superseded generations beyond the newest keep. The new file is
-	// durable before anything is deleted (write fsyncs the directory), so
-	// a crash at any point here leaves a restorable store.
+	// Drop superseded generations beyond the newest keepGenerations. The
+	// new file is durable before anything is deleted (write fsyncs the
+	// directory), so a crash at any point here leaves a restorable store.
 	retained := insertStep(d.retained[job], step)
-	if len(retained) > d.keep {
-		for _, s := range retained[:len(retained)-d.keep] {
+	if len(retained) > keepGenerations {
+		for _, s := range retained[:len(retained)-keepGenerations] {
 			d.fsys.Remove(d.path(job, s))
 		}
-		retained = append([]int(nil), retained[len(retained)-d.keep:]...)
+		retained = append([]int(nil), retained[len(retained)-keepGenerations:]...)
 	}
 	d.retained[job] = retained
 	return nil
@@ -392,26 +346,11 @@ func (d *DirCheckpointer) scan(job string) ([]int, error) {
 	return steps, nil
 }
 
-// Latest implements Checkpointer: the newest snapshot.
-func (d *DirCheckpointer) Latest(job string) (int, []byte, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	steps, err := d.scan(job)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	if len(steps) == 0 {
-		return 0, nil, false, nil
-	}
-	step := steps[len(steps)-1]
-	data, err := d.fsys.ReadFile(d.path(job, step))
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("pregel: reading checkpoint: %w", err)
-	}
-	return step, data, true, nil
-}
+// releaseSnapshot implements Checkpointer. A directory keeps its
+// generations: they are what a killed process resumes from.
+func (d *DirCheckpointer) releaseSnapshot(string) {}
 
-// ckptGenerations implements generationSource: every snapshot still in
+// ckptGenerations implements Checkpointer: every snapshot still in
 // the directory, newest first. Blobs are handed up with any read error
 // attached; loadCheckpoint decides whether a bad artifact walks recovery
 // back a generation.
@@ -542,7 +481,7 @@ func (ck *ckptRun) count(name string, v int64) {
 // newCkptRun reserves a job key when checkpointing is enabled for g, and
 // returns nil otherwise. Called after sortVertices, so the fingerprint
 // hashes the run's input state. Reserving a key the store already handed
-// to another run is an error (see jobTracker).
+// to another run is an error (see Checkpointer.trackJob).
 func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 	if g.cfg.CheckpointEvery <= 0 {
 		return nil, nil
@@ -555,10 +494,8 @@ func (g *Graph[V, M]) newCkptRun(name string) (*ckptRun, error) {
 		g.cfg.Checkpointer = store
 	}
 	job := store.NextJob(g.cfg.JobPrefix + name)
-	if t, ok := store.(jobTracker); ok {
-		if err := t.trackJob(job); err != nil {
-			return nil, err
-		}
+	if err := store.trackJob(job); err != nil {
+		return nil, err
 	}
 	return &ckptRun{
 		store:   store,
@@ -603,7 +540,7 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		g.emit(telemetry.KindBegin, "checkpoint.save", "checkpoint", wall0, g.clock.Ns(),
 			telemetry.I("step", int64(step)))
 	}
-	ck.releaseSnapshot()
+	ck.store.releaseSnapshot(ck.job)
 	blobs := make([][]byte, g.cfg.Workers)
 	crcs := make([]uint32, g.cfg.Workers)
 	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.runName, "checkpoint", func(wi int) {
@@ -669,39 +606,15 @@ func (ck *ckptRun) validateIdentity(file *ckptFile) error {
 	return nil
 }
 
-// loadCheckpoint fetches and decodes the latest checkpoint for the run,
-// verifying that it was written by a run with the same identity. With the
-// built-in stores (generationSource) the load is corruption-aware: an
-// artifact failing its CRC or decode is reported through Config.Warn and
-// recovery walks back to the previous generation; only when no intact
-// snapshot remains does the load fail.
-func (ck *ckptRun) loadCheckpoint() (*ckptFile, bool, error) {
-	if gs, ok := ck.store.(generationSource); ok {
-		return ck.loadFromGenerations(gs)
-	}
-	// Custom stores expose only the newest snapshot; any decode failure is
-	// fatal since there is nothing to walk back to.
-	_, data, ok, err := ck.store.Latest(ck.job)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	file, err := decodeCkptFile(ck.job, data)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := ck.validateIdentity(file); err != nil {
-		return nil, false, err
-	}
-	return file, true, nil
-}
-
-// loadFromGenerations is the corruption-aware restore path. Generations are
-// tried newest first; a corrupt one is warned about, counted
+// loadCheckpoint fetches and decodes the latest intact checkpoint for the
+// run, verifying that it was written by a run with the same identity. The
+// load is corruption-aware: generations are tried newest first, and one
+// failing its CRC or decode is warned about (Config.Warn), counted
 // (pregel_checkpoint_corrupt_skipped_total) and abandoned for the previous
 // generation. If corruption was seen and no intact snapshot remains, the
 // load fails — silently recomputing from scratch would mask data loss.
-func (ck *ckptRun) loadFromGenerations(gs generationSource) (*ckptFile, bool, error) {
-	gens, err := gs.ckptGenerations(ck.job)
+func (ck *ckptRun) loadCheckpoint() (*ckptFile, bool, error) {
+	gens, err := ck.store.ckptGenerations(ck.job)
 	if err != nil {
 		return nil, false, err
 	}

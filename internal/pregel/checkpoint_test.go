@@ -280,9 +280,9 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	}
 }
 
-// TestDirCheckpointerSupersedes: the store retains KeepGenerations full
-// snapshots (default 2) as recovery fallbacks, deletes anything older, and
-// Latest returns the newest.
+// TestDirCheckpointerSupersedes: the store retains keepGenerations (2)
+// full snapshots as recovery fallbacks, deletes anything older, and hands
+// the generations back newest first.
 func TestDirCheckpointerSupersedes(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDirCheckpointer(dir)
@@ -299,9 +299,9 @@ func TestDirCheckpointerSupersedes(t *testing.T) {
 	if err := store.Save(job, 9, []byte("ccccc")); err != nil {
 		t.Fatal(err)
 	}
-	step, data, ok, err := store.Latest(job)
-	if err != nil || !ok || step != 9 || string(data) != "ccccc" {
-		t.Fatalf("Latest = (%d, %q, %v, %v), want (9, ccccc, true, nil)", step, data, ok, err)
+	gens, err := store.ckptGenerations(job)
+	if err != nil || len(gens) != 2 || string(gens[0].data) != "ccccc" || string(gens[1].data) != "bbbb" {
+		t.Fatalf("ckptGenerations = %+v %v, want ccccc then bbbb", gens, err)
 	}
 	entries, _ := os.ReadDir(dir)
 	var names []string
@@ -315,27 +315,6 @@ func TestDirCheckpointerSupersedes(t *testing.T) {
 		if strings.Contains(e.Name(), ".00000003.") {
 			t.Errorf("superseded generation at step 3 not deleted: %v", names)
 		}
-	}
-}
-
-// TestDirCheckpointerKeepOne: KeepGenerations=1 restores the
-// keep-only-newest behavior.
-func TestDirCheckpointerKeepOne(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewDirCheckpointerOpts(dir, DirStoreOptions{KeepGenerations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := store.NextJob("x")
-	if err := store.Save(job, 3, []byte("aaa")); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(job, 6, []byte("bbbb")); err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Errorf("expected exactly one checkpoint file with KeepGenerations=1, found %d", len(entries))
 	}
 }
 

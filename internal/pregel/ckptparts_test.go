@@ -333,10 +333,6 @@ func TestMemCheckpointerTakesOwnership(t *testing.T) {
 		}
 	}
 
-	step, blob, ok, err := m.Latest("job@000")
-	if err != nil || !ok || step != 4 || string(blob) != "headsectiontail" {
-		t.Errorf("Latest = %d %q %v %v, want 4 \"headsectiontail\"", step, blob, ok, err)
-	}
 	gens, err := m.ckptGenerations("job@000")
 	if err != nil || len(gens) != 1 || string(gens[0].data) != "headsectiontail" {
 		t.Errorf("ckptGenerations = %+v %v", gens, err)

@@ -231,26 +231,22 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 	}
 }
 
-// TestDurabilityNoneSkipsFsync: the escape hatch really does elide every
-// sync (and the default really does sync).
-func TestDurabilityNoneSkipsFsync(t *testing.T) {
-	run := func(d pregel.Durability) int {
-		fs := testfs.New()
-		store, err := pregel.NewDirCheckpointerOpts("/ck", pregel.DirStoreOptions{FS: fs, Durability: d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := buildRing(pregel.Config{Workers: 4, CheckpointEvery: 3, Checkpointer: store}, ringN)
-		if _, err := g.Run(ringCompute(ringN, ringSteps)); err != nil {
-			t.Fatal(err)
-		}
-		return fs.Syncs()
+// TestDirCheckpointerSyncs: every save commits fsync-rename-fsync, so
+// the store issues two syncs per checkpoint (the temp file, then the
+// directory).
+func TestDirCheckpointerSyncs(t *testing.T) {
+	fs := testfs.New()
+	store, err := pregel.NewDirCheckpointerOpts("/ck", pregel.DirStoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := run(pregel.DurabilityNone); n != 0 {
-		t.Errorf("DurabilityNone issued %d syncs, want 0", n)
+	g := buildRing(pregel.Config{Workers: 4, CheckpointEvery: 3, Checkpointer: store}, ringN)
+	stats, err := g.Run(ringCompute(ringN, ringSteps))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := run(pregel.DurabilityFull); n == 0 {
-		t.Error("DurabilityFull issued no syncs")
+	if stats.CheckpointSaves == 0 || fs.Syncs() != 2*stats.CheckpointSaves {
+		t.Errorf("%d saves issued %d syncs, want two per save", stats.CheckpointSaves, fs.Syncs())
 	}
 }
 

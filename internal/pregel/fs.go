@@ -46,32 +46,6 @@ type FSFile interface {
 	Name() string
 }
 
-// Durability selects how hard DirCheckpointer tries to make a committed
-// checkpoint survive a machine crash (not just a process crash).
-type Durability int
-
-const (
-	// DurabilityFull is the default: the temp file is fsynced before the
-	// rename and the parent directory is fsynced after it, so a checkpoint
-	// reported as saved is on stable storage — a kernel panic or power
-	// loss immediately after Save returns cannot tear or drop it. This is
-	// the mode a real shared checkpoint store must run in.
-	DurabilityFull Durability = iota
-	// DurabilityNone skips every fsync. Commit is still atomic against
-	// process crashes (write-temp-then-rename), but a machine crash can
-	// leave a committed checkpoint empty or torn. Intended for tests and
-	// throwaway runs where the SimClock prices the I/O and wall-clock
-	// fsync latency is pure overhead.
-	DurabilityNone
-)
-
-func (d Durability) String() string {
-	if d == DurabilityNone {
-		return "none"
-	}
-	return "full"
-}
-
 // osFS is the real-filesystem FS.
 type osFS struct{}
 

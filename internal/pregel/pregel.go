@@ -63,7 +63,8 @@ type VertexID uint64
 // Positions are those Run's compaction and ID sort leave, and nothing
 // reorders a partition mid-run (RemoveSelf only marks a vertex removed), so
 // an address stays valid to the end of the Run that handed it out
-// (Context.Addr, or Graph.AddrOf in a RunAs in function). A later Run on a
+// (Context.Addr, or Context.AddrAt and Graph.AddrAt from a position the
+// vertex reported, as a RunAs in function forms them). A later Run on a
 // graph that no vertex was added to or removed from finds its partitions
 // sorted and leaves every vertex where it was, so the addresses, and the
 // positions a job passes on (Context.Pos, AddrAt), hold there too; after
@@ -413,8 +414,9 @@ func WithMessages[M2, V, M any](g *Graph[V, M], messageBytes int) *Graph[V, M2] 
 // program, §II). Each worker's partition is copied by position — the IDs
 // shared read-only, nothing re-sharded or re-inserted, the ID index built
 // only if a message is sent to that worker by ID — and in builds every live
-// vertex's V2 from its V. Positions in the copy are g's, so in may resolve
-// the addresses the job sends to with g.AddrOf. The job then runs through
+// vertex's V2 from its V. Positions in the copy are g's, so in may form
+// the addresses the job sends to with g.AddrAt from positions its vertices
+// reported (Context.Pos). The job then runs through
 // Graph.Run, so checkpoints, faults and Resume behave as for any job, with
 // messageBytes the charged wire size of one M2 (zero means
 // DefaultMessageBytes). Afterwards out hands each surviving vertex its V2 back,
@@ -708,8 +710,7 @@ func (g *Graph[V, M]) RemoveVertex(id VertexID) {
 type RunOption func(*runOpts)
 
 type runOpts struct {
-	activateAll bool
-	name        string
+	name string
 }
 
 // WithName labels the run in its Stats (useful when several jobs share a
@@ -729,7 +730,7 @@ func WithName(name string) RunOption { return func(o *runOpts) { o.name = name }
 // simulated time differ). With Config.Resume the run first fast-forwards
 // from any checkpoint a previous process left in Config.Checkpointer.
 func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, error) {
-	o := runOpts{activateAll: true}
+	var o runOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -941,7 +942,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 		}
 	}
 	if ck != nil {
-		ck.releaseSnapshot()
+		ck.store.releaseSnapshot(ck.job)
 	}
 	stats.SimSeconds = g.clock.Seconds() // cumulative; callers can diff
 	return stats, nil
@@ -1189,7 +1190,7 @@ func (c *Context[M]) AddrAt(id VertexID, pos uint32) Addr { return addrAt(c.s.wo
 // Send sends m to vertex dst, to be delivered next superstep.
 func (c *Context[M]) Send(dst VertexID, m M) { c.s.send(dst, m) }
 
-// SendTo sends m to the vertex at address a (Context.Addr, Graph.AddrOf),
+// SendTo sends m to the vertex at address a (Context.Addr, AddrAt),
 // to be delivered next superstep: the same delivery as Send to that
 // vertex's ID, without the ID lookup at the destination. The messages of
 // one superstep go either by ID or by address, never both (a mix panics),

@@ -36,7 +36,7 @@ func TestConfigValidate(t *testing.T) {
 // collidingStore is a Checkpointer whose NextJob ignores the reservation
 // sequence — the kind of custom-store bug the duplicate-key guard exists
 // for. Embedding MemCheckpointer gives it checkpoint storage plus the
-// jobTracker hook the engine consults.
+// trackJob guard the engine consults.
 type collidingStore struct {
 	*MemCheckpointer
 }
