@@ -136,47 +136,6 @@ func TestGoldenPipelineMetrics(t *testing.T) {
 		rep.N50, rep.NumContigs, srep.ScaffoldN50, srep.NumScaffolds, srep.MultiContig, srep.Joins, srep.Misjoins)
 }
 
-// TestGoldenPipelinePartitionerIdentical re-runs the golden pipeline under
-// every non-default partitioner through the CLI's own run path and demands
-// byte-identical contig and scaffold FASTA against the hash default —
-// locality-aware placement may only change where vertices live and what
-// the wire carries, never what the assembler writes.
-func TestGoldenPipelinePartitionerIdentical(t *testing.T) {
-	dir := t.TempDir()
-	_, readsPath, _ := goldenPipelineFiles(t, dir)
-	outs := map[string][2]string{}
-	for _, partitioner := range []string{"hash", "minimizer"} {
-		contigsOut := filepath.Join(dir, "contigs_"+partitioner+".fasta")
-		scaffoldsOut := filepath.Join(dir, "scaffolds_"+partitioner+".fasta")
-		o := defaultOpts(readsPath, contigsOut)
-		o.K = 21
-		o.Workers = 4
-		o.partitioner = partitioner
-		o.scaffoldOut = scaffoldsOut
-		o.Scaffold.InsertMean = 650
-		o.Scaffold.InsertSD = 55
-		if err := run(o); err != nil {
-			t.Fatal(err)
-		}
-		outs[partitioner] = [2]string{contigsOut, scaffoldsOut}
-	}
-	for partitioner, paths := range outs {
-		for i, name := range []string{"contig", "scaffold"} {
-			base, err := os.ReadFile(outs["hash"][i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(paths[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(base) != string(got) {
-				t.Errorf("%s FASTA differs between -partitioner %s and hash", name, partitioner)
-			}
-		}
-	}
-}
-
 // TestDefaultScheduleIsParallel pins the default users get: a command line
 // without -parallel reaches the engine with Parallel set, -parallel=false is
 // the sequential reference schedule, and the two write identical contigs and

@@ -38,16 +38,15 @@ import (
 
 // cliOpts carries every flag so run stays testable. The assembly and engine
 // flags bind straight to the embedded core.Options; the rest name files,
-// modes and what core.Options holds in a built form (-labeler, -partitioner,
-// -checkpoint, -faultplan).
+// modes and what core.Options holds in a built form (-labeler, -checkpoint,
+// -faultplan).
 type cliOpts struct {
 	core.Options
 
-	in, out     string
-	partitioner string
-	labeler     string
-	gfa         string
-	quiet       bool
+	in, out string
+	labeler string
+	gfa     string
+	quiet   bool
 
 	scaffoldOut string
 
@@ -78,7 +77,6 @@ func parseFlags(args []string) (cliOpts, error) {
 	fs.IntVar(&o.BubbleEditDist, "editdist", def.BubbleEditDist, "bubble edit-distance threshold")
 	fs.IntVar(&o.Workers, "workers", def.Workers, "logical Pregel workers")
 	fs.BoolVar(&o.Parallel, "parallel", def.Parallel, "run the logical workers on all cores, at most one goroutine per core (-parallel=false runs them one after another: the reference schedule; output is identical either way)")
-	fs.StringVar(&o.partitioner, "partitioner", "hash", "vertex placement strategy: hash (scatter) or minimizer (co-locate DBG-adjacent k-mers); output is identical for both, only simulated network locality changes")
 	fs.StringVar(&o.labeler, "labeler", "lr", "contig labeling algorithm: lr or sv")
 	fs.IntVar(&o.Rounds, "rounds", def.Rounds, "labeling+merging rounds of the default workflow (1 = no error correction)")
 	fs.IntVar(&o.MinLen, "minlen", def.MinLen, "omit contigs shorter than this from the output")

@@ -16,7 +16,7 @@ import (
 
 // engineEnv renders the engine flags as the plan's environment: the
 // embedded options' engine configuration, the telemetry sinks, and the
-// checkpoint store, fault plan and placement the flags name.
+// checkpoint store and fault plan the flags name.
 func engineEnv(o cliOpts, obs *observability) (*workflow.Env, error) {
 	env := o.Env(nil)
 	env.Tracer, env.Metrics = obs.Tracer, obs.Metrics
@@ -31,8 +31,7 @@ func engineEnv(o cliOpts, obs *observability) (*workflow.Env, error) {
 			return nil, err
 		}
 	}
-	env.Partitioner, err = core.MakePartitioner(o.partitioner, o.K)
-	return env, err
+	return env, nil
 }
 
 // runWorkflow executes the run's workflow spec: -workflow, or without it
@@ -85,21 +84,6 @@ func runWorkflow(o cliOpts, obs *observability) error {
 	env, err := engineEnv(o, obs)
 	if err != nil {
 		return err
-	}
-	// The minimizer strategy is sized by -k, but a spec may override k on
-	// its build op; a mismatch would silently degrade the placement and
-	// make the locality numbers meaningless. A partition op earlier in the
-	// spec supersedes the flag, so only the flag-sized frame is checked.
-	if o.partitioner != "" && o.partitioner != "hash" {
-		for _, op := range plan.Ops() {
-			if _, ok := op.(core.PartitionOp); ok {
-				break
-			}
-			if b, ok := op.(core.BuildDBGOp); ok && b.K != o.K {
-				return fmt.Errorf("-partitioner %s is sized for -k %d, but the workflow builds with k=%d; size it in the spec instead (e.g. \"partition:scheme=%s:k=%d,%s\") or align -k",
-					o.partitioner, o.K, b.K, o.partitioner, b.K, spec)
-			}
-		}
 	}
 
 	reads, err := loadReadList(o.in)
@@ -213,8 +197,7 @@ func printSummary(spec string, env *workflow.Env, st *core.State, wall time.Dura
 			c.CheckpointSaves(), c.CheckpointBytesWritten(), c.CheckpointRestores(), c.CheckpointBytesRestored())
 	}
 	if total := c.LocalMessages() + c.RemoteMessages(); total > 0 {
-		p("shuffle traffic:   %d messages, %.1f%% remote (partitioner %s)",
-			total, 100*float64(c.RemoteMessages())/float64(total), env.Partitioner.Name())
+		p("shuffle traffic:   %d messages, %.1f%% remote", total, 100*float64(c.RemoteMessages())/float64(total))
 	}
 	p("simulated time:    %.2fs (%d workers), wall %.2fs", c.Seconds(), env.Workers, wall.Seconds())
 }

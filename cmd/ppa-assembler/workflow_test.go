@@ -259,114 +259,6 @@ func TestWorkflowKillAndResume(t *testing.T) {
 	}
 }
 
-// TestWorkflowKillAndResumeNonDefaultPartitioner is the recovery contract
-// under a non-default placement: a checkpointed -workflow run under the
-// minimizer partitioner resumes byte-identically, and a resume attempt
-// under a different partitioner is rejected with an error naming the
-// mismatch instead of silently scattering partition-local state.
-func TestWorkflowKillAndResumeNonDefaultPartitioner(t *testing.T) {
-	dir := t.TempDir()
-	in := workflowTestReads(t, dir)
-
-	baseOut := filepath.Join(dir, "base.fasta")
-	o := defaultOpts(in, baseOut)
-	o.workflow = cannedSpec
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	base := readFile(t, baseOut)
-
-	ckptDir := filepath.Join(dir, "ckpt")
-	firstOut := filepath.Join(dir, "first.fasta")
-	o = defaultOpts(in, firstOut)
-	o.workflow = cannedSpec
-	o.partitioner = "minimizer"
-	o.checkpoint = ckptDir
-	o.CheckpointEvery = 3
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	if string(readFile(t, firstOut)) != string(base) {
-		t.Fatal("minimizer-partitioned workflow run differs from hash baseline")
-	}
-
-	// Resume under the same placement fast-forwards to identical output.
-	resumedOut := filepath.Join(dir, "resumed.fasta")
-	o = defaultOpts(in, resumedOut)
-	o.workflow = cannedSpec
-	o.partitioner = "minimizer"
-	o.checkpoint = ckptDir
-	o.CheckpointEvery = 3
-	o.Resume = true
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	if string(readFile(t, resumedOut)) != string(base) {
-		t.Error("resumed minimizer workflow run differs from baseline")
-	}
-
-	// Resume under a different placement must fail loudly.
-	o = defaultOpts(in, filepath.Join(dir, "wrong.fasta"))
-	o.workflow = cannedSpec
-	o.partitioner = "hash"
-	o.checkpoint = ckptDir
-	o.CheckpointEvery = 3
-	o.Resume = true
-	err := run(o)
-	if err == nil {
-		t.Fatal("resume under a different partitioner succeeded")
-	}
-	if !strings.Contains(err.Error(), `partitioner "minimizer"`) || !strings.Contains(err.Error(), `"hash"`) {
-		t.Errorf("error %q does not name the partitioner mismatch", err)
-	}
-}
-
-// TestPartitionerFlagRejected: an unknown -partitioner (range among them:
-// it was deleted) fails before any assembly, with and without -workflow,
-// and the partition spec op validates its scheme at parse time.
-func TestPartitionerFlagRejected(t *testing.T) {
-	dir := t.TempDir()
-	in := writeReadsFastq(t, dir, []string{"ACGTACGTACGTACGTACGTACGT"})
-	for _, mutate := range []func(*cliOpts){
-		func(o *cliOpts) { o.partitioner = "frobnicate" },
-		func(o *cliOpts) { o.partitioner = "frobnicate"; o.workflow = cannedSpec },
-		func(o *cliOpts) { o.workflow = "partition:scheme=frobnicate," + cannedSpec },
-		func(o *cliOpts) { o.partitioner = "affinity" },
-		func(o *cliOpts) { o.workflow = "partition:scheme=affinity," + cannedSpec },
-		func(o *cliOpts) { o.partitioner = "range" },
-		func(o *cliOpts) { o.workflow = "partition:scheme=range," + cannedSpec },
-	} {
-		o := defaultOpts(in, filepath.Join(dir, "x.fasta"))
-		mutate(&o)
-		err := run(o)
-		if err == nil || !strings.Contains(err.Error(), "unknown partitioner") {
-			t.Errorf("partitioner %q workflow %q: expected unknown-partitioner error, got %v", o.partitioner, o.workflow, err)
-		}
-	}
-	// A partition op mid-spec is accepted and applies to later graphs.
-	o := defaultOpts(in, filepath.Join(dir, "y.fasta"))
-	o.workflow = "partition:scheme=minimizer:k=15," + cannedSpec
-	if err := run(o); err != nil {
-		t.Errorf("partition spec op rejected: %v", err)
-	}
-	// A k-mer-aware -partitioner sized by -k must be rejected when the
-	// spec builds with a different k (the placement would silently
-	// degenerate) — unless a partition op in the spec supersedes the flag.
-	o = defaultOpts(in, filepath.Join(dir, "z.fasta"))
-	o.partitioner = "minimizer"
-	o.workflow = "build:k=11," + "label,merge,fasta"
-	err := run(o)
-	if err == nil || !strings.Contains(err.Error(), "k=11") {
-		t.Errorf("k-mismatched -partitioner minimizer accepted: %v", err)
-	}
-	o = defaultOpts(in, filepath.Join(dir, "w.fasta"))
-	o.partitioner = "minimizer"
-	o.workflow = "partition:scheme=minimizer:k=11,build:k=11,label,merge,fasta"
-	if err := run(o); err != nil {
-		t.Errorf("spec-sized partition op rejected: %v", err)
-	}
-}
-
 // TestWorkflowSpecRejected covers the fail-early paths: type errors,
 // unknown ops, and flag combinations are reported before any assembly. The
 // input does not exist, so a case that read it first would fail on that.
@@ -391,6 +283,9 @@ func TestWorkflowSpecRejected(t *testing.T) {
 			o.scaffoldOut = "nowhere.fasta"
 		}, "no scaffold op"},
 		{func(o *cliOpts) { o.workflow = "frobnicate" }, "unknown op"},
+		// The partition op and its placement schemes are gone: hash is the
+		// only placement, so the op name is refused like any unknown one.
+		{func(o *cliOpts) { o.workflow = "partition:scheme=hash," + cannedSpec }, `unknown op "partition"`},
 		{func(o *cliOpts) { o.workflow = "build,label,merge" }, "writes no output"},
 		{func(o *cliOpts) { o.workflow = cannedSpec + ",scaffold" }, "-scaffold gives no output path"},
 		{func(o *cliOpts) { o.workflow = "build,label,merge,fasta"; o.gfa = filepath.Join(dir, "g.gfa") }, "-gfa needs the error-corrected graph"},

@@ -26,18 +26,12 @@ const (
 // workloads here.
 const fenceSlack = 1.25
 
-// pipelineBaseline is one partitioner's row of that baseline on the
-// standard paired-end assemble+scaffold workload.
-type pipelineBaseline struct {
-	name           string
-	remoteFraction float64 // remote messages / all messages
-	netSimSeconds  float64 // communication-bound simulated makespan
-}
-
-var pipelineBaselines = []pipelineBaseline{
-	{"hash", 0.704993476236769, 0.10113452976390386},
-	{"minimizer", 0.5527388000176567, 0.09480172813287815},
-}
+// The baseline's row for the standard paired-end assemble+scaffold
+// workload under hash placement.
+const (
+	pipelineRemoteFraction = 0.704993476236769   // remote messages / all messages
+	pipelineNetSimSeconds  = 0.10113452976390386 // communication-bound simulated makespan
+)
 
 // fanoutCompute is the shuffle workload's compute: every vertex sends
 // shuffleFanout messages to scattered vertices each superstep.
@@ -121,8 +115,7 @@ func assembleScaffold(tb testing.TB, opt core.Options, reads []string, pairs []s
 }
 
 // runPipeline assembles and scaffolds the standard workload under opt's
-// partitioner, cost model and checkpoint cadence, and returns the clock the
-// run charged.
+// cost model and checkpoint cadence, and returns the clock the run charged.
 func runPipeline(t *testing.T, opt core.Options, reads []string, pairs []scaffold.Pair) *pregel.SimClock {
 	t.Helper()
 	_, clock := assembleScaffold(t, opt, reads, pairs, scaffold.Options{InsertMean: 600, InsertSD: 50})
@@ -141,46 +134,31 @@ func TestDeterministicFences(t *testing.T) {
 			par.LocalMessages, par.RemoteMessages, seq.LocalMessages, seq.RemoteMessages)
 	}
 
-	// The standard pipeline per partitioner, in the communication-bound
-	// regime (compute priced at zero, so the makespan is latency plus the
-	// two network tiers): remote fraction and makespan within their
-	// ceilings, and minimizer placement below hash scatter on both.
+	// The standard pipeline in the communication-bound regime (compute
+	// priced at zero, so the makespan is latency plus the two network
+	// tiers): remote fraction and makespan within their ceilings.
 	reads, pairs := benchGenomeReads(t)
 	cost := pregel.DefaultCost()
 	cost.ComputeScale = 1e-12
-	frac, net := map[string]float64{}, map[string]float64{}
-	for _, b := range pipelineBaselines {
-		opt := core.DefaultOptions(4)
-		opt.K, opt.Cost = 21, cost
-		part, err := core.MakePartitioner(b.name, opt.K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.Partitioner = part
-		clock := runPipeline(t, opt, reads, pairs)
-		frac[b.name] = remoteFraction(clock.LocalMessages(), clock.RemoteMessages())
-		net[b.name] = clock.Seconds()
-		t.Logf("pipeline %-9s: remote fraction %.4f (ceiling %.4f), net makespan %.4fs (ceiling %.4fs)",
-			b.name, frac[b.name], b.remoteFraction*fenceSlack, net[b.name], b.netSimSeconds*fenceSlack)
-		if frac[b.name] > b.remoteFraction*fenceSlack {
-			t.Errorf("pipeline %s: remote fraction %.4f above ceiling %.4f", b.name, frac[b.name], b.remoteFraction*fenceSlack)
-		}
-		if net[b.name] > b.netSimSeconds*fenceSlack {
-			t.Errorf("pipeline %s: net makespan %.4fs above ceiling %.4fs", b.name, net[b.name], b.netSimSeconds*fenceSlack)
-		}
+	opt := core.DefaultOptions(4)
+	opt.K, opt.Cost = 21, cost
+	clock := runPipeline(t, opt, reads, pairs)
+	frac := remoteFraction(clock.LocalMessages(), clock.RemoteMessages())
+	net := clock.Seconds()
+	t.Logf("pipeline: remote fraction %.4f (ceiling %.4f), net makespan %.4fs (ceiling %.4fs)",
+		frac, pipelineRemoteFraction*fenceSlack, net, pipelineNetSimSeconds*fenceSlack)
+	if frac > pipelineRemoteFraction*fenceSlack {
+		t.Errorf("pipeline: remote fraction %.4f above ceiling %.4f", frac, pipelineRemoteFraction*fenceSlack)
 	}
-	if frac["minimizer"] >= frac["hash"]*0.95 {
-		t.Errorf("pipeline: minimizer remote fraction %.4f not at least 5%% below hash's %.4f", frac["minimizer"], frac["hash"])
-	}
-	if net["minimizer"] >= net["hash"] {
-		t.Errorf("pipeline: minimizer net makespan %.4fs not below hash's %.4fs", net["minimizer"], net["hash"])
+	if net > pipelineNetSimSeconds*fenceSlack {
+		t.Errorf("pipeline: net makespan %.4fs above ceiling %.4fs", net, pipelineNetSimSeconds*fenceSlack)
 	}
 
 	// With a 5-superstep cadence and no faults, the pipeline writes
 	// checkpoints and restores none.
-	opt := core.DefaultOptions(4)
+	opt = core.DefaultOptions(4)
 	opt.K, opt.CheckpointEvery = 21, 5
-	clock := runPipeline(t, opt, reads, pairs)
+	clock = runPipeline(t, opt, reads, pairs)
 	t.Logf("checkpoint I/O: %d saves (%d bytes), %d restores", clock.CheckpointSaves(), clock.CheckpointBytesWritten(), clock.CheckpointRestores())
 	if clock.CheckpointSaves() == 0 || clock.CheckpointBytesWritten() == 0 {
 		t.Errorf("fault-free checkpointed pipeline saved nothing: %d saves, %d bytes", clock.CheckpointSaves(), clock.CheckpointBytesWritten())

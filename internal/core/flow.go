@@ -553,8 +553,6 @@ func (o TraceOp) Run(env *workflow.Env, st *State) error {
 //	merge[:tiplen=80]           contig merging (op ③)
 //	bubble[:editdist=5][:mincov=0]  bubble filtering (op ④)
 //	rebuild                     mixed-graph conversion (ambiguous k-mers + contigs)
-//	partition[:scheme=hash|minimizer][:k=21]
-//	                            vertex placement for graphs built from here on
 //	link                        contig announcement (op ⑤ setup)
 //	split:ratio=N               branch splitting (Spaler extension)
 //	tiptrim[:minlen=80]         tip removal waves (op ⑤)
@@ -597,15 +595,6 @@ func OpRegistry(def Options) workflow.Registry[State] {
 		},
 		"rebuild": func(p *workflow.Params) (workflow.Op[State], error) {
 			return RebuildOp{}, p.Err()
-		},
-		"partition": func(p *workflow.Params) (workflow.Op[State], error) {
-			op := PartitionOp{Scheme: p.Str("scheme", "hash"), K: p.Int("k", def.K)}
-			// Validate the scheme at parse time so a typo fails before any
-			// compute, like every other spec error.
-			if _, err := MakePartitioner(op.Scheme, op.K); err != nil {
-				return nil, err
-			}
-			return op, p.Err()
 		},
 		"link": func(p *workflow.Params) (workflow.Op[State], error) {
 			return LinkContigsOp{}, p.Err()

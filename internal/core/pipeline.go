@@ -55,11 +55,12 @@ type Options struct {
 	Scaffold scaffold.Options
 
 	// Config is the engine configuration of every job of the pipeline
-	// (workers, schedule, placement, checkpointing, faults, telemetry).
-	// Placement (Partitioner, built with MakePartitioner) and the schedule
-	// (Parallel) change simulated network locality and wall time but never
-	// the assembler's output. MessageBytes is not read: each graph charges
-	// its own message type's wire size (MsgWireBytes on the segment graph).
+	// (workers, schedule, checkpointing, faults, telemetry). The schedule
+	// (Parallel) changes wall time but never the assembler's output; the
+	// worker count also moves the local/remote traffic split and contig
+	// names, but never the contigs' sequences. MessageBytes is not read:
+	// each graph charges its own message type's wire size (MsgWireBytes on
+	// the segment graph).
 	pregel.Config
 }
 
@@ -121,7 +122,7 @@ type Result struct {
 	// LocalMessages and RemoteMessages split the pipeline's total shuffle
 	// traffic by network tier (read off the shared clock): local messages
 	// stayed on their worker, remote ones crossed the simulated wire. The
-	// split depends on Options.Partitioner; the totals do not.
+	// split depends on the placement (the worker count); the totals do not.
 	LocalMessages, RemoteMessages int64
 
 	// Checkpoint I/O across the whole pipeline (read off the shared

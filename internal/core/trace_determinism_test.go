@@ -16,7 +16,7 @@ import (
 )
 
 // traceReads builds a small deterministic read set for the trace matrix —
-// the full example genome would make the 18-run matrix needlessly slow.
+// the full example genome would make the 6-run matrix needlessly slow.
 func traceReads(t *testing.T) []string {
 	t.Helper()
 	ref, err := genome.Generate(genome.Spec{
@@ -35,15 +35,11 @@ func traceReads(t *testing.T) []string {
 // traceAssemble runs the canned pipeline with a Recorder attached and
 // returns the timestamp-stripped span signatures plus total message count
 // from the metrics registry.
-func traceAssemble(t *testing.T, reads []string, partitioner string, workers int, parallel bool) ([]string, int64) {
+func traceAssemble(t *testing.T, reads []string, workers int, parallel bool) ([]string, int64) {
 	t.Helper()
 	opt := DefaultOptions(workers)
 	opt.K = 21
 	opt.Parallel = parallel
-	var err error
-	if opt.Partitioner, err = MakePartitioner(partitioner, opt.K); err != nil {
-		t.Fatal(err)
-	}
 	rec := telemetry.NewRecorder()
 	reg := telemetry.NewRegistry()
 	opt.Tracer = rec
@@ -58,41 +54,29 @@ func traceAssemble(t *testing.T, reads []string, partitioner string, workers int
 
 // TestTraceDeterminism is the telemetry half of the engine's determinism
 // contract: the span sequence with timestamps stripped must be identical
-// across Parallel on/off and across partitioners (span args carry only
-// placement-invariant totals), and its shape — the kind/cat/name sequence —
-// must be identical across worker counts. Checkpointing stays off here:
+// across Parallel on/off (span args carry only schedule-invariant totals),
+// and its shape — the kind/cat/name sequence — must be identical across
+// worker counts. Checkpointing stays off here:
 // checkpoint byte counts legitimately vary with placement.
 func TestTraceDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace determinism matrix is slow")
 	}
 	reads := traceReads(t)
-	partitioners := []string{"hash", "minimizer"}
 	workerCounts := []int{1, 4, 7}
 
 	var baseShape []string // kind|cat|name sequence, the cross-worker invariant
 	for _, workers := range workerCounts {
-		var baseSigs []string
-		var baseMsgs int64
-		for _, part := range partitioners {
-			for _, parallel := range []bool{false, true} {
-				label := fmt.Sprintf("part=%s workers=%d parallel=%v", part, workers, parallel)
-				sigs, msgs := traceAssemble(t, reads, part, workers, parallel)
-				if len(sigs) == 0 {
-					t.Fatalf("%s: no spans recorded", label)
-				}
-				if baseSigs == nil {
-					baseSigs, baseMsgs = sigs, msgs
-					continue
-				}
-				if diff := firstDiff(baseSigs, sigs); diff != "" {
-					t.Errorf("%s: span signatures differ from %s/%d/sequential: %s",
-						label, partitioners[0], workers, diff)
-				}
-				if msgs != baseMsgs {
-					t.Errorf("%s: metrics message total %d != %d", label, msgs, baseMsgs)
-				}
-			}
+		baseSigs, baseMsgs := traceAssemble(t, reads, workers, false)
+		if len(baseSigs) == 0 {
+			t.Fatalf("workers=%d: no spans recorded", workers)
+		}
+		sigs, msgs := traceAssemble(t, reads, workers, true)
+		if diff := firstDiff(baseSigs, sigs); diff != "" {
+			t.Errorf("workers=%d: parallel span signatures differ from sequential: %s", workers, diff)
+		}
+		if msgs != baseMsgs {
+			t.Errorf("workers=%d: parallel metrics message total %d != sequential %d", workers, msgs, baseMsgs)
 		}
 		shape := make([]string, len(baseSigs))
 		for i, s := range baseSigs {

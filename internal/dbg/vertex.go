@@ -3,7 +3,6 @@ package dbg
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // MaxDegree is the most adjacency items a k-mer vertex of a de Bruijn graph
@@ -46,14 +45,6 @@ func (v *KmerVertex) AddEdge(a AdjKmer) {
 	v.Covs[r] = a.Cov
 }
 
-// Merge folds another partially constructed vertex into v (the reduce step
-// of DBG-construction phase (ii)).
-func (v *KmerVertex) Merge(o KmerVertex) {
-	for _, a := range o.Items() {
-		v.AddEdge(a)
-	}
-}
-
 // Items expands the bitmap into adjacency items with coverage, in ascending
 // bit order.
 func (v *KmerVertex) Items() []AdjKmer {
@@ -68,11 +59,3 @@ func (v *KmerVertex) Items() []AdjKmer {
 
 // Degree returns the number of adjacency items.
 func (v *KmerVertex) Degree() int { return v.Adj.Count() }
-
-// SortedItems returns Items sorted by encoded byte, a stable order for
-// deterministic iteration in tests.
-func (v *KmerVertex) SortedItems() []AdjKmer {
-	items := v.Items()
-	sort.Slice(items, func(i, j int) bool { return items[i].Encode() < items[j].Encode() })
-	return items
-}

@@ -1,9 +1,6 @@
 package dna
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Seq is an immutable DNA sequence packed 2 bits per base, 32 bases per
 // uint64 word. Base i occupies bits [2i, 2i+2) of word i/32.
@@ -215,19 +212,4 @@ func (s Seq) Canonical() (canon Seq, wasCanonical bool) {
 		return s, true
 	}
 	return rc, false
-}
-
-// Words exposes the packed 2-bit words for serialization. The returned
-// slice must not be modified.
-func (s Seq) Words() []uint64 { return s.words }
-
-// SeqFromWords reconstructs a sequence from its packed words (the inverse
-// of Words). It reports an error when the word count does not match n.
-func SeqFromWords(words []uint64, n int) (Seq, error) {
-	if n < 0 || len(words) != (n+31)/32 {
-		return Seq{}, fmt.Errorf("dna: %d words cannot hold %d bases", len(words), n)
-	}
-	w := make([]uint64, len(words))
-	copy(w, words)
-	return Seq{words: w, n: n}, nil
 }

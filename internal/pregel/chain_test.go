@@ -69,9 +69,9 @@ func convertReference[V2, M2, V1, M1 any](
 	return dst
 }
 
-// modPartitioner places by the ID's low bits: a placement unlike hash,
-// standing in for dbg's minimizer scheme (which this package cannot
-// import).
+// modPartitioner places by the ID's low bits: a placement unlike hash, so
+// a test under it checks that output does not depend on where vertices
+// live.
 type modPartitioner struct{}
 
 func (modPartitioner) Name() string                        { return "mod" }

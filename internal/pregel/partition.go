@@ -1,13 +1,11 @@
 package pregel
 
-// Partitioner decides which logical worker owns each vertex. It is the
-// engine's pluggable placement layer: every routing decision — AddVertex,
-// message delivery lanes, Value/SetValue lookups, Convert re-sharding —
-// goes through Graph.WorkerOf, which delegates here. On Pregel+ (the
-// backend the paper builds on) communication dominates compute, so the
-// placement strategy directly controls how much traffic crosses the
-// simulated wire versus staying intra-machine (see CostModel's two network
-// tiers).
+// Partitioner decides which logical worker owns each vertex. Every routing
+// decision — AddVertex, message delivery lanes, Value/SetValue lookups,
+// Convert re-sharding — goes through Graph.WorkerOf, which delegates here.
+// The assembler always places by HashPartitioner, as Pregel does; the
+// interface lets engine tests substitute other placements to check that
+// output never depends on which worker owns a vertex.
 //
 // Implementations must be deterministic, safe for concurrent use (Assign is
 // called concurrently from different workers in Parallel mode), and stable for
@@ -19,8 +17,7 @@ package pregel
 // partition snapshots are per-worker, so restoring them under a different
 // placement would silently scatter partition-local state.
 type Partitioner interface {
-	// Name identifies the strategy; it is persisted in checkpoint headers
-	// and surfaced by CLIs.
+	// Name identifies the strategy; it is persisted in checkpoint headers.
 	Name() string
 	// Assign returns the worker in [0, workers) that owns id.
 	Assign(id VertexID, workers int) int

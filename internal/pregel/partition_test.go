@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -150,26 +151,30 @@ func TestCheckpointPartitionerGuard(t *testing.T) {
 	}
 }
 
-// retiredRangePartitioner stands in for the deleted range strategy: only
-// its name reaches a checkpoint header.
-type retiredRangePartitioner struct{}
+// retiredPartitioner stands in for a deleted placement strategy: only its
+// name reaches a checkpoint header.
+type retiredPartitioner string
 
-func (retiredRangePartitioner) Name() string { return "range" }
-func (retiredRangePartitioner) Assign(id VertexID, workers int) int {
+func (p retiredPartitioner) Name() string { return string(p) }
+func (retiredPartitioner) Assign(id VertexID, workers int) int {
 	return modPartitioner{}.Assign(id, workers)
 }
 
-// TestResumeRefusesRangeCheckpoint: a checkpoint written under the range
-// partitioner, which no longer exists, cannot be resumed; the error names
-// the strategy the checkpoint recorded.
+// TestResumeRefusesRangeCheckpoint: a checkpoint written under a partitioner
+// that no longer exists (range, minimizer) cannot be resumed; the error
+// names the strategy the checkpoint recorded.
 func TestResumeRefusesRangeCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	if err := runGuardJob(t, dir, retiredRangePartitioner{}, false); err != nil {
-		t.Fatal(err)
-	}
-	err := runGuardJob(t, dir, HashPartitioner{}, true)
-	if err == nil || !strings.Contains(err.Error(), `partitioner "range"`) {
-		t.Fatalf("want an error naming the range partitioner, got %v", err)
+	for _, name := range []string{"range", "minimizer"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := runGuardJob(t, dir, retiredPartitioner(name), false); err != nil {
+				t.Fatal(err)
+			}
+			err := runGuardJob(t, dir, HashPartitioner{}, true)
+			if want := fmt.Sprintf("partitioner %q", name); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("want an error naming %s, got %v", want, err)
+			}
+		})
 	}
 }
 

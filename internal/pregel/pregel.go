@@ -4,13 +4,13 @@
 // a mini-MapReduce procedure for loading/grouping data by key (§II), and
 // in-memory job concatenation via a convert UDF (§II).
 //
-// The engine partitions vertices across W logical workers with a pluggable
-// Partitioner (by a hash of the vertex ID unless configured otherwise; see
-// partition.go), runs user compute functions in numbered supersteps, shuffles
-// messages between supersteps, supports vote-to-halt with reactivation on
-// message receipt, aggregators, and vertex removal. It records per-superstep
-// metrics (message counts, bytes, per-worker compute time) and charges them
-// to a simulated distributed-cluster clock (see cost.go), which is how this
+// The engine partitions vertices across W logical workers by a hash of the
+// vertex ID (a Config.Partitioner may replace it; see partition.go), runs
+// user compute functions in numbered supersteps, shuffles messages between
+// supersteps, supports vote-to-halt with reactivation on message receipt,
+// aggregators, and vertex removal. It records per-superstep metrics
+// (message counts, bytes, per-worker compute time) and charges them to a
+// simulated distributed-cluster clock (see cost.go), which is how this
 // reproduction obtains multi-machine scaling curves on a single host.
 package pregel
 
@@ -108,9 +108,10 @@ type Config struct {
 	// Cost is the simulated-cluster cost model. Zero value = DefaultCost().
 	Cost CostModel
 	// Partitioner maps vertex IDs to workers (see Partitioner). Nil means
-	// HashPartitioner, the engine's historical hashID-modulo placement.
-	// Checkpoints record the partitioner's name; Resume under a different
-	// one fails loudly instead of scattering partition-local state.
+	// HashPartitioner, the hashID-modulo placement every product job uses;
+	// tests set another to check placement independence. Checkpoints
+	// record the partitioner's name; Resume under a different one fails
+	// loudly instead of scattering partition-local state.
 	Partitioner Partitioner
 
 	// CheckpointEvery enables Pregel-style fault tolerance: every N
@@ -518,9 +519,6 @@ func addrAt(worker int, pos uint32) Addr { return Addr(uint64(worker)<<32 | uint
 func (g *Graph[V, M]) WorkerOf(id VertexID) int {
 	return g.cfg.Partitioner.Assign(id, g.cfg.Workers)
 }
-
-// Partitioner returns the (defaulted) placement strategy of this graph.
-func (g *Graph[V, M]) Partitioner() Partitioner { return g.cfg.Partitioner }
 
 // AddVertex inserts a vertex. Adding an existing ID replaces its value.
 // AddVertex must not be called while Run is executing.

@@ -153,10 +153,18 @@ func orderChains(g *pregel.Graph[SVertex, SMsg]) (*pregel.Stats, error) {
 			ctx.VoteToHalt()
 			return
 		}
-		for _, m := range msgs {
-			if m.Kind != msgWave || (v.Assigned && m.Wave >= v.Wave) {
-				continue
+		// Adopt only the smallest wave that arrived: the two waves of a
+		// chain can meet at one vertex in one superstep, and forwarding
+		// the larger first would send a message whose count depends on
+		// the inbox order, that is, on placement.
+		best := -1
+		for i, m := range msgs {
+			if m.Kind == msgWave && (!v.Assigned || m.Wave < v.Wave) && (best < 0 || m.Wave < msgs[best].Wave) {
+				best = i
 			}
+		}
+		if best >= 0 {
+			m := msgs[best]
 			v.Assigned = true
 			v.Wave = m.Wave
 			v.Pred = m.From

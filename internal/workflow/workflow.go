@@ -75,11 +75,10 @@ type Env struct {
 	// before running the op, so checkpoint keys are stable and
 	// self-describing for any composition and a re-executed plan
 	// re-reserves identical keys on Resume; it clears JobPrefix when the
-	// plan finishes. Ops may replace Partitioner mid-plan (core.PartitionOp;
-	// graphs already built keep theirs) and install or wrap Tracer
-	// (core.TraceOp, how the `trace:` spec op turns tracing on for the rest
-	// of a plan). A traced plan also brackets itself and each op with
-	// spans, and Metrics counts the ops run.
+	// plan finishes. Ops may install or wrap Tracer mid-plan (core.TraceOp,
+	// how the `trace:` spec op turns tracing on for the rest of a plan). A
+	// traced plan also brackets itself and each op with spans, and Metrics
+	// counts the ops run.
 	pregel.Config
 
 	// Clock is the simulated-cluster clock every op charges. Plan.Run
