@@ -52,8 +52,6 @@ type LabelStats struct {
 	CycleVertices int
 }
 
-const aggUndone = "lr-undone-sides"
-
 // labelMsg is the message of the hello supersteps and of push list ranking:
 // a hello carries the sender (ID), its position in its partition (Pos, so
 // that the receiver can form its address), its side and its ambiguity
@@ -361,7 +359,7 @@ func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs
 		}
 		// PrevAggSum is the undone count before the round just applied,
 		// LastActive the one before that.
-		cur := ctx.PrevAggSum(aggUndone)
+		cur := ctx.PrevAggSum()
 		if v.LastActive >= 0 && cur > 0 && cur == v.LastActive {
 			v.Cycle = true
 			ctx.VoteToHalt()
@@ -369,15 +367,13 @@ func lrCompute(ctx *pregel.Context[labelMsg], id pregel.VertexID, v *VData, msgs
 		}
 		v.LastActive = cur
 	}
-	ctx.AggSum(aggUndone, v.undoneSides())
+	ctx.AggSum(v.undoneSides())
 	for i := 0; i < 2; i++ {
 		if !v.Done[i] {
 			ctx.SendTo(pregel.Addr(v.P[i]), labelMsg{Kind: MsgResp, Side: 1 - v.PSide[i], ID: v.P[1-i], Side2: v.PSide[1-i]})
 		}
 	}
 }
-
-const aggSVChanged = "sv-changed"
 
 // svVertex is a vertex's whole state in one S-V run: 56 bytes where VData
 // is 112, so the 70 or so supersteps of a long-path S-V job stream half the
@@ -482,14 +478,14 @@ func svCompute(ctx *pregel.Context[svMsg], id pregel.VertexID, v *svVertex, msgs
 			v.DA = ctx.Addr()
 			v.NbrMinA = v.DA
 		} else {
-			if !ctx.PrevAggOr(aggSVChanged) {
+			if !ctx.PrevAggOr() {
 				ctx.VoteToHalt()
 				return
 			}
 			for _, hook := range msgs {
 				if hook.ID < v.D {
 					v.D, v.DA, v.DNew = hook.ID, hook.A, true
-					ctx.AggOr(aggSVChanged, true)
+					ctx.AggOr(true)
 				}
 			}
 		}
@@ -522,11 +518,11 @@ func svCompute(ctx *pregel.Context[svMsg], id pregel.VertexID, v *svVertex, msgs
 		}
 		if dd.ID == v.D && v.NbrMin < v.D {
 			ctx.SendTo(v.DA, svMsg{ID: v.NbrMin, A: v.NbrMinA})
-			ctx.AggOr(aggSVChanged, true)
+			ctx.AggOr(true)
 		}
 		if dd.ID != v.D {
 			v.D, v.DA, v.DNew = dd.ID, dd.A, true
-			ctx.AggOr(aggSVChanged, true)
+			ctx.AggOr(true)
 		}
 	}
 }

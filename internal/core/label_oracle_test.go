@@ -146,7 +146,7 @@ func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msg
 		if helloPhaseOracle(ctx, id, v, msgs) {
 			return
 		}
-		ctx.AggSum(aggUndone, v.undoneSides())
+		ctx.AggSum(v.undoneSides())
 		return
 	}
 	if v.Ambig {
@@ -173,14 +173,14 @@ func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msg
 			ctx.VoteToHalt()
 			return
 		}
-		cur := ctx.PrevAggSum(aggUndone)
+		cur := ctx.PrevAggSum()
 		if s >= 6 && v.LastActive >= 0 && cur > 0 && cur == v.LastActive {
 			v.Cycle = true
 			ctx.VoteToHalt()
 			return
 		}
 		v.LastActive = cur
-		ctx.AggSum(aggUndone, v.undoneSides())
+		ctx.AggSum(v.undoneSides())
 		for i := uint8(0); i < 2; i++ {
 			if !v.Done[i] {
 				ctx.Send(v.P[i], Msg{Kind: MsgReq, ID: id, Side: i, Side2: v.PSide[i]})
@@ -202,7 +202,7 @@ func lrComputeOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *VData, msg
 		ctx.VoteToHalt()
 		return
 	}
-	ctx.AggSum(aggUndone, v.undoneSides())
+	ctx.AggSum(v.undoneSides())
 }
 
 // oracleVData is VData with the S-V state the four-message oracle keeps in
@@ -230,7 +230,7 @@ func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *oracleVData,
 		if first {
 			v.D = id
 		} else {
-			if !ctx.PrevAggOr(aggSVChanged) {
+			if !ctx.PrevAggOr() {
 				v.Label = v.D
 				v.Labeled = true
 				ctx.VoteToHalt()
@@ -239,7 +239,7 @@ func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *oracleVData,
 			for _, m := range msgs {
 				if m.Kind == MsgSVHook && m.ID < v.D {
 					v.D = m.ID
-					ctx.AggOr(aggSVChanged, true)
+					ctx.AggOr(true)
 				}
 			}
 		}
@@ -270,11 +270,11 @@ func svRoundOracle(ctx *pregel.Context[Msg], id pregel.VertexID, v *oracleVData,
 		}
 		if v.DD == v.D && best < v.D {
 			ctx.Send(v.D, Msg{Kind: MsgSVHook, ID: best})
-			ctx.AggOr(aggSVChanged, true)
+			ctx.AggOr(true)
 		}
 		if v.DD != v.D {
 			v.D = v.DD
-			ctx.AggOr(aggSVChanged, true)
+			ctx.AggOr(true)
 		}
 	}
 }
@@ -329,7 +329,13 @@ func labelContigsOracle(g *Graph) (*LabelStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		og.ForEach(func(id pregel.VertexID, v *oracleVData) { g.SetValue(id, v.VData) })
+		labeled := map[pregel.VertexID]VData{}
+		og.ForEach(func(id pregel.VertexID, v *oracleVData) { labeled[id] = v.VData })
+		g.ForEach(func(id pregel.VertexID, v *VData) {
+			if lv, ok := labeled[id]; ok {
+				*v = lv
+			}
+		})
 		ls.Supersteps += st2.Supersteps
 		ls.Messages += st2.Messages
 	}

@@ -1,7 +1,6 @@
 package dbg
 
 import (
-	"fmt"
 	"math/bits"
 
 	"ppaassembler/internal/dna"
@@ -64,24 +63,6 @@ func (a AdjKmer) Encode() byte {
 	return byte(a.Base)<<3 | boolBit(a.In)<<2 | byte(x)<<1 | byte(y)
 }
 
-// DecodeAdjKmer inverts Encode. Coverage is carried separately.
-func DecodeAdjKmer(b byte) (AdjKmer, error) {
-	if b == nullAdjByte {
-		return AdjKmer{Null: true}, nil
-	}
-	if b&0xE0 != 0 {
-		return AdjKmer{}, fmt.Errorf("dbg: invalid adjacency byte %08b", b)
-	}
-	a := AdjKmer{Base: dna.Base(b >> 3 & 3), In: b>>2&1 == 1}
-	x, y := Polarity(b>>1&1), Polarity(b&1)
-	if a.In {
-		a.PSelf, a.PNbr = y, x
-	} else {
-		a.PSelf, a.PNbr = x, y
-	}
-	return a, nil
-}
-
 // edgePolarity returns the pair ⟨X:Y⟩ in edge direction: X is the polarity
 // of the edge's source side, Y the target side.
 func (a AdjKmer) edgePolarity() (x, y Polarity) {
@@ -131,16 +112,6 @@ func (a AdjKmer) Neighbor(self dna.Kmer, k int) dna.Kmer {
 		n = o.AppendBase(a.Base, k)
 	}
 	return oriented(n, a.PNbr, k) // PNbr==H means stored form is the rc
-}
-
-// KPlus1 reconstructs the generating (k+1)-mer in this vertex's oriented
-// reading direction (useful for tests and debugging).
-func (a AdjKmer) KPlus1(self dna.Kmer, k int) dna.Kmer {
-	o := oriented(self, a.PSelf, k)
-	if a.In {
-		return dna.Kmer(uint64(a.Base)<<(2*uint(k)) | uint64(o))
-	}
-	return dna.Kmer(uint64(o)<<2 | uint64(a.Base))
 }
 
 func boolBit(b bool) byte {

@@ -1,6 +1,7 @@
 package dbg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -255,4 +256,32 @@ func TestDecodeCovsErrors(t *testing.T) {
 			t.Errorf("% x decoded as %+v", data, v)
 		}
 	}
+}
+
+// DecodeAdjKmer inverts Encode. Coverage is carried separately.
+func DecodeAdjKmer(b byte) (AdjKmer, error) {
+	if b == nullAdjByte {
+		return AdjKmer{Null: true}, nil
+	}
+	if b&0xE0 != 0 {
+		return AdjKmer{}, fmt.Errorf("dbg: invalid adjacency byte %08b", b)
+	}
+	a := AdjKmer{Base: dna.Base(b >> 3 & 3), In: b>>2&1 == 1}
+	x, y := Polarity(b>>1&1), Polarity(b&1)
+	if a.In {
+		a.PSelf, a.PNbr = y, x
+	} else {
+		a.PSelf, a.PNbr = x, y
+	}
+	return a, nil
+}
+
+// KPlus1 reconstructs the generating (k+1)-mer in this vertex's oriented
+// reading direction (useful for tests and debugging).
+func (a AdjKmer) KPlus1(self dna.Kmer, k int) dna.Kmer {
+	o := oriented(self, a.PSelf, k)
+	if a.In {
+		return dna.Kmer(uint64(a.Base)<<(2*uint(k)) | uint64(o))
+	}
+	return dna.Kmer(uint64(o)<<2 | uint64(a.Base))
 }

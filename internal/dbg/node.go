@@ -41,14 +41,6 @@ func (a Adj) Normalized(want Polarity) Adj {
 	return a
 }
 
-// SameEdge reports whether two items describe the same edge from the same
-// vertex (identical up to Property-1 flipping), ignoring coverage.
-func (a Adj) SameEdge(b Adj) bool {
-	a.Cov, b.Cov = 0, 0
-	a.NbrLen, b.NbrLen = 0, 0
-	return a == b || a == b.Flip()
-}
-
 // NodeKind distinguishes the two vertex populations of §IV-A.
 type NodeKind uint8
 

@@ -85,9 +85,6 @@ func (m Kmer) PrependBase(b Base, k int) Kmer {
 	return Kmer(uint64(m)>>2 | uint64(b)<<(2*uint(k-1)))
 }
 
-// First returns the leftmost base of m.
-func (m Kmer) First(k int) Base { return m.At(0, k) }
-
 // Last returns the rightmost base of m.
 func (m Kmer) Last() Base { return Base(uint64(m) & 3) }
 
@@ -117,6 +114,3 @@ func (m Kmer) Canonical(k int) (canon Kmer, wasCanonical bool) {
 	}
 	return rc, false
 }
-
-// IsCanonical reports whether m is its own canonical form.
-func (m Kmer) IsCanonical(k int) bool { return m <= m.ReverseComplement(k) }

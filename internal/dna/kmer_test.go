@@ -219,3 +219,6 @@ func TestPropAppendPrependInverse(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// First returns the leftmost base of m.
+func (m Kmer) First(k int) Base { return m.At(0, k) }

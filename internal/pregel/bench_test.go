@@ -40,7 +40,7 @@ type svShaped struct {
 // shape of an S-V labeling job: 150 000 vertices, every one active in every
 // one of 61 supersteps, no messages, a compute body that touches its value
 // and nothing else, with and without the one PrevAggOr per vertex that S-V
-// reads (of a name one vertex sets every superstep). ns/vertex-step is the
+// reads (which one vertex sets every superstep). ns/vertex-step is the
 // whole Run's time per vertex per superstep (the compute loop and the
 // barrier's per-vertex passes), sequential schedule, 4 workers.
 func BenchmarkSuperstepAllActive(b *testing.B) {
@@ -57,11 +57,11 @@ func BenchmarkSuperstepAllActive(b *testing.B) {
 					ctx.VoteToHalt()
 					return
 				}
-				if prevAgg && ctx.PrevAggOr("changed") {
+				if prevAgg && ctx.PrevAggOr() {
 					v.DNew = !v.DNew
 				}
 				if id == 0 {
-					ctx.AggOr("changed", true)
+					ctx.AggOr(true)
 				}
 				v.NbrMin = id ^ VertexID(s)
 			}

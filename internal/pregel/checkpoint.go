@@ -404,14 +404,6 @@ type ckptWorker[V, M any] struct {
 	InOff   []int32
 }
 
-// aggSnapshot is the serialized aggregator state at a superstep boundary
-// (the just-published values; in-progress accumulators are always empty at
-// a barrier).
-type aggSnapshot struct {
-	Sum map[string]int64
-	Or  map[string]bool
-}
-
 // ckptFile is one whole checkpoint: run-level progress plus the per-worker
 // partition blobs (each encoded separately, since on a real cluster every
 // worker persists its own partition in parallel). On disk it is the
@@ -446,8 +438,10 @@ type ckptFile struct {
 	// against changed input or configuration fails instead of silently
 	// replaying stale state.
 	Fingerprint uint64
-	Agg         aggSnapshot
-	Workers     [][]byte
+	// Agg holds the aggregators published at the barrier; a barrier holds
+	// no pending contributions, since each superstep starts from none.
+	Agg     aggVals
+	Workers [][]byte
 }
 
 // ckptRun is the per-Run checkpointing state: the reserved job key, the
@@ -568,7 +562,7 @@ func (g *Graph[V, M]) saveCheckpoint(ck *ckptRun, step int, pending int64, stats
 		DroppedMessages: stats.DroppedMessages,
 		ClockNs:         g.clock.ns,
 		Fingerprint:     ck.fp,
-		Agg:             g.agg.snapshot(),
+		Agg:             g.agg,
 		Workers:         blobs,
 	}
 	if err := ck.store.Save(ck.job, step, ckptParts(&file, crcs)...); err != nil {
@@ -694,7 +688,7 @@ func (g *Graph[V, M]) restoreCheckpoint(file *ckptFile, stats *Stats) (step int,
 			return 0, 0, fmt.Errorf("pregel: decoding checkpoint (worker %d): %w", wi, err)
 		}
 	}
-	g.agg.restore(file.Agg)
+	g.agg = file.Agg
 	stats.Supersteps = file.Supersteps
 	stats.Messages = file.Messages
 	stats.LocalMessages = file.LocalMessages

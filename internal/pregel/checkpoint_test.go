@@ -41,12 +41,12 @@ func tokenCompute(n int, steps int) Compute[tokenVal, int64] {
 		for _, m := range msgs {
 			v.Acc += m
 		}
-		v.Agg = ctx.PrevAggSum("acc")
+		v.Agg = ctx.PrevAggSum()
 		if ctx.Superstep() >= steps {
 			ctx.VoteToHalt()
 			return
 		}
-		ctx.AggSum("acc", v.Acc)
+		ctx.AggSum(v.Acc)
 		ctx.Send(VertexID((uint64(id)+1)%uint64(n)), v.Acc+int64(ctx.Superstep()))
 	}
 }

@@ -109,7 +109,7 @@ func (r *partsRecorder) Save(job string, step int, parts ...[]byte) error {
 // TestCkptPartsMatchFrame is the differential test of the parts layout
 // against the whole-frame encoder it replaced: hand-built containers
 // around real and empty worker sections, and every save the engine makes
-// across workers {1,4,7} — empty workers and aggregator snapshot included
+// across workers {1,4,7} — empty workers and aggregator values included
 // — must concatenate to exactly the reference frame of what they hold.
 func TestCkptPartsMatchFrame(t *testing.T) {
 	full := encodeWorkerSection(buildCodecWorker())
@@ -153,14 +153,14 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 				t.Fatalf("%s save %d: parts differ from the reference frame", label, si)
 			}
 			seen.saves++
-			if len(f.Agg.Sum) > 0 {
+			if f.Agg.Sum != 0 {
 				seen.aggs++
 			}
 		}
 	}
 	withAgg := func(c Compute[int64, int64]) Compute[int64, int64] {
 		return func(ctx *Context[int64], id VertexID, v *int64, msgs []int64) {
-			ctx.AggSum("sum", *v)
+			ctx.AggSum(*v)
 			c(ctx, id, v, msgs)
 		}
 	}
@@ -191,8 +191,8 @@ func TestCkptPartsMatchFrame(t *testing.T) {
 	}
 }
 
-// fuzzCkptFile derives a container from fuzz bytes: header fields, an
-// aggregator snapshot and up to 8 worker sections of
+// fuzzCkptFile derives a container from fuzz bytes: header fields, the
+// two aggregator values and up to 8 worker sections of
 // arbitrary bytes (empty ones included).
 func fuzzCkptFile(data []byte) *ckptFile {
 	next := func() byte {
@@ -215,13 +215,7 @@ func fuzzCkptFile(data []byte) *ckptFile {
 		Messages: int64(next()) << 20, ClockNs: float64(next()) * 1e6,
 		Fingerprint: uint64(next())<<56 | uint64(next()),
 	}
-	if k := int(next() % 4); k > 0 {
-		f.Agg.Sum, f.Agg.Or = map[string]int64{}, map[string]bool{}
-		for i := 0; i < k; i++ {
-			f.Agg.Sum[string(take(3))] = int64(int8(next()))
-			f.Agg.Or[string(take(1))] = next()%2 == 1
-		}
-	}
+	f.Agg = aggVals{Sum: int64(int8(next())), Or: next()%2 == 1}
 	f.Workers = make([][]byte, next()%9)
 	f.NumWorkers = len(f.Workers)
 	for i := range f.Workers {

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"math"
-	"slices"
 	"strings"
 )
 
-// Checkpoint format v18, the only one this package reads or writes: a
+// Checkpoint format v19, the only one this package reads or writes: a
 // versioned, checksummed binary container holding one full snapshot of
 // every worker's partition. Layout (all integers varint/uvarint unless
 // noted):
@@ -19,7 +17,7 @@ import (
 //	magic "PPCK" | version | step | pending
 //	| partitioner name | numWorkers | run counters
 //	| clockNs (fixed 8 LE) | fingerprint (fixed 8 LE)
-//	| aggregator snapshot (sorted keys)
+//	| aggregators: sum (varint) | or (bool byte)
 //	| worker count | header CRC32C (fixed 4 LE, over every prior byte)
 //	| per-worker: length | section bytes | section CRC32C (fixed 4 LE)
 //
@@ -41,9 +39,11 @@ import (
 // as one bit mask instead of a counted list of bools, and v16 because a
 // k-mer node is written as its bitmap and coverages, an item's flags as one
 // byte, and a k-mer vertex's coverage count is its bitmap's, v17
-// because the aggregator snapshot lost its min section, and v18 because a
+// because the aggregator snapshot lost its min section, v18 because a
 // labeling message carries its sender's position and a list-ranking
-// vertex's pointers are addresses; so an older file,
+// vertex's pointers are addresses, and v19 because a job has one unnamed
+// sum and one unnamed OR aggregator, so the header carries their two values
+// instead of two maps keyed by aggregator name; so an older file,
 // whose CRCs still verify, is refused instead of decoded wrongly.
 //
 // A save never builds the container in one buffer: ckptParts lays it out as
@@ -57,7 +57,7 @@ import (
 
 const (
 	ckptMagic   = "PPCK"
-	ckptVersion = 18
+	ckptVersion = 19
 
 	wsecBinary byte = 0
 )
@@ -534,7 +534,8 @@ func appendContainerHeader(buf []byte, f *ckptFile) []byte {
 	buf = binary.AppendVarint(buf, f.DroppedMessages)
 	buf = AppendUint64(buf, math.Float64bits(f.ClockNs))
 	buf = AppendUint64(buf, f.Fingerprint)
-	buf = appendAggSnapshot(buf, f.Agg)
+	buf = binary.AppendVarint(buf, f.Agg.Sum)
+	buf = AppendBool(buf, f.Agg.Or)
 	buf = binary.AppendUvarint(buf, uint64(len(f.Workers)))
 	return buf
 }
@@ -646,7 +647,10 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 	if f.Fingerprint, data, err = ConsumeUint64(data); err != nil {
 		return fail(err)
 	}
-	if f.Agg, data, err = consumeAggSnapshot(data); err != nil {
+	if f.Agg.Sum, data, err = ConsumeVarint(data); err != nil {
+		return fail(err)
+	}
+	if f.Agg.Or, data, err = ConsumeBool(data); err != nil {
 		return fail(err)
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {
@@ -693,57 +697,4 @@ func decodeCkptFileBounds(job string, data []byte) (*ckptFile, []int64, error) {
 		return fail(corruptf("%d trailing bytes", len(data)))
 	}
 	return &f, bounds, nil
-}
-
-// appendAggSnapshot encodes the two aggregator maps with sorted keys, so
-// equal states encode to equal bytes.
-func appendAggSnapshot(buf []byte, a aggSnapshot) []byte {
-	buf = appendAggMap(buf, a.Sum, binary.AppendVarint)
-	return appendAggMap(buf, a.Or, AppendBool)
-}
-
-func appendAggMap[T any](buf []byte, m map[string]T, appendVal func([]byte, T) []byte) []byte {
-	ks := slices.Sorted(maps.Keys(m))
-	buf = binary.AppendUvarint(buf, uint64(len(ks)))
-	for _, k := range ks {
-		buf = appendVal(appendString(buf, k), m[k])
-	}
-	return buf
-}
-
-func consumeAggSnapshot(data []byte) (a aggSnapshot, rest []byte, err error) {
-	if a.Sum, data, err = consumeAggMap(data, ConsumeVarint); err != nil {
-		return a, nil, err
-	}
-	a.Or, data, err = consumeAggMap(data, ConsumeBool)
-	return a, data, err
-}
-
-// consumeAggMap decodes one appendAggMap section. Each entry costs at least
-// two bytes (key length + value), so an entry count beyond the remaining
-// bytes is corruption; it is checked before the sized make.
-func consumeAggMap[T any](data []byte, consumeVal func([]byte) (T, []byte, error)) (map[string]T, []byte, error) {
-	n, data, err := ConsumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(data)) {
-		return nil, nil, corruptf("pregel: corrupt checkpoint: aggregator snapshot claims %d entries in %d bytes", n, len(data))
-	}
-	var m map[string]T
-	if n > 0 {
-		m = make(map[string]T, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v T
-		if k, data, err = consumeString(data); err != nil {
-			return nil, nil, err
-		}
-		if v, data, err = consumeVal(data); err != nil {
-			return nil, nil, err
-		}
-		m[k] = v
-	}
-	return m, data, nil
 }

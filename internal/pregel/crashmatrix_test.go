@@ -40,12 +40,12 @@ func pageRankish(n, iters int) Compute[prVal, int64] {
 			}
 			v.Rank = 150 + (sum*85)/100
 		}
-		v.Total = ctx.PrevAggSum("rank")
+		v.Total = ctx.PrevAggSum()
 		if ctx.Superstep() >= iters {
 			ctx.VoteToHalt()
 			return
 		}
-		ctx.AggSum("rank", v.Rank)
+		ctx.AggSum(v.Rank)
 		share := v.Rank / 3
 		u := uint64(id)
 		ctx.Send(VertexID((u+1)%uint64(n)), share)

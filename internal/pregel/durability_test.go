@@ -29,12 +29,12 @@ func ringCompute(n, steps int) pregel.Compute[int64, int64] {
 		for _, m := range msgs {
 			*v += m
 		}
-		*v += ctx.PrevAggSum("acc") % 7
+		*v += ctx.PrevAggSum() % 7
 		if uint64(id) >= ringActive || ctx.Superstep() >= steps {
 			ctx.VoteToHalt()
 			return
 		}
-		ctx.AggSum("acc", *v)
+		ctx.AggSum(*v)
 		ctx.Send(pregel.VertexID((uint64(id)+1)%ringActive), *v+int64(ctx.Superstep()))
 	}
 }

@@ -52,10 +52,8 @@ func buildFuzzedGraph(data []byte, workers int) *Graph[int64, int64] {
 			k++
 		}
 	}
-	acc := &g.agg.acc[int(take(k+3))%workers]
-	acc.addSum("s", int64(int8(take(k))))
-	acc.addOr("o", take(k+2)%2 == 0)
-	g.agg.flip()
+	g.workers[int(take(k+3))%workers].ctx.agg = aggVals{Sum: int64(int8(take(k))), Or: take(k+2)%2 == 0}
+	g.flipAgg()
 	return g
 }
 
@@ -66,7 +64,7 @@ func workerState(g *Graph[int64, int64]) string {
 		s += fmt.Sprintf("w%d ids=%v vals=%v active=%v dead=%v ndead=%d arena=%v off=%v\n",
 			wi, w.ids, w.vals, w.active, w.dead, w.nDead, w.inArena, w.inOff[:len(w.ids)+1])
 	}
-	s += fmt.Sprintf("agg %v", g.agg.snapshot())
+	s += fmt.Sprintf("agg %+v", g.agg)
 	return s
 }
 
@@ -103,7 +101,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 				w.inOff[i] = 0
 			}
 		}
-		g.agg.reset()
+		g.agg = aggVals{}
 
 		file, ok, err := ck.loadCheckpoint()
 		if err != nil || !ok {
@@ -151,7 +149,7 @@ func TestCheckpointRoundTripSeeds(t *testing.T) {
 		if err := g.saveCheckpoint(ck, 1, 0, stats); err != nil {
 			t.Fatal(err)
 		}
-		g.agg.reset()
+		g.agg = aggVals{}
 		for _, w := range g.workers {
 			for i := range w.vals {
 				w.vals[i] = 0

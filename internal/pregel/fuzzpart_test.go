@@ -42,12 +42,12 @@ func (fg partFuzzGraph) compute(ctx *Context[int64], id VertexID, val *int64, ms
 	for _, m := range msgs {
 		*val += m
 	}
-	*val += ctx.PrevAggSum("sum")
-	if ctx.PrevAggOr("or") {
+	*val += ctx.PrevAggSum()
+	if ctx.PrevAggOr() {
 		*val++
 	}
-	ctx.AggSum("sum", *val%7)
-	ctx.AggOr("or", *val%5 == 0)
+	ctx.AggSum(*val % 7)
+	ctx.AggOr(*val%5 == 0)
 	if ctx.Superstep() >= fg.rounds {
 		ctx.VoteToHalt()
 		return

@@ -1,7 +1,7 @@
 package pregel
 
 // Partitioner decides which logical worker owns each vertex. Every routing
-// decision — AddVertex, message delivery lanes, Value/SetValue lookups,
+// decision — AddVertex, message delivery lanes, Value lookups,
 // Convert re-sharding — goes through Graph.WorkerOf, which delegates here.
 // The assembler always places by HashPartitioner, as Pregel does; the
 // interface lets engine tests substitute other placements to check that

@@ -8,10 +8,11 @@
 // vertex ID (a Config.Partitioner may replace it; see partition.go), runs
 // user compute functions in numbered supersteps, shuffles messages between
 // supersteps, supports vote-to-halt with reactivation on message receipt,
-// aggregators, and vertex removal. It records per-superstep metrics
-// (message counts, bytes, per-worker compute time) and charges them to a
-// simulated distributed-cluster clock (see cost.go), which is how this
-// reproduction obtains multi-machine scaling curves on a single host.
+// one sum and one OR aggregator per job, and vertex removal. It records
+// per-superstep metrics (message counts, bytes, per-worker compute time)
+// and charges them to a simulated distributed-cluster clock (see cost.go),
+// which is how this reproduction obtains multi-machine scaling curves on a
+// single host.
 package pregel
 
 import (
@@ -271,14 +272,13 @@ type worker[V, M any] struct {
 	deliverErr error
 }
 
-// sender is the send half of a worker: everything Context.Send and the
-// aggregator calls touch, apart from the vertex arrays so that Context[M]
-// can point straight at it without knowing V. It is written only by its own
-// worker's compute pass, which is why none of it needs a lock.
+// sender is the send half of a worker: everything Context.Send touches,
+// apart from the vertex arrays so that Context[M] can point straight at it
+// without knowing V. It is written only by its own worker's compute pass,
+// which is why none of it needs a lock.
 type sender[M any] struct {
 	self int         // this worker's index
 	part Partitioner // placement; nil for the default hash, which send calls statically
-	agg  *aggState
 
 	outbox []msgLane[M] // one lane per destination worker, so len(outbox) is the worker count
 
@@ -350,7 +350,7 @@ type Graph[V, M any] struct {
 	cfg     Config
 	workers []*worker[V, M]
 	clock   *SimClock
-	agg     *aggState
+	agg     aggVals // published: the previous superstep's merged aggregators
 
 	// Per-superstep scratch, reused across supersteps and runs.
 	computeNs      []float64
@@ -375,7 +375,7 @@ func NewGraph[V, M any](cfg Config) *Graph[V, M] {
 // newGraph builds a graph over the given vertex partitions, one per worker,
 // with message lanes, inbox arenas and aggregators of its own.
 func newGraph[V, M any](cfg Config, clock *SimClock, vs []*verts[V]) *Graph[V, M] {
-	g := &Graph[V, M]{cfg: cfg, clock: clock, agg: newAggState(cfg.Workers)}
+	g := &Graph[V, M]{cfg: cfg, clock: clock}
 	part := cfg.Partitioner
 	if _, ok := part.(HashPartitioner); ok {
 		part = nil
@@ -383,7 +383,7 @@ func newGraph[V, M any](cfg Config, clock *SimClock, vs []*verts[V]) *Graph[V, M
 	for i := 0; i < cfg.Workers; i++ {
 		g.workers = append(g.workers, &worker[V, M]{
 			verts:  vs[i],
-			sender: sender[M]{self: i, part: part, agg: g.agg, outbox: make([]msgLane[M], cfg.Workers)},
+			sender: sender[M]{self: i, part: part, outbox: make([]msgLane[M], cfg.Workers)},
 		})
 	}
 	return g
@@ -488,18 +488,6 @@ func (g *Graph[V, M]) Clock() *SimClock { return g.clock }
 // op that reuses an existing graph, so each op's jobs reserve keys under
 // the op's own prefix.
 func (g *Graph[V, M]) SetJobPrefix(prefix string) { g.cfg.JobPrefix = prefix }
-
-// AddrOf returns the address of vertex id, for a job that sends to it by
-// address. It is meant for RunAs's in function, where g has just been sorted
-// and the copy's positions are g's; like every address it is valid for that
-// one run. It reads the ID index only, so a vertex removed since g's last
-// compaction still resolves.
-func (g *Graph[V, M]) AddrOf(id VertexID) (Addr, bool) {
-	wi := g.WorkerOf(id)
-	w := g.workers[wi]
-	i, ok := w.index().lookup(w.ids, id)
-	return addrAt(wi, uint32(i)), ok
-}
 
 // AddrAt returns the address of vertex id if it sits at position pos of
 // its worker's partition (the Context.Pos it computes at), without looking
@@ -684,26 +672,6 @@ func (g *Graph[V, M]) Value(id VertexID) (V, bool) {
 	return zero, false
 }
 
-// SetValue overwrites the value of an existing vertex and reports whether
-// the vertex was present.
-func (g *Graph[V, M]) SetValue(id VertexID, val V) bool {
-	w := g.workers[g.WorkerOf(id)]
-	if i, ok := w.live(id); ok {
-		w.vals[i] = val
-		return true
-	}
-	return false
-}
-
-// RemoveVertex deletes a vertex outside of a run.
-func (g *Graph[V, M]) RemoveVertex(id VertexID) {
-	w := g.workers[g.WorkerOf(id)]
-	if i, ok := w.live(id); ok {
-		w.dead[i] = true
-		w.nDead++
-	}
-}
-
 // RunOption modifies a single Run.
 type RunOption func(*runOpts)
 
@@ -738,7 +706,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 	}
 	g.runName = o.name
 	g.sortVertices()
-	g.agg.reset()
+	g.agg = aggVals{}
 	for _, w := range g.workers {
 		w.job = o.name
 	}
@@ -930,7 +898,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 			g.emit(telemetry.KindEnd, "superstep", "pregel", wall3, sim1,
 				telemetry.I("messages", msgs))
 		}
-		g.agg.flip()
+		g.flipAgg()
 		pending = delivered
 		step++
 		if ck != nil && step%ck.every == 0 {
@@ -959,9 +927,7 @@ func (g *Graph[V, M]) Run(compute Compute[V, M], opts ...RunOption) (*Stats, err
 func (g *Graph[V, M]) runWorker(wi, step int, compute Compute[V, M]) float64 {
 	w := g.workers[wi]
 	w.beginSuperstep()
-	w.ctx = Context[M]{s: &w.sender, superstep: step}
-	// A fresh memo names "", so it starts out holding that name's values.
-	w.ctx.prevSum.val, w.ctx.prevOr.val = w.agg.prevSum(""), w.agg.prevOr("")
+	w.ctx = Context[M]{s: &w.sender, superstep: step, prev: g.agg}
 	ctx := &w.ctx
 	vs := w.verts
 	n := len(vs.ids)
@@ -1142,8 +1108,7 @@ func (g *Graph[V, M]) placeInbox(dst *worker[V, M]) {
 }
 
 // Context is passed to the compute function. It is only valid for the
-// duration of one compute call. The aggregator accessors are cheap to call
-// per vertex: each remembers the last name it resolved in this superstep.
+// duration of one compute call.
 type Context[M any] struct {
 	s         *sender[M]
 	superstep int
@@ -1151,18 +1116,11 @@ type Context[M any] struct {
 	halt      bool
 	remove    bool
 
-	// One memo per aggregator accessor, kept across the worker's vertices
-	// for one superstep (runWorker builds a fresh Context every superstep).
-	// A published value cannot change before the barrier. A slot points into
-	// this worker's accumulator, which a first contribution to another name
-	// may grow and move, so a memo holds only the slot of its own latest
-	// resolve (nil before the first), and sums and ORs live in separate
-	// slices. The hit paths of PrevAggSum and PrevAggOr are small enough to
-	// inline into compute; keep them so.
-	sum     aggMemo[*int64]
-	or      aggMemo[*bool]
-	prevSum aggMemo[int64]
-	prevOr  aggMemo[bool]
+	// agg is this worker's aggregator contributions in this superstep and
+	// prev the values published at the last barrier; runWorker builds a
+	// fresh Context every superstep. The four accessors are one field
+	// access each, so they inline into compute; keep them so.
+	agg, prev aggVals
 }
 
 // Superstep returns the current superstep number (0-based).
@@ -1203,35 +1161,16 @@ func (c *Context[M]) VoteToHalt() { c.halt = true }
 // already addressed to it are dropped.
 func (c *Context[M]) RemoveSelf() { c.remove = true }
 
-// AggSum adds delta to the named sum aggregator for this superstep.
-func (c *Context[M]) AggSum(name string, delta int64) {
-	if c.sum.val == nil || c.sum.name != name {
-		c.sum = aggMemo[*int64]{name, aggSlot(&c.s.agg.acc[c.s.self].sum, name)}
-	}
-	*c.sum.val += delta
-}
+// AggSum adds delta to the job's sum aggregator for this superstep.
+func (c *Context[M]) AggSum(delta int64) { c.agg.Sum += delta }
 
-// AggOr ORs v into the named boolean aggregator for this superstep.
-func (c *Context[M]) AggOr(name string, v bool) {
-	if c.or.val == nil || c.or.name != name {
-		c.or = aggMemo[*bool]{name, aggSlot(&c.s.agg.acc[c.s.self].or, name)}
-	}
-	*c.or.val = *c.or.val || v
-}
+// AggOr ORs v into the job's boolean aggregator for this superstep.
+func (c *Context[M]) AggOr(v bool) { c.agg.Or = c.agg.Or || v }
 
-// PrevAggSum returns the value the named sum aggregator had at the end of
-// the previous superstep (0 if never set).
-func (c *Context[M]) PrevAggSum(name string) int64 {
-	if c.prevSum.name != name {
-		c.prevSum = aggMemo[int64]{name, c.s.agg.prevSum(name)}
-	}
-	return c.prevSum.val
-}
+// PrevAggSum returns the sum aggregator's value at the end of the previous
+// superstep (0 in superstep 0, or after a superstep no vertex added to).
+func (c *Context[M]) PrevAggSum() int64 { return c.prev.Sum }
 
-// PrevAggOr returns the previous-superstep boolean OR aggregator value.
-func (c *Context[M]) PrevAggOr(name string) bool {
-	if c.prevOr.name != name {
-		c.prevOr = aggMemo[bool]{name, c.s.agg.prevOr(name)}
-	}
-	return c.prevOr.val
-}
+// PrevAggOr returns the OR aggregator's value at the end of the previous
+// superstep (false in superstep 0).
+func (c *Context[M]) PrevAggOr() bool { return c.prev.Or }

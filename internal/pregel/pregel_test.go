@@ -167,11 +167,11 @@ func TestAggregatorsVisibleNextSuperstep(t *testing.T) {
 	_, err := g.Run(func(ctx *Context[int], id VertexID, val *int64, msgs []int) {
 		switch ctx.Superstep() {
 		case 0:
-			ctx.AggSum("total", int64(id))
-			ctx.AggOr("any7", id == 7)
+			ctx.AggSum(int64(id))
+			ctx.AggOr(id == 7)
 		case 1:
-			*val = ctx.PrevAggSum("total")
-			if !ctx.PrevAggOr("any7") {
+			*val = ctx.PrevAggSum()
+			if !ctx.PrevAggOr() {
 				*val = -2
 			}
 			ctx.VoteToHalt()
@@ -279,12 +279,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		_, err := g.Run(func(ctx *Context[int], id VertexID, val *int, msgs []int) {
 			if ctx.Superstep() == 0 {
 				ctx.Send((id*7+3)%n, int(id))
-				ctx.AggSum("x", 1)
+				ctx.AggSum(1)
 				ctx.VoteToHalt()
 				return
 			}
 			for _, m := range msgs {
-				*val += m + int(ctx.PrevAggSum("x"))
+				*val += m + int(ctx.PrevAggSum())
 			}
 			ctx.VoteToHalt()
 		})
@@ -409,4 +409,36 @@ func ExampleGraph_Run() {
 	sort.Ints(ids)
 	fmt.Println(ids)
 	// Output: [1 1 1 1]
+}
+
+// AddrOf returns the address of vertex id, for a job that sends to it by
+// address. It is meant for RunAs's in function, where g has just been sorted
+// and the copy's positions are g's; like every address it is valid for that
+// one run. It reads the ID index only, so a vertex removed since g's last
+// compaction still resolves.
+func (g *Graph[V, M]) AddrOf(id VertexID) (Addr, bool) {
+	wi := g.WorkerOf(id)
+	w := g.workers[wi]
+	i, ok := w.index().lookup(w.ids, id)
+	return addrAt(wi, uint32(i)), ok
+}
+
+// SetValue overwrites the value of an existing vertex and reports whether
+// the vertex was present.
+func (g *Graph[V, M]) SetValue(id VertexID, val V) bool {
+	w := g.workers[g.WorkerOf(id)]
+	if i, ok := w.live(id); ok {
+		w.vals[i] = val
+		return true
+	}
+	return false
+}
+
+// RemoveVertex deletes a vertex outside of a run.
+func (g *Graph[V, M]) RemoveVertex(id VertexID) {
+	w := g.workers[g.WorkerOf(id)]
+	if i, ok := w.live(id); ok {
+		w.dead[i] = true
+		w.nDead++
+	}
 }

@@ -27,10 +27,10 @@ type progCtx interface {
 	Send(dst VertexID, m int64)
 	VoteToHalt()
 	RemoveSelf()
-	AggSum(name string, delta int64)
-	AggOr(name string, v bool)
-	PrevAggSum(name string) int64
-	PrevAggOr(name string) bool
+	AggSum(delta int64)
+	AggOr(v bool)
+	PrevAggSum() int64
+	PrevAggOr() bool
 }
 
 type refProgram func(ctx progCtx, id VertexID, val *int64, msgs []int64)
@@ -47,12 +47,8 @@ type refMsg struct {
 }
 
 type refAggs struct {
-	sum map[string]int64
-	or  map[string]bool
-}
-
-func newRefAggs() *refAggs {
-	return &refAggs{sum: map[string]int64{}, or: map[string]bool{}}
+	sum int64
+	or  bool
 }
 
 type refGraph struct {
@@ -68,14 +64,14 @@ type refCtx struct {
 	cur, prev    *refAggs
 }
 
-func (c *refCtx) Superstep() int               { return c.step }
-func (c *refCtx) Send(dst VertexID, m int64)   { *c.out = append(*c.out, refMsg{c.src, dst, m}) }
-func (c *refCtx) VoteToHalt()                  { c.halt = true }
-func (c *refCtx) RemoveSelf()                  { c.remove = true }
-func (c *refCtx) AggSum(name string, d int64)  { c.cur.sum[name] += d }
-func (c *refCtx) AggOr(name string, v bool)    { c.cur.or[name] = c.cur.or[name] || v }
-func (c *refCtx) PrevAggSum(name string) int64 { return c.prev.sum[name] }
-func (c *refCtx) PrevAggOr(name string) bool   { return c.prev.or[name] }
+func (c *refCtx) Superstep() int             { return c.step }
+func (c *refCtx) Send(dst VertexID, m int64) { *c.out = append(*c.out, refMsg{c.src, dst, m}) }
+func (c *refCtx) VoteToHalt()                { c.halt = true }
+func (c *refCtx) RemoveSelf()                { c.remove = true }
+func (c *refCtx) AggSum(d int64)             { c.cur.sum += d }
+func (c *refCtx) AggOr(v bool)               { c.cur.or = c.cur.or || v }
+func (c *refCtx) PrevAggSum() int64          { return c.prev.sum }
+func (c *refCtx) PrevAggOr() bool            { return c.prev.or }
 
 // run executes prog to termination and returns the counters Graph.Run
 // reports (Supersteps, Messages, LocalMessages, DroppedMessages).
@@ -85,7 +81,7 @@ func (r *refGraph) run(prog refProgram) Stats {
 		v.active = true
 	}
 	inbox := map[VertexID][]int64{}
-	prev, cur := newRefAggs(), newRefAggs()
+	prev, cur := &refAggs{}, &refAggs{}
 	for pending := 0; ; st.Supersteps++ {
 		anyActive := false
 		for _, v := range r.verts {
@@ -127,7 +123,7 @@ func (r *refGraph) run(prog refProgram) Stats {
 			pending++
 			inbox[m.dst] = append(inbox[m.dst], m.m)
 		}
-		prev, cur = cur, newRefAggs()
+		prev, cur = cur, &refAggs{}
 	}
 }
 
@@ -237,12 +233,12 @@ func refProgramFor(rng *rand.Rand, pool []VertexID, missing bool) refProgram {
 		for _, m := range msgs {
 			*val = *val*31 + m
 		}
-		*val += ctx.PrevAggSum("s")
-		if ctx.PrevAggOr("o") {
+		*val += ctx.PrevAggSum()
+		if ctx.PrevAggOr() {
 			*val++
 		}
-		ctx.AggSum("s", *val&0xff)
-		ctx.AggOr("o", *val&1 == 0)
+		ctx.AggSum(*val & 0xff)
+		ctx.AggOr(*val&1 == 0)
 		if step == removeStep && hashID(id)%removeMod == 0 {
 			ctx.RemoveSelf()
 		}
@@ -347,8 +343,8 @@ func runRefScenario(t *testing.T, sc refScenario) {
 					run, e, got.Supersteps, got.Messages, got.LocalMessages, got.RemoteMessages, got.DroppedMessages,
 					want.Supersteps, want.Messages, want.LocalMessages, want.DroppedMessages)
 			}
-			if e > 0 && !reflect.DeepEqual(eng.agg.snapshot(), g.agg.snapshot()) {
-				t.Fatalf("run %d: by-address aggregators %v, by ID %v", run, eng.agg.snapshot(), g.agg.snapshot())
+			if e > 0 && eng.agg != g.agg {
+				t.Fatalf("run %d: by-address aggregators %+v, by ID %+v", run, eng.agg, g.agg)
 			}
 		}
 		// Between runs: remove some live vertices, re-add removed IDs (by the

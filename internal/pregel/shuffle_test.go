@@ -96,9 +96,8 @@ func TestShuffleSteadyStateAllocationFree(t *testing.T) {
 	shortAllocs := testing.AllocsPerRun(3, job(10))
 	longAllocs := testing.AllocsPerRun(3, job(60))
 	perStep := (longAllocs - shortAllocs) / 50
-	// Aggregator flips allocate a handful of small maps per superstep; the
-	// message path itself must add nothing per vertex (n=2000 messages*4
-	// per superstep would show up immediately).
+	// The message path must add nothing per vertex (n=2000 messages*4 per
+	// superstep would show up immediately).
 	if perStep > 16 {
 		t.Errorf("steady-state shuffle allocates %.1f allocs/superstep (short=%.0f long=%.0f), want <= 16",
 			perStep, shortAllocs, longAllocs)
@@ -132,20 +131,20 @@ func TestAggregatorSendParallelStress(t *testing.T) {
 		s := ctx.Superstep()
 		if s > 0 {
 			// Every vertex checks the previous superstep's aggregates.
-			if got := ctx.PrevAggSum("ones"); got != n {
-				t.Errorf("superstep %d: PrevAggSum(ones) = %d, want %d", s, got, n)
+			if got := ctx.PrevAggSum(); got != n {
+				t.Errorf("superstep %d: PrevAggSum() = %d, want %d", s, got, n)
 			}
-			if !ctx.PrevAggOr("or") {
-				t.Errorf("superstep %d: PrevAggOr(or) = false, want true", s)
+			if !ctx.PrevAggOr() {
+				t.Errorf("superstep %d: PrevAggOr() = false, want true", s)
 			}
 		}
 		if s >= steps {
 			ctx.VoteToHalt()
 			return
 		}
-		ctx.AggSum("ones", 1)
-		ctx.AggOr("or", id == 0)
-		ctx.AggOr("or", false)
+		ctx.AggSum(1)
+		ctx.AggOr(id == 0)
+		ctx.AggOr(false)
 		// All-to-few fan-in.
 		ctx.Send(id%13, 1)
 	})

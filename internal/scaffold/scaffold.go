@@ -90,16 +90,6 @@ type Contig struct {
 	Seq  dna.Seq
 }
 
-// FromSeqs wraps raw sequences as Contigs with sequential IDs, for callers
-// outside the assembly pipeline.
-func FromSeqs(seqs []dna.Seq) []Contig {
-	out := make([]Contig, len(seqs))
-	for i, s := range seqs {
-		out[i] = Contig{ID: pregel.VertexID(i + 1), Name: fmt.Sprintf("contig_%d", i+1), Seq: s}
-	}
-	return out
-}
-
 // Options holds the library parameters of a scaffolding run. The engine
 // settings (workers, schedule, placement, checkpointing, telemetry) come in
 // as the pregel.Config passed to Build.

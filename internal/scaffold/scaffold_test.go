@@ -1,6 +1,7 @@
 package scaffold
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -355,4 +356,14 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(FromSeqs([]dna.Seq{testGenome(t, 1000, 61)}), nil, Options{MinContigLen: 100}, pregel.Config{}, nil); err == nil {
 		t.Error("missing insert size accepted")
 	}
+}
+
+// FromSeqs wraps raw sequences as Contigs with sequential IDs, for callers
+// outside the assembly pipeline.
+func FromSeqs(seqs []dna.Seq) []Contig {
+	out := make([]Contig, len(seqs))
+	for i, s := range seqs {
+		out[i] = Contig{ID: pregel.VertexID(i + 1), Name: fmt.Sprintf("contig_%d", i+1), Seq: s}
+	}
+	return out
 }
