@@ -42,13 +42,13 @@ func main() {
 	cfg := pregel.Config{Workers: 4}
 	clock := pregel.NewSimClock(pregel.DefaultCost())
 
-	// Job 1: DBG construction, then convert to the segment graph and dump
-	// it to the store (one part-file per worker, like HDFS blocks).
+	// Job 1: DBG construction, loaded as the segment graph and dumped to
+	// the store (one part-file per worker, like HDFS blocks).
 	build, err := dbg.BuildDBG(clock, cfg, pregel.ShardSlice(reads, cfg.Workers), k, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := core.NewSegmentGraph(build, cfg, k)
+	g := core.NewSegmentGraph(build, cfg, clock, k)
 	store, err := shardio.Open(filepath.Join(dir, "segments"))
 	if err != nil {
 		log.Fatal(err)

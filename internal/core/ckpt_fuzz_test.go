@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -286,13 +287,10 @@ func TestVDataLayoutFence(t *testing.T) {
 	}
 }
 
-// TestNewSegmentGraphAllocsFence: converting the DBG into the segment
-// graph allocates per worker and lane, never per vertex, because a derived
-// k-mer node owns no heap object. Two graphs four times apart in size
-// cost the same number of allocations, give or take one regrowth per lane:
-// Convert sizes a lane from its source's share scanned so far, so a lane
-// can grow once more on either graph. A cost per vertex would add
-// thousands.
+// TestNewSegmentGraphAllocsFence: loading the DBG as the segment graph
+// allocates per worker, never per vertex, because a derived k-mer node owns
+// no heap object and every partition is filled once at its exact size. Two
+// graphs four times apart in size cost the same number of allocations.
 func TestNewSegmentGraphAllocsFence(t *testing.T) {
 	const k = 21
 	cfg := pregel.Config{Workers: 3}
@@ -306,18 +304,22 @@ func TestNewSegmentGraphAllocsFence(t *testing.T) {
 		for i := 0; i+100 <= len(s); i += 40 {
 			reads = append(reads, s[i:i+100])
 		}
-		b, err := dbg.BuildDBG(pregel.NewSimClock(pregel.DefaultCost()), cfg, [][]string{reads}, k, 0)
+		clock := pregel.NewSimClock(pregel.DefaultCost())
+		b, err := dbg.BuildDBG(clock, cfg, [][]string{reads}, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() { NewSegmentGraph(b, cfg, k) }), b.Graph.VertexCount()
+		// A process's first GC starts its mark workers, which allocates;
+		// run one first so no such one-off lands in the count.
+		runtime.GC()
+		return testing.AllocsPerRun(5, func() { NewSegmentGraph(b, cfg, clock, k) }), NewSegmentGraph(b, cfg, clock, k).VertexCount()
 	}
 	small, nSmall := allocs(4000)
 	large, nLarge := allocs(16000)
 	if nLarge < 3*nSmall {
 		t.Fatalf("graphs of %d and %d vertices are too close in size", nSmall, nLarge)
 	}
-	if lanes := float64(cfg.Workers * cfg.Workers); large > small+lanes || small > large+lanes {
+	if large != small {
 		t.Errorf("NewSegmentGraph allocates %.0f times for %d vertices and %.0f for %d: a cost per vertex", small, nSmall, large, nLarge)
 	}
 }

@@ -105,8 +105,8 @@ func (st *State) needK() (int, error) {
 	return st.K, nil
 }
 
-// BuildDBGOp is operation ①: DBG construction from reads, followed by the
-// in-memory conversion into the segment graph.
+// BuildDBGOp is operation ①: DBG construction from reads, loaded in memory
+// as the segment graph.
 type BuildDBGOp struct {
 	// K is the k-mer length (odd, <= 31; the paper uses 31).
 	K int
@@ -127,8 +127,8 @@ func (o BuildDBGOp) Run(env *workflow.Env, st *State) error {
 		return err
 	}
 	st.Metrics.K1Distinct, st.Metrics.K1Kept = build.K1Distinct, build.K1Kept
-	st.Metrics.KmerVertices = build.Graph.VertexCount()
-	st.Graph = NewSegmentGraph(build, env.Config, o.K)
+	st.Graph = NewSegmentGraph(build, env.Config, env.Clock, o.K)
+	st.Metrics.KmerVertices = st.Graph.VertexCount()
 	st.K = o.K
 	return nil
 }

@@ -114,23 +114,26 @@ type Msg struct {
 // it within two bytes of the largest representative encoding. The engine's
 // generic 16-byte default undercharges this record, so every constructor of
 // a segment graph (NewSegmentGraph, BuildMixedGraph, LoadSegments) sets it
-// on the graph, whatever the caller's Config says: locality-aware placement
-// is priced against the traffic the paper's cluster would actually carry,
-// under any environment.
+// on the graph whatever the caller's Config says: every job is then priced
+// against the traffic the paper's cluster would actually carry.
 const MsgWireBytes = 17
 
 // Graph is the segment graph all core operations run on.
 type Graph = pregel.Graph[VData, Msg]
 
-// NewSegmentGraph converts the compact DBG of operation ① into the segment
-// graph consumed by operations ②–⑤, using the engine's in-memory job
-// concatenation (the convert UDF of §II). k is the k-mer length.
-func NewSegmentGraph(b *dbg.BuildResult, cfg pregel.Config, k int) *Graph {
+// NewSegmentGraph loads the compact DBG of operation ① as the segment
+// graph consumed by operations ②–⑤: each reducer's shard of k-mer vertices
+// becomes its worker's partition in memory (pregel.LoadShards, the convert
+// UDF of §II applied to the build's output), each vertex a derived k-mer
+// node. The graph charges clock. k is the k-mer length.
+func NewSegmentGraph(b *dbg.BuildResult, cfg pregel.Config, clock *pregel.SimClock, k int) *Graph {
 	cfg.MessageBytes = MsgWireBytes
-	return pregel.Convert[VData, Msg](b.Graph, cfg,
-		func(id pregel.VertexID, v dbg.KmerVertex, emit func(pregel.VertexID, VData)) {
-			emit(id, VData{Node: dbg.KmerNode(id, &v, k)})
-		})
+	g := pregel.NewGraph[VData, Msg](cfg)
+	g.UseClock(clock)
+	pregel.LoadShards(g, b.Vertices, func(r *dbg.KmerRec) (pregel.VertexID, VData) {
+		return r.ID, VData{Node: dbg.KmerNode(r.ID, &r.V, k)}
+	})
+	return g
 }
 
 // arrangeSides lays out a vertex's real adjacency items into the two side

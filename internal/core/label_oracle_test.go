@@ -659,7 +659,7 @@ func dbgFixture(reads []string, k int, theta uint32) labelFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewSegmentGraph(b, cfg, k)
+		return NewSegmentGraph(b, cfg, clock, k)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ppaassembler/internal/dbg"
 	"ppaassembler/internal/dna"
@@ -32,14 +33,14 @@ type MergeResult struct {
 	Stats  *pregel.Stats
 }
 
-// member is the map-side record of operation ③: one labeled vertex. Node
-// points into the partition rather than copying it: merging only reads the
-// graph, and every ContigRec builds its own Seq and Adj, so the shuffle
-// moves 24-byte references (32-byte pairs) instead of whole nodes.
+// member is the map-side record of operation ③: one labeled vertex. It
+// points into the partition rather than copying the vertex: merging only
+// reads the graph, and every ContigRec builds its own Seq and Adj, so the
+// shuffle moves 24-byte references (32-byte pairs) instead of whole nodes.
 type member struct {
 	ID    pregel.VertexID
 	label pregel.VertexID
-	Node  *dbg.Node
+	*VData
 }
 
 // MergeContigs is operation ③ (§IV-B): a mini-MapReduce that groups the
@@ -64,7 +65,7 @@ func MergeContigs(g *Graph, k, tipLen int) (*MergeResult, error) {
 	}
 	g.ScanWorkers(func(w int, id pregel.VertexID, v *VData) {
 		if v.Labeled {
-			input[w] = append(input[w], member{ID: id, label: v.Label, Node: &v.Node})
+			input[w] = append(input[w], member{ID: id, label: v.Label, VData: v})
 		}
 	})
 
@@ -177,8 +178,8 @@ func (x *groupIndex) target(a dbg.Adj) *member {
 // member of the group, normalized to p, and that member (nil if none).
 func (x *groupIndex) outEdge(n *dbg.Node, p dbg.Polarity) (dbg.Adj, *member) {
 	for _, a := range n.Items() {
-		if m := x.target(a); m != nil {
-			if e := a.Normalized(p); !e.In {
+		if e := a.Normalized(p); !e.In {
+			if m := x.target(a); m != nil {
 				return e, m
 			}
 		}
@@ -193,13 +194,17 @@ func (x *groupIndex) outEdge(n *dbg.Node, p dbg.Polarity) (dbg.Adj, *member) {
 func stitchGroup(worker int, ordinal *uint32, idx *groupIndex, group []member, k, tipLen int) (rec ContigRec, dropped bool, err error) {
 	idx.reset(group)
 
-	// Identify a starting vertex: one with an external (or dead) side.
-	// A cycle has none; start anywhere (smallest ID for determinism —
-	// group order is deterministic but explicit is better).
+	// Identify a starting vertex: one with an external (or dead) side. A
+	// side is external when it has no real item (a NULL item of a contig
+	// included) or when its item reaches an ambiguous vertex, which
+	// labeling recorded in NbrAmbig: every other real item of an
+	// unambiguous vertex reaches the same contig. A cycle has none; start
+	// anywhere (smallest ID for determinism — group order is deterministic
+	// but explicit is better).
 	var start *member
 	for i := range group {
 		m := &group[i]
-		ext := 2 - countInternal(m.Node, idx)
+		ext := 2 - m.Node.RealDegree() + bits.OnesCount32(m.NbrAmbig)
 		if ext >= 1 && (start == nil || m.ID < start.ID) {
 			start = m
 		}
@@ -282,14 +287,14 @@ func stitchGroup(worker int, ordinal *uint32, idx *groupIndex, group []member, k
 			foldCov(next.Node.Cov)
 		}
 		cur, lastOrient = next, nextOrient
-		outItem, next = idx.outEdge(next.Node, nextOrient)
+		outItem, next = idx.outEdge(&next.Node, nextOrient)
 	}
 
 	// Determine the two ends. Left end: start's external item, which under
 	// the walk orientation must be incoming; right end: the final member's
 	// external item, outgoing. Dead sides become NULL ends.
-	left := externalEnd(start.Node, idx, orient, true)
-	right := externalEnd(cur.Node, idx, lastOrient, false)
+	left := externalEnd(&start.Node, idx, orient, true)
+	right := externalEnd(&cur.Node, idx, lastOrient, false)
 	// A group is one path or one cycle, so the walk reaches every member;
 	// stopping short means the path goes on through a vertex outside the
 	// group, that is, labeling split it.
@@ -306,7 +311,7 @@ func stitchGroup(worker int, ordinal *uint32, idx *groupIndex, group []member, k
 		return rec, true, nil
 	}
 	if !hasCov {
-		foldCov(minAdjCov(start.Node))
+		foldCov(minAdjCov(&start.Node))
 	}
 
 	*ordinal++
@@ -360,16 +365,6 @@ func externalEnd(n *dbg.Node, idx *groupIndex, orient dbg.Polarity, wantIn bool)
 		}
 	}
 	return dbg.Adj{Nbr: dbg.NullID, In: wantIn, PSelf: dbg.L}
-}
-
-func countInternal(n *dbg.Node, idx *groupIndex) int {
-	c := 0
-	for _, a := range n.Items() {
-		if idx.target(a) != nil {
-			c++
-		}
-	}
-	return c
 }
 
 func minAdjCov(n *dbg.Node) uint32 {

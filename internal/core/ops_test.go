@@ -21,7 +21,7 @@ func buildSegGraph(t *testing.T, reads []string, k, workers int) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSegmentGraph(b, cfg, k)
+	return NewSegmentGraph(b, cfg, clock, k)
 }
 
 func TestLabelContigsMarksAmbiguity(t *testing.T) {

@@ -49,7 +49,7 @@ func kmerPath(t *testing.T, seq string) []member {
 		if i < n-1 {
 			node.AddItem(dbg.Adj{Nbr: ids[i+1], PSelf: pol[i], PNbr: pol[i+1], Cov: 3, NbrLen: stitchK})
 		}
-		group[i] = member{ID: ids[i], label: ids[0], Node: &node}
+		group[i] = member{ID: ids[i], label: ids[0], VData: &VData{Node: node}}
 	}
 	return group
 }
@@ -62,17 +62,15 @@ func contigPath(seq string) []member {
 	c := dbg.ContigID(0, 1)
 	rest := seq[1:]
 	return []member{
-		{ID: a, label: a, Node: ptr(dbg.NewNode(a, dbg.KindKmer, dbg.KmerOf(a).Seq(stitchK), 2, []dbg.Adj{
+		{ID: a, label: a, VData: &VData{Node: dbg.NewNode(a, dbg.KindKmer, dbg.KmerOf(a).Seq(stitchK), 2, []dbg.Adj{
 			{Nbr: c, PSelf: pa, PNbr: dbg.L, Cov: 2, NbrLen: int32(len(rest))},
-		}))},
-		{ID: c, label: a, Node: ptr(dbg.NewNode(c, dbg.KindContig, dna.ParseSeq(rest), 4, []dbg.Adj{
+		})}},
+		{ID: c, label: a, VData: &VData{Node: dbg.NewNode(c, dbg.KindContig, dna.ParseSeq(rest), 4, []dbg.Adj{
 			{Nbr: a, In: true, PSelf: dbg.L, PNbr: pa, Cov: 2, NbrLen: stitchK},
 			{Nbr: dbg.NullID, PSelf: dbg.L},
-		}))},
+		})}},
 	}
 }
-
-func ptr[T any](v T) *T { return &v }
 
 func stitch(group []member) (ContigRec, error) {
 	var ord uint32

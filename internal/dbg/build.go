@@ -12,11 +12,21 @@ type K1Mer struct {
 	Cov uint32
 }
 
+// KmerRec is one reduced k-mer vertex of phase (ii): a canonical k-mer's
+// ID and its complete adjacency.
+type KmerRec struct {
+	ID pregel.VertexID
+	V  KmerVertex
+}
+
 // BuildResult carries the constructed compact de Bruijn graph plus the
 // statistics the experiments report.
 type BuildResult struct {
-	// Graph holds one KmerVertex per canonical k-mer.
-	Graph *pregel.Graph[KmerVertex, struct{}]
+	// Vertices holds one KmerRec per canonical k-mer, as phase (ii)'s
+	// reducers emit them: shard w is reducer w's output, every record owned
+	// by worker w under the build's Config and in ascending ID order, which
+	// is what pregel.LoadShards installs without a re-shard or a sort.
+	Vertices [][]KmerRec
 	// Stats aggregates both mini-MapReduce phases.
 	Stats pregel.Stats
 	// K1Distinct is the number of distinct (k+1)-mers seen; K1Kept those
@@ -43,9 +53,9 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 	// Keys are (k+1)-mer and k-mer IDs, so both phases group through the
 	// same partitioner that will place the graph's vertices (keyHash is the
 	// identity projection; see MRConfig.Routed): each reduced KmerVertex of
-	// phase (ii) is born on the worker that owns it, and the LoadShards
-	// pass below is a local, already-sorted insert rather than a second
-	// shuffle.
+	// phase (ii) is born, ID-sorted, on the worker that owns it, and the
+	// graph is loaded from the reducers' shards in memory (pregel.LoadShards)
+	// with no second shuffle and no sort.
 	k1Shards := countK1Mers(clock, cfg, readShards, k, theta, res)
 
 	// Phase (ii): one adjacency item per (k+1)-mer endpoint.
@@ -63,26 +73,17 @@ func BuildDBG(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, 
 		},
 		func(id uint64) uint64 { return id },
 		func(a, b uint64) bool { return a < b },
-		func(w int, key uint64, parts []partial, emit func(kvPair)) {
+		func(w int, key uint64, parts []partial, emit func(KmerRec)) {
 			var v KmerVertex
 			for _, p := range parts {
 				v.AddEdge(p.item)
 			}
-			emit(kvPair{pregel.VertexID(key), v})
+			emit(KmerRec{pregel.VertexID(key), v})
 		},
 	)
 	res.Stats.Add(st2)
-
-	g := pregel.NewGraph[KmerVertex, struct{}](cfg)
-	g.UseClock(clock)
-	pregel.LoadShards(g, vertShards, func(p *kvPair) (pregel.VertexID, KmerVertex) { return p.id, p.v })
-	res.Graph = g
+	res.Vertices = vertShards
 	return res, nil
-}
-
-type kvPair struct {
-	id pregel.VertexID
-	v  KmerVertex
 }
 
 // countK1Mers is phase (i) of BuildDBG: it counts the canonical (k+1)-mers
@@ -101,9 +102,8 @@ type kvPair struct {
 // A (k+1)-mer is routed to the worker owning its canonical prefix k-mer (a
 // routing projection, not a mixing hash — see MRConfig.Routed). Phase
 // (ii) then runs its map on that worker, so the prefix-endpoint adjacency
-// pair it emits is intra-machine by construction under every partitioner —
-// and under locality-aware placement the suffix endpoint, which shares k-1
-// bases, usually is too.
+// pair it emits is intra-machine by construction; only the suffix
+// endpoint's pair can cross the wire.
 func countK1Mers(clock *pregel.SimClock, cfg pregel.Config, readShards [][]string, k int, theta uint32, res *BuildResult) [][]K1Mer {
 	workers := max(cfg.Workers, 1)
 	shardItems := make([][][]string, workers)

@@ -129,6 +129,14 @@ func buildFromReads(t *testing.T, reads []string, k int, theta uint32, workers i
 	return res
 }
 
+// kmerGraph loads a build's k-mer vertices into a graph of their own, over
+// as many workers as the build had reducers.
+func kmerGraph(res *BuildResult) *pregel.Graph[KmerVertex, struct{}] {
+	g := pregel.NewGraph[KmerVertex, struct{}](pregel.Config{Workers: len(res.Vertices)})
+	pregel.LoadShards(g, res.Vertices, func(r *KmerRec) (pregel.VertexID, KmerVertex) { return r.ID, r.V })
+	return g
+}
+
 // distinctCanonicalKmers counts the distinct canonical k-mers of the reads.
 func distinctCanonicalKmers(reads []string, k int) int {
 	seen := map[dna.Kmer]bool{}
@@ -151,7 +159,7 @@ func TestBuildDBGSingleRead(t *testing.T) {
 		t.Errorf("K1 distinct/kept = %d/%d, want 5/5", res.K1Distinct, res.K1Kept)
 	}
 	want := distinctCanonicalKmers(reads, 3)
-	if got := res.Graph.VertexCount(); got != want {
+	if got := kmerGraph(res).VertexCount(); got != want {
 		t.Errorf("vertices = %d, want %d", got, want)
 	}
 	// Every edge must be present from both endpoints with equal coverage.
@@ -162,11 +170,12 @@ func TestBuildDBGSingleRead(t *testing.T) {
 // neighbor exists and has a matching reciprocal item with the same coverage.
 func checkEdgeSymmetry(t *testing.T, res *BuildResult, k int) {
 	t.Helper()
-	res.Graph.ForEach(func(id pregel.VertexID, v *KmerVertex) {
+	g := kmerGraph(res)
+	g.ForEach(func(id pregel.VertexID, v *KmerVertex) {
 		self := KmerOf(id)
 		for _, item := range v.Items() {
 			nbrID := KmerID(item.Neighbor(self, k))
-			nv, ok := res.Graph.Value(nbrID)
+			nv, ok := g.Value(nbrID)
 			if !ok {
 				t.Errorf("vertex %s: neighbor %s missing", self.String(k), item.Neighbor(self, k).String(k))
 				continue
@@ -193,11 +202,12 @@ func TestBuildDBGBothStrandsMerge(t *testing.T) {
 	both := []string{"ATTGCAAGTCCGTA", "TACGGACTTGCAAT"}
 	r1 := buildFromReads(t, fwd, 5, 0, 2)
 	r2 := buildFromReads(t, both, 5, 0, 2)
-	if r1.Graph.VertexCount() != r2.Graph.VertexCount() {
-		t.Fatalf("vertex count differs: %d vs %d", r1.Graph.VertexCount(), r2.Graph.VertexCount())
+	g1, g2 := kmerGraph(r1), kmerGraph(r2)
+	if g1.VertexCount() != g2.VertexCount() {
+		t.Fatalf("vertex count differs: %d vs %d", g1.VertexCount(), g2.VertexCount())
 	}
-	r1.Graph.ForEach(func(id pregel.VertexID, v *KmerVertex) {
-		v2, ok := r2.Graph.Value(id)
+	g1.ForEach(func(id pregel.VertexID, v *KmerVertex) {
+		v2, ok := g2.Value(id)
 		if !ok {
 			t.Fatalf("vertex %x missing in both-strand graph", id)
 		}
@@ -226,9 +236,8 @@ func TestBuildDBGThetaFilters(t *testing.T) {
 	// The filtered graph must equal the graph built from good reads alone,
 	// except coverage is 3 per edge.
 	resGood := buildFromReads(t, []string{good, good, good}, 5, 0, 2)
-	if res.Graph.VertexCount() != resGood.Graph.VertexCount() {
-		t.Errorf("filtered graph has %d vertices, error-free graph %d",
-			res.Graph.VertexCount(), resGood.Graph.VertexCount())
+	if n, good := kmerGraph(res).VertexCount(), kmerGraph(resGood).VertexCount(); n != good {
+		t.Errorf("filtered graph has %d vertices, error-free graph %d", n, good)
 	}
 }
 
@@ -251,12 +260,13 @@ func TestPropBuildDBGWorkerCountInvariant(t *testing.T) {
 		base := mustBuild(reads, 7, 0, 1)
 		for _, w := range []int{2, 5} {
 			other := mustBuild(reads, 7, 0, w)
-			if base.Graph.VertexCount() != other.Graph.VertexCount() {
+			bg, og := kmerGraph(base), kmerGraph(other)
+			if bg.VertexCount() != og.VertexCount() {
 				return false
 			}
 			ok := true
-			base.Graph.ForEach(func(id pregel.VertexID, v *KmerVertex) {
-				ov, present := other.Graph.Value(id)
+			bg.ForEach(func(id pregel.VertexID, v *KmerVertex) {
+				ov, present := og.Value(id)
 				if !present || ov.Adj != v.Adj {
 					ok = false
 					return
@@ -360,7 +370,7 @@ func randomVertex(r *rand.Rand) KmerVertex {
 func TestKmerNodeConversion(t *testing.T) {
 	reads := []string{"ATTGCAAGT"}
 	res := buildFromReads(t, reads, 3, 0, 2)
-	res.Graph.ForEach(func(id pregel.VertexID, v *KmerVertex) {
+	kmerGraph(res).ForEach(func(id pregel.VertexID, v *KmerVertex) {
 		checkKmerNode(t, id, v, 3)
 	})
 

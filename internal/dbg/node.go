@@ -186,6 +186,9 @@ func kmerItem(self dna.Kmer, k, bit int, cov uint32) Adj {
 
 // RealDegree counts non-NULL adjacency items.
 func (n *Node) RealDegree() int {
+	if n.Explicit == nil {
+		return n.Bits.Count() // a derived k-mer has no NULL item
+	}
 	d := 0
 	for _, a := range n.Items() {
 		if a.Nbr != NullID {

@@ -22,50 +22,82 @@ func Convert[V2, M2, V1, M1 any](
 	cfg Config,
 	fn func(id VertexID, val V1, emit func(VertexID, V2)),
 ) *Graph[V2, M2] {
-	cfg = cfg.withDefaults()
 	dst := NewGraph[V2, M2](cfg)
 	dst.clock = src.clock
+	dst.install(len(src.workers),
+		func(s int) int { return len(src.workers[s].ids) },
+		func(s, i int, emit func(VertexID, V2)) {
+			if w := src.workers[s]; !w.dead[i] {
+				fn(w.ids[i], w.vals[i], emit)
+			}
+		})
+	return dst
+}
+
+// LoadShards bulk-inserts records, vertex projecting each to its (ID,
+// value): Convert's in-memory hand-over, from a job's output shards instead
+// of a graph, charged to g's clock the same way. Every vertex lands where
+// AddVertex, called on shards[0]'s records in order, then shards[1]'s,
+// would put it. Shards grouped through g's partitioner and ID-sorted —
+// reducer output under MRConfig.Routed — become the workers' partitions as
+// they are projected, with no re-shard and no sort.
+func LoadShards[V, M, T any](g *Graph[V, M], shards [][]T, vertex func(*T) (VertexID, V)) {
+	g.install(len(shards),
+		func(s int) int { return len(shards[s]) },
+		func(s, i int, emit func(VertexID, V)) { emit(vertex(&shards[s][i])) })
+}
+
+// lane is one source's emits addressed to one destination worker.
+type lane[V any] struct {
+	ids  []VertexID
+	vals []V
+}
+
+// install is the one bulk load behind Convert and LoadShards: source s has
+// size(s) items, and each(s, i, emit) turns item i into zero or more
+// vertices.
+//
+// Map half, one task per source: emits go to the source's own
+// per-destination lanes, so tasks share nothing, and an emit to the
+// source's own worker never crosses the wire. A full lane grows to its projected
+// final size — what it holds now, scaled by the share of the source still
+// to scan — so a one-to-one load allocates each lane once and a filtering
+// one never reserves what it will not fill.
+//
+// Install half, one task per destination: it takes its lanes in source
+// order, the order one sequential pass would insert them in, so positions,
+// and which value survives a repeated ID, do not depend on the schedule. An
+// empty partition fed by one strictly ascending lane (every partition under
+// unchanged placement) takes that lane over and indexes it once; any other
+// is sized once, from its lanes' total, and filled by add.
+func (g *Graph[V, M]) install(nSrc int, size func(s int) int, each func(s, i int, emit func(VertexID, V))) {
+	cfg, nDst, items := g.cfg, len(g.workers), 0
+	for s := range nSrc {
+		items += size(s)
+	}
 	if cfg.Tracer != nil {
 		cfg.Tracer.Emit(telemetry.Event{
 			Kind: telemetry.KindBegin, Name: "convert", Cat: "pregel",
-			WallNs: nowNs(), SimNs: src.clock.Ns(),
-			Args: []telemetry.Arg{telemetry.I("vertices", int64(src.VertexCount()))},
+			WallNs: nowNs(), SimNs: g.clock.Ns(),
+			Args: []telemetry.Arg{telemetry.I("vertices", int64(items))},
 		})
 	}
-
-	// Map half, one task per source worker: fn's emits go to that source's
-	// own per-destination buffers, so tasks share nothing. The conversion
-	// shuffle is tiered like any other: a vertex emitted to its source
-	// worker's own partition (under the destination graph's partitioner)
-	// never crosses the wire.
-	type emitBuf struct {
-		ids  []VertexID
-		vals []V2
-	}
-	nSrc, nDst := len(src.workers), len(dst.workers)
-	bufs := make([][]emitBuf, nSrc) // [source][destination]
+	lanes := make([][]lane[V], nSrc) // [source][destination]
 	convNs := make([]float64, max(nSrc, nDst))
-	outBytes := make([]float64, nSrc)
-	localBytes := make([]float64, nSrc)
 	emitted := make([][2]int64, nSrc) // per source: local, remote
 	forEachWorker(nSrc, cfg.Parallel, cfg.JobPrefix, "convert", func(s int) {
-		w := src.workers[s]
-		lanes := make([]emitBuf, nDst)
-		bufs[s] = lanes
-		// A full lane grows to its projected final size — what it holds
-		// now, scaled by the share of the source still to scan — so a
-		// one-to-one conversion allocates each lane once, at its first
-		// emit, and a filtering one never reserves what it will not fill.
-		pos, total := 0, len(w.ids)
+		out := make([]lane[V], nDst)
+		lanes[s] = out
+		pos, total := 0, size(s)
 		var local, remote int64
-		emit := func(nid VertexID, nval V2) {
-			d := dst.WorkerOf(nid)
-			b := &lanes[d]
+		emit := func(id VertexID, val V) {
+			d := g.WorkerOf(id)
+			b := &out[d]
 			if n := len(b.ids); n == min(cap(b.ids), cap(b.vals)) {
 				grow := max((n+1)*total/(pos+1), 2*n) - n
 				b.ids, b.vals = slices.Grow(b.ids, grow), slices.Grow(b.vals, grow)
 			}
-			b.ids, b.vals = append(b.ids, nid), append(b.vals, nval)
+			b.ids, b.vals = append(b.ids, id), append(b.vals, val)
 			if d == s {
 				local++
 			} else {
@@ -73,81 +105,60 @@ func Convert[V2, M2, V1, M1 any](
 			}
 		}
 		start := nowNs()
-		for i, id := range w.ids {
-			if !w.dead[i] {
-				pos = i
-				fn(id, w.vals[i], emit)
-			}
+		for pos = 0; pos < total; pos++ {
+			each(s, pos, emit)
 		}
 		convNs[s] = float64(nowNs() - start)
 		emitted[s] = [2]int64{local, remote}
-		localBytes[s] = float64(local) * float64(cfg.MessageBytes)
-		outBytes[s] = float64(remote) * float64(cfg.MessageBytes)
 	})
-
-	// Install half, one task per destination worker: it takes the buffers
-	// addressed to it in source-worker order, which is the order one
-	// sequential pass over src would have inserted them in — so positions,
-	// and which value survives a duplicated ID, do not depend on the
-	// schedule. Count-first: the partition is sized once, from the source's
-	// count under unchanged worker count, and is already ID-sorted when
-	// placement is unchanged too.
-	even := src.VertexCount()/nDst + 1
 	forEachWorker(nDst, cfg.Parallel, cfg.JobPrefix, "convert", func(d int) {
-		w := dst.workers[d]
+		w := g.workers[d]
 		start := nowNs()
-		n := even
-		if nSrc == nDst {
-			n = src.workers[d].vertexCount()
-		}
-		// A partition fed by one source lane only — every partition, under
-		// unchanged placement — takes over that lane's value array instead
-		// of copying it: each insert then lands at or before the slot it
-		// was read from. (A lane shorter than n is copied after all:
-		// reserve moves the partition to an array of its own.)
-		var only *emitBuf
-		feeds := 0
-		for s := range bufs {
-			if b := &bufs[s][d]; len(b.ids) > 0 {
-				only, feeds = b, feeds+1
+		n, feeds := 0, 0
+		var only *lane[V]
+		for s := range lanes {
+			if b := &lanes[s][d]; len(b.ids) > 0 {
+				n, feeds, only = n+len(b.ids), feeds+1, b
 			}
 		}
-		if feeds != 1 {
-			only = nil
+		adopt := feeds == 1 && len(w.ids) == 0
+		for i := 1; adopt && i < n; i++ {
+			adopt = only.ids[i-1] < only.ids[i]
+		}
+		if adopt {
+			w.ids, w.vals = only.ids, only.vals
+			w.active, w.dead = make([]bool, n), make([]bool, n)
+			for i := range w.active {
+				w.active[i] = true
+			}
+			w.idx.rebuild(w.ids, n)
+			w.lazy = false
 		} else {
-			w.vals = only.vals[:0]
-		}
-		w.reserve(n)
-		for s := range bufs {
-			b := &bufs[s][d]
-			for i, id := range b.ids {
-				w.add(id, b.vals[i])
+			w.reserve(n)
+			for s := range lanes {
+				b := &lanes[s][d]
+				for i, id := range b.ids {
+					w.add(id, b.vals[i])
+				}
 			}
-			if b == only {
-				clear(b.vals[len(w.vals):]) // values a duplicated ID replaced
-			}
-			*b = emitBuf{}
-		}
-		if 2*len(w.ids) < cap(w.ids) {
-			w.compactSort() // a filtering conversion: hand the slack back
 		}
 		convNs[d] += float64(nowNs() - start)
 	})
-	var emittedLocal, emittedRemote int64
-	for _, e := range emitted {
-		emittedLocal += e[0]
-		emittedRemote += e[1]
+	outBytes, localBytes := make([]float64, nSrc), make([]float64, nSrc)
+	var local, remote int64
+	for s, e := range emitted {
+		localBytes[s], outBytes[s] = float64(e[0])*float64(cfg.MessageBytes), float64(e[1])*float64(cfg.MessageBytes)
+		local, remote = local+e[0], remote+e[1]
 	}
-	dst.clock.ChargeSuperstepTiered(convNs, outBytes, localBytes)
-	dst.clock.CountMessages(emittedLocal, emittedRemote)
+	g.clock.ChargeSuperstepTiered(convNs, outBytes, localBytes)
+	g.clock.CountMessages(local, remote)
 	if cfg.Tracer != nil {
 		cfg.Tracer.Emit(telemetry.Event{
 			Kind: telemetry.KindEnd, Name: "convert", Cat: "pregel",
-			WallNs: nowNs(), SimNs: dst.clock.Ns(),
-			Args: []telemetry.Arg{telemetry.I("emitted", emittedLocal+emittedRemote)},
+			WallNs: nowNs(), SimNs: g.clock.Ns(),
+			Args: []telemetry.Arg{telemetry.I("emitted", local+remote)},
 		})
 	}
-	return dst
 }
 
 // UseClock replaces g's simulated clock, letting independent graphs charge

@@ -21,14 +21,6 @@ func convertReference[V2, M2, V1, M1 any](
 	cfg = cfg.withDefaults()
 	dst := NewGraph[V2, M2](cfg)
 	dst.clock = src.clock
-	even := src.VertexCount()/len(dst.workers) + 1
-	for d, w := range dst.workers {
-		n := even
-		if len(src.workers) == len(dst.workers) {
-			n = src.workers[d].vertexCount()
-		}
-		w.reserve(n)
-	}
 	convNs := make([]float64, src.cfg.Workers)
 	outBytes := make([]float64, src.cfg.Workers)
 	localBytes := make([]float64, src.cfg.Workers)
@@ -58,11 +50,6 @@ func convertReference[V2, M2, V1, M1 any](
 	})
 	if cur >= 0 {
 		convNs[cur] += float64(nowNs() - start)
-	}
-	for _, w := range dst.workers {
-		if 2*len(w.ids) < cap(w.ids) {
-			w.compactSort()
-		}
 	}
 	dst.clock.ChargeSuperstepTiered(convNs, outBytes, localBytes)
 	dst.clock.CountMessages(nLocal, nRemote)

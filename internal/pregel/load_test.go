@@ -2,6 +2,8 @@ package pregel
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -117,6 +119,63 @@ func TestVertexSetMatchesModel(t *testing.T) {
 				if want, in := model[id]; ok != in || got != want {
 					t.Fatalf("trial %d: Value(%d) = %d,%v; model %d,%v", trial, id, got, ok, want, in)
 				}
+			}
+		}
+	}
+}
+
+// TestLoadShardsMatchesAddVertex: loading owner-placed, ID-sorted shards —
+// what a MapReduce routed through the graph's partitioner emits — gives
+// every worker the IDs, positions, values, flags and index that AddVertex,
+// called on the same records one by one, gives it, on one goroutine and on
+// the executor; and the load is charged as one all-local shuffle round.
+func TestLoadShardsMatchesAddVertex(t *testing.T) {
+	type rec struct {
+		id  VertexID
+		val uint64
+	}
+	for _, workers := range []int{1, 4, 7} {
+		for _, parallel := range []bool{false, true} {
+			cfg := Config{Workers: workers, Parallel: parallel}
+			rng := rand.New(rand.NewSource(int64(workers)))
+			ids := make([]VertexID, 5000)
+			for i := range ids {
+				ids[i] = VertexID(rng.Uint64() >> rng.Intn(48))
+			}
+			slices.Sort(ids)
+			ids = slices.Compact(ids)
+
+			want := NewGraph[uint64, struct{}](cfg)
+			shards := make([][]rec, workers)
+			for _, id := range ids {
+				w := want.WorkerOf(id)
+				shards[w] = append(shards[w], rec{id, rng.Uint64()})
+			}
+			for _, shard := range shards {
+				for _, r := range shard {
+					want.AddVertex(r.id, r.val)
+				}
+			}
+			got := NewGraph[uint64, struct{}](cfg)
+			LoadShards(got, shards, func(r *rec) (VertexID, uint64) { return r.id, r.val })
+
+			for w := range workers {
+				g, x := got.workers[w], want.workers[w]
+				if !slices.Equal(g.ids, x.ids) || !slices.Equal(g.vals, x.vals) {
+					t.Fatalf("workers=%d parallel=%v: worker %d holds %d vertices, AddVertex %d, or in other positions or with other values",
+						workers, parallel, w, len(g.ids), len(x.ids))
+				}
+				if !reflect.DeepEqual(g.active, x.active) || !reflect.DeepEqual(g.dead, x.dead) || g.nDead != x.nDead {
+					t.Fatalf("workers=%d parallel=%v: worker %d flags differ from AddVertex's", workers, parallel, w)
+				}
+				for i, id := range g.ids {
+					if p, ok := g.index().lookup(g.ids, id); !ok || p != i {
+						t.Fatalf("workers=%d parallel=%v: worker %d index resolves %d to %d,%v, want %d", workers, parallel, w, id, p, ok, i)
+					}
+				}
+			}
+			if l, r := got.clock.LocalMessages(), got.clock.RemoteMessages(); l != int64(len(ids)) || r != 0 {
+				t.Errorf("workers=%d parallel=%v: load counted %d local and %d remote emits, want %d and 0", workers, parallel, l, r, len(ids))
 			}
 		}
 	}

@@ -281,7 +281,17 @@ func MapReduce[I, K, V, O any](
 		for i, p := range perm {
 			vals[i] = arrived[p]
 		}
-		emit := func(o O) { out[d] = append(out[d], o) }
+		// A full output grows to its projected final length — what it holds
+		// now, scaled by the share of the arrivals reduced so far — so a
+		// reducer that emits about once per key or filters evenly copies
+		// its output about once, not once per doubling.
+		done := 0
+		emit := func(o O) {
+			if n := len(out[d]); n == cap(out[d]) {
+				out[d] = slices.Grow(out[d], max((n+1)*total/done-n, n/4, 64))
+			}
+			out[d] = append(out[d], o)
+		}
 		for i := 0; i < total; {
 			j := i + 1
 			var key K
@@ -300,6 +310,7 @@ func MapReduce[I, K, V, O any](
 					j++
 				}
 			}
+			done = j
 			reduceFn(d, key, vals[i:j], emit)
 			i = j
 		}

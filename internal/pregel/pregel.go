@@ -87,7 +87,7 @@ type Config struct {
 	// Workers is the number of logical workers (simulated machines).
 	Workers int
 	// Parallel runs every per-worker phase — compute, delivery, checkpoint
-	// encode, vertex sort, Convert, MapReduce map and reduce — on the
+	// encode, vertex sort, Convert/LoadShards, MapReduce map and reduce — on the
 	// engine's executor: min(Workers, GOMAXPROCS) goroutines that claim
 	// worker indices one at a time (see forEachWorker). The pool is bounded
 	// by the core count, not the worker count, so a logical worker has a core
@@ -344,7 +344,7 @@ func (w *verts[V]) index() *vindex {
 }
 
 // Graph is a distributed vertex collection plus engine state. Create one
-// with NewGraph, populate it with AddVertex (or via MapReduce/Convert), then
+// with NewGraph, populate it with AddVertex (or LoadShards/Convert), then
 // Run one or more jobs over it.
 type Graph[V, M any] struct {
 	cfg     Config
@@ -528,32 +528,15 @@ func (w *verts[V]) add(id VertexID, val V) {
 	w.dead = append(w.dead, false)
 }
 
-// reserve is the bulk-load helper behind Convert and LoadShards: it sizes
-// every per-vertex array and the index of w for n more vertices, once, so
-// the inserts that follow never regrow or rehash.
+// reserve sizes every per-vertex array and the index of w for n more
+// vertices, once, so the adds of a bulk load (install) never regrow or
+// rehash.
 func (w *verts[V]) reserve(n int) {
 	w.ids = slices.Grow(w.ids, n)
 	w.vals = slices.Grow(w.vals, n)
 	w.active = slices.Grow(w.active, n)
 	w.dead = slices.Grow(w.dead, n)
 	w.index().reserve(w.ids, len(w.ids)+n)
-}
-
-// LoadShards bulk-inserts records, vertex projecting each to its (ID, value).
-// len(shards[w]) sizes worker w — exact for reducer output grouped through
-// g's partitioner, which is also born ID-sorted, so the first Run finds
-// nothing to sort — but WorkerOf still places every vertex, as AddVertex.
-func LoadShards[V, M, T any](g *Graph[V, M], shards [][]T, vertex func(*T) (VertexID, V)) {
-	for w, shard := range shards {
-		if w < len(g.workers) {
-			g.workers[w].reserve(len(shard))
-		}
-	}
-	for _, shard := range shards {
-		for i := range shard {
-			g.AddVertex(vertex(&shard[i]))
-		}
-	}
 }
 
 // sortVertices readies every worker for a Run: all vertices active, inbox
