@@ -32,8 +32,6 @@ import (
 
 	"ppaassembler/internal/core"
 	"ppaassembler/internal/fastx"
-	"ppaassembler/internal/pregel"
-	"ppaassembler/internal/shardio"
 )
 
 // cliOpts carries every flag so run stays testable. The assembly and engine
@@ -69,7 +67,7 @@ func parseFlags(args []string) (cliOpts, error) {
 	def := o.Options
 	var theta uint
 	fs := flag.NewFlagSet("ppa-assembler", flag.ContinueOnError)
-	fs.StringVar(&o.in, "in", "", "input reads: FASTQ/FASTA file (optionally .gz), one-read-per-line text file, or a shardio store directory")
+	fs.StringVar(&o.in, "in", "", "input reads: FASTQ/FASTA file (optionally .gz) or one-read-per-line text file")
 	fs.StringVar(&o.out, "out", "contigs.fasta", "output FASTA path (\"-\" for stdout)")
 	fs.IntVar(&o.K, "k", def.K, "k-mer length (odd, <= 31)")
 	fs.UintVar(&theta, "theta", uint(def.Theta), "drop (k+1)-mers with coverage <= theta")
@@ -160,24 +158,16 @@ func run(o cliOpts) error {
 }
 
 // loadReadList accepts a FASTQ/FASTA file (by extension, optionally
-// gzip-compressed), a shardio store directory, or a plain one-read-per-line
-// file, and returns the reads in their on-disk order (so interleaved pairs
-// stay adjacent).
+// gzip-compressed) or a plain one-read-per-line file, and returns the reads
+// in their on-disk order (so interleaved pairs stay adjacent). A directory
+// is refused.
 func loadReadList(path string) ([]string, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
 	if st.IsDir() {
-		store, err := shardio.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		shards, err := store.ReadShards(0)
-		if err != nil {
-			return nil, err
-		}
-		return pregel.Flatten(shards), nil
+		return nil, fmt.Errorf("-in %s is a directory, not a reads file", path)
 	}
 	f, err := fastx.Open(path)
 	if err != nil {

@@ -336,6 +336,25 @@ func TestLoadReadsMissingFile(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsDirectoryInput: -in naming a directory fails with an error
+// that names it, and writes no contigs.
+func TestCLIRejectsDirectoryInput(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "reads")
+	if err := os.Mkdir(in, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.fasta")
+	code := -1
+	stderr := captureStderr(t, func() { code = cliMain([]string{"-in", in, "-out", out, "-q"}) })
+	if code != 1 || !strings.Contains(stderr, in) || !strings.Contains(stderr, "directory") {
+		t.Errorf("-in %s: exit %d, stderr %q; want exit 1 and an error naming the directory", in, code, stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Error("contigs file was written")
+	}
+}
+
 // TestEndToEndFaultInjection drives the new fault-tolerance flags end to
 // end: the same input assembled with and without an injected mid-pipeline
 // crash (checkpointing to disk) must produce byte-identical contig FASTA.

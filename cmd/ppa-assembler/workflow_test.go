@@ -164,39 +164,6 @@ func TestGFAExplicitSpecMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestWorkflowStagedSeamMatchesInMemory: inserting a shardio staging seam
-// between ops must not change the assembly output byte-for-byte.
-func TestWorkflowStagedSeamMatchesInMemory(t *testing.T) {
-	dir := t.TempDir()
-	in := workflowTestReads(t, dir)
-
-	memOut := filepath.Join(dir, "mem.fasta")
-	o := defaultOpts(in, memOut)
-	o.workflow = cannedSpec
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-
-	stagedOut := filepath.Join(dir, "staged.fasta")
-	o = defaultOpts(in, stagedOut)
-	o.workflow = "build,stage:dir=" + filepath.Join(dir, "seam1") +
-		",label,merge,bubble,rebuild,stage:dir=" + filepath.Join(dir, "seam2") +
-		",link,tiptrim,label,merge,fasta"
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-
-	if string(readFile(t, memOut)) != string(readFile(t, stagedOut)) {
-		t.Error("shardio-staged plan differs from its all-in-memory twin")
-	}
-	// The explicit seam directories must hold real part-files.
-	for _, seam := range []string{"seam1", "seam2"} {
-		if _, err := os.Stat(filepath.Join(dir, seam, "segments", "part-00000")); err != nil {
-			t.Errorf("staging seam %s left no part-files: %v", seam, err)
-		}
-	}
-}
-
 // TestWorkflowKillAndResume is the process-level recovery contract through
 // a user-composed plan: a first -workflow run leaves its checkpoints in a
 // directory; a second process-equivalent run with -resume fast-forwards
@@ -276,7 +243,6 @@ func TestWorkflowSpecRejected(t *testing.T) {
 		// adjacency; skipping link must be a type error, not silent damage.
 		{func(o *cliOpts) { o.workflow = "build,label,merge,rebuild,tiptrim,label,merge,fasta" }, `needs "graph"`},
 		{func(o *cliOpts) { o.workflow = "build,link,fasta" }, `needs "mixed"`},
-		{func(o *cliOpts) { o.workflow = "stage,build,label,merge,fasta" }, "needs one of"},
 		{func(o *cliOpts) { o.workflow = cannedSpec; o.Rounds = 1 }, "-rounds is ignored"},
 		{func(o *cliOpts) {
 			o.workflow = "build,label,merge,fasta"
@@ -286,12 +252,19 @@ func TestWorkflowSpecRejected(t *testing.T) {
 		// The partition op and its placement schemes are gone: hash is the
 		// only placement, so the op name is refused like any unknown one.
 		{func(o *cliOpts) { o.workflow = "partition:scheme=hash," + cannedSpec }, `unknown op "partition"`},
+		// So are the stage and trace ops: ops hand over in memory, and
+		// -trace/-metrics observe any spec.
+		{func(o *cliOpts) { o.workflow = "build,stage,label,merge,fasta" }, `unknown op "stage"`},
+		{func(o *cliOpts) { o.workflow = "trace:file=t.jsonl," + cannedSpec }, `unknown op "trace"`},
 		{func(o *cliOpts) { o.workflow = "build,label,merge" }, "writes no output"},
 		{func(o *cliOpts) { o.workflow = cannedSpec + ",scaffold" }, "-scaffold gives no output path"},
 		{func(o *cliOpts) { o.workflow = "build,label,merge,fasta"; o.gfa = filepath.Join(dir, "g.gfa") }, "-gfa needs the error-corrected graph"},
 		{func(o *cliOpts) { o.Rounds = 3 }, "Rounds must be 1 or 2"},
 		{func(o *cliOpts) { o.CheckpointEvery, o.checkpoint = -1, filepath.Join(dir, "ckpt") }, "CheckpointEvery must not be negative"},
 		{func(o *cliOpts) { o.workflow = "build:k=banana,label,merge,fasta" }, "want an integer"},
+		// k is checked when the spec is parsed, whether -k or the spec sets it.
+		{func(o *cliOpts) { o.K = 20 }, `op "build": dna: k=20 must be odd`},
+		{func(o *cliOpts) { o.workflow = "build:k=33,label,merge,fasta" }, `op "build": dna: k=33 out of range`},
 	}
 	for _, c := range cases {
 		o := defaultOpts(in, out)

@@ -1,13 +1,11 @@
 // Ops cookbook: a tour of the workflow layer — the paper's operation API
-// (§II, §IV) reified as typed, stageable jobs.
+// (§II, §IV) reified as typed jobs that hand their artifacts to the next
+// job in memory (the Pregel+ convert extension).
 //
 //  1. Spell a workflow as a CLI-style spec and let the registry compile it.
 //  2. Build the same thing programmatically with the Plan API.
-//  3. Choose staging at a seam: in-memory handoff (the Pregel+ convert
-//     extension) vs a dump/reload through a shardio store (the paper's
-//     HDFS positioning) — and see that the outputs are identical.
-//  4. Watch the planner reject an ill-typed composition before any compute.
-//  5. Thread fault tolerance through a composition: checkpoints land under
+//  3. Watch the planner reject an ill-typed composition before any compute.
+//  4. Thread fault tolerance through a composition: checkpoints land under
 //     per-op deterministic job keys, and an injected crash recovers.
 //
 // Run with: go run ./examples/ops-cookbook
@@ -80,42 +78,17 @@ func main() {
 	}
 	fmt.Printf("2. one-round plan %q: %d contigs >= 200 bp\n\n", api.String(), len(st2.Fasta))
 
-	// ── 3. Staging choices at a seam ───────────────────────────────────
-	// By default artifacts hand over in memory. A StageOp dumps the live
-	// graph/contigs to a shardio store (one part-file per worker, like
-	// HDFS blocks) and reloads them — byte-identical results, at the cost
-	// of simulated (and real) I/O.
-	stageDir := filepath.Join(os.TempDir(), "ppa-cookbook-stage")
-	defer os.RemoveAll(stageDir)
-	staged := workflow.NewPlan[core.State](core.ArtReads).
-		Then(core.BuildDBGOp{K: 21, Theta: 1}).
-		Then(core.StageOp{Dir: stageDir}). // the explicit seam
-		Then(core.LabelOp{Algo: core.LabelerLR}).
-		Then(core.MergeOp{TipLen: 80}).
-		Then(core.EmitFastaOp{MinLen: 200})
-	st3 := &core.State{Reads: shards}
-	if err := staged.Run(&workflow.Env{Config: pregel.Config{Workers: 4}}, st3); err != nil {
-		log.Fatal(err)
-	}
-	parts, _ := filepath.Glob(filepath.Join(stageDir, "segments", "part-*"))
-	var memBuf, stagedBuf bytes.Buffer
-	fastx.WriteFasta(&memBuf, st2.Fasta, 70)
-	fastx.WriteFasta(&stagedBuf, st3.Fasta, 70)
-	fmt.Printf("3. staging seam wrote %d part-files; staged output identical to in-memory: %v\n\n",
-		len(parts), bytes.Equal(memBuf.Bytes(), stagedBuf.Bytes()))
-
-	// ── 4. Typed validation catches bad compositions ───────────────────
-	// Merging needs fresh labels; a staging seam drops them (only durable
-	// segment data survives a dump/reload), so this plan is rejected at
-	// build time, before any reads are touched.
+	// ── 3. Typed validation catches bad compositions ───────────────────
+	// Merging needs fresh labels and spends them, so a second merge without
+	// relabeling is rejected at build time, before any reads are touched.
 	bad := workflow.NewPlan[core.State](core.ArtReads).
 		Then(core.BuildDBGOp{K: 21, Theta: 1}).
 		Then(core.LabelOp{Algo: core.LabelerLR}).
-		Then(core.StageOp{}).
+		Then(core.MergeOp{TipLen: 80}).
 		Then(core.MergeOp{TipLen: 80})
-	fmt.Printf("4. planner rejects a seam that loses labels:\n   %v\n\n", bad.Err())
+	fmt.Printf("3. planner rejects a merge of spent labels:\n   %v\n\n", bad.Err())
 
-	// ── 5. Fault tolerance across a composition ────────────────────────
+	// ── 4. Fault tolerance across a composition ────────────────────────
 	// One checkpoint store and one crash schedule thread through every op;
 	// job keys carry the op's plan position, so a re-executed plan resumes
 	// deterministically. Round 12 of the composition loses worker 2 and
@@ -153,7 +126,9 @@ func main() {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	fmt.Printf("5. crash at round 12 fired=%v, recovered output identical: %v\n",
+	var memBuf bytes.Buffer
+	fastx.WriteFasta(&memBuf, st2.Fasta, 70)
+	fmt.Printf("4. crash at round 12 fired=%v, recovered output identical: %v\n",
 		faults.FiredCount() == 1, bytes.Equal(ftBuf.Bytes(), memBuf.Bytes()))
 	fmt.Printf("   per-op checkpoint key families: %s\n", strings.Join(names, ", "))
 }

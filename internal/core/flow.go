@@ -2,15 +2,12 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"ppaassembler/internal/dbg"
+	"ppaassembler/internal/dna"
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/scaffold"
-	"ppaassembler/internal/shardio"
-	"ppaassembler/internal/telemetry"
 	"ppaassembler/internal/workflow"
 )
 
@@ -23,9 +20,9 @@ import (
 
 // Artifacts produced and consumed by the catalog. "labels" and "ambig" are
 // scratch annotations living on graph vertices (written by the labeling
-// job); a staging seam round-trips only durable segment data, so it
-// consumes both — which is how the planner rejects, before any compute, a
-// seam placed where the next op would silently read lost state.
+// job); the op that spends one consumes it (merge the labels, rebuild the
+// ambiguity), which is how the planner rejects, before any compute, an op
+// placed where it would silently read spent state.
 const (
 	// ArtReads is the sharded read set ([][]string).
 	ArtReads workflow.Artifact = "reads"
@@ -319,95 +316,6 @@ func (o TipTrimOp) Run(env *workflow.Env, st *State) error {
 	return nil
 }
 
-// StageOp is an explicit staging seam: the live segment graph and contig
-// set are dumped to a shardio store (the paper's HDFS positioning between
-// jobs of different systems) and immediately reloaded. Only durable
-// segment data survives — labels and ambiguity annotations do not, which
-// the planner enforces by consuming them. Dump and reload are charged to
-// the simulated clock at checkpoint-I/O rates.
-type StageOp struct {
-	// Dir is the store directory; empty stages through a temporary
-	// directory that is removed after the reload.
-	Dir string
-}
-
-// Info implements workflow.Op.
-func (o StageOp) Info() workflow.Info {
-	return workflow.Info{Name: "stage",
-		NeedsAny: []workflow.Artifact{ArtGraph, ArtMixed, ArtContigs},
-		Consumes: []workflow.Artifact{ArtLabels, ArtAmbig}}
-}
-
-// Run implements workflow.Op.
-func (o StageOp) Run(env *workflow.Env, st *State) error {
-	if st.Graph == nil && st.Contigs == nil {
-		return fmt.Errorf("core: stage seam has nothing to stage (no graph or contigs yet)")
-	}
-	dir := o.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "ppa-stage-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	if st.Graph != nil {
-		store, err := shardio.Open(filepath.Join(dir, "segments"))
-		if err != nil {
-			return err
-		}
-		if err := DumpSegments(st.Graph, store); err != nil {
-			return err
-		}
-		if err := chargeStageIO(env, store); err != nil {
-			return err
-		}
-		g, err := LoadSegments(store, env.Config, env.Clock)
-		if err != nil {
-			return err
-		}
-		st.Graph = g
-	}
-	if st.Contigs != nil {
-		store, err := shardio.Open(filepath.Join(dir, "contigs"))
-		if err != nil {
-			return err
-		}
-		if err := DumpContigs(st.Contigs, store); err != nil {
-			return err
-		}
-		if err := chargeStageIO(env, store); err != nil {
-			return err
-		}
-		contigs, err := LoadContigs(store)
-		if err != nil {
-			return err
-		}
-		st.Contigs = contigs
-	}
-	return nil
-}
-
-// chargeStageIO charges a staging round trip to the simulated clock: every
-// worker writes and re-reads its part-file in parallel, so the charge is
-// carried by the largest part at checkpoint-I/O rates.
-func chargeStageIO(env *workflow.Env, store *shardio.Store) error {
-	sizes, err := store.PartSizes()
-	if err != nil {
-		return err
-	}
-	var max float64
-	for _, s := range sizes {
-		if b := float64(s); b > max {
-			max = b
-		}
-	}
-	env.Clock.ChargeCheckpoint(max)
-	env.Clock.ChargeRecovery(max)
-	return nil
-}
-
 // EmitFastaOp renders the current contig set as FASTA records (named and
 // numbered exactly as the ppa-assembler CLI writes them).
 type EmitFastaOp struct {
@@ -473,82 +381,13 @@ func (o ScaffoldOp) Run(env *workflow.Env, st *State) error {
 	return nil
 }
 
-// TraceOp turns telemetry on for the rest of the plan: it opens the
-// requested trace/metrics sinks, layers the trace sink over any tracer the
-// environment already carries, and registers closers so everything flushes
-// when the plan finishes (even a failed one). It is how the CLI's
-// `trace:file=...` spec op gives arbitrary user workflows the same
-// observability as the -trace flag.
-type TraceOp struct {
-	// File is the trace output path ("" = no trace sink).
-	File string
-	// Format selects the trace encoding: "jsonl" (default) or "chrome"
-	// (trace_event JSON for Perfetto / chrome://tracing).
-	Format string
-	// Metrics is the Prometheus-text metrics dump path ("" = no dump).
-	Metrics string
-}
-
-// Info implements workflow.Op. The op needs no artifacts: it may open any
-// plan, or sit mid-plan to trace only the ops after it.
-func (o TraceOp) Info() workflow.Info { return workflow.Info{Name: "trace"} }
-
-// Run implements workflow.Op.
-func (o TraceOp) Run(env *workflow.Env, st *State) error {
-	if o.File != "" {
-		f, err := os.Create(o.File)
-		if err != nil {
-			return fmt.Errorf("core: trace sink: %w", err)
-		}
-		var sink interface {
-			telemetry.Tracer
-			Close() error
-		}
-		switch o.Format {
-		case "", "jsonl":
-			sink = telemetry.NewJSONLWriter(f)
-		case "chrome":
-			sink = telemetry.NewChromeWriter(f)
-		default:
-			f.Close()
-			return fmt.Errorf("core: trace format %q: want jsonl or chrome", o.Format)
-		}
-		env.Tracer = telemetry.Multi(env.Tracer, sink)
-		env.AddCloser(sink.Close)
-	}
-	if o.Metrics != "" {
-		if env.Metrics == nil {
-			env.Metrics = telemetry.NewRegistry()
-		}
-		reg, path := env.Metrics, o.Metrics
-		env.AddCloser(func() error {
-			f, err := os.Create(path)
-			if err != nil {
-				return fmt.Errorf("core: metrics dump: %w", err)
-			}
-			if err := reg.WritePrometheus(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
-	// A graph built by an earlier op captured the pre-trace telemetry in
-	// its Config; retrofit the live sinks so the remaining ops on it are
-	// traced too.
-	if st.Graph != nil {
-		st.Graph.SetTelemetry(env.Tracer, env.Metrics)
-	}
-	return nil
-}
-
 // OpRegistry returns the spec registry of the assembler's op catalog, the
 // grammar behind the ppa-assembler -workflow flag. A parameter a spec leaves
 // unset takes its value from def's assembly fields (tiptrim's minlen from
 // TipLen, fasta's from MinLen, scaffold's from Scaffold), so the command's
 // flags reach every spec; def's engine fields are not read:
 //
-//	build[:k=21][:theta=1]      DBG construction (op ①)
+//	build[:k=21][:theta=1]      DBG construction (op ①; k odd, <= 31, checked at parse)
 //	label[:algo=lr|sv]          contig labeling (op ②, see ParseLabeler); aliases: listrank, svlabel
 //	merge[:tiplen=80]           contig merging (op ③)
 //	bubble[:editdist=5][:mincov=0]  bubble filtering (op ④)
@@ -556,9 +395,6 @@ func (o TraceOp) Run(env *workflow.Env, st *State) error {
 //	link                        contig announcement (op ⑤ setup)
 //	split:ratio=N               branch splitting (Spaler extension)
 //	tiptrim[:minlen=80]         tip removal waves (op ⑤)
-//	stage[:dir=PATH]            dump/reload seam through a shardio store
-//	trace[:file=PATH][:format=jsonl|chrome][:metrics=PATH]
-//	                            telemetry sinks for the rest of the plan
 //	fasta[:minlen=0]            render contigs as FASTA
 //	scaffold[:insert=0][:insertsd=0][:minsupport=3][:minlen=500][:seed=31]
 //	                            paired-end scaffolding (stage ⑦)
@@ -570,7 +406,11 @@ func OpRegistry(def Options) workflow.Registry[State] {
 	}
 	return workflow.Registry[State]{
 		"build": func(p *workflow.Params) (workflow.Op[State], error) {
-			return BuildDBGOp{K: p.Int("k", def.K), Theta: p.Uint32("theta", def.Theta)}, p.Err()
+			op := BuildDBGOp{K: p.Int("k", def.K), Theta: p.Uint32("theta", def.Theta)}
+			if err := dna.ValidK(op.K); err != nil {
+				return nil, err
+			}
+			return op, p.Err()
 		},
 		"label": func(p *workflow.Params) (workflow.Op[State], error) {
 			op := LabelOp{Algo: def.Labeler}
@@ -608,23 +448,6 @@ func OpRegistry(def Options) workflow.Registry[State] {
 		},
 		"tiptrim": func(p *workflow.Params) (workflow.Op[State], error) {
 			return TipTrimOp{MinLen: p.Int("minlen", def.TipLen)}, p.Err()
-		},
-		"stage": func(p *workflow.Params) (workflow.Op[State], error) {
-			return StageOp{Dir: p.Str("dir", "")}, p.Err()
-		},
-		"trace": func(p *workflow.Params) (workflow.Op[State], error) {
-			op := TraceOp{
-				File:    p.Str("file", ""),
-				Format:  p.Str("format", "jsonl"),
-				Metrics: p.Str("metrics", ""),
-			}
-			if op.Format != "jsonl" && op.Format != "chrome" {
-				return nil, fmt.Errorf("parameter format=%q: want jsonl or chrome", op.Format)
-			}
-			if op.File == "" && op.Metrics == "" {
-				return nil, fmt.Errorf("trace op needs file= and/or metrics=")
-			}
-			return op, p.Err()
 		},
 		"fasta": func(p *workflow.Params) (workflow.Op[State], error) {
 			return EmitFastaOp{MinLen: p.Int("minlen", def.MinLen)}, p.Err()

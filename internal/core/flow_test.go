@@ -3,140 +3,15 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
-	"sort"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ppaassembler/internal/fastx"
 	"ppaassembler/internal/pregel"
-	"ppaassembler/internal/shardio"
 	"ppaassembler/internal/telemetry"
 	"ppaassembler/internal/workflow"
 )
-
-// graphRecords canonicalizes a segment graph as its sorted node records,
-// which is worker-layout independent.
-func graphRecords(g *Graph) []string {
-	var recs []string
-	g.ForEach(func(id pregel.VertexID, v *VData) {
-		recs = append(recs, nodeRecord(&v.Node))
-	})
-	sort.Strings(recs)
-	return recs
-}
-
-// TestDumpLoadSegmentsAcrossWorkerCounts: a segment store written by W
-// workers and re-replicated onto a different worker count must reconstruct
-// an equivalent graph — same node records — and assemble the same contig
-// sequences.
-func TestDumpLoadSegmentsAcrossWorkerCounts(t *testing.T) {
-	reads, _ := exampleGenomeReads(t)
-	const k = 21
-	g := buildSegGraph(t, reads, k, 3)
-	want := graphRecords(g)
-	if _, err := LabelContigs(g, LabelerLR); err != nil {
-		t.Fatal(err)
-	}
-	m, err := MergeContigs(g, k, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSeqs := contigSeqs(pregel.Flatten(m.Contigs))
-
-	// Dump from the pre-labeling state (labels are scratch, not staged).
-	g = buildSegGraph(t, reads, k, 3)
-	store, err := shardio.Open(filepath.Join(t.TempDir(), "seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DumpSegments(g, store); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 3, 4, 7} {
-		g2, err := LoadSegments(store, pregel.Config{Workers: workers}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := graphRecords(g2)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: reloaded %d records, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: record %d differs:\n got %s\nwant %s", workers, i, got[i], want[i])
-			}
-		}
-		// The reloaded graph must assemble the same contig sequences
-		// (contig IDs legitimately differ with the worker layout).
-		if _, err := LabelContigs(g2, LabelerLR); err != nil {
-			t.Fatal(err)
-		}
-		m2, err := MergeContigs(g2, k, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSeqs := contigSeqs(pregel.Flatten(m2.Contigs))
-		if len(gotSeqs) != len(wantSeqs) {
-			t.Fatalf("workers=%d: assembled %d contigs, want %d", workers, len(gotSeqs), len(wantSeqs))
-		}
-		for i := range wantSeqs {
-			if gotSeqs[i] != wantSeqs[i] {
-				t.Errorf("workers=%d: contig %d sequence differs", workers, i)
-			}
-		}
-	}
-}
-
-// contigSeqs returns the canonicalized (sorted) contig sequence strings.
-func contigSeqs(contigs []ContigRec) []string {
-	seqs := make([]string, len(contigs))
-	for i, c := range contigs {
-		seqs[i] = c.Node.Seq.String()
-	}
-	sort.Strings(seqs)
-	return seqs
-}
-
-// TestDumpLoadContigsAcrossWorkerCounts: contig records survive a store
-// round trip bit-for-bit, shard structure included.
-func TestDumpLoadContigsAcrossWorkerCounts(t *testing.T) {
-	reads, _ := exampleGenomeReads(t)
-	const k = 21
-	g := buildSegGraph(t, reads, k, 4)
-	if _, err := LabelContigs(g, LabelerLR); err != nil {
-		t.Fatal(err)
-	}
-	m, err := MergeContigs(g, k, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := shardio.Open(filepath.Join(t.TempDir(), "ctg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DumpContigs(m.Contigs, store); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadContigs(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(m.Contigs) {
-		t.Fatalf("reloaded %d shards, want %d", len(got), len(m.Contigs))
-	}
-	for w := range m.Contigs {
-		if len(got[w]) != len(m.Contigs[w]) {
-			t.Fatalf("shard %d: %d records, want %d", w, len(got[w]), len(m.Contigs[w]))
-		}
-		for i, c := range m.Contigs[w] {
-			g := got[w][i]
-			if g.ID != c.ID || !g.Node.Seq.Equal(c.Node.Seq) || g.Node.Cov != c.Node.Cov {
-				t.Errorf("shard %d record %d differs after round trip", w, i)
-			}
-		}
-	}
-}
 
 // metricsFingerprint summarizes every deterministic counter of a workflow
 // state for exact comparison.
@@ -147,40 +22,35 @@ func metricsFingerprint(st *State) string {
 		m.MergeDroppedTips, m.MergeGroups, m.BubblesPruned, m.TipVerticesRemoved, m.BranchesCut)
 }
 
-// stockOps appends the two-round pipeline's ops to p, with staging seams
-// inserted after build and after rebuild when staged is set (the two seams
-// where only durable segment data is live).
-func stockOps(p *workflow.Plan[State], staged bool) *workflow.Plan[State] {
-	p.Then(BuildDBGOp{K: 21, Theta: 1})
-	if staged {
-		p.Then(StageOp{})
-	}
-	p.Then(LabelOp{Algo: LabelerLR}).
+// TestBuiltPlanMatchesParsedSpec: the two-round pipeline composed op by op
+// through the Plan API and the same pipeline spelled as a spec over the
+// registry are the same ops, and they produce byte-identical FASTA and
+// identical metrics.
+func TestBuiltPlanMatchesParsedSpec(t *testing.T) {
+	reads, _ := exampleGenomeReads(t)
+	built := workflow.NewPlan[State](ArtReads).
+		Then(BuildDBGOp{K: 21, Theta: 1}).
+		Then(LabelOp{Algo: LabelerLR}).
 		Then(MergeOp{TipLen: 80}).
 		Then(BubblePopOp{EditDist: 5}).
-		Then(RebuildOp{})
-	if staged {
-		p.Then(StageOp{})
-	}
-	p.Then(LinkContigsOp{}).
+		Then(RebuildOp{}).
+		Then(LinkContigsOp{}).
 		Then(TipTrimOp{MinLen: 80}).
 		Then(LabelOp{Algo: LabelerLR}).
 		Then(MergeOp{TipLen: 80}).
 		Then(EmitFastaOp{})
-	return p
-}
-
-// TestStagedPlanMatchesInMemoryTwin is the staging contract at the plan
-// level: a plan with shardio seams (through anonymous temp stores) must
-// produce byte-identical FASTA and identical metrics to its all-in-memory
-// twin.
-func TestStagedPlanMatchesInMemoryTwin(t *testing.T) {
-	reads, _ := exampleGenomeReads(t)
-	render := func(staged bool) ([]byte, string) {
-		p := stockOps(workflow.NewPlan[State](ArtReads), staged)
-		if err := p.Err(); err != nil {
-			t.Fatal(err)
-		}
+	if err := built.Err(); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := workflow.Parse(OpRegistry(DefaultOptions(4)),
+		"build,label,merge,bubble,rebuild,link,tiptrim,label,merge,fasta", ArtReads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(built.Ops(), parsed.Ops()) {
+		t.Fatalf("built ops %v, parsed ops %v", built.Ops(), parsed.Ops())
+	}
+	render := func(p *workflow.Plan[State]) ([]byte, string) {
 		st := &State{Reads: pregel.ShardSlice(reads, 4)}
 		if err := p.Run(&workflow.Env{Config: pregel.Config{Workers: 4}}, st); err != nil {
 			t.Fatal(err)
@@ -191,16 +61,16 @@ func TestStagedPlanMatchesInMemoryTwin(t *testing.T) {
 		}
 		return buf.Bytes(), metricsFingerprint(st)
 	}
-	memFasta, memMetrics := render(false)
-	stagedFasta, stagedMetrics := render(true)
-	if len(memFasta) == 0 {
-		t.Fatal("in-memory plan produced no FASTA")
+	builtFasta, builtMetrics := render(built)
+	parsedFasta, parsedMetrics := render(parsed)
+	if len(builtFasta) == 0 {
+		t.Fatal("built plan produced no FASTA")
 	}
-	if !bytes.Equal(memFasta, stagedFasta) {
-		t.Error("staged plan FASTA differs from in-memory twin")
+	if !bytes.Equal(builtFasta, parsedFasta) {
+		t.Error("parsed plan FASTA differs from the built plan's")
 	}
-	if memMetrics != stagedMetrics {
-		t.Errorf("staged plan metrics differ:\n mem    %s\n staged %s", memMetrics, stagedMetrics)
+	if builtMetrics != parsedMetrics {
+		t.Errorf("parsed plan metrics differ:\n built  %s\n parsed %s", builtMetrics, parsedMetrics)
 	}
 }
 
@@ -272,11 +142,27 @@ func TestOpRegistryAliases(t *testing.T) {
 			t.Errorf("spec %q: algo %v, want %v", spec, op.Algo, want)
 		}
 	}
-	if _, err := workflow.Parse(reg, "build,label:algo=zz,merge,fasta", ArtReads); err == nil {
-		t.Error("bad label algo accepted")
-	}
-	if _, err := workflow.Parse(reg, "build,label,merge,split:ratio=1,fasta", ArtReads); err == nil {
-		t.Error("split ratio 1 accepted")
+}
+
+// TestOpRegistryRejects: a spec whose op parameters are out of range fails
+// in Parse, naming the op, before any input is read.
+func TestOpRegistryRejects(t *testing.T) {
+	even := DefaultOptions(1)
+	even.K = 20 // as -k 20 sets it
+	for _, c := range []struct {
+		opt        Options
+		spec, want string
+	}{
+		{DefaultOptions(1), "build,label:algo=zz,merge,fasta", `op "label"`},
+		{DefaultOptions(1), "build,label,merge,split:ratio=1,fasta", `op "split": parameter ratio=1`},
+		{DefaultOptions(1), "build:k=33,label,merge,fasta", `op "build": dna: k=33 out of range`},
+		{DefaultOptions(1), "build:k=20,label,merge,fasta", `op "build": dna: k=20 must be odd`},
+		{even, "build,label,merge,fasta", `op "build": dna: k=20 must be odd`},
+	} {
+		_, err := workflow.Parse(OpRegistry(c.opt), c.spec, ArtReads)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("spec %q (k=%d): error %v, want one containing %q", c.spec, c.opt.K, err, c.want)
+		}
 	}
 }
 

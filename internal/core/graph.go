@@ -113,9 +113,9 @@ type Msg struct {
 // contig announcement or a tip REQUEST). TestMsgWireBytesMatchesCodec keeps
 // it within two bytes of the largest representative encoding. The engine's
 // generic 16-byte default undercharges this record, so every constructor of
-// a segment graph (NewSegmentGraph, BuildMixedGraph, LoadSegments) sets it
-// on the graph whatever the caller's Config says: every job is then priced
-// against the traffic the paper's cluster would actually carry.
+// a segment graph (NewSegmentGraph, BuildMixedGraph) sets it on the graph
+// whatever the caller's Config says: every job is then priced against the
+// traffic the paper's cluster would actually carry.
 const MsgWireBytes = 17
 
 // Graph is the segment graph all core operations run on.

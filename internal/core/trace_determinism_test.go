@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,7 +9,6 @@ import (
 	"ppaassembler/internal/pregel"
 	"ppaassembler/internal/readsim"
 	"ppaassembler/internal/telemetry"
-	"ppaassembler/internal/workflow"
 )
 
 // traceReads builds a small deterministic read set for the trace matrix —
@@ -159,63 +155,6 @@ func TestTraceCoversEveryOp(t *testing.T) {
 	} {
 		if !seen[want] {
 			t.Errorf("span %s never emitted; saw %v", want, keysOf(seen))
-		}
-	}
-}
-
-// TestTraceOpMidPlan: a trace op inserted mid-spec must observe the engine
-// work of the remaining ops — including Pregel jobs on the graph built
-// before it (TraceOp retrofits live graphs) — and emit a balanced stream
-// into its own sink (no End span for the trace op itself).
-func TestTraceOpMidPlan(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	reads := traceReads(t)
-
-	plan, err := workflow.Parse(OpRegistry(DefaultOptions(4)),
-		"build,trace:file="+tracePath+",label,merge,fasta", ArtReads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &workflow.Env{Config: pregel.Config{Workers: 4}}
-	st := &State{Reads: pregel.ShardSlice(reads, 4)}
-	if err := plan.Run(env, st); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := map[string]int{}
-	cats := map[string]bool{}
-	for i, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var e struct {
-			Ph, Name, Cat string
-		}
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("line %d: %v", i+1, err)
-		}
-		cats[e.Cat] = true
-		switch e.Ph {
-		case "B":
-			open[e.Cat+"/"+e.Name]++
-		case "E":
-			open[e.Cat+"/"+e.Name]--
-			if open[e.Cat+"/"+e.Name] < 0 {
-				t.Fatalf("line %d: end without begin for %s/%s", i+1, e.Cat, e.Name)
-			}
-		}
-	}
-	for key, n := range open {
-		if n != 0 {
-			t.Errorf("unbalanced span %s: %d left open", key, n)
-		}
-	}
-	// label runs on the pre-trace graph; its Pregel job must still appear.
-	for _, want := range []string{"workflow", "pregel", "phase", "mr"} {
-		if !cats[want] {
-			t.Errorf("mid-plan trace missing %q spans", want)
 		}
 	}
 }

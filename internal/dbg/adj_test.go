@@ -223,37 +223,45 @@ func TestPropKmerVertexItemsMatchInserted(t *testing.T) {
 	}
 }
 
-// TestCovsVarintRoundTrip: coverages travel as uvarints (the paper's
-// variable-length integers), so a small count costs one byte.
+// TestCovsVarintRoundTrip: a derived node's coverages travel as uvarints
+// (the paper's variable-length integers), so a small count costs one byte.
 func TestCovsVarintRoundTrip(t *testing.T) {
 	v := KmerVertex{}
 	v.AddEdge(AdjKmer{Base: dna.A, Cov: 1})
 	v.AddEdge(AdjKmer{Base: dna.T, Cov: 300})
 	v.AddEdge(AdjKmer{Base: dna.G, In: true, Cov: 4_000_000})
-	var got KmerVertex
-	if rest, err := got.DecodeCheckpoint(v.AppendCheckpoint(nil)); err != nil || len(rest) != 0 || got != v {
-		t.Fatalf("decoded %+v (%d bytes left, %v), want %+v", got, len(rest), err, v)
+	n := KmerNode(5, &v, 21)
+	var got Node
+	if rest, err := got.DecodeCheckpoint(n.AppendCheckpoint(nil)); err != nil || len(rest) != 0 || got != n {
+		t.Fatalf("decoded %+v (%d bytes left, %v), want %+v", got, len(rest), err, n)
 	}
-	// Small counts must take one byte (the paper's space argument): the
-	// one-byte bitmap of a single low item, then its coverage.
+	// Small counts must take one byte (the paper's space argument): after
+	// the form, ID, node coverage and k, the one-byte bitmap of a single
+	// low item, then its coverage.
 	one := KmerVertex{}
 	one.AddEdge(AdjKmer{Base: dna.A, Cov: 9})
-	if n := len(one.AppendCheckpoint(nil)); n != 2 {
-		t.Errorf("bitmap plus 1-digit coverage took %d bytes, want 2", n)
+	n = KmerNode(5, &one, 21)
+	if size := len(n.AppendCheckpoint(nil)); size != 6 {
+		t.Errorf("derived node with one 1-digit coverage took %d bytes, want 6", size)
 	}
 }
 
-// TestDecodeCovsErrors: a coverage list cut short, or a coverage past
-// uint32, fails the decode.
+// TestDecodeCovsErrors: a derived node's coverage list cut short, or a
+// coverage past uint32, fails the decode.
 func TestDecodeCovsErrors(t *testing.T) {
-	for _, data := range [][]byte{
+	head := []byte{formDerived, 5, 1, 21}
+	var n Node
+	if _, err := n.DecodeCheckpoint(append(head[:len(head):len(head)], 0x01, 0x05)); err != nil {
+		t.Fatalf("well-formed derived node refused: %v", err)
+	}
+	for _, tail := range [][]byte{
 		{0x03, 0x01},                         // two items, one coverage
 		{0x01, 0x80},                         // a truncated uvarint
 		{0x01, 0x85, 0x80, 0x80, 0x80, 0x10}, // 2^32+5
 	} {
-		var v KmerVertex
-		if _, err := v.DecodeCheckpoint(data); err == nil {
-			t.Errorf("% x decoded as %+v", data, v)
+		data := append(head[:len(head):len(head)], tail...)
+		if _, err := n.DecodeCheckpoint(data); err == nil {
+			t.Errorf("% x decoded as %+v", data, n)
 		}
 	}
 }

@@ -407,8 +407,8 @@ func TestKmerNodeConversion(t *testing.T) {
 
 // TestMaxDegreeVertex builds, from every (k+1)-mer, vertices with the most
 // items any de Bruijn graph can give a k-mer: MaxDegree, on odd k. The
-// vertex fits KmerVertex, turns into an explicit node with the reference's
-// items, and survives a checkpoint round trip.
+// vertex fits KmerVertex and turns into an explicit node with the
+// reference's items, which survives a checkpoint round trip.
 func TestMaxDegreeVertex(t *testing.T) {
 	for _, k := range []int{3, 5, 7} {
 		g := map[pregel.VertexID]*KmerVertex{}
@@ -431,7 +431,6 @@ func TestMaxDegreeVertex(t *testing.T) {
 			top = max(top, v.Degree())
 			if v.Degree() == MaxDegree {
 				checkKmerNode(t, id, v, k)
-				ckpttest.RoundTrip[KmerVertex](t, v)
 				n := KmerNode(id, v, k)
 				ckpttest.RoundTrip[Node](t, &n)
 			}

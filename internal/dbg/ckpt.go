@@ -170,33 +170,3 @@ func (n *Node) decodeDerived(data []byte) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// AppendCheckpoint implements pregel.CheckpointAppender: the bitmap, then
-// one coverage per set bit, all uvarints.
-func (v *KmerVertex) AppendCheckpoint(buf []byte) []byte {
-	buf = pregel.AppendUvarint(buf, uint64(v.Adj))
-	for _, c := range v.Covs[:v.Degree()] {
-		buf = pregel.AppendUvarint(buf, uint64(c))
-	}
-	return buf
-}
-
-// DecodeCheckpoint implements pregel.CheckpointDecoder. The bitmap fixes
-// the coverage count, and it may hold at most MaxDegree items.
-func (v *KmerVertex) DecodeCheckpoint(data []byte) ([]byte, error) {
-	*v = KmerVertex{}
-	bm, data, err := consumeUint32(data, "KmerVertex bitmap")
-	if err != nil {
-		return nil, err
-	}
-	if bits.OnesCount32(bm) > MaxDegree {
-		return nil, fmt.Errorf("dbg: corrupt KmerVertex encoding: %d items, at most %d", bits.OnesCount32(bm), MaxDegree)
-	}
-	v.Adj = Bitmap32(bm)
-	for i := range v.Degree() {
-		if v.Covs[i], data, err = consumeUint32(data, "KmerVertex coverage"); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}

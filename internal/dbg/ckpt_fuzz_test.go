@@ -109,7 +109,7 @@ func FuzzNodeCodecDifferential(f *testing.F) {
 	})
 }
 
-// checkDecoded decodes data as an Adj, a Node and a KmerVertex, and reads
+// checkDecoded decodes data as an Adj and a Node, and reads
 // every item of whatever decodes: a decoder must not hand out a value
 // whose items cannot be read.
 func checkDecoded(t *testing.T, data []byte) {
@@ -123,37 +123,6 @@ func checkDecoded(t *testing.T, data []byte) {
 		_ = itemsOf(&n)
 		_ = n.Oriented(H)
 	}
-	var v KmerVertex
-	if _, err := v.DecodeCheckpoint(data); err == nil {
-		_ = v.Items()
-		if v.Degree() <= InlineCovs {
-			n := KmerNode(0, &v, 1)
-			_ = itemsOf(&n)
-		}
-	}
-}
-
-func FuzzKmerVertexCodecDifferential(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x0f, 3, 200, 1, 0, 0x80, 0x80, 0x01})
-	// Bitmap 0b11 with one coverage, and a bitmap wider than 32 bits:
-	// encodings the pre-v16 decoder accepted.
-	f.Add([]byte{3, 1, 5})
-	f.Add([]byte{0x81, 0x80, 0x80, 0x80, 0x10, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := &fuzzGen{data: data}
-		var v KmerVertex
-		for bm := g.u32(); bm != 0 && v.Degree() < MaxDegree; bm &= bm - 1 {
-			v.Adj |= Bitmap32(bm & -bm)
-		}
-		for i := range v.Degree() {
-			v.Covs[i] = g.u32()
-		}
-		ckpttest.RoundTrip[KmerVertex](t, &v)
-		ckpttest.NoPanic[KmerVertex](t, data)
-		ckpttest.Corrupt[KmerVertex](t, &v, data)
-		checkDecoded(t, data)
-	})
 }
 
 // decodeExact decodes data as a T and, if that succeeds, requires the
@@ -194,10 +163,6 @@ func TestDecodersRejectInconsistentInput(t *testing.T) {
 		return append(append(b, k), u(append([]uint64{bm}, covs...)...)...)
 	}
 	cases := map[string][]byte{
-		"vertex: bitmap 0b11, one coverage":     u(0b11, 1, 5),
-		"vertex: bitmap wider than 32 bits":     u(wide|1, 0),
-		"vertex: coverage wider than 32 bits":   u(1, 1, wide),
-		"vertex: more than MaxDegree items":     u(1<<(MaxDegree+1)-1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
 		"item: polarity byte above 1":           adjBytes([]byte{0, 2, 0}, 1, 21),
 		"item: flags above three bits":          adjBytes([]byte{8}, 1, 21),
 		"item: coverage wider than 32 bits":     adjBytes([]byte{0, 0, 0}, wide, 21),
@@ -211,16 +176,9 @@ func TestDecodersRejectInconsistentInput(t *testing.T) {
 		"node: explicit, item polarity above 1": append([]byte{formExplicitKmer, 0, 0, 0, 1}, adjBytes([]byte{0, 2, 0}, 1, 21)...),
 	}
 	for name, data := range cases {
-		decodeExact[KmerVertex](t, name, data)
 		decodeExact[Adj](t, name, data)
 		decodeExact[Node](t, name, data)
 		checkDecoded(t, data)
-	}
-	for _, name := range []string{"vertex: bitmap wider than 32 bits", "vertex: more than MaxDegree items"} {
-		var v KmerVertex
-		if _, err := v.DecodeCheckpoint(cases[name]); err == nil {
-			t.Errorf("KmerVertex: %s: decoded %+v", name, v)
-		}
 	}
 	for _, name := range []string{"item: flags above three bits"} {
 		var a Adj

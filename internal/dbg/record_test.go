@@ -9,9 +9,9 @@ import (
 	"ppaassembler/internal/pregel"
 )
 
-// A staged node's record is its checkpoint encoding (internal/core
-// hex-encodes one per line), so these tests pin that a node survives the
-// encoding whole, in its own form: a derived k-mer stays derived.
+// A segment graph's checkpoint stores each node in its checkpoint
+// encoding, so these tests pin that a node survives the encoding whole, in
+// its own form: a derived k-mer stays derived.
 
 // recordRoundTrip encodes n, decodes it back, and checks that the decode
 // consumed exactly the encoding and gave the same node.

@@ -1,7 +1,7 @@
 // Package fastx reads and writes the FASTA and FASTQ formats used for
 // reference sequences, simulated reads and assembled contigs. The paper's
 // datasets are FASTQ files on HDFS; this reproduction reads them from the
-// local filesystem or the sharded store of package shardio.
+// local filesystem.
 package fastx
 
 import (

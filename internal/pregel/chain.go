@@ -164,12 +164,3 @@ func (g *Graph[V, M]) install(nSrc int, size func(s int) int, each func(s, i int
 // UseClock replaces g's simulated clock, letting independent graphs charge
 // a shared end-to-end pipeline clock.
 func (g *Graph[V, M]) UseClock(c *SimClock) { g.clock = c }
-
-// SetTelemetry replaces the graph's tracer and metrics registry. A graph
-// captures both in its Config at construction, so a sink installed later
-// (e.g. by a mid-plan trace op) must be retrofitted explicitly; nil
-// detaches.
-func (g *Graph[V, M]) SetTelemetry(tr telemetry.Tracer, m *telemetry.Registry) {
-	g.cfg.Tracer = tr
-	g.cfg.Metrics = m
-}

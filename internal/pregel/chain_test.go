@@ -38,8 +38,8 @@ func convertReference[V2, M2, V1, M1 any](
 			nRemote++
 		}
 	}
-	src.ForEachWorker(func(w int, id VertexID, val *V1) {
-		if w != cur {
+	src.ForEach(func(id VertexID, val *V1) {
+		if w := src.WorkerOf(id); w != cur {
 			if cur >= 0 {
 				convNs[cur] += float64(nowNs() - start)
 			}

@@ -102,11 +102,15 @@ func TestVertexSetMatchesModel(t *testing.T) {
 				}
 			}
 			seen, last, lastW := 0, VertexID(0), -1
-			g.ForEachWorker(func(w int, id VertexID, val *int) {
-				if w == lastW && id <= last {
-					t.Fatalf("trial %d: worker %d not strictly ascending at %d", trial, w, id)
+			g.ForEach(func(id VertexID, val *int) {
+				w := g.WorkerOf(id)
+				if w < lastW || w == lastW && id <= last {
+					t.Fatalf("trial %d: vertex %d on worker %d visited after %d on worker %d", trial, id, w, last, lastW)
 				}
-				if want, ok := model[id]; !ok || want != *val || g.WorkerOf(id) != w {
+				if _, stored := g.workers[w].live(id); !stored {
+					t.Fatalf("trial %d: vertex %d is not stored on worker %d", trial, id, w)
+				}
+				if want, ok := model[id]; !ok || want != *val {
 					t.Fatalf("trial %d: vertex %d = %d on worker %d, model has %d (present %v)", trial, id, *val, w, want, ok)
 				}
 				seen, last, lastW = seen+1, id, w

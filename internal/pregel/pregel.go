@@ -617,23 +617,10 @@ func (g *Graph[V, M]) ForEach(fn func(id VertexID, val *V)) {
 	}
 }
 
-// ForEachWorker calls fn(workerIndex, id, val) for every live vertex, in
-// worker order then ID order, for callers that need to know which worker
-// owns a vertex (staging dumps one part-file per worker).
-func (g *Graph[V, M]) ForEachWorker(fn func(worker int, id VertexID, val *V)) {
-	for wi, w := range g.workers {
-		for i, id := range w.ids {
-			if !w.dead[i] {
-				fn(wi, id, &w.vals[i])
-			}
-		}
-	}
-}
-
-// ScanWorkers is ForEachWorker on the engine's executor: under
-// Config.Parallel the workers are scanned concurrently (each worker's own
-// vertices still in ID order), so fn may only touch state owned by the
-// worker index it is handed.
+// ScanWorkers calls fn(workerIndex, id, val) for every live vertex on the
+// engine's executor: under Config.Parallel the workers are scanned
+// concurrently (each worker's own vertices still in ID order), so fn may
+// only touch state owned by the worker index it is handed.
 func (g *Graph[V, M]) ScanWorkers(fn func(worker int, id VertexID, val *V)) {
 	forEachWorker(g.cfg.Workers, g.cfg.Parallel, g.cfg.JobPrefix, "scan", func(wi int) {
 		w := g.workers[wi]

@@ -303,16 +303,28 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerConsistentWithWorkerOf(t *testing.T) {
+// TestForEachConsistentWithWorkerOf: ForEach visits every vertex once, in
+// WorkerOf's worker order and then ID order, and each vertex it visits is
+// stored on the worker WorkerOf names.
+func TestForEachConsistentWithWorkerOf(t *testing.T) {
 	g := NewGraph[int, int](Config{Workers: 5})
 	for i := 0; i < 100; i++ {
 		g.AddVertex(VertexID(i*31), 0)
 	}
-	g.ForEachWorker(func(w int, id VertexID, _ *int) {
-		if g.WorkerOf(id) != w {
-			t.Errorf("vertex %d reported on worker %d but WorkerOf says %d", id, w, g.WorkerOf(id))
+	seen, last, lastW := 0, VertexID(0), -1
+	g.ForEach(func(id VertexID, _ *int) {
+		w := g.WorkerOf(id)
+		if w < lastW || w == lastW && id <= last {
+			t.Errorf("vertex %d (worker %d) visited after vertex %d (worker %d)", id, w, last, lastW)
 		}
+		if _, ok := g.workers[w].live(id); !ok {
+			t.Errorf("vertex %d is not stored on worker %d, which WorkerOf names", id, w)
+		}
+		seen, last, lastW = seen+1, id, w
 	})
+	if seen != 100 {
+		t.Errorf("ForEach visited %d vertices, want 100", seen)
+	}
 }
 
 func TestPropVertexStoreSetGet(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 // e.g. "build,label,merge,bubble,rebuild,link,tiptrim:minlen=40,label,merge,fasta".
 // Op names come from a Registry; parameters are op-specific and parsed by
 // the op's factory through Params, which rejects unknown keys. A ":"
-// segment without "=" continues the previous parameter's value, so path
-// values containing colons (stage:dir=/data/run:3) survive the split.
+// segment without "=" continues the previous parameter's value, so values
+// containing colons (path=/data/run:3) survive the split.
 
 // Factory builds one configured op from spec parameters.
 type Factory[S any] func(p *Params) (Op[S], error)

@@ -16,9 +16,9 @@ func FuzzParseSpec(f *testing.F) {
 	for _, spec := range []string{
 		"build,label,merge,bubble,rebuild,link,tiptrim,label,merge,fasta",
 		"build:k=31:theta=2,svlabel,merge:tiplen=40,fasta:minlen=100",
-		"build,label:algo=sv,merge,stage:dir=/data/run:3,fasta",
+		"build,label:algo=sv,merge:tiplen=4:0,fasta",
 		"build,listrank,merge,bubble:editdist=3:mincov=2,rebuild,split:ratio=4,link,tiptrim:minlen=40,label,merge,fasta,scaffold:insert=700:insertsd=60:minsupport=2:minlen=300:seed=25",
-		"trace:file=t.jsonl:format=chrome:metrics=m.prom,build,label,merge,fasta",
+		"build:k=20,label,merge,fasta",
 		"build,merge,fasta",
 		"build,, label:algo=xx",
 		"build:k=1:k=2",

@@ -16,10 +16,9 @@
 // implements Op[core.State] for each operation; that is what lets
 // core.Assemble itself be a thin canned plan without an import cycle.
 //
-// Between two ops the handoff is in memory by default (the Pregel+ convert
-// extension); inserting a staging op (core.StageOp) at a seam dumps the
-// live artifacts to a shardio store and reloads them, which is how the
-// paper positions HDFS between jobs of different systems.
+// Between two ops the handoff is always in memory (the Pregel+ convert
+// extension, §II): one op's graph or contig set is the next op's input,
+// with no dump to and reload from a distributed file system in between.
 package workflow
 
 import (
@@ -45,9 +44,6 @@ type Info struct {
 	Name string
 	// Needs must all be live when the op runs.
 	Needs []Artifact
-	// NeedsAny requires at least one of these to be live (for ops like a
-	// staging seam that operate on whichever artifacts exist).
-	NeedsAny []Artifact
 	// Produces become live after the op.
 	Produces []Artifact
 	// Consumes become dead after the op (checked against later Needs).
@@ -75,17 +71,14 @@ type Env struct {
 	// before running the op, so checkpoint keys are stable and
 	// self-describing for any composition and a re-executed plan
 	// re-reserves identical keys on Resume; it clears JobPrefix when the
-	// plan finishes. Ops may install or wrap Tracer mid-plan (core.TraceOp,
-	// how the `trace:` spec op turns tracing on for the rest of a plan). A
-	// traced plan also brackets itself and each op with spans, and Metrics
-	// counts the ops run.
+	// plan finishes. Tracer and Metrics are read once, when the plan
+	// starts, and ops do not change them: a traced plan brackets itself
+	// and each op with spans, and Metrics counts the ops run.
 	pregel.Config
 
 	// Clock is the simulated-cluster clock every op charges. Plan.Run
 	// installs a fresh one when nil.
 	Clock *pregel.SimClock
-
-	closers []func() error // sinks to flush/close when the plan finishes
 }
 
 // normalize validates the configuration and fills the cross-job state
@@ -103,25 +96,6 @@ func (e *Env) normalize() error {
 		e.Checkpointer = pregel.NewMemCheckpointer()
 	}
 	return nil
-}
-
-// AddCloser registers fn to run when the enclosing Plan.Run finishes,
-// success or failure — how trace/metrics sinks opened mid-plan (by
-// core.TraceOp) get flushed exactly once. Closers run in registration
-// order after the last op; their first error surfaces only when the plan
-// itself succeeded.
-func (e *Env) AddCloser(fn func() error) { e.closers = append(e.closers, fn) }
-
-// runClosers drains the registered closers, returning the first error.
-func (e *Env) runClosers() error {
-	var first error
-	for _, fn := range e.closers {
-		if err := fn(); err != nil && first == nil {
-			first = err
-		}
-	}
-	e.closers = nil
-	return first
 }
 
 // Plan is an ordered composition of ops plus the artifact-flow validation
@@ -159,20 +133,6 @@ func (p *Plan[S]) Then(op Op[S]) *Plan[S] {
 			return p
 		}
 	}
-	if len(info.NeedsAny) > 0 {
-		ok := false
-		for _, need := range info.NeedsAny {
-			if p.live[need] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			p.err = fmt.Errorf("workflow: op %d (%s) needs one of %v, but the plan so far only provides %s",
-				len(p.ops), info.Name, info.NeedsAny, describeLive(p.live))
-			return p
-		}
-	}
 	for _, a := range info.Consumes {
 		delete(p.live, a)
 	}
@@ -203,7 +163,7 @@ func (p *Plan[S]) Provides(a Artifact) bool { return p.err == nil && p.live[a] }
 // the op's plan position (Env.JobPrefix), so arbitrary compositions
 // checkpoint and resume exactly like the canned pipelines. With a tracer set, each op's End span
 // also carries what the op allocated and its GC CPU time (see opMem).
-func (p *Plan[S]) Run(env *Env, st *S) (err error) {
+func (p *Plan[S]) Run(env *Env, st *S) error {
 	if p.err != nil {
 		return p.err
 	}
@@ -213,23 +173,16 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 	if err := env.normalize(); err != nil {
 		return err
 	}
-	// Sinks registered by ops (TraceOp) must flush even when a later op
-	// fails — a truncated trace of a failed run is exactly when one wants
-	// to look at it.
-	defer func() {
-		env.JobPrefix = ""
-		if cerr := env.runClosers(); err == nil {
-			err = cerr
-		}
-	}()
-	if env.Tracer != nil {
-		env.Tracer.Emit(telemetry.Event{
+	defer func() { env.JobPrefix = "" }()
+	tr := env.Tracer
+	if tr != nil {
+		tr.Emit(telemetry.Event{
 			Kind: telemetry.KindBegin, Name: "plan", Cat: "workflow",
 			WallNs: time.Now().UnixNano(), SimNs: env.Clock.Ns(),
 			Args: []telemetry.Arg{telemetry.I("ops", int64(len(p.ops)))},
 		})
 		defer func() {
-			env.Tracer.Emit(telemetry.Event{
+			tr.Emit(telemetry.Event{
 				Kind: telemetry.KindEnd, Name: "plan", Cat: "workflow",
 				WallNs: time.Now().UnixNano(), SimNs: env.Clock.Ns(),
 			})
@@ -238,11 +191,6 @@ func (p *Plan[S]) Run(env *Env, st *S) (err error) {
 	for i, op := range p.ops {
 		name := op.Info().Name
 		env.JobPrefix = fmt.Sprintf("s%02d.%s.", i, sanitizeName(name))
-		// Checked per op, not once: an op may install the tracer mid-plan.
-		// The End goes to the tracer that saw the Begin — an op that
-		// installs a sink (TraceOp) must not open that sink's stream with
-		// its own unbalanced End span.
-		tr := env.Tracer
 		var mem0 opMem
 		var heap *telemetry.HeapWatch
 		if tr != nil {

@@ -80,28 +80,6 @@ func TestPlanRejectsMissingArtifact(t *testing.T) {
 	}
 }
 
-// anyOp exercises Info.NeedsAny.
-type anyOp struct{ fakeOp }
-
-func (o anyOp) Info() Info {
-	i := o.fakeOp.Info()
-	i.NeedsAny = []Artifact{"graph", "contigs"}
-	return i
-}
-
-func TestPlanNeedsAny(t *testing.T) {
-	if err := NewPlan[fakeState](Artifact("contigs")).Then(anyOp{}).Err(); err != nil {
-		t.Errorf("NeedsAny with one live member rejected: %v", err)
-	}
-	err := NewPlan[fakeState](Artifact("reads")).Then(anyOp{fakeOp{name: "stage"}}).Err()
-	if err == nil {
-		t.Fatal("NeedsAny with no live member accepted")
-	}
-	if !strings.Contains(err.Error(), "needs one of") {
-		t.Errorf("error %q does not describe the any-of requirement", err)
-	}
-}
-
 func TestPlanRejectsConsumedArtifact(t *testing.T) {
 	p := NewPlan[fakeState](Artifact("graph"), Artifact("labels")).
 		Then(fakeOp{name: "stage", consumes: []Artifact{"labels"}}).
